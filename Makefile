@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fuzz-smoke fuzz-search test-corpus bench-parallel bench-logstore bench-gen bench-fleet bench-fleet-scale bench-diagnose bench-incremental bench-ingest smoke-serve clean
+.PHONY: all build test race vet fuzz-smoke fuzz-search test-corpus bench bench-aa bench-parallel bench-logstore bench-gen bench-fleet bench-fleet-scale bench-diagnose bench-incremental bench-ingest smoke-serve clean
 
 all: build vet test
 
@@ -51,6 +51,18 @@ fuzz-search:
 test-corpus:
 	$(GO) test -run TestFuzzCorpusRegression -v ./internal/fuzz
 
+# The repository's one benchmark (BENCHMARK.json, benchmark/README.md):
+# four recorded workloads through the unchanged pipeline, untraced for the
+# end-to-end metrics, then traced for the per-layer ones; exits non-zero on
+# a failed output check. Several minutes.
+bench:
+	$(GO) run ./benchmark
+
+# The untraced suite twice, compared against the bounds of BENCHMARK.json:
+# what the host's run-to-run spread allows a comparison to resolve.
+bench-aa:
+	$(GO) run ./benchmark -aa
+
 # Parallel-pipeline speedup sweep (Workers in {1, 2, 4, NumCPU}) on a
 # ~4000-template case.
 bench-parallel:
@@ -92,7 +104,9 @@ bench-fleet-scale:
 # any ranking bit — plus the per-tick incremental-close comparison (delta
 # frame build + streaming detection vs from-scratch rebuild + batch
 # detection), which exits non-zero if any tick diverges or the close
-# speedup drops below the committed floor. Writes BENCH_diagnose.json.
+# speedup drops below the committed floor (the command's gate: the library
+# only reports below_floor, so go test never evaluates a wall-clock ratio).
+# Writes BENCH_diagnose.json.
 bench-diagnose:
 	$(GO) run ./cmd/pinsql-bench -exp diagnose -small -seed 3
 

@@ -196,6 +196,11 @@ func realMain() (code int) {
 					}
 					fmt.Printf("[diagnose report written to %s]\n", *diagOut)
 				}
+				if inc := res.Incremental; inc.BelowFloor {
+					fmt.Println(res.Format())
+					return nil, fmt.Errorf("incremental close speedup %.2fx below committed floor %.0fx",
+						inc.Speedup, inc.SpeedupFloor)
+				}
 				return wrapped{res}, nil
 			})
 		},

@@ -15,12 +15,13 @@ import (
 )
 
 // IncrementalSpeedupFloor is the committed performance floor of the
-// per-tick incremental frame close: RunDiagnoseBench fails (and the CI
-// smoke exits non-zero) if the incremental path delivers less than this
-// many times the rebuild path's windows/sec. Measured headroom is large
-// (two orders of magnitude on the default corpus — the rebuild pays
-// O(window) clones and sorts every tick, the incremental close O(new
-// records)), so the floor trips on real regressions, not machine noise.
+// per-tick incremental frame close: RunDiagnoseBench reports BelowFloor
+// (and cmd/pinsql-bench exits non-zero on it) if the incremental path
+// delivers less than this many times the rebuild path's windows/sec.
+// The rebuild pays O(window) clones and sorts every tick, the incremental
+// close O(new records); still, a wall-clock ratio moves with machine load
+// (4.13× was seen under a loaded `go test ./...`), so the library only
+// reports it and nothing under `go test` evaluates it.
 const IncrementalSpeedupFloor = 5.0
 
 // IncrementalBench compares two ways of producing a sealed window frame
@@ -44,11 +45,13 @@ type IncrementalBench struct {
 	Templates     int `json:"templates"`       // template universe size
 
 	// Frame close: ingest-and-seal against from-scratch rebuild. The
-	// headline Speedup is floor-gated.
+	// headline Speedup is floor-gated by the command, not the library:
+	// BelowFloor reports Speedup < SpeedupFloor.
 	RebuildWindowsPerSec     float64 `json:"rebuild_windows_per_sec"`
 	IncrementalWindowsPerSec float64 `json:"incremental_windows_per_sec"`
 	Speedup                  float64 `json:"speedup"`
 	SpeedupFloor             float64 `json:"speedup_floor"`
+	BelowFloor               bool    `json:"below_floor"`
 
 	// Detection: rolling-state streaming detector against the batch
 	// detector over the same per-tick prefixes (informational — the two
@@ -231,10 +234,7 @@ func runIncrementalBench(seed int64, small bool) (*IncrementalBench, error) {
 	out.StreamDetectsPerSec = ticks / incDetSec
 	out.BatchDetectsPerSec = ticks / rebDetSec
 	out.DetectSpeedup = rebDetSec / incDetSec
-	if out.Speedup < out.SpeedupFloor {
-		return out, fmt.Errorf("bench: incremental close speedup %.2fx below committed floor %.0fx",
-			out.Speedup, out.SpeedupFloor)
-	}
+	out.BelowFloor = out.Speedup < out.SpeedupFloor
 	return out, nil
 }
 

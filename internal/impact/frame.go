@@ -32,18 +32,24 @@ func RankFrame(f *window.Frame, sessions []timeseries.Series, instSession timese
 	norm := masses.MinMax()
 
 	scores := make([]Score, len(f.ByID))
-	parallel.ForEach(opt.Workers, len(f.ByID), func(i int) {
-		pos := f.ByID[i]
-		s := sessions[pos]
-		trend, _ := timeseries.WeightedCorr(s, instSession, weight)
-		ratio, _ := s.Div(instSession)
-		scaleTrend, _ := timeseries.Corr(ratio, instSession)
-		scores[i] = Score{
-			ID:         f.Templates[pos].Meta.ID,
-			Pos:        int(pos),
-			Trend:      trend,
-			Scale:      2*norm[i] - 1,
-			ScaleTrend: scaleTrend,
+	parallel.Blocks(opt.Workers, len(f.ByID), func(lo, hi int) {
+		// One session-share scratch per chunk, not one series per template.
+		ratio := make(timeseries.Series, n)
+		for i := lo; i < hi; i++ {
+			pos := f.ByID[i]
+			s := sessions[pos]
+			trend, _ := timeseries.WeightedCorr(s, instSession, weight)
+			var scaleTrend float64
+			if s.DivInto(ratio, instSession) == nil {
+				scaleTrend, _ = timeseries.Corr(ratio, instSession)
+			}
+			scores[i] = Score{
+				ID:         f.Templates[pos].Meta.ID,
+				Pos:        int(pos),
+				Trend:      trend,
+				Scale:      2*norm[i] - 1,
+				ScaleTrend: scaleTrend,
+			}
 		}
 	})
 	var maxIdx int

@@ -7,6 +7,7 @@ package rootcause
 // naive per-pair path it replaced.
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -173,12 +174,48 @@ func sortedMetricNames(metrics map[string]timeseries.Series) []string {
 	return names
 }
 
+// kernelInput builds a clustering input aimed at rowEdges' four-column
+// kernel: nT templates following two latent signals, a constant series (a
+// nil vector) at every index ≡ constAt (mod 4) when constAt >= 0, and, when
+// ragged, series of three different lengths, so a row meets columns both
+// shorter and longer than itself.
+func kernelInput(rng *rand.Rand, nT, constAt int, ragged bool) Input {
+	const n = 600
+	signals := [2]timeseries.Series{make(timeseries.Series, n), make(timeseries.Series, n)}
+	for _, sig := range signals {
+		v := rng.Float64() * 10
+		for i := range sig {
+			v += rng.NormFloat64()
+			sig[i] = v
+		}
+	}
+	templates := make([]Template, nT)
+	for t := range templates {
+		length := n
+		if ragged {
+			length = []int{n, 420, 300}[rng.Intn(3)]
+		}
+		exec := make(timeseries.Series, length)
+		sig, noise := signals[rng.Intn(2)], 0.1+rng.Float64()*2
+		for i := range exec {
+			exec[i] = 7
+			if constAt < 0 || t%4 != constAt {
+				exec[i] = sig[i] + rng.NormFloat64()*noise
+			}
+		}
+		templates[t] = Template{ID: sqltemplate.ID(rune('A' + t)), Exec: exec}
+	}
+	return Input{Templates: templates}
+}
+
 // TestClusterTemplatesMatchesPairwiseReference checks that the
 // precomputed-standardize scan — sequential and sharded alike — produces
-// the same connected components as the per-pair reference.
+// the same connected components as the per-pair reference: on random
+// inputs, and on inputs that walk the four-column kernel through every
+// remainder (n ≡ 0..3 mod 4), a nil vector at every position of a
+// four-group, and unequal-length vectors.
 func TestClusterTemplatesMatchesPairwiseReference(t *testing.T) {
-	prop := func(seed int64) bool {
-		in := randomInput(rand.New(rand.NewSource(seed)))
+	check := func(label string, in Input) bool {
 		want := clusterPairwiseRef(in, DefaultTau)
 		for _, w := range []int{1, 4} {
 			got := clusterTemplates(in, DefaultTau, w)
@@ -187,14 +224,26 @@ func TestClusterTemplatesMatchesPairwiseReference(t *testing.T) {
 				members[i] = c.members
 			}
 			if !reflect.DeepEqual(members, want) {
-				t.Logf("seed %d workers=%d: components %v, want %v", seed, w, members, want)
+				t.Errorf("%s workers=%d: components %v, want %v", label, w, members, want)
 				return false
 			}
 		}
 		return true
 	}
+	prop := func(seed int64) bool {
+		return check(fmt.Sprintf("seed %d", seed), randomInput(rand.New(rand.NewSource(seed))))
+	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+	rng := rand.New(rand.NewSource(12))
+	for nT := 1; nT <= 13; nT++ {
+		for constAt := -1; constAt < 4; constAt++ {
+			for _, ragged := range []bool{false, true} {
+				check(fmt.Sprintf("nT=%d constAt=%d ragged=%v", nT, constAt, ragged),
+					kernelInput(rng, nT, constAt, ragged))
+			}
+		}
 	}
 }
 

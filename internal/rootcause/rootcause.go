@@ -233,10 +233,7 @@ func verifyAll(in Input, candidates []int, opt Options, verified map[int]bool) [
 }
 
 // pairScanBlock is the number of graph rows whose τ-edges are
-// materialized per parallel round of clusterTemplates. Between rounds the
-// union-find absorbs the round's edges, so the next round's root snapshot
-// can skip already-connected pairs (the same shortcut the sequential scan
-// takes pair-by-pair); within a round edge memory is bounded by
+// materialized per round of clusterTemplates, bounding edge memory by
 // pairScanBlock·n instead of the full n²/2 triangle.
 const pairScanBlock = 256
 
@@ -244,11 +241,11 @@ const pairScanBlock = 256
 // temp nodes and returns its connected components (templates only).
 //
 // The pairwise-Pearson scan over the upper triangle is the O(n²) heart of
-// the Fig. 7 scalability curve. With workers == 1 it runs the classic
-// sequential loop; otherwise rows are sharded across the pool in blocks,
-// every worker appending τ-edges to the row it owns, and the union-find
-// consumes the rows strictly in (i, j) order afterwards. Skipped
-// already-connected pairs never change connected components, and
+// the Fig. 7 scalability curve. Rows are scanned a block at a time, each
+// row's τ-edges collected by rowEdges into a list the row owns (fanned
+// across the pool when workers > 1), and the union-find consumes the lists
+// strictly in (i, j) order. Every pair's score is a pure function of its
+// two vectors, a union of already-connected nodes is a no-op, and
 // component enumeration orders clusters by smallest member index, so the
 // resulting partition — and every downstream ranking — is identical for
 // every worker count.
@@ -271,55 +268,27 @@ func clusterTemplates(in Input, tau float64, workers int) []cluster {
 			vecs[i] = standardize(in.Metrics[metricNames[i-nT]].Downsample(clusterGranularitySec))
 		}
 	})
+	// Constant series (nil vectors) have no edges: compact them away so the
+	// scan sees only live columns, in ascending node order.
+	live := make([]int, 0, n)
+	cols := make([][]float64, 0, n)
+	for i, v := range vecs {
+		if v != nil {
+			live = append(live, i)
+			cols = append(cols, v)
+		}
+	}
 
 	uf := newUnionFind(n)
-	if parallel.Resolve(workers) <= 1 {
-		for i := 0; i < n; i++ {
-			if vecs[i] == nil {
-				continue
-			}
-			for j := i + 1; j < n; j++ {
-				if vecs[j] == nil || uf.find(i) == uf.find(j) {
-					continue
-				}
-				if dot(vecs[i], vecs[j]) > tau {
-					uf.union(i, j)
-				}
-			}
-		}
-	} else {
-		// roots is a read-only snapshot of the union-find taken between
-		// rounds; workers consult it instead of uf.find, whose path
-		// halving mutates shared state.
-		roots := make([]int, n)
-		edges := make([][]int32, pairScanBlock)
-		for blockLo := 0; blockLo < n; blockLo += pairScanBlock {
-			blockHi := blockLo + pairScanBlock
-			if blockHi > n {
-				blockHi = n
-			}
-			for i := 0; i < n; i++ {
-				roots[i] = uf.find(i)
-			}
-			parallel.ForEach(workers, blockHi-blockLo, func(r int) {
-				i := blockLo + r
-				edges[r] = edges[r][:0]
-				if vecs[i] == nil {
-					return
-				}
-				for j := i + 1; j < n; j++ {
-					if vecs[j] == nil || roots[i] == roots[j] {
-						continue
-					}
-					if dot(vecs[i], vecs[j]) > tau {
-						edges[r] = append(edges[r], int32(j))
-					}
-				}
-			})
-			for r := 0; r < blockHi-blockLo; r++ {
-				for _, j := range edges[r] {
-					uf.union(blockLo+r, int(j))
-				}
+	edges := make([][]int32, pairScanBlock)
+	for blockLo := 0; blockLo < len(cols); blockLo += pairScanBlock {
+		rows := min(pairScanBlock, len(cols)-blockLo)
+		parallel.ForEach(workers, rows, func(r int) {
+			edges[r] = rowEdges(cols, blockLo+r, tau, edges[r][:0])
+		})
+		for r := 0; r < rows; r++ {
+			for _, c := range edges[r] {
+				uf.union(live[blockLo+r], live[c])
 			}
 		}
 	}
@@ -449,6 +418,41 @@ func standardize(s timeseries.Series) []float64 {
 		out[i] *= inv
 	}
 	return out
+}
+
+// rowEdges appends to edges every column c > r whose dot product with row r
+// exceeds tau, in ascending c. Four columns are scored per iteration, each
+// with its own accumulator over the same element order as dot, so every
+// score has the bits the one-pair loop gives it; what changes is four
+// independent add chains in flight instead of one.
+func rowEdges(cols [][]float64, r int, tau float64, edges []int32) []int32 {
+	a := cols[r]
+	c := r + 1
+	for ; c+4 <= len(cols); c += 4 {
+		b0, b1, b2, b3 := cols[c], cols[c+1], cols[c+2], cols[c+3]
+		if len(b0) < len(a) || len(b1) < len(a) || len(b2) < len(a) || len(b3) < len(a) {
+			break // a short column ends its sum early: leave the rest to dot
+		}
+		b0, b1, b2, b3 = b0[:len(a)], b1[:len(a)], b2[:len(a)], b3[:len(a)]
+		var s0, s1, s2, s3 float64
+		for i, x := range a {
+			s0 += x * b0[i]
+			s1 += x * b1[i]
+			s2 += x * b2[i]
+			s3 += x * b3[i]
+		}
+		for k, s := range [4]float64{s0, s1, s2, s3} {
+			if s > tau {
+				edges = append(edges, int32(c+k))
+			}
+		}
+	}
+	for ; c < len(cols); c++ {
+		if dot(a, cols[c]) > tau {
+			edges = append(edges, int32(c))
+		}
+	}
+	return edges
 }
 
 func dot(a, b []float64) float64 {

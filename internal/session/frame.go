@@ -1,6 +1,9 @@
 package session
 
 import (
+	"math"
+	"slices"
+
 	"pinsql/internal/parallel"
 	"pinsql/internal/timeseries"
 	"pinsql/internal/window"
@@ -51,125 +54,130 @@ func EstimateFrameByRT(f *window.Frame) *FrameEstimate {
 // expected active session over each whole second.
 func EstimateFrameNoBuckets(f *window.Frame) *FrameEstimate {
 	est := newFrameEstimate(f)
+	starts := make([]float64, f.Seconds)
+	for sec := range starts {
+		starts[sec] = float64(f.StartMs + int64(sec)*1000)
+	}
 	for pos := range f.Templates {
-		accumulateFrame(est.PerTemplate[pos], f, pos, func(sec int) (float64, float64) {
-			lo := float64(f.StartMs + int64(sec)*1000)
-			return lo, lo + 1000
-		})
+		accumulateFrame(est.PerTemplate[pos], f, pos, starts, 1000)
 	}
 	est.sumTotal(f)
 	return est
 }
 
+// maxExactMs bounds the millisecond values whose float64 arithmetic is
+// exact to well under a millisecond; a block cut outside it (or NaN, ±Inf)
+// falls back to scanning the whole observation group.
+const maxExactMs = 1 << 52
+
 // EstimateFrameBuckets is the paper's bucketed estimator (§IV-C) over a
-// window frame, with the pipeline's Workers knob. It mirrors
-// EstimateBucketsWorkers stage for stage — the per-second candidate lists
-// are filled in ascending-template-ID (ByID) order, bucket totals and
-// selection are sharded by second, and per-template accumulation is sharded
-// by template — so its output is bit-identical to the legacy map-keyed
-// estimator for every worker count.
+// window frame, with the pipeline's Workers knob. Every (second, bucket)
+// total receives its addends in ascending-template-ID (ByID) then arrival
+// order — the legacy sorted-map walk — and every per-template series is
+// owned by one worker, so the output is bit-identical to the legacy
+// map-keyed estimator for every worker count.
 func EstimateFrameBuckets(f *window.Frame, observed timeseries.Series, k, workers int) *FrameEstimate {
 	if k <= 0 {
 		k = DefaultBuckets
 	}
 	est := newFrameEstimate(f)
 	seconds := f.Seconds
-	if seconds <= 0 {
-		return est
-	}
 	bucketLen := 1000.0 / float64(k)
 
-	// Per-second index of the observations whose active interval touches
-	// each second, in ByID order so every second's accumulation order is
-	// identical to the legacy sorted-map walk. Counted first, then filled
-	// into one flat arena — no per-second append growth.
-	counts := make([]int32, seconds+1)
-	forEachSpan(f, func(obsIdx int32, first, last int) {
-		for sec := first; sec <= last; sec++ {
-			counts[sec+1]++
+	// maxResp[pos] is group pos's longest response: an observation that
+	// arrives more than that before a block of seconds cannot reach it.
+	maxResp := make([]float64, len(f.Templates))
+	for pos := range maxResp {
+		_, resp := f.Obs(pos)
+		m := math.Inf(-1)
+		for _, r := range resp {
+			if r > m || r != r { // a NaN sticks, and disables the cut below
+				m = r
+			}
 		}
-	})
-	for sec := 1; sec <= seconds; sec++ {
-		counts[sec] += counts[sec-1]
+		maxResp[pos] = m
 	}
-	perSecOff := counts
-	arena := make([]int32, perSecOff[seconds])
-	next := make([]int32, seconds)
-	forEachSpan(f, func(obsIdx int32, first, last int) {
-		for sec := first; sec <= last; sec++ {
-			arena[perSecOff[sec]+next[sec]] = obsIdx
-			next[sec]++
-		}
-	})
 
 	// Pass 1+2 fused and sharded by second: expected total session per
-	// bucket, then selection against the observed SHOW STATUS value.
+	// bucket, then selection against the observed SHOW STATUS value. A
+	// block walks the groups in ByID order, entering each arrival-sorted
+	// group at the first observation that can still reach the block and
+	// leaving at the first that arrives after it; Workers = 1 is the
+	// one-block case. Per (observation, second) only a conservative bucket
+	// range is evaluated: the buckets left out overlap by exactly zero,
+	// which the full walk did not add either.
+	totals := make([]float64, seconds*k)
+	selLo := make([]float64, seconds) // start of each second's selected bucket
 	parallel.Blocks(workers, seconds, func(lo, hi int) {
-		totals := make([]float64, k)
-		for sec := lo; sec < hi; sec++ {
-			for b := range totals {
-				totals[b] = 0
+		loMs, hiMs := f.StartMs+int64(lo)*1000, f.StartMs+int64(hi)*1000
+		for _, pos := range f.ByID {
+			arr, resp := f.Obs(int(pos))
+			i := 0
+			if cut := float64(loMs) - maxResp[pos]; cut > -maxExactMs && cut < maxExactMs {
+				i, _ = slices.BinarySearch(arr, int64(cut)-1)
 			}
-			base := float64(f.StartMs + int64(sec)*1000)
-			for _, oi := range arena[perSecOff[sec]:perSecOff[sec+1]] {
-				q := Obs{ArrivalMs: f.Arrival[oi], ResponseMs: f.Response[oi]}
-				for b := 0; b < k; b++ {
-					blo := base + float64(b)*bucketLen
-					if ov := overlapMs(q, blo, blo+bucketLen); ov > 0 {
-						totals[b] += ov / bucketLen
+			for ; i < len(arr) && arr[i] < hiMs; i++ {
+				q := Obs{ArrivalMs: arr[i], ResponseMs: resp[i]}
+				first, last := secondSpan(q, f.StartMs, seconds)
+				first, last = max(first, lo), min(last, hi-1)
+				qlo := float64(q.ArrivalMs)
+				qhi := qlo + q.ResponseMs
+				for sec := first; sec <= last; sec++ {
+					base := float64(f.StartMs + int64(sec)*1000)
+					b0, b1 := 0, k-1
+					if x := (qlo-base)/bucketLen - 1; x > 0 {
+						b0 = int(x)
+					}
+					if x := (qhi-base)/bucketLen + 1; x < float64(b1) {
+						b1 = int(x)
+					}
+					row := totals[sec*k : sec*k+k]
+					for b := b0; b <= b1; b++ {
+						blo := base + float64(b)*bucketLen
+						if ov := overlapMs(q, blo, blo+bucketLen); ov > 0 {
+							row[b] += ov / bucketLen
+						}
 					}
 				}
 			}
+		}
+		for sec := lo; sec < hi; sec++ {
+			row := totals[sec*k : sec*k+k]
 			var target float64
 			if sec < len(observed) {
 				target = observed[sec]
 			}
-			best, bestDiff := 0, abs(totals[0]-target)
+			best, bestDiff := 0, abs(row[0]-target)
 			for b := 1; b < k; b++ {
-				if d := abs(totals[b] - target); d < bestDiff {
+				if d := abs(row[b] - target); d < bestDiff {
 					best, bestDiff = b, d
 				}
 			}
 			est.SelBucket[sec] = best
+			selLo[sec] = float64(f.StartMs+int64(sec)*1000) + float64(best)*bucketLen
 		}
 	})
 
 	// Pass 3: per-template expectation inside the selected bucket, sharded
 	// by template — each worker writes only the series it owns.
 	parallel.ForEach(workers, len(f.Templates), func(pos int) {
-		accumulateFrame(est.PerTemplate[pos], f, pos, func(sec int) (float64, float64) {
-			lo := float64(f.StartMs+int64(sec)*1000) + float64(est.SelBucket[sec])*bucketLen
-			return lo, lo + bucketLen
-		})
+		accumulateFrame(est.PerTemplate[pos], f, pos, selLo, bucketLen)
 	})
 	est.sumTotal(f)
 	return est
 }
 
-// forEachSpan walks every observation in ByID template order and reports
-// its clamped window-second span (empty spans are skipped).
-func forEachSpan(f *window.Frame, fn func(obsIdx int32, first, last int)) {
-	for _, pos := range f.ByID {
-		lo, hi := f.Off[pos], f.Off[pos+1]
-		for oi := lo; oi < hi; oi++ {
-			first, last := secondSpan(Obs{ArrivalMs: f.Arrival[oi], ResponseMs: f.Response[oi]}, f.StartMs, f.Seconds)
-			if first > last {
-				continue
-			}
-			fn(oi, first, last)
-		}
-	}
-}
-
 // accumulateFrame adds template pos's observation probabilities to s for
-// every second each observation spans, using the period from periodOf.
-func accumulateFrame(s timeseries.Series, f *window.Frame, pos int, periodOf func(sec int) (float64, float64)) {
+// every second each observation spans; second sec's period is
+// [periodLo[sec], periodLo[sec]+periodLen).
+func accumulateFrame(s timeseries.Series, f *window.Frame, pos int, periodLo []float64, periodLen float64) {
 	arr, resp := f.Obs(pos)
 	for i, a := range arr {
 		q := Obs{ArrivalMs: a, ResponseMs: resp[i]}
 		first, last := secondSpan(q, f.StartMs, f.Seconds)
 		for sec := first; sec <= last; sec++ {
-			lo, hi := periodOf(sec)
+			lo := periodLo[sec]
+			hi := lo + periodLen
 			if ov := overlapMs(q, lo, hi); ov > 0 {
 				s[sec] += ov / (hi - lo)
 			}
