@@ -1,6 +1,6 @@
 // Command pinsqld is the autonomous diagnosing daemon: it monitors one or
 // many (simulated) cloud database instances through the full PinSQL
-// pipeline — streaming collection via the broker, windowed aggregation,
+// pipeline — streaming collection a trace second at a time, windowed aggregation,
 // round-the-clock anomaly detection, diagnosis on detection, and
 // (optionally) automatic repairing actions — mirroring the production
 // deployment of Fig. 2, where one diagnosis cluster multiplexes a fleet

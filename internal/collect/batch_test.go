@@ -1,0 +1,192 @@
+package collect
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"pinsql/internal/dbsim"
+	"pinsql/internal/logstore"
+	"pinsql/internal/sqltemplate"
+	"pinsql/internal/window"
+)
+
+// batchStream draws one record stream for the window [10 s, 70 s):
+// pre-digested and raw-SQL records (some templates reachable both ways),
+// throttled ones, arrivals before the window (including the −1..−999 ms
+// band integer division would round into second 0), in its last second and
+// past its end, new templates appearing throughout.
+func batchStream(rng *rand.Rand, n int) []dbsim.LogRecord {
+	const startMs, endMs = 10_000, 70_000
+	recs := make([]dbsim.LogRecord, n)
+	for i := range recs {
+		tpl := rng.Intn(4 + 40*i/n) // the template universe grows along the stream
+		sql := fmt.Sprintf("SELECT c%d FROM batch WHERE id = %d", tpl, rng.Intn(30))
+		r := rec("", sql, "batch", dbsim.KindSelect, 0, float64(rng.Intn(500))/4+1, int64(rng.Intn(1000)))
+		switch rng.Intn(3) {
+		case 0:
+			r.TemplateID = fmt.Sprintf("PT%02d", tpl)
+		case 1: // pre-digested to the ID the raw spelling normalizes to
+			r.TemplateID = string(sqltemplate.New(sql).ID)
+		}
+		switch rng.Intn(12) {
+		case 0:
+			r.ArrivalMs = startMs - 1 - rng.Int63n(2000)
+		case 1:
+			r.ArrivalMs = endMs - 1 - rng.Int63n(1000)
+		case 2:
+			r.ArrivalMs = endMs + rng.Int63n(2000)
+		default:
+			r.ArrivalMs = startMs + rng.Int63n(endMs-startMs)
+		}
+		r.Throttled = rng.Intn(12) == 0
+		recs[i] = r
+	}
+	return recs
+}
+
+// TestIngestBatchMatchesRecordLoop: one record stream split at arbitrary
+// batch boundaries — batches of one and one batch for everything included,
+// Frame() calls interleaved — leaves every sealed frame, the staging
+// store's scan, the registry and the raw-cache counters exactly as the
+// record-at-a-time run does.
+func TestIngestBatchMatchesRecordLoop(t *testing.T) {
+	for seed := int64(0); seed < 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		recs := batchStream(rng, 1500)
+		// sealAfter[i] seals a frame once record i is in.
+		sealAfter := map[int]bool{len(recs) - 1: true}
+		for k := 0; k < int(seed%4)*3; k++ {
+			sealAfter[rng.Intn(len(recs))] = true
+		}
+
+		run := func(cut func() int) ([]*window.Frame, []logstore.Record, *Collector) {
+			store := logstore.New(0)
+			c := NewCollector("batch", 10_000, 70_000, NewRegistry(), store)
+			var frames []*window.Frame
+			for lo := 0; lo < len(recs); {
+				hi := min(lo+cut(), len(recs))
+				for i := lo; i < hi; i++ {
+					if sealAfter[i] {
+						hi = i + 1
+					}
+				}
+				c.IngestBatch(recs[lo:hi])
+				if sealAfter[hi-1] {
+					frames = append(frames, c.Frame())
+				}
+				lo = hi
+			}
+			return frames, store.Scan("batch", -1<<62, 1<<62), c
+		}
+
+		wantFrames, wantScan, want := run(func() int { return 1 })
+		if want.Records() == 0 || len(want.Registry().Entries()) < 30 {
+			t.Fatalf("seed %d: fixture too tame: %d records, %d templates", seed, want.Records(), len(want.Registry().Entries()))
+		}
+		cuts := map[string]func() int{
+			"whole":  func() int { return len(recs) },
+			"random": func() int { return 1 + rng.Intn(200) },
+			"small":  func() int { return 1 + rng.Intn(3) },
+		}
+		for name, cut := range cuts {
+			gotFrames, gotScan, got := run(cut)
+			if len(gotFrames) != len(wantFrames) {
+				t.Fatalf("seed %d %s: %d frames, want %d", seed, name, len(gotFrames), len(wantFrames))
+			}
+			for i := range wantFrames {
+				if err := framesEqual(gotFrames[i], wantFrames[i]); err != nil {
+					t.Fatalf("seed %d %s: frame %d diverges from the record loop: %v", seed, name, i, err)
+				}
+			}
+			if !reflect.DeepEqual(gotScan, wantScan) {
+				t.Fatalf("seed %d %s: staging scan diverges (%d vs %d records)", seed, name, len(gotScan), len(wantScan))
+			}
+			if !reflect.DeepEqual(got.Registry().Entries(), want.Registry().Entries()) {
+				t.Fatalf("seed %d %s: registry diverges", seed, name)
+			}
+			gh, gm, _ := got.Registry().RawCacheStats()
+			wh, wm, _ := want.Registry().RawCacheStats()
+			if gh != wh || gm != wm || got.Records() != want.Records() {
+				t.Fatalf("seed %d %s: raw cache %d/%d, records %d; record loop %d/%d, %d",
+					seed, name, gh, gm, got.Records(), wh, wm, want.Records())
+			}
+			if err := framesEqual(got.Frame(), got.RebuildFrame()); err != nil {
+				t.Fatalf("seed %d %s: final frame diverges from rebuild: %v", seed, name, err)
+			}
+		}
+	}
+}
+
+// windowBatches is one 300 s window of 150 pre-digested records a second
+// over 28 templates, in per-second batches.
+func windowBatches() [][]dbsim.LogRecord {
+	rng := rand.New(rand.NewSource(3))
+	batches := make([][]dbsim.LogRecord, 300)
+	for s := range batches {
+		batches[s] = make([]dbsim.LogRecord, 150)
+		for i := range batches[s] {
+			tpl := rng.Intn(28)
+			batches[s][i] = rec(fmt.Sprintf("PT%02d", tpl), "", "budget", dbsim.KindSelect,
+				int64(s)*1000+rng.Int63n(1000), float64(rng.Intn(500))/4+1, int64(rng.Intn(1000)))
+		}
+	}
+	return batches
+}
+
+// TestIngestBatchAllocBudget budgets the work of collecting a window in
+// objects and bytes, not time. Warm, a 150-record second costs O(1)
+// objects amortised — slice growth only, no per-record object — and a
+// whole window costs a bounded number of bytes per record: the floor is
+// 48 B (the 32 B archived record and two 8 B observation columns), the
+// rest is slice-growth slack and the per-template series. The bytes budget
+// is 1.25 × what this code measured, and the test checks that it bites: a
+// per-window 65 536-slot record channel put back must break it.
+func TestIngestBatchAllocBudget(t *testing.T) {
+	batches := windowBatches()
+	reg := NewRegistry()
+	for _, b := range batches {
+		for _, r := range b {
+			reg.Intern(r)
+		}
+	}
+
+	warm := NewCollector("budget", 0, 300_000, reg, logstore.New(0))
+	warm.IngestBatch(batches[0])
+	next := 1
+	perBatch := testing.AllocsPerRun(len(batches)-2, func() {
+		warm.IngestBatch(batches[next])
+		next++
+	})
+	if perBatch > 4 {
+		t.Errorf("a warm 150-record IngestBatch allocates %.1f objects, budget 4", perBatch)
+	}
+
+	var sink chan dbsim.LogRecord
+	window := func(perWindow func()) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if perWindow != nil {
+			perWindow()
+		}
+		c := NewCollector("budget", 0, 300_000, reg, logstore.New(0))
+		for _, b := range batches {
+			c.IngestBatch(b)
+		}
+		runtime.ReadMemStats(&after)
+		if c.Records() != 45_000 {
+			t.Fatalf("window collected %d records", c.Records())
+		}
+		return float64(after.TotalAlloc-before.TotalAlloc) / 45_000
+	}
+	const budget = 1.25 * 89 // bytes per record; 89.0 measured
+	if got := window(nil); got > budget || got < 48 {
+		t.Errorf("collecting a window allocates %.1f B per record, budget %.1f (floor 48)", got, budget)
+	}
+	if got := window(func() { sink = make(chan dbsim.LogRecord, 65536) }); got <= budget {
+		t.Errorf("budget does not bite: %.1f B per record with a per-window channel, budget %.1f", got, budget)
+	}
+	_ = sink
+}

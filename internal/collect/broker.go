@@ -120,7 +120,10 @@ func (b *Broker) PublishBlocking(topic string, rec dbsim.LogRecord) {
 		b.mu.RUnlock()
 		return
 	}
-	subs := append([]*subscription(nil), b.subs[topic]...)
+	// The snapshot lives on the stack up to four subscribers, so the
+	// common lossless publish allocates nothing.
+	var few [4]*subscription
+	subs := append(few[:0], b.subs[topic]...)
 	b.mu.RUnlock()
 	for _, sub := range subs {
 		select {

@@ -32,6 +32,12 @@ type TemplateSeries struct {
 	// (0 = not in it): the delta build fetches a clean group's
 	// already-sorted column from there instead of re-sorting its tail.
 	sealPos int32
+
+	// pos is the template's current position in its collector's frame
+	// order, and obs its observation tail — one lookup per record reaches
+	// the series, the tail and the position together.
+	pos int
+	obs obsColumns
 }
 
 // touch prepares the series for mutation: if the last sealed frame still
@@ -180,6 +186,10 @@ const noDirtyObs = math.MaxInt
 // a minimum-position watermark), the aggregate series of touched templates
 // (copy-on-seal), and the live metric series (also copy-on-seal). A warm
 // close therefore allocates O(new records), not O(window).
+//
+// Lock order: c.mu → the registry's lock → the store's locks. IngestBatch
+// interns (persistence hook included) and appends to the store under c.mu;
+// neither the registry nor a store ever calls back into a collector.
 type Collector struct {
 	mu       sync.Mutex
 	topic    string
@@ -188,21 +198,17 @@ type Collector struct {
 	registry *Registry
 	store    logstore.Backend
 
-	templates map[int32]*TemplateSeries
+	// templates resolves a template ID to its window state: a pre-digested
+	// record reaches the shared registry only on first sight in the window.
+	templates map[sqltemplate.ID]*TemplateSeries
 
 	// ordered mirrors templates in ascending Meta.Index order — the
 	// frame's template-position order — maintained by insertion as new
-	// templates intern, so sealing never re-sorts. posOf resolves a
-	// registry index to its current position.
+	// templates intern, so sealing never re-sorts.
 	ordered []*TemplateSeries
-	posOf   map[int32]int
 
-	// obs accumulates each template's raw observation columns during
-	// Ingest — the same records the store archives, in the same insertion
-	// order — so Frame() never re-scans the store. Tails are append-only
-	// and never sorted in place: a seal copies the tail into the frame
-	// column and sorts the copy.
-	obs map[int32]*obsColumns
+	// archive is the batch of store records IngestBatch assembles, reused.
+	archive []logstore.Record
 
 	// met holds the live metric series; metSealed marks them as referenced
 	// by the last sealed frame (copy-on-seal, like TemplateSeries.sealed).
@@ -225,10 +231,13 @@ type Collector struct {
 	tsetChanged bool
 }
 
-// obsColumns is one template's in-progress observation columns, appended in
-// log-store insertion order. dirty marks appends since the last seal: only
-// dirty groups are re-sorted at seal; clean groups copy their sorted form
-// from the previous frame.
+// obsColumns is one template's in-progress observation columns: the same
+// records the store archives, appended in log-store insertion order during
+// ingest, so Frame() never re-scans the store. Tails are append-only and
+// never sorted in place: a seal copies the tail into the frame column and
+// sorts the copy. dirty marks appends since the last seal: only dirty
+// groups are re-sorted at seal; clean groups copy their sorted form from
+// the previous frame.
 type obsColumns struct {
 	arrival  []int64
 	response []float64
@@ -254,9 +263,7 @@ func NewCollector(topic string, startMs, endMs int64, registry *Registry, store 
 		seconds:   seconds,
 		registry:  registry,
 		store:     store,
-		templates: make(map[int32]*TemplateSeries),
-		posOf:     make(map[int32]int),
-		obs:       make(map[int32]*obsColumns),
+		templates: make(map[sqltemplate.ID]*TemplateSeries),
 		met:       newMetricSet(seconds),
 		dirtyObs:  noDirtyObs,
 	}
@@ -283,7 +290,7 @@ func (c *Collector) insertOrdered(ts *TemplateSeries) {
 	copy(c.ordered[pos+1:], c.ordered[pos:])
 	c.ordered[pos] = ts
 	for i := pos; i < len(c.ordered); i++ {
-		c.posOf[c.ordered[i].Meta.Index] = i
+		c.ordered[i].pos = i
 	}
 	c.tsetChanged = true
 	if pos < c.dirtyObs {
@@ -291,19 +298,22 @@ func (c *Collector) insertOrdered(ts *TemplateSeries) {
 	}
 }
 
-// Ingest consumes one query-log record.
+// Ingest consumes one query-log record: IngestBatch of one.
 func (c *Collector) Ingest(rec dbsim.LogRecord) {
-	if rec.ArrivalMs < c.startMs {
-		return // integer division would round -1..-999 ms up to second 0
-	}
-	sec := int((rec.ArrivalMs - c.startMs) / 1000)
-	if sec >= c.seconds {
-		return
-	}
-	meta := c.registry.Intern(rec)
+	c.IngestBatch([]dbsim.LogRecord{rec})
+}
 
-	c.mu.Lock()
-	ts, ok := c.templates[meta.Index]
+// seriesLocked returns the window state of the record's template, creating
+// it on first sight. Raw-SQL records intern per record (the registry's raw
+// cache and its hit counters see every one of them).
+func (c *Collector) seriesLocked(rec *dbsim.LogRecord) *TemplateSeries {
+	if id := sqltemplate.ID(rec.TemplateID); id != "" {
+		if ts, ok := c.templates[id]; ok {
+			return ts
+		}
+	}
+	meta := c.registry.Intern(*rec)
+	ts, ok := c.templates[meta.ID]
 	if !ok {
 		ts = &TemplateSeries{
 			Meta:      meta,
@@ -312,49 +322,65 @@ func (c *Collector) Ingest(rec dbsim.LogRecord) {
 			SumRows:   make(timeseries.Series, c.seconds),
 			Throttled: make(timeseries.Series, c.seconds),
 		}
-		c.templates[meta.Index] = ts
+		c.templates[meta.ID] = ts
 		c.insertOrdered(ts)
 	}
-	ts.touch()
-	if rec.Throttled {
-		ts.Throttled[sec]++
+	return ts
+}
+
+// IngestBatch consumes query-log records in order under one acquisition of
+// the collector lock; recs is not retained. Records outside the window are
+// skipped (integer division would round −1..−999 ms up to second 0).
+func (c *Collector) IngestBatch(recs []dbsim.LogRecord) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	archive := c.archive[:0]
+	for i := range recs {
+		rec := &recs[i]
+		if rec.ArrivalMs < c.startMs {
+			continue
+		}
+		sec := int((rec.ArrivalMs - c.startMs) / 1000)
+		if sec >= c.seconds {
+			continue
+		}
+		ts := c.seriesLocked(rec)
+		ts.touch()
 		c.frameValid = false
-		c.mu.Unlock()
-		return
-	}
-	ts.Count[sec]++
-	ts.SumRT[sec] += rec.ResponseMs
-	ts.SumRows[sec] += float64(rec.ExaminedRows)
-	c.records++
+		if rec.Throttled {
+			ts.Throttled[sec]++
+			continue
+		}
+		ts.Count[sec]++
+		ts.SumRT[sec] += rec.ResponseMs
+		ts.SumRows[sec] += float64(rec.ExaminedRows)
+		c.records++
 
-	// Observation columns for the window frame: the same record the store
-	// archives below, in the same order.
-	col, ok := c.obs[meta.Index]
-	if !ok {
-		col = &obsColumns{}
-		c.obs[meta.Index] = col
+		// Observation columns for the window frame: the same record the
+		// store archives below, in the same order.
+		ts.obs.arrival = append(ts.obs.arrival, rec.ArrivalMs)
+		ts.obs.response = append(ts.obs.response, rec.ResponseMs)
+		ts.obs.dirty = true
+		if ts.pos < c.dirtyObs {
+			c.dirtyObs = ts.pos
+		}
+		archive = append(archive, logstore.Record{
+			TemplateIdx:  ts.Meta.Index,
+			ArrivalMs:    rec.ArrivalMs,
+			ResponseMs:   rec.ResponseMs,
+			ExaminedRows: rec.ExaminedRows,
+		})
 	}
-	col.arrival = append(col.arrival, rec.ArrivalMs)
-	col.response = append(col.response, rec.ResponseMs)
-	col.dirty = true
-	if pos := c.posOf[meta.Index]; pos < c.dirtyObs {
-		c.dirtyObs = pos
-	}
-	c.frameValid = false
-
-	// Raw record for the log store (session estimation needs per-query
+	// Raw records for the log store (session estimation needs per-query
 	// start and response times, §IV-C). Loose append: records are emitted
 	// at completion, so lock-delayed statements arrive far out of arrival
 	// order. Appended under c.mu so the column order above always equals
 	// the store's insertion order — the tie-break order both sides of the
 	// frame/legacy equivalence rely on.
-	c.store.AppendLoose(c.topic, logstore.Record{
-		TemplateIdx:  meta.Index,
-		ArrivalMs:    rec.ArrivalMs,
-		ResponseMs:   rec.ResponseMs,
-		ExaminedRows: rec.ExaminedRows,
-	})
-	c.mu.Unlock()
+	if len(archive) > 0 {
+		c.store.AppendLooseBatch(c.topic, archive)
+	}
+	c.archive = archive[:0]
 }
 
 // touchMetricsLocked prepares the metric series for mutation, cloning them
@@ -507,8 +533,8 @@ func (c *Collector) sealLocked() *window.Frame {
 		f.Off, f.Arrival, f.Response = prev.Off, prev.Arrival, prev.Response
 	} else {
 		total := 0
-		for _, col := range c.obs {
-			total += len(col.arrival)
+		for _, ts := range c.ordered {
+			total += len(ts.obs.arrival)
 		}
 		f.Off = make([]int32, T+1)
 		f.Arrival = make([]int64, total)
@@ -526,23 +552,21 @@ func (c *Collector) sealLocked() *window.Frame {
 		}
 		for pos := dirty; pos < T; pos++ {
 			ts := c.ordered[pos]
+			col := &ts.obs
 			off := int(f.Off[pos])
-			end := off
-			if col := c.obs[ts.Meta.Index]; col != nil {
-				end = off + len(col.arrival)
-				if !col.dirty && prev != nil && ts.sealPos > 0 {
-					// Clean group above the watermark (only its position
-					// shifted): its sorted column already exists in the
-					// previous frame — copy it instead of re-sorting.
-					plo := int(prev.Off[ts.sealPos-1])
-					copy(f.Arrival[off:end], prev.Arrival[plo:plo+len(col.arrival)])
-					copy(f.Response[off:end], prev.Response[plo:plo+len(col.arrival)])
-				} else {
-					copy(f.Arrival[off:end], col.arrival)
-					copy(f.Response[off:end], col.response)
-					window.SortObsGroup(f.Arrival[off:end], f.Response[off:end])
-					col.dirty = false
-				}
+			end := off + len(col.arrival)
+			if !col.dirty && prev != nil && ts.sealPos > 0 {
+				// Clean group above the watermark (only its position
+				// shifted): its sorted column already exists in the
+				// previous frame — copy it instead of re-sorting.
+				plo := int(prev.Off[ts.sealPos-1])
+				copy(f.Arrival[off:end], prev.Arrival[plo:plo+len(col.arrival)])
+				copy(f.Response[off:end], prev.Response[plo:plo+len(col.arrival)])
+			} else if end > off {
+				copy(f.Arrival[off:end], col.arrival)
+				copy(f.Response[off:end], col.response)
+				window.SortObsGroup(f.Arrival[off:end], f.Response[off:end])
+				col.dirty = false
 			}
 			f.Off[pos+1] = int32(end)
 		}
@@ -604,8 +628,8 @@ func (c *Collector) RebuildFrame() *window.Frame {
 	sortTemplates(ordered)
 
 	total := 0
-	for _, col := range c.obs {
-		total += len(col.arrival)
+	for _, ts := range ordered {
+		total += len(ts.obs.arrival)
 	}
 	f.Templates = make([]window.Template, len(ordered))
 	f.Off = make([]int32, len(ordered)+1)
@@ -619,10 +643,8 @@ func (c *Collector) RebuildFrame() *window.Frame {
 			SumRows:   ts.SumRows.Clone(),
 			Throttled: ts.Throttled.Clone(),
 		}
-		if col := c.obs[ts.Meta.Index]; col != nil {
-			f.Arrival = append(f.Arrival, col.arrival...)
-			f.Response = append(f.Response, col.response...)
-		}
+		f.Arrival = append(f.Arrival, ts.obs.arrival...)
+		f.Response = append(f.Response, ts.obs.response...)
 		f.Off[i+1] = int32(len(f.Arrival))
 	}
 	f.Finalize()

@@ -50,6 +50,20 @@ func TestBrokerBlockingSinkLossless(t *testing.T) {
 	}
 }
 
+// TestPublishBlockingAllocatesNothing: with up to four subscribers the
+// subscriber snapshot of a lossless publish lives on the stack.
+func TestPublishBlockingAllocatesNothing(t *testing.T) {
+	b := NewBroker()
+	defer b.Close()
+	for i := 0; i < 4; i++ {
+		b.Subscribe("t", 256) // buffers hold every record published below
+	}
+	rec := dbsim.LogRecord{TemplateID: "t", ArrivalMs: 1}
+	if allocs := testing.AllocsPerRun(200, func() { b.PublishBlocking("t", rec) }); allocs != 0 {
+		t.Fatalf("PublishBlocking allocates %.1f objects per record, want 0", allocs)
+	}
+}
+
 // TestBrokerBlockingSinkCancelledSubscription checks the escape hatch: a
 // blocking publish to a topic whose only subscription was cancelled (and
 // is no longer draining) must not deadlock.

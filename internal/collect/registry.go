@@ -1,9 +1,10 @@
 // Package collect is the data-collection and pre-processing half of
-// PinSQL's first module (§IV-A): it subscribes to the query-log stream of a
-// database instance (the Kafka substitute is the in-process Broker), keeps
-// compact per-query records in a TTL'd log store, and aggregates them into
-// per-template per-second metric series (the Flink substitute is the
-// Collector/StreamAggregator), alongside the instance performance metrics.
+// PinSQL's first module (§IV-A): it takes the query-log stream of a
+// database instance a batch at a time (or, for live fan-out, through the
+// in-process Broker, the Kafka substitute), keeps compact per-query
+// records in a TTL'd log store, and aggregates them into per-template
+// per-second metric series (the Flink substitute is the Collector),
+// alongside the instance performance metrics.
 package collect
 
 import (

@@ -54,14 +54,6 @@ type Options struct {
 	// oversubscription); diagnosis output is identical for every value.
 	DiagnosisWorkers int
 
-	// BrokerBuffer is the per-window subscription buffer between the
-	// trace player and the stream aggregator. Default 65536. The player
-	// publishes losslessly (a replayed window is pumped much faster than
-	// real time, and a dropped record would break bit-reproducibility),
-	// so the buffer is pipe depth, not a drop threshold: a full buffer
-	// throttles the player to the aggregator.
-	BrokerBuffer int
-
 	// Metrics receives the fleet's counters and gauges; nil creates a
 	// private registry (reachable via Fleet.Metrics). When several fleets
 	// share one registry (the shard manager), Labels keeps their series
@@ -92,9 +84,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.DiagnosisWorkers == 0 {
 		o.DiagnosisWorkers = 1
-	}
-	if o.BrokerBuffer <= 0 {
-		o.BrokerBuffer = 65536
 	}
 	if o.Metrics == nil {
 		o.Metrics = obs.NewRegistry()
@@ -150,7 +139,6 @@ type Fleet struct {
 	ids   []string // sorted
 
 	pool    *parallel.Pool
-	broker  *collect.Broker
 	mod     *repair.Module
 	journal *journal // non-nil in durable mode: one group-committed file per fleet
 
@@ -179,10 +167,9 @@ var errCrashed = errors.New("fleet: crash hook fired")
 func New(specs []InstanceSpec, opt Options) (*Fleet, error) {
 	opt = opt.withDefaults()
 	f := &Fleet{
-		opt:    opt,
-		insts:  make(map[string]*instState, len(specs)),
-		broker: collect.NewBroker(),
-		mod:    repair.New(repair.DefaultConfig(), repair.DefaultOptimizer()),
+		opt:   opt,
+		insts: make(map[string]*instState, len(specs)),
+		mod:   repair.New(repair.DefaultConfig(), repair.DefaultOptimizer()),
 	}
 	f.cond = sync.NewCond(&f.mu)
 	f.diagCfg = core.DefaultConfig()
@@ -381,9 +368,10 @@ func (f *Fleet) registerMetrics() {
 		m.GaugeFunc("pinsql_ingest_lag_seconds", "Known trace end minus the replay playhead.", func() float64 {
 			return st.play.Stats().LagSeconds
 		}, f.lbls(lbl)...)
-		id := id
+		// The player feeds the collector directly: nothing sits between
+		// them that could drop a record, so this series reads 0.
 		m.CounterFunc("pinsql_broker_dropped_total", "Records dropped by the broker under backpressure.", func() float64 {
-			return float64(f.broker.Dropped(id))
+			return 0
 		}, f.lbls(obs.L("topic", id))...)
 	}
 }
@@ -492,10 +480,12 @@ func (f *Fleet) runSim(st *instState, w int) {
 }
 
 // simWindow runs the collect/aggregate stage of one window: the player
-// pumps the instance's source (the simulator or a recorded trace) through
-// the broker into a staging collector backed by a private in-memory
-// store; nothing durable happens here. It returns io.EOF when the trace
-// was exhausted before this window's first second.
+// hands the instance's source (the simulator or a recorded trace) to a
+// staging collector backed by a private in-memory store, one trace second
+// per call; nothing durable happens here. Delivery is synchronous, so no
+// record can be dropped and a source may reuse its batch buffer. It
+// returns io.EOF when the trace was exhausted before this window's first
+// second.
 func (f *Fleet) simWindow(st *instState, w int) (*stagedWindow, bool, error) {
 	spec := st.spec
 	windowMs := int64(spec.WindowSec) * 1000
@@ -509,15 +499,7 @@ func (f *Fleet) simWindow(st *instState, w int) (*stagedWindow, bool, error) {
 
 	staging := logstore.New(0)
 	coll := collect.NewCollector(spec.ID, fromMs, toMs, st.registry, staging)
-	dropBefore := f.broker.Dropped(spec.ID)
-	ch, cancel := f.broker.Subscribe(spec.ID, f.opt.BrokerBuffer)
-	done := collect.NewStreamAggregator(coll).Consume(ch)
-	// Lossless publish: the player is throttled to the aggregator, which
-	// keeps draining until cancel — so the pump can run arbitrarily
-	// faster than trace time without shedding records.
-	rows, more, err := st.play.PlayWindow(fromMs, toMs, f.broker.BlockingSink(spec.ID))
-	cancel()
-	<-done
+	rows, more, err := st.play.PlayWindowBatches(fromMs, toMs, coll.IngestBatch)
 	if err != nil {
 		return nil, more, err
 	}
@@ -539,7 +521,6 @@ func (f *Fleet) simWindow(st *instState, w int) (*stagedWindow, bool, error) {
 			Window: w, FromMs: fromMs, ToMs: toMs,
 			Injected:    injected,
 			Records:     coll.Records(),
-			Dropped:     f.broker.Dropped(spec.ID) - dropBefore,
 			MeanSession: sess,
 			MeanCPU:     cpu,
 		},
@@ -652,18 +633,30 @@ func (f *Fleet) commit(st *instState, sw *stagedWindow) error {
 	}
 	var appendErr error
 	crashed := false
-	n := 0
-	sw.staging.ScanFunc(id, sw.fromMs, sw.toMs, func(r logstore.Record) bool {
-		if n == 1 && f.crash(id, sw.window, "mid-append") {
+	appended := 0 // records of this window in the long-term topic so far
+	put := func(recs []logstore.Record) bool {
+		var took int
+		took, appendErr = st.store.AppendBatch(id, recs)
+		appended += took
+		return appendErr == nil
+	}
+	sw.staging.ScanRuns(id, sw.fromMs, sw.toMs, func(run []logstore.Record) bool {
+		if appended == 0 && len(run) > 0 {
+			// The mid-append crash point sits between the window's first
+			// record and the rest: append that one alone.
+			if !put(run[:1]) {
+				return false
+			}
+			run = run[1:]
+		}
+		if len(run) == 0 {
+			return true
+		}
+		if appended == 1 && f.crash(id, sw.window, "mid-append") {
 			crashed = true
 			return false
 		}
-		if err := st.store.Append(id, r); err != nil {
-			appendErr = err
-			return false
-		}
-		n++
-		return true
+		return put(run)
 	})
 	if crashed {
 		return errCrashed
@@ -765,12 +758,8 @@ func (f *Fleet) Wait() error {
 func (f *Fleet) Stop() error {
 	f.mu.Lock()
 	f.draining = true
-	for _, id := range f.ids {
-		// A lockstepped instance may be idle waiting for a commit; wake
-		// nothing — pending drains finish on their own. Broadcast so a
-		// concurrent Wait re-evaluates under the drain flag.
-		_ = id
-	}
+	// Pending drains finish on their own; the broadcast lets a concurrent
+	// Wait re-evaluate under the drain flag.
 	f.cond.Broadcast()
 	f.mu.Unlock()
 	return f.Close()
@@ -795,7 +784,6 @@ func (f *Fleet) Close() error {
 	if f.pool != nil {
 		f.pool.Close()
 	}
-	f.broker.Close()
 	var first error
 	for _, id := range f.ids {
 		st := f.insts[id]
@@ -938,7 +926,6 @@ func (f *Fleet) Status() Status {
 			PeakQueue:  st.peakQueue,
 			Shed:       st.cShed.Value(),
 			Records:    st.cRecords.Value(),
-			Dropped:    f.broker.Dropped(id),
 			AutoRepair: st.spec.AutoRepair,
 			Done:       st.doneSimLocked() && len(st.reports) == st.nextSim,
 		}

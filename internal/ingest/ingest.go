@@ -5,8 +5,8 @@
 // what dbsim synthesizes. The ingest layer closes that gap with one seam:
 // a Source yields the window-agnostic raw stream — query-log records plus
 // per-second instance metrics, batched by trace second — and the fleet's
-// Player pumps exactly one window's worth of seconds at a time through the
-// existing broker → stream-aggregator → collector path. The simulator
+// Player pumps exactly one window's worth of seconds at a time, each
+// second's batch whole, into the window's collector. The simulator
 // itself is just one Source (SimSource), which is what makes the seam a
 // provable no-op for the legacy path: the fingerprint goldens of
 // internal/fleet are byte-identical on either side of the refactor.

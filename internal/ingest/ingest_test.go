@@ -252,3 +252,58 @@ func TestSimSourceSeek(t *testing.T) {
 		t.Fatal("seeked window 2 diverged from sequentially played window 2")
 	}
 }
+
+// TestPlayWindowWrapperMatchesBatches: PlayWindow through the per-record
+// wrapper delivers the same record sequence, metric rows, more/io.EOF
+// results and Stats (Records, Late) as PlayWindowBatches, which hands over
+// each second's records in one call. A nil sink still counts.
+func TestPlayWindowWrapperMatchesBatches(t *testing.T) {
+	var recs []dbsim.LogRecord
+	for i := 0; i < 400; i++ {
+		// Emission order; long responses make some records late for the
+		// window their completion falls into, and some seconds stay empty.
+		arrival := int64(i*23 - i%7*900)
+		if arrival < 0 {
+			arrival = 0
+		}
+		recs = append(recs, dbsim.LogRecord{TemplateID: "t", ArrivalMs: arrival, ResponseMs: float64(i % 7 * 900), ExaminedRows: int64(i)})
+	}
+	rows := []dbsim.SecondMetrics{{Second: 0, ActiveSession: 1}, {Second: 4, ActiveSession: 2}, {Second: 4, ActiveSession: 3}, {Second: 11, ActiveSession: 4}}
+	byRecord := NewPlayer(NewSliceSource(0, 12_000, recs, rows))
+	byBatch := NewPlayer(NewSliceSource(0, 12_000, recs, rows))
+	quiet := NewPlayer(NewSliceSource(0, 12_000, recs, rows))
+
+	for w := int64(0); w < 5; w++ { // the fifth window lies past the trace
+		fromMs, toMs := w*3000, w*3000+3000
+		var want, got []dbsim.LogRecord
+		calls := 0
+		wantRows, wantMore, wantErr := byRecord.PlayWindow(fromMs, toMs, func(r dbsim.LogRecord) { want = append(want, r) })
+		gotRows, gotMore, gotErr := byBatch.PlayWindowBatches(fromMs, toMs, func(b []dbsim.LogRecord) {
+			got = append(got, b...)
+			calls++
+		})
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotRows, wantRows) || gotMore != wantMore || gotErr != wantErr {
+			t.Fatalf("window %d: batches gave %d records, %d rows, more=%v, err=%v; wrapper %d, %d, %v, %v",
+				w, len(got), len(gotRows), gotMore, gotErr, len(want), len(wantRows), wantMore, wantErr)
+		}
+		if calls > 3 {
+			t.Fatalf("window %d: %d sink calls for 3 seconds", w, calls)
+		}
+		if _, _, err := quiet.PlayWindow(fromMs, toMs, nil); err != wantErr {
+			t.Fatalf("window %d: nil sink err=%v, want %v", w, err, wantErr)
+		}
+		if w == 4 && wantErr != io.EOF {
+			t.Fatalf("window past the end: err=%v, want io.EOF", wantErr)
+		}
+	}
+	want := byRecord.Stats()
+	if want.Records != int64(len(recs)) || want.Late == 0 {
+		t.Fatalf("fixture: stats %+v", want)
+	}
+	if got := byBatch.Stats(); got != want {
+		t.Fatalf("batch stats %+v, wrapper stats %+v", got, want)
+	}
+	if got := quiet.Stats(); got != want {
+		t.Fatalf("nil-sink stats %+v, wrapper stats %+v", got, want)
+	}
+}

@@ -32,19 +32,33 @@ func NewPlayer(src Source) *Player {
 	return &Player{src: src}
 }
 
-// PlayWindow consumes the batches of [fromMs, toMs): records go to sink
-// (when non-nil) in batch order, metric rows are placed into a dense
-// window-relative slice (one row per window second, zero rows where the
-// trace had none, last row wins on duplicates, out-of-window rows
-// dropped). It returns that slice, whether the source may have more
-// batches after toMs, and an error. A window the source cannot reach at
-// all — exhausted before its first second — returns io.EOF.
+// PlayWindow is PlayWindowBatches delivering record by record.
+func (p *Player) PlayWindow(fromMs, toMs int64, sink dbsim.LogSink) ([]dbsim.SecondMetrics, bool, error) {
+	if sink == nil {
+		return p.PlayWindowBatches(fromMs, toMs, nil)
+	}
+	return p.PlayWindowBatches(fromMs, toMs, func(recs []dbsim.LogRecord) {
+		for _, rec := range recs {
+			sink(rec)
+		}
+	})
+}
+
+// PlayWindowBatches consumes the batches of [fromMs, toMs): each second's
+// records go to sink (when non-nil) whole, in batch order — the slice is
+// valid only until sink returns, since a source may reuse its buffer —
+// and metric rows are placed into a dense window-relative slice (one row
+// per window second, zero rows where the trace had none, last row wins on
+// duplicates, out-of-window rows dropped). It returns that slice, whether
+// the source may have more batches after toMs, and an error. A window the
+// source cannot reach at all — exhausted before its first second — returns
+// io.EOF.
 //
 // The dense-batch contract is what bounds the read: after consuming
 // second toMs-1 the Player stops without pulling the next batch, so a
 // lazily simulating source is never asked to produce window w+1 while
 // window w is being played.
-func (p *Player) PlayWindow(fromMs, toMs int64, sink dbsim.LogSink) ([]dbsim.SecondMetrics, bool, error) {
+func (p *Player) PlayWindowBatches(fromMs, toMs int64, sink func([]dbsim.LogRecord)) ([]dbsim.SecondMetrics, bool, error) {
 	fromSec := fromMs / 1000
 	seconds := (toMs - fromMs + 999) / 1000
 	toSec := fromSec + seconds
@@ -77,18 +91,20 @@ func (p *Player) PlayWindow(fromMs, toMs int64, sink dbsim.LogSink) ([]dbsim.Sec
 		if b.Last {
 			p.eof = true
 		}
-		for _, rec := range b.Records {
-			if rec.ArrivalMs < fromMs {
+		late := 0
+		for i := range b.Records {
+			if b.Records[i].ArrivalMs < fromMs {
 				// A straggler whose statement started before the window:
 				// the collector skips it (and therefore never archives
 				// it); count it so the loss is visible on /metrics.
-				p.late.Add(1)
+				late++
 			}
-			if sink != nil {
-				sink(rec)
-			}
-			p.records.Add(1)
 		}
+		p.late.Add(int64(late))
+		if sink != nil && len(b.Records) > 0 {
+			sink(b.Records)
+		}
+		p.records.Add(int64(len(b.Records)))
 		for _, m := range b.Metrics {
 			rel := m.Second - fromSec
 			if rel < 0 || rel >= seconds {

@@ -7,14 +7,19 @@ package logstore
 // whole-segment deletion). Both produce byte-identical Scan results for
 // the same ingest sequence, so the diagnosis pipeline is backend-agnostic.
 type Backend interface {
-	// Append stores a record under the topic, rejecting records that
-	// arrive more than the slack window behind the previously appended
-	// record (ErrUnsortedAppend).
+	// AppendBatch stores recs under the topic in order, under one lock and
+	// one topic lookup, rejecting a record that arrives more than the slack
+	// window behind the previously appended one: it returns how many
+	// records were accepted before the rejection, and ErrUnsortedAppend.
+	// recs is not retained. Append is AppendBatch of one record.
+	AppendBatch(topic string, recs []Record) (int, error)
 	Append(topic string, rec Record) error
 
-	// AppendLoose stores a record with no ordering requirement; ordering
+	// AppendLooseBatch stores recs with no ordering requirement; ordering
 	// is restored lazily before the next scan. Batch collectors use this
-	// path because query logs are emitted at statement completion.
+	// path because query logs are emitted at statement completion. recs
+	// is not retained. AppendLoose is AppendLooseBatch of one record.
+	AppendLooseBatch(topic string, recs []Record)
 	AppendLoose(topic string, rec Record)
 
 	// Scan returns a copy of the records in topic with ArrivalMs in

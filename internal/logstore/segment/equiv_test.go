@@ -3,6 +3,8 @@ package segment
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -254,4 +256,219 @@ func TestBackendEquivalenceSeeds(t *testing.T) {
 			}
 		})
 	}
+}
+
+// storeFiles reads every .wal and .seg file under a store directory, keyed
+// by path relative to it.
+func storeFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
+		if err != nil || info.IsDir() {
+			return err
+		}
+		if ext := filepath.Ext(path); ext == ".wal" || ext == ".seg" {
+			data, rerr := os.ReadFile(path)
+			rel, _ := filepath.Rel(dir, path)
+			files[rel] = string(data)
+			return rerr
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestBatchAppendMatchesRecordLoop feeds one random sequence of strict and
+// loose batches to both backends twice — whole, and record by record
+// through Append/AppendLoose — and asserts the batch forms are the record
+// loop bit for bit: the accepted count and the index of the first
+// ErrUnsortedAppend, within-slack insertions, scans, and for the segment
+// store the seal count, the fsync points (records written since the last
+// fsync, after every batch) and the bytes of every .wal and .seg file.
+// Segment boundaries, by record count or by byte size, fall inside batches.
+func TestBatchAppendMatchesRecordLoop(t *testing.T) {
+	limits := map[string]Options{
+		"records": {SegmentRecords: 13, IndexEvery: 4},
+		"bytes":   {SegmentBytes: 150, IndexEvery: 4},
+	}
+	for name, opt := range limits {
+		for _, syncEvery := range []int{0, 1, 7} {
+			opt.SyncEvery = syncEvery
+			t.Run(fmt.Sprintf("%s/sync=%d", name, syncEvery), func(t *testing.T) {
+				batchDir, loopDir := t.TempDir(), t.TempDir()
+				segBatch, segLoop := mustOpen(t, batchDir, opt), mustOpen(t, loopDir, opt)
+				memBatch, memLoop := logstore.New(0), logstore.New(0)
+
+				// loop is the record-at-a-time reference for one batch.
+				loop := func(b logstore.Backend, recs []logstore.Record, loose bool) (int, error) {
+					for i, r := range recs {
+						if loose {
+							b.AppendLoose("t", r)
+						} else if err := b.Append("t", r); err != nil {
+							return i, err
+						}
+					}
+					return len(recs), nil
+				}
+				batch := func(b logstore.Backend, recs []logstore.Record, loose bool) (int, error) {
+					if loose {
+						b.AppendLooseBatch("t", recs)
+						return len(recs), nil
+					}
+					return b.AppendBatch("t", recs)
+				}
+
+				rng := rand.New(rand.NewSource(int64(syncEvery) + 11))
+				clock, used, rejections := int64(0), map[int64]bool{}, 0
+				for step := 0; step < 60; step++ {
+					loose := rng.Intn(3) == 0
+					recs := make([]logstore.Record, 1+rng.Intn(40))
+					for i := range recs {
+						clock += int64(1 + rng.Intn(300))
+						ms := clock
+						switch rng.Intn(8) {
+						case 0: // behind, inside or just beyond the slack window
+							ms -= int64(rng.Intn(7000))
+						case 1:
+							if loose {
+								ms -= int64(rng.Intn(30_000))
+							}
+						}
+						// Distinct arrivals: where a within-slack insertion
+						// lands among equal arrivals of an unsorted topic is
+						// an artifact of the in-memory store alone.
+						for used[ms] {
+							ms--
+						}
+						used[ms] = true
+						recs[i] = logstore.Record{TemplateIdx: int32(rng.Intn(50)), ArrivalMs: ms,
+							ResponseMs: rng.Float64() * 1000, ExaminedRows: int64(rng.Intn(10_000))}
+					}
+					wantN, wantErr := loop(memLoop, recs, loose)
+					if wantErr != nil {
+						rejections++
+					}
+					for who, got := range map[string]func() (int, error){
+						"mem batch": func() (int, error) { return batch(memBatch, recs, loose) },
+						"seg loop":  func() (int, error) { return loop(segLoop, recs, loose) },
+						"seg batch": func() (int, error) { return batch(segBatch, recs, loose) },
+					} {
+						if n, err := got(); n != wantN || err != wantErr {
+							t.Fatalf("step %d: %s took %d (%v), record loop took %d (%v)", step, who, n, err, wantN, wantErr)
+						}
+					}
+					tb, tl := segBatch.topics["t"], segLoop.topics["t"]
+					if tb.seq != tl.seq || tb.sinceSync != tl.sinceSync || tb.walBytes != tl.walBytes {
+						t.Fatalf("step %d: batch writer at seal %d / %d since fsync / %d wal bytes, record writer at %d / %d / %d",
+							step, tb.seq, tb.sinceSync, tb.walBytes, tl.seq, tl.sinceSync, tl.walBytes)
+					}
+					// SyncEvery fsyncs at every SyncEvery-th record of a wal.
+					if syncEvery > 0 && tb.sinceSync != len(tb.mem)%syncEvery {
+						t.Fatalf("step %d: %d records in the wal, %d since the last fsync, SyncEvery %d", step, len(tb.mem), tb.sinceSync, syncEvery)
+					}
+					if step%10 == 9 { // a scan sorts, which moves the slack reference
+						want := memLoop.Scan("t", -1<<60, 1<<60)
+						for who, b := range map[string]logstore.Backend{"mem batch": memBatch, "seg loop": segLoop, "seg batch": segBatch} {
+							if got := b.Scan("t", -1<<60, 1<<60); !reflect.DeepEqual(got, want) {
+								t.Fatalf("step %d: %s scan diverged from the record loop", step, who)
+							}
+						}
+					}
+				}
+				if rejections == 0 || segBatch.topics["t"].seq < 4 {
+					t.Fatalf("fixture too tame: %d rejections, %d seals", rejections, segBatch.topics["t"].seq-1)
+				}
+				if err := segBatch.Err(); err != nil {
+					t.Fatal(err)
+				}
+				// No Close: what the OS holds when the append returns is what
+				// a killed process leaves behind.
+				if got, want := storeFiles(t, batchDir), storeFiles(t, loopDir); !reflect.DeepEqual(got, want) {
+					t.Fatalf("batch writer left %d files, record writer %d, or their bytes differ", len(got), len(want))
+				}
+				segBatch.Close()
+				segLoop.Close()
+			})
+		}
+	}
+}
+
+// TestLargeBatchKeepsEncodeBufferBounded appends one batch whose frames run
+// to several times frameBufBytes without a seal or fsync boundary: the files
+// equal the record-at-a-time writer's and the store's retained encode buffer
+// stays near frameBufBytes instead of growing to the whole stretch.
+func TestLargeBatchKeepsEncodeBufferBounded(t *testing.T) {
+	opt := Options{SegmentRecords: 1 << 20, SegmentBytes: 1 << 30}
+	batchDir, loopDir := t.TempDir(), t.TempDir()
+	segBatch, segLoop := mustOpen(t, batchDir, opt), mustOpen(t, loopDir, opt)
+	rng := rand.New(rand.NewSource(5))
+	recs := make([]logstore.Record, 30_000)
+	for i := range recs {
+		recs[i] = logstore.Record{TemplateIdx: int32(rng.Intn(50)), ArrivalMs: int64(i*3 + rng.Intn(5000)),
+			ResponseMs: rng.Float64() * 1000, ExaminedRows: int64(rng.Intn(10_000))}
+	}
+	segBatch.AppendLooseBatch("t", recs)
+	for _, r := range recs {
+		segLoop.AppendLoose("t", r)
+	}
+	if wal := segBatch.topics["t"].walBytes; wal < 4*frameBufBytes {
+		t.Fatalf("fixture too small: %d wal bytes", wal)
+	}
+	if got := cap(segBatch.frames); got > 2*frameBufBytes {
+		t.Fatalf("store retains a %d-byte encode buffer, want about %d", got, frameBufBytes)
+	}
+	if got, want := storeFiles(t, batchDir), storeFiles(t, loopDir); !reflect.DeepEqual(got, want) {
+		t.Fatal("batch writer's files differ from the record writer's")
+	}
+	segBatch.Close()
+	segLoop.Close()
+}
+
+// TestTornBatchWriteRecovery truncates the wal at every byte offset inside
+// one batched write: reopening recovers exactly the clean frame prefix, as
+// it does for a record-at-a-time writer.
+func TestTornBatchWriteRecovery(t *testing.T) {
+	masterDir := t.TempDir()
+	s := mustOpen(t, masterDir, Options{SegmentRecords: 1 << 20})
+	var recs []logstore.Record
+	for i := 0; i < 12; i++ {
+		recs = append(recs, logstore.Record{TemplateIdx: int32(i % 5), ArrivalMs: int64((i*37)%200 + i),
+			ResponseMs: float64(i) * 1.5, ExaminedRows: int64(i * i)})
+	}
+	s.AppendLooseBatch("t", recs[:4])
+	before, err := os.ReadFile(walPathOf(t, masterDir, "t"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.AppendLooseBatch("t", recs[4:]) // the write to tear
+	walData, err := os.ReadFile(walPathOf(t, masterDir, "t"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := frameEnds(t, walData)
+	if len(frames) != len(recs) {
+		t.Fatalf("wal holds %d frames before any Close, want %d", len(frames), len(recs))
+	}
+	for k := len(before); k <= len(walData); k++ {
+		dir := t.TempDir()
+		cloneTopicDir(t, masterDir, dir)
+		if err := os.WriteFile(walPathOf(t, dir, "t"), walData[:k], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r := mustOpen(t, dir, Options{SegmentRecords: 1 << 20})
+		intact := 0
+		for _, end := range frames {
+			if end <= k {
+				intact++
+			}
+		}
+		if got, want := r.Scan("t", 0, 1<<62), expectPrefix(recs, intact); !reflect.DeepEqual(got, want) {
+			t.Fatalf("offset %d: recovered %d records, want the %d intact ones", k, len(got), intact)
+		}
+		r.Close()
+	}
+	s.Close()
 }

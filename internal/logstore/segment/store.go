@@ -1,11 +1,13 @@
 package segment
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math"
 	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -102,12 +104,12 @@ type topic struct {
 //	<dir>/t/<topic>/NNNNNNNN.wal the active append-order write-ahead file
 //	<dir>/t/<topic>/watermark    persisted TTL expiry cutoff
 //
-// Appends go to the wal (one CRC-framed record per write) and an in-memory
-// mirror; when the wal reaches the segment size the mirror is
-// stable-sorted by arrival and sealed into an immutable .seg file whose
-// sparse time index lives in memory. Scans merge the sorted segments and
-// the mirror, reproducing exactly the in-memory store's lazily sorted
-// order. Expire deletes whole segments below the TTL cutoff in O(1) per
+// Appends go to the wal (one CRC frame per record, one write per batch
+// stretch) and an in-memory mirror; when the wal reaches the segment size
+// the mirror is stable-sorted by arrival and sealed into an immutable .seg
+// file whose sparse time index lives in memory. Scans merge the sorted
+// segments and the mirror, reproducing exactly the in-memory store's
+// lazily sorted order. Expire deletes whole segments below the TTL cutoff in O(1) per
 // segment and persists the cutoff as a watermark so partially expired
 // segments stay filtered across restarts.
 type Store struct {
@@ -116,6 +118,9 @@ type Store struct {
 	opt    Options
 	topics map[string]*topic
 	closed bool
+
+	// frames and payload are append's encode buffers, reused under mu.
+	frames, payload []byte
 
 	// The registry has its own lock so AppendRegistry can be called from
 	// a collect.Registry intern hook (which holds the registry's lock)
@@ -363,81 +368,117 @@ func (s *Store) TTL() int64 { return s.opt.TTLMs }
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Append stores a record under the topic, rejecting records that arrive
-// more than the slack window out of order, with the same observable rule
-// as the in-memory store: the reference point is what that store's last
-// slice element would be — the topic maximum while the topic is sorted,
-// the most recently appended record while loose appends are pending. A
-// nil return means the record was accepted; disk errors degrade
-// durability without failing the append and are reported via Err.
+// Append stores one record under the topic: AppendBatch of one.
 func (s *Store) Append(topicName string, rec logstore.Record) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return os.ErrClosed
-	}
-	t, err := s.getTopic(topicName, true)
-	if err != nil {
-		s.fail(err)
-		return err
-	}
-	if t.refValid && rec.ArrivalMs < t.refLast && t.refLast-rec.ArrivalMs > s.opt.SlackMs {
-		return logstore.ErrUnsortedAppend
-	}
-	s.append(t, rec, false)
-	return nil
+	_, err := s.AppendBatch(topicName, []logstore.Record{rec})
+	return err
 }
 
-// AppendLoose stores a record with no ordering requirement; ordering is
-// restored lazily before the next scan (and eagerly when sealing).
+// AppendBatch stores recs under the topic in order, rejecting a record
+// that arrives more than the slack window out of order, with the same
+// observable rule as the in-memory store: the reference point is what that
+// store's last slice element would be — the topic maximum while the topic
+// is sorted, the most recently appended record while loose appends are
+// pending. It returns how many records were accepted; a nil error means
+// all of them. Disk errors degrade durability without failing the append
+// and are reported via Err.
+func (s *Store) AppendBatch(topicName string, recs []logstore.Record) (int, error) {
+	return s.appendBatch(topicName, recs, false)
+}
+
+// AppendLoose stores one record with no ordering requirement:
+// AppendLooseBatch of one.
 func (s *Store) AppendLoose(topicName string, rec logstore.Record) {
+	s.AppendLooseBatch(topicName, []logstore.Record{rec})
+}
+
+// AppendLooseBatch stores recs with no ordering requirement; ordering is
+// restored lazily before the next scan (and eagerly when sealing).
+func (s *Store) AppendLooseBatch(topicName string, recs []logstore.Record) {
+	s.appendBatch(topicName, recs, true)
+}
+
+// frameBufBytes bounds the frames one wal.Write carries, and with it the
+// encode buffer a store keeps between appends.
+const frameBufBytes = 64 << 10
+
+func (s *Store) appendBatch(topicName string, recs []logstore.Record, loose bool) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return
+		return 0, os.ErrClosed
 	}
 	t, err := s.getTopic(topicName, true)
 	if err != nil {
 		s.fail(err)
-		return
+		return 0, err
 	}
-	s.append(t, rec, true)
+	if n := s.append(t, recs, loose); n < len(recs) {
+		return n, logstore.ErrUnsortedAppend
+	}
+	return len(recs), nil
 }
 
-// append writes one record frame to the wal and mirrors it in the
-// memtable, sealing when the active file reaches the segment size.
-// Callers hold s.mu.
-func (s *Store) append(t *topic, rec logstore.Record, loose bool) {
-	var buf []byte
-	buf = appendFrame(buf, appendRecord(nil, t.prevArrival, rec))
-	if t.wal != nil {
-		if _, err := t.wal.Write(buf); err != nil {
-			s.fail(err)
-		} else if t.sinceSync++; s.opt.SyncEvery > 0 && t.sinceSync >= s.opt.SyncEvery {
-			if err := t.wal.Sync(); err != nil {
+// append writes one frame per record to the wal and mirrors the records in
+// the memtable, sealing when the active file reaches the segment size. It
+// stops at the first strict (!loose) record outside the slack window and
+// returns how many records it took. Frames are encoded into one buffer and
+// written once per stretch between seal, SyncEvery and frameBufBytes bounds, so the
+// bytes on disk, the seal points and the fsync points are those of a
+// record-at-a-time writer, and every accepted frame has been handed to the
+// OS before append returns. Callers hold s.mu.
+func (s *Store) append(t *topic, recs []logstore.Record, loose bool) int {
+	buf, pending := s.frames[:0], 0
+	// flush writes the encoded stretch; sinceSync counts only records whose
+	// frames reached the wal.
+	flush := func(sync bool) {
+		if t.wal != nil && pending > 0 {
+			if _, err := t.wal.Write(buf); err != nil {
+				s.fail(err)
+			} else if t.sinceSync += pending; sync {
+				if err := t.wal.Sync(); err != nil {
+					s.fail(err)
+				}
+				t.sinceSync = 0
+			}
+		}
+		buf, pending = buf[:0], 0
+		s.frames = buf
+	}
+	for i, rec := range recs {
+		if !loose && t.refValid && rec.ArrivalMs < t.refLast && t.refLast-rec.ArrivalMs > s.opt.SlackMs {
+			flush(false)
+			return i
+		}
+		n := len(buf)
+		s.payload = appendRecord(s.payload[:0], t.prevArrival, rec)
+		buf = appendFrame(buf, s.payload)
+		pending++
+		t.walBytes += int64(len(buf) - n)
+		t.prevArrival = rec.ArrivalMs
+		if n := len(t.mem); n > 0 && rec.ArrivalMs < t.mem[n-1].ArrivalMs {
+			t.dirty = true
+		}
+		t.mem = append(t.mem, rec)
+		// Mirror the in-memory store's last slice element: a loose append
+		// always lands at the end; a strict append lands at the end only when
+		// it is not insertion-sorted below the current last element.
+		if loose || !t.refValid || rec.ArrivalMs >= t.refLast {
+			t.refLast = rec.ArrivalMs
+		}
+		t.refValid = true
+		syncDue := s.opt.SyncEvery > 0 && t.sinceSync+pending >= s.opt.SyncEvery
+		sealDue := len(t.mem) >= s.opt.SegmentRecords || t.walBytes >= s.opt.SegmentBytes
+		if syncDue || sealDue || i == len(recs)-1 || len(buf) >= frameBufBytes {
+			flush(syncDue)
+		}
+		if sealDue {
+			if err := s.seal(t); err != nil {
 				s.fail(err)
 			}
-			t.sinceSync = 0
 		}
 	}
-	t.walBytes += int64(len(buf))
-	t.prevArrival = rec.ArrivalMs
-	if n := len(t.mem); n > 0 && rec.ArrivalMs < t.mem[n-1].ArrivalMs {
-		t.dirty = true
-	}
-	t.mem = append(t.mem, rec)
-	// Mirror the in-memory store's last slice element: a loose append
-	// always lands at the end; a strict append lands at the end only when
-	// it is not insertion-sorted below the current last element.
-	if loose || !t.refValid || rec.ArrivalMs >= t.refLast {
-		t.refLast = rec.ArrivalMs
-	}
-	t.refValid = true
-	if len(t.mem) >= s.opt.SegmentRecords || t.walBytes >= s.opt.SegmentBytes {
-		if err := s.seal(t); err != nil {
-			s.fail(err)
-		}
-	}
+	return len(recs)
 }
 
 // ensureSorted lazily restores the memtable's stable arrival order.
@@ -445,7 +486,7 @@ func (t *topic) ensureSorted() {
 	if !t.dirty {
 		return
 	}
-	sort.SliceStable(t.mem, func(i, j int) bool { return t.mem[i].ArrivalMs < t.mem[j].ArrivalMs })
+	slices.SortStableFunc(t.mem, func(a, b logstore.Record) int { return cmp.Compare(a.ArrivalMs, b.ArrivalMs) })
 	t.dirty = false
 }
 
@@ -784,9 +825,7 @@ func (s *Store) TruncateFrom(topicName string, fromMs int64) int {
 		}
 	}
 	t.segs = keep
-	for _, rec := range orphans {
-		s.append(t, rec, true)
-	}
+	s.append(t, orphans, true)
 
 	t.ensureSorted()
 	lo := sort.Search(len(t.mem), func(i int) bool { return t.mem[i].ArrivalMs >= fromMs })

@@ -383,8 +383,12 @@ func TestAppendAcceptsDespiteStickyDiskError(t *testing.T) {
 	if err := s.Append("t", rec(3, -90_000)); err != logstore.ErrUnsortedAppend {
 		t.Fatalf("stale append error = %v, want ErrUnsortedAppend", err)
 	}
-	if got := s.Scan("t", 0, 1000); len(got) != 3 {
-		t.Fatalf("memtable holds %d records, want 3", len(got))
+	// A batch degrades the same way: all of it is accepted into memory.
+	if n, err := s.AppendBatch("t", []logstore.Record{rec(4, 400), rec(5, 500), rec(6, -90_000), rec(7, 600)}); n != 2 || err != logstore.ErrUnsortedAppend {
+		t.Fatalf("batch after sticky error took %d (%v), want 2 and ErrUnsortedAppend", n, err)
+	}
+	if got := s.Scan("t", 0, 1000); len(got) != 5 {
+		t.Fatalf("memtable holds %d records, want 5", len(got))
 	}
 }
 

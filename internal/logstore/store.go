@@ -13,7 +13,10 @@
 package logstore
 
 import (
+	"cmp"
 	"errors"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -48,6 +51,7 @@ const chunkCap = 4096
 type topicLog struct {
 	chunks [][]Record
 	size   int
+	dirty  bool // loose appends pending a lazy sort
 }
 
 // last returns the final record in insertion order; ok is false when the
@@ -60,16 +64,20 @@ func (t *topicLog) last() (Record, bool) {
 	return tail[len(tail)-1], true
 }
 
-// push appends to the tail chunk, opening a new chunk when the tail is at
-// capacity. Empty chunks never linger: push is the only way a chunk is
-// born and it immediately receives a record.
-func (t *topicLog) push(rec Record) {
-	if n := len(t.chunks); n == 0 || len(t.chunks[n-1]) == cap(t.chunks[n-1]) {
-		t.chunks = append(t.chunks, make([]Record, 0, chunkCap))
+// push appends recs to the tail chunk, opening a new chunk whenever the
+// tail is at capacity. Empty chunks never linger: push is the only way a
+// chunk is born and it immediately receives a record.
+func (t *topicLog) push(recs ...Record) {
+	for len(recs) > 0 {
+		if n := len(t.chunks); n == 0 || len(t.chunks[n-1]) == cap(t.chunks[n-1]) {
+			t.chunks = append(t.chunks, make([]Record, 0, chunkCap))
+		}
+		n := len(t.chunks) - 1
+		k := min(len(recs), cap(t.chunks[n])-len(t.chunks[n]))
+		t.chunks[n] = append(t.chunks[n], recs[:k]...)
+		t.size += k
+		recs = recs[k:]
 	}
-	n := len(t.chunks) - 1
-	t.chunks[n] = append(t.chunks[n], rec)
-	t.size++
 }
 
 // at returns the record at logical index i (insertion order across the
@@ -143,22 +151,34 @@ func (t *topicLog) find(pred func(Record) bool) (logical, chunk, off int) {
 	return t.size, len(t.chunks), 0
 }
 
-// scan calls fn for each record with ArrivalMs in [fromMs, toMs), in
-// order, until fn returns false. The topic must be clean (sorted).
-func (t *topicLog) scan(fromMs, toMs int64, fn func(Record) bool) {
+// scanRuns calls fn with the records whose ArrivalMs lies in [fromMs, toMs),
+// in order, one contiguous stretch of an arena chunk per call, until fn
+// returns false. The topic must be clean (sorted); runs alias the arena.
+func (t *topicLog) scanRuns(fromMs, toMs int64, fn func([]Record) bool) {
 	_, ci, off := t.find(func(r Record) bool { return r.ArrivalMs >= fromMs })
 	for ; ci < len(t.chunks); ci++ {
-		c := t.chunks[ci]
-		for ; off < len(c); off++ {
-			if c[off].ArrivalMs >= toMs {
-				return
-			}
-			if !fn(c[off]) {
-				return
-			}
-		}
+		c := t.chunks[ci][off:]
 		off = 0
+		end := sort.Search(len(c), func(i int) bool { return c[i].ArrivalMs >= toMs })
+		if end > 0 && !fn(c[:end]) || end < len(c) {
+			return
+		}
 	}
+}
+
+// sorted reports whether the topic's insertion order is already arrival
+// order.
+func (t *topicLog) sorted() bool {
+	prev := int64(math.MinInt64)
+	for _, c := range t.chunks {
+		for i := range c {
+			if c[i].ArrivalMs < prev {
+				return false
+			}
+			prev = c[i].ArrivalMs
+		}
+	}
+	return true
 }
 
 // flatten materializes the topic in insertion order.
@@ -175,9 +195,7 @@ func (t *topicLog) flatten() []Record {
 func (t *topicLog) rebuild(recs []Record) {
 	t.chunks = t.chunks[:0]
 	t.size = 0
-	for _, r := range recs {
-		t.push(r)
-	}
+	t.push(recs...)
 }
 
 // Store is a thread-safe, TTL-expiring log store.
@@ -188,8 +206,6 @@ type Store struct {
 	// slackMs tolerates mild reordering from asynchronous collection;
 	// records are kept sorted by insertion sort within the slack window.
 	slackMs int64
-	// dirty topics have loose-appended records pending a lazy sort.
-	dirty map[string]bool
 }
 
 // New creates a store with the given TTL in milliseconds; ttlMs ≤ 0 selects
@@ -202,7 +218,6 @@ func New(ttlMs int64) *Store {
 		ttlMs:   ttlMs,
 		topics:  make(map[string]*topicLog),
 		slackMs: 5000,
-		dirty:   make(map[string]bool),
 	}
 }
 
@@ -220,51 +235,73 @@ func (s *Store) topic(name string) *topicLog {
 	return t
 }
 
-// Append stores a record under the topic. Records may arrive mildly out of
-// order (asynchronous collectors); anything older than the slack window
-// relative to the topic's newest record is rejected.
+// Append stores one record under the topic: AppendBatch of one.
 func (s *Store) Append(topic string, rec Record) error {
+	_, err := s.AppendBatch(topic, []Record{rec})
+	return err
+}
+
+// AppendBatch stores recs under the topic in order, under one lock
+// acquisition. Records may arrive mildly out of order (asynchronous
+// collectors); anything older than the slack window relative to the
+// topic's newest record is rejected, which ends the batch: it returns how
+// many records were accepted before it, and ErrUnsortedAppend.
+func (s *Store) AppendBatch(topic string, recs []Record) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t := s.topic(topic)
-	if newest, ok := t.last(); ok && rec.ArrivalMs < newest.ArrivalMs {
-		if newest.ArrivalMs-rec.ArrivalMs > s.slackMs {
-			return ErrUnsortedAppend
+	for i, rec := range recs {
+		if newest, ok := t.last(); ok && rec.ArrivalMs < newest.ArrivalMs {
+			if newest.ArrivalMs-rec.ArrivalMs > s.slackMs {
+				return i, ErrUnsortedAppend
+			}
+			// Insertion sort within the slack window: first logical index
+			// whose arrival exceeds the record's (equal arrivals keep
+			// insertion order), exactly as the flat-slice store did.
+			at := sort.Search(t.size, func(i int) bool { return t.at(i).ArrivalMs > rec.ArrivalMs })
+			t.insertAt(at, rec)
+			continue
 		}
-		// Insertion sort within the slack window: first logical index
-		// whose arrival exceeds the record's (equal arrivals keep
-		// insertion order), exactly as the flat-slice store did.
-		i := sort.Search(t.size, func(i int) bool { return t.at(i).ArrivalMs > rec.ArrivalMs })
-		t.insertAt(i, rec)
-		return nil
+		t.push(rec)
 	}
-	t.push(rec)
-	return nil
+	return len(recs), nil
 }
 
-// AppendLoose stores a record without any ordering requirement: records
+// AppendLoose stores one record with no ordering requirement:
+// AppendLooseBatch of one.
+func (s *Store) AppendLoose(topic string, rec Record) {
+	s.AppendLooseBatch(topic, []Record{rec})
+}
+
+// AppendLooseBatch stores recs without any ordering requirement: records
 // are sorted lazily at the next Scan. Query logs are emitted at statement
 // *completion*, so a statement that spent minutes in a lock queue arrives
 // long after later-arriving statements — far outside any streaming slack
 // window. Batch collectors use this path.
-func (s *Store) AppendLoose(topic string, rec Record) {
+func (s *Store) AppendLooseBatch(topic string, recs []Record) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.topic(topic).push(rec)
-	s.dirty[topic] = true
+	t := s.topic(topic)
+	t.push(recs...)
+	t.dirty = true
 }
 
-// ensureSorted lazily re-sorts a topic after loose appends. Callers must
-// hold the write lock.
+// ensureSorted lazily re-sorts a topic after loose appends. Any stable sort
+// by arrival yields the same order, and loose appends that happened to
+// arrive in order leave the arena as it is. Callers must hold the write
+// lock.
 func (s *Store) ensureSorted(topic string) {
-	if !s.dirty[topic] {
+	t := s.topics[topic]
+	if t == nil || !t.dirty {
 		return
 	}
-	t := s.topics[topic]
+	t.dirty = false
+	if t.sorted() {
+		return
+	}
 	recs := t.flatten()
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].ArrivalMs < recs[j].ArrivalMs })
+	slices.SortStableFunc(recs, func(a, b Record) int { return cmp.Compare(a.ArrivalMs, b.ArrivalMs) })
 	t.rebuild(recs)
-	delete(s.dirty, topic)
 }
 
 // Scan returns a copy of the records in topic with ArrivalMs in
@@ -283,8 +320,8 @@ func (s *Store) Scan(topic string, fromMs, toMs int64) []Record {
 	lo, _, _ := t.find(func(r Record) bool { return r.ArrivalMs >= fromMs })
 	hi, _, _ := t.find(func(r Record) bool { return r.ArrivalMs >= toMs })
 	out := make([]Record, 0, hi-lo)
-	t.scan(fromMs, toMs, func(r Record) bool {
-		out = append(out, r)
+	t.scanRuns(fromMs, toMs, func(run []Record) bool {
+		out = append(out, run...)
 		return true
 	})
 	return out
@@ -295,14 +332,27 @@ func (s *Store) Scan(topic string, fromMs, toMs int64) []Record {
 // The callback runs under the store lock: it must be quick and must not
 // call back into the store.
 func (s *Store) ScanFunc(topic string, fromMs, toMs int64, fn func(Record) bool) {
+	s.ScanRuns(topic, fromMs, toMs, func(run []Record) bool {
+		for _, r := range run {
+			if !fn(r) {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// ScanRuns streams the same range as ScanFunc, handing out each contiguous
+// stretch of an arena chunk whole instead of record by record. A run
+// aliases the store's memory: it is read-only and valid only until fn
+// returns; fn runs under the store lock like ScanFunc's.
+func (s *Store) ScanRuns(topic string, fromMs, toMs int64, fn func([]Record) bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.ensureSorted(topic)
-	t := s.topics[topic]
-	if t == nil {
-		return
+	if t := s.topics[topic]; t != nil {
+		t.scanRuns(fromMs, toMs, fn)
 	}
-	t.scan(fromMs, toMs, fn)
 }
 
 // Bounds returns the minimum and maximum ArrivalMs in a topic; ok is false

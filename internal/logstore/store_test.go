@@ -2,6 +2,7 @@ package logstore
 
 import (
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sort"
 	"sync"
@@ -426,5 +427,84 @@ func TestAppendAllocBudget(t *testing.T) {
 	}
 	if s.Len("t") != n {
 		t.Fatalf("Len = %d, want %d", s.Len("t"), n)
+	}
+}
+
+// TestScanRunsEqualsScan: the runs ScanRuns hands out, concatenated, are
+// Scan's result for the same range — across chunk boundaries, after expiry
+// and truncation left short middle chunks, and with an early stop.
+func TestScanRunsEqualsScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	s := New(0)
+	const n = 3*chunkCap + 100
+	recs := make([]Record, n)
+	for i := range recs {
+		recs[i] = Record{TemplateIdx: int32(i), ArrivalMs: int64(rng.Intn(n))}
+	}
+	s.AppendLooseBatch("t", recs)
+	check := func(stage string) {
+		t.Helper()
+		for w := 0; w < 200; w++ {
+			from := int64(rng.Intn(n)) - 50
+			to := from + int64(rng.Intn(n))
+			want := s.Scan("t", from, to)
+			got, runs := []Record{}, 0
+			s.ScanRuns("t", from, to, func(run []Record) bool {
+				if len(run) == 0 {
+					t.Fatalf("%s: empty run in [%d,%d)", stage, from, to)
+				}
+				got = append(got, run...)
+				runs++
+				return true
+			})
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: ScanRuns[%d,%d) yielded %d records in %d runs, Scan %d", stage, from, to, len(got), runs, len(want))
+			}
+		}
+	}
+	check("loose batch")
+	s.ttlMs = 1
+	s.Expire(n / 5) // trims the first chunk in place
+	s.TruncateFrom("t", n-n/5)
+	for i := 0; i < 50; i++ { // within-slack insertions shift across chunks
+		if err := s.Append("t", Record{TemplateIdx: -1, ArrivalMs: int64(n - n/5 - 1 - rng.Intn(100))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after expire, truncate and slack inserts")
+
+	calls := 0
+	s.ScanRuns("t", 0, 1<<62, func([]Record) bool { calls++; return false })
+	if calls != 1 {
+		t.Errorf("early stop saw %d runs, want 1", calls)
+	}
+	s.ScanRuns("nope", 0, 1<<62, func([]Record) bool {
+		t.Error("callback invoked for a missing topic")
+		return false
+	})
+}
+
+// TestLooseAppendsInOrderSkipTheSort: loose appends that arrived in order
+// leave the arena as it is (no flatten, no re-chunk), and an out-of-order
+// one still gets the stable sort.
+func TestLooseAppendsInOrderSkipTheSort(t *testing.T) {
+	s := New(0)
+	recs := make([]Record, chunkCap+10)
+	for i := range recs {
+		recs[i] = Record{TemplateIdx: int32(i), ArrivalMs: int64(i / 3)} // ties included
+	}
+	s.AppendLooseBatch("t", recs)
+	first := &s.topics["t"].chunks[0][0]
+	if got := s.Scan("t", 0, 1<<62); !reflect.DeepEqual(got, recs) {
+		t.Fatal("in-order loose appends scanned out of order")
+	}
+	if &s.topics["t"].chunks[0][0] != first {
+		t.Error("in-order loose appends were re-chunked")
+	}
+	s.AppendLoose("t", Record{TemplateIdx: -1, ArrivalMs: 1})
+	got := s.Scan("t", 0, 2)
+	want := append(append([]Record{}, recs[:6]...), Record{TemplateIdx: -1, ArrivalMs: 1})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("late loose append: got %v, want %v", got, want)
 	}
 }

@@ -145,7 +145,6 @@ func newRuntime(sh, shards int, specs []fleet.InstanceSpec, fopt fleet.Options, 
 			QueueDepth:       fopt.QueueDepth,
 			SyncEvery:        fopt.SyncEvery,
 			DiagnosisWorkers: fopt.DiagnosisWorkers,
-			BrokerBuffer:     fopt.BrokerBuffer,
 			DataDir:          opt.DataDir,
 			AddrFile:         filepath.Join(addrDir, fmt.Sprintf("worker-%d.addr", sh)),
 			KillAt:           opt.KillAt,

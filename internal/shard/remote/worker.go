@@ -49,7 +49,6 @@ type Config struct {
 	QueueDepth       int `json:"queue_depth,omitempty"`
 	SyncEvery        int `json:"sync_every,omitempty"`
 	DiagnosisWorkers int `json:"diagnosis_workers,omitempty"`
-	BrokerBuffer     int `json:"broker_buffer,omitempty"`
 
 	// DataDir is the fleet-wide root; the worker namespaces itself under
 	// DataDir/shard-<k> exactly like the in-process runtime. "" keeps the
@@ -127,7 +126,6 @@ func RunWorker(cfg Config) error {
 		QueueDepth:       cfg.QueueDepth,
 		SyncEvery:        cfg.SyncEvery,
 		DiagnosisWorkers: cfg.DiagnosisWorkers,
-		BrokerBuffer:     cfg.BrokerBuffer,
 		Metrics:          reg,
 		Labels:           []obs.Label{obs.L("shard", strconv.Itoa(cfg.Shard))},
 		CrashAt:          killAtHook(cfg.KillAt),

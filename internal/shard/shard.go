@@ -6,7 +6,7 @@
 //
 // Each shard is a complete fleet.Fleet: its own two-priority scheduler
 // pool, its own per-instance segment stores and group-committed window
-// journal rooted at data-dir/shard-<k>/, its own broker and repair module.
+// journal rooted at data-dir/shard-<k>/ and its own repair module.
 // Nothing is shared between shards on the hot path — no lock, no channel,
 // no queue; the only cross-shard structures are the obs registry (atomic
 // counters, series kept apart by a shard label) and the aggregation layer,
@@ -54,12 +54,11 @@ type Options struct {
 	// for every value.
 	Workers int
 
-	// QueueDepth, SyncEvery, DiagnosisWorkers and BrokerBuffer are passed
-	// through to every shard's fleet.Options.
+	// QueueDepth, SyncEvery and DiagnosisWorkers are passed through to
+	// every shard's fleet.Options.
 	QueueDepth       int
 	SyncEvery        int
 	DiagnosisWorkers int
-	BrokerBuffer     int
 
 	// DataDir roots the durable layout: shard k keeps its instances'
 	// segment stores and its window journal under DataDir/shard-<k>/, and
@@ -174,7 +173,6 @@ func New(specs []fleet.InstanceSpec, opt Options) (*Manager, error) {
 			QueueDepth:       opt.QueueDepth,
 			SyncEvery:        opt.SyncEvery,
 			DiagnosisWorkers: opt.DiagnosisWorkers,
-			BrokerBuffer:     opt.BrokerBuffer,
 			Metrics:          m.metrics,
 			Labels:           []obs.Label{obs.L("shard", strconv.Itoa(sh))},
 			OnCommit:         opt.OnCommit,
