@@ -1,6 +1,6 @@
 # PinSQL build/test/verification entry points. CI (.github/workflows/ci.yml)
 # runs build + vet + test + race; fuzz-smoke is a short native-fuzzing slice
-# over the SQL normalizer.
+# over the SQL normalizer, the storage codecs and the log-file readers.
 
 GO ?= go
 
@@ -27,14 +27,17 @@ vet:
 # idempotence, stable template IDs), the segment store's record codec
 # (round-trip, canonical re-encode, CRC corruption rejection), the
 # repro-bundle parsers (manifest + case document, canonical re-encode and
-# frame idempotence), and the slow-log ingestion parser (panic-freedom,
-# UTF-8 validity, trace-codec round trip). Long campaigns: raise -fuzztime.
+# frame idempotence), the slow-log ingestion parser (panic-freedom, UTF-8
+# validity, trace-codec round trip, agreement with the string-based parser
+# it replaced), and the positional trace-line decoder (agreement with
+# encoding/json on every line it accepts). Long campaigns: raise -fuzztime.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzNormalize -fuzztime=10s ./internal/sqltemplate
 	$(GO) test -run=^$$ -fuzz=FuzzRecordCodec -fuzztime=10s ./internal/logstore/segment
 	$(GO) test -run=^$$ -fuzz=FuzzFrameParser -fuzztime=5s ./internal/logstore/segment
 	$(GO) test -run=^$$ -fuzz=FuzzReproBundle -fuzztime=5s ./internal/caseio
 	$(GO) test -run=^$$ -fuzz=FuzzSlowLogParser -fuzztime=10s ./internal/ingest
+	$(GO) test -run=^$$ -fuzz=FuzzTraceLine -fuzztime=10s ./internal/ingest
 
 # Adversarial workload search: a seed-driven bandit over injection
 # parameters hunts diagnosis misranks, minimizes each miss, and writes

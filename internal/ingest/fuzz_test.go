@@ -2,7 +2,9 @@ package ingest
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -10,11 +12,15 @@ import (
 	"pinsql/internal/dbsim"
 )
 
-// FuzzSlowLogParser holds the slow-log parser to three promises on
+// FuzzSlowLogParser holds the slow-log parser to four promises on
 // arbitrary input: it never panics, every record it emits carries valid
 // UTF-8 SQL (and an empty TemplateID, since interning happens in the
-// collector), and whatever it parses survives a serialize→re-parse round
-// trip through the trace codec bit-identically.
+// collector), its batches are the maximal runs of one emission second, and
+// whatever it parses survives a serialize→re-parse round trip through the
+// trace codec bit-identically. A differential case holds it to the
+// string-based parser it replaced (refSlowLog): same records, Stats and
+// bounds on every input without one of the three letters whose Unicode case
+// folding lands on ASCII, which is where the two differ by design.
 func FuzzSlowLogParser(f *testing.F) {
 	// Well-formed entry.
 	f.Add("# Time: 2023-05-12T03:14:15Z\n# User@Host: a[a] @ h [1.2.3.4]\n# Query_time: 0.5  Lock_time: 0.001 Rows_sent: 1  Rows_examined: 10\nSET timestamp=1683861255;\nSELECT * FROM orders WHERE id = 7;\n")
@@ -29,12 +35,16 @@ func FuzzSlowLogParser(f *testing.F) {
 	// Empty and header-only inputs.
 	f.Add("")
 	f.Add("# Time: 2023-05-12T03:14:15Z\n")
+	// Unicode white space around keywords, fields and statements; a value
+	// that is itself a key; seconds A, B, A; lower-case keywords.
+	f.Add("\u00a0# Time: 2023-05-12T03:14:15Z\u2003\n# Query_time:\u00a00.5\u3000Lock_time: Rows_examined: 7 Rows_examined:\nset TIMESTAMP=1683861255 ;\u0085\n\u2028select *\u00a0from\u00a0t\xe2\x80;\u00a0\n")
+	f.Add("# Query_time: 0.1\nSET timestamp=10;\nSELECT 1;\n# Query_time: 0.1\nSET timestamp=11;\nSELECT 2;\n# Query_time: 0.1\nSET timestamp=10;\nUSE x;\nupdate `db`.`t` set a=1;\n")
 
 	f.Fuzz(func(t *testing.T, input string) {
 		src := SlowLog(strings.NewReader(input))
 		var recs []dbsim.LogRecord
 		var minEm, maxEm int64
-		for {
+		for prev, first := int64(0), true; ; first = false {
 			b, err := src.Next()
 			if err == io.EOF {
 				break
@@ -42,7 +52,14 @@ func FuzzSlowLogParser(f *testing.F) {
 			if err != nil {
 				t.Fatalf("scanner error on string input: %v", err)
 			}
+			if len(b.Records) == 0 || !first && b.Second == prev {
+				t.Fatalf("batch of second %d after one of second %d with %d records: not a maximal run", b.Second, prev, len(b.Records))
+			}
+			prev = b.Second
 			for _, r := range b.Records {
+				if EmissionMs(r)/1000 != b.Second {
+					t.Fatalf("record emitted in second %d sits in the batch of second %d", EmissionMs(r)/1000, b.Second)
+				}
 				if !utf8.ValidString(r.SQL) {
 					t.Fatalf("invalid UTF-8 SQL: %q", r.SQL)
 				}
@@ -65,6 +82,20 @@ func FuzzSlowLogParser(f *testing.F) {
 		st := src.Stats()
 		if int64(len(recs)) != st.Records {
 			t.Fatalf("emitted %d records, Stats.Records = %d", len(recs), st.Records)
+		}
+		if !strings.ContainsAny(input, "İıſ") {
+			ref := parseRefSlowLog(input)
+			if st != ref.stats {
+				t.Fatalf("Stats = %+v, the string-based parser's %+v", st, ref.stats)
+			}
+			if from, to := src.Bounds(); from != ref.fromMs || to != ref.toMs {
+				t.Fatalf("Bounds = [%d, %d), the string-based parser's [%d, %d)", from, to, ref.fromMs, ref.toMs)
+			}
+			for i := range recs {
+				if recs[i] != ref.recs[i] {
+					t.Fatalf("record %d:\nbyte-level   %+v\nstring-based %+v", i, recs[i], ref.recs[i])
+				}
+			}
 		}
 		if len(recs) == 0 {
 			return
@@ -113,4 +144,123 @@ func FuzzSlowLogParser(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzTraceLine pins the positional trace-line decoder to encoding/json:
+// whenever it accepts a line, the event it yields equals what
+// json.Unmarshal into traceLine yields, and a line json.Unmarshal rejects
+// is never accepted.
+func FuzzTraceLine(f *testing.F) {
+	const rec = `{"t":"r","rec":{"TemplateID":"AB12","SQL":"SELECT 1","Table":"t","Kind":0,"ArrivalMs":12,"ResponseMs":5.25,"ExaminedRows":20,"Throttled":false,"TimedOut":false,"LockWaitMs":0}}`
+	const met = `{"t":"m","met":{"Second":3,"ActiveSession":5,"SampleOffsetMs":126,"AvgActiveSession":1.2291,"CPUUsage":7.68,"IOPSUsage":1.935,"MemUsage":30.3,"QPS":123,"RowLockWaits":0,"MDLWaits":0,"LockTimeouts":0}}`
+	f.Add([]byte(rec))
+	f.Add([]byte(met))
+	for _, sub := range [][2]string{
+		// String escapes, the ones json.Encoder writes for < and >, both
+		// surrogate cases, invalid UTF-8 and a control byte.
+		{`SELECT 1`, `a \" b \\ c \/ d \b\f\n\r\t`},
+		{`SELECT 1`, `a \u003c b \u003E c \u0026`},
+		{`SELECT 1`, `\ud83d\ude00 pair`},
+		{`SELECT 1`, `\ud83d lone \ude00 \ud83d\u0041`},
+		{`SELECT 1`, `\ud83d`},
+		{`SELECT 1`, "caf\xc3\xa9 \xff\xfe \xe2\x82"},
+		{`SELECT 1`, "tab\there"},
+		{`SELECT 1`, `bad \' escape`},
+		{`SELECT 1`, `short \u12`},
+		{`SELECT 1`, `open \`},
+		// Number grammar: JSON's, not strconv's.
+		{`"ArrivalMs":12`, `"ArrivalMs":-0`},
+		{`"ArrivalMs":12`, `"ArrivalMs":1e3`},
+		{`"ArrivalMs":12`, `"ArrivalMs":01`},
+		{`"ArrivalMs":12`, `"ArrivalMs":+1`},
+		{`"ArrivalMs":12`, `"ArrivalMs":1.0`},
+		{`"ArrivalMs":12`, `"ArrivalMs":9223372036854775807`},
+		{`"ArrivalMs":12`, `"ArrivalMs":9223372036854775808`},
+		{`"ArrivalMs":12`, `"ArrivalMs":-`},
+		{`"Kind":0`, `"Kind":1.0`},
+		{`"Kind":0`, `"Kind":"1"`},
+		{`"ResponseMs":5.25`, `"ResponseMs":-0`},
+		{`"ResponseMs":5.25`, `"ResponseMs":1e3`},
+		{`"ResponseMs":5.25`, `"ResponseMs":1E-7`},
+		{`"ResponseMs":5.25`, `"ResponseMs":.5`},
+		{`"ResponseMs":5.25`, `"ResponseMs":5.`},
+		{`"ResponseMs":5.25`, `"ResponseMs":01.5`},
+		{`"ResponseMs":5.25`, `"ResponseMs":1e999`},
+		{`"ResponseMs":5.25`, `"ResponseMs":0x10`},
+		{`"ResponseMs":5.25`, `"ResponseMs":Inf`},
+		{`"ResponseMs":5.25`, `"ResponseMs":12345678901234567890`},
+		{`"ResponseMs":5.25`, `"ResponseMs":null`},
+		{`"Throttled":false`, `"Throttled":true`},
+		{`"Throttled":false`, `"Throttled":0`},
+		{`"Throttled":false`, `"Throttled":False`},
+		// Keys: reordered, duplicated, upper-cased, unknown, missing.
+		{`"Kind":0,"ArrivalMs":12`, `"ArrivalMs":12,"Kind":0`},
+		{`"Kind":0`, `"Kind":0,"Kind":2`},
+		{`"SQL"`, `"sql"`},
+		{`"t":"r"`, `"T":"r"`},
+		{`"Kind":0`, `"Kind":0,"Extra":[1,{"a":null}]`},
+		{`"Table":"t",`, ``},
+		{`"t":"r"`, `"t":"m"`},
+		{`"t":"r"`, `"t":"x"`},
+		{`"rec":{`, `"rec":null,"x":{`},
+		// Whitespace inside, bytes after.
+		{`"Kind":0`, `"Kind": 0`},
+		{`{"t"`, ` {"t"`},
+		{`false}}`, `false} }`},
+		{`"LockWaitMs":0}}`, `"LockWaitMs":0}} `},
+		{`"LockWaitMs":0}}`, `"LockWaitMs":0}}x`},
+		{`"LockWaitMs":0}}`, `"LockWaitMs":0}}{}`},
+		{`"LockWaitMs":0}}`, `"LockWaitMs":0}`},
+	} {
+		f.Add([]byte(strings.Replace(rec, sub[0], sub[1], 1)))
+	}
+	for _, sub := range [][2]string{
+		{`"Second":3`, `"Second":-3`},
+		{`"QPS":123`, `"QPS":1e2`},
+		{`"QPS":123`, `"QPS":99999999999999999999`},
+		{`"ActiveSession":5`, `"ActiveSession":-0.0`},
+		{`"MDLWaits":0`, `"MDLWaits":0,"MDLWaits":1`},
+		{`"met"`, `"rec"`},
+	} {
+		f.Add([]byte(strings.Replace(met, sub[0], sub[1], 1)))
+	}
+	f.Add([]byte(``))
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"t":"r"}`))
+	f.Add([]byte(`null`))
+
+	f.Fuzz(func(t *testing.T, line []byte) {
+		var ev traceEvent
+		var scratch []byte
+		orig := append([]byte(nil), line...)
+		accepted := decodeTraceLine(line, &ev, &scratch)
+		if !bytes.Equal(line, orig) {
+			t.Fatalf("decoder modified its input")
+		}
+		if !accepted {
+			return
+		}
+		var want traceLine
+		if err := json.Unmarshal(line, &want); err != nil {
+			t.Fatalf("accepted a line encoding/json rejects (%v): %q", err, line)
+		}
+		switch {
+		case ev.isRec:
+			if want.T != "r" || want.Rec == nil || want.Met != nil || !sameBits(ev.rec, *want.Rec) {
+				t.Fatalf("record line %q:\npositional %+v\njson       %+v", line, ev.rec, want)
+			}
+		default:
+			if want.T != "m" || want.Met == nil || want.Rec != nil || !sameBits(ev.met, *want.Met) {
+				t.Fatalf("metric line %q:\npositional %+v\njson       %+v", line, ev.met, want)
+			}
+		}
+	})
+}
+
+// sameBits is reflect.DeepEqual that also tells -0 from 0: the values are
+// compared as encoding/json would write them back.
+func sameBits(a, b any) bool {
+	ja, _ := json.Marshal(a)
+	jb, _ := json.Marshal(b)
+	return reflect.DeepEqual(a, b) && bytes.Equal(ja, jb)
 }

@@ -79,7 +79,7 @@ func openReader(r io.Reader, format string, opt OpenOptions) (Source, error) {
 	case FormatWaitEvents:
 		return NewReplay(NewWaitEventsSource(r, opt.WaitEvents), opt.Replay), nil
 	case FormatTrace:
-		return OpenTrace(r)
+		return newTraceSource(r) // r is decompressed and buffered already
 	default:
 		return nil, fmt.Errorf("ingest: unknown format %q", format)
 	}

@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"bufio"
+	"bytes"
 	"io"
 	"strconv"
 	"strings"
@@ -36,6 +37,13 @@ import (
 // Stats.ParseErrors and skipped; the parser never stops early and never
 // emits invalid UTF-8 (offending bytes become U+FFFD).
 //
+// Keyword matching — `use`, `SET timestamp=`, the leading verb that sets
+// Kind and the FROM/INTO/JOIN/TABLE/UPDATE that precedes Table — is
+// ASCII-case-insensitive: lines are classified on the scanner's bytes, not
+// on a Unicode-lowered copy, so a letter that merely case-folds to an ASCII
+// one (`İ` U+0130, `ı` U+0131, `ſ` U+017F) does not spell a keyword.
+// `SET tİmestamp=1;` is statement text, not a malformed timestamp line.
+//
 // Records leave with TemplateID == "": template identity is assigned
 // downstream by the collector registry's raw-SQL intern path, the same
 // sqltemplate normalization every other input takes.
@@ -49,16 +57,16 @@ type SlowLogSource struct {
 	queryTimeMs float64
 	lockTimeMs  float64
 	rowsExam    int64
-	hdrSeen     bool // a "# Query_time:" header opened an entry
-	sqlBuf      []string
+	hdrSeen     bool   // a "# Query_time:" header opened an entry
+	sqlBuf      []byte // the statement's raw lines so far, '\n'-joined
 
 	pending []dbsim.LogRecord // completed records not yet batched
+	same    int               // pending[:same] share pending[0]'s emission second
 	eof     bool
 
-	stats   Stats
-	fromMs  int64 // best-effort bounds: first/last emission seen
-	toMs    int64
-	lastSec int64 // second of the batch currently being grouped
+	stats  Stats
+	fromMs int64 // best-effort bounds: first/last emission seen
+	toMs   int64
 }
 
 // SlowLog creates a streaming parser over r (plain text; Open handles
@@ -75,19 +83,17 @@ func (s *SlowLogSource) Next() (Batch, error) {
 	for {
 		// A batch is ready once a record lands in a later second than the
 		// ones already pending (slow logs are written at completion, so
-		// the stream is near-sorted; Replay absorbs the exceptions).
+		// the stream is near-sorted; Replay absorbs the exceptions). same
+		// remembers how far the equal-second prefix is verified, so each
+		// pending record is looked at once, not once per completed entry.
 		if n := len(s.pending); n > 0 {
 			first := EmissionMs(s.pending[0]) / 1000
-			cut := n
-			for i := 1; i < n; i++ {
-				if EmissionMs(s.pending[i])/1000 != first {
-					cut = i
-					break
-				}
+			for s.same = max(s.same, 1); s.same < n && EmissionMs(s.pending[s.same])/1000 == first; s.same++ {
 			}
-			if cut < n || s.eof {
+			if cut := s.same; cut < n || s.eof {
 				b := Batch{Second: first, Records: s.pending[:cut:cut]}
 				s.pending = s.pending[cut:]
+				s.same = 0
 				b.Last = s.eof && len(s.pending) == 0
 				return b, nil
 			}
@@ -104,8 +110,7 @@ func (s *SlowLogSource) Next() (Batch, error) {
 // scanMore consumes input lines until a record completes or input ends.
 func (s *SlowLogSource) scanMore() {
 	for s.sc.Scan() {
-		line := strings.ToValidUTF8(s.sc.Text(), "�")
-		if s.consumeLine(line) {
+		if s.consumeLine(s.sc.Bytes()) {
 			return
 		}
 	}
@@ -120,25 +125,27 @@ func (s *SlowLogSource) scanMore() {
 	s.eof = true
 }
 
-// consumeLine feeds one line into the entry state machine; it reports
-// whether a record was completed.
-func (s *SlowLogSource) consumeLine(line string) bool {
-	trimmed := strings.TrimSpace(line)
+// consumeLine feeds one line — the scanner's bytes, valid only until the
+// next Scan — into the entry state machine; it reports whether a record
+// was completed. Invalid UTF-8 is left alone here: no keyword contains any,
+// and statement text is repaired once, in finishEntry.
+func (s *SlowLogSource) consumeLine(line []byte) bool {
+	trimmed := bytes.TrimSpace(line)
 	switch {
-	case strings.HasPrefix(trimmed, "# Time:"):
+	case bytes.HasPrefix(trimmed, []byte("# Time:")):
 		if s.hdrSeen || len(s.sqlBuf) > 0 {
 			// A new entry interrupted an unterminated statement.
 			s.stats.ParseErrors++
 			s.resetEntry()
 		}
-		ts, err := parseSlowLogTime(strings.TrimSpace(trimmed[len("# Time:"):]))
+		ts, err := parseSlowLogTime(string(bytes.TrimSpace(trimmed[len("# Time:"):])))
 		if err != nil {
 			s.stats.ParseErrors++
 			s.hdrTimeMs = 0
 			return false
 		}
 		s.hdrTimeMs = ts
-	case strings.HasPrefix(trimmed, "# Query_time:"):
+	case bytes.HasPrefix(trimmed, []byte("# Query_time:")):
 		if s.hdrSeen || len(s.sqlBuf) > 0 {
 			s.stats.ParseErrors++
 			s.resetEntry()
@@ -148,12 +155,12 @@ func (s *SlowLogSource) consumeLine(line string) bool {
 			return false
 		}
 		s.hdrSeen = true
-	case strings.HasPrefix(trimmed, "#"):
+	case bytes.HasPrefix(trimmed, []byte("#")):
 		// User@Host and friends: metadata we don't need.
-	case trimmed == "":
+	case len(trimmed) == 0:
 	case isUseLine(trimmed):
 		// Schema switch; the statement text itself is what we normalize.
-	case isSetTimestamp(trimmed):
+	case hasPrefixFold(trimmed, "set timestamp="):
 		ts, ok := parseSetTimestamp(trimmed)
 		if !ok {
 			s.stats.ParseErrors++
@@ -168,8 +175,11 @@ func (s *SlowLogSource) consumeLine(line string) bool {
 			s.resetEntry()
 		}
 	default:
-		s.sqlBuf = append(s.sqlBuf, line)
-		if strings.HasSuffix(trimmed, ";") {
+		if len(s.sqlBuf) > 0 {
+			s.sqlBuf = append(s.sqlBuf, '\n')
+		}
+		s.sqlBuf = append(s.sqlBuf, line...)
+		if trimmed[len(trimmed)-1] == ';' {
 			return s.finishEntry()
 		}
 	}
@@ -179,8 +189,15 @@ func (s *SlowLogSource) consumeLine(line string) bool {
 // finishEntry turns the accumulated entry into a LogRecord; it reports
 // whether one was emitted.
 func (s *SlowLogSource) finishEntry() bool {
-	sql := strings.TrimSpace(strings.Join(s.sqlBuf, "\n"))
-	sql = strings.TrimSuffix(sql, ";")
+	// The statement's one string: valid UTF-8, the usual case, is trimmed
+	// as bytes and copied once; anything else is repaired, then trimmed, as
+	// when every line was repaired on its own.
+	var sql string
+	if utf8.Valid(s.sqlBuf) {
+		sql = string(trimSemicolon(bytes.TrimSpace(s.sqlBuf)))
+	} else {
+		sql = strings.TrimSuffix(strings.TrimSpace(strings.ToValidUTF8(string(s.sqlBuf), "\uFFFD")), ";")
+	}
 	ok := s.hdrSeen && sql != "" && (s.setTsMs > 0 || s.hdrTimeMs > 0)
 	if !ok {
 		// Statement without a Query_time header (or headers without a
@@ -225,29 +242,32 @@ func (s *SlowLogSource) resetEntry() {
 }
 
 // parseQueryTimeHeader pulls the numeric fields out of a
-// "# Query_time: ... Lock_time: ... Rows_examined: ..." line.
-func (s *SlowLogSource) parseQueryTimeHeader(line string) bool {
-	fields := strings.Fields(line[1:]) // drop "#"
+// "# Query_time: ... Lock_time: ... Rows_examined: ..." line. Every
+// whitespace-separated field is tried as a key with its successor as the
+// value, so a value that is itself a key is read both ways.
+func (s *SlowLogSource) parseQueryTimeHeader(line []byte) bool {
 	var qt, lt float64
 	var rows int64
 	seenQT := false
-	for i := 0; i+1 < len(fields); i++ {
-		switch fields[i] {
+	var key []byte
+	for val := range bytes.FieldsSeq(line[1:]) { // drop "#"
+		switch string(key) {
 		case "Query_time:":
-			v, err := strconv.ParseFloat(fields[i+1], 64)
+			v, err := strconv.ParseFloat(string(val), 64)
 			if err != nil || v < 0 || v != v { // reject NaN and negatives
 				return false
 			}
 			qt, seenQT = v, true
 		case "Lock_time:":
-			if v, err := strconv.ParseFloat(fields[i+1], 64); err == nil && v >= 0 && v == v {
+			if v, err := strconv.ParseFloat(string(val), 64); err == nil && v >= 0 && v == v {
 				lt = v
 			}
 		case "Rows_examined:":
-			if v, err := strconv.ParseInt(fields[i+1], 10, 64); err == nil && v >= 0 {
+			if v, err := strconv.ParseInt(string(val), 10, 64); err == nil && v >= 0 {
 				rows = v
 			}
 		}
+		key = val
 	}
 	if !seenQT {
 		return false
@@ -282,21 +302,15 @@ func parseSlowLogTime(v string) (int64, error) {
 	return t.UTC().UnixMilli(), nil
 }
 
-func isUseLine(trimmed string) bool {
-	low := strings.ToLower(trimmed)
-	return strings.HasPrefix(low, "use ") && strings.HasSuffix(low, ";") && !strings.ContainsAny(low, "()=")
+func isUseLine(trimmed []byte) bool {
+	return hasPrefixFold(trimmed, "use ") && trimmed[len(trimmed)-1] == ';' && !bytes.ContainsAny(trimmed, "()=")
 }
 
-func isSetTimestamp(trimmed string) bool {
-	low := strings.ToLower(trimmed)
-	return strings.HasPrefix(low, "set timestamp=")
-}
-
-func parseSetTimestamp(trimmed string) (int64, bool) {
+func parseSetTimestamp(trimmed []byte) (int64, bool) {
 	v := trimmed[len("SET timestamp="):]
-	v = strings.TrimSuffix(strings.TrimSpace(v), ";")
+	v = trimSemicolon(bytes.TrimSpace(v))
 	// Fractional epochs appear with log_timestamps=SYSTEM on 8.0.
-	sec, err := strconv.ParseFloat(v, 64)
+	sec, err := strconv.ParseFloat(string(v), 64)
 	if err != nil || sec <= 0 || sec != sec {
 		return 0, false
 	}
@@ -306,28 +320,35 @@ func parseSetTimestamp(trimmed string) (int64, bool) {
 // isServerBanner spots mysqld restart banners, which interleave with
 // entries. inSQL guards against eating a statement line that merely
 // mentions these words.
-func isServerBanner(trimmed string, inSQL bool) bool {
+func isServerBanner(trimmed []byte, inSQL bool) bool {
 	if inSQL {
 		return false
 	}
-	return strings.Contains(trimmed, ", Version: ") ||
-		strings.HasPrefix(trimmed, "Tcp port:") ||
-		strings.HasPrefix(trimmed, "Time ") && strings.Contains(trimmed, "Id Command")
+	return bytes.Contains(trimmed, []byte(", Version: ")) ||
+		bytes.HasPrefix(trimmed, []byte("Tcp port:")) ||
+		bytes.HasPrefix(trimmed, []byte("Time ")) && bytes.Contains(trimmed, []byte("Id Command"))
+}
+
+// kindOfVerb maps a statement's leading verb to its kind.
+var kindOfVerb = []struct {
+	verb string
+	kind dbsim.QueryKind
+}{
+	{"select", dbsim.KindSelect}, {"show", dbsim.KindSelect}, {"with", dbsim.KindSelect},
+	{"insert", dbsim.KindInsert}, {"replace", dbsim.KindInsert},
+	{"update", dbsim.KindUpdate},
+	{"delete", dbsim.KindDelete},
+	{"alter", dbsim.KindDDL}, {"create", dbsim.KindDDL}, {"drop", dbsim.KindDDL},
+	{"truncate", dbsim.KindDDL}, {"rename", dbsim.KindDDL}, {"optimize", dbsim.KindDDL},
 }
 
 // guessKind classifies a statement by its leading verb.
 func guessKind(sql string) dbsim.QueryKind {
-	switch strings.ToUpper(firstWord(sql)) {
-	case "SELECT", "SHOW", "WITH":
-		return dbsim.KindSelect
-	case "INSERT", "REPLACE":
-		return dbsim.KindInsert
-	case "UPDATE":
-		return dbsim.KindUpdate
-	case "DELETE":
-		return dbsim.KindDelete
-	case "ALTER", "CREATE", "DROP", "TRUNCATE", "RENAME", "OPTIMIZE":
-		return dbsim.KindDDL
+	word := firstWord(sql)
+	for _, k := range kindOfVerb {
+		if equalFold(word, k.verb) {
+			return k.kind
+		}
 	}
 	return dbsim.KindSelect
 }
@@ -335,18 +356,13 @@ func guessKind(sql string) dbsim.QueryKind {
 // guessTable extracts the first table name after FROM/INTO/UPDATE/JOIN —
 // best effort, for report grouping only.
 func guessTable(sql string) string {
-	fields := strings.Fields(sql)
-	for i, f := range fields {
-		switch strings.ToUpper(strings.Trim(f, "(")) {
-		case "FROM", "INTO", "JOIN", "TABLE":
-			if i+1 < len(fields) {
-				return cleanTableName(fields[i+1])
-			}
-		case "UPDATE":
-			if i == 0 && len(fields) > 1 {
-				return cleanTableName(fields[1])
-			}
+	prev, n := "", 0
+	for f := range strings.FieldsSeq(sql) {
+		if kw := strings.Trim(prev, "("); n > 0 && (equalFold(kw, "from") || equalFold(kw, "into") ||
+			equalFold(kw, "join") || equalFold(kw, "table") || n == 1 && equalFold(kw, "update")) {
+			return cleanTableName(f)
 		}
+		prev, n = f, n+1
 	}
 	return ""
 }
@@ -371,4 +387,36 @@ func firstWord(s string) string {
 		}
 	}
 	return s
+}
+
+// trimSemicolon drops one trailing ';'.
+func trimSemicolon(b []byte) []byte {
+	if n := len(b); n > 0 && b[n-1] == ';' {
+		return b[:n-1]
+	}
+	return b
+}
+
+// hasPrefixFold is bytes.HasPrefix with ASCII case folding; lower is in
+// lower case.
+func hasPrefixFold(b []byte, lower string) bool {
+	return len(b) >= len(lower) && equalFold(b[:len(lower)], lower)
+}
+
+// equalFold reports whether s is lower under ASCII case folding; lower is
+// in lower case.
+func equalFold[S string | []byte](s S, lower string) bool {
+	if len(s) != len(lower) {
+		return false
+	}
+	for i := 0; i < len(lower); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != lower[i] {
+			return false
+		}
+	}
+	return true
 }

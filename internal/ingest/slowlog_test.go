@@ -11,6 +11,7 @@ import (
 	"testing"
 	"unicode/utf8"
 
+	"pinsql/internal/dbsim"
 	"pinsql/internal/sqltemplate"
 )
 
@@ -128,4 +129,113 @@ func firstDiff(a, b string) string {
 		}
 	}
 	return fmt.Sprintf("length: want %d lines, got %d", len(la), len(lb))
+}
+
+// slowEntryText renders one well-formed entry starting at startSec.
+func slowEntryText(startSec int, sql string) string {
+	return fmt.Sprintf("# Time: 2023-06-01T10:00:00.500000Z\n# User@Host: shop[shop] @ app-01 [10.1.0.10]  Id:   100\n"+
+		"# Query_time: 0.250000  Lock_time: 0.000100 Rows_sent: 0  Rows_examined: 102\nSET timestamp=%d.125;\n%s;\n", startSec, sql)
+}
+
+// The batch cut is the maximal run of one emission second, also when a
+// second comes back after another one and at EOF: A A B A is three batches
+// and a fourth, never two.
+func TestSlowLogBatchCutABA(t *testing.T) {
+	var in strings.Builder
+	for _, sec := range []int{100, 100, 101, 100, 100, 102} {
+		in.WriteString(slowEntryText(sec, "SELECT 1"))
+	}
+	src := SlowLog(strings.NewReader(in.String()))
+	type cut struct {
+		sec  int64
+		n    int
+		last bool
+	}
+	var got []cut
+	for {
+		b, err := src.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, cut{b.Second, len(b.Records), b.Last})
+	}
+	want := []cut{{100, 2, false}, {101, 1, false}, {100, 2, false}, {102, 1, true}}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("batches (second, records, last) = %v, want %v", got, want)
+	}
+}
+
+// Keyword matching folds ASCII case only. strings.ToLower and ToUpper, which
+// the parser used to classify with, fold İ to i, ı to I and ſ to S, so these
+// three lines used to be a malformed SET timestamp (a counted parse error
+// and no record), an UPDATE of t and a SELECT FROM ſ.
+func TestSlowLogKeywordsFoldASCIIOnly(t *testing.T) {
+	in := slowEntryText(100, "SET tİmestamp=5") +
+		slowEntryText(100, "UPDATE t SET a = 1 WHERE b ın (SELECT 1)") +
+		slowEntryText(100, "ſelect 1 FROM x") +
+		slowEntryText(100, "update T set a = 1") +
+		"USE shop;\n" + slowEntryText(100, "sHoW tables fRoM `shop`.`t`")
+	src := SlowLog(strings.NewReader(in))
+	b, err := src.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	type row struct {
+		sql, table string
+		kind       dbsim.QueryKind
+	}
+	var got []row
+	for _, r := range b.Records {
+		got = append(got, row{r.SQL, r.Table, r.Kind})
+	}
+	want := []row{
+		{"SET tİmestamp=5", "", dbsim.KindSelect},
+		{"UPDATE t SET a = 1 WHERE b ın (SELECT 1)", "t", dbsim.KindUpdate},
+		{"ſelect 1 FROM x", "x", dbsim.KindSelect},
+		{"update T set a = 1", "T", dbsim.KindUpdate},
+		{"sHoW tables fRoM `shop`.`t`", "t", dbsim.KindSelect},
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("records = %v\nwant      %v", got, want)
+	}
+	if st := src.Stats(); st.ParseErrors != 0 {
+		t.Fatalf("ParseErrors = %d, want 0", st.ParseErrors)
+	}
+	ref := parseRefSlowLog(in)
+	if ref.stats.ParseErrors != 2 || len(ref.recs) != 4 {
+		t.Fatalf("the Unicode-folding reference parser: %+v, want the İ line and the entry it leaves open as two parse errors", ref.stats)
+	}
+}
+
+// A budget of work, not of time: an entry costs its SQL string, the string
+// time.Parse reads its stamp from, the record's place in the pending slice
+// (amortized) and nothing per line.
+func TestSlowLogAllocsPerEntry(t *testing.T) {
+	const entries = 512
+	var in strings.Builder
+	in.WriteString("/usr/sbin/mysqld, Version: 8.0.32 (MySQL Community Server - GPL). started with:\n")
+	for i := 0; i < entries; i++ {
+		in.WriteString(slowEntryText(100+i/64, "SELECT qty, updated_at\n  FROM inventory WHERE sku = 797742"))
+	}
+	text := in.String()
+	got := testing.AllocsPerRun(5, func() {
+		src := SlowLog(strings.NewReader(text))
+		n := 0
+		for {
+			b, err := src.Next()
+			if err == io.EOF {
+				break
+			}
+			n += len(b.Records)
+		}
+		if n != entries {
+			t.Fatalf("parsed %d entries, want %d", n, entries)
+		}
+	})
+	if perEntry := got / entries; perEntry > 2.25 {
+		t.Errorf("%.2f allocations per entry, want at most 2.25", perEntry)
+	}
 }

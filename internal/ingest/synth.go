@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"io"
+	"math"
 
 	"pinsql/internal/dbsim"
 )
@@ -27,16 +28,27 @@ type SessionSynth struct {
 	src       Source
 	lookahead int64
 
-	buf      []Batch
+	buf      []synthBatch // read ahead, not yet emitted
 	innerEOF bool
 	innerErr error
-	spans    []span
+	carried  []span   // spans of emitted batches that outlive their second
+	free     [][]span // span slices of emitted batches, for reuse
+	visited  int64    // spans looked at by synthesize and prune (tests)
 }
 
 // span is one statement's session occupancy.
 type span struct {
 	arrMs, emMs int64
 	lockWait    bool
+}
+
+// synthBatch is a buffered batch with its records' spans and a lower bound
+// on their arrival and emission times, which is what lets synthesize and
+// prune pass over a batch without reading its spans.
+type synthBatch struct {
+	Batch
+	spans         []span
+	minArr, minEm int64
 }
 
 // SynthOptions configures SessionSynth.
@@ -67,10 +79,7 @@ func (s *SessionSynth) Next() (Batch, error) {
 			s.innerEOF = true
 			break
 		}
-		for _, r := range b.Records {
-			s.spans = append(s.spans, span{arrMs: r.ArrivalMs, emMs: EmissionMs(r), lockWait: r.LockWaitMs > 0})
-		}
-		s.buf = append(s.buf, b)
+		s.buf = append(s.buf, s.index(b))
 	}
 	if len(s.buf) == 0 {
 		if s.innerErr != nil {
@@ -80,50 +89,92 @@ func (s *SessionSynth) Next() (Batch, error) {
 		}
 		return Batch{}, io.EOF
 	}
-	b := s.buf[0]
-	s.buf = s.buf[1:]
-	if len(b.Metrics) == 0 {
+	if b := &s.buf[0]; len(b.Metrics) == 0 {
 		b.Metrics = []dbsim.SecondMetrics{s.synthesize(b.Second)}
 	}
-	s.prune(b.Second)
-	return b, nil
+	s.prune(s.buf[0].Second)
+	head := s.buf[0]
+	s.buf = s.buf[1:]
+	// What outlives the second was carried over by prune.
+	s.free = append(s.free, head.spans[:0])
+	return head.Batch, nil
 }
 
-// synthesize computes second sec's metric row from the known spans.
+// index computes a batch's spans and their bounds.
+func (s *SessionSynth) index(b Batch) synthBatch {
+	sb := synthBatch{Batch: b, minArr: math.MaxInt64, minEm: math.MaxInt64}
+	if n := len(s.free); n > 0 {
+		sb.spans, s.free = s.free[n-1], s.free[:n-1]
+	}
+	for _, r := range b.Records {
+		sp := span{arrMs: r.ArrivalMs, emMs: EmissionMs(r), lockWait: r.LockWaitMs > 0}
+		sb.spans = append(sb.spans, sp)
+		sb.minArr = min(sb.minArr, sp.arrMs)
+		sb.minEm = min(sb.minEm, sp.emMs)
+	}
+	return sb
+}
+
+// synthesize computes second sec's metric row from the known spans, in the
+// order they were read: the carried-over ones, then each buffered batch
+// that holds a span arriving before the second ends. A span arriving later
+// adds nothing to any of the row's terms, so passing over it leaves the
+// float sum's addends and their order as they were.
 func (s *SessionSynth) synthesize(sec int64) dbsim.SecondMetrics {
 	t0 := sec * 1000
 	t1 := t0 + 1000
 	mid := t0 + 500
 	row := dbsim.SecondMetrics{Second: sec}
 	var avg float64
-	for _, sp := range s.spans {
-		if sp.arrMs <= mid && mid < sp.emMs {
-			row.ActiveSession++
-		}
-		if lo, hi := max64(sp.arrMs, t0), min64(sp.emMs, t1); hi > lo {
-			avg += float64(hi-lo) / 1000
-		}
-		if sp.arrMs >= t0 && sp.arrMs < t1 {
-			row.QPS++
-			if sp.lockWait {
-				row.RowLockWaits++
+	add := func(spans []span) {
+		s.visited += int64(len(spans))
+		for _, sp := range spans {
+			if sp.arrMs <= mid && mid < sp.emMs {
+				row.ActiveSession++
 			}
+			if lo, hi := max(sp.arrMs, t0), min(sp.emMs, t1); hi > lo {
+				avg += float64(hi-lo) / 1000
+			}
+			if sp.arrMs >= t0 && sp.arrMs < t1 {
+				row.QPS++
+				if sp.lockWait {
+					row.RowLockWaits++
+				}
+			}
+		}
+	}
+	add(s.carried)
+	for i := range s.buf {
+		if s.buf[i].minArr < t1 {
+			add(s.buf[i].spans)
 		}
 	}
 	row.AvgActiveSession = avg
 	return row
 }
 
-// prune drops spans that cannot overlap any second after sec.
+// prune drops the spans that cannot overlap any second after sec — from
+// every buffered batch, not only the one being emitted, whose survivors
+// join the carried-over spans.
 func (s *SessionSynth) prune(sec int64) {
 	cut := (sec + 1) * 1000
-	kept := s.spans[:0]
-	for _, sp := range s.spans {
-		if sp.emMs > cut {
-			kept = append(kept, sp)
+	keep := func(dst, spans []span) []span {
+		s.visited += int64(len(spans))
+		for _, sp := range spans {
+			if sp.emMs > cut {
+				dst = append(dst, sp)
+			}
+		}
+		return dst
+	}
+	s.carried = keep(s.carried[:0], s.carried)
+	s.carried = keep(s.carried, s.buf[0].spans)
+	for i := 1; i < len(s.buf); i++ {
+		if b := &s.buf[i]; b.minEm <= cut {
+			b.spans = keep(b.spans[:0], b.spans)
+			b.minEm = cut + 1 // a bound, like minArr; the spans left are later
 		}
 	}
-	s.spans = kept
 }
 
 // Bounds implements Source by delegation.
@@ -139,17 +190,3 @@ func (s *SessionSynth) Stats() Stats {
 
 // Close implements Source.
 func (s *SessionSynth) Close() error { return s.src.Close() }
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}

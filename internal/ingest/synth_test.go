@@ -3,6 +3,8 @@ package ingest
 import (
 	"io"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"pinsql/internal/dbsim"
@@ -101,5 +103,165 @@ func TestSessionSynthLookaheadSeesLongStatement(t *testing.T) {
 	}
 	if rows[9].ActiveSession != 0 {
 		t.Errorf("second 9: ActiveSession = %v, want 0", rows[9].ActiveSession)
+	}
+}
+
+// flatSynth is the synthesizer as it was before it indexed spans by batch:
+// one flat slice of every buffered span, walked whole by synthesize and by
+// prune for every emitted second. It is the reference of
+// TestSessionSynthMatchesFlatReference.
+type flatSynth struct {
+	src       Source
+	lookahead int64
+	buf       []Batch
+	innerEOF  bool
+	spans     []span
+}
+
+func (s *flatSynth) Next() (Batch, error) {
+	for !s.innerEOF && (len(s.buf) == 0 || s.buf[len(s.buf)-1].Second-s.buf[0].Second < s.lookahead) {
+		b, err := s.src.Next()
+		if err != nil {
+			s.innerEOF = true
+			break
+		}
+		for _, r := range b.Records {
+			s.spans = append(s.spans, span{arrMs: r.ArrivalMs, emMs: EmissionMs(r), lockWait: r.LockWaitMs > 0})
+		}
+		s.buf = append(s.buf, b)
+	}
+	if len(s.buf) == 0 {
+		return Batch{}, io.EOF
+	}
+	b := s.buf[0]
+	s.buf = s.buf[1:]
+	if len(b.Metrics) == 0 {
+		t0 := b.Second * 1000
+		t1, mid := t0+1000, t0+500
+		row := dbsim.SecondMetrics{Second: b.Second}
+		for _, sp := range s.spans {
+			if sp.arrMs <= mid && mid < sp.emMs {
+				row.ActiveSession++
+			}
+			if lo, hi := max(sp.arrMs, t0), min(sp.emMs, t1); hi > lo {
+				row.AvgActiveSession += float64(hi-lo) / 1000
+			}
+			if sp.arrMs >= t0 && sp.arrMs < t1 {
+				row.QPS++
+				if sp.lockWait {
+					row.RowLockWaits++
+				}
+			}
+		}
+		b.Metrics = []dbsim.SecondMetrics{row}
+	}
+	cut := (b.Second + 1) * 1000
+	kept := s.spans[:0]
+	for _, sp := range s.spans {
+		if sp.emMs > cut {
+			kept = append(kept, sp)
+		}
+	}
+	s.spans = kept
+	return b, nil
+}
+
+// synthStream draws a dense batch sequence that exercises every way a span
+// can relate to the second it is read in: short statements, statements
+// longer than the lookahead, zero-duration statements on a second boundary,
+// stragglers sitting in a later batch than their emission second (what
+// Replay's forward clamp produces), records clamped into the final second,
+// and batches that already carry a sampler row.
+func synthStream(rng *rand.Rand, seconds int) []Batch {
+	batches := make([]Batch, seconds)
+	for s := range batches {
+		b := &batches[s]
+		b.Second = int64(s)
+		for n := rng.Intn(6); n > 0; n-- {
+			em := int64(s)*1000 + rng.Int63n(1000)
+			var resp float64
+			switch rng.Intn(8) {
+			case 0: // longer than any lookahead under test
+				resp = float64(rng.Intn(40_000))
+			case 1: // zero duration, on the boundary
+				em, resp = int64(s)*1000, 0
+			case 2: // straggler: emitted up to five seconds before its batch
+				em -= rng.Int63n(5000)
+				resp = float64(rng.Intn(3000))
+			case 3: // overflow: emitted after its batch's second
+				em += rng.Int63n(3000)
+				resp = float64(rng.Intn(2000)) + 0.75
+			default:
+				resp = float64(rng.Intn(1500)) + rng.Float64()
+			}
+			r := dbsim.LogRecord{ArrivalMs: em - int64(resp), ResponseMs: resp}
+			if rng.Intn(4) == 0 {
+				r.LockWaitMs = 1
+			}
+			if rng.Intn(16) == 0 {
+				r.Throttled = true // emitted at arrival
+			}
+			b.Records = append(b.Records, r)
+		}
+		if rng.Intn(10) == 0 {
+			b.Metrics = []dbsim.SecondMetrics{{Second: int64(s), ActiveSession: 42}}
+		}
+	}
+	return batches
+}
+
+func TestSessionSynthMatchesFlatReference(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		batches := synthStream(rng, 40+rng.Intn(80))
+		lookahead := []int{1, 2, 7, 30, 300}[seed%5]
+		got := NewSessionSynth(&SliceSource{batches: batches}, SynthOptions{LookaheadSec: lookahead})
+		want := &flatSynth{src: &SliceSource{batches: batches}, lookahead: int64(lookahead)}
+		for {
+			gb, gerr := got.Next()
+			wb, werr := want.Next()
+			if gerr != werr {
+				t.Fatalf("seed %d: errors %v and %v", seed, gerr, werr)
+			}
+			if gerr == io.EOF {
+				break
+			}
+			// DeepEqual on the rows: AvgActiveSession is a float sum and must
+			// come out of the same addends in the same order.
+			if !reflect.DeepEqual(gb, wb) {
+				t.Fatalf("seed %d lookahead %d second %d:\nindexed %+v\nflat    %+v", seed, lookahead, wb.Second, gb.Metrics, wb.Metrics)
+			}
+		}
+	}
+}
+
+// A budget of work, not of time: on a stream of short statements the spans
+// the synthesizer looks at per emitted second are those of the seconds next
+// to it, however far it reads ahead.
+func TestSessionSynthWorkIndependentOfLookahead(t *testing.T) {
+	const seconds, perSecond = 400, 50
+	batches := make([]Batch, seconds)
+	for s := range batches {
+		batches[s].Second = int64(s)
+		for i := 0; i < perSecond; i++ {
+			em := int64(s)*1000 + int64(i)*20
+			batches[s].Records = append(batches[s].Records, dbsim.LogRecord{ArrivalMs: em - 30, ResponseMs: 30})
+		}
+	}
+	visitedPerSecond := func(lookahead int) float64 {
+		src := NewSessionSynth(&SliceSource{batches: batches}, SynthOptions{LookaheadSec: lookahead})
+		for {
+			if _, err := src.Next(); err == io.EOF {
+				break
+			}
+		}
+		return float64(src.visited) / seconds
+	}
+	short, long := visitedPerSecond(5), visitedPerSecond(300)
+	// Each second's own spans twice (synthesize, prune), and the next
+	// second's, whose first statements arrived in this one.
+	if short > 4*perSecond || long > short*1.05 {
+		t.Errorf("spans visited per emitted second: %.0f at lookahead 5, %.0f at lookahead 300; want at most %d and no growth",
+			short, long, 4*perSecond)
 	}
 }

@@ -88,11 +88,19 @@ func WriteTraceData(w io.Writer, fromMs, toMs int64, recs []dbsim.LogRecord, row
 // guarantees it); stragglers older than the current second are clamped
 // into it, mirroring the chop contract. Malformed lines are counted and
 // skipped.
+//
+// Lines in the writer's own byte shape are decoded positionally
+// (decodeTraceLine); the header and every other line go through
+// encoding/json, which defines the format.
 type TraceSource struct {
-	r       *bufio.Scanner
-	hdr     traceHeader
-	cur     int64 // next dense second to emit (absolute)
-	pending *Batch
+	r     *bufio.Scanner
+	hdr   traceHeader
+	cur   int64 // next dense second to emit (absolute)
+	sized int   // capacity the next batch's records start with
+
+	ev      traceEvent // the event last scanned
+	held    bool       // ev belongs to a later second than the batch just emitted
+	scratch []byte     // decodeTraceLine's unescape buffer
 	eof     bool
 	stats   Stats
 }
@@ -112,6 +120,8 @@ func OpenTrace(r io.Reader) (*TraceSource, error) {
 	return newTraceSource(br)
 }
 
+// newTraceSource reads the header from r, which is already decompressed and
+// needs no buffering beyond the scanner's own.
 func newTraceSource(r io.Reader) (*TraceSource, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
@@ -144,83 +154,79 @@ func (t *TraceSource) Next() (Batch, error) {
 		return Batch{}, io.EOF
 	}
 	b := Batch{Second: t.cur}
+	if t.sized > 0 {
+		// A second holds about as many records as the one before it.
+		b.Records = make([]dbsim.LogRecord, 0, t.sized)
+	}
 	lastSec := toSec - 1
-	for !t.eof {
-		line, ok := t.scanLine()
-		if !ok {
-			break
-		}
-		sec, rec, met := t.place(line)
-		if rec == nil && met == nil {
-			continue // malformed, counted
+	for t.scanEvent() {
+		ev := &t.ev
+		sec := ev.met.Second
+		if ev.isRec {
+			sec = EmissionMs(ev.rec) / 1000
 		}
 		if sec > t.cur && t.cur < lastSec {
 			// Belongs to a later second: hold it and emit this batch.
-			t.pending = &Batch{Second: sec}
-			t.pendingAdd(rec, met)
-			t.cur++
-			return b, nil
+			t.held = true
+			return t.emit(b), nil
 		}
 		// Current second, a straggler clamped into it, or overflow past
-		// the final second (clamped into it, like chop).
-		if rec != nil {
+		// the final second (clamped into it, like chop). Records are
+		// counted here, when they land in an emitted batch.
+		if ev.isRec {
 			t.stats.Records++
-			b.Records = append(b.Records, *rec)
-		}
-		if met != nil {
-			b.Metrics = append(b.Metrics, *met)
+			b.Records = append(b.Records, ev.rec)
+		} else {
+			b.Metrics = append(b.Metrics, ev.met)
 		}
 	}
-	t.cur++
-	b.Last = t.eof && t.pending == nil && t.cur >= toSec
-	return b, nil
+	b.Last = t.cur+1 >= toSec
+	return t.emit(b), nil
 }
 
-// scanLine yields the next event line: a held batch's contents first, then
-// the scanner. Returns ok == false when the stream is exhausted.
-func (t *TraceSource) scanLine() (traceLine, bool) {
-	if p := t.pending; p != nil {
-		t.pending = nil
-		if len(p.Records) > 0 {
-			return traceLine{T: "r", Rec: &p.Records[0]}, true
-		}
-		return traceLine{T: "m", Met: &p.Metrics[0]}, true
+// emit moves on to the next second.
+func (t *TraceSource) emit(b Batch) Batch {
+	t.cur++
+	t.sized = len(b.Records) + len(b.Records)/8
+	if len(b.Records) == 0 {
+		b.Records = nil // as a second without records always was
 	}
-	for t.r.Scan() {
-		var line traceLine
-		if err := json.Unmarshal(t.r.Bytes(), &line); err != nil {
-			t.stats.ParseErrors++
-			continue
+	return b
+}
+
+// scanEvent leaves the next event in t.ev: the held one first, then the
+// scanner's lines. It reports false when the stream is exhausted.
+func (t *TraceSource) scanEvent() bool {
+	if t.held {
+		t.held = false
+		return true
+	}
+	for !t.eof && t.r.Scan() {
+		if decodeTraceLine(t.r.Bytes(), &t.ev, &t.scratch) || t.unmarshalEvent(t.r.Bytes()) {
+			return true
 		}
-		return line, true
+		t.stats.ParseErrors++
 	}
 	t.eof = true
-	return traceLine{}, false
+	return false
 }
 
-// place decodes a line into its event and emission second. Unknown or
-// incomplete lines count as parse errors.
-func (t *TraceSource) place(line traceLine) (int64, *dbsim.LogRecord, *dbsim.SecondMetrics) {
+// unmarshalEvent decodes a line decodeTraceLine did not take, with
+// encoding/json. Malformed, unknown or incomplete lines report false.
+func (t *TraceSource) unmarshalEvent(b []byte) bool {
+	var line traceLine
+	if err := json.Unmarshal(b, &line); err != nil {
+		return false
+	}
 	switch {
 	case line.T == "r" && line.Rec != nil:
-		return EmissionMs(*line.Rec) / 1000, line.Rec, nil
+		t.ev.isRec, t.ev.rec = true, *line.Rec
 	case line.T == "m" && line.Met != nil:
-		return line.Met.Second, nil, line.Met
+		t.ev.isRec, t.ev.met = false, *line.Met
 	default:
-		t.stats.ParseErrors++
-		return 0, nil, nil
+		return false
 	}
-}
-
-// pendingAdd holds one event for a later second. Record counting happens
-// when the event lands in an emitted batch, not here.
-func (t *TraceSource) pendingAdd(rec *dbsim.LogRecord, met *dbsim.SecondMetrics) {
-	if rec != nil {
-		t.pending.Records = append(t.pending.Records, *rec)
-	}
-	if met != nil {
-		t.pending.Metrics = append(t.pending.Metrics, *met)
-	}
+	return true
 }
 
 // Bounds implements Source: a trace's bounds are exact, from its header.
