@@ -1,6 +1,7 @@
 # PinSQL build/test/verification entry points. CI (.github/workflows/ci.yml)
 # runs build + vet + test + race; fuzz-smoke is a short native-fuzzing slice
-# over the SQL normalizer, the storage codecs and the log-file readers.
+# over the SQL normalizer, the storage codecs, the log-file readers and the
+# log store's order restoration.
 
 GO ?= go
 
@@ -29,8 +30,10 @@ vet:
 # repro-bundle parsers (manifest + case document, canonical re-encode and
 # frame idempotence), the slow-log ingestion parser (panic-freedom, UTF-8
 # validity, trace-codec round trip, agreement with the string-based parser
-# it replaced), and the positional trace-line decoder (agreement with
-# encoding/json on every line it accepts). Long campaigns: raise -fuzztime.
+# it replaced), the positional trace-line decoder (agreement with
+# encoding/json on every line it accepts), and the log store's order
+# restoration (any loose batches scan back in the stable comparison sort's
+# order). Long campaigns: raise -fuzztime.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzNormalize -fuzztime=10s ./internal/sqltemplate
 	$(GO) test -run=^$$ -fuzz=FuzzRecordCodec -fuzztime=10s ./internal/logstore/segment
@@ -38,6 +41,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzReproBundle -fuzztime=5s ./internal/caseio
 	$(GO) test -run=^$$ -fuzz=FuzzSlowLogParser -fuzztime=10s ./internal/ingest
 	$(GO) test -run=^$$ -fuzz=FuzzTraceLine -fuzztime=10s ./internal/ingest
+	$(GO) test -run=^$$ -fuzz=FuzzLooseOrder -fuzztime=10s ./internal/logstore
 
 # Adversarial workload search: a seed-driven bandit over injection
 # parameters hunts diagnosis misranks, minimizes each miss, and writes

@@ -22,30 +22,85 @@ import (
 // is byte-identical to Diagnose(c, queries, cfg) with queries drawn from
 // the same window: every float accumulation runs in the same order the
 // legacy path fixed by sorting (see window.Frame's ByID contract).
+//
+// It is the one-case use of a FrameDiagnoser; a window with several
+// phenomena builds one and calls Diagnose per case.
 func DiagnoseFrame(c *anomaly.Case, f *window.Frame, cfg Config) *Diagnosis {
-	cfg = cfg.withDefaults()
-	d := &Diagnosis{}
+	return NewFrameDiagnoser(f, cfg).Diagnose(c)
+}
 
-	// Stage 1: individual active session estimation (§IV-C), keyed by
-	// frame position.
-	start := time.Now()
-	var sessions []timeseries.Series
+// FrameDiagnoser diagnoses the anomaly cases of one window frame under one
+// configuration. Individual active session estimation (§IV-C) depends only
+// on the frame and the configuration, not on a case's anomaly interval, so
+// it runs at most once — on the first Diagnose — and every case of the
+// frame reads that one estimate; H-SQL ranking and R-SQL identification
+// depend on the interval and run per case.
+//
+// Sharing rule: the estimate is read-only from the moment it exists.
+// Every Diagnosis of the frame carries the same FrameEst and session
+// series, so neither the pipeline stages nor a caller may write to them.
+// The diagnoser itself is not safe for concurrent use: a window's cases are
+// diagnosed one after the other (each stage fans out inside, per
+// Config.Workers).
+type FrameDiagnoser struct {
+	f   *window.Frame
+	cfg Config
+
+	est      *session.FrameEstimate // nil under NoEstimateSession
+	sessions []timeseries.Series    // by frame position; nil until computed
+}
+
+// NewFrameDiagnoser prepares the diagnosis of f's cases under cfg. Nothing
+// is computed until the first Diagnose.
+func NewFrameDiagnoser(f *window.Frame, cfg Config) *FrameDiagnoser {
+	return &FrameDiagnoser{f: f, cfg: cfg.withDefaults()}
+}
+
+// Estimates returns how many session estimates the diagnoser has computed:
+// 0 before the first Diagnose (and always under NoEstimateSession, which
+// estimates nothing), 1 after it, however many cases follow.
+func (fd *FrameDiagnoser) Estimates() int {
+	if fd.est == nil {
+		return 0
+	}
+	return 1
+}
+
+// sessionSeries is stage 1: individual active session estimation (§IV-C),
+// keyed by frame position, computed by the first call.
+func (fd *FrameDiagnoser) sessionSeries() []timeseries.Series {
+	if fd.sessions != nil {
+		return fd.sessions
+	}
+	f, cfg := fd.f, fd.cfg
 	if cfg.NoEstimateSession {
 		// Ablation: aggregated response time as the session proxy.
-		sessions = make([]timeseries.Series, len(f.Templates))
+		fd.sessions = make([]timeseries.Series, len(f.Templates))
 		for pos := range f.Templates {
 			sumRT := f.Templates[pos].SumRT
 			s := make(timeseries.Series, len(sumRT))
 			for i, v := range sumRT {
 				s[i] = v / 1000
 			}
-			sessions[pos] = s
+			fd.sessions[pos] = s
 		}
 	} else {
-		fe := session.EstimateFrameBuckets(f, f.ActiveSession, cfg.Buckets, cfg.Workers)
-		d.FrameEst = fe
-		sessions = fe.PerTemplate
+		fd.est = session.EstimateFrameBuckets(f, f.ActiveSession, cfg.Buckets, cfg.Workers)
+		fd.sessions = fd.est.PerTemplate
 	}
+	return fd.sessions
+}
+
+// Diagnose runs the pipeline on one anomaly case of the frame.
+// Time.EstimateSession is the estimate's time on the call that computed it
+// and the lookup's on every other.
+func (fd *FrameDiagnoser) Diagnose(c *anomaly.Case) *Diagnosis {
+	f, cfg := fd.f, fd.cfg
+	d := &Diagnosis{}
+
+	start := time.Now()
+	sessions := fd.sessionSeries()
+	d.FrameEst = fd.est
 	d.Time.EstimateSession = time.Since(start)
 
 	// Stage 2: H-SQL identification (§V).

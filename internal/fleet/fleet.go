@@ -147,6 +147,9 @@ type Fleet struct {
 	stages struct {
 		collect, detect, diagnose, commit *obs.Summary
 	}
+	// cEstimates counts the session estimates diagnosis computed — one per
+	// anomalous window, however many phenomena it holds.
+	cEstimates *obs.Counter
 
 	started  bool
 	draining bool
@@ -339,6 +342,7 @@ func (f *Fleet) registerMetrics() {
 	f.stages.detect = m.Summary("pinsql_stage_duration_seconds", stageHelp, f.lbls(obs.L("stage", "detect"))...)
 	f.stages.diagnose = m.Summary("pinsql_stage_duration_seconds", stageHelp, f.lbls(obs.L("stage", "diagnose"))...)
 	f.stages.commit = m.Summary("pinsql_stage_duration_seconds", stageHelp, f.lbls(obs.L("stage", "commit"))...)
+	f.cEstimates = m.Counter("pinsql_session_estimates_total", "Individual active session estimates computed, fleet-wide.", f.lbls()...)
 	for _, id := range f.ids {
 		st := f.insts[id]
 		lbl := obs.L("instance", id)
@@ -577,7 +581,10 @@ func (f *Fleet) runDrain(st *instState) {
 // the window frame the collector built during ingest: detection reads the
 // frame's metric series, and each phenomenon's diagnosis consumes the
 // frame directly — the staged log store is never re-scanned (the legacy
-// path re-scanned it once per phenomenon).
+// path re-scanned it once per phenomenon). The window's phenomena share
+// one core.FrameDiagnoser, so sessions are estimated once per window;
+// ranking and clustering depend on the anomaly interval and run per
+// phenomenon.
 func (f *Fleet) diagnose(sw *stagedWindow) {
 	fr := sw.coll.Frame()
 	snap := collect.SnapshotOfFrame(fr)
@@ -589,9 +596,10 @@ func (f *Fleet) diagnose(sw *stagedWindow) {
 	start = time.Now()
 	defer func() { f.stages.diagnose.Observe(time.Since(start).Seconds()) }()
 	baseSec := int(sw.fromMs / 1000)
+	fd := core.NewFrameDiagnoser(fr, f.diagCfg)
 	for _, ph := range phenomena {
 		c := anomaly.NewCase(snap, ph)
-		d := core.DiagnoseFrame(c, fr, f.diagCfg)
+		d := fd.Diagnose(c)
 		ar := AnomalyReport{Rule: ph.Rule, StartSec: baseSec + ph.Start, EndSec: baseSec + ph.End}
 		for i, cand := range d.RSQLs {
 			if i == 3 {
@@ -606,6 +614,7 @@ func (f *Fleet) diagnose(sw *stagedWindow) {
 		sw.rep.Anomalies = append(sw.rep.Anomalies, ar)
 		sw.suggestions = append(sw.suggestions, sugg)
 	}
+	f.cEstimates.Add(int64(fd.Estimates()))
 }
 
 // crash consults the crash-injection hook.

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"regexp"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -64,5 +65,36 @@ func TestStageDurationMetrics(t *testing.T) {
 	}
 	if counts["detect"] != counts["diagnose"] {
 		t.Errorf("detect count %d != diagnose count %d", counts["detect"], counts["diagnose"])
+	}
+}
+
+// TestSessionEstimatesCountWindowsNotPhenomena is a budget of work, not of
+// time: a window's phenomena share one session estimate, so the estimates
+// computed over a run equal its anomalous windows, however many phenomena
+// they hold — and /metrics says so beside the stage durations.
+func TestSessionEstimatesCountWindowsNotPhenomena(t *testing.T) {
+	_, f := runReport(t, testSpecs(), Options{Workers: 2, QueueDepth: 16})
+	anomalous, phenomena := 0, 0
+	for _, reps := range f.Reports() {
+		for _, r := range reps {
+			if len(r.Anomalies) > 0 {
+				anomalous++
+				phenomena += len(r.Anomalies)
+			}
+		}
+	}
+	if phenomena <= anomalous {
+		t.Fatalf("fixture lost its teeth: %d phenomena over %d anomalous windows, no window with two", phenomena, anomalous)
+	}
+	var b strings.Builder
+	if err := f.Metrics().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`(?m)^pinsql_session_estimates_total (\d+)$`).FindStringSubmatch(b.String())
+	if m == nil {
+		t.Fatalf("pinsql_session_estimates_total missing from /metrics:\n%s", b.String())
+	}
+	if got, _ := strconv.Atoi(m[1]); got != anomalous {
+		t.Errorf("%d session estimates for %d anomalous windows (%d phenomena)", got, anomalous, phenomena)
 	}
 }

@@ -226,6 +226,101 @@ func TestSlackReferenceAcrossStates(t *testing.T) {
 	parity("after full expiry", 123)
 }
 
+// TestSlackReferenceWithOrderedLooseBatches: the in-memory store decides
+// while it copies a loose batch whether the topic needs its order restored,
+// and one that arrives in order leaves it clean — no sort at the next
+// Scan, Bounds or Expire. The segment store's refLast/refValid mirror of
+// that store's last element must not notice: mixed sequences of loose
+// batches (in order, at or after the topic's newest record, or not),
+// strict appends at every lag around the slack, and the calls that realign
+// the reference, keep accepting and rejecting the same records and
+// scanning the same bytes.
+func TestSlackReferenceWithOrderedLooseBatches(t *testing.T) {
+	for seed := int64(0); seed < 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		mem := logstore.New(0)
+		seg := mustOpen(t, t.TempDir(), Options{SegmentRecords: 16 + int(seed), IndexEvery: 3})
+		clock, next := int64(100_000), int32(0)
+		// disordered: a loose batch broke arrival order and nothing has
+		// sorted since. A strict append that has to be inserted into such a
+		// topic is outside the equivalence (the in-memory store
+		// binary-searches an arena that is not sorted), so strict batches
+		// wait for a scan.
+		disordered := false
+		scan := func(step int, from, to int64) {
+			if got, want := seg.Scan("t", from, to), mem.Scan("t", from, to); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d step %d: Scan diverged:\n seg %v\n mem %v", seed, step, got, want)
+			}
+			disordered = false
+		}
+		rec := func(ms int64) logstore.Record {
+			next++
+			return logstore.Record{TemplateIdx: next, ArrivalMs: ms}
+		}
+		for step := 0; step < 400; step++ {
+			switch k := rng.Intn(10); {
+			case k < 3: // a loose batch in arrival order, not behind the topic
+				batch := make([]logstore.Record, 1+rng.Intn(6))
+				for i := range batch {
+					clock += int64(rng.Intn(40))
+					batch[i] = rec(clock)
+				}
+				mem.AppendLooseBatch("t", batch)
+				seg.AppendLooseBatch("t", batch)
+			case k < 4: // in order within itself, but starting behind the topic
+				at := clock - int64(rng.Intn(8000))
+				batch := []logstore.Record{rec(at), rec(at + 1), rec(at + 1)}
+				mem.AppendLooseBatch("t", batch)
+				seg.AppendLooseBatch("t", batch)
+				disordered = true
+			case k < 5: // out of order within itself
+				batch := []logstore.Record{rec(clock + 50), rec(clock - int64(rng.Intn(7000))), rec(clock + 20)}
+				mem.AppendLooseBatch("t", batch)
+				seg.AppendLooseBatch("t", batch)
+				disordered = true
+			case k < 8: // strict appends around the slack boundary
+				if disordered {
+					scan(step, clock-10_000, clock)
+				}
+				batch := make([]logstore.Record, 1+rng.Intn(4))
+				for i := range batch {
+					batch[i] = rec(clock - []int64{0, 1, 4999, 5000, 5001, 9000}[rng.Intn(6)] + int64(rng.Intn(3)))
+				}
+				nMem, errMem := mem.AppendBatch("t", batch)
+				nSeg, errSeg := seg.AppendBatch("t", batch)
+				if nMem != nSeg || (errMem == nil) != (errSeg == nil) {
+					t.Fatalf("seed %d step %d: strict batch %v: mem took %d (%v), seg took %d (%v)", seed, step, batch, nMem, errMem, nSeg, errSeg)
+				}
+			case k < 9: // the calls at which the in-memory store sorts
+				switch rng.Intn(3) {
+				case 0:
+					lo1, hi1, ok1 := mem.Bounds("t")
+					lo2, hi2, ok2 := seg.Bounds("t")
+					if lo1 != lo2 || hi1 != hi2 || ok1 != ok2 {
+						t.Fatalf("seed %d step %d: Bounds mem %d,%d,%v seg %d,%d,%v", seed, step, lo1, hi1, ok1, lo2, hi2, ok2)
+					}
+					disordered = false
+				case 1:
+					now := clock - 20_000 + logstore.DefaultTTLMs
+					if r1, r2 := mem.Expire(now), seg.Expire(now); r1 != r2 {
+						t.Fatalf("seed %d step %d: Expire removed mem %d, seg %d", seed, step, r1, r2)
+					}
+					disordered = false
+				default:
+					from := clock - int64(rng.Intn(30_000))
+					scan(step, from, from+10_000)
+				}
+			default:
+				clock += int64(rng.Intn(3000))
+			}
+		}
+		if got, want := seg.Scan("t", -1<<60, 1<<60), mem.Scan("t", -1<<60, 1<<60); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: final scan diverged (%d vs %d records)", seed, len(got), len(want))
+		}
+		seg.Close()
+	}
+}
+
 // TestBackendEquivalenceSeeds runs a compact version of the equivalence
 // drive across many seeds so segment-boundary and tie alignments vary.
 func TestBackendEquivalenceSeeds(t *testing.T) {

@@ -13,10 +13,8 @@
 package logstore
 
 import (
-	"cmp"
 	"errors"
 	"math"
-	"slices"
 	"sort"
 	"sync"
 )
@@ -44,14 +42,14 @@ var ErrUnsortedAppend = errors.New("logstore: record arrival time out of order")
 const chunkCap = 4096
 
 // topicLog is one topic's chunked record arena. When the topic is clean
-// (no pending loose appends) every chunk is sorted by ArrivalMs and the
-// chunks are ordered: chunks[i]'s last record ≤ chunks[i+1]'s first.
-// Middle chunks may be shorter than chunkCap after expiry or truncation;
-// only the tail chunk accepts plain appends.
+// (no loose append landed behind its predecessor) every chunk is sorted by
+// ArrivalMs and the chunks are ordered: chunks[i]'s last record ≤
+// chunks[i+1]'s first. Middle chunks may be shorter than chunkCap after
+// expiry or truncation; only the tail chunk accepts plain appends.
 type topicLog struct {
 	chunks [][]Record
 	size   int
-	dirty  bool // loose appends pending a lazy sort
+	dirty  bool // insertion order is not arrival order: restoreOrder pending
 }
 
 // last returns the final record in insertion order; ok is false when the
@@ -166,38 +164,6 @@ func (t *topicLog) scanRuns(fromMs, toMs int64, fn func([]Record) bool) {
 	}
 }
 
-// sorted reports whether the topic's insertion order is already arrival
-// order.
-func (t *topicLog) sorted() bool {
-	prev := int64(math.MinInt64)
-	for _, c := range t.chunks {
-		for i := range c {
-			if c[i].ArrivalMs < prev {
-				return false
-			}
-			prev = c[i].ArrivalMs
-		}
-	}
-	return true
-}
-
-// flatten materializes the topic in insertion order.
-func (t *topicLog) flatten() []Record {
-	out := make([]Record, 0, t.size)
-	for _, c := range t.chunks {
-		out = append(out, c...)
-	}
-	return out
-}
-
-// rebuild replaces the arena's contents with recs (already in the desired
-// order), re-chunking from scratch.
-func (t *topicLog) rebuild(recs []Record) {
-	t.chunks = t.chunks[:0]
-	t.size = 0
-	t.push(recs...)
-}
-
 // Store is a thread-safe, TTL-expiring log store.
 type Store struct {
 	mu     sync.RWMutex
@@ -245,12 +211,15 @@ func (s *Store) Append(topic string, rec Record) error {
 // acquisition. Records may arrive mildly out of order (asynchronous
 // collectors); anything older than the slack window relative to the
 // topic's newest record is rejected, which ends the batch: it returns how
-// many records were accepted before it, and ErrUnsortedAppend.
+// many records were accepted before it, and ErrUnsortedAppend. A stretch
+// that continues arrival order — the whole batch, for a sorted run not
+// behind the topic — costs one comparison pass and chunk-sized copies.
 func (s *Store) AppendBatch(topic string, recs []Record) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t := s.topic(topic)
-	for i, rec := range recs {
+	for i := 0; i < len(recs); {
+		rec := recs[i]
 		if newest, ok := t.last(); ok && rec.ArrivalMs < newest.ArrivalMs {
 			if newest.ArrivalMs-rec.ArrivalMs > s.slackMs {
 				return i, ErrUnsortedAppend
@@ -260,11 +229,26 @@ func (s *Store) AppendBatch(topic string, recs []Record) (int, error) {
 			// insertion order), exactly as the flat-slice store did.
 			at := sort.Search(t.size, func(i int) bool { return t.at(i).ArrivalMs > rec.ArrivalMs })
 			t.insertAt(at, rec)
+			i++
 			continue
 		}
-		t.push(rec)
+		n := 1 + orderedPrefix(recs[i+1:], rec.ArrivalMs)
+		t.push(recs[i : i+n]...)
+		i += n
 	}
 	return len(recs), nil
+}
+
+// orderedPrefix returns the length of the longest prefix of recs that
+// continues arrival order after a record that arrived at prevMs.
+func orderedPrefix(recs []Record, prevMs int64) int {
+	for i := range recs {
+		if recs[i].ArrivalMs < prevMs {
+			return i
+		}
+		prevMs = recs[i].ArrivalMs
+	}
+	return len(recs)
 }
 
 // AppendLoose stores one record with no ordering requirement:
@@ -273,35 +257,33 @@ func (s *Store) AppendLoose(topic string, rec Record) {
 	s.AppendLooseBatch(topic, []Record{rec})
 }
 
-// AppendLooseBatch stores recs without any ordering requirement: records
-// are sorted lazily at the next Scan. Query logs are emitted at statement
-// *completion*, so a statement that spent minutes in a lock queue arrives
-// long after later-arriving statements — far outside any streaming slack
-// window. Batch collectors use this path.
+// AppendLooseBatch stores recs without any ordering requirement: arrival
+// order is restored lazily at the next Scan. Query logs are emitted at
+// statement *completion*, so a statement that spent minutes in a lock queue
+// arrives long after later-arriving statements — far outside any streaming
+// slack window. Batch collectors use this path. Whether order needs
+// restoring at all is decided here, while the batch is copied: loose
+// appends that happen to arrive in order leave the topic clean.
 func (s *Store) AppendLooseBatch(topic string, recs []Record) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t := s.topic(topic)
+	if !t.dirty {
+		prevMs := int64(math.MinInt64)
+		if newest, ok := t.last(); ok {
+			prevMs = newest.ArrivalMs
+		}
+		t.dirty = orderedPrefix(recs, prevMs) < len(recs)
+	}
 	t.push(recs...)
-	t.dirty = true
 }
 
-// ensureSorted lazily re-sorts a topic after loose appends. Any stable sort
-// by arrival yields the same order, and loose appends that happened to
-// arrive in order leave the arena as it is. Callers must hold the write
-// lock.
+// ensureSorted restores a topic's arrival order after loose appends broke
+// it. Callers must hold the write lock.
 func (s *Store) ensureSorted(topic string) {
-	t := s.topics[topic]
-	if t == nil || !t.dirty {
-		return
+	if t := s.topics[topic]; t != nil && t.dirty {
+		t.restoreOrder()
 	}
-	t.dirty = false
-	if t.sorted() {
-		return
-	}
-	recs := t.flatten()
-	slices.SortStableFunc(recs, func(a, b Record) int { return cmp.Compare(a.ArrivalMs, b.ArrivalMs) })
-	t.rebuild(recs)
 }
 
 // Scan returns a copy of the records in topic with ArrivalMs in

@@ -27,6 +27,7 @@
 package window
 
 import (
+	"math/bits"
 	"sort"
 
 	"pinsql/internal/dbsim"
@@ -172,57 +173,61 @@ func (f *Frame) FinalizeShared(prev *Frame) {
 // SortObsGroup stable-sorts one observation group by arrival time with
 // ties in insertion order — the exact per-group ordering Finalize
 // establishes. Incremental builders call it on dirty groups only.
+//
+// A group holds one template's records in log (completion) order, which is
+// arrival order disturbed shallowly, so the sort is a paired insertion over
+// the two columns. Insertion moves an observation only past strictly later
+// arrivals and so never reorders a tie; a group that exceeds its move
+// budget is finished by a stable comparison sort, which reaches the same
+// order from wherever insertion stopped, keeping the worst case
+// O(n log n) comparisons.
 func SortObsGroup(arrival []int64, response []float64) {
-	n := len(arrival)
-	if n < 2 || sorted(arrival) {
-		return
-	}
-	perm := make([]int32, n)
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	sort.SliceStable(perm, func(i, j int) bool { return arrival[perm[i]] < arrival[perm[j]] })
-	scratchA := append([]int64(nil), arrival...)
-	scratchR := append([]float64(nil), response...)
-	for i, p := range perm {
-		arrival[i] = scratchA[p]
-		response[i] = scratchR[p]
+	if !insertObsGroup(arrival, response, 4*len(arrival)*bits.Len(uint(len(arrival)))) {
+		sort.Stable(obsGroup{arrival, response})
 	}
 }
 
-// sortGroups stable-sorts every observation group by arrival time,
-// reproducing the log store's scan order (sort.SliceStable by ArrivalMs
-// over insertion-ordered appends, filtered per template).
-func (f *Frame) sortGroups() {
-	var perm []int32
-	var scratchA []int64
-	var scratchR []float64
-	for t := 0; t < len(f.Templates); t++ {
-		lo, hi := int(f.Off[t]), int(f.Off[t+1])
-		n := hi - lo
-		if n < 2 || sorted(f.Arrival[lo:hi]) {
+// insertObsGroup is SortObsGroup's insertion pass; it gives up, reporting
+// false, as soon as it has moved more than budget observations.
+func insertObsGroup(arrival []int64, response []float64, budget int) bool {
+	moves := 0
+	for i := 1; i < len(arrival); i++ {
+		a := arrival[i]
+		if a >= arrival[i-1] {
 			continue
 		}
-		perm = perm[:0]
-		for i := 0; i < n; i++ {
-			perm = append(perm, int32(i))
+		r := response[i]
+		j := i
+		for ; j > 0 && arrival[j-1] > a; j-- {
+			arrival[j], response[j] = arrival[j-1], response[j-1]
 		}
-		arr, resp := f.Arrival[lo:hi], f.Response[lo:hi]
-		sort.SliceStable(perm, func(i, j int) bool { return arr[perm[i]] < arr[perm[j]] })
-		scratchA = append(scratchA[:0], arr...)
-		scratchR = append(scratchR[:0], resp...)
-		for i, p := range perm {
-			arr[i] = scratchA[p]
-			resp[i] = scratchR[p]
-		}
-	}
-}
-
-func sorted(a []int64) bool {
-	for i := 1; i < len(a); i++ {
-		if a[i] < a[i-1] {
+		arrival[j], response[j] = a, r
+		if moves += i - j; moves > budget {
 			return false
 		}
 	}
 	return true
+}
+
+// obsGroup orders the paired columns by arrival for sort.Stable.
+type obsGroup struct {
+	arrival  []int64
+	response []float64
+}
+
+func (g obsGroup) Len() int           { return len(g.arrival) }
+func (g obsGroup) Less(i, j int) bool { return g.arrival[i] < g.arrival[j] }
+func (g obsGroup) Swap(i, j int) {
+	g.arrival[i], g.arrival[j] = g.arrival[j], g.arrival[i]
+	g.response[i], g.response[j] = g.response[j], g.response[i]
+}
+
+// sortGroups sorts every observation group, reproducing the log store's
+// scan order (stable by ArrivalMs over insertion-ordered appends, filtered
+// per template).
+func (f *Frame) sortGroups() {
+	for t := range f.Templates {
+		lo, hi := f.Off[t], f.Off[t+1]
+		SortObsGroup(f.Arrival[lo:hi], f.Response[lo:hi])
+	}
 }

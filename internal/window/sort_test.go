@@ -1,0 +1,105 @@
+package window
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+)
+
+// sortObsGroupByPermutation is the group sort SortObsGroup replaced — a
+// permutation through sort.SliceStable, applied to scratch copies of both
+// columns — kept here as its oracle.
+func sortObsGroupByPermutation(arrival []int64, response []float64) {
+	perm := make([]int32, len(arrival))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	sort.SliceStable(perm, func(i, j int) bool { return arrival[perm[i]] < arrival[perm[j]] })
+	scratchA := append([]int64(nil), arrival...)
+	scratchR := append([]float64(nil), response...)
+	for i, p := range perm {
+		arrival[i] = scratchA[p]
+		response[i] = scratchR[p]
+	}
+}
+
+// oddFloats are response bit patterns a careless pairing could lose or
+// canonicalize: both infinities, quiet and signalling-range NaNs with
+// payloads, negative zero.
+var oddFloats = []uint64{
+	0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
+	0x7FF0000000000001, 0x7FFFFFFFFFFFFFFF, 0x8000000000000000, 0,
+}
+
+// TestSortObsGroupMatchesPermutationSort: on groups of every shape —
+// shallow disorder, ties, reverse order and pile-ups that exhaust the move
+// budget, the int64 ends — the paired insertion with its stable finisher
+// leaves both columns bit for bit where the permutation sort does, the
+// response column carried along whatever it holds.
+func TestSortObsGroupMatchesPermutationSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	shapes := []func(i, n int) int64{
+		func(i, n int) int64 { return int64(i)*10 - int64(rng.Intn(40)) }, // shallow
+		func(i, n int) int64 { return int64(rng.Intn(8)) },                // mostly ties
+		func(i, n int) int64 { return int64(n - i) },                      // reverse
+		func(i, n int) int64 { return int64(n-i) / 3 },                    // reverse with ties
+		func(i, n int) int64 { return rng.Int63n(1000) },                  // pile-up
+		func(i, n int) int64 { return int64(rng.Uint64()) },               // full range, either sign
+		func(i, n int) int64 { return []int64{math.MinInt64, 0, math.MaxInt64}[rng.Intn(3)] },
+		func(i, n int) int64 { return int64(i) }, // already sorted
+	}
+	for trial := 0; trial < 200; trial++ {
+		n := rng.Intn(6)
+		if trial >= 100 { // every shape at both sizes
+			n = 500 + rng.Intn(3000)
+		}
+		shape := shapes[trial%len(shapes)]
+		arrival, response := make([]int64, n), make([]float64, n)
+		for i := range arrival {
+			arrival[i] = shape(i, n)
+			bits := uint64(i) // distinct, so a swapped tie shows
+			if rng.Intn(5) == 0 {
+				bits = oddFloats[rng.Intn(len(oddFloats))]
+			}
+			response[i] = math.Float64frombits(bits)
+		}
+		wantA, wantR := slices.Clone(arrival), slices.Clone(response)
+		sortObsGroupByPermutation(wantA, wantR)
+		SortObsGroup(arrival, response)
+		for i := range arrival {
+			if arrival[i] != wantA[i] || math.Float64bits(response[i]) != math.Float64bits(wantR[i]) {
+				t.Fatalf("trial %d (n=%d): row %d = (%d, %#x), permutation sort has (%d, %#x)", trial, n, i,
+					arrival[i], math.Float64bits(response[i]), wantA[i], math.Float64bits(wantR[i]))
+			}
+		}
+	}
+}
+
+// TestSortObsGroupBudget: insertion finishes shallowly disordered groups
+// itself and gives up on the quadratic ones, which is what keeps the worst
+// case the comparison sort's.
+func TestSortObsGroupBudget(t *testing.T) {
+	const n = 50_000
+	budget := 4 * n * 16
+	rng := rand.New(rand.NewSource(2))
+	shallow, reverse, pile := make([]int64, n), make([]int64, n), make([]int64, n)
+	for i := 0; i < n; i++ {
+		shallow[i] = int64(i)*6 - int64(rng.Intn(30))
+		reverse[i] = int64(n - i)
+		pile[i] = rng.Int63n(1000)
+	}
+	resp := make([]float64, n)
+	if !insertObsGroup(shallow, resp, budget) {
+		t.Error("insertion gave up on shallow disorder")
+	}
+	if !slices.IsSorted(shallow) {
+		t.Error("insertion left the shallow group unsorted")
+	}
+	for name, a := range map[string][]int64{"reverse": reverse, "pile": pile} {
+		if insertObsGroup(a, resp, budget) {
+			t.Errorf("%s: insertion ran to the end of a quadratic input; the budget never fired", name)
+		}
+	}
+}
