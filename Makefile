@@ -1,7 +1,7 @@
 # PinSQL build/test/verification entry points. CI (.github/workflows/ci.yml)
 # runs build + vet + test + race; fuzz-smoke is a short native-fuzzing slice
-# over the SQL normalizer, the storage codecs, the log-file readers and the
-# log store's order restoration.
+# over the SQL normalizer, the storage codecs, the log-file readers, the
+# log store's order restoration and the session estimator.
 
 GO ?= go
 
@@ -31,9 +31,10 @@ vet:
 # frame idempotence), the slow-log ingestion parser (panic-freedom, UTF-8
 # validity, trace-codec round trip, agreement with the string-based parser
 # it replaced), the positional trace-line decoder (agreement with
-# encoding/json on every line it accepts), and the log store's order
+# encoding/json on every line it accepts), the log store's order
 # restoration (any loose batches scan back in the stable comparison sort's
-# order). Long campaigns: raise -fuzztime.
+# order), and the frame session estimator's direct paths (bit-equal to the
+# map-keyed estimator's all-buckets walk). Long campaigns: raise -fuzztime.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzNormalize -fuzztime=10s ./internal/sqltemplate
 	$(GO) test -run=^$$ -fuzz=FuzzRecordCodec -fuzztime=10s ./internal/logstore/segment
@@ -42,6 +43,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzSlowLogParser -fuzztime=10s ./internal/ingest
 	$(GO) test -run=^$$ -fuzz=FuzzTraceLine -fuzztime=10s ./internal/ingest
 	$(GO) test -run=^$$ -fuzz=FuzzLooseOrder -fuzztime=10s ./internal/logstore
+	$(GO) test -run=^$$ -fuzz=FuzzEstimateShortPath -fuzztime=10s ./internal/session
 
 # Adversarial workload search: a seed-driven bandit over injection
 # parameters hunts diagnosis misranks, minimizes each miss, and writes

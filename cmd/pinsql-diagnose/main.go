@@ -126,10 +126,10 @@ func runDemo(family string, topK int) error {
 }
 
 func printDiagnosis(d *core.Diagnosis, c *anomaly.Case, topK int) {
-	fmt.Printf("diagnosis completed in %s (estimate %s, H-rank %s, cluster %s, verify %s)\n",
+	fmt.Printf("diagnosis completed in %s (estimate %s, H-rank %s, cluster %s over %d pairs in %d multiply-adds, verify %s)\n",
 		d.Time.Total().Round(100_000), d.Time.EstimateSession.Round(100_000),
 		d.Time.RankHSQL.Round(100_000), d.Time.ClusterFilter.Round(100_000),
-		d.Time.VerifyRank.Round(100_000))
+		d.Root.PairsScanned, d.Root.MulAdds, d.Time.VerifyRank.Round(100_000))
 	fmt.Printf("anomaly window: [%d, %d) of %d seconds\n\n", c.AS, c.AE, c.Snapshot.Seconds)
 
 	fmt.Println("High-impact SQLs (H-SQLs):")

@@ -30,24 +30,28 @@ func DiagnoseFrame(c *anomaly.Case, f *window.Frame, cfg Config) *Diagnosis {
 }
 
 // FrameDiagnoser diagnoses the anomaly cases of one window frame under one
-// configuration. Individual active session estimation (§IV-C) depends only
-// on the frame and the configuration, not on a case's anomaly interval, so
-// it runs at most once — on the first Diagnose — and every case of the
-// frame reads that one estimate; H-SQL ranking and R-SQL identification
-// depend on the interval and run per case.
+// configuration. Two stages depend only on the frame and the configuration,
+// not on a case's anomaly interval: individual active session estimation
+// (§IV-C) and the τ-graph's partition of the templates (§VI, step 1 —
+// #execution series, metric nodes, τ). Each runs at most once — on the
+// first Diagnose — and every case of the frame reads that one result;
+// H-SQL ranking and the rest of R-SQL identification (cluster impact
+// order, cumulative threshold, verification, final ranking) depend on the
+// interval and run per case.
 //
-// Sharing rule: the estimate is read-only from the moment it exists.
-// Every Diagnosis of the frame carries the same FrameEst and session
-// series, so neither the pipeline stages nor a caller may write to them.
-// The diagnoser itself is not safe for concurrent use: a window's cases are
-// diagnosed one after the other (each stage fans out inside, per
+// Sharing rule: the estimate and the partition are read-only from the
+// moment they exist. Every Diagnosis of the frame carries the same FrameEst
+// and session series, so neither the pipeline stages nor a caller may write
+// to them. The diagnoser itself is not safe for concurrent use: a window's
+// cases are diagnosed one after the other (each stage fans out inside, per
 // Config.Workers).
 type FrameDiagnoser struct {
 	f   *window.Frame
 	cfg Config
 
-	est      *session.FrameEstimate // nil under NoEstimateSession
-	sessions []timeseries.Series    // by frame position; nil until computed
+	est       *session.FrameEstimate // nil under NoEstimateSession
+	sessions  []timeseries.Series    // by frame position; nil until computed
+	partition *rootcause.Partition   // nil until computed
 }
 
 // NewFrameDiagnoser prepares the diagnosis of f's cases under cfg. Nothing
@@ -61,6 +65,15 @@ func NewFrameDiagnoser(f *window.Frame, cfg Config) *FrameDiagnoser {
 // estimates nothing), 1 after it, however many cases follow.
 func (fd *FrameDiagnoser) Estimates() int {
 	if fd.est == nil {
+		return 0
+	}
+	return 1
+}
+
+// Partitions returns how many τ-graph partitions the diagnoser has computed:
+// 0 before the first Diagnose, 1 after it, however many cases follow.
+func (fd *FrameDiagnoser) Partitions() int {
+	if fd.partition == nil {
 		return 0
 	}
 	return 1
@@ -91,9 +104,35 @@ func (fd *FrameDiagnoser) sessionSeries() []timeseries.Series {
 	return fd.sessions
 }
 
+// templatePartition is §VI's clustering step, computed by the first call.
+// Templates are in frame order (ascending registry index — the same order
+// the legacy path walks snap.Templates in).
+func (fd *FrameDiagnoser) templatePartition() *rootcause.Partition {
+	if fd.partition != nil {
+		return fd.partition
+	}
+	f, cfg := fd.f, fd.cfg
+	exec := make([]timeseries.Series, len(f.Templates))
+	for pos := range f.Templates {
+		exec[pos] = f.Templates[pos].Count
+	}
+	var metricNodes map[string]timeseries.Series
+	if cfg.IncludeMetricTempNodes {
+		metricNodes = map[string]timeseries.Series{
+			anomaly.MetricCPUUsage:     f.CPUUsage,
+			anomaly.MetricIOPSUsage:    f.IOPSUsage,
+			anomaly.MetricRowLockWaits: f.RowLockWaits,
+			anomaly.MetricMDLWaits:     f.MDLWaits,
+		}
+	}
+	fd.partition = rootcause.NewPartition(exec, metricNodes, cfg.Tau, cfg.Workers)
+	return fd.partition
+}
+
 // Diagnose runs the pipeline on one anomaly case of the frame.
 // Time.EstimateSession is the estimate's time on the call that computed it
-// and the lookup's on every other.
+// and the lookup's on every other; Time.ClusterFilter likewise includes the
+// partition's time only on the call that computed it.
 func (fd *FrameDiagnoser) Diagnose(c *anomaly.Case) *Diagnosis {
 	f, cfg := fd.f, fd.cfg
 	d := &Diagnosis{}
@@ -116,9 +155,10 @@ func (fd *FrameDiagnoser) Diagnose(c *anomaly.Case) *Diagnosis {
 	d.HSQLs = impact.RankFrame(f, sessions, f.ActiveSession, c.AS, c.AE, iopt)
 	d.Time.RankHSQL = time.Since(start)
 
-	// Stage 3: R-SQL identification (§VI). The cluster input is assembled
-	// in frame order (ascending registry index — the same order the legacy
-	// path walks snap.Templates in).
+	// Stage 3: R-SQL identification (§VI), on the frame's one partition.
+	start = time.Now()
+	partition := fd.templatePartition()
+	partitionDur := time.Since(start)
 	impactByPos := make([]float64, len(f.Templates))
 	for i := range d.HSQLs {
 		impactByPos[d.HSQLs[i].Pos] = d.HSQLs[i].Impact
@@ -139,15 +179,6 @@ func (fd *FrameDiagnoser) Diagnose(c *anomaly.Case) *Diagnosis {
 			Impact:  score,
 		}
 	}
-	var metricNodes map[string]timeseries.Series
-	if cfg.IncludeMetricTempNodes {
-		metricNodes = map[string]timeseries.Series{
-			anomaly.MetricCPUUsage:     f.CPUUsage,
-			anomaly.MetricIOPSUsage:    f.IOPSUsage,
-			anomaly.MetricRowLockWaits: f.RowLockWaits,
-			anomaly.MetricMDLWaits:     f.MDLWaits,
-		}
-	}
 	history := make([]rootcause.HistoryWindow, 0, len(c.History))
 	for _, hw := range c.History {
 		history = append(history, rootcause.HistoryWindow{DaysAgo: hw.DaysAgo, Counts: hw.Counts})
@@ -163,13 +194,13 @@ func (fd *FrameDiagnoser) Diagnose(c *anomaly.Case) *Diagnosis {
 	}
 	in := rootcause.Input{
 		Templates:   templates,
-		Metrics:     metricNodes,
 		InstSession: f.ActiveSession,
 		AS:          c.AS,
 		AE:          c.AE,
 		History:     history,
 	}
-	d.Root = rootcause.Identify(in, ropt)
+	d.Root = partition.Identify(in, ropt)
+	d.Root.ClusterDur += partitionDur
 	d.RSQLs = d.Root.Ranked
 	d.Time.ClusterFilter = d.Root.ClusterDur
 	d.Time.VerifyRank = d.Root.VerifyDur

@@ -114,3 +114,63 @@ func TestFrameDiagnoserSharesOneEstimate(t *testing.T) {
 		t.Fatalf("NoEstimateSession computed %d estimates", fd.Estimates())
 	}
 }
+
+// TestFrameDiagnoserSharesOnePartition: the phenomena of one window share
+// one τ-graph partition as they share one estimate. It is computed once, on
+// the first Diagnose; the per-case steps order a copy of it, so the estimate
+// and every later case's clusters are what they would be alone; and each
+// phenomenon's diagnosis equals a standalone DiagnoseFrame call's, which
+// partitions for itself — with and without metric nodes, which are part of
+// what is partitioned.
+func TestFrameDiagnoserSharesOnePartition(t *testing.T) {
+	opt := cases.DefaultOptions()
+	opt.FillerServices = 2
+	opt.FillerSpecs = 5
+	lab, err := cases.GenerateOne(opt, 3, workload.KindBusinessSpike)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr := lab.Collector.Frame()
+	phenomena := []*anomaly.Case{lab.Case}
+	for _, shift := range []int{-90, -30, 40} {
+		c := *lab.Case
+		c.AS = max(c.AS+shift, 0)
+		c.AE = min(c.AE+shift, fr.Seconds)
+		phenomena = append(phenomena, &c)
+	}
+
+	for _, metricNodes := range []bool{true, false} {
+		for _, workers := range []int{1, 3} {
+			cfg := DefaultConfig()
+			cfg.Workers = workers
+			cfg.IncludeMetricTempNodes = metricNodes
+			fd := NewFrameDiagnoser(fr, cfg)
+			if fd.Partitions() != 0 {
+				t.Fatal("a partition was computed before the first Diagnose")
+			}
+			var firstEst []uint64
+			for i, c := range phenomena {
+				d := fd.Diagnose(c)
+				if fd.Partitions() != 1 {
+					t.Fatalf("metricNodes=%v workers=%d: %d partitions after phenomenon %d, want 1", metricNodes, workers, fd.Partitions(), i)
+				}
+				if i == 0 {
+					firstEst = estimateBits(d.FrameEst)
+				}
+				alone := DiagnoseFrame(c, fr, cfg)
+				stripTimes(d)
+				stripTimes(alone)
+				if !reflect.DeepEqual(estimateBits(d.FrameEst), estimateBits(alone.FrameEst)) {
+					t.Fatalf("metricNodes=%v workers=%d, phenomenon %d: shared estimate differs from a standalone one", metricNodes, workers, i)
+				}
+				d.FrameEst, alone.FrameEst = nil, nil
+				if !reflect.DeepEqual(d, alone) {
+					t.Fatalf("metricNodes=%v workers=%d, phenomenon %d: shared-partition diagnosis differs from DiagnoseFrame:\n%+v\n%+v", metricNodes, workers, i, d.Root, alone.Root)
+				}
+			}
+			if last := fd.Diagnose(phenomena[0]); !reflect.DeepEqual(firstEst, estimateBits(last.FrameEst)) {
+				t.Fatalf("metricNodes=%v workers=%d: the shared estimate changed between the first and the last phenomenon", metricNodes, workers)
+			}
+		}
+	}
+}

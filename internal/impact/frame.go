@@ -31,6 +31,11 @@ func RankFrame(f *window.Frame, sessions []timeseries.Series, instSession timese
 	}
 	norm := masses.MinMax()
 
+	// The instance's side of every correlation below is the case's, not a
+	// template's: prepared once, scored against per template.
+	instWeighted := timeseries.NewWeightedCorrRef(instSession, weight)
+	inst := timeseries.NewCorrRef(instSession)
+
 	scores := make([]Score, len(f.ByID))
 	parallel.Blocks(opt.Workers, len(f.ByID), func(lo, hi int) {
 		// One session-share scratch per chunk, not one series per template.
@@ -38,11 +43,8 @@ func RankFrame(f *window.Frame, sessions []timeseries.Series, instSession timese
 		for i := lo; i < hi; i++ {
 			pos := f.ByID[i]
 			s := sessions[pos]
-			trend, _ := timeseries.WeightedCorr(s, instSession, weight)
-			var scaleTrend float64
-			if s.DivInto(ratio, instSession) == nil {
-				scaleTrend, _ = timeseries.Corr(ratio, instSession)
-			}
+			trend, _ := instWeighted.Corr(s)
+			scaleTrend, _ := inst.CorrRatio(s, ratio)
 			scores[i] = Score{
 				ID:         f.Templates[pos].Meta.ID,
 				Pos:        int(pos),
@@ -61,7 +63,7 @@ func RankFrame(f *window.Frame, sessions []timeseries.Series, instSession timese
 
 	alpha, beta := 1.0, 1.0
 	if opt.WeightedScore {
-		a, _ := timeseries.Corr(sessions[f.ByID[maxIdx]], instSession)
+		a, _ := inst.Corr(sessions[f.ByID[maxIdx]])
 		alpha, beta = a, -a
 	}
 	for i := range scores {

@@ -39,6 +39,8 @@ func FuzzSlowLogParser(f *testing.F) {
 	// that is itself a key; seconds A, B, A; lower-case keywords.
 	f.Add("\u00a0# Time: 2023-05-12T03:14:15Z\u2003\n# Query_time:\u00a00.5\u3000Lock_time: Rows_examined: 7 Rows_examined:\nset TIMESTAMP=1683861255 ;\u0085\n\u2028select *\u00a0from\u00a0t\xe2\x80;\u00a0\n")
 	f.Add("# Query_time: 0.1\nSET timestamp=10;\nSELECT 1;\n# Query_time: 0.1\nSET timestamp=11;\nSELECT 2;\n# Query_time: 0.1\nSET timestamp=10;\nUSE x;\nupdate `db`.`t` set a=1;\n")
+	// Times ParseFloat accepts and no downstream arithmetic can carry.
+	f.Add("# Query_time: Inf\nSET timestamp=10;\nSELECT 1;\n# Query_time: 0.1 Lock_time: +infinity\nSET timestamp=10;\nSELECT 2;\n# Query_time: 1e300\nSET timestamp=10;\nSELECT 3;\n")
 
 	f.Fuzz(func(t *testing.T, input string) {
 		src := SlowLog(strings.NewReader(input))
@@ -68,6 +70,9 @@ func FuzzSlowLogParser(f *testing.F) {
 				}
 				if r.TemplateID != "" {
 					t.Fatalf("parser assigned TemplateID %q", r.TemplateID)
+				}
+				if !(r.ResponseMs >= 0 && r.ResponseMs < 1<<63) || !(r.LockWaitMs >= 0 && r.LockWaitMs < 1<<63) {
+					t.Fatalf("response %v ms, lock wait %v ms: not a time an int64 of milliseconds holds", r.ResponseMs, r.LockWaitMs)
 				}
 				em := EmissionMs(r)
 				if len(recs) == 0 || em < minEm {

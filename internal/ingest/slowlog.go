@@ -246,21 +246,21 @@ func (s *SlowLogSource) resetEntry() {
 // whitespace-separated field is tried as a key with its successor as the
 // value, so a value that is itself a key is read both ways.
 func (s *SlowLogSource) parseQueryTimeHeader(line []byte) bool {
-	var qt, lt float64
+	var qtMs, ltMs float64
 	var rows int64
 	seenQT := false
 	var key []byte
 	for val := range bytes.FieldsSeq(line[1:]) { // drop "#"
 		switch string(key) {
 		case "Query_time:":
-			v, err := strconv.ParseFloat(string(val), 64)
-			if err != nil || v < 0 || v != v { // reject NaN and negatives
+			ms, ok := headerMs(string(val))
+			if !ok {
 				return false
 			}
-			qt, seenQT = v, true
+			qtMs, seenQT = ms, true
 		case "Lock_time:":
-			if v, err := strconv.ParseFloat(string(val), 64); err == nil && v >= 0 && v == v {
-				lt = v
+			if ms, ok := headerMs(string(val)); ok {
+				ltMs = ms
 			}
 		case "Rows_examined:":
 			if v, err := strconv.ParseInt(string(val), 10, 64); err == nil && v >= 0 {
@@ -272,10 +272,25 @@ func (s *SlowLogSource) parseQueryTimeHeader(line []byte) bool {
 	if !seenQT {
 		return false
 	}
-	s.queryTimeMs = qt * 1000
-	s.lockTimeMs = lt * 1000
+	s.queryTimeMs = qtMs
+	s.lockTimeMs = ltMs
 	s.rowsExam = rows
 	return true
+}
+
+// headerMs parses a header's seconds field into milliseconds. It refuses
+// what no server writes and arithmetic downstream cannot carry: a negative
+// value, NaN, an infinity ("Inf" parses without error), and a finite value
+// whose milliseconds do not fit an int64 — the arrival time subtracts them
+// as one, and converting a float beyond the integer's range is
+// implementation-defined.
+func headerMs(field string) (ms float64, ok bool) {
+	v, err := strconv.ParseFloat(field, 64)
+	if err != nil {
+		return 0, false
+	}
+	ms = v * 1000
+	return ms, ms >= 0 && ms < 1<<63
 }
 
 // Bounds implements Source: best effort, the extent parsed so far.

@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"bufio"
+	"math"
 	"strconv"
 	"strings"
 
@@ -135,12 +136,12 @@ func (s *refSlowLog) parseQueryTimeHeader(line string) bool {
 		switch fields[i] {
 		case "Query_time:":
 			v, err := strconv.ParseFloat(fields[i+1], 64)
-			if err != nil || v < 0 || v != v {
+			if err != nil || !refHeaderSeconds(v) {
 				return false
 			}
 			qt, seenQT = v, true
 		case "Lock_time:":
-			if v, err := strconv.ParseFloat(fields[i+1], 64); err == nil && v >= 0 && v == v {
+			if v, err := strconv.ParseFloat(fields[i+1], 64); err == nil && refHeaderSeconds(v) {
 				lt = v
 			}
 		case "Rows_examined:":
@@ -156,6 +157,12 @@ func (s *refSlowLog) parseQueryTimeHeader(line string) bool {
 	s.lockTimeMs = lt * 1000
 	s.rowsExam = rows
 	return true
+}
+
+// refHeaderSeconds is the range of a header's seconds field: finite, not
+// negative, and at most what an int64 holds as milliseconds.
+func refHeaderSeconds(v float64) bool {
+	return !math.IsNaN(v) && !math.IsInf(v, 0) && v >= 0 && v*1000 < math.Exp2(63)
 }
 
 func refIsUseLine(trimmed string) bool {

@@ -210,6 +210,48 @@ func TestSlowLogKeywordsFoldASCIIOnly(t *testing.T) {
 	}
 }
 
+// strconv.ParseFloat reads "Inf" and "infinity" without error, and 1e300
+// seconds is finite but no int64 of milliseconds: a Query_time of either
+// kind is a malformed header (a counted parse error, no record), as NaN and
+// negatives are, and such a Lock_time is ignored, as they are. One +Inf
+// response would otherwise make every sum and correlation of its window
+// non-finite and reach float-to-int conversions whose result Go leaves to
+// the platform.
+func TestSlowLogRejectsNonFiniteTimes(t *testing.T) {
+	entry := func(header string) string {
+		return "# Time: 2023-06-01T10:00:00Z\n# " + header + "\nSET timestamp=100;\nSELECT 1;\n"
+	}
+	for _, qt := range []string{"Inf", "+Inf", "-Inf", "infinity", "NaN", "-1", "1e300", "1e16"} {
+		in := entry("Query_time: "+qt+"  Lock_time: 0") + slowEntryText(100, "SELECT 2")
+		src := SlowLog(strings.NewReader(in))
+		b, err := src.Next()
+		if err != nil {
+			t.Fatalf("Query_time %s: %v", qt, err)
+		}
+		if len(b.Records) != 1 || b.Records[0].SQL != "SELECT 2" {
+			t.Errorf("Query_time %s: records %+v, want only the well-formed entry", qt, b.Records)
+		}
+		if st := src.Stats(); st.ParseErrors == 0 {
+			t.Errorf("Query_time %s: no parse error counted", qt)
+		}
+	}
+	for _, lt := range []string{"Inf", "infinity", "NaN", "-1", "1e300"} {
+		src := SlowLog(strings.NewReader(entry("Query_time: 0.25  Lock_time: " + lt)))
+		b, err := src.Next()
+		if err != nil {
+			t.Fatalf("Lock_time %s: %v", lt, err)
+		}
+		if len(b.Records) != 1 || b.Records[0].ResponseMs != 250 || b.Records[0].LockWaitMs != 0 {
+			t.Errorf("Lock_time %s: records %+v, want one of 250 ms and no lock wait", lt, b.Records)
+		}
+	}
+	// The largest time that is still one: just under 2^63 ms.
+	src := SlowLog(strings.NewReader(entry("Query_time: 9.2e15")))
+	if b, err := src.Next(); err != nil || len(b.Records) != 1 || b.Records[0].ResponseMs != 9.2e18 {
+		t.Errorf("Query_time 9.2e15: %+v, %v; want one record of 9.2e18 ms", b, err)
+	}
+}
+
 // A budget of work, not of time: an entry costs its SQL string, the string
 // time.Parse reads its stamp from, the record's place in the pending slice
 // (amortized) and nothing per line.

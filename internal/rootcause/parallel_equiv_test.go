@@ -161,6 +161,16 @@ func clusterPairwiseRef(in Input, tau float64) [][]int {
 	return comps
 }
 
+// execOf lists the #execution series of in's templates, as Identify hands
+// them to NewPartition.
+func execOf(in Input) []timeseries.Series {
+	exec := make([]timeseries.Series, len(in.Templates))
+	for i := range in.Templates {
+		exec[i] = in.Templates[i].Exec
+	}
+	return exec
+}
+
 func sortedMetricNames(metrics map[string]timeseries.Series) []string {
 	names := make([]string, 0, len(metrics))
 	for name := range metrics {
@@ -218,11 +228,7 @@ func TestClusterTemplatesMatchesPairwiseReference(t *testing.T) {
 	check := func(label string, in Input) bool {
 		want := clusterPairwiseRef(in, DefaultTau)
 		for _, w := range []int{1, 4} {
-			got := clusterTemplates(in, DefaultTau, w)
-			members := make([][]int, len(got))
-			for i, c := range got {
-				members[i] = c.members
-			}
+			members, _, _ := clusterTemplates(execOf(in), in.Metrics, DefaultTau, w)
 			if !reflect.DeepEqual(members, want) {
 				t.Errorf("%s workers=%d: components %v, want %v", label, w, members, want)
 				return false
@@ -266,9 +272,9 @@ func TestClusterTemplatesManyRowsCrossesBlocks(t *testing.T) {
 		templates[t] = Template{ID: sqltemplate.ID(rune(t)), Exec: exec}
 	}
 	in := Input{Templates: templates}
-	seq := clusterTemplates(in, DefaultTau, 1)
-	par := clusterTemplates(in, DefaultTau, 4)
-	if !reflect.DeepEqual(seq, par) {
+	seq, _, seqWork := clusterTemplates(execOf(in), nil, DefaultTau, 1)
+	par, _, parWork := clusterTemplates(execOf(in), nil, DefaultTau, 4)
+	if !reflect.DeepEqual(seq, par) || seqWork != parWork {
 		t.Errorf("sharded scan diverged across %d rows: %d vs %d clusters", len(templates), len(seq), len(par))
 	}
 }

@@ -19,6 +19,7 @@
 package rootcause
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -123,22 +124,83 @@ type Result struct {
 	// Ranked is the final R-SQL ranking, best first.
 	Ranked []Candidate
 
+	// PairsScanned and MulAdds are the work the τ-graph's pair scan did:
+	// node pairs it scored or abandoned, and multiply-adds it spent on
+	// them (the full triangle would spend pairs × vector length).
+	PairsScanned int64
+	MulAdds      int64
+
 	// ClusterDur and VerifyDur split the module's run time into the
 	// clustering+filtering and history-verification+ranking stages, for
-	// the §VIII-B timing breakdown.
+	// the §VIII-B timing breakdown. ClusterDur includes the partition's
+	// time only where the call computed it (Identify).
 	ClusterDur time.Duration
 	VerifyDur  time.Duration
 }
 
-// Identify runs the full module.
+// Identify runs the full module on one case: it partitions the case's
+// templates and identifies on that partition. A frame with several cases
+// computes the partition once (NewPartition) and calls its Identify per
+// case.
 func Identify(in Input, opt Options) *Result {
-	res := &Result{}
+	if len(in.Templates) == 0 {
+		return &Result{}
+	}
+	start := time.Now()
+	exec := make([]timeseries.Series, len(in.Templates))
+	for i := range in.Templates {
+		exec[i] = in.Templates[i].Exec
+	}
+	p := NewPartition(exec, in.Metrics, opt.Tau, opt.Workers)
+	partitionDur := time.Since(start)
+	res := p.Identify(in, opt)
+	res.ClusterDur += partitionDur
+	return res
+}
+
+// Partition is step 1 of the module: the connected components of the
+// τ-graph over templates' #execution series and the metric temp nodes. It
+// depends on nothing of a case — not the anomaly interval, not the impact
+// scores, not the history — so the cases of one frame share one. A
+// Partition is read-only after NewPartition and safe to share.
+type Partition struct {
+	// components lists member template indexes (ascending) per connected
+	// component, components ordered by smallest member.
+	components [][]int
+	templates  int
+
+	pairs, mulAdds int64
+}
+
+// NewPartition clusters templates by their #execution series exec (one
+// per template, in the order of the Input.Templates later identified on
+// it), with metrics as temporary nodes, at threshold tau. The partition is
+// identical for every worker count (see clusterTemplates).
+func NewPartition(exec []timeseries.Series, metrics map[string]timeseries.Series, tau float64, workers int) *Partition {
+	p := &Partition{templates: len(exec)}
+	p.components, p.pairs, p.mulAdds = clusterTemplates(exec, metrics, tau, workers)
+	return p
+}
+
+// Identify runs steps 2–5 of the module for one case on the partition:
+// cluster impact order, cumulative threshold, history verification and
+// the final ranking. in.Templates must be the templates the partition was
+// built over, in the same order; in.Metrics and opt.Tau were the
+// partition's inputs and are not read again.
+func (p *Partition) Identify(in Input, opt Options) *Result {
+	if len(in.Templates) != p.templates {
+		panic(fmt.Sprintf("rootcause: a partition of %d templates used on a case of %d", p.templates, len(in.Templates)))
+	}
+	res := &Result{PairsScanned: p.pairs, MulAdds: p.mulAdds}
 	if len(in.Templates) == 0 {
 		return res
 	}
 	stageStart := time.Now()
 
-	clusters := clusterTemplates(in, opt.Tau, opt.Workers)
+	clusters := make([]cluster, len(p.components))
+	for i, members := range p.components {
+		clusters[i].members = members
+	}
 	orderClustersByImpact(clusters, in.Templates)
 	for _, c := range clusters {
 		ids := make([]sqltemplate.ID, len(c.members))
@@ -149,7 +211,8 @@ func Identify(in Input, opt Options) *Result {
 		res.ClusterImpact = append(res.ClusterImpact, c.impact)
 	}
 
-	res.Selected, res.CumulativeCorr = selectClusters(clusters, in, opt)
+	inst := timeseries.NewCorrRef(in.InstSession)
+	res.Selected, res.CumulativeCorr = selectClusters(clusters, in, inst, opt)
 
 	// Candidate pool: members of the selected clusters.
 	var pool []int
@@ -159,7 +222,7 @@ func Identify(in Input, opt Options) *Result {
 	res.ClusterDur = time.Since(stageStart)
 	stageStart = time.Now()
 
-	verified := make(map[int]bool, len(pool))
+	verified := make([]bool, len(in.Templates))
 	if opt.UseHistoryVerification {
 		kept := verifyAll(in, pool, opt, verified)
 		if len(kept) == 0 {
@@ -182,7 +245,7 @@ func Identify(in Input, opt Options) *Result {
 		}
 	}
 
-	clusterOf := make(map[int]int)
+	clusterOf := make([]int, len(in.Templates))
 	for ci, c := range clusters {
 		for _, m := range c.members {
 			clusterOf[m] = ci
@@ -193,7 +256,7 @@ func Identify(in Input, opt Options) *Result {
 	// for every worker count.
 	scores := make([]float64, len(pool))
 	parallel.ForEach(opt.Workers, len(pool), func(i int) {
-		scores[i], _ = timeseries.Corr(in.Templates[pool[i]].Exec, in.InstSession)
+		scores[i], _ = inst.Corr(in.Templates[pool[i]].Exec)
 	})
 	for i, idx := range pool {
 		res.Ranked = append(res.Ranked, Candidate{
@@ -217,7 +280,7 @@ type cluster struct {
 // verifyAll runs history verification over the candidate indexes, fanning
 // the Tukey checks across workers into an index-ordered verdict slice, and
 // returns the surviving indexes in input order (marking them in verified).
-func verifyAll(in Input, candidates []int, opt Options, verified map[int]bool) []int {
+func verifyAll(in Input, candidates []int, opt Options, verified []bool) []int {
 	verdicts := make([]bool, len(candidates))
 	parallel.ForEach(opt.Workers, len(candidates), func(i int) {
 		verdicts[i] = verifyHistory(in, candidates[i], opt.TukeyK)
@@ -237,25 +300,26 @@ func verifyAll(in Input, candidates []int, opt Options, verified map[int]bool) [
 // pairScanBlock·n instead of the full n²/2 triangle.
 const pairScanBlock = 256
 
-// clusterTemplates builds the correlation graph over templates plus metric
-// temp nodes and returns its connected components (templates only).
+// clusterTemplates builds the correlation graph over templates (their
+// #execution series exec) plus metric temp nodes and returns its connected
+// components (templates only), with the pair scan's work counters.
 //
 // The pairwise-Pearson scan over the upper triangle is the O(n²) heart of
 // the Fig. 7 scalability curve. Rows are scanned a block at a time, each
-// row's τ-edges collected by rowEdges into a list the row owns (fanned
-// across the pool when workers > 1), and the union-find consumes the lists
-// strictly in (i, j) order. Every pair's score is a pure function of its
-// two vectors, a union of already-connected nodes is a no-op, and
-// component enumeration orders clusters by smallest member index, so the
-// resulting partition — and every downstream ranking — is identical for
-// every worker count.
-func clusterTemplates(in Input, tau float64, workers int) []cluster {
-	nT := len(in.Templates)
+// row's τ-edges collected by pairScan.rowEdges into a list the row owns
+// (fanned across the pool when workers > 1), and the union-find consumes
+// the lists strictly in (i, j) order. Every pair's verdict is a pure
+// function of its two vectors, a union of already-connected nodes is a
+// no-op, and component enumeration orders clusters by smallest member
+// index, so the resulting partition — and every downstream ranking — is
+// identical for every worker count.
+func clusterTemplates(exec []timeseries.Series, metrics map[string]timeseries.Series, tau float64, workers int) (components [][]int, pairs, mulAdds int64) {
+	nT := len(exec)
 	// Standardize each node's downsampled #execution (or metric) series
 	// once up front: corr(a, b) then reduces to a dot product per pair
 	// instead of a per-pair re-standardization.
-	metricNames := make([]string, 0, len(in.Metrics))
-	for name := range in.Metrics {
+	metricNames := make([]string, 0, len(metrics))
+	for name := range metrics {
 		metricNames = append(metricNames, name)
 	}
 	sort.Strings(metricNames)
@@ -263,9 +327,9 @@ func clusterTemplates(in Input, tau float64, workers int) []cluster {
 	vecs := make([][]float64, n)
 	parallel.ForEach(workers, n, func(i int) {
 		if i < nT {
-			vecs[i] = standardize(in.Templates[i].Exec.Downsample(clusterGranularitySec))
+			vecs[i] = standardize(exec[i].Downsample(clusterGranularitySec))
 		} else {
-			vecs[i] = standardize(in.Metrics[metricNames[i-nT]].Downsample(clusterGranularitySec))
+			vecs[i] = standardize(metrics[metricNames[i-nT]].Downsample(clusterGranularitySec))
 		}
 	})
 	// Constant series (nil vectors) have no edges: compact them away so the
@@ -279,35 +343,37 @@ func clusterTemplates(in Input, tau float64, workers int) []cluster {
 		}
 	}
 
+	scan := newPairScan(cols, tau)
 	uf := newUnionFind(n)
 	edges := make([][]int32, pairScanBlock)
+	work := make([]int64, pairScanBlock)
 	for blockLo := 0; blockLo < len(cols); blockLo += pairScanBlock {
 		rows := min(pairScanBlock, len(cols)-blockLo)
 		parallel.ForEach(workers, rows, func(r int) {
-			edges[r] = rowEdges(cols, blockLo+r, tau, edges[r][:0])
+			edges[r], work[r] = scan.rowEdges(blockLo+r, edges[r][:0])
 		})
 		for r := 0; r < rows; r++ {
 			for _, c := range edges[r] {
 				uf.union(live[blockLo+r], live[c])
 			}
+			mulAdds += work[r]
 		}
 	}
+	pairs = int64(len(cols)) * int64(len(cols)-1) / 2
 
 	// Collect components; only template nodes (index < nT) become cluster
 	// members — the metric temp nodes are filtered here, as in the paper.
-	var clusters []cluster
-	seen := make(map[int]int)
+	seen := make([]int, n) // component index + 1 by union-find root
 	for i := 0; i < nT; i++ {
 		root := uf.find(i)
-		ci, ok := seen[root]
-		if !ok {
-			ci = len(clusters)
-			seen[root] = ci
-			clusters = append(clusters, cluster{})
+		if seen[root] == 0 {
+			components = append(components, nil)
+			seen[root] = len(components)
 		}
-		clusters[ci].members = append(clusters[ci].members, i)
+		ci := seen[root] - 1
+		components[ci] = append(components[ci], i)
 	}
-	return clusters
+	return components, pairs, mulAdds
 }
 
 // orderClustersByImpact computes each cluster's impact and sorts descending.
@@ -326,8 +392,9 @@ func orderClustersByImpact(clusters []cluster, templates []Template) {
 
 // selectClusters applies the cumulative threshold (§VI): iterate clusters
 // in impact order, summing member sessions, until the sum correlates with
-// the instance session at ≥ τ_c or K_c clusters are taken.
-func selectClusters(clusters []cluster, in Input, opt Options) (selected int, cumCorr float64) {
+// the instance session at ≥ τ_c or K_c clusters are taken. inst is the
+// case's prepared instance session.
+func selectClusters(clusters []cluster, in Input, inst *timeseries.CorrRef, opt Options) (selected int, cumCorr float64) {
 	if len(clusters) == 0 {
 		return 0, 0
 	}
@@ -349,7 +416,7 @@ func selectClusters(clusters []cluster, in Input, opt Options) (selected int, cu
 				sum[t] += s[t]
 			}
 		}
-		cumCorr, _ = timeseries.Corr(sum, in.InstSession)
+		cumCorr, _ = inst.Corr(sum)
 		if cumCorr >= opt.TauC {
 			return i + 1, cumCorr
 		}
@@ -399,67 +466,178 @@ func windowAbruptlyUp(s timeseries.Series, as, ae int, k float64) bool {
 	return len(win) > 0 && win.Mean() > hi
 }
 
-// standardize returns s centered and scaled to unit norm, or nil for a
-// (near-)constant series, which cannot carry trend information.
+// standardize centers s and scales it to unit norm in place, returning it,
+// or returns nil for a (near-)constant series, which cannot carry trend
+// information.
 func standardize(s timeseries.Series) []float64 {
 	m := s.Mean()
 	var norm float64
-	out := make([]float64, len(s))
 	for i, v := range s {
 		d := v - m
-		out[i] = d
+		s[i] = d
 		norm += d * d
 	}
 	if norm <= 1e-18*float64(len(s))*(m*m+1) {
 		return nil
 	}
 	inv := 1 / math.Sqrt(norm)
-	for i := range out {
-		out[i] *= inv
+	for i := range s {
+		s[i] *= inv
 	}
-	return out
+	return s
+}
+
+// The pair scan abandons a pair once it cannot be an edge. With the first
+// k elements of the dot product of unit vectors a and b summed to s, what
+// is left is at most ‖a[k:]‖·‖b[k:]‖ (Cauchy–Schwarz), so when
+// s + ‖a[k:]‖·‖b[k:]‖ is below τ the finished sum is too. The test is made
+// once, at the checkpoint, with the bound inflated and τ lowered by
+// pruneSlack. Everything rounded on the way — the partial sum, the two tail
+// norms, the sum the pair would have finished with — is off by a few times
+// n·1.2e-16 for n-element unit vectors, under a third of the slack at
+// pruneMaxLen, so a pair is only abandoned when its finished score would be
+// below τ, and by far more than rounding could bridge. Pairs that pass
+// continue the same accumulator over the same elements in the same order:
+// every score that is compared with τ has the bits the plain dot product
+// gives it.
+const (
+	pruneSlack = 1e-9
+	// Vectors shorter than pruneMinLen are summed without a checkpoint —
+	// there is too little left to save — and so are vectors longer than
+	// pruneMaxLen (two years of minutes), beyond which the slack is not
+	// argued for.
+	pruneMinLen = 10
+	pruneMaxLen = 1 << 20
+)
+
+// pairScan is the τ-graph's live, standardized columns and what the scan
+// needs of each to abandon pairs early.
+type pairScan struct {
+	cols [][]float64
+	tau  float64
+	// checkpoint is the number of elements after which pairs are tested:
+	// nine twentieths of the shortest column (on the wide case an earlier
+	// test lets too many quads through and a later one saves too little),
+	// or 0 when pairs are not tested; tails[c] is the norm of cols[c] from
+	// the checkpoint on.
+	checkpoint int
+	tails      []float64
+}
+
+func newPairScan(cols [][]float64, tau float64) *pairScan {
+	ps := &pairScan{cols: cols, tau: tau}
+	if len(cols) == 0 {
+		return ps
+	}
+	shortest, longest := len(cols[0]), len(cols[0])
+	for _, c := range cols[1:] {
+		shortest, longest = min(shortest, len(c)), max(longest, len(c))
+	}
+	if shortest < pruneMinLen || longest > pruneMaxLen {
+		return ps
+	}
+	ps.checkpoint = shortest * 9 / 20
+	ps.tails = make([]float64, len(cols))
+	for c, col := range cols {
+		var sq float64
+		for _, v := range col[ps.checkpoint:] {
+			sq += v * v
+		}
+		ps.tails[c] = math.Sqrt(sq)
+	}
+	return ps
 }
 
 // rowEdges appends to edges every column c > r whose dot product with row r
-// exceeds tau, in ascending c. Four columns are scored per iteration, each
-// with its own accumulator over the same element order as dot, so every
-// score has the bits the one-pair loop gives it; what changes is four
-// independent add chains in flight instead of one.
-func rowEdges(cols [][]float64, r int, tau float64, edges []int32) []int32 {
-	a := cols[r]
+// exceeds tau, in ascending c, and returns the multiply-adds it spent.
+func (ps *pairScan) rowEdges(r int, edges []int32) ([]int32, int64) {
+	cols, a := ps.cols, ps.cols[r]
+	var mulAdds int64
+	var sums [4]float64
+	// What a pair must reach at the checkpoint, and how far row r's tail
+	// can still carry it per unit of the column's.
+	floor := ps.tau - pruneSlack
+	var reach float64
+	if ps.checkpoint > 0 {
+		reach = ps.tails[r] * (1 + pruneSlack)
+	}
 	c := r + 1
 	for ; c+4 <= len(cols); c += 4 {
-		b0, b1, b2, b3 := cols[c], cols[c+1], cols[c+2], cols[c+3]
-		if len(b0) < len(a) || len(b1) < len(a) || len(b2) < len(a) || len(b3) < len(a) {
+		n := ps.quad(a, c, reach, floor, &sums)
+		if n < 0 {
 			break // a short column ends its sum early: leave the rest to dot
 		}
-		b0, b1, b2, b3 = b0[:len(a)], b1[:len(a)], b2[:len(a)], b3[:len(a)]
-		var s0, s1, s2, s3 float64
-		for i, x := range a {
-			s0 += x * b0[i]
-			s1 += x * b1[i]
-			s2 += x * b2[i]
-			s3 += x * b3[i]
+		mulAdds += 4 * int64(n)
+		if n < len(a) {
+			continue
 		}
-		for k, s := range [4]float64{s0, s1, s2, s3} {
-			if s > tau {
+		for k, s := range sums {
+			if s > ps.tau {
 				edges = append(edges, int32(c+k))
 			}
 		}
 	}
 	for ; c < len(cols); c++ {
-		if dot(a, cols[c]) > tau {
+		mulAdds += int64(min(len(a), len(cols[c])))
+		if dot(a, cols[c]) > ps.tau {
 			edges = append(edges, int32(c))
 		}
 	}
-	return edges
+	return edges, mulAdds
+}
+
+// quad scores row a against columns c..c+3 and returns how many
+// elements it got through: len(a), with the four finished sums in sums; the
+// checkpoint, when none of the four pairs could reach tau any more; -1 when
+// a column is shorter than a. Each pair has its own accumulator over the
+// same element order as dot, so every finished sum has the bits the
+// one-pair loop gives it; what changes is four independent add chains in
+// flight instead of one.
+func (ps *pairScan) quad(a []float64, c int, reach, floor float64, sums *[4]float64) int {
+	ys := ps.cols[c : c+4 : c+4]
+	b0, b1, b2, b3 := ys[0], ys[1], ys[2], ys[3]
+	if len(b0) < len(a) || len(b1) < len(a) || len(b2) < len(a) || len(b3) < len(a) {
+		return -1
+	}
+	b0, b1, b2, b3 = b0[:len(a)], b1[:len(a)], b2[:len(a)], b3[:len(a)]
+	var s0, s1, s2, s3 float64
+	i := 0
+	if k := ps.checkpoint; k > 0 {
+		for ; i < k; i++ {
+			v := a[i]
+			s0 += v * b0[i]
+			s1 += v * b1[i]
+			s2 += v * b2[i]
+			s3 += v * b3[i]
+		}
+		// One test for the quad: four verdicts, each taken without a
+		// branch, folded together.
+		t := ps.tails[c : c+4 : c+4]
+		if below(s0+reach*t[0], floor)&below(s1+reach*t[1], floor)&below(s2+reach*t[2], floor)&below(s3+reach*t[3], floor) != 0 {
+			return i
+		}
+	}
+	for ; i < len(a); i++ {
+		v := a[i]
+		s0 += v * b0[i]
+		s1 += v * b1[i]
+		s2 += v * b2[i]
+		s3 += v * b3[i]
+	}
+	sums[0], sums[1], sums[2], sums[3] = s0, s1, s2, s3
+	return len(a)
+}
+
+// below is 1 when x < floor and 0 otherwise, NaN included.
+func below(x, floor float64) int {
+	if x < floor {
+		return 1
+	}
+	return 0
 }
 
 func dot(a, b []float64) float64 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
+	n := min(len(a), len(b))
 	var acc float64
 	for i := 0; i < n; i++ {
 		acc += a[i] * b[i]

@@ -59,7 +59,12 @@ type Estimate struct {
 // query's active interval.
 func overlapMs(q Obs, lo, hi float64) float64 {
 	qlo := float64(q.ArrivalMs)
-	qhi := qlo + q.ResponseMs
+	return overlap(qlo, qlo+q.ResponseMs, lo, hi)
+}
+
+// overlap returns the length of [lo, hi) ∩ [qlo, qhi), 0 when they do not
+// meet.
+func overlap(qlo, qhi, lo, hi float64) float64 {
 	if qlo > lo {
 		lo = qlo
 	}
@@ -70,6 +75,21 @@ func overlapMs(q Obs, lo, hi float64) float64 {
 		return 0
 	}
 	return hi - lo
+}
+
+// apart reports whether [qlo, qhi) ends by lo or begins at or after hi, in
+// which case overlap is 0. On which side of a period an observation falls is
+// a coin toss, so the two comparisons fold into one test instead of two
+// branches; anything it does not rule out (NaN included) is overlap's.
+func apart(qlo, qhi, lo, hi float64) bool {
+	var before, after int
+	if qhi <= lo {
+		before = 1
+	}
+	if qlo >= hi {
+		after = 1
+	}
+	return before|after != 0
 }
 
 // EstimateByRT is the baseline that uses total response time per second as
@@ -220,24 +240,23 @@ func accumulate(s timeseries.Series, obs []Obs, startMs int64, seconds int, peri
 
 // secondSpan returns the inclusive range of window seconds a query's active
 // interval can touch, clamped to [0, seconds-1]. A query entirely outside
-// the window yields an empty range (first > last).
+// the window, or one whose end is NaN, yields an empty range (first > last).
+// The end is clamped to the window as a float, before it becomes an integer:
+// converting a float beyond int's range (a +Inf or 1e300 ms response) is
+// implementation-defined, and no result may depend on it.
 func secondSpan(q Obs, startMs int64, seconds int) (first, last int) {
 	endMs := float64(q.ArrivalMs) + q.ResponseMs
 	first = int((q.ArrivalMs - startMs) / 1000)
-	if q.ArrivalMs < startMs {
+	if q.ArrivalMs < startMs || first < 0 {
 		first = 0
 	}
-	last = int((endMs - float64(startMs)) / 1000)
-	if first < 0 {
-		first = 0
+	if !(endMs > float64(startMs)) {
+		return first, -1 // empty
 	}
-	if last >= seconds {
-		last = seconds - 1
+	if x := (endMs - float64(startMs)) / 1000; x < float64(seconds) {
+		return first, int(x)
 	}
-	if endMs <= float64(startMs) {
-		last = -1 // empty
-	}
-	return first, last
+	return first, seconds - 1
 }
 
 func newEstimate(queries Queries, seconds int) *Estimate {

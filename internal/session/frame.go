@@ -35,8 +35,7 @@ func (e *FrameEstimate) Quality(observed timeseries.Series) (corr, mse float64) 
 // time per arrival second as the session proxy.
 func EstimateFrameByRT(f *window.Frame) *FrameEstimate {
 	est := newFrameEstimate(f)
-	for pos := range f.Templates {
-		s := est.PerTemplate[pos]
+	est.fill(f, 1, func(s timeseries.Series, pos int) {
 		arr, resp := f.Obs(pos)
 		for i, a := range arr {
 			sec := int((a - f.StartMs) / 1000)
@@ -45,8 +44,7 @@ func EstimateFrameByRT(f *window.Frame) *FrameEstimate {
 			}
 			s[sec] += resp[i] / 1000
 		}
-	}
-	est.sumTotal(f)
+	})
 	return est
 }
 
@@ -54,14 +52,10 @@ func EstimateFrameByRT(f *window.Frame) *FrameEstimate {
 // expected active session over each whole second.
 func EstimateFrameNoBuckets(f *window.Frame) *FrameEstimate {
 	est := newFrameEstimate(f)
-	starts := make([]float64, f.Seconds)
-	for sec := range starts {
-		starts[sec] = float64(f.StartMs + int64(sec)*1000)
-	}
-	for pos := range f.Templates {
-		accumulateFrame(est.PerTemplate[pos], f, pos, starts, 1000)
-	}
-	est.sumTotal(f)
+	starts := secondStarts(f)
+	est.fill(f, 1, func(s timeseries.Series, pos int) {
+		accumulateFrame(s, f, pos, starts, starts[:f.Seconds], 1000)
+	})
 	return est
 }
 
@@ -83,19 +77,34 @@ func EstimateFrameBuckets(f *window.Frame, observed timeseries.Series, k, worker
 	est := newFrameEstimate(f)
 	seconds := f.Seconds
 	bucketLen := 1000.0 / float64(k)
+	starts := secondStarts(f)
+	// bucketOff[b+1] is bucket b's offset into its second, as the span loop
+	// computes it inline; the entries before bucket 0 and after bucket k-1
+	// stand for buckets that end before, and begin after, everything.
+	bucketOff := make([]float64, k+2)
+	bucketOff[0], bucketOff[k+1] = math.Inf(-1), math.Inf(1)
+	for b := 0; b < k; b++ {
+		bucketOff[b+1] = float64(b) * bucketLen
+	}
+	perMs := 1 / bucketLen
 
 	// maxResp[pos] is group pos's longest response: an observation that
 	// arrives more than that before a block of seconds cannot reach it.
-	maxResp := make([]float64, len(f.Templates))
-	for pos := range maxResp {
-		_, resp := f.Obs(pos)
-		m := math.Inf(-1)
-		for _, r := range resp {
-			if r > m || r != r { // a NaN sticks, and disables the cut below
-				m = r
+	// Only a block that does not start the window asks, so one block —
+	// Workers = 1 — needs none.
+	var maxResp []float64
+	if parallel.Resolve(workers) > 1 {
+		maxResp = make([]float64, len(f.Templates))
+		parallel.ForEach(workers, len(maxResp), func(pos int) {
+			_, resp := f.Obs(pos)
+			m := math.Inf(-1)
+			for _, r := range resp {
+				if r > m || r != r { // a NaN sticks, and disables the cut below
+					m = r
+				}
 			}
-		}
-		maxResp[pos] = m
+			maxResp[pos] = m
+		})
 	}
 
 	// Pass 1+2 fused and sharded by second: expected total session per
@@ -103,27 +112,63 @@ func EstimateFrameBuckets(f *window.Frame, observed timeseries.Series, k, worker
 	// block walks the groups in ByID order, entering each arrival-sorted
 	// group at the first observation that can still reach the block and
 	// leaving at the first that arrives after it; Workers = 1 is the
-	// one-block case. Per (observation, second) only a conservative bucket
-	// range is evaluated: the buckets left out overlap by exactly zero,
-	// which the full walk did not add either.
+	// one-block case.
+	//
+	// An observation that begins inside the block, ends inside the second
+	// it begins in and can overlap no bucket but the one it begins in —
+	// nearly all of them — is added to that bucket directly. Everything
+	// else (several buckets or seconds, an arrival before the block, a
+	// non-finite response, a window beyond exact millisecond arithmetic)
+	// goes through the span loop, which per (observation, second)
+	// evaluates a conservative bucket range. Either way the buckets left
+	// out overlap by exactly zero, which the full walk did not add either,
+	// and the ones evaluated get the same expression in the same order.
+	exact := exactWindow(f)
 	totals := make([]float64, seconds*k)
 	selLo := make([]float64, seconds) // start of each second's selected bucket
 	parallel.Blocks(workers, seconds, func(lo, hi int) {
 		loMs, hiMs := f.StartMs+int64(lo)*1000, f.StartMs+int64(hi)*1000
+		directLo := loMs // arrivals in [directLo, hiMs) may take the direct path
+		if !exact {
+			directLo = hiMs
+		}
 		for _, pos := range f.ByID {
 			arr, resp := f.Obs(int(pos))
 			i := 0
-			if cut := float64(loMs) - maxResp[pos]; cut > -maxExactMs && cut < maxExactMs {
-				i, _ = slices.BinarySearch(arr, int64(cut)-1)
+			if lo > 0 {
+				if cut := float64(loMs) - maxResp[pos]; cut > -maxExactMs && cut < maxExactMs {
+					i, _ = slices.BinarySearch(arr, int64(cut)-1)
+				}
 			}
 			for ; i < len(arr) && arr[i] < hiMs; i++ {
+				qlo := float64(arr[i])
+				qhi := qlo + resp[i]
+				if arr[i] >= directLo {
+					sec := int((arr[i] - f.StartMs) / 1000)
+					if base := starts[sec]; qhi <= starts[sec+1] {
+						// Bucket starts and ends never decrease with b, so
+						// whichever b is tried — this one is a guess, a
+						// product where the span loop divides — no earlier
+						// bucket overlaps once the one before b ends by
+						// qlo, and no later one once the one after b
+						// begins at or after qhi.
+						if b := int((qlo - base) * perMs); uint(b) < uint(k) {
+							off := bucketOff[b : b+3]
+							if base+off[0]+bucketLen <= qlo && qhi <= base+off[2] {
+								blo := base + off[1]
+								if ov := overlap(qlo, qhi, blo, blo+bucketLen); ov > 0 {
+									totals[sec*k+b] += ov / bucketLen
+								}
+								continue
+							}
+						}
+					}
+				}
 				q := Obs{ArrivalMs: arr[i], ResponseMs: resp[i]}
 				first, last := secondSpan(q, f.StartMs, seconds)
 				first, last = max(first, lo), min(last, hi-1)
-				qlo := float64(q.ArrivalMs)
-				qhi := qlo + q.ResponseMs
 				for sec := first; sec <= last; sec++ {
-					base := float64(f.StartMs + int64(sec)*1000)
+					base := starts[sec]
 					b0, b1 := 0, k-1
 					if x := (qlo-base)/bucketLen - 1; x > 0 {
 						b0 = int(x)
@@ -133,8 +178,8 @@ func EstimateFrameBuckets(f *window.Frame, observed timeseries.Series, k, worker
 					}
 					row := totals[sec*k : sec*k+k]
 					for b := b0; b <= b1; b++ {
-						blo := base + float64(b)*bucketLen
-						if ov := overlapMs(q, blo, blo+bucketLen); ov > 0 {
+						blo := base + bucketOff[b+1]
+						if ov := overlap(qlo, qhi, blo, blo+bucketLen); ov > 0 {
 							row[b] += ov / bucketLen
 						}
 					}
@@ -154,31 +199,70 @@ func EstimateFrameBuckets(f *window.Frame, observed timeseries.Series, k, worker
 				}
 			}
 			est.SelBucket[sec] = best
-			selLo[sec] = float64(f.StartMs+int64(sec)*1000) + float64(best)*bucketLen
+			selLo[sec] = starts[sec] + float64(best)*bucketLen
 		}
 	})
 
-	// Pass 3: per-template expectation inside the selected bucket, sharded
-	// by template — each worker writes only the series it owns.
-	parallel.ForEach(workers, len(f.Templates), func(pos int) {
-		accumulateFrame(est.PerTemplate[pos], f, pos, selLo, bucketLen)
+	// Pass 3: per-template expectation inside the selected bucket.
+	est.fill(f, workers, func(s timeseries.Series, pos int) {
+		accumulateFrame(s, f, pos, starts, selLo, bucketLen)
 	})
-	est.sumTotal(f)
 	return est
+}
+
+// exactWindow reports whether every millisecond of the frame's window is a
+// float64 on which the estimators' arithmetic is exact. Only then does an
+// arrival's second by integer division agree with the span loop's float
+// division, which is what lets an observation skip that loop.
+func exactWindow(f *window.Frame) bool {
+	return f.StartMs > -maxExactMs && f.StartMs < maxExactMs && f.StartMs+int64(f.Seconds)*1000 < maxExactMs
+}
+
+// secondStarts returns the start of every second of the frame as a float,
+// and the window's end as one entry more: starts[sec+1] is where second sec
+// ends.
+func secondStarts(f *window.Frame) []float64 {
+	starts := make([]float64, f.Seconds+1)
+	for sec := range starts {
+		starts[sec] = float64(f.StartMs + int64(sec)*1000)
+	}
+	return starts
 }
 
 // accumulateFrame adds template pos's observation probabilities to s for
 // every second each observation spans; second sec's period is
-// [periodLo[sec], periodLo[sec]+periodLen).
-func accumulateFrame(s timeseries.Series, f *window.Frame, pos int, periodLo []float64, periodLen float64) {
+// [periodLo[sec], periodLo[sec]+periodLen), inside the second that begins at
+// starts[sec]. An observation that begins in the window and ends inside the
+// second it begins in is added there directly; the others go through the
+// span loop, which for such an observation evaluates the same period and,
+// where it ends exactly on the second's boundary, one more of zero overlap.
+func accumulateFrame(s timeseries.Series, f *window.Frame, pos int, starts, periodLo []float64, periodLen float64) {
 	arr, resp := f.Obs(pos)
+	directLo, directHi := f.StartMs, f.StartMs+int64(f.Seconds)*1000
+	if !exactWindow(f) {
+		directLo = directHi
+	}
 	for i, a := range arr {
-		q := Obs{ArrivalMs: a, ResponseMs: resp[i]}
-		first, last := secondSpan(q, f.StartMs, f.Seconds)
+		qlo := float64(a)
+		qhi := qlo + resp[i]
+		if a >= directLo && a < directHi {
+			if sec := int((a - f.StartMs) / 1000); qhi <= starts[sec+1] {
+				lo := periodLo[sec]
+				hi := lo + periodLen
+				if apart(qlo, qhi, lo, hi) {
+					continue // most observations, when the period is a bucket
+				}
+				if ov := overlap(qlo, qhi, lo, hi); ov > 0 {
+					s[sec] += ov / (hi - lo)
+				}
+				continue
+			}
+		}
+		first, last := secondSpan(Obs{ArrivalMs: a, ResponseMs: resp[i]}, f.StartMs, f.Seconds)
 		for sec := first; sec <= last; sec++ {
 			lo := periodLo[sec]
 			hi := lo + periodLen
-			if ov := overlapMs(q, lo, hi); ov > 0 {
+			if ov := overlap(qlo, qhi, lo, hi); ov > 0 {
 				s[sec] += ov / (hi - lo)
 			}
 		}
@@ -194,19 +278,47 @@ func newFrameEstimate(f *window.Frame) *FrameEstimate {
 	for i := range est.SelBucket {
 		est.SelBucket[i] = -1
 	}
-	for pos := range est.PerTemplate {
-		est.PerTemplate[pos] = make(timeseries.Series, f.Seconds)
-	}
 	return est
 }
 
-// sumTotal accumulates Total in ByID order — the same ascending-template-ID
-// float-addition order as Estimate.sumTotal. Templates without
-// observations contribute exact zeros, so including them changes no bits.
-func (e *FrameEstimate) sumTotal(f *window.Frame) {
-	for _, pos := range f.ByID {
-		for i, v := range e.PerTemplate[pos] {
-			e.Total[i] += v
+// fillChunk is how many templates' series are allocated, filled and summed
+// together: 130 KB at the wide case's 2100 seconds, which stays in cache
+// from the runtime's zeroing to the sum.
+const fillChunk = 8
+
+// fill gives every template its series — accumulate(s, pos) adds template
+// pos's share to the zeroed s — and sums Total in ByID order, the same
+// ascending-template-ID float-addition order as Estimate.sumTotal.
+// Templates without observations contribute exact zeros, so including them
+// changes no bits.
+//
+// The templates go through in ByID order a chunk at a time: a chunk's
+// series are one allocation, filled by one worker right after the runtime
+// zeroed them and added to Total, on the calling goroutine and in chunk
+// order, right after that — while they are still in cache, which a window's
+// worth of series (50 MB at the wide case) is not. Each series is written by
+// one worker and Total by one goroutine in one order, so the estimate is
+// identical for every worker count.
+func (e *FrameEstimate) fill(f *window.Frame, workers int, accumulate func(s timeseries.Series, pos int)) {
+	n := f.Seconds
+	chunks := (len(f.ByID) + fillChunk - 1) / fillChunk
+	chunk := func(c int) []int32 { return f.ByID[c*fillChunk : min((c+1)*fillChunk, len(f.ByID))] }
+	// Neither function returns an error, so neither does the stream.
+	_ = parallel.OrderedStream(workers, chunks, func(c int) (struct{}, error) {
+		members := chunk(c)
+		slab := make(timeseries.Series, len(members)*n)
+		for j, pos := range members {
+			s := slab[j*n : (j+1)*n : (j+1)*n]
+			e.PerTemplate[pos] = s
+			accumulate(s, int(pos))
 		}
-	}
+		return struct{}{}, nil
+	}, func(c int, _ struct{}) error {
+		for _, pos := range chunk(c) {
+			for i, v := range e.PerTemplate[pos] {
+				e.Total[i] += v
+			}
+		}
+		return nil
+	})
 }

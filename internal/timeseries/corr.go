@@ -125,3 +125,147 @@ func SigmoidWeight(n, as, ae int, ks float64) Series {
 	}
 	return w
 }
+
+// CorrRef is the fixed side of many correlations: one y against which many
+// x are scored. Everything Corr derives from y alone (its mean, its
+// deviations and their sum of squares) is computed once, by the same
+// expressions in the same order, so every score has the bits Corr gives
+// it; a call then costs one mean pass and one deviation pass over x. A
+// CorrRef is read-only after construction and safe to share across
+// goroutines.
+type CorrRef struct {
+	y Series
+	fixedSide
+}
+
+// WeightedCorrRef is CorrRef for WeightedCorr: one y and one w.
+type WeightedCorrRef struct {
+	y, w Series
+	fixedSide
+}
+
+// fixedSide is what a correlation needs of its fixed arguments.
+type fixedSide struct {
+	weight float64 // Σw, or len(y) unweighted
+	dy     Series  // y − its (weighted) mean
+	syy    float64 // (weighted) sum of dy²
+	flatY  bool    // syy is degenerate: every correlation is 0
+}
+
+// NewCorrRef prepares y for r.Corr(x) == Corr(x, y) and
+// r.CorrRatio(x, …) == Corr(x/y, y).
+func NewCorrRef(y Series) *CorrRef {
+	r := &CorrRef{y: y}
+	r.weight, r.dy = float64(len(y)), make(Series, len(y))
+	my := y.Mean()
+	for i, v := range y {
+		d := v - my
+		r.dy[i] = d
+		r.syy += d * d
+	}
+	r.flatY = degenerate(r.syy, r.weight, my)
+	return r
+}
+
+// NewWeightedCorrRef prepares y and w for r.Corr(x) == WeightedCorr(x, y, w).
+// With len(w) != len(y) every correlation is a length mismatch.
+func NewWeightedCorrRef(y, w Series) *WeightedCorrRef {
+	r := &WeightedCorrRef{y: y, w: w}
+	if len(w) != len(y) {
+		return r
+	}
+	for _, wi := range w {
+		r.weight += wi
+	}
+	var my float64
+	for i, v := range y {
+		my += w[i] * v
+	}
+	my /= r.weight
+	r.dy = make(Series, len(y))
+	for i, v := range y {
+		d := v - my
+		r.dy[i] = d
+		r.syy += w[i] * d * d
+	}
+	r.flatY = degenerate(r.syy, r.weight, my)
+	return r
+}
+
+// Corr returns Corr(x, y), bit for bit.
+func (r *CorrRef) Corr(x Series) (float64, error) {
+	if len(x) != len(r.y) {
+		return 0, ErrLengthMismatch
+	}
+	if len(x) == 0 {
+		return 0, nil
+	}
+	return r.score(x, x.Mean()), nil
+}
+
+// CorrRatio returns Corr(x/y, y), bit for bit — the element-wise ratio under
+// Div's rule that a zero denominator yields zero. The ratio is written to
+// the caller's scratch, which must have y's length, and summed while it is
+// divided.
+func (r *CorrRef) CorrRatio(x, scratch Series) (float64, error) {
+	if len(x) != len(r.y) || len(scratch) != len(x) {
+		return 0, ErrLengthMismatch
+	}
+	if len(x) == 0 {
+		return 0, nil
+	}
+	var sum float64
+	y := r.y[:len(x)]
+	for i, v := range x {
+		var q float64
+		if y[i] != 0 {
+			q = v / y[i]
+		}
+		scratch[i] = q
+		sum += q
+	}
+	return r.score(scratch, sum/float64(len(x))), nil
+}
+
+// score is the deviation pass of x, whose mean is mx.
+func (r *CorrRef) score(x Series, mx float64) float64 {
+	var sxy, sxx float64
+	dy := r.dy[:len(x)]
+	for i, v := range x {
+		dx := v - mx
+		sxy += dx * dy[i]
+		sxx += dx * dx
+	}
+	return r.finish(sxy, sxx, mx)
+}
+
+// Corr returns WeightedCorr(x, y, w), bit for bit.
+func (r *WeightedCorrRef) Corr(x Series) (float64, error) {
+	if len(x) != len(r.y) || len(x) != len(r.w) {
+		return 0, ErrLengthMismatch
+	}
+	if len(x) == 0 || r.weight == 0 {
+		return 0, nil
+	}
+	w, dy := r.w[:len(x)], r.dy[:len(x)]
+	var mx float64
+	for i, v := range x {
+		mx += w[i] * v
+	}
+	mx /= r.weight
+	var sxy, sxx float64
+	for i, v := range x {
+		dx := v - mx
+		t := w[i] * dx
+		sxy += t * dy[i]
+		sxx += t * dx
+	}
+	return r.finish(sxy, sxx, mx), nil
+}
+
+func (f *fixedSide) finish(sxy, sxx, mx float64) float64 {
+	if degenerate(sxx, f.weight, mx) || f.flatY {
+		return 0
+	}
+	return clampCorr(sxy / math.Sqrt(sxx*f.syy))
+}

@@ -195,18 +195,29 @@ func (s Series) MAD() float64 {
 
 // Downsample aggregates consecutive groups of factor samples using sum,
 // producing a coarser-granularity series (e.g. 1 s → 1 min with factor 60).
-// A trailing partial group is aggregated as-is.
+// A trailing partial group is aggregated as-is. Four full groups are summed
+// at a time, each in its own accumulator over its own samples in order, so
+// every output has the bits Sum gives it.
 func (s Series) Downsample(factor int) Series {
 	if factor <= 1 || len(s) == 0 {
 		return s.Clone()
 	}
-	out := make(Series, 0, (len(s)+factor-1)/factor)
-	for i := 0; i < len(s); i += factor {
-		hi := i + factor
-		if hi > len(s) {
-			hi = len(s)
+	out := make(Series, (len(s)+factor-1)/factor)
+	b := 0
+	for ; (b+4)*factor <= len(s); b += 4 {
+		g := s[b*factor : (b+4)*factor]
+		g0, g1, g2, g3 := g[:factor], g[factor:2*factor], g[2*factor:3*factor], g[3*factor:]
+		var a0, a1, a2, a3 float64
+		for i, v := range g0 {
+			a0 += v
+			a1 += g1[i]
+			a2 += g2[i]
+			a3 += g3[i]
 		}
-		out = append(out, Series(s[i:hi]).Sum())
+		out[b], out[b+1], out[b+2], out[b+3] = a0, a1, a2, a3
+	}
+	for ; b < len(out); b++ {
+		out[b] = s[b*factor : min((b+1)*factor, len(s))].Sum()
 	}
 	return out
 }
