@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fuzz-smoke fuzz-search test-corpus bench bench-aa bench-parallel bench-logstore bench-gen bench-fleet bench-fleet-scale bench-diagnose bench-incremental bench-ingest smoke-serve clean
+.PHONY: all build test race vet fmt-check fuzz-smoke fuzz-search test-corpus bench bench-aa bench-parallel bench-logstore bench-gen bench-fleet bench-fleet-scale bench-diagnose bench-incremental bench-ingest smoke-serve clean
 
 all: build vet test
 
@@ -24,14 +24,20 @@ race:
 vet:
 	$(GO) vet ./...
 
+# Fails on any file gofmt would rewrite, printing its name.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "$$out"; exit 1; fi
+
 # Short fuzzing campaigns: sqltemplate.Normalize (panic-freedom,
-# idempotence, stable template IDs), the segment store's record codec
-# (round-trip, canonical re-encode, CRC corruption rejection), the
-# repro-bundle parsers (manifest + case document, canonical re-encode and
-# frame idempotence), the slow-log ingestion parser (panic-freedom, UTF-8
-# validity, trace-codec round trip, agreement with the string-based parser
-# it replaced), the positional trace-line decoder (agreement with
-# encoding/json on every line it accepts), the log store's order
+# idempotence, stable template IDs, agreement with the tokenize-collapse-join
+# normalizer it replaced, Fingerprint == FNV-1a of the text), the segment
+# store's record codec (round-trip, canonical re-encode, CRC corruption
+# rejection), the repro-bundle parsers (manifest + case document, canonical
+# re-encode and frame idempotence), the slow-log ingestion parser
+# (panic-freedom, UTF-8 validity, trace-codec round trip, agreement with the
+# string-based parser it replaced), the positional trace-line decoder
+# (agreement with encoding/json on every line it accepts), the in-place
+# decimal conversion (bit-equal to strconv.ParseFloat), the log store's order
 # restoration (any loose batches scan back in the stable comparison sort's
 # order), and the frame session estimator's direct paths (bit-equal to the
 # map-keyed estimator's all-buckets walk). Long campaigns: raise -fuzztime.
@@ -42,6 +48,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzReproBundle -fuzztime=5s ./internal/caseio
 	$(GO) test -run=^$$ -fuzz=FuzzSlowLogParser -fuzztime=10s ./internal/ingest
 	$(GO) test -run=^$$ -fuzz=FuzzTraceLine -fuzztime=10s ./internal/ingest
+	$(GO) test -run=^$$ -fuzz=FuzzParseDecimal -fuzztime=5s ./internal/ingest
 	$(GO) test -run=^$$ -fuzz=FuzzLooseOrder -fuzztime=10s ./internal/logstore
 	$(GO) test -run=^$$ -fuzz=FuzzEstimateShortPath -fuzztime=10s ./internal/session
 
@@ -83,10 +90,9 @@ bench-parallel:
 bench-logstore:
 	$(GO) test -run=^$$ -bench=BenchmarkLogStoreBackends -benchtime=3x .
 
-# Generation/collection fast path: parallel case generation vs sequential
-# (exits non-zero if the parallel corpus is not byte-identical), dbsim
-# event-loop allocs/event, and the intern-cache hit rate. Writes
-# BENCH_gen.json.
+# Generation fast path: parallel case generation vs sequential
+# (exits non-zero if the parallel corpus is not byte-identical) and dbsim
+# event-loop allocs/event. Writes BENCH_gen.json.
 bench-gen:
 	$(GO) run ./cmd/pinsql-bench -exp gen -small -seed 3
 

@@ -8,7 +8,7 @@
 //	pinsql-bench -exp table1 -cases 40    # Table I with a 40-case corpus
 //	pinsql-bench -exp fig7                # scalability sweep
 //	pinsql-bench -exp sweep -param tau    # hyperparameter sensitivity
-//	pinsql-bench -exp gen                 # generation/collection fast path
+//	pinsql-bench -exp gen                 # generation fast path
 //	pinsql-bench -exp fig7 -cpuprofile cpu.out -memprofile mem.out
 package main
 

@@ -11,12 +11,11 @@ import (
 	"time"
 
 	"pinsql/internal/cases"
-	"pinsql/internal/collect"
 	"pinsql/internal/dbsim"
 	"pinsql/internal/parallel"
 )
 
-// GenBenchOptions configures the generation/collection fast-path benchmark.
+// GenBenchOptions configures the generation fast-path benchmark.
 type GenBenchOptions struct {
 	Seed    int64
 	Cases   int  // corpus size for the generation timing; 0 → 6
@@ -25,8 +24,8 @@ type GenBenchOptions struct {
 }
 
 // GenBench reports the substrate fast path: parallel case generation
-// against the sequential baseline (with an output-equivalence check), the
-// dbsim event-loop microbenchmark, and the collect interning cache.
+// against the sequential baseline (with an output-equivalence check) and
+// the dbsim event-loop microbenchmark.
 // It is the document behind BENCH_gen.json.
 type GenBench struct {
 	// Case generation.
@@ -45,14 +44,6 @@ type GenBench struct {
 	AllocsPerEvent float64 `json:"allocs_per_event"`
 	BytesPerEvent  float64 `json:"bytes_per_event"`
 	EventsPerSec   float64 `json:"events_per_sec"`
-
-	// collect interning cache (raw SQL → template, normalization skipped).
-	CacheHits     uint64  `json:"cache_hits"`
-	CacheMisses   uint64  `json:"cache_misses"`
-	CacheHitRate  float64 `json:"cache_hit_rate"`
-	NsPerIntern   float64 `json:"ns_per_intern"`         // cache enabled
-	NsPerInternNC float64 `json:"ns_per_intern_nocache"` // cache disabled
-	InternSpeedup float64 `json:"intern_speedup"`
 }
 
 // genCorpusOptions is the corpus the generation benchmark times.
@@ -191,52 +182,10 @@ func (g *GenBench) measureEventLoop(seed int64) error {
 	return nil
 }
 
-// measureInternCache drives a repeated-statement record stream through a
-// cache-enabled and a cache-disabled registry and fills the cache section.
-func (g *GenBench) measureInternCache(seed int64) {
-	const n = 200_000
-	rng := rand.New(rand.NewSource(seed))
-	hot := make([]string, 40)
-	for i := range hot {
-		hot[i] = fmt.Sprintf("SELECT c%d FROM orders WHERE id = %d AND status = 'open'", i%7, i)
-	}
-	recs := make([]dbsim.LogRecord, n)
-	for i := range recs {
-		if rng.Intn(10) == 0 { // 10 % fresh literals, 90 % repeats
-			recs[i] = dbsim.LogRecord{SQL: fmt.Sprintf("SELECT c FROM orders WHERE id = %d", rng.Int())}
-		} else {
-			recs[i] = dbsim.LogRecord{SQL: hot[rng.Intn(len(hot))]}
-		}
-	}
-
-	timeIntern := func(r *collect.Registry) float64 {
-		start := time.Now()
-		for i := range recs {
-			r.Intern(recs[i])
-		}
-		return float64(time.Since(start).Nanoseconds()) / float64(n)
-	}
-
-	cached := collect.NewRegistry()
-	g.NsPerIntern = timeIntern(cached)
-	g.CacheHits, g.CacheMisses, _ = cached.RawCacheStats()
-	if total := g.CacheHits + g.CacheMisses; total > 0 {
-		g.CacheHitRate = float64(g.CacheHits) / float64(total)
-	}
-
-	uncached := collect.NewRegistry()
-	uncached.SetRawCacheCap(0)
-	g.NsPerInternNC = timeIntern(uncached)
-	if g.NsPerIntern > 0 {
-		g.InternSpeedup = g.NsPerInternNC / g.NsPerIntern
-	}
-}
-
-// RunGenBench benchmarks the generation/collection fast path: it generates
+// RunGenBench benchmarks the generation fast path: it generates
 // the same corpus sequentially and with the worker pool (erroring if the
 // two corpora are not identical — the determinism contract is part of the
-// benchmark's pass criteria), then measures the dbsim event loop and the
-// interning cache.
+// benchmark's pass criteria), then measures the dbsim event loop.
 func RunGenBench(opt GenBenchOptions) (*GenBench, error) {
 	if opt.Cases <= 0 {
 		opt.Cases = 6
@@ -275,19 +224,16 @@ func RunGenBench(opt GenBenchOptions) (*GenBench, error) {
 	if err := g.measureEventLoop(opt.Seed + 1); err != nil {
 		return nil, err
 	}
-	g.measureInternCache(opt.Seed + 2)
 	return g, nil
 }
 
 // Format renders the report.
 func (g *GenBench) Format() string {
 	var b strings.Builder
-	b.WriteString("Generation/collection fast path\n")
+	b.WriteString("Generation fast path\n")
 	fmt.Fprintf(&b, "case generation (%d cases): seq %.2fs (%.2f sims/s)  par[%d workers] %.2fs (%.2f sims/s)  speedup %.2fx  identical=%v\n",
 		g.Cases, g.SeqSec, g.SeqSimsSec, g.Workers, g.ParSec, g.ParSimsSec, g.Speedup, g.Identical)
 	fmt.Fprintf(&b, "dbsim event loop: %d events  %.0f ns/event  %.4f allocs/event  %.1f B/event  %.2fM events/s\n",
 		g.Events, g.NsPerEvent, g.AllocsPerEvent, g.BytesPerEvent, g.EventsPerSec/1e6)
-	fmt.Fprintf(&b, "intern cache: %.1f%% hit rate (%d hits / %d misses)  %.0f ns/intern cached vs %.0f uncached (%.2fx)\n",
-		100*g.CacheHitRate, g.CacheHits, g.CacheMisses, g.NsPerIntern, g.NsPerInternNC, g.InternSpeedup)
 	return b.String()
 }

@@ -50,7 +50,7 @@ func batchStream(rng *rand.Rand, n int) []dbsim.LogRecord {
 // TestIngestBatchMatchesRecordLoop: one record stream split at arbitrary
 // batch boundaries — batches of one and one batch for everything included,
 // Frame() calls interleaved — leaves every sealed frame, the staging
-// store's scan, the registry and the raw-cache counters exactly as the
+// store's scan, the registry and the fingerprint-index counters exactly as the
 // record-at-a-time run does.
 func TestIngestBatchMatchesRecordLoop(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
@@ -110,7 +110,7 @@ func TestIngestBatchMatchesRecordLoop(t *testing.T) {
 			gh, gm, _ := got.Registry().RawCacheStats()
 			wh, wm, _ := want.Registry().RawCacheStats()
 			if gh != wh || gm != wm || got.Records() != want.Records() {
-				t.Fatalf("seed %d %s: raw cache %d/%d, records %d; record loop %d/%d, %d",
+				t.Fatalf("seed %d %s: fingerprint index %d/%d, records %d; record loop %d/%d, %d",
 					seed, name, gh, gm, got.Records(), wh, wm, want.Records())
 			}
 			if err := framesEqual(got.Frame(), got.RebuildFrame()); err != nil {

@@ -304,15 +304,15 @@ func (c *Collector) Ingest(rec dbsim.LogRecord) {
 }
 
 // seriesLocked returns the window state of the record's template, creating
-// it on first sight. Raw-SQL records intern per record (the registry's raw
-// cache and its hit counters see every one of them).
+// it on first sight. Raw-SQL records intern per record (the registry's
+// fingerprint index and its hit counters see every one of them).
 func (c *Collector) seriesLocked(rec *dbsim.LogRecord) *TemplateSeries {
 	if id := sqltemplate.ID(rec.TemplateID); id != "" {
 		if ts, ok := c.templates[id]; ok {
 			return ts
 		}
 	}
-	meta := c.registry.Intern(*rec)
+	meta := c.registry.intern(rec)
 	ts, ok := c.templates[meta.ID]
 	if !ok {
 		ts = &TemplateSeries{

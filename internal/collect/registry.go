@@ -25,27 +25,19 @@ type TemplateMeta struct {
 	Kind  dbsim.QueryKind
 }
 
-// DefaultRawCacheCap bounds the raw-SQL interning cache: at most this many
-// distinct raw statements are remembered verbatim. The bound caps memory on
-// adversarial workloads (every statement a unique literal) while covering
-// the paper's steady state, where a few hundred templates dominate.
-const DefaultRawCacheCap = 4096
-
 // Registry interns SQL templates: structurally identical statements map to
-// one TemplateMeta. It is safe for concurrent use.
+// one TemplateMeta. It is safe for concurrent use. It holds no raw statement
+// text: its size depends on the templates seen, never on their literals.
 type Registry struct {
 	mu      sync.RWMutex
 	byID    map[sqltemplate.ID]int32
 	entries []TemplateMeta
-	// rawCache short-circuits normalization: exact raw SQL text → dense
-	// index of its template. Entries are never removed from the registry,
-	// so a cached index stays valid forever; the cache itself is bounded
-	// by rawCap with random replacement. A repeated statement costs one
-	// map probe under the read lock instead of a full tokenize pass.
-	rawCache map[string]int32
-	rawCap   int
-	rawHits  atomic.Uint64
-	rawMiss  atomic.Uint64
+	// byFP resolves a raw-SQL record without building its template text:
+	// sqltemplate.Fingerprint of the statement → dense index. It is filled
+	// on the first sight of each fingerprint from byID, so a fingerprint
+	// and the ID that is its hex always name the same entry.
+	byFP   map[uint32]int32
+	fpHits atomic.Uint64
 	// onIntern, when set, observes every newly created entry (under the
 	// write lock, in dense index order) — the persistence hook.
 	onIntern func(TemplateMeta)
@@ -54,121 +46,91 @@ type Registry struct {
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		byID:     make(map[sqltemplate.ID]int32),
-		rawCache: make(map[string]int32),
-		rawCap:   DefaultRawCacheCap,
+		byID: make(map[sqltemplate.ID]int32),
+		byFP: make(map[uint32]int32),
 	}
 }
 
-// SetRawCacheCap rebounds the raw-SQL interning cache; n <= 0 disables it
-// (every Intern normalizes, the differential-testing configuration). The
-// cache is cleared either way — hit/miss counters are not reset.
-func (r *Registry) SetRawCacheCap(n int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.rawCap = n
-	if n <= 0 {
-		r.rawCache = nil
-		return
-	}
-	r.rawCache = make(map[string]int32)
-}
-
-// RawCacheStats reports the interning cache's lifetime hit/miss counters
-// and current size.
+// RawCacheStats reports the fingerprint index's lifetime counters and size:
+// raw-SQL records resolved by fingerprint alone (hits), fingerprints seen
+// for the first time (misses, each of which built the template text once),
+// and the number of fingerprints indexed.
 func (r *Registry) RawCacheStats() (hits, misses uint64, size int) {
 	r.mu.RLock()
-	size = len(r.rawCache)
+	size = len(r.byFP)
 	r.mu.RUnlock()
-	return r.rawHits.Load(), r.rawMiss.Load(), size
-}
-
-// cacheRaw remembers sql → idx, evicting one arbitrary entry when full.
-// Caller must hold the write lock.
-func (r *Registry) cacheRaw(sql string, idx int32) {
-	if r.rawCache == nil {
-		return
-	}
-	if _, ok := r.rawCache[sql]; !ok && len(r.rawCache) >= r.rawCap {
-		for k := range r.rawCache { // random replacement
-			delete(r.rawCache, k)
-			break
-		}
-	}
-	r.rawCache[sql] = idx
+	return r.fpHits.Load(), uint64(size), size
 }
 
 // Intern returns the registry entry for the record's template, creating it
 // on first sight. The record's TemplateID is trusted when present (the
-// workload generator pre-digests statements); otherwise the SQL text is
-// normalized here — unless this exact raw statement was seen before, in
-// which case the interning cache answers without tokenizing at all.
-func (r *Registry) Intern(rec dbsim.LogRecord) TemplateMeta {
-	id := sqltemplate.ID(rec.TemplateID)
-	var text string
-	normalized := false
-	if id == "" {
-		r.mu.RLock()
-		if idx, ok := r.rawCache[rec.SQL]; ok {
-			meta := r.entries[idx]
-			r.mu.RUnlock()
-			r.rawHits.Add(1)
-			return meta
-		}
-		r.mu.RUnlock()
-		r.rawMiss.Add(1)
-		tpl := sqltemplate.New(rec.SQL)
-		id, text = tpl.ID, tpl.Text
-		normalized = true
-	}
+// workload generator pre-digests statements); otherwise the template is
+// named by the fingerprint of the SQL text, and the text itself is
+// normalized only the first time a fingerprint is seen.
+func (r *Registry) Intern(rec dbsim.LogRecord) TemplateMeta { return r.intern(&rec) }
 
+func (r *Registry) intern(rec *dbsim.LogRecord) TemplateMeta {
+	id := sqltemplate.ID(rec.TemplateID)
+	raw := id == ""
+	var fp uint32
+	if raw {
+		fp = sqltemplate.Fingerprint(rec.SQL)
+	}
+	var idx int32
+	var ok bool
 	r.mu.RLock()
-	idx, ok := r.byID[id]
-	var meta TemplateMeta
+	if raw {
+		idx, ok = r.byFP[fp]
+	} else {
+		idx, ok = r.byID[id]
+	}
 	if ok {
 		// Read the entry before unlocking: a concurrent append may grow
 		// (and reallocate) the entries slice at any moment.
-		meta = r.entries[idx]
-	}
-	r.mu.RUnlock()
-	if ok {
-		if normalized {
-			// First sight of this raw spelling of a known template:
-			// remember it so the next occurrence skips normalization.
-			r.mu.Lock()
-			r.cacheRaw(rec.SQL, idx)
-			r.mu.Unlock()
+		meta := r.entries[idx]
+		r.mu.RUnlock()
+		if raw {
+			r.fpHits.Add(1)
 		}
 		return meta
 	}
+	r.mu.RUnlock()
 
+	var text string
+	if raw {
+		tpl := sqltemplate.New(rec.SQL)
+		id, text = tpl.ID, tpl.Text
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if idx, ok := r.byID[id]; ok {
-		if normalized {
-			r.cacheRaw(rec.SQL, idx)
+	if raw {
+		if idx, ok := r.byFP[fp]; ok { // a concurrent first sight won
+			r.fpHits.Add(1)
+			return r.entries[idx]
 		}
-		return r.entries[idx]
 	}
-	if text == "" {
-		text = sqltemplate.Normalize(rec.SQL)
+	idx, ok = r.byID[id]
+	if !ok {
+		if text == "" {
+			text = sqltemplate.Normalize(rec.SQL)
+		}
+		idx = int32(len(r.entries))
+		r.entries = append(r.entries, TemplateMeta{
+			Index: idx,
+			ID:    id,
+			Text:  text,
+			Table: rec.Table,
+			Kind:  rec.Kind,
+		})
+		r.byID[id] = idx
+		if r.onIntern != nil {
+			r.onIntern(r.entries[idx])
+		}
 	}
-	meta = TemplateMeta{
-		Index: int32(len(r.entries)),
-		ID:    id,
-		Text:  text,
-		Table: rec.Table,
-		Kind:  rec.Kind,
+	if raw {
+		r.byFP[fp] = idx
 	}
-	r.entries = append(r.entries, meta)
-	r.byID[id] = meta.Index
-	if normalized {
-		r.cacheRaw(rec.SQL, meta.Index)
-	}
-	if r.onIntern != nil {
-		r.onIntern(meta)
-	}
-	return meta
+	return r.entries[idx]
 }
 
 // SetOnIntern installs a callback observing every newly interned template

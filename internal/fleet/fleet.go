@@ -355,13 +355,16 @@ func (f *Fleet) registerMetrics() {
 			defer f.mu.Unlock()
 			return float64(len(st.queue))
 		}, f.lbls(lbl)...)
-		m.CounterFunc("pinsql_registry_raw_cache_hits_total", "Template-registry raw-SQL cache hits.", func() float64 {
+		m.CounterFunc("pinsql_registry_raw_cache_hits_total", "Raw-SQL records whose template was resolved by fingerprint, without building its text.", func() float64 {
 			h, _, _ := st.registry.RawCacheStats()
 			return float64(h)
 		}, f.lbls(lbl)...)
-		m.CounterFunc("pinsql_registry_raw_cache_misses_total", "Template-registry raw-SQL cache misses.", func() float64 {
+		m.CounterFunc("pinsql_registry_raw_cache_misses_total", "Raw-SQL fingerprints seen for the first time (template text built once each).", func() float64 {
 			_, miss, _ := st.registry.RawCacheStats()
 			return float64(miss)
+		}, f.lbls(lbl)...)
+		m.GaugeFunc("pinsql_registry_templates", "Templates in the instance's registry; it only grows.", func() float64 {
+			return float64(st.registry.Len())
 		}, f.lbls(lbl)...)
 		m.CounterFunc("pinsql_ingest_records_total", "Trace records delivered into the monitoring pipeline.", func() float64 {
 			return float64(st.play.Stats().Records)

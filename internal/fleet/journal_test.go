@@ -91,7 +91,9 @@ func TestJournalGroupCommit(t *testing.T) {
 	}
 	// Wait until all four entries are pending, then release the fake
 	// leader: the first waiter to wake writes the whole batch.
-	deadline := time.Now().Add(5 * time.Second)
+	// The loop ends as soon as they are; the ceiling only bounds a hang, and
+	// is wide enough for a machine whose CPUs are all taken.
+	deadline := time.Now().Add(60 * time.Second)
 	for {
 		j.mu.Lock()
 		n := j.pendN

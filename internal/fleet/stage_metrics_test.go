@@ -4,10 +4,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
+
+	"pinsql/internal/ingest"
 )
 
 // TestStageDurationMetrics runs a small fleet to completion and checks the
@@ -96,5 +99,37 @@ func TestSessionEstimatesCountWindowsNotPhenomena(t *testing.T) {
 	}
 	if got, _ := strconv.Atoi(m[1]); got != anomalous {
 		t.Errorf("%d session estimates for %d anomalous windows (%d phenomena)", got, anomalous, phenomena)
+	}
+}
+
+// TestRegistryMetricsAccountForEveryRawRecord monitors a slow query log —
+// raw SQL only, never throttled — and checks /metrics' three registry
+// series against each other and against the records collected: every
+// record was resolved by fingerprint or was a fingerprint's first sight,
+// and each first sight made one template.
+func TestRegistryMetricsAccountForEveryRawRecord(t *testing.T) {
+	spec := TraceSpec("orders", 300, func() (ingest.Source, error) {
+		return ingest.Open(filepath.Join("..", "..", "examples", "ingest", "orders-slow.log.gz"), "", ingest.OpenOptions{})
+	})
+	_, f := runReport(t, []InstanceSpec{spec}, Options{Workers: 2})
+	var b strings.Builder
+	if err := f.Metrics().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	series := func(name string) int {
+		t.Helper()
+		m := regexp.MustCompile(`(?m)^` + name + `\{instance="orders"\} (\d+)$`).FindStringSubmatch(b.String())
+		if m == nil {
+			t.Fatalf("%s missing from /metrics:\n%s", name, b.String())
+		}
+		n, _ := strconv.Atoi(m[1])
+		return n
+	}
+	hits := series("pinsql_registry_raw_cache_hits_total")
+	misses := series("pinsql_registry_raw_cache_misses_total")
+	templates := series("pinsql_registry_templates")
+	records := series("pinsql_fleet_records_total")
+	if records == 0 || templates == 0 || hits+misses != records || templates != misses {
+		t.Errorf("%d hits + %d first sights over %d records, %d templates", hits, misses, records, templates)
 	}
 }

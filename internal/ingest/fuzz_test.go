@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
+	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -268,4 +271,41 @@ func sameBits(a, b any) bool {
 	ja, _ := json.Marshal(a)
 	jb, _ := json.Marshal(b)
 	return reflect.DeepEqual(a, b) && bytes.Equal(ja, jb)
+}
+
+// FuzzParseDecimal holds the in-place decimal conversion to
+// strconv.ParseFloat bit for bit: whatever parseDecimal accepts converts to
+// the same float64, and parseFloat agrees with strconv on every input,
+// accepted or refused.
+func FuzzParseDecimal(f *testing.F) {
+	for _, s := range []string{
+		"0", "7", "0.251000", "0.000120", "1685613600.123", "123456789012345", "1234567890123456",
+		"0.1234567890123456789012", "0.00000000000000000000001", "000000000000000000000.5", "99999999999999.9",
+		"4.35", "0.3", "2.675", "1e3", "-1", "+1", "1.", ".5", "1..2", "", ".", "Inf", "nan", "0x10", "1_0", "１",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		want, err := strconv.ParseFloat(s, 64)
+		if got, ok := parseDecimal([]byte(s)); ok && (err != nil || math.Float64bits(got) != math.Float64bits(want)) {
+			t.Fatalf("parseDecimal(%q) = %v; strconv.ParseFloat = %v, %v", s, got, want, err)
+		}
+		got, ok := parseFloat([]byte(s))
+		if ok != (err == nil) || ok && math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("parseFloat(%q) = %v, %v; strconv.ParseFloat = %v, %v", s, got, ok, want, err)
+		}
+	})
+}
+
+// TestParseDecimalTakesLogLiterals: the times a slow log and a trace carry
+// are converted in place, not handed to strconv, and come out the same.
+func TestParseDecimalTakesLogLiterals(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20_000; i++ {
+		s := strconv.FormatFloat(rng.Float64()*math.Pow10(rng.Intn(8)), 'f', rng.Intn(7), 64) // at most 8 + 6 digits
+		got, ok := parseDecimal([]byte(s))
+		if want, _ := strconv.ParseFloat(s, 64); !ok || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("parseDecimal(%q) = %v, %v; strconv.ParseFloat = %v", s, got, ok, want)
+		}
+	}
 }

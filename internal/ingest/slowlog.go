@@ -253,13 +253,13 @@ func (s *SlowLogSource) parseQueryTimeHeader(line []byte) bool {
 	for val := range bytes.FieldsSeq(line[1:]) { // drop "#"
 		switch string(key) {
 		case "Query_time:":
-			ms, ok := headerMs(string(val))
+			ms, ok := headerMs(val)
 			if !ok {
 				return false
 			}
 			qtMs, seenQT = ms, true
 		case "Lock_time:":
-			if ms, ok := headerMs(string(val)); ok {
+			if ms, ok := headerMs(val); ok {
 				ltMs = ms
 			}
 		case "Rows_examined:":
@@ -284,9 +284,9 @@ func (s *SlowLogSource) parseQueryTimeHeader(line []byte) bool {
 // whose milliseconds do not fit an int64 — the arrival time subtracts them
 // as one, and converting a float beyond the integer's range is
 // implementation-defined.
-func headerMs(field string) (ms float64, ok bool) {
-	v, err := strconv.ParseFloat(field, 64)
-	if err != nil {
+func headerMs(field []byte) (ms float64, ok bool) {
+	v, ok := parseFloat(field)
+	if !ok {
 		return 0, false
 	}
 	ms = v * 1000
@@ -325,8 +325,8 @@ func parseSetTimestamp(trimmed []byte) (int64, bool) {
 	v := trimmed[len("SET timestamp="):]
 	v = trimSemicolon(bytes.TrimSpace(v))
 	// Fractional epochs appear with log_timestamps=SYSTEM on 8.0.
-	sec, err := strconv.ParseFloat(string(v), 64)
-	if err != nil || sec <= 0 || sec != sec {
+	sec, ok := parseFloat(v)
+	if !ok || sec <= 0 || sec != sec {
 		return 0, false
 	}
 	return int64(sec * 1000), true

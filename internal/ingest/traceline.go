@@ -186,17 +186,16 @@ func (d *lineDecoder) float() float64 {
 	intStart := i
 	n := digits()
 	bad := n == 0 || n > 1 && b[intStart] == '0'
-	whole := true
 	if i < len(b) && b[i] == '.' {
 		i++
-		whole, bad = false, bad || digits() == 0
+		bad = bad || digits() == 0
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
 			i++
 		}
-		whole, bad = false, bad || digits() == 0
+		bad = bad || digits() == 0
 	}
 	if bad {
 		d.ok = false
@@ -204,19 +203,53 @@ func (d *lineDecoder) float() float64 {
 	}
 	lit := b[d.i:i]
 	d.i = i
-	if whole && len(lit) <= 15 && lit[0] != '-' {
-		// An integer below 2^53 is itself as a float64 (-0 is not 0).
-		var u int64
-		for _, c := range lit {
-			u = u*10 + int64(c-'0')
-		}
-		return float64(u)
-	}
-	f, err := strconv.ParseFloat(string(lit), 64)
-	if err != nil {
+	f, ok := parseFloat(lit)
+	if !ok {
 		d.ok = false
 	}
 	return f
+}
+
+// parseFloat is strconv.ParseFloat(string(b), 64), with the literals log
+// files are made of converted in place.
+func parseFloat(b []byte) (float64, bool) {
+	if f, ok := parseDecimal(b); ok {
+		return f, true
+	}
+	f, err := strconv.ParseFloat(string(b), 64)
+	return f, err == nil
+}
+
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// parseDecimal converts digits[.digits] of at most 15 significant digits
+// and 22 fractional ones: the digits as an integer and the power of ten are
+// both exact float64s, so their quotient is the correctly rounded value —
+// the division strconv's exact path performs. ok is false for anything
+// else, and the caller asks strconv.
+func parseDecimal(b []byte) (f float64, ok bool) {
+	var mant uint64
+	frac, dot := 0, -1
+	for i, c := range b {
+		switch {
+		case c-'0' <= 9:
+			if mant = mant*10 + uint64(c-'0'); mant >= 1e15 {
+				return 0, false
+			}
+			if dot >= 0 {
+				frac++
+			}
+		case c == '.' && dot < 0 && i > 0:
+			dot = i
+		default:
+			return 0, false
+		}
+	}
+	if len(b) == 0 || dot == len(b)-1 || frac >= len(pow10) {
+		return 0, false
+	}
+	return float64(mant) / pow10[frac], true
 }
 
 // str consumes a JSON string and returns its value as encoding/json

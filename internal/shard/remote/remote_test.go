@@ -312,8 +312,10 @@ func TestCoordinatorRestartAdoptsWorkers(t *testing.T) {
 	if err := m2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Close must actually have taken the adopted workers down.
-	deadline := time.Now().Add(5 * time.Second)
+	// Close must actually have taken the adopted workers down. Each wait
+	// ends when the process is gone; the ceiling only bounds a hang, and is
+	// wide enough for a machine whose CPUs are all taken.
+	deadline := time.Now().Add(60 * time.Second)
 	for pid := range pids {
 		for time.Now().Before(deadline) && syscall.Kill(pid, 0) == nil {
 			time.Sleep(50 * time.Millisecond)

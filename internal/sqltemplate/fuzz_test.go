@@ -2,44 +2,20 @@ package sqltemplate
 
 // Native fuzzing for the SQL normalizer, the first code every logged
 // statement passes through: it must never panic on hostile input, must be
-// idempotent (a template is its own template), and must keep the
-// template → SQL ID mapping functional (equal template text, equal ID).
+// idempotent (a template is its own template), must keep the
+// template → SQL ID mapping functional (equal template text, equal ID), and
+// must name a template the same whether or not it builds the text
+// (Fingerprint == FNV-1a of Normalize, ID == its hex).
 //
 // Run a longer campaign with: go test -fuzz=FuzzNormalize ./internal/sqltemplate
 // (the Makefile's fuzz-smoke target runs a 10 s slice in CI).
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"unicode/utf8"
 )
-
-// normalizeReference is the pre-pooling shape of Normalize: a fresh token
-// slice per call and an always-copy IN-list collapse. The fuzzer holds the
-// pooled fast path to this oracle so scratch-slice reuse and the
-// copy-on-write collapse can never drift from the simple semantics.
-func normalizeReference(sql string) string {
-	tokens := tokenize(sql) // fresh allocation per call
-	out := make([]string, 0, len(tokens))
-	i := 0
-	for i < len(tokens) {
-		if run := inListRun(tokens, i); run > 0 {
-			out = append(out, "IN", "(", Placeholder, ")")
-			i += run
-			continue
-		}
-		out = append(out, tokens[i])
-		i++
-	}
-	var b strings.Builder
-	for i, tok := range out {
-		if i > 0 && needsSpace(out[i-1], tok) {
-			b.WriteByte(' ')
-		}
-		b.WriteString(tok)
-	}
-	return b.String()
-}
 
 func FuzzNormalize(f *testing.F) {
 	seeds := []string{
@@ -66,6 +42,16 @@ func FuzzNormalize(f *testing.F) {
 		"SELECT 'héllo wörld' FROM t WHERE e = '😀'",
 		// Degenerates.
 		"", " ", "''", "`", "--", "/*", "?", "IN (", "0x", "1.2.3.4",
+		// Unterminated quotes and backticks, also inside and after lists.
+		"SELECT `a FROM t", "SELECT `a\n`b` FROM t", "`", "a IN (1, `", `x IN (1, 'open`, "IN (1, 2) `",
+		// Non-ASCII identifiers and keyword spellings that fold to ASCII.
+		"SELECT ñame FROM tablé WHERE çol IN (1,2)", "select * from t where a \u0131n (1, 2)", "sel\u00e9ct 1",
+		// Nested, empty, mixed and unclosed IN lists; lists cut by comments.
+		"a IN ()", "a IN (())", "a IN (1, (2, 3))", "a IN (1, 2", "a IN (,)", "a IN (? ? , ,)",
+		"a IN IN (1)", "a IN (1 IN (2, 3))", "a in (1) and b In (2,3) or c iN (x)", "IN (1)IN(2)",
+		"a IN /* c */ (1, /* d */ 2) -- e", "a IN (1, -- x\n 2)", "a IN (-1, +2, 3e4, 0x5)",
+		// Qualified digits, signs, function calls, operators.
+		"t.1abc = 1.e5", "a - 1, -1, (-1), a-1", "count(*), Count (x), COUNT(1), máx(1)", "a:=1 <> 2 >= 3 ! = 4",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -78,10 +64,20 @@ func FuzzNormalize(f *testing.F) {
 			t.Errorf("not idempotent:\n in: %q\n 1x: %q\n 2x: %q", sql, once, twice)
 		}
 
-		// The pooled-scratch fast path must match the fresh-allocation
+		// The one-pass renderer must match the tokenize-collapse-join
 		// reference pipeline exactly.
 		if ref := normalizeReference(sql); once != ref {
-			t.Errorf("pooled path diverged from reference:\n in: %q\n pooled: %q\n ref: %q", sql, once, ref)
+			t.Errorf("renderer diverged from reference:\n in: %q\n got: %q\n ref: %q", sql, once, ref)
+		}
+
+		// The fingerprint is the FNV-1a sum of the template text, and the
+		// template ID is its 8-digit uppercase hex.
+		fp := Fingerprint(sql)
+		if want := fnvReference(once); fp != want {
+			t.Errorf("Fingerprint(%q) = %08X, FNV-1a of %q = %08X", sql, fp, once, want)
+		}
+		if id, want := New(sql).ID, ID(fmt.Sprintf("%08X", fp)); id != want {
+			t.Errorf("New(%q).ID = %q, hex of fingerprint %q", sql, id, want)
 		}
 
 		// The stack-buffer keyword and function-name lookups must agree

@@ -1,14 +1,15 @@
 // Package sqltemplate turns raw SQL statements into SQL templates (digests):
 // structurally identical statements with different literal values share one
 // template (Definition II.3 of the paper). A template is identified by a
-// short hex SQL ID derived from an FNV hash of the normalized text, matching
-// the query-log presentation in Fig. 1.
+// short hex SQL ID, matching the query-log presentation in Fig. 1: the
+// 32-bit FNV-1a sum of the normalized text as eight uppercase hex digits.
+// Fingerprint computes that sum from the raw statement without building the
+// text, so for every statement New(sql).ID == hex(Fingerprint(sql)).
 package sqltemplate
 
 import (
 	"strings"
 	"sync"
-	"unicode"
 	"unicode/utf8"
 )
 
@@ -25,56 +26,47 @@ type Template struct {
 	Text string // normalized statement with literals replaced by '?'
 }
 
-// normScratch is the per-call working set of Normalize: the token slice and
-// the IN-list collapse buffer. Pooling it makes steady-state normalization
-// allocate only the returned string — the token slices themselves are
-// reused across calls (they hold substrings of past inputs between uses,
-// which is fine: inputs are log-record SQL that outlives the call anyway).
-type normScratch struct {
-	tokens []string
-	out    []string
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(normScratch) }}
-
 // Normalize rewrites a SQL statement into its template text: string and
 // numeric literals become '?', IN (...) lists collapse to IN (?), whitespace
 // is squeezed, and keywords are uppercased outside of (former) literals.
 // Normalization is idempotent: Normalize(Normalize(s)) == Normalize(s).
 func Normalize(sql string) string {
-	sc := scratchPool.Get().(*normScratch)
-	sc.tokens = appendTokens(sc.tokens[:0], sql)
-	tokens, copied := collapseInListsInto(sc.out[:0], sc.tokens)
-	if copied {
-		sc.out = tokens
-	}
-	var b strings.Builder
-	b.Grow(len(sql))
-	for i, tok := range tokens {
-		if i > 0 && needsSpace(tokens[i-1], tok) {
-			b.WriteByte(' ')
-		}
-		b.WriteString(tok)
-	}
-	scratchPool.Put(sc)
-	return b.String()
+	text, _ := render(sql)
+	return text
 }
 
 // New builds the Template for a raw SQL statement.
 func New(sql string) Template {
-	text := Normalize(sql)
-	return Template{ID: HashID(text), Text: text}
+	text, sum := render(sql)
+	return Template{ID: hexID(sum), Text: text}
 }
 
-// HashID computes the SQL ID of already-normalized template text. The FNV-1a
-// round is inlined (rather than hash/fnv) so the only allocation is the
-// returned 8-byte ID itself — no hasher object, no []byte(normalized) copy.
+// Fingerprint returns the FNV-1a sum of Normalize(sql) — the number whose
+// hex form is the statement's template ID — without allocating.
+func Fingerprint(sql string) uint32 {
+	r := renderer{sum: fnvOffset}
+	r.lex(sql)
+	return r.sum
+}
+
+// HashID computes the SQL ID of already-normalized template text.
 func HashID(normalized string) ID {
-	sum := uint32(2166136261) // FNV-1a offset basis
-	for i := 0; i < len(normalized); i++ {
-		sum ^= uint32(normalized[i])
-		sum *= 16777619 // FNV prime
+	return hexID(fnvFold(fnvOffset, normalized))
+}
+
+const (
+	fnvOffset = 2166136261 // FNV-1a 32-bit offset basis
+	fnvPrime  = 16777619
+)
+
+func fnvFold(sum uint32, s string) uint32 {
+	for i := 0; i < len(s); i++ {
+		sum = (sum ^ uint32(s[i])) * fnvPrime
 	}
+	return sum
+}
+
+func hexID(sum uint32) ID {
 	const hexdigits = "0123456789ABCDEF"
 	var buf [8]byte
 	for i := 7; i >= 0; i-- {
@@ -84,29 +76,98 @@ func HashID(normalized string) ID {
 	return ID(buf[:])
 }
 
-// tokenize splits SQL into normalized tokens; it is appendTokens with a
-// fresh slice, kept for tests and one-off callers.
-func tokenize(sql string) []string {
-	return appendTokens(nil, sql)
+// textPool recycles render's text buffer, so normalization allocates only
+// the returned string.
+var textPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// render returns a statement's template text and its FNV-1a sum.
+func render(sql string) (string, uint32) {
+	buf := textPool.Get().(*[]byte)
+	r := renderer{sum: fnvOffset, keep: true, text: (*buf)[:0]}
+	r.lex(sql)
+	text := string(r.text)
+	*buf = r.text
+	textPool.Put(buf)
+	return text, r.sum
 }
 
-// appendTokens appends the normalized tokens of sql onto tokens:
-// keywords/identifiers (uppercased keywords, identifiers preserved),
-// literals (replaced by '?'), and punctuation. Passing a recycled
-// zero-length slice makes tokenization allocation-free once the backing
-// array has grown to the statement's token count.
-func appendTokens(tokens []string, sql string) []string {
-	i := 0
-	n := len(sql)
-	for i < n {
-		c := sql[i]
+// renderer is the one pass over a statement: lex splits the raw text into
+// normalized tokens and token renders each as it is found — spacing rule,
+// IN-list collapse — folding the rendered bytes into sum, and keeping them
+// in text when keep is set.
+type renderer struct {
+	sum  uint32
+	prev string // last token rendered; "" before the first
+	keep bool
+	text []byte
+
+	// IN-list collapse. A list is rendered as written while it is read;
+	// when it closes having held only placeholders and commas, the
+	// rendering is rewound to the mark taken after "IN (".
+	list    int8
+	markSum uint32
+	markLen int
+}
+
+const (
+	listNone    = iota
+	listAfterIN // the last token was the keyword IN
+	listOpen    // inside "IN (", only placeholders and commas so far
+)
+
+// Byte classes of the lexer. Every non-ASCII byte is part of an identifier,
+// as MySQL does for unquoted identifiers: a multibyte UTF-8 rune must stay
+// one token, or normalization would split it into invalid byte fragments
+// (found by FuzzNormalize).
+const (
+	clSpace = 1 << iota
+	clDigit
+	clIdent // starts an identifier; clIdent|clDigit continues one
+)
+
+var classOf = func() (t [256]uint8) {
+	for c := range t {
 		switch {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
+			t[c] = clSpace
+		case c >= '0' && c <= '9':
+			t[c] = clDigit
+		case c == '_' || c == '$' || c >= utf8.RuneSelf || (c|0x20 >= 'a' && c|0x20 <= 'z'):
+			t[c] = clIdent
+		}
+	}
+	return t
+}()
+
+// lex renders the normalized tokens of sql: keywords/identifiers
+// (uppercased keywords, identifiers preserved), literals (replaced by '?'),
+// and punctuation.
+func (r *renderer) lex(sql string) {
+	n := len(sql)
+	for i := 0; i < n; {
+		c := sql[i]
+		cl := classOf[c]
+		switch {
+		case cl == clIdent:
+			j := i + 1
+			for j < n && classOf[sql[j]]&(clIdent|clDigit) != 0 {
+				j++
+			}
+			word := sql[i:j]
+			if kw, ok := keywordToken(word); ok {
+				word = kw
+			}
+			r.token(word)
+			if word == "IN" { // any spelling of the keyword; an identifier never is
+				r.list = listAfterIN
+			}
+			i = j
+		case cl == clSpace:
 			i++
 		case c == '\'' || c == '"':
 			// String literal; honor backslash and doubled-quote escapes.
 			i = skipString(sql, i)
-			tokens = append(tokens, Placeholder)
+			r.token(Placeholder)
 		case c == '`':
 			// Quoted identifier: keep verbatim (case-sensitive). An
 			// identifier cannot span lines, so an unterminated quote
@@ -117,19 +178,21 @@ func appendTokens(tokens []string, sql string) []string {
 			}
 			if j < n && sql[j] == '`' {
 				j++
-				tokens = append(tokens, sql[i:j])
+				r.token(sql[i:j])
 			} else {
 				// Unterminated: close the quote ourselves, otherwise the
 				// rendered template re-tokenizes differently (a following
 				// backtick would pair with the dangling one across the
 				// inserted space — found by FuzzNormalize).
-				tokens = append(tokens, sql[i:j]+"`")
+				r.token(sql[i:j])
+				r.write("`")
 			}
 			i = j
-		case isDigit(c) && !prevIsIdentifier(tokens):
-			// Numeric literal (integer, decimal, scientific, hex).
+		case cl == clDigit && r.prev != ".":
+			// Numeric literal (integer, decimal, scientific, hex). A digit
+			// after a dot is a qualified name part and falls to punctuation.
 			i = skipNumber(sql, i)
-			tokens = append(tokens, Placeholder)
+			r.token(Placeholder)
 		case c == '-' && i+1 < n && sql[i+1] == '-':
 			// Line comment: drop entirely.
 			for i < n && sql[i] != '\n' {
@@ -147,33 +210,61 @@ func appendTokens(tokens []string, sql string) []string {
 				j = n
 			}
 			i = j
-		case isIdentStart(c):
-			j := i
-			for j < n && isIdentPart(sql[j]) {
-				j++
-			}
-			word := sql[i:j]
-			if kw, ok := keywordToken(word); ok {
-				tokens = append(tokens, kw)
-			} else {
-				tokens = append(tokens, word)
-			}
-			i = j
-		case (c == '-' || c == '+') && i+1 < n && isDigit(sql[i+1]) && startsLiteralContext(tokens):
+		case (c == '-' || c == '+') && i+1 < n && isDigit(sql[i+1]) && startsLiteralContext(r.prev):
 			// Signed numeric literal after an operator/comparison.
 			i = skipNumber(sql, i+1)
-			tokens = append(tokens, Placeholder)
+			r.token(Placeholder)
 		default:
 			// Punctuation / operator, possibly multi-char (<=, >=, <>, !=).
 			j := i + 1
 			if j < n && isComparisonPair(sql[i], sql[j]) {
 				j++
 			}
-			tokens = append(tokens, sql[i:j])
+			r.token(sql[i:j])
 			i = j
 		}
 	}
-	return tokens
+}
+
+// token renders one token, collapsing "IN ( ? , ? , ? )" to "IN (?)" so
+// queries differing only in IN-list arity share a template. The list must
+// be non-empty and hold only placeholders and commas.
+func (r *renderer) token(tok string) {
+	switch r.list {
+	case listAfterIN:
+		r.list = listNone
+		if tok == "(" {
+			r.emit(tok)
+			r.list, r.markSum, r.markLen = listOpen, r.sum, len(r.text)
+			return
+		}
+	case listOpen:
+		if tok == Placeholder || tok == "," {
+			break
+		}
+		r.list = listNone
+		if tok == ")" && r.prev != "(" { // closed, and not empty
+			r.sum, r.text, r.prev = r.markSum, r.text[:r.markLen], "("
+			r.emit(Placeholder)
+		}
+	}
+	r.emit(tok)
+}
+
+// emit writes a token after the separating space it needs, if any.
+func (r *renderer) emit(tok string) {
+	if r.prev != "" && needsSpace(r.prev, tok) {
+		r.write(" ")
+	}
+	r.write(tok)
+	r.prev = tok
+}
+
+func (r *renderer) write(s string) {
+	r.sum = fnvFold(r.sum, s)
+	if r.keep {
+		r.text = append(r.text, s...)
+	}
 }
 
 func skipString(sql string, i int) int {
@@ -223,59 +314,6 @@ func skipNumber(sql string, i int) int {
 		}
 	}
 	return j
-}
-
-// collapseInListsInto rewrites "IN ( ? , ? , ? )" token runs into
-// "IN ( ? )" so queries differing only in IN-list arity share a template.
-// It is copy-on-write: most statements have no collapsible list, and for
-// those the input slice is returned as-is (copied == false) without
-// touching dst. When a collapse is needed, the result is built in dst
-// (which must be a zero-length slice the caller owns) and copied == true.
-func collapseInListsInto(dst, tokens []string) (out []string, copied bool) {
-	i := 0
-	for i < len(tokens) {
-		if run := inListRun(tokens, i); run > 0 {
-			if !copied {
-				dst = append(dst, tokens[:i]...)
-				copied = true
-			}
-			dst = append(dst, "IN", "(", Placeholder, ")")
-			i += run
-			continue
-		}
-		if copied {
-			dst = append(dst, tokens[i])
-		}
-		i++
-	}
-	if !copied {
-		return tokens, false
-	}
-	return dst, true
-}
-
-// inListRun reports the length in tokens of a collapsible
-// "IN ( ? [, ?]... )" run starting at i, or 0 if tokens[i] does not start
-// one. The parenthesized run must be non-empty and contain only
-// placeholders and commas.
-func inListRun(tokens []string, i int) int {
-	if !strings.EqualFold(tokens[i], "IN") || i+2 >= len(tokens) || tokens[i+1] != "(" {
-		return 0
-	}
-	j := i + 2
-	for j < len(tokens) {
-		if tokens[j] == ")" {
-			if j > i+2 {
-				return j + 1 - i
-			}
-			return 0
-		}
-		if tokens[j] != Placeholder && tokens[j] != "," {
-			return 0
-		}
-		j++
-	}
-	return 0
 }
 
 // needsSpace decides whether two adjacent tokens need a separating space in
@@ -333,32 +371,11 @@ func isFunctionName(tok string) bool {
 	return funcNames[string(buf[:len(tok)])]
 }
 
-func isWordToken(tok string) bool {
-	if tok == "" {
-		return false
-	}
-	return isIdentStart(tok[0]) || tok[0] == '`'
-}
-
-func prevIsIdentifier(tokens []string) bool {
-	if len(tokens) == 0 {
-		return false
-	}
-	last := tokens[len(tokens)-1]
-	// A digit directly following an identifier tail is part of the
-	// identifier-ish stream (e.g. table names like user_1 already consumed);
-	// tokenize only reaches here when the digit starts a new token, so the
-	// relevant case is "identifier <space> 123" which IS a literal. Only a
-	// dot joining means it's a qualified part, handled by ident scanning.
-	return last == "."
-}
-
-func startsLiteralContext(tokens []string) bool {
-	if len(tokens) == 0 {
-		return true
-	}
-	switch tokens[len(tokens)-1] {
-	case "=", "<", ">", "<=", ">=", "<>", "!=", "(", ",", "+", "-", "*", "/":
+// startsLiteralContext reports whether a sign after prev, the last token
+// rendered, begins a numeric literal rather than a binary operator.
+func startsLiteralContext(prev string) bool {
+	switch prev {
+	case "", "=", "<", ">", "<=", ">=", "<>", "!=", "(", ",", "+", "-", "*", "/":
 		return true
 	}
 	return false
@@ -366,15 +383,6 @@ func startsLiteralContext(tokens []string) bool {
 
 func isDigit(c byte) bool    { return c >= '0' && c <= '9' }
 func isHexDigit(c byte) bool { return isDigit(c) || (c|0x20 >= 'a' && c|0x20 <= 'f') }
-
-// isIdentStart treats every non-ASCII byte as part of an identifier, as
-// MySQL does for unquoted identifiers: a multibyte UTF-8 rune must stay
-// one token, or normalization would split it into invalid byte fragments
-// (found by FuzzNormalize).
-func isIdentStart(c byte) bool {
-	return c == '_' || c == '$' || c >= utf8.RuneSelf || unicode.IsLetter(rune(c))
-}
-func isIdentPart(c byte) bool { return isIdentStart(c) || isDigit(c) }
 
 func isComparisonPair(a, b byte) bool {
 	switch {
@@ -410,46 +418,61 @@ var keywords = map[string]bool{
 	"TRUNCATE": true, "REPLACE": true, "LOCK": true, "UNLOCK": true,
 }
 
-// keywordCanon maps an uppercase keyword to its canonical (interned) string
-// so the tokenizer can emit the uppercase form without allocating.
-var keywordCanon = func() map[string]string {
-	m := make(map[string]string, len(keywords))
+const (
+	maxKeywordLen = len("REFERENCES")
+	kwSlots       = 512 // sparse for ~80 keywords: most probes end at the first slot
+)
+
+// kwTable is the keyword set as an open-addressed table under kwHash, which
+// reads three bytes of the word instead of hashing all of it: the lexer asks
+// for every word of every statement, and a map probe per word was half of a
+// Fingerprint call.
+var kwTable = func() (t [kwSlots]string) {
 	for k := range keywords {
-		m[k] = k
+		h := kwHash(k)
+		for t[h] != "" {
+			h = (h + 1) % kwSlots
+		}
+		t[h] = k
 	}
-	return m
+	return t
 }()
 
-const maxKeywordLen = len("REFERENCES")
+func kwHash[S string | []byte](up S) uint {
+	n := uint(len(up))
+	return (uint(up[0])*61 + uint(up[n/2])*17 + uint(up[n-1])*5 + n) % kwSlots
+}
 
 // keywordToken reports whether word is a SQL keyword and, if so, returns
 // its canonical uppercase token. ASCII words (the only kind the workload
 // emits) are uppercased into a stack buffer — zero allocations. Non-ASCII
-// words fall back to strings.ToUpper before the lookup, preserving the
-// exact Unicode case-folding behavior of the pre-pooling implementation
-// (e.g. a dotless ı uppercases to ASCII I); the fallback must run before
-// any length check because Unicode uppercasing can shrink byte length.
+// words fall back to strings.ToUpper before the lookup, preserving Unicode
+// case folding (e.g. a dotless ı uppercases to ASCII I); the fallback must
+// run before any length check because Unicode uppercasing can shrink byte
+// length.
 func keywordToken(word string) (string, bool) {
-	for i := 0; i < len(word); i++ {
-		if word[i] >= utf8.RuneSelf {
-			up := strings.ToUpper(word)
-			if keywords[up] {
-				return up, true
-			}
-			return "", false
-		}
-	}
-	if len(word) > maxKeywordLen {
-		return "", false
-	}
 	var buf [maxKeywordLen]byte
 	for i := 0; i < len(word); i++ {
 		c := word[i]
-		if 'a' <= c && c <= 'z' {
-			c -= 'a' - 'A'
+		if c >= utf8.RuneSelf {
+			up := strings.ToUpper(word)
+			return up, keywords[up]
 		}
-		buf[i] = c
+		if i < maxKeywordLen {
+			if 'a' <= c && c <= 'z' {
+				c -= 'a' - 'A'
+			}
+			buf[i] = c
+		}
 	}
-	canon, ok := keywordCanon[string(buf[:len(word)])]
-	return canon, ok
+	if len(word) == 0 || len(word) > maxKeywordLen {
+		return "", false
+	}
+	up := buf[:len(word)]
+	for h := kwHash(up); kwTable[h] != ""; h = (h + 1) % kwSlots {
+		if kwTable[h] == string(up) {
+			return kwTable[h], true
+		}
+	}
+	return "", false
 }
