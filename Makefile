@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check fuzz-smoke fuzz-search test-corpus bench bench-aa bench-parallel bench-logstore bench-gen bench-fleet bench-fleet-scale bench-diagnose bench-incremental bench-ingest smoke-serve clean
+.PHONY: all build test race vet fmt-check loc fuzz-smoke fuzz-search test-corpus bench bench-aa bench-parallel smoke-serve clean
 
 all: build vet test
 
@@ -28,6 +28,13 @@ vet:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "$$out"; exit 1; fi
 
+# Lines of Go by kind: what runs (non-test, outside benchmark/), what
+# checks it, and the benchmark.
+loc:
+	@echo "non-test .go outside benchmark/: $$(git ls-files '*.go' | grep -v '^benchmark/' | grep -v '_test\.go$$' | xargs cat | wc -l)"
+	@echo "_test.go outside benchmark/:     $$(git ls-files '*.go' | grep -v '^benchmark/' | grep '_test\.go$$' | xargs cat | wc -l)"
+	@echo "benchmark/:                      $$(git ls-files 'benchmark/*.go' | xargs cat | wc -l)"
+
 # Short fuzzing campaigns: sqltemplate.Normalize (panic-freedom,
 # idempotence, stable template IDs, agreement with the tokenize-collapse-join
 # normalizer it replaced, Fingerprint == FNV-1a of the text), the segment
@@ -40,7 +47,7 @@ fmt-check:
 # decimal conversion (bit-equal to strconv.ParseFloat), the log store's order
 # restoration (any loose batches scan back in the stable comparison sort's
 # order), and the frame session estimator's direct paths (bit-equal to the
-# map-keyed estimator's all-buckets walk). Long campaigns: raise -fuzztime.
+# map-keyed reference's all-buckets walk). Long campaigns: raise -fuzztime.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzNormalize -fuzztime=10s ./internal/sqltemplate
 	$(GO) test -run=^$$ -fuzz=FuzzRecordCodec -fuzztime=10s ./internal/logstore/segment
@@ -83,60 +90,6 @@ bench-aa:
 # ~4000-template case.
 bench-parallel:
 	$(GO) test -run=^$$ -bench=BenchmarkDiagnoseParallel -benchtime=3x .
-
-# Log-store backend comparison: append/scan throughput of the in-memory
-# store versus the durable segment store, plus restart-recovery latency
-# and disk footprint (with a cross-backend scan-equivalence check).
-bench-logstore:
-	$(GO) test -run=^$$ -bench=BenchmarkLogStoreBackends -benchtime=3x .
-
-# Generation fast path: parallel case generation vs sequential
-# (exits non-zero if the parallel corpus is not byte-identical) and dbsim
-# event-loop allocs/event. Writes BENCH_gen.json.
-bench-gen:
-	$(GO) run ./cmd/pinsql-bench -exp gen -small -seed 3
-
-# Fleet throughput sweep: instance counts × (shards × workers) through
-# the full multi-instance monitoring pipeline (windows/sec, shard
-# speedup, shed rate, peak queue depth), plus a multi-process re-run of
-# one cell per instance count (each shard a supervised worker process),
-# with a built-in determinism gate — the run exits non-zero if any
-# cell's fleet report, in-process or multi-process, diverges from its
-# instance count's unsharded baseline. Writes BENCH_fleet.json.
-bench-fleet:
-	$(GO) run ./cmd/pinsql-bench -exp fleet -small -seed 3
-
-# The 128-instance scale gate alone (same sweep and divergence checks as
-# bench-fleet at CI-sized parameters; kept as a named target so CI
-# failures point at cross-shard/cross-mode determinism directly).
-# Writes no file.
-bench-fleet-scale:
-	$(GO) run ./cmd/pinsql-bench -exp fleet -small -seed 5 -fleet-out ""
-
-# Diagnosis-path comparison: the columnar window frame vs the legacy
-# map-keyed path (windows/sec, allocs/op, bytes/op) with a built-in
-# divergence check — the run exits non-zero if the two paths disagree on
-# any ranking bit — plus the per-tick incremental-close comparison (delta
-# frame build + streaming detection vs from-scratch rebuild + batch
-# detection), which exits non-zero if any tick diverges or the close
-# speedup drops below the committed floor (the command's gate: the library
-# only reports below_floor, so go test never evaluates a wall-clock ratio).
-# Writes BENCH_diagnose.json.
-bench-diagnose:
-	$(GO) run ./cmd/pinsql-bench -exp diagnose -small -seed 3
-
-# The incremental-close gate alone (same floor and divergence checks as
-# bench-diagnose, which embeds it; kept as a named target so CI failures
-# point at the incremental path directly).
-bench-incremental:
-	$(GO) run ./cmd/pinsql-bench -exp diagnose -small -seed 5 -diagnose-out ""
-
-# Trace-ingestion bench: parse throughput of the slow-log adapter stack
-# on the committed example recording, plus the same trace through the
-# full monitoring pipeline twice — exits non-zero if the two replays'
-# reports differ on any byte. Writes BENCH_ingest.json.
-bench-ingest:
-	$(GO) run ./cmd/pinsql-bench -exp ingest
 
 # Control-plane smoke, two phases: boot pinsqld -serve with a
 # 4-instance 2-shard fleet, curl /fleet and /metrics, SIGTERM, assert a

@@ -20,7 +20,6 @@ import (
 	"pinsql/internal/cases"
 	"pinsql/internal/core"
 	"pinsql/internal/dbsim"
-	"pinsql/internal/session"
 	"pinsql/internal/workload"
 )
 
@@ -156,13 +155,12 @@ func BenchmarkTableIV_PfsOverhead(b *testing.B) {
 // the upper region of the paper's Fig. 7 sweep) shared by every
 // BenchmarkDiagnoseParallel worker-count variant.
 var parallelCase struct {
-	once    sync.Once
-	lab     *cases.Labeled
-	queries session.Queries
-	err     error
+	once sync.Once
+	lab  *cases.Labeled
+	err  error
 }
 
-func loadParallelCase() (*cases.Labeled, session.Queries, error) {
+func loadParallelCase() (*cases.Labeled, error) {
 	parallelCase.once.Do(func() {
 		opt := cases.DefaultOptions()
 		opt.Seed = 5
@@ -174,11 +172,8 @@ func loadParallelCase() (*cases.Labeled, session.Queries, error) {
 		opt.FillerServices = (4000 - 23) / 25
 		opt.FillerSpecs = 25
 		parallelCase.lab, parallelCase.err = cases.GenerateOne(opt, 0, workload.KindBusinessSpike)
-		if parallelCase.err == nil {
-			parallelCase.queries = cases.QueriesOf(parallelCase.lab.Collector, parallelCase.lab.Case.Snapshot)
-		}
 	})
-	return parallelCase.lab, parallelCase.queries, parallelCase.err
+	return parallelCase.lab, parallelCase.err
 }
 
 // BenchmarkDiagnoseParallel measures the parallel diagnosis pipeline on a
@@ -195,16 +190,17 @@ func BenchmarkDiagnoseParallel(b *testing.B) {
 	var baseline *core.Diagnosis
 	for _, w := range counts {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			lab, queries, err := loadParallelCase()
+			lab, err := loadParallelCase()
 			if err != nil {
 				b.Fatal(err)
 			}
+			fr := lab.Collector.Frame()
 			cfg := core.DefaultConfig()
 			cfg.Workers = w
-			b.ReportMetric(float64(len(lab.Case.Snapshot.Templates)), "templates")
+			b.ReportMetric(float64(fr.NumTemplates()), "templates")
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				d := core.Diagnose(lab.Case, queries, cfg)
+				d := core.DiagnoseFrame(lab.Case, fr, cfg)
 				if i == 0 {
 					if w == 1 && baseline == nil {
 						baseline = d
@@ -254,35 +250,6 @@ func BenchmarkAblation_BucketK(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if i == 0 {
-			b.Log("\n" + res.Format())
-		}
-	}
-}
-
-// BenchmarkLogStoreBackends compares the in-memory and durable segment
-// log-store backends on an identical ingest: append and windowed-scan
-// throughput for both, restart-recovery latency and disk footprint for the
-// durable store. The harness also asserts the two backends streamed
-// byte-identical scan sequences.
-func BenchmarkLogStoreBackends(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := bench.RunLogStoreBench(bench.LogStoreBenchOptions{
-			Seed: 7, Topics: 2, Records: 30_000, Windows: 32, Dir: b.TempDir(),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Equivalent {
-			b.Fatalf("backend scan sequences diverged\n%s", res.Format())
-		}
-		mem, seg := res.Rows[0], res.Rows[1]
-		b.ReportMetric(mem.AppendPerSec, "mem-append-rec/s")
-		b.ReportMetric(seg.AppendPerSec, "seg-append-rec/s")
-		b.ReportMetric(mem.ScanPerSec, "mem-scan-rec/s")
-		b.ReportMetric(seg.ScanPerSec, "seg-scan-rec/s")
-		b.ReportMetric(seg.RecoverMs, "seg-recover-ms")
-		b.ReportMetric(float64(seg.DiskBytes)/float64(2*30_000), "seg-bytes/rec")
 		if i == 0 {
 			b.Log("\n" + res.Format())
 		}

@@ -8,7 +8,6 @@
 //	pinsql-bench -exp table1 -cases 40    # Table I with a 40-case corpus
 //	pinsql-bench -exp fig7                # scalability sweep
 //	pinsql-bench -exp sweep -param tau    # hyperparameter sensitivity
-//	pinsql-bench -exp gen                 # generation fast path
 //	pinsql-bench -exp fig7 -cpuprofile cpu.out -memprofile mem.out
 package main
 
@@ -23,14 +22,9 @@ import (
 
 	"pinsql/internal/bench"
 	"pinsql/internal/cases"
-	"pinsql/internal/shard/remote"
 )
 
 func main() {
-	// The fleet sweep's multi-process cells re-exec this binary as shard
-	// workers; when the worker config env var is set this call never
-	// returns.
-	remote.MaybeWorker()
 	os.Exit(realMain())
 }
 
@@ -38,24 +32,17 @@ func main() {
 // run before the process exits (os.Exit skips defers).
 func realMain() (code int) {
 	var (
-		exp         = flag.String("exp", "all", "experiment: table1|fig6|fig7|fig8|table2|table3|table4|sweep|families|scenario|logstore|gen|fleet|diagnose|fuzz|ingest|all")
-		n           = flag.Int("cases", 24, "corpus size for table1/fig6/families")
-		seed        = flag.Int64("seed", 1, "corpus seed")
-		param       = flag.String("param", "ks", "sweep parameter: ks|tau|buckets")
-		small       = flag.Bool("small", false, "use reduced trace lengths (faster, noisier)")
-		workers     = flag.Int("workers", 0, "worker pool for case generation and fig7's parallel curve (0 = GOMAXPROCS, 1 = sequential)")
-		genOut      = flag.String("gen-out", "BENCH_gen.json", "output file for the -exp gen report (empty = stdout only)")
-		diagOut     = flag.String("diagnose-out", "BENCH_diagnose.json", "output file for the -exp diagnose report (empty = stdout only)")
-		fleetOut    = flag.String("fleet-out", "BENCH_fleet.json", "output file for the -exp fleet report (empty = stdout only)")
-		fleetNoProc = flag.Bool("fleet-no-proc", false, "skip the fleet sweep's multi-process cells")
-		ingestOut   = flag.String("ingest-out", "BENCH_ingest.json", "output file for the -exp ingest report (empty = stdout only)")
-		ingestPath  = flag.String("ingest-trace", "", "trace file for -exp ingest (empty = the committed example recording)")
-		fuzzOut     = flag.String("fuzz-out", "BENCH_fuzz.json", "output file for the -exp fuzz report (empty = stdout only)")
-		fuzzBudget  = flag.Int("fuzz-budget", 0, "cases per fuzz search run (0 = default for the size)")
-		corpusDir   = flag.String("corpus-dir", "", "directory the fuzz search writes repro bundles into (empty = none)")
-		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile  = flag.String("memprofile", "", "write an allocation profile to this file on exit")
-		profDir     = flag.String("cpuprofile-dir", "", "for -exp fleet: write one CPU profile per sweep cell (fleet_i<N>_s<K>_w<W>.pprof) into this directory")
+		exp        = flag.String("exp", "all", "experiment: table1|fig6|fig7|fig8|table2|table3|table4|sweep|families|scenario|fuzz|all")
+		n          = flag.Int("cases", 24, "corpus size for table1/fig6/families")
+		seed       = flag.Int64("seed", 1, "corpus seed")
+		param      = flag.String("param", "ks", "sweep parameter: ks|tau|buckets")
+		small      = flag.Bool("small", false, "use reduced trace lengths (faster, noisier)")
+		workers    = flag.Int("workers", 0, "worker pool for case generation and fig7's parallel curve (0 = GOMAXPROCS, 1 = sequential)")
+		fuzzOut    = flag.String("fuzz-out", "BENCH_fuzz.json", "output file for the -exp fuzz report (empty = stdout only)")
+		fuzzBudget = flag.Int("fuzz-budget", 0, "cases per fuzz search run (0 = default for the size)")
+		corpusDir  = flag.String("corpus-dir", "", "directory the fuzz search writes repro bundles into (empty = none)")
+		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memprofile = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
 	flag.Parse()
 
@@ -147,63 +134,6 @@ func realMain() (code int) {
 		"families": func() {
 			run("families", func() (fmt.Stringer, error) { return wrap(bench.RunFamilyBreakdown(corpus(*n))) })
 		},
-		"logstore": func() {
-			run("logstore", func() (fmt.Stringer, error) {
-				opt := bench.LogStoreBenchOptions{Seed: *seed}
-				if *small {
-					opt.Records = 10_000
-					opt.Topics = 2
-				}
-				return wrap(bench.RunLogStoreBench(opt))
-			})
-		},
-		"gen": func() {
-			run("gen", func() (fmt.Stringer, error) {
-				res, err := bench.RunGenBench(bench.GenBenchOptions{
-					Seed: *seed, Workers: *workers, Small: *small,
-				})
-				if err != nil {
-					return nil, err
-				}
-				if *genOut != "" {
-					data, err := json.MarshalIndent(res, "", " ")
-					if err != nil {
-						return nil, err
-					}
-					if err := os.WriteFile(*genOut, append(data, '\n'), 0o644); err != nil {
-						return nil, err
-					}
-					fmt.Printf("[gen report written to %s]\n", *genOut)
-				}
-				return wrapped{res}, nil
-			})
-		},
-		"diagnose": func() {
-			run("diagnose", func() (fmt.Stringer, error) {
-				res, err := bench.RunDiagnoseBench(bench.DiagnoseBenchOptions{
-					Seed: *seed, Workers: *workers, Small: *small,
-				})
-				if err != nil {
-					return nil, err
-				}
-				if *diagOut != "" {
-					data, err := json.MarshalIndent(res, "", " ")
-					if err != nil {
-						return nil, err
-					}
-					if err := os.WriteFile(*diagOut, append(data, '\n'), 0o644); err != nil {
-						return nil, err
-					}
-					fmt.Printf("[diagnose report written to %s]\n", *diagOut)
-				}
-				if inc := res.Incremental; inc.BelowFloor {
-					fmt.Println(res.Format())
-					return nil, fmt.Errorf("incremental close speedup %.2fx below committed floor %.0fx",
-						inc.Speedup, inc.SpeedupFloor)
-				}
-				return wrapped{res}, nil
-			})
-		},
 		"scenario": func() {
 			run("scenario", func() (fmt.Stringer, error) { return wrap(bench.RunScenarioAccuracy(corpus(*n))) })
 		},
@@ -229,54 +159,10 @@ func realMain() (code int) {
 				return wrapped{res}, nil
 			})
 		},
-		"fleet": func() {
-			run("fleet", func() (fmt.Stringer, error) {
-				res, err := bench.RunFleetBench(bench.FleetBenchOptions{Seed: *seed, Small: *small, ProfileDir: *profDir, NoProc: *fleetNoProc})
-				if err != nil {
-					return nil, err
-				}
-				if *fleetOut != "" {
-					data, err := json.MarshalIndent(res, "", " ")
-					if err != nil {
-						return nil, err
-					}
-					if err := os.WriteFile(*fleetOut, append(data, '\n'), 0o644); err != nil {
-						return nil, err
-					}
-					fmt.Printf("[fleet report written to %s]\n", *fleetOut)
-				}
-				if !res.Identical {
-					return nil, fmt.Errorf("report divergence: some sweep cells (cross-shard or cross-process-mode) produced a different fleet report than their instance count's baseline")
-				}
-				return wrapped{res}, nil
-			})
-		},
-		"ingest": func() {
-			run("ingest", func() (fmt.Stringer, error) {
-				res, err := bench.RunIngestBench(bench.IngestBenchOptions{Path: *ingestPath})
-				if err != nil {
-					return nil, err
-				}
-				if *ingestOut != "" {
-					data, err := json.MarshalIndent(res, "", " ")
-					if err != nil {
-						return nil, err
-					}
-					if err := os.WriteFile(*ingestOut, append(data, '\n'), 0o644); err != nil {
-						return nil, err
-					}
-					fmt.Printf("[ingest report written to %s]\n", *ingestOut)
-				}
-				if !res.Identical {
-					return nil, fmt.Errorf("replay divergence: two pipeline passes over %s produced different reports", res.Path)
-				}
-				return wrapped{res}, nil
-			})
-		},
 	}
 
 	if *exp == "all" {
-		for _, name := range []string{"table1", "fig6", "fig7", "fig8", "table2", "table3", "table4", "families", "logstore"} {
+		for _, name := range []string{"table1", "fig6", "fig7", "fig8", "table2", "table3", "table4", "families"} {
 			experiments[name]()
 		}
 	} else if fn, ok := experiments[*exp]; ok {

@@ -119,7 +119,8 @@ func runDemo(family string, topK int) error {
 	}
 	fmt.Printf("generated %s (anomaly window [%d, %d) s, %d templates)\n",
 		lab.Name, lab.Case.AS, lab.Case.AE, len(lab.Case.Snapshot.Templates))
-	fmt.Printf("ground truth R-SQLs: %v\n\n", keys(lab.RSQLs))
+	rsqls, _ := lab.TruthIDs()
+	fmt.Printf("ground truth R-SQLs: %v\n\n", rsqls)
 	d := core.DiagnoseFrame(lab.Case, lab.Collector.Frame(), core.DefaultConfig())
 	printDiagnosis(d, lab.Case, topK)
 	return nil
@@ -203,12 +204,4 @@ func emitSample() error {
 	doc.History = []caseio.History{{DaysAgo: 1, Counts: map[string][]float64{"VICTIM01": countA}}}
 	doc.Truth = &caseio.Truth{RSQLs: []string{"CULPRIT7"}}
 	return doc.Write(os.Stdout)
-}
-
-func keys(m map[sqltemplate.ID]bool) []sqltemplate.ID {
-	out := make([]sqltemplate.ID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	return out
 }

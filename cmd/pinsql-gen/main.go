@@ -82,22 +82,7 @@ func run(count int, seed int64, family, out string, withQueries, small bool) err
 		if err != nil {
 			return err
 		}
-		var doc *caseio.File
-		if withQueries {
-			// The frame carries the observation columns the collector
-			// already built — same bytes as FromCase over QueriesOf.
-			doc = caseio.FromFrame(lab.Case, lab.Collector.Frame())
-		} else {
-			doc = caseio.FromCase(lab.Case, nil)
-		}
-		doc.Name = lab.Name
-		doc.Truth = &caseio.Truth{Kind: kind.String()}
-		for id := range lab.RSQLs {
-			doc.Truth.RSQLs = append(doc.Truth.RSQLs, string(id))
-		}
-		for id := range lab.HSQLs {
-			doc.Truth.HSQLs = append(doc.Truth.HSQLs, string(id))
-		}
+		doc := render(lab, withQueries)
 
 		if out == "-" {
 			if err := doc.Write(os.Stdout); err != nil {
@@ -121,4 +106,18 @@ func run(count int, seed int64, family, out string, withQueries, small bool) err
 		fmt.Printf("wrote %s (%d templates, %d KiB)\n", path, len(doc.Templates), info.Size()/1024)
 	}
 	return nil
+}
+
+// render is the document pinsql-gen writes for one labeled case. The same
+// case renders to the same bytes every time: the truth lists are sorted, and
+// FromFrame fixes every other order.
+func render(lab *cases.Labeled, withQueries bool) *caseio.File {
+	doc := caseio.FromFrame(lab.Case, lab.Collector.Frame())
+	if !withQueries {
+		doc.Queries = nil
+	}
+	doc.Name = lab.Name
+	doc.Truth = &caseio.Truth{Kind: lab.Kind.String()}
+	doc.Truth.RSQLs, doc.Truth.HSQLs = lab.TruthIDs()
+	return doc
 }

@@ -275,31 +275,3 @@ func TestRunFamilyBreakdown(t *testing.T) {
 		t.Error("Format incomplete")
 	}
 }
-
-func TestRunLogStoreBenchSmall(t *testing.T) {
-	res, err := RunLogStoreBench(LogStoreBenchOptions{Seed: 1, Topics: 2, Records: 5000, Windows: 8, Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	if !res.Equivalent {
-		t.Errorf("backends streamed divergent scan sequences\n%s", res.Format())
-	}
-	for _, row := range res.Rows {
-		if row.AppendPerSec <= 0 || row.ScanPerSec <= 0 {
-			t.Errorf("%s: non-positive throughput: %+v", row.Backend, row)
-		}
-	}
-	seg := res.Rows[1]
-	if seg.DiskBytes <= 0 {
-		t.Errorf("segment backend reported %d disk bytes", seg.DiskBytes)
-	}
-	if seg.RecoverMs <= 0 {
-		t.Errorf("segment backend reported %.3f ms recovery", seg.RecoverMs)
-	}
-	if !strings.Contains(res.Format(), "equivalence: OK") {
-		t.Errorf("Format:\n%s", res.Format())
-	}
-}

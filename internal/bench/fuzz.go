@@ -24,8 +24,8 @@ type FuzzBenchOptions struct {
 type FuzzBench struct {
 	Result *fuzz.Result `json:"result"`
 
-	// Deterministic reports the cross-check outcome; RunGenBench-style,
-	// a failure is also returned as an error so the CLI exits non-zero.
+	// Deterministic reports the cross-check outcome; a failure is also
+	// returned as an error so the CLI exits non-zero.
 	Deterministic bool   `json:"deterministic"`
 	DigestA       string `json:"digest_a"`
 	DigestB       string `json:"digest_b"`

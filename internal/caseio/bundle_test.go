@@ -6,48 +6,32 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-
-	"pinsql/internal/anomaly"
-	"pinsql/internal/collect"
-	"pinsql/internal/timeseries"
 )
 
 // testBundle builds a tiny but fully valid manifest + case document pair.
 func testBundle(t testing.TB) (*ReproManifest, *File) {
 	t.Helper()
-	const secs = 8
-	series := func(vals ...float64) timeseries.Series {
-		s := make(timeseries.Series, secs)
-		copy(s, vals)
-		return s
+	file := &File{
+		Version:       CurrentVersion,
+		Seconds:       8,
+		Anomaly:       Window{Start: 3, End: 6},
+		Rule:          "test",
+		ActiveSession: []float64{1, 1, 1, 6, 7, 6, 1, 1},
+		CPUUsage:      []float64{0.2, 0.2, 0.2, 0.9, 0.9, 0.9, 0.2, 0.2},
+		Templates: []Template{{
+			ID:      "tpl-a",
+			SQL:     "SELECT a FROM t WHERE id = ?",
+			Count:   []float64{2, 2, 2, 9, 9, 9, 2, 2},
+			SumRT:   []float64{10, 10, 10, 400, 420, 410, 10, 10},
+			SumRows: []float64{4, 4, 4, 60, 60, 60, 4, 4},
+		}, {
+			ID:      "tpl-b",
+			SQL:     "UPDATE t SET v = ? WHERE id = ?",
+			Count:   []float64{1, 1, 1, 1, 1, 1, 1, 1},
+			SumRT:   []float64{5, 5, 5, 5, 5, 5, 5, 5},
+			SumRows: []float64{1, 1, 1, 1, 1, 1, 1, 1},
+		}},
 	}
-	snap := &collect.Snapshot{
-		Topic:         "bundle-test",
-		Seconds:       secs,
-		ActiveSession: series(1, 1, 1, 6, 7, 6, 1, 1),
-		CPUUsage:      series(0.2, 0.2, 0.2, 0.9, 0.9, 0.9, 0.2, 0.2),
-		IOPSUsage:     make(timeseries.Series, secs),
-		MemUsage:      make(timeseries.Series, secs),
-		RowLockWaits:  make(timeseries.Series, secs),
-		MDLWaits:      make(timeseries.Series, secs),
-		AvgSession:    make(timeseries.Series, secs),
-		QPS:           make(timeseries.Series, secs),
-	}
-	snap.Templates = append(snap.Templates, &collect.TemplateSeries{
-		Meta:      collect.TemplateMeta{Index: 0, ID: "tpl-a", Text: "SELECT a FROM t WHERE id = ?"},
-		Count:     series(2, 2, 2, 9, 9, 9, 2, 2),
-		SumRT:     series(10, 10, 10, 400, 420, 410, 10, 10),
-		SumRows:   series(4, 4, 4, 60, 60, 60, 4, 4),
-		Throttled: make(timeseries.Series, secs),
-	}, &collect.TemplateSeries{
-		Meta:      collect.TemplateMeta{Index: 1, ID: "tpl-b", Text: "UPDATE t SET v = ? WHERE id = ?"},
-		Count:     series(1, 1, 1, 1, 1, 1, 1, 1),
-		SumRT:     series(5, 5, 5, 5, 5, 5, 5, 5),
-		SumRows:   series(1, 1, 1, 1, 1, 1, 1, 1),
-		Throttled: make(timeseries.Series, secs),
-	})
-	c := anomaly.NewCase(snap, anomaly.Phenomenon{Rule: "test", Start: 3, End: 6})
-	file := FromCase(c, nil)
 	file.Name = "bundle-test"
 	file.Truth = &Truth{RSQLs: []string{"tpl-b"}, HSQLs: []string{"tpl-a"}, Kind: "poor_sql"}
 
@@ -56,7 +40,7 @@ func testBundle(t testing.TB) (*ReproManifest, *File) {
 		Name:      "bundle-test",
 		Seed:      42,
 		CaseIndex: 3,
-		TraceSec:  secs,
+		TraceSec:  file.Seconds,
 		Arm:       "poor_sql/hi/confuser",
 		Params: ReproParams{
 			Kind: "poor_sql", Service: 1, Intensity: 2.5,

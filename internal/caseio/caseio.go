@@ -11,12 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
-	"pinsql/internal/anomaly"
-	"pinsql/internal/collect"
-	"pinsql/internal/session"
-	"pinsql/internal/sqltemplate"
 	"pinsql/internal/timeseries"
 )
 
@@ -86,132 +81,6 @@ type Truth struct {
 
 // CurrentVersion of the format.
 const CurrentVersion = 1
-
-// FromCase converts an in-memory case (plus optional raw queries) into the
-// serializable document.
-func FromCase(c *anomaly.Case, queries session.Queries) *File {
-	snap := c.Snapshot
-	f := &File{
-		Version:       CurrentVersion,
-		StartMs:       snap.StartMs,
-		Seconds:       snap.Seconds,
-		Anomaly:       Window{Start: c.AS, End: c.AE},
-		Rule:          c.Phenomenon.Rule,
-		ActiveSession: snap.ActiveSession,
-		CPUUsage:      snap.CPUUsage,
-		IOPSUsage:     snap.IOPSUsage,
-		MemUsage:      snap.MemUsage,
-		RowLockWaits:  snap.RowLockWaits,
-		MDLWaits:      snap.MDLWaits,
-	}
-	for _, ts := range snap.Templates {
-		f.Templates = append(f.Templates, Template{
-			ID:      string(ts.Meta.ID),
-			SQL:     ts.Meta.Text,
-			Table:   ts.Meta.Table,
-			Count:   ts.Count,
-			SumRT:   ts.SumRT,
-			SumRows: ts.SumRows,
-		})
-	}
-	// Iterate templates in sorted order, not map order: the rendered file
-	// must be byte-identical for the same case however it was produced
-	// (the parallel-generation equivalence tests diff files directly).
-	ids := make([]sqltemplate.ID, 0, len(queries))
-	for id := range queries {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		for _, o := range queries[id] {
-			f.Queries = append(f.Queries, Query{
-				Template:   string(id),
-				ArrivalMs:  o.ArrivalMs,
-				ResponseMs: o.ResponseMs,
-			})
-		}
-	}
-	for _, hw := range c.History {
-		h := History{DaysAgo: hw.DaysAgo, Counts: make(map[string][]float64, len(hw.Counts))}
-		for id, s := range hw.Counts {
-			h.Counts[string(id)] = s
-		}
-		f.History = append(f.History, h)
-	}
-	return f
-}
-
-// ToCase reconstructs the in-memory case and raw queries from a document.
-func (f *File) ToCase() (*anomaly.Case, session.Queries, error) {
-	if f.Version != CurrentVersion {
-		return nil, nil, fmt.Errorf("caseio: unsupported version %d", f.Version)
-	}
-	if f.Seconds <= 0 {
-		return nil, nil, fmt.Errorf("caseio: seconds must be positive")
-	}
-	if len(f.Templates) == 0 {
-		return nil, nil, fmt.Errorf("caseio: no templates")
-	}
-	snap := &collect.Snapshot{
-		Topic:         f.Name,
-		StartMs:       f.StartMs,
-		Seconds:       f.Seconds,
-		ActiveSession: pad(f.ActiveSession, f.Seconds),
-		CPUUsage:      pad(f.CPUUsage, f.Seconds),
-		IOPSUsage:     pad(f.IOPSUsage, f.Seconds),
-		MemUsage:      pad(f.MemUsage, f.Seconds),
-		RowLockWaits:  pad(f.RowLockWaits, f.Seconds),
-		MDLWaits:      pad(f.MDLWaits, f.Seconds),
-		AvgSession:    make(timeseries.Series, f.Seconds),
-		QPS:           make(timeseries.Series, f.Seconds),
-	}
-	for i, t := range f.Templates {
-		id := sqltemplate.ID(t.ID)
-		if id == "" {
-			if t.SQL == "" {
-				return nil, nil, fmt.Errorf("caseio: template %d has neither id nor sql", i)
-			}
-			id = sqltemplate.New(t.SQL).ID
-		}
-		snap.Templates = append(snap.Templates, &collect.TemplateSeries{
-			Meta: collect.TemplateMeta{
-				Index: int32(i),
-				ID:    id,
-				Text:  t.SQL,
-				Table: t.Table,
-			},
-			Count:     pad(t.Count, f.Seconds),
-			SumRT:     pad(t.SumRT, f.Seconds),
-			SumRows:   pad(t.SumRows, f.Seconds),
-			Throttled: make(timeseries.Series, f.Seconds),
-		})
-	}
-	rule := f.Rule
-	if rule == "" {
-		rule = "from_file"
-	}
-	c := anomaly.NewCase(snap, anomaly.Phenomenon{
-		Rule:  rule,
-		Start: f.Anomaly.Start,
-		End:   f.Anomaly.End,
-	})
-	for _, h := range f.History {
-		hw := anomaly.HistoryWindow{
-			DaysAgo: h.DaysAgo,
-			Counts:  make(map[sqltemplate.ID]timeseries.Series, len(h.Counts)),
-		}
-		for id, counts := range h.Counts {
-			hw.Counts[sqltemplate.ID(id)] = pad(counts, f.Seconds)
-		}
-		c.History = append(c.History, hw)
-	}
-	queries := make(session.Queries)
-	for _, q := range f.Queries {
-		id := sqltemplate.ID(q.Template)
-		queries[id] = append(queries[id], session.Obs{ArrivalMs: q.ArrivalMs, ResponseMs: q.ResponseMs})
-	}
-	return c, queries, nil
-}
 
 // Write encodes the document to w (indented JSON).
 func (f *File) Write(w io.Writer) error {

@@ -4,7 +4,7 @@ package caseio
 // Workers>1 must serialize to the byte-identical file as the same case
 // generated sequentially, and survive a write/read round trip. This pins
 // both halves of the determinism story — generation cannot depend on
-// worker scheduling, and FromCase cannot depend on map iteration order.
+// worker scheduling, and FromFrame cannot depend on map iteration order.
 
 import (
 	"bytes"
@@ -35,7 +35,7 @@ func generateCorpus(t *testing.T, workers int) []*cases.Labeled {
 
 func encodeCase(t *testing.T, lab *cases.Labeled) []byte {
 	t.Helper()
-	f := FromCase(lab.Case, cases.QueriesOf(lab.Collector, lab.Case.Snapshot))
+	f := FromFrame(lab.Case, lab.Collector.Frame())
 	f.Name = lab.Name
 	var buf bytes.Buffer
 	if err := f.Write(&buf); err != nil {
@@ -56,7 +56,7 @@ func TestParallelGenerationSerializesIdentically(t *testing.T) {
 			t.Errorf("case %d: parallel-generated file differs from sequential (%d vs %d bytes)", i, len(b), len(a))
 		}
 		// Repeated serialization of the same in-memory case must also be
-		// stable — FromCase may not leak map iteration order.
+		// stable — FromFrame may not leak map iteration order.
 		if again := encodeCase(t, par[i]); !bytes.Equal(b, again) {
 			t.Errorf("case %d: re-serialization not byte-stable", i)
 		}
@@ -67,7 +67,7 @@ func TestParallelGenerationSerializesIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, queries, err := f.ToCase()
+	c, fr, err := f.ToFrame()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestParallelGenerationSerializesIdentically(t *testing.T) {
 	if len(c.Snapshot.Templates) != len(par[0].Case.Snapshot.Templates) {
 		t.Errorf("round trip templates %d vs %d", len(c.Snapshot.Templates), len(par[0].Case.Snapshot.Templates))
 	}
-	if len(queries) == 0 {
+	if fr.NumObs() == 0 {
 		t.Error("round trip dropped raw queries")
 	}
 }

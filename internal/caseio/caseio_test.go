@@ -5,76 +5,23 @@ import (
 	"strings"
 	"testing"
 
-	"pinsql/internal/anomaly"
 	"pinsql/internal/collect"
-	"pinsql/internal/session"
 	"pinsql/internal/sqltemplate"
-	"pinsql/internal/timeseries"
 )
 
-func sampleCase() (*anomaly.Case, session.Queries) {
-	n := 60
-	snap := &collect.Snapshot{
-		Topic:         "sample",
-		Seconds:       n,
-		ActiveSession: ramp(n, 2),
-		CPUUsage:      ramp(n, 1),
-		IOPSUsage:     make(timeseries.Series, n),
-		MemUsage:      make(timeseries.Series, n),
-		RowLockWaits:  make(timeseries.Series, n),
-		MDLWaits:      make(timeseries.Series, n),
-		AvgSession:    make(timeseries.Series, n),
-		QPS:           make(timeseries.Series, n),
-	}
-	snap.Templates = []*collect.TemplateSeries{
-		{
-			Meta:    collect.TemplateMeta{Index: 0, ID: "AAAA0001", Text: "SELECT * FROM t WHERE id = ?", Table: "t"},
-			Count:   ramp(n, 3),
-			SumRT:   ramp(n, 4),
-			SumRows: ramp(n, 5),
-		},
-		{
-			Meta:    collect.TemplateMeta{Index: 1, ID: "BBBB0002", Text: "UPDATE t SET x = ?", Table: "t"},
-			Count:   ramp(n, 6),
-			SumRT:   ramp(n, 7),
-			SumRows: ramp(n, 8),
-		},
-	}
-	c := anomaly.NewCase(snap, anomaly.Phenomenon{Rule: "active_session_anomaly", Start: 30, End: 50})
-	c.History = []anomaly.HistoryWindow{{
-		DaysAgo: 1,
-		Counts: map[sqltemplate.ID]timeseries.Series{
-			"AAAA0001": ramp(n, 9),
-		},
-	}}
-	queries := session.Queries{
-		"AAAA0001": {{ArrivalMs: 100, ResponseMs: 25}, {ArrivalMs: 2000, ResponseMs: 10}},
-		"BBBB0002": {{ArrivalMs: 500, ResponseMs: 90}},
-	}
-	return c, queries
-}
-
-func ramp(n int, k float64) timeseries.Series {
-	s := make(timeseries.Series, n)
-	for i := range s {
-		s[i] = k * float64(i%7)
-	}
-	return s
-}
-
 func TestRoundTrip(t *testing.T) {
-	c, queries := sampleCase()
-	f := FromCase(c, queries)
+	fr := frameSample(t).Frame()
+	c := caseOf(t, collect.SnapshotOfFrame(fr))
 
 	var buf bytes.Buffer
-	if err := f.Write(&buf); err != nil {
+	if err := FromFrame(c, fr).Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, q2, err := loaded.ToCase()
+	c2, fr2, err := loaded.ToFrame()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +32,7 @@ func TestRoundTrip(t *testing.T) {
 	if c2.Phenomenon.Rule != c.Phenomenon.Rule {
 		t.Errorf("rule %q vs %q", c2.Phenomenon.Rule, c.Phenomenon.Rule)
 	}
-	if len(c2.Snapshot.Templates) != 2 {
+	if len(c2.Snapshot.Templates) != 3 {
 		t.Fatalf("templates = %d", len(c2.Snapshot.Templates))
 	}
 	for i, ts := range c.Snapshot.Templates {
@@ -110,27 +57,38 @@ func TestRoundTrip(t *testing.T) {
 	if len(c2.History) != 1 || c2.History[0].DaysAgo != 1 {
 		t.Fatalf("history = %+v", c2.History)
 	}
-	if len(q2) != 2 || len(q2["AAAA0001"]) != 2 || q2["BBBB0002"][0].ResponseMs != 90 {
-		t.Errorf("queries = %+v", q2)
+	a1, _ := fr2.Pos("A1")
+	b2, _ := fr2.Pos("B2")
+	if _, resp := fr2.Obs(b2); fr2.NumObs() != 4 || fr2.ObsLen(a1) != 2 || resp[0] != 90 {
+		t.Errorf("queries = %v / %v", fr2.Arrival, fr2.Response)
 	}
 }
 
-func TestToCaseValidation(t *testing.T) {
-	bad := &File{Version: CurrentVersion, Seconds: 0}
-	if _, _, err := bad.ToCase(); err == nil {
-		t.Error("zero seconds accepted")
+func TestToFrameValidation(t *testing.T) {
+	valid := func() *File {
+		return &File{Version: CurrentVersion, Seconds: 10, Anomaly: Window{Start: 2, End: 6}, Templates: []Template{{ID: "X"}}}
 	}
-	bad = &File{Version: 99, Seconds: 10, Templates: []Template{{ID: "X"}}}
-	if _, _, err := bad.ToCase(); err == nil {
-		t.Error("future version accepted")
+	if _, _, err := valid().ToFrame(); err != nil {
+		t.Fatalf("the valid document is rejected: %v", err)
 	}
-	bad = &File{Version: CurrentVersion, Seconds: 10}
-	if _, _, err := bad.ToCase(); err == nil {
-		t.Error("no templates accepted")
-	}
-	bad = &File{Version: CurrentVersion, Seconds: 10, Templates: []Template{{}}}
-	if _, _, err := bad.ToCase(); err == nil {
-		t.Error("template without id or sql accepted")
+	for _, tc := range []struct {
+		name string
+		mut  func(*File)
+	}{
+		{"zero seconds", func(f *File) { f.Seconds = 0 }},
+		{"future version", func(f *File) { f.Version = 99 }},
+		{"no templates", func(f *File) { f.Templates = nil }},
+		{"template without id or sql", func(f *File) { f.Templates = []Template{{}} }},
+		{"inverted anomaly window", func(f *File) { f.Anomaly = Window{Start: 6, End: 2} }},
+		{"empty anomaly window", func(f *File) { f.Anomaly = Window{Start: 4, End: 4} }},
+		{"anomaly window past the case", func(f *File) { f.Anomaly = Window{Start: 10, End: 15} }},
+		{"anomaly window before the case", func(f *File) { f.Anomaly = Window{Start: -5, End: 0} }},
+	} {
+		f := valid()
+		tc.mut(f)
+		if _, _, err := f.ToFrame(); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 
@@ -138,11 +96,12 @@ func TestToCaseDigestsSQLWhenNoID(t *testing.T) {
 	f := &File{
 		Version: CurrentVersion,
 		Seconds: 5,
+		Anomaly: Window{Start: 0, End: 5},
 		Templates: []Template{
 			{SQL: "SELECT * FROM x WHERE id = 42", Count: []float64{1}},
 		},
 	}
-	c, _, err := f.ToCase()
+	c, _, err := f.ToFrame()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +120,7 @@ func TestReadToleratesMissingVersion(t *testing.T) {
 	if f.Version != CurrentVersion {
 		t.Errorf("version = %d", f.Version)
 	}
-	if _, _, err := f.ToCase(); err != nil {
+	if _, _, err := f.ToFrame(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -176,10 +135,11 @@ func TestSeriesPadding(t *testing.T) {
 	f := &File{
 		Version:       CurrentVersion,
 		Seconds:       10,
+		Anomaly:       Window{Start: 0, End: 10},
 		ActiveSession: []float64{1, 2}, // shorter than Seconds
 		Templates:     []Template{{ID: "A", Count: []float64{5}}},
 	}
-	c, _, err := f.ToCase()
+	c, _, err := f.ToFrame()
 	if err != nil {
 		t.Fatal(err)
 	}

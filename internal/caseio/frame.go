@@ -1,20 +1,21 @@
 package caseio
 
 import (
+	"fmt"
+
 	"pinsql/internal/anomaly"
 	"pinsql/internal/collect"
-	"pinsql/internal/session"
 	"pinsql/internal/sqltemplate"
+	"pinsql/internal/timeseries"
 	"pinsql/internal/window"
 )
 
 // FromFrame converts an anomaly case plus its window frame into the
-// serializable document, without materializing the legacy map-keyed query
-// table. The rendered bytes are identical to
-// FromCase(c, queries-of-the-same-window): templates are emitted in frame
-// (registry-index) order — the snapshot order FromCase walks — and the
-// query rows follow the frame's ByID permutation, which is exactly the
-// sorted-template-ID order FromCase fixes by sorting the map's keys.
+// serializable document. The rendered bytes depend only on the case:
+// templates are emitted in frame (registry-index) order and the query rows
+// follow the frame's ByID permutation — ascending template ID, arrival order
+// within a template — so the same case serializes identically however it was
+// produced (the parallel-generation equivalence tests diff files directly).
 func FromFrame(c *anomaly.Case, f *window.Frame) *File {
 	out := &File{
 		Version:       CurrentVersion,
@@ -61,71 +62,102 @@ func FromFrame(c *anomaly.Case, f *window.Frame) *File {
 	return out
 }
 
-// ToFrame reconstructs the case and its columnar window frame from a
-// document — the frame-path counterpart of ToCase. Query rows are grouped
-// by template in file order; rows referencing a template absent from the
-// Templates section are dropped (ToCase keeps them in its map, but the
-// frame's axes are the declared templates — files produced by FromCase /
-// FromFrame never contain such rows). Finalize re-sorts each group by
-// arrival time, so a hand-edited file with out-of-order rows diagnoses as
-// if its rows had been arrival-sorted.
+// ToFrame validates the document and reconstructs the case and its columnar
+// window frame. Query rows are grouped by template in file order; rows
+// referencing a template absent from the Templates section are dropped (the
+// frame's axes are the declared templates — files produced by FromFrame
+// never contain such rows), and a duplicated template ID claims its rows
+// once, at its first position. Finalize re-sorts each group by arrival time,
+// so a hand-edited file with out-of-order rows diagnoses as if its rows had
+// been arrival-sorted.
 func (f *File) ToFrame() (*anomaly.Case, *window.Frame, error) {
-	c, queries, err := f.ToCase()
-	if err != nil {
-		return nil, nil, err
+	if f.Version != CurrentVersion {
+		return nil, nil, fmt.Errorf("caseio: unsupported version %d", f.Version)
 	}
-	fr := frameOf(c.Snapshot, queries)
-	return c, fr, nil
-}
-
-// frameOf assembles a window frame from a snapshot (templates in index
-// order) and the legacy map-keyed query table.
-func frameOf(snap *collect.Snapshot, queries session.Queries) *window.Frame {
+	if f.Seconds <= 0 {
+		return nil, nil, fmt.Errorf("caseio: seconds must be positive")
+	}
+	if len(f.Templates) == 0 {
+		return nil, nil, fmt.Errorf("caseio: no templates")
+	}
 	fr := &window.Frame{
-		Topic:         snap.Topic,
-		StartMs:       snap.StartMs,
-		Seconds:       snap.Seconds,
-		ActiveSession: snap.ActiveSession,
-		AvgSession:    snap.AvgSession,
-		CPUUsage:      snap.CPUUsage,
-		IOPSUsage:     snap.IOPSUsage,
-		MemUsage:      snap.MemUsage,
-		QPS:           snap.QPS,
-		RowLockWaits:  snap.RowLockWaits,
-		MDLWaits:      snap.MDLWaits,
-		Templates:     make([]window.Template, len(snap.Templates)),
-		Off:           make([]int32, len(snap.Templates)+1),
+		Topic:         f.Name,
+		StartMs:       f.StartMs,
+		Seconds:       f.Seconds,
+		ActiveSession: pad(f.ActiveSession, f.Seconds),
+		CPUUsage:      pad(f.CPUUsage, f.Seconds),
+		IOPSUsage:     pad(f.IOPSUsage, f.Seconds),
+		MemUsage:      pad(f.MemUsage, f.Seconds),
+		RowLockWaits:  pad(f.RowLockWaits, f.Seconds),
+		MDLWaits:      pad(f.MDLWaits, f.Seconds),
+		AvgSession:    make(timeseries.Series, f.Seconds),
+		QPS:           make(timeseries.Series, f.Seconds),
+		Templates:     make([]window.Template, len(f.Templates)),
+		Off:           make([]int32, len(f.Templates)+1),
 	}
-	total := 0
-	seen := make(map[sqltemplate.ID]bool, len(snap.Templates))
-	for _, ts := range snap.Templates {
-		if !seen[ts.Meta.ID] {
-			seen[ts.Meta.ID] = true
-			total += len(queries[ts.Meta.ID])
-		}
-	}
-	fr.Arrival = make([]int64, 0, total)
-	fr.Response = make([]float64, 0, total)
-	claimed := make(map[sqltemplate.ID]bool, len(snap.Templates))
-	for i, ts := range snap.Templates {
-		fr.Templates[i] = window.Template{
-			Meta:      window.Meta(ts.Meta),
-			Count:     ts.Count,
-			SumRT:     ts.SumRT,
-			SumRows:   ts.SumRows,
-			Throttled: ts.Throttled,
-		}
-		// A duplicated template ID claims its observations once (first
-		// position wins, matching Snapshot.Template resolution).
-		if obs := queries[ts.Meta.ID]; len(obs) > 0 && !claimed[ts.Meta.ID] {
-			claimed[ts.Meta.ID] = true
-			for _, o := range obs {
-				fr.Arrival = append(fr.Arrival, o.ArrivalMs)
-				fr.Response = append(fr.Response, o.ResponseMs)
+	posOf := make(map[sqltemplate.ID]int, len(f.Templates))
+	for i, t := range f.Templates {
+		id := sqltemplate.ID(t.ID)
+		if id == "" {
+			if t.SQL == "" {
+				return nil, nil, fmt.Errorf("caseio: template %d has neither id nor sql", i)
 			}
+			id = sqltemplate.New(t.SQL).ID
 		}
-		fr.Off[i+1] = int32(len(fr.Arrival))
+		fr.Templates[i] = window.Template{
+			Meta:      window.Meta{Index: int32(i), ID: id, Text: t.SQL, Table: t.Table},
+			Count:     pad(t.Count, f.Seconds),
+			SumRT:     pad(t.SumRT, f.Seconds),
+			SumRows:   pad(t.SumRows, f.Seconds),
+			Throttled: make(timeseries.Series, f.Seconds),
+		}
+		if _, dup := posOf[id]; !dup {
+			posOf[id] = i
+		}
+	}
+	// Group the query rows by template position, file order within a group:
+	// count each group, turn the counts into offsets, then place the rows.
+	for _, q := range f.Queries {
+		if pos, ok := posOf[sqltemplate.ID(q.Template)]; ok {
+			fr.Off[pos+1]++
+		}
+	}
+	for i := range f.Templates {
+		fr.Off[i+1] += fr.Off[i]
+	}
+	fr.Arrival = make([]int64, fr.Off[len(f.Templates)])
+	fr.Response = make([]float64, len(fr.Arrival))
+	next := append([]int32(nil), fr.Off...)
+	for _, q := range f.Queries {
+		if pos, ok := posOf[sqltemplate.ID(q.Template)]; ok {
+			fr.Arrival[next[pos]], fr.Response[next[pos]] = q.ArrivalMs, q.ResponseMs
+			next[pos]++
+		}
 	}
 	fr.Finalize()
-	return fr
+
+	rule := f.Rule
+	if rule == "" {
+		rule = "from_file"
+	}
+	c := anomaly.NewCase(collect.SnapshotOfFrame(fr), anomaly.Phenomenon{
+		Rule:  rule,
+		Start: f.Anomaly.Start,
+		End:   f.Anomaly.End,
+	})
+	if c.AE <= c.AS {
+		return nil, nil, fmt.Errorf("caseio: anomaly window [%d, %d) is empty within the case's %d seconds",
+			f.Anomaly.Start, f.Anomaly.End, f.Seconds)
+	}
+	for _, h := range f.History {
+		hw := anomaly.HistoryWindow{
+			DaysAgo: h.DaysAgo,
+			Counts:  make(map[sqltemplate.ID]timeseries.Series, len(h.Counts)),
+		}
+		for id, counts := range h.Counts {
+			hw.Counts[sqltemplate.ID(id)] = pad(counts, f.Seconds)
+		}
+		c.History = append(c.History, hw)
+	}
+	return c, fr, nil
 }

@@ -7,10 +7,8 @@ import (
 	"pinsql/internal/anomaly"
 	"pinsql/internal/collect"
 	"pinsql/internal/dbsim"
-	"pinsql/internal/session"
 	"pinsql/internal/sqltemplate"
 	"pinsql/internal/timeseries"
-	"pinsql/internal/window"
 )
 
 // caseOf wraps a snapshot in an anomaly case with one history window.
@@ -26,22 +24,7 @@ func caseOf(t *testing.T, snap *collect.Snapshot) *anomaly.Case {
 	return c
 }
 
-// frameQueries flattens the frame's observation columns into the legacy
-// map — what cases.QueriesOf returns for the same window.
-func frameQueries(f *window.Frame) session.Queries {
-	out := make(session.Queries, len(f.Templates))
-	for pos := range f.Templates {
-		arr, resp := f.Obs(pos)
-		for i := range arr {
-			out[f.Templates[pos].Meta.ID] = append(out[f.Templates[pos].Meta.ID],
-				session.Obs{ArrivalMs: arr[i], ResponseMs: resp[i]})
-		}
-	}
-	return out
-}
-
-// frameSample builds a real collector window (so FromCase and FromFrame
-// start from the same underlying data) and returns the collector.
+// frameSample builds a real collector window and returns the collector.
 func frameSample(t *testing.T) *collect.Collector {
 	t.Helper()
 	coll := collect.NewCollector("frame-io", 0, 60_000, nil, nil)
@@ -56,27 +39,6 @@ func frameSample(t *testing.T) *collect.Collector {
 	}
 	coll.IngestMetrics([]dbsim.SecondMetrics{{Second: 0, ActiveSession: 2, CPUUsage: 0.4}})
 	return coll
-}
-
-func TestFromFrameBytesMatchFromCase(t *testing.T) {
-	coll := frameSample(t)
-	fr := coll.Frame()
-	snap := collect.SnapshotOfFrame(fr)
-	c := caseOf(t, snap)
-
-	legacy := FromCase(c, frameQueries(fr))
-	framed := FromFrame(c, fr)
-
-	var a, b bytes.Buffer
-	if err := legacy.Write(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := framed.Write(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("FromFrame bytes diverge from FromCase:\n--- legacy ---\n%s\n--- frame ---\n%s", a.String(), b.String())
-	}
 }
 
 func TestToFrameRoundTrip(t *testing.T) {

@@ -15,6 +15,7 @@ package cases
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"pinsql/internal/anomaly"
 	"pinsql/internal/collect"
@@ -23,7 +24,6 @@ import (
 	"pinsql/internal/session"
 	"pinsql/internal/sqltemplate"
 	"pinsql/internal/timeseries"
-	"pinsql/internal/window"
 	"pinsql/internal/workload"
 )
 
@@ -44,6 +44,22 @@ type Labeled struct {
 	// on its own; when false, the injected window was used as a fallback
 	// (counted as a detection miss by the harness).
 	Detected bool
+}
+
+// TruthIDs returns the case's ground-truth R-SQL and H-SQL template IDs,
+// each list sorted: the label sets are maps, and whatever renders them — a
+// case document's truth section, a repro manifest — must not leak map
+// iteration order into its bytes.
+func (l *Labeled) TruthIDs() (rsqls, hsqls []string) {
+	sorted := func(set map[sqltemplate.ID]bool) []string {
+		out := make([]string, 0, len(set))
+		for id := range set {
+			out = append(out, string(id))
+		}
+		sort.Strings(out)
+		return out
+	}
+	return sorted(l.RSQLs), sorted(l.HSQLs)
 }
 
 // Options configures corpus generation.
@@ -356,45 +372,6 @@ func lift(s timeseries.Series, as, ae int) float64 {
 		return s.Slice(0, ae).Mean()
 	}
 	return s.Slice(as, ae).Mean() - s.Slice(0, as).Mean()
-}
-
-// QueriesOf converts a collector's window into the estimator's legacy
-// map-keyed input. It is a compatibility shim over the collector's window
-// frame: the observation columns accumulated during ingest are flattened
-// into per-ID slices, so the log store is no longer re-scanned. snap must
-// be the collector's own window snapshot (every caller's situation); its
-// bounds are the frame's bounds.
-//
-// Ordering contract: the returned value is a Go map, so iteration order is
-// UNORDERED and differs between runs. Any consumer whose output must be
-// deterministic has to fix an order itself — and every consumer does:
-// session estimators iterate sortedIDs / accumulate per-template,
-// impact.Rank sorts the IDs, and caseio.FromCase sorts template IDs before
-// rendering. Within one template, observations are ordered by arrival time
-// (ties in log insertion order) — the store's scan order. The shuffled
-// insertion regression test in cases_order_test.go guards this contract.
-func QueriesOf(coll *collect.Collector, snap *collect.Snapshot) session.Queries {
-	return FrameQueries(coll.Frame())
-}
-
-// FrameQueries flattens a frame's observation columns into the legacy
-// map-keyed estimator input. Templates without observations get no entry,
-// matching the historical store-scan behaviour.
-func FrameQueries(f *window.Frame) session.Queries {
-	out := make(session.Queries, len(f.Templates))
-	for pos := range f.Templates {
-		arr, resp := f.Obs(pos)
-		if len(arr) == 0 {
-			continue
-		}
-		obs := make([]session.Obs, len(arr))
-		for i, a := range arr {
-			obs[i] = session.Obs{ArrivalMs: a, ResponseMs: resp[i]}
-		}
-		id := f.Templates[pos].Meta.ID
-		out[id] = append(out[id], obs...)
-	}
-	return out
 }
 
 // splitMix is a tiny deterministic RNG for parameter jitter, independent of

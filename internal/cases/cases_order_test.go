@@ -1,10 +1,10 @@
 package cases
 
-// Regression tests for QueriesOf's ordering contract: within a template the
-// observation slice is sorted by arrival time, with ties preserving the
-// collector's insertion order. The frame shim must keep honoring this even
-// though it no longer re-scans the log store — downstream float summation
-// order (and therefore byte-identical diagnosis output) depends on it.
+// Regression test for the ordering contract of a collector frame's
+// observation groups: within a template the observations are sorted by
+// arrival time, with ties preserving the collector's insertion order —
+// downstream float summation order (and therefore byte-identical diagnosis
+// output) depends on it.
 
 import (
 	"math/rand"
@@ -71,52 +71,24 @@ func TestQueriesOfSortsShuffledInsertions(t *testing.T) {
 		}
 	}
 
-	snap := coll.Snapshot()
-	got := QueriesOf(coll, snap)
-	if len(got) != templates {
-		t.Fatalf("queries for %d templates, want %d", len(got), templates)
+	f := coll.Frame()
+	if f.NumTemplates() != templates {
+		t.Fatalf("a frame of %d templates, want %d", f.NumTemplates(), templates)
 	}
 	for _, id := range ids {
-		g := got[sqltemplate.ID(id)]
+		pos, ok := f.Pos(sqltemplate.ID(id))
+		if !ok {
+			t.Fatalf("%s: not in the frame", id)
+		}
+		arr, resp := f.Obs(pos)
 		w := want[id]
-		if len(g) != len(w) {
-			t.Fatalf("%s: %d obs, want %d", id, len(g), len(w))
+		if len(arr) != len(w) {
+			t.Fatalf("%s: %d obs, want %d", id, len(arr), len(w))
 		}
 		for i := range w {
-			if g[i].ArrivalMs != w[i].arrival || g[i].ResponseMs != w[i].resp {
+			if arr[i] != w[i].arrival || resp[i] != w[i].resp {
 				t.Fatalf("%s obs %d = (%d, %g), want (%d, %g) — arrival sort or tie order broken",
-					id, i, g[i].ArrivalMs, g[i].ResponseMs, w[i].arrival, w[i].resp)
-			}
-		}
-	}
-}
-
-// TestQueriesOfMatchesFrameQueries pins the shim: QueriesOf is defined as
-// the flattening of the collector's frame.
-func TestQueriesOfMatchesFrameQueries(t *testing.T) {
-	coll := collect.NewCollector("order", 0, 10_000, nil, nil)
-	for i := 0; i < 50; i++ {
-		coll.Ingest(dbsim.LogRecord{
-			TemplateID: "T" + string(rune('A'+i%3)),
-			SQL:        "SELECT 1",
-			Table:      "t",
-			Kind:       dbsim.KindSelect,
-			ArrivalMs:  int64((50 - i) * 100),
-			ResponseMs: float64(i),
-		})
-	}
-	a := QueriesOf(coll, coll.Snapshot())
-	b := FrameQueries(coll.Frame())
-	if len(a) != len(b) {
-		t.Fatalf("QueriesOf has %d templates, FrameQueries %d", len(a), len(b))
-	}
-	for id, obs := range a {
-		if len(b[id]) != len(obs) {
-			t.Fatalf("%s: %d vs %d obs", id, len(obs), len(b[id]))
-		}
-		for i := range obs {
-			if obs[i] != b[id][i] {
-				t.Fatalf("%s obs %d differs: %+v vs %+v", id, i, obs[i], b[id][i])
+					id, i, arr[i], resp[i], w[i].arrival, w[i].resp)
 			}
 		}
 	}

@@ -156,11 +156,7 @@ func TestQueriesOfCoversLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	queries := QueriesOf(lab.Collector, lab.Case.Snapshot)
-	var total int
-	for _, obs := range queries {
-		total += len(obs)
-	}
+	total := lab.Collector.Frame().NumObs()
 	var logged float64
 	for _, ts := range lab.Case.Snapshot.Templates {
 		logged += ts.Count.Sum()

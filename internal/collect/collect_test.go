@@ -159,22 +159,6 @@ func TestCollectorMetricsIngest(t *testing.T) {
 	}
 }
 
-func TestQueriesOf(t *testing.T) {
-	c := NewCollector("db1", 0, 3000, nil, nil)
-	c.Ingest(rec("A", "qa", "t", dbsim.KindSelect, 100, 10, 1))
-	c.Ingest(rec("B", "qb", "t", dbsim.KindSelect, 200, 10, 1))
-	c.Ingest(rec("A", "qa", "t", dbsim.KindSelect, 1200, 10, 1))
-	meta, _ := c.Registry().Lookup("A")
-	got := c.QueriesOf(meta.Index, 0, 1000)
-	if len(got) != 1 || got[0].ArrivalMs != 100 {
-		t.Errorf("QueriesOf window = %+v", got)
-	}
-	all := c.QueriesOf(meta.Index, 0, 3000)
-	if len(all) != 2 {
-		t.Errorf("QueriesOf all = %+v", all)
-	}
-}
-
 func TestSnapshotDeterministicOrder(t *testing.T) {
 	c := NewCollector("db1", 0, 1000, nil, nil)
 	for _, tpl := range []string{"C", "A", "B"} {

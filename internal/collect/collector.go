@@ -375,8 +375,8 @@ func (c *Collector) IngestBatch(recs []dbsim.LogRecord) {
 	// start and response times, §IV-C). Loose append: records are emitted
 	// at completion, so lock-delayed statements arrive far out of arrival
 	// order. Appended under c.mu so the column order above always equals
-	// the store's insertion order — the tie-break order both sides of the
-	// frame/legacy equivalence rely on.
+	// the store's insertion order — the tie-break order of a frame's
+	// observation groups.
 	if len(archive) > 0 {
 		c.store.AppendLooseBatch(c.topic, archive)
 	}
@@ -595,62 +595,6 @@ func (c *Collector) sealLocked() *window.Frame {
 	return f
 }
 
-// RebuildFrame assembles the window frame from scratch — every series
-// cloned, every observation group re-concatenated and re-sorted, all
-// derived state recomputed — exactly as Frame did before the delta build.
-// It ignores and leaves untouched the incremental seal state, so it is the
-// from-scratch reference the differential tests and the frame-maintenance
-// benchmark compare the delta build against. The result must be
-// byte-identical to Frame()'s at every point of any ingest interleaving.
-func (c *Collector) RebuildFrame() *window.Frame {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-
-	met := c.met.clone()
-	f := &window.Frame{
-		Topic:         c.topic,
-		StartMs:       c.startMs,
-		Seconds:       c.seconds,
-		ActiveSession: met.ActiveSession,
-		AvgSession:    met.AvgSession,
-		CPUUsage:      met.CPUUsage,
-		IOPSUsage:     met.IOPSUsage,
-		MemUsage:      met.MemUsage,
-		QPS:           met.QPS,
-		RowLockWaits:  met.RowLockWaits,
-		MDLWaits:      met.MDLWaits,
-	}
-
-	ordered := make([]*TemplateSeries, 0, len(c.templates))
-	for _, ts := range c.templates {
-		ordered = append(ordered, ts)
-	}
-	sortTemplates(ordered)
-
-	total := 0
-	for _, ts := range ordered {
-		total += len(ts.obs.arrival)
-	}
-	f.Templates = make([]window.Template, len(ordered))
-	f.Off = make([]int32, len(ordered)+1)
-	f.Arrival = make([]int64, 0, total)
-	f.Response = make([]float64, 0, total)
-	for i, ts := range ordered {
-		f.Templates[i] = window.Template{
-			Meta:      window.Meta(ts.Meta),
-			Count:     ts.Count.Clone(),
-			SumRT:     ts.SumRT.Clone(),
-			SumRows:   ts.SumRows.Clone(),
-			Throttled: ts.Throttled.Clone(),
-		}
-		f.Arrival = append(f.Arrival, ts.obs.arrival...)
-		f.Response = append(f.Response, ts.obs.response...)
-		f.Off[i+1] = int32(len(f.Arrival))
-	}
-	f.Finalize()
-	return f
-}
-
 // SnapshotOfFrame derives a Snapshot view from a frame for code that still
 // speaks the legacy aggregate type (the anomaly detector's NewCase, repair
 // suggestion rules, Top-SQL baselines). The snapshot shares the frame's
@@ -691,28 +635,4 @@ func (c *Collector) Records() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.records
-}
-
-// QueriesOf returns the raw per-query records of one template inside
-// [fromMs, toMs), for the session estimator. It streams the store's range
-// instead of materializing every record in the window.
-func (c *Collector) QueriesOf(idx int32, fromMs, toMs int64) []logstore.Record {
-	var out []logstore.Record
-	c.store.ScanFunc(c.topic, fromMs, toMs, func(r logstore.Record) bool {
-		if r.TemplateIdx == idx {
-			out = append(out, r)
-		}
-		return true
-	})
-	return out
-}
-
-func sortTemplates(ts []*TemplateSeries) {
-	// Insertion sort: template counts per snapshot are moderate and the
-	// input is usually almost sorted (registry order of first arrival).
-	for i := 1; i < len(ts); i++ {
-		for j := i; j > 0 && ts[j-1].Meta.Index > ts[j].Meta.Index; j-- {
-			ts[j-1], ts[j] = ts[j], ts[j-1]
-		}
-	}
 }

@@ -5,8 +5,8 @@ import (
 
 	"pinsql/internal/anomaly"
 	"pinsql/internal/collect"
-	"pinsql/internal/session"
 	"pinsql/internal/timeseries"
+	"pinsql/internal/window"
 )
 
 func TestConfigDefaultsApplied(t *testing.T) {
@@ -32,8 +32,9 @@ func TestConfigDefaultsApplied(t *testing.T) {
 }
 
 // syntheticCase builds a tiny in-memory case without any simulation: one
-// culprit template stepping up inside the window, one stable template.
-func syntheticCase() (*anomaly.Case, session.Queries) {
+// culprit template stepping up inside the window, one stable template whose
+// queries are in the frame's observation columns only when stableLogged.
+func syntheticCase(stableLogged bool) (*anomaly.Case, *window.Frame) {
 	n := 240
 	as, ae := 120, 180
 	inst := make(timeseries.Series, n)
@@ -41,7 +42,6 @@ func syntheticCase() (*anomaly.Case, session.Queries) {
 	stableCount := make(timeseries.Series, n)
 	culpritRT := make(timeseries.Series, n)
 	stableRT := make(timeseries.Series, n)
-	queries := session.Queries{}
 	for i := 0; i < n; i++ {
 		inst[i] = 1
 		stableCount[i] = 10
@@ -52,39 +52,41 @@ func syntheticCase() (*anomaly.Case, session.Queries) {
 			culpritRT[i] = 8 * 1200
 		}
 	}
-	for i := as; i < ae; i++ {
-		for k := 0; k < 8; k++ {
-			queries["CULPRIT"] = append(queries["CULPRIT"], session.Obs{
-				ArrivalMs:  int64(i*1000 + k*120),
-				ResponseMs: 1200,
-			})
-		}
-		for k := 0; k < 10; k++ {
-			queries["STABLE"] = append(queries["STABLE"], session.Obs{
-				ArrivalMs:  int64(i*1000 + k*100),
-				ResponseMs: 10,
-			})
-		}
-	}
-	snap := &collect.Snapshot{
+	f := &window.Frame{
 		Seconds:       n,
 		ActiveSession: inst,
 		CPUUsage:      make(timeseries.Series, n),
 		IOPSUsage:     make(timeseries.Series, n),
 		RowLockWaits:  make(timeseries.Series, n),
 		MDLWaits:      make(timeseries.Series, n),
-		Templates: []*collect.TemplateSeries{
-			{Meta: collect.TemplateMeta{Index: 0, ID: "CULPRIT"}, Count: culpritCount, SumRT: culpritRT, SumRows: culpritCount.Clone()},
-			{Meta: collect.TemplateMeta{Index: 1, ID: "STABLE"}, Count: stableCount, SumRT: stableRT, SumRows: stableCount.Clone()},
+		Templates: []window.Template{
+			{Meta: window.Meta{Index: 0, ID: "CULPRIT"}, Count: culpritCount, SumRT: culpritRT, SumRows: culpritCount.Clone()},
+			{Meta: window.Meta{Index: 1, ID: "STABLE"}, Count: stableCount, SumRT: stableRT, SumRows: stableCount.Clone()},
 		},
+		Off: []int32{0},
 	}
-	c := anomaly.NewCase(snap, anomaly.Phenomenon{Rule: "active_session_anomaly", Start: as, End: ae})
-	return c, queries
+	for i := as; i < ae; i++ {
+		for k := 0; k < 8; k++ {
+			f.Arrival = append(f.Arrival, int64(i*1000+k*120))
+			f.Response = append(f.Response, 1200)
+		}
+	}
+	f.Off = append(f.Off, int32(len(f.Arrival)))
+	for i := as; stableLogged && i < ae; i++ {
+		for k := 0; k < 10; k++ {
+			f.Arrival = append(f.Arrival, int64(i*1000+k*100))
+			f.Response = append(f.Response, 10)
+		}
+	}
+	f.Off = append(f.Off, int32(len(f.Arrival)))
+	f.Finalize()
+	c := anomaly.NewCase(collect.SnapshotOfFrame(f), anomaly.Phenomenon{Rule: "active_session_anomaly", Start: as, End: ae})
+	return c, f
 }
 
 func TestDiagnoseSyntheticCulprit(t *testing.T) {
-	c, queries := syntheticCase()
-	d := Diagnose(c, queries, DefaultConfig())
+	c, f := syntheticCase(true)
+	d := DiagnoseFrame(c, f, DefaultConfig())
 	if len(d.HSQLs) != 2 || d.HSQLs[0].ID != "CULPRIT" {
 		t.Errorf("H ranking = %+v", d.HSQLs)
 	}
@@ -94,29 +96,28 @@ func TestDiagnoseSyntheticCulprit(t *testing.T) {
 }
 
 func TestDiagnoseWithoutMetricTempNodes(t *testing.T) {
-	c, queries := syntheticCase()
+	c, f := syntheticCase(true)
 	cfg := DefaultConfig()
 	cfg.IncludeMetricTempNodes = false
-	d := Diagnose(c, queries, cfg)
+	d := DiagnoseFrame(c, f, cfg)
 	if len(d.RSQLs) == 0 || d.RSQLs[0].ID != "CULPRIT" {
 		t.Errorf("R ranking without temp nodes = %+v", d.RSQLs)
 	}
 }
 
 func TestDiagnoseZeroQueryTemplates(t *testing.T) {
-	// A template present in the snapshot but absent from the query log
+	// A template present in the frame but absent from the query log
 	// must still get a (zero) session row and not crash anything.
-	c, queries := syntheticCase()
-	delete(queries, "STABLE")
-	d := Diagnose(c, queries, DefaultConfig())
+	c, f := syntheticCase(false)
+	d := DiagnoseFrame(c, f, DefaultConfig())
 	if len(d.HSQLs) != 2 {
 		t.Fatalf("H ranking lost a template: %+v", d.HSQLs)
 	}
 }
 
 func TestIDAccessors(t *testing.T) {
-	c, queries := syntheticCase()
-	d := Diagnose(c, queries, DefaultConfig())
+	c, f := syntheticCase(true)
+	d := DiagnoseFrame(c, f, DefaultConfig())
 	if len(d.HSQLIDs()) != len(d.HSQLs) || len(d.RSQLIDs()) != len(d.RSQLs) {
 		t.Error("accessor lengths differ")
 	}

@@ -12,12 +12,10 @@ package core
 import (
 	"time"
 
-	"pinsql/internal/anomaly"
 	"pinsql/internal/impact"
 	"pinsql/internal/rootcause"
 	"pinsql/internal/session"
 	"pinsql/internal/sqltemplate"
-	"pinsql/internal/timeseries"
 )
 
 // Config carries the full pipeline configuration. Zero value fields fall
@@ -109,9 +107,8 @@ type Diagnosis struct {
 	HSQLs []impact.Score        // ranked H-SQL list
 	RSQLs []rootcause.Candidate // ranked R-SQL list
 	Root  *rootcause.Result     // full R-SQL module output
-	Est   *session.Estimate     // individual active sessions (legacy path)
-	// FrameEst holds the position-keyed estimate when the diagnosis ran
-	// through DiagnoseFrame; Est stays nil on that path.
+	// FrameEst holds the individual active sessions by frame position; nil
+	// under NoEstimateSession, which estimates nothing.
 	FrameEst *session.FrameEstimate
 	Time     Timing
 }
@@ -132,108 +129,4 @@ func (d *Diagnosis) RSQLIDs() []sqltemplate.ID {
 		out[i] = c.ID
 	}
 	return out
-}
-
-// Diagnose runs the full pipeline on an anomaly case. queries holds the
-// raw per-query observations of the case window (from the log store); it
-// is required unless NoEstimateSession is set.
-func Diagnose(c *anomaly.Case, queries session.Queries, cfg Config) *Diagnosis {
-	cfg = cfg.withDefaults()
-	snap := c.Snapshot
-	d := &Diagnosis{}
-
-	// Stage 1: individual active session estimation (§IV-C).
-	start := time.Now()
-	var sessions map[sqltemplate.ID]timeseries.Series
-	if cfg.NoEstimateSession {
-		// Ablation: aggregated response time as the session proxy.
-		sessions = make(map[sqltemplate.ID]timeseries.Series, len(snap.Templates))
-		for _, ts := range snap.Templates {
-			s := make(timeseries.Series, len(ts.SumRT))
-			for i, v := range ts.SumRT {
-				s[i] = v / 1000
-			}
-			sessions[ts.Meta.ID] = s
-		}
-	} else {
-		est := session.EstimateBucketsWorkers(queries, snap.ActiveSession, snap.StartMs, snap.Seconds, cfg.Buckets, cfg.Workers)
-		d.Est = est
-		sessions = est.PerTemplate
-		// Templates with zero logged queries still deserve a (zero) row.
-		for _, ts := range snap.Templates {
-			if _, ok := sessions[ts.Meta.ID]; !ok {
-				sessions[ts.Meta.ID] = make(timeseries.Series, snap.Seconds)
-			}
-		}
-	}
-	d.Time.EstimateSession = time.Since(start)
-
-	// Stage 2: H-SQL identification (§V).
-	start = time.Now()
-	iopt := impact.Options{
-		SmoothKs:      cfg.SmoothKs,
-		UseTrend:      !cfg.NoTrendLevel,
-		UseScale:      !cfg.NoScaleLevel,
-		UseScaleTrend: !cfg.NoScaleTrendLevel,
-		WeightedScore: !cfg.NoWeightedFinalScore,
-		Workers:       cfg.Workers,
-	}
-	d.HSQLs = impact.Rank(sessions, snap.ActiveSession, c.AS, c.AE, iopt)
-	d.Time.RankHSQL = time.Since(start)
-
-	// Stage 3: R-SQL identification (§VI).
-	impactOf := make(map[sqltemplate.ID]float64, len(d.HSQLs))
-	for _, s := range d.HSQLs {
-		impactOf[s.ID] = s.Impact
-	}
-	templates := make([]rootcause.Template, 0, len(snap.Templates))
-	for _, ts := range snap.Templates {
-		score := impactOf[ts.Meta.ID]
-		if cfg.NoDirectCauseRanking {
-			// Ablation: the best Top-SQL baseline (Top-RT) replaces the
-			// H-SQL impact for cluster ranking.
-			score = ts.SumRT.Slice(c.AS, c.AE).Sum()
-		}
-		templates = append(templates, rootcause.Template{
-			ID:      ts.Meta.ID,
-			Exec:    ts.Count,
-			Session: sessions[ts.Meta.ID],
-			Impact:  score,
-		})
-	}
-	var metricNodes map[string]timeseries.Series
-	if cfg.IncludeMetricTempNodes {
-		metricNodes = map[string]timeseries.Series{
-			anomaly.MetricCPUUsage:     snap.CPUUsage,
-			anomaly.MetricIOPSUsage:    snap.IOPSUsage,
-			anomaly.MetricRowLockWaits: snap.RowLockWaits,
-			anomaly.MetricMDLWaits:     snap.MDLWaits,
-		}
-	}
-	history := make([]rootcause.HistoryWindow, 0, len(c.History))
-	for _, hw := range c.History {
-		history = append(history, rootcause.HistoryWindow{DaysAgo: hw.DaysAgo, Counts: hw.Counts})
-	}
-	ropt := rootcause.Options{
-		Tau:                    cfg.Tau,
-		TauC:                   cfg.TauC,
-		Kc:                     cfg.Kc,
-		TukeyK:                 cfg.TukeyK,
-		UseCumulativeThreshold: !cfg.NoCumulativeThreshold,
-		UseHistoryVerification: !cfg.NoHistoryVerification,
-		Workers:                cfg.Workers,
-	}
-	in := rootcause.Input{
-		Templates:   templates,
-		Metrics:     metricNodes,
-		InstSession: snap.ActiveSession,
-		AS:          c.AS,
-		AE:          c.AE,
-		History:     history,
-	}
-	d.Root = rootcause.Identify(in, ropt)
-	d.RSQLs = d.Root.Ranked
-	d.Time.ClusterFilter = d.Root.ClusterDur
-	d.Time.VerifyRank = d.Root.VerifyDur
-	return d
 }

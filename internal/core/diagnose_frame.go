@@ -18,10 +18,10 @@ import (
 // IDs appear only in the returned Diagnosis.
 //
 // The frame must be the window the case was detected on (c.Snapshot built
-// from the same collector state, e.g. via collect.SnapshotOfFrame). Output
-// is byte-identical to Diagnose(c, queries, cfg) with queries drawn from
-// the same window: every float accumulation runs in the same order the
-// legacy path fixed by sorting (see window.Frame's ByID contract).
+// from the same collector state, e.g. via collect.SnapshotOfFrame). Every
+// float accumulation runs in an order the template IDs fix (see
+// window.Frame's ByID contract), so the output depends on neither the
+// frame's layout nor cfg.Workers.
 //
 // It is the one-case use of a FrameDiagnoser; a window with several
 // phenomena builds one and calls Diagnose per case.
@@ -105,8 +105,7 @@ func (fd *FrameDiagnoser) sessionSeries() []timeseries.Series {
 }
 
 // templatePartition is §VI's clustering step, computed by the first call.
-// Templates are in frame order (ascending registry index — the same order
-// the legacy path walks snap.Templates in).
+// Templates are in frame order (ascending registry index).
 func (fd *FrameDiagnoser) templatePartition() *rootcause.Partition {
 	if fd.partition != nil {
 		return fd.partition

@@ -20,8 +20,7 @@ func diagnoseCase(t *testing.T, idx int64, kind workload.AnomalyKind, cfg Config
 	if err != nil {
 		t.Fatal(err)
 	}
-	queries := cases.QueriesOf(lab.Collector, lab.Case.Snapshot)
-	return lab, Diagnose(lab.Case, queries, cfg)
+	return lab, DiagnoseFrame(lab.Case, lab.Collector.Frame(), cfg)
 }
 
 func TestDiagnoseBusinessSpike(t *testing.T) {
@@ -75,7 +74,7 @@ func TestDiagnoseAblationNoEstimate(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NoEstimateSession = true
 	lab, d := diagnoseCase(t, 5, workload.KindPoorSQL, cfg)
-	if d.Est != nil {
+	if d.FrameEst != nil {
 		t.Error("estimate should be skipped")
 	}
 	if len(d.HSQLs) == 0 {

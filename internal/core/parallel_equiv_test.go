@@ -23,15 +23,15 @@ func TestDiagnoseWorkersEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		queries := cases.QueriesOf(lab.Collector, lab.Case.Snapshot)
+		fr := lab.Collector.Frame()
 
 		cfg := DefaultConfig()
 		cfg.Workers = 1
-		seq := Diagnose(lab.Case, queries, cfg)
+		seq := DiagnoseFrame(lab.Case, fr, cfg)
 
 		for _, w := range []int{2, 4, 0} { // 0 = GOMAXPROCS
 			cfg.Workers = w
-			par := Diagnose(lab.Case, queries, cfg)
+			par := DiagnoseFrame(lab.Case, fr, cfg)
 			if !reflect.DeepEqual(seq.HSQLs, par.HSQLs) {
 				t.Errorf("%v workers=%d: H-SQL ranking diverged", kind, w)
 			}
@@ -41,13 +41,13 @@ func TestDiagnoseWorkersEquivalence(t *testing.T) {
 			if !reflect.DeepEqual(seq.Root.Clusters, par.Root.Clusters) {
 				t.Errorf("%v workers=%d: cluster structure diverged", kind, w)
 			}
-			if !reflect.DeepEqual(seq.Est.PerTemplate, par.Est.PerTemplate) {
+			if !reflect.DeepEqual(seq.FrameEst.PerTemplate, par.FrameEst.PerTemplate) {
 				t.Errorf("%v workers=%d: estimated session series diverged", kind, w)
 			}
-			if !reflect.DeepEqual(seq.Est.Total, par.Est.Total) {
+			if !reflect.DeepEqual(seq.FrameEst.Total, par.FrameEst.Total) {
 				t.Errorf("%v workers=%d: estimated total session diverged", kind, w)
 			}
-			if !reflect.DeepEqual(seq.Est.SelBucket, par.Est.SelBucket) {
+			if !reflect.DeepEqual(seq.FrameEst.SelBucket, par.FrameEst.SelBucket) {
 				t.Errorf("%v workers=%d: bucket selection diverged", kind, w)
 			}
 		}

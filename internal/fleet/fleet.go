@@ -583,11 +583,10 @@ func (f *Fleet) runDrain(st *instState) {
 // pipeline plus repair suggestions for the top R-SQL. Everything runs off
 // the window frame the collector built during ingest: detection reads the
 // frame's metric series, and each phenomenon's diagnosis consumes the
-// frame directly — the staged log store is never re-scanned (the legacy
-// path re-scanned it once per phenomenon). The window's phenomena share
-// one core.FrameDiagnoser, so sessions are estimated once per window;
-// ranking and clustering depend on the anomaly interval and run per
-// phenomenon.
+// frame directly — the staged log store is never re-scanned. The window's
+// phenomena share one core.FrameDiagnoser, so sessions are estimated once
+// per window; ranking and clustering depend on the anomaly interval and run
+// per phenomenon.
 func (f *Fleet) diagnose(sw *stagedWindow) {
 	fr := sw.coll.Frame()
 	snap := collect.SnapshotOfFrame(fr)

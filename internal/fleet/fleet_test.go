@@ -1,10 +1,6 @@
 package fleet
 
 import (
-	"encoding/json"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -215,8 +211,8 @@ func TestFleetStopDrains(t *testing.T) {
 	}
 }
 
-// TestFleetHTTP exercises the control plane end to end against a live
-// fleet.
+// TestFleetHTTP reads what the control plane serves — shard.Manager.Handler
+// renders these same accessors — from a fleet that ran to completion.
 func TestFleetHTTP(t *testing.T) {
 	specs := DefaultFleet(2, 3, 2, 300)
 	f, err := New(specs, Options{Workers: 2})
@@ -229,44 +225,23 @@ func TestFleetHTTP(t *testing.T) {
 	}
 	defer f.Close()
 
-	srv := httptest.NewServer(f.Handler())
-	defer srv.Close()
-
-	get := func(path string, wantCode int) string {
-		t.Helper()
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != wantCode {
-			t.Fatalf("GET %s = %d, want %d", path, resp.StatusCode, wantCode)
-		}
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(body)
+	if st := f.Status(); len(st.Instances) != 2 || !st.Done || st.Committed != 4 {
+		t.Fatalf("unexpected status: %+v", st)
 	}
 
-	var st Status
-	if err := json.Unmarshal([]byte(get("/fleet", 200)), &st); err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Instances) != 2 || !st.Done || st.Committed != 4 {
-		t.Fatalf("unexpected /fleet status: %+v", st)
-	}
-
-	var reps []*WindowReport
-	if err := json.Unmarshal([]byte(get("/instances/inst-00/diagnoses", 200)), &reps); err != nil {
-		t.Fatal(err)
-	}
-	if len(reps) != 2 || reps[1].Records == 0 {
+	reps, ok := f.Diagnoses("inst-00")
+	if !ok || len(reps) != 2 || reps[1].Records == 0 {
 		t.Fatalf("unexpected diagnoses: %+v", reps)
 	}
-	get("/instances/nope/diagnoses", 404)
+	if _, ok := f.Diagnoses("nope"); ok {
+		t.Fatal("an unknown instance has diagnoses")
+	}
 
-	metrics := get("/metrics", 200)
+	var b strings.Builder
+	if err := f.Metrics().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	metrics := b.String()
 	for _, want := range []string{
 		`pinsql_fleet_windows_total{instance="inst-00"} 2`,
 		`pinsql_fleet_anomalies_total{instance=`,
@@ -278,7 +253,7 @@ func TestFleetHTTP(t *testing.T) {
 		`pinsql_ingest_lag_seconds{instance="inst-01"} 0`,
 	} {
 		if !strings.Contains(metrics, want) {
-			t.Fatalf("/metrics missing %q in:\n%s", want, metrics)
+			t.Fatalf("metrics missing %q in:\n%s", want, metrics)
 		}
 	}
 	// The simulator replays through the ingest seam like any trace, so
@@ -291,10 +266,7 @@ func TestFleetHTTP(t *testing.T) {
 		}
 	}
 	if !strings.Contains(metrics, `pinsql_ingest_records_total{instance="inst-00"}`) {
-		t.Fatal("/metrics missing pinsql_ingest_records_total")
-	}
-	if !strings.Contains(get("/debug/pprof/cmdline", 200), "fleet") {
-		t.Fatal("pprof cmdline endpoint not wired")
+		t.Fatal("metrics missing pinsql_ingest_records_total")
 	}
 }
 

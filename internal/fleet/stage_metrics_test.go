@@ -1,9 +1,6 @@
 package fleet
 
 import (
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -28,18 +25,11 @@ func TestStageDurationMetrics(t *testing.T) {
 	}
 	defer f.Close()
 
-	srv := httptest.NewServer(f.Handler())
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
+	var b strings.Builder
+	if err := f.Metrics().WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(body)
+	text := b.String()
 
 	counts := make(map[string]int64)
 	for _, stage := range []string{"collect", "detect", "diagnose", "commit"} {

@@ -19,7 +19,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"pinsql/internal/caseio"
@@ -348,6 +347,7 @@ func (s *searcher) record(opt Options, idx int64, armName string, orig probeResu
 	min, probes := minimize(probe, orig, opt.MinimizeProbes)
 
 	name := fmt.Sprintf("seed%d-case%04d-%s", opt.Seed, idx, min.params.Kind)
+	expected, _ := min.lab.TruthIDs()
 	m := &caseio.ReproManifest{
 		Version:        caseio.ManifestVersion,
 		Name:           name,
@@ -359,7 +359,7 @@ func (s *searcher) record(opt Options, idx int64, armName string, orig probeResu
 		Cores:          opt.Cores,
 		Params:         toRepro(min.params),
 		MinimizeProbes: probes,
-		Expected:       sortedIDs(min.lab.RSQLs),
+		Expected:       expected,
 		ActualR:        headIDs(min.diag.RSQLIDs(), 8),
 		ActualH:        headIDs(min.diag.HSQLIDs(), 5),
 		Verdict:        min.v,
@@ -400,11 +400,8 @@ func (s *searcher) record(opt Options, idx int64, armName string, orig probeResu
 func (s *searcher) replayCheck(name string, min probeResult) (*caseio.File, error) {
 	file := caseio.FromFrame(min.lab.Case, min.lab.Collector.Frame())
 	file.Name = name
-	file.Truth = &caseio.Truth{
-		RSQLs: sortedIDs(min.lab.RSQLs),
-		HSQLs: sortedIDs(min.lab.HSQLs),
-		Kind:  min.lab.Kind.String(),
-	}
+	file.Truth = &caseio.Truth{Kind: min.lab.Kind.String()}
+	file.Truth.RSQLs, file.Truth.HSQLs = min.lab.TruthIDs()
 
 	var buf bytes.Buffer
 	if err := file.Write(&buf); err != nil {
@@ -486,16 +483,6 @@ func FromRepro(p caseio.ReproParams) cases.CaseParams {
 		ConfuserLeadSec: p.ConfuserLeadSec,
 		ConfuserDurSec:  p.ConfuserDurSec,
 	}
-}
-
-// sortedIDs renders a truth set as sorted strings.
-func sortedIDs(set map[sqltemplate.ID]bool) []string {
-	out := make([]string, 0, len(set))
-	for id := range set {
-		out = append(out, string(id))
-	}
-	sort.Strings(out)
-	return out
 }
 
 // headIDs renders the head of a ranked ID list.

@@ -8,14 +8,16 @@ import (
 	"pinsql/internal/window"
 )
 
-// RankFrame is Rank over a window frame: sessions[pos] is the estimated
-// individual active session of frame template pos (one entry per template,
-// as produced by session.EstimateFrameBuckets). Scoring iterates the
-// frame's ByID permutation — the same ascending-template-ID order the
-// legacy map-keyed Rank fixes by sorting — so masses, normalization,
-// α/β selection and the final stable sort see identical inputs and the
-// ranking is byte-identical to the legacy path. Each returned Score
-// carries its frame position for index-first downstream stages.
+// RankFrame scores every template of a window frame and returns them sorted
+// by descending impact. sessions[pos] is the estimated individual active
+// session of frame template pos (one entry per template, as produced by
+// session.EstimateFrameBuckets); instSession is the instance's
+// active-session metric; [as, ae) is the anomaly window in series indexes.
+// Scoring iterates the frame's ByID permutation — ascending template ID — so
+// masses, normalization, α/β selection and the final stable sort depend on
+// the template IDs, not on the frame's layout or the worker count. Each
+// returned Score carries its frame position for index-first downstream
+// stages.
 func RankFrame(f *window.Frame, sessions []timeseries.Series, instSession timeseries.Series, as, ae int, opt Options) []Score {
 	if len(sessions) == 0 {
 		return nil

@@ -1,14 +1,12 @@
 package impact
 
-// Differential test: RankFrame must reproduce the legacy map-keyed Rank
-// bit for bit (ignoring the frame-only Pos field) for random session sets
-// and every Workers count.
+// Differential test: RankFrame's level scores against scoring each template
+// on its own.
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"pinsql/internal/sqltemplate"
@@ -16,74 +14,23 @@ import (
 	"pinsql/internal/window"
 )
 
-// randomFrameSessions builds a frame whose templates are laid out in
-// descending ID order (so ByID is a real permutation) plus one random
-// session series per template and an instance series.
+// randomFrameSessions builds a frame (sessionFrame's layout) with one random
+// session series per template, and a random instance series.
 func randomFrameSessions(rng *rand.Rand, templates, seconds int) (*window.Frame, []timeseries.Series, timeseries.Series) {
-	ids := make([]string, templates)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("T%02d", i)
-	}
-	sort.Sort(sort.Reverse(sort.StringSlice(ids)))
-	f := &window.Frame{Topic: "impact", Seconds: seconds, Off: make([]int32, templates+1)}
-	sessions := make([]timeseries.Series, templates)
-	for i, id := range ids {
-		f.Templates = append(f.Templates, window.Template{
-			Meta: window.Meta{Index: int32(i), ID: sqltemplate.ID(id)},
-		})
+	sessions := make(map[sqltemplate.ID]timeseries.Series, templates)
+	for i := 0; i < templates; i++ {
 		s := make(timeseries.Series, seconds)
 		for j := range s {
 			s[j] = rng.Float64() * 10
 		}
-		sessions[i] = s
+		sessions[sqltemplate.ID(fmt.Sprintf("T%02d", i))] = s
 	}
-	f.Finalize()
+	f, byPos := sessionFrame(sessions)
 	inst := make(timeseries.Series, seconds)
 	for j := range inst {
 		inst[j] = rng.Float64() * float64(templates)
 	}
-	return f, sessions, inst
-}
-
-func TestRankFrameMatchesLegacyRank(t *testing.T) {
-	const seconds = 40
-	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		f, sessions, inst := randomFrameSessions(rng, 1+rng.Intn(12), seconds)
-		legacySessions := make(map[sqltemplate.ID]timeseries.Series, len(sessions))
-		for pos := range sessions {
-			legacySessions[f.Templates[pos].Meta.ID] = sessions[pos]
-		}
-		opt := Options{
-			SmoothKs:      DefaultSmoothKs,
-			UseTrend:      true,
-			UseScale:      true,
-			UseScaleTrend: seed%2 == 0,
-			WeightedScore: seed%3 != 0,
-		}
-		as, ae := seconds/4, seconds/2
-		want := Rank(legacySessions, inst, as, ae, opt)
-		for _, workers := range []int{1, 4, 0} {
-			opt.Workers = workers
-			got := RankFrame(f, sessions, inst, as, ae, opt)
-			if len(got) != len(want) {
-				t.Fatalf("seed %d w=%d: %d scores, want %d", seed, workers, len(got), len(want))
-			}
-			for i := range want {
-				w, g := want[i], got[i]
-				if g.ID != w.ID ||
-					math.Float64bits(g.Trend) != math.Float64bits(w.Trend) ||
-					math.Float64bits(g.Scale) != math.Float64bits(w.Scale) ||
-					math.Float64bits(g.ScaleTrend) != math.Float64bits(w.ScaleTrend) ||
-					math.Float64bits(g.Impact) != math.Float64bits(w.Impact) {
-					t.Fatalf("seed %d w=%d rank %d: frame %+v vs legacy %+v", seed, workers, i, g, w)
-				}
-				if pos := g.Pos; pos < 0 || f.Templates[pos].Meta.ID != g.ID {
-					t.Fatalf("seed %d rank %d: Pos %d does not point at %s", seed, i, pos, g.ID)
-				}
-			}
-		}
-	}
+	return f, byPos, inst
 }
 
 // scoreTemplateRef is RankFrame's per-template scoring as it was before the
@@ -152,6 +99,9 @@ func TestRankFrameLevelScoresMatchPerTemplateScoring(t *testing.T) {
 		for _, workers := range []int{1, 3} {
 			opt.Workers = workers
 			for _, g := range RankFrame(f, sessions, inst, as, ae, opt) {
+				if f.Templates[g.Pos].Meta.ID != g.ID {
+					t.Fatalf("seed %d w=%d: Pos %d does not point at %s", seed, workers, g.Pos, g.ID)
+				}
 				trend, scaleTrend := scoreTemplateRef(sessions[g.Pos], inst, weight, ratio)
 				if math.Float64bits(g.Trend) != math.Float64bits(trend) || math.Float64bits(g.ScaleTrend) != math.Float64bits(scaleTrend) {
 					t.Fatalf("seed %d w=%d template %s: trend %v scale-trend %v, per-template scoring gives %v and %v",

@@ -21,13 +21,7 @@
 // trend takes over.
 package impact
 
-import (
-	"sort"
-
-	"pinsql/internal/parallel"
-	"pinsql/internal/sqltemplate"
-	"pinsql/internal/timeseries"
-)
+import "pinsql/internal/sqltemplate"
 
 // DefaultSmoothKs is the paper's smooth factor k_s = 30 (§VIII-A).
 const DefaultSmoothKs = 30
@@ -61,81 +55,9 @@ func DefaultOptions() Options {
 // Score is one template's H-SQL scoring breakdown.
 type Score struct {
 	ID         sqltemplate.ID
-	Pos        int // frame position (RankFrame); -1 on the legacy map path
+	Pos        int // frame position
 	Trend      float64
 	Scale      float64
 	ScaleTrend float64
 	Impact     float64
-}
-
-// Rank scores every template and returns them sorted by descending impact.
-// sessions maps template → estimated individual active session; instSession
-// is the instance's active-session metric; [as, ae) is the anomaly window
-// in series indexes.
-func Rank(sessions map[sqltemplate.ID]timeseries.Series, instSession timeseries.Series, as, ae int, opt Options) []Score {
-	if len(sessions) == 0 {
-		return nil
-	}
-	n := len(instSession)
-	weight := timeseries.SigmoidWeight(n, as, ae, opt.SmoothKs)
-
-	ids := make([]sqltemplate.ID, 0, len(sessions))
-	for id := range sessions {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
-	// Scale-level: anomaly-window session mass per template, min-max
-	// normalized across templates and mapped into [-1, 1].
-	masses := make(timeseries.Series, len(ids))
-	for i, id := range ids {
-		masses[i] = sessions[id].Slice(as, ae).Sum()
-	}
-	norm := masses.MinMax()
-
-	// Per-template level scores, fanned out across workers; scores[i] is
-	// owned by the worker handling i, so the slice — and everything the
-	// stable sort below sees — is identical for every worker count.
-	scores := make([]Score, len(ids))
-	parallel.ForEach(opt.Workers, len(ids), func(i int) {
-		s := sessions[ids[i]]
-		trend, _ := timeseries.WeightedCorr(s, instSession, weight)
-		ratio, _ := s.Div(instSession)
-		scaleTrend, _ := timeseries.Corr(ratio, instSession)
-		scores[i] = Score{
-			ID:         ids[i],
-			Pos:        -1,
-			Trend:      trend,
-			Scale:      2*norm[i] - 1,
-			ScaleTrend: scaleTrend,
-		}
-	})
-	var maxIdx int
-	for i := range masses {
-		if masses[i] > masses[maxIdx] {
-			maxIdx = i
-		}
-	}
-
-	alpha, beta := 1.0, 1.0
-	if opt.WeightedScore {
-		a, _ := timeseries.Corr(sessions[ids[maxIdx]], instSession)
-		alpha, beta = a, -a
-	}
-	for i := range scores {
-		var impact float64
-		if opt.UseTrend {
-			impact += beta * scores[i].Trend
-		}
-		if opt.UseScaleTrend {
-			impact += scores[i].ScaleTrend
-		}
-		if opt.UseScale {
-			impact += alpha * scores[i].Scale
-		}
-		scores[i].Impact = impact
-	}
-
-	sort.SliceStable(scores, func(i, j int) bool { return scores[i].Impact > scores[j].Impact })
-	return scores
 }

@@ -2,11 +2,41 @@ package impact
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"pinsql/internal/sqltemplate"
 	"pinsql/internal/timeseries"
+	"pinsql/internal/window"
 )
+
+// sessionFrame builds a frame over the given templates, laid out in
+// descending ID order so that ByID is a real permutation, and their session
+// series by frame position.
+func sessionFrame(sessions map[sqltemplate.ID]timeseries.Series) (*window.Frame, []timeseries.Series) {
+	ids := make([]string, 0, len(sessions))
+	for id := range sessions {
+		ids = append(ids, string(id))
+	}
+	sort.Sort(sort.Reverse(sort.StringSlice(ids)))
+	f := &window.Frame{Topic: "impact", Off: make([]int32, len(ids)+1)}
+	byPos := make([]timeseries.Series, len(ids))
+	for i, id := range ids {
+		f.Templates = append(f.Templates, window.Template{
+			Meta: window.Meta{Index: int32(i), ID: sqltemplate.ID(id)},
+		})
+		byPos[i] = sessions[sqltemplate.ID(id)]
+		f.Seconds = len(byPos[i])
+	}
+	f.Finalize()
+	return f, byPos
+}
+
+// rank is RankFrame over sessionFrame(sessions).
+func rank(sessions map[sqltemplate.ID]timeseries.Series, instSession timeseries.Series, as, ae int, opt Options) []Score {
+	f, byPos := sessionFrame(sessions)
+	return RankFrame(f, byPos, instSession, as, ae, opt)
+}
 
 // scenario builds an instance session trace with an anomaly window driven
 // by the "HSQL" template, a big stable template, and small noise templates.
@@ -41,7 +71,7 @@ func scenario(rng *rand.Rand, bump float64) (map[sqltemplate.ID]timeseries.Serie
 
 func TestRankIdentifiesHSQL(t *testing.T) {
 	sessions, inst, as, ae := scenario(rand.New(rand.NewSource(1)), 40)
-	scores := Rank(sessions, inst, as, ae, DefaultOptions())
+	scores := rank(sessions, inst, as, ae, DefaultOptions())
 	if len(scores) != 3 {
 		t.Fatalf("scores = %d, want 3", len(scores))
 	}
@@ -52,7 +82,7 @@ func TestRankIdentifiesHSQL(t *testing.T) {
 
 func TestRankScoreBounds(t *testing.T) {
 	sessions, inst, as, ae := scenario(rand.New(rand.NewSource(2)), 40)
-	for _, sc := range Rank(sessions, inst, as, ae, DefaultOptions()) {
+	for _, sc := range rank(sessions, inst, as, ae, DefaultOptions()) {
 		for name, v := range map[string]float64{
 			"trend": sc.Trend, "scale": sc.Scale, "scale-trend": sc.ScaleTrend,
 		} {
@@ -75,7 +105,7 @@ func TestRankStableTrafficNotTop(t *testing.T) {
 	if stableMass < hsqlMass {
 		t.Fatal("scenario must make the stable template dominant in window mass")
 	}
-	scores := Rank(sessions, inst, as, ae, DefaultOptions())
+	scores := rank(sessions, inst, as, ae, DefaultOptions())
 	if scores[0].ID == "STABLE" {
 		t.Errorf("stable-traffic template ranked top: %+v", scores)
 	}
@@ -89,14 +119,14 @@ func TestRankAblationTrendMatters(t *testing.T) {
 	opt.UseTrend = false
 	opt.UseScaleTrend = false
 	opt.WeightedScore = false
-	scores := Rank(sessions, inst, as, ae, opt)
+	scores := rank(sessions, inst, as, ae, opt)
 	if scores[0].ID != "STABLE" {
 		t.Errorf("scale-only ranking top = %s, want STABLE", scores[0].ID)
 	}
 }
 
 func TestRankEmptyInput(t *testing.T) {
-	if got := Rank(nil, timeseries.Series{1, 2}, 0, 1, DefaultOptions()); got != nil {
+	if got := rank(nil, timeseries.Series{1, 2}, 0, 1, DefaultOptions()); got != nil {
 		t.Errorf("empty rank = %+v", got)
 	}
 }
@@ -104,7 +134,7 @@ func TestRankEmptyInput(t *testing.T) {
 func TestRankSingleTemplate(t *testing.T) {
 	s := timeseries.Series{1, 2, 3, 10, 10, 3, 2, 1}
 	sessions := map[sqltemplate.ID]timeseries.Series{"ONLY": s}
-	scores := Rank(sessions, s.Clone(), 3, 5, DefaultOptions())
+	scores := rank(sessions, s.Clone(), 3, 5, DefaultOptions())
 	if len(scores) != 1 {
 		t.Fatalf("scores = %+v", scores)
 	}
@@ -124,7 +154,7 @@ func TestRankConstantInstanceSession(t *testing.T) {
 		"A": flat.Clone(),
 		"B": flat.Clone(),
 	}
-	scores := Rank(sessions, flat, 40, 60, DefaultOptions())
+	scores := rank(sessions, flat, 40, 60, DefaultOptions())
 	for _, sc := range scores {
 		if sc.Trend != 0 || sc.ScaleTrend != 0 {
 			t.Errorf("zero-variance trend scores: %+v", sc)
@@ -134,8 +164,8 @@ func TestRankConstantInstanceSession(t *testing.T) {
 
 func TestRankDeterministic(t *testing.T) {
 	sessions, inst, as, ae := scenario(rand.New(rand.NewSource(6)), 40)
-	a := Rank(sessions, inst, as, ae, DefaultOptions())
-	b := Rank(sessions, inst, as, ae, DefaultOptions())
+	a := rank(sessions, inst, as, ae, DefaultOptions())
+	b := rank(sessions, inst, as, ae, DefaultOptions())
 	for i := range a {
 		if a[i].ID != b[i].ID || a[i].Impact != b[i].Impact {
 			t.Fatalf("rank not deterministic at %d: %+v vs %+v", i, a[i], b[i])

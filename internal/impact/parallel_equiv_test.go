@@ -1,6 +1,6 @@
 package impact
 
-// Workers-equivalence property for the fanned-out H-SQL scorer: Rank must
+// Workers-equivalence property for the fanned-out H-SQL scorer: RankFrame must
 // return the identical ranked slice — order and float bits — for every
 // worker count.
 
@@ -35,14 +35,15 @@ func TestRankWorkersEquivalence(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 60 + rng.Intn(200)
 		sessions, inst := randomSessions(rng, n)
+		f, byPos := sessionFrame(sessions)
 		as := n / 3
 		ae := 2 * n / 3
 		opt := DefaultOptions()
 		opt.Workers = 1
-		seq := Rank(sessions, inst, as, ae, opt)
+		seq := RankFrame(f, byPos, inst, as, ae, opt)
 		for _, w := range []int{2, 5, 0} { // 0 = GOMAXPROCS
 			opt.Workers = w
-			if par := Rank(sessions, inst, as, ae, opt); !reflect.DeepEqual(seq, par) {
+			if par := RankFrame(f, byPos, inst, as, ae, opt); !reflect.DeepEqual(seq, par) {
 				t.Logf("seed %d workers=%d: rankings diverged", seed, w)
 				return false
 			}

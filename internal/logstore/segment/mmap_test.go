@@ -60,7 +60,7 @@ func TestMmapScanMatchesFileScan(t *testing.T) {
 	}
 
 	optOff := opt
-	optOff.DisableMmap = true
+	optOff.noMmap = true
 
 	mm := mustOpen(t, dir, opt)
 	plain := mustOpen(t, dir, optOff)
@@ -98,7 +98,7 @@ func TestMmapScanMatchesFileScan(t *testing.T) {
 }
 
 // TestMmapSegmentsAreMapped asserts the default path actually maps sealed
-// segments (on unix), and that DisableMmap leaves them unmapped — so the
+// segments (on unix), and that noMmap leaves them unmapped — so the
 // differential test above genuinely compares the two modes.
 func TestMmapSegmentsAreMapped(t *testing.T) {
 	dir := t.TempDir()
@@ -133,7 +133,7 @@ func TestMmapSegmentsAreMapped(t *testing.T) {
 		}
 	}
 
-	off := mustOpen(t, t.TempDir(), Options{SegmentRecords: 16, IndexEvery: 4, DisableMmap: true})
+	off := mustOpen(t, t.TempDir(), Options{SegmentRecords: 16, IndexEvery: 4, noMmap: true})
 	defer off.Close()
 	for i := 0; i < 64; i++ {
 		if err := off.Append("t", rec(int32(i), int64(i*100))); err != nil {
@@ -144,7 +144,7 @@ func TestMmapSegmentsAreMapped(t *testing.T) {
 	for _, sf := range off.topics["t"].segs {
 		if sf.data != nil {
 			off.mu.Unlock()
-			t.Fatal("DisableMmap left a segment mapped")
+			t.Fatal("noMmap left a segment mapped")
 		}
 	}
 	off.mu.Unlock()
@@ -212,7 +212,7 @@ func TestMmapCorruptPrefixRecovery(t *testing.T) {
 	mm.Close()
 
 	optOff := smallOpts()
-	optOff.DisableMmap = true
+	optOff.noMmap = true
 	plain := mustOpen(t, dir, optOff)
 	want := scanAll(plain, "t")
 	plain.Close()

@@ -48,10 +48,9 @@ type indexEntry struct {
 
 // segfile is an immutable, arrival-sorted segment on disk plus its
 // in-memory metadata. The sparse index is rebuilt from the frames at Open.
-// When the platform supports it (and Options.DisableMmap is off) the file
-// is memory-mapped: scans decode straight out of the mapping with no read
-// syscalls, no bufio staging buffer, and — at open — no whole-file heap
-// copy for CRC verification.
+// When the platform supports it the file is memory-mapped: scans decode
+// straight out of the mapping with no read syscalls, no bufio staging
+// buffer, and — at open — no whole-file heap copy for CRC verification.
 type segfile struct {
 	path  string
 	f     *os.File
@@ -66,8 +65,8 @@ type segfile struct {
 
 // mapIfEnabled tries to memory-map sf.f; any failure leaves the segment in
 // plain-read mode, which every scan path handles identically.
-func (sf *segfile) mapIfEnabled(disableMmap bool) {
-	if disableMmap || sf.f == nil {
+func (sf *segfile) mapIfEnabled(noMmap bool) {
+	if noMmap || sf.f == nil {
 		return
 	}
 	if m, err := mmapFile(sf.f); err == nil {
@@ -81,7 +80,7 @@ func walName(seq uint64) string { return fmt.Sprintf("%08d.wal", seq) }
 // writeSegment seals recs (already arrival-sorted) into an immutable
 // segment file at dir/segName(seq), building the sparse index as it goes.
 // The file is written to a temporary name, synced, and renamed into place.
-func writeSegment(dir string, seq uint64, recs []logstore.Record, indexEvery int, disableMmap bool) (*segfile, error) {
+func writeSegment(dir string, seq uint64, recs []logstore.Record, indexEvery int, noMmap bool) (*segfile, error) {
 	sf := &segfile{
 		path:  filepath.Join(dir, segName(seq)),
 		seq:   seq,
@@ -141,7 +140,7 @@ func writeSegment(dir string, seq uint64, recs []logstore.Record, indexEvery int
 	if sf.f, err = os.Open(sf.path); err != nil {
 		return nil, err
 	}
-	sf.mapIfEnabled(disableMmap)
+	sf.mapIfEnabled(noMmap)
 	return sf, nil
 }
 
@@ -151,13 +150,13 @@ func writeSegment(dir string, seq uint64, recs []logstore.Record, indexEvery int
 // or header is unreadable is reported as an error. With mmap available the
 // verification pass runs over the mapping directly — the fallback pays one
 // whole-file heap copy via os.ReadFile.
-func openSegment(path string, seq uint64, indexEvery int, disableMmap bool) (*segfile, error) {
+func openSegment(path string, seq uint64, indexEvery int, noMmap bool) (*segfile, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	sf := &segfile{path: path, f: f, seq: seq}
-	sf.mapIfEnabled(disableMmap)
+	sf.mapIfEnabled(noMmap)
 	data := sf.data
 	if data == nil {
 		if data, err = os.ReadFile(path); err != nil {

@@ -40,12 +40,10 @@ type Options struct {
 	// safe against a *process* crash — frames reach the OS page cache
 	// before Append returns — but not against losing the machine.
 	SyncEvery int
-	// DisableMmap forces sealed-segment scans onto the plain file-read
-	// path even where memory-mapping is available. The default (off)
-	// memory-maps every sealed segment so scans decode zero-copy views
-	// straight out of the page cache; the two paths produce identical
-	// results.
-	DisableMmap bool
+	// noMmap keeps sealed-segment scans on the plain file-read path — the
+	// one a platform without memory-mapping takes — so the package's tests
+	// can hold the two paths to identical results on one host.
+	noMmap bool
 }
 
 func (o Options) withDefaults() Options {
@@ -196,7 +194,7 @@ func (s *Store) recoverTopic(name, dir string) (*topic, error) {
 			if perr != nil {
 				continue
 			}
-			sf, oerr := openSegment(filepath.Join(dir, base), seq, s.opt.IndexEvery, s.opt.DisableMmap)
+			sf, oerr := openSegment(filepath.Join(dir, base), seq, s.opt.IndexEvery, s.opt.noMmap)
 			if oerr != nil {
 				continue // unreadable segment: leave the file, skip it
 			}
@@ -520,7 +518,7 @@ func (s *Store) seal(t *topic) error {
 		return nil
 	}
 	t.ensureSorted()
-	sf, err := writeSegment(t.dir, t.seq, t.mem, s.opt.IndexEvery, s.opt.DisableMmap)
+	sf, err := writeSegment(t.dir, t.seq, t.mem, s.opt.IndexEvery, s.opt.noMmap)
 	if err != nil {
 		return err
 	}
@@ -806,7 +804,7 @@ func (s *Store) TruncateFrom(topicName string, fromMs int64) int {
 				os.Remove(sf.path)
 				continue
 			}
-			nsf, err := writeSegment(t.dir, sf.seq, survivors, s.opt.IndexEvery, s.opt.DisableMmap)
+			nsf, err := writeSegment(t.dir, sf.seq, survivors, s.opt.IndexEvery, s.opt.noMmap)
 			if err != nil {
 				// Disk trouble: stay correct in memory by folding the
 				// survivors into the active wal; durability is degraded

@@ -13,7 +13,7 @@ import (
 func almostEq(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
 func TestOverlapMs(t *testing.T) {
-	q := Obs{ArrivalMs: 100, ResponseMs: 200} // active [100, 300)
+	const qlo, qhi = 100, 300 // active [100, 300)
 	tests := []struct {
 		lo, hi float64
 		want   float64
@@ -26,7 +26,7 @@ func TestOverlapMs(t *testing.T) {
 		{0, 1000, 200},
 	}
 	for _, tc := range tests {
-		if got := overlapMs(q, tc.lo, tc.hi); !almostEq(got, tc.want, 1e-9) {
+		if got := overlap(qlo, qhi, tc.lo, tc.hi); !almostEq(got, tc.want, 1e-9) {
 			t.Errorf("overlap [%v,%v) = %v, want %v", tc.lo, tc.hi, got, tc.want)
 		}
 	}
@@ -35,18 +35,18 @@ func TestOverlapMs(t *testing.T) {
 func TestSecondSpan(t *testing.T) {
 	tests := []struct {
 		name        string
-		q           Obs
+		q           obs
 		first, last int
 	}{
-		{"within one second", Obs{ArrivalMs: 1100, ResponseMs: 200}, 1, 1},
-		{"spans three seconds", Obs{ArrivalMs: 900, ResponseMs: 1500}, 0, 2},
-		{"starts before window", Obs{ArrivalMs: -500, ResponseMs: 800}, 0, 0},
-		{"ends after window", Obs{ArrivalMs: 9500, ResponseMs: 5000}, 9, 9},
-		{"entirely before window", Obs{ArrivalMs: -900, ResponseMs: 100}, 0, -1},
+		{"within one second", obs{ArrivalMs: 1100, ResponseMs: 200}, 1, 1},
+		{"spans three seconds", obs{ArrivalMs: 900, ResponseMs: 1500}, 0, 2},
+		{"starts before window", obs{ArrivalMs: -500, ResponseMs: 800}, 0, 0},
+		{"ends after window", obs{ArrivalMs: 9500, ResponseMs: 5000}, 9, 9},
+		{"entirely before window", obs{ArrivalMs: -900, ResponseMs: 100}, 0, -1},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			first, last := secondSpan(tc.q, 0, 10)
+			first, last := secondSpan(tc.q.ArrivalMs, tc.q.ResponseMs, 0, 10)
 			if first != tc.first || last != tc.last {
 				t.Errorf("span = [%d,%d], want [%d,%d]", first, last, tc.first, tc.last)
 			}
@@ -57,9 +57,9 @@ func TestSecondSpan(t *testing.T) {
 func TestEstimateNoBucketsSingleQuery(t *testing.T) {
 	// One query active [500, 1500): expected session 0.5 in second 0 and
 	// 0.5 in second 1.
-	q := Queries{"A": {{ArrivalMs: 500, ResponseMs: 1000}}}
-	est := EstimateNoBuckets(q, 0, 3)
-	s := est.PerTemplate["A"]
+	f := frameFromQueries(queries{"A": {{ArrivalMs: 500, ResponseMs: 1000}}}, 0, 3)
+	est := EstimateFrameNoBuckets(f)
+	s := est.PerTemplate[0]
 	if !almostEq(s[0], 0.5, 1e-9) || !almostEq(s[1], 0.5, 1e-9) || s[2] != 0 {
 		t.Errorf("per-second estimate = %v", s)
 	}
@@ -69,9 +69,9 @@ func TestEstimateNoBucketsSingleQuery(t *testing.T) {
 }
 
 func TestEstimateByRTChargesArrivalSecond(t *testing.T) {
-	q := Queries{"A": {{ArrivalMs: 900, ResponseMs: 2000}}}
-	est := EstimateByRT(q, 0, 3)
-	s := est.PerTemplate["A"]
+	f := frameFromQueries(queries{"A": {{ArrivalMs: 900, ResponseMs: 2000}}}, 0, 3)
+	est := EstimateFrameByRT(f)
+	s := est.PerTemplate[0]
 	// All 2 s of response time land in the arrival second — the
 	// inaccuracy the paper calls out.
 	if !almostEq(s[0], 2.0, 1e-9) || s[1] != 0 {
@@ -85,43 +85,45 @@ func TestEstimateByRTChargesArrivalSecond(t *testing.T) {
 func TestEstimateBucketsSelectsCorrectBucket(t *testing.T) {
 	// Construct a second where activity differs sharply across buckets:
 	// 5 queries active only in the first half, 1 query active all second.
-	var obs []Obs
+	var a []obs
 	for i := 0; i < 5; i++ {
-		obs = append(obs, Obs{ArrivalMs: 0, ResponseMs: 500})
+		a = append(a, obs{ArrivalMs: 0, ResponseMs: 500})
 	}
-	obs = append(obs, Obs{ArrivalMs: 0, ResponseMs: 1000})
-	q := Queries{"A": obs}
+	a = append(a, obs{ArrivalMs: 0, ResponseMs: 1000})
+	f := frameFromQueries(queries{"A": a}, 0, 1)
 
 	// SHOW STATUS sampled late in the second: saw only the long query.
 	observed := timeseries.Series{1}
-	est := EstimateBuckets(q, observed, 0, 1, 10)
+	est := EstimateFrameBuckets(f, observed, 10, 1)
 	if est.SelBucket[0] < 5 {
 		t.Errorf("selected bucket %d, want a late bucket (≥5)", est.SelBucket[0])
 	}
-	if !almostEq(est.PerTemplate["A"][0], 1, 1e-9) {
-		t.Errorf("estimate = %v, want 1", est.PerTemplate["A"][0])
+	if !almostEq(est.PerTemplate[0][0], 1, 1e-9) {
+		t.Errorf("estimate = %v, want 1", est.PerTemplate[0][0])
 	}
 
 	// SHOW STATUS sampled early: saw all 6.
 	observed = timeseries.Series{6}
-	est = EstimateBuckets(q, observed, 0, 1, 10)
+	est = EstimateFrameBuckets(f, observed, 10, 1)
 	if est.SelBucket[0] >= 5 {
 		t.Errorf("selected bucket %d, want an early bucket (<5)", est.SelBucket[0])
 	}
-	if !almostEq(est.PerTemplate["A"][0], 6, 1e-9) {
-		t.Errorf("estimate = %v, want 6", est.PerTemplate["A"][0])
+	if !almostEq(est.PerTemplate[0][0], 6, 1e-9) {
+		t.Errorf("estimate = %v, want 6", est.PerTemplate[0][0])
 	}
 }
 
 func TestEstimateBucketsPerTemplateSplit(t *testing.T) {
 	// Template A active early, template B active late; the bucket chosen
 	// decides which template gets the session mass.
-	q := Queries{
+	f := frameFromQueries(queries{
 		"A": {{ArrivalMs: 0, ResponseMs: 400}},
 		"B": {{ArrivalMs: 600, ResponseMs: 400}},
-	}
-	est := EstimateBuckets(q, timeseries.Series{1}, 0, 1, 10)
-	a, b := est.PerTemplate["A"][0], est.PerTemplate["B"][0]
+	}, 0, 1)
+	est := EstimateFrameBuckets(f, timeseries.Series{1}, 10, 1)
+	posA, _ := f.Pos("A")
+	posB, _ := f.Pos("B")
+	a, b := est.PerTemplate[posA][0], est.PerTemplate[posB][0]
 	// Either bucket family matches the observation of 1; exactly one
 	// template must carry it.
 	if !almostEq(a+b, 1, 1e-9) {
@@ -138,24 +140,22 @@ func TestEstimateQualityOrdering(t *testing.T) {
 	// correlation, reproducing Table III's ordering.
 	rng := rand.New(rand.NewSource(5))
 	seconds := 120
-	q := Queries{}
+	q := queries{}
 	ids := []sqltemplate.ID{"T1", "T2", "T3", "T4"}
 	for _, id := range ids {
-		var obs []Obs
 		for i := 0; i < 2500; i++ {
 			start := rng.Int63n(int64(seconds) * 1000)
 			rt := 20 + rng.Float64()*3000
-			obs = append(obs, Obs{ArrivalMs: start, ResponseMs: rt})
+			q[id] = append(q[id], obs{ArrivalMs: start, ResponseMs: rt})
 		}
-		q[id] = obs
 	}
 	// Ground truth: instantaneous active count at offset 337 ms of each
 	// second.
 	observed := make(timeseries.Series, seconds)
 	for sec := 0; sec < seconds; sec++ {
 		instant := float64(sec*1000 + 337)
-		for _, obs := range q {
-			for _, o := range obs {
+		for _, group := range q {
+			for _, o := range group {
 				if float64(o.ArrivalMs) <= instant && instant < float64(o.ArrivalMs)+o.ResponseMs {
 					observed[sec]++
 				}
@@ -163,9 +163,10 @@ func TestEstimateQualityOrdering(t *testing.T) {
 		}
 	}
 
-	bkt := EstimateBuckets(q, observed, 0, seconds, 10)
-	nob := EstimateNoBuckets(q, 0, seconds)
-	rt := EstimateByRT(q, 0, seconds)
+	f := frameFromQueries(q, 0, seconds)
+	bkt := EstimateFrameBuckets(f, observed, 10, 1)
+	nob := EstimateFrameNoBuckets(f)
+	rt := EstimateFrameByRT(f)
 
 	cb, mb := bkt.Quality(observed)
 	cn, mn := nob.Quality(observed)
@@ -183,19 +184,19 @@ func TestEstimateQualityOrdering(t *testing.T) {
 }
 
 func TestEstimateBucketsDefaultK(t *testing.T) {
-	q := Queries{"A": {{ArrivalMs: 100, ResponseMs: 100}}}
-	est := EstimateBuckets(q, timeseries.Series{1}, 0, 1, 0)
+	f := frameFromQueries(queries{"A": {{ArrivalMs: 100, ResponseMs: 100}}}, 0, 1)
+	est := EstimateFrameBuckets(f, timeseries.Series{1}, 0, 1)
 	if est.SelBucket[0] < 0 || est.SelBucket[0] >= DefaultBuckets {
 		t.Errorf("default K bucket = %d", est.SelBucket[0])
 	}
 }
 
 func TestEstimateEmptyInputs(t *testing.T) {
-	est := EstimateBuckets(Queries{}, nil, 0, 5, 10)
+	est := EstimateFrameBuckets(frameFromQueries(queries{}, 0, 5), nil, 10, 1)
 	if est.Total.Sum() != 0 || len(est.Total) != 5 {
 		t.Errorf("empty estimate = %+v", est)
 	}
-	est2 := EstimateByRT(nil, 0, 3)
+	est2 := EstimateFrameByRT(frameFromQueries(nil, 0, 3))
 	if est2.Total.Sum() != 0 {
 		t.Errorf("nil queries estimate = %v", est2.Total)
 	}
@@ -207,23 +208,21 @@ func TestEstimateAdditivityProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		seconds := 10
-		q := Queries{}
+		q := queries{}
 		for tpl := 0; tpl < 3; tpl++ {
 			id := sqltemplate.ID(rune('A' + tpl))
-			var obs []Obs
 			for i := 0; i < 30; i++ {
-				obs = append(obs, Obs{
+				q[id] = append(q[id], obs{
 					ArrivalMs:  rng.Int63n(int64(seconds) * 1000),
 					ResponseMs: rng.Float64() * 2000,
 				})
 			}
-			q[id] = obs
 		}
 		observed := make(timeseries.Series, seconds)
 		for i := range observed {
 			observed[i] = rng.Float64() * 10
 		}
-		est := EstimateBuckets(q, observed, 0, seconds, 10)
+		est := EstimateFrameBuckets(frameFromQueries(q, 0, seconds), observed, 10, 1)
 		for sec := 0; sec < seconds; sec++ {
 			var sum float64
 			for _, s := range est.PerTemplate {
@@ -249,15 +248,15 @@ func TestNoBucketsMassConservationProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		seconds := 20
-		var obs []Obs
+		var a []obs
 		var mass float64
 		for i := 0; i < 50; i++ {
 			start := rng.Int63n(int64(seconds-5) * 1000)
 			rt := rng.Float64() * 3000
-			obs = append(obs, Obs{ArrivalMs: start, ResponseMs: rt})
+			a = append(a, obs{ArrivalMs: start, ResponseMs: rt})
 			mass += rt / 1000
 		}
-		est := EstimateNoBuckets(Queries{"A": obs}, 0, seconds)
+		est := EstimateFrameNoBuckets(frameFromQueries(queries{"A": a}, 0, seconds))
 		return almostEq(est.Total.Sum(), mass, 1e-6)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

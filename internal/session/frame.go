@@ -9,14 +9,20 @@ import (
 	"pinsql/internal/window"
 )
 
-// FrameEstimate is a session estimation whose per-template axis is keyed by
-// frame position (0..T-1) instead of template ID — the index-first
-// counterpart of Estimate. PerTemplate has one series per frame template,
-// including all-zero series for templates with no logged observations.
+// FrameEstimate is the result of a session estimation over a window frame
+// of n seconds.
 type FrameEstimate struct {
+	// PerTemplate is each template's estimated individual active session
+	// (sessionQ of §IV-C), one value per second, by frame position: one
+	// series per frame template, all zeros for a template with no logged
+	// observations.
 	PerTemplate []timeseries.Series
-	Total       timeseries.Series
-	SelBucket   []int
+	// Total is the sum over templates; comparing it against the observed
+	// instance active session measures estimation quality (§VIII-F).
+	Total timeseries.Series
+	// SelBucket is the chosen bucket index per second; -1 where no bucket
+	// selection happened (ByRT / NoBuckets variants).
+	SelBucket []int
 }
 
 // Quality reports the two Table III metrics — Pearson correlation and MSE —
@@ -31,8 +37,11 @@ func (e *FrameEstimate) Quality(observed timeseries.Series) (corr, mse float64) 
 	return corr, mse
 }
 
-// EstimateFrameByRT is EstimateByRT over a window frame: total response
-// time per arrival second as the session proxy.
+// EstimateFrameByRT is the baseline that uses total response time per second
+// as the session proxy ("Estimate by RT" in Table III): the summed response
+// time of the queries arriving in each second, in seconds. It ignores how a
+// query's active interval actually spreads across seconds, which is exactly
+// why it correlates poorly with the sampled active session.
 func EstimateFrameByRT(f *window.Frame) *FrameEstimate {
 	est := newFrameEstimate(f)
 	est.fill(f, 1, func(s timeseries.Series, pos int) {
@@ -48,8 +57,9 @@ func EstimateFrameByRT(f *window.Frame) *FrameEstimate {
 	return est
 }
 
-// EstimateFrameNoBuckets is EstimateNoBuckets over a window frame: the
-// expected active session over each whole second.
+// EstimateFrameNoBuckets computes the expected active session over each
+// whole second ("Estimate w/o buckets"): accurate for the time-averaged
+// session but blind to where inside the second SHOW STATUS actually sampled.
 func EstimateFrameNoBuckets(f *window.Frame) *FrameEstimate {
 	est := newFrameEstimate(f)
 	starts := secondStarts(f)
@@ -64,12 +74,15 @@ func EstimateFrameNoBuckets(f *window.Frame) *FrameEstimate {
 // falls back to scanning the whole observation group.
 const maxExactMs = 1 << 52
 
-// EstimateFrameBuckets is the paper's bucketed estimator (§IV-C) over a
-// window frame, with the pipeline's Workers knob. Every (second, bucket)
-// total receives its addends in ascending-template-ID (ByID) then arrival
-// order — the legacy sorted-map walk — and every per-template series is
-// owned by one worker, so the output is bit-identical to the legacy
-// map-keyed estimator for every worker count.
+// EstimateFrameBuckets is the paper's method (§IV-C): split each second into
+// k buckets, select the bucket whose expected total session is closest to the
+// observed SHOW STATUS value, and evaluate per-template expectations there.
+// observed holds one SHOW STATUS sample per second; workers is the
+// pipeline's Workers knob (1 runs on the calling goroutine, <= 0 uses
+// GOMAXPROCS). Every (second, bucket) total receives its addends in
+// ascending-template-ID (ByID) then arrival order, each second is owned by
+// one worker and so is every per-template series, so no cross-worker
+// reduction happens and the output is bit-identical for every worker count.
 func EstimateFrameBuckets(f *window.Frame, observed timeseries.Series, k, workers int) *FrameEstimate {
 	if k <= 0 {
 		k = DefaultBuckets
@@ -164,8 +177,7 @@ func EstimateFrameBuckets(f *window.Frame, observed timeseries.Series, k, worker
 						}
 					}
 				}
-				q := Obs{ArrivalMs: arr[i], ResponseMs: resp[i]}
-				first, last := secondSpan(q, f.StartMs, seconds)
+				first, last := secondSpan(arr[i], resp[i], f.StartMs, seconds)
 				first, last = max(first, lo), min(last, hi-1)
 				for sec := first; sec <= last; sec++ {
 					base := starts[sec]
@@ -258,7 +270,7 @@ func accumulateFrame(s timeseries.Series, f *window.Frame, pos int, starts, peri
 				continue
 			}
 		}
-		first, last := secondSpan(Obs{ArrivalMs: a, ResponseMs: resp[i]}, f.StartMs, f.Seconds)
+		first, last := secondSpan(a, resp[i], f.StartMs, f.Seconds)
 		for sec := first; sec <= last; sec++ {
 			lo := periodLo[sec]
 			hi := lo + periodLen
@@ -287,10 +299,10 @@ func newFrameEstimate(f *window.Frame) *FrameEstimate {
 const fillChunk = 8
 
 // fill gives every template its series — accumulate(s, pos) adds template
-// pos's share to the zeroed s — and sums Total in ByID order, the same
-// ascending-template-ID float-addition order as Estimate.sumTotal.
-// Templates without observations contribute exact zeros, so including them
-// changes no bits.
+// pos's share to the zeroed s — and sums Total in ByID order, so its
+// floating-point bits depend on the template IDs and not on the frame's
+// layout. Templates without observations contribute exact zeros, so
+// including them changes no bits.
 //
 // The templates go through in ByID order a chunk at a time: a chunk's
 // series are one allocation, filled by one worker right after the runtime

@@ -1,69 +1,20 @@
 package session
 
-// Differential tests: the frame estimators must reproduce the legacy
-// map-keyed estimators bit for bit — same per-template series, same total,
-// same bucket selection — when both see the same observations in the same
-// per-template order (the arrival-sorted order the frame fixes).
+// Differential tests: the frame estimators must reproduce the map-keyed
+// all-buckets reference (estimate_ref_test.go) bit for bit — same
+// per-template series, same total, same bucket selection — over the same
+// observations in the arrival-sorted per-template order the frame fixes.
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"pinsql/internal/sqltemplate"
 	"pinsql/internal/timeseries"
 	"pinsql/internal/window"
 )
-
-// frameFromQueries builds a window frame over the given query log with the
-// templates deliberately laid out in DESCENDING ID order, so the ByID
-// permutation is a real reordering and any iteration-order mistake in the
-// frame estimators shows up as a bit difference.
-func frameFromQueries(q Queries, startMs int64, seconds int) *window.Frame {
-	ids := make([]string, 0, len(q))
-	for id := range q {
-		ids = append(ids, string(id))
-	}
-	sort.Sort(sort.Reverse(sort.StringSlice(ids)))
-	f := &window.Frame{
-		Topic:   "differential",
-		StartMs: startMs,
-		Seconds: seconds,
-		Off:     make([]int32, 1, len(ids)+1),
-	}
-	for i, id := range ids {
-		f.Templates = append(f.Templates, window.Template{
-			Meta: window.Meta{Index: int32(i), ID: sqltemplate.ID(id)},
-		})
-		for _, o := range q[sqltemplate.ID(id)] {
-			f.Arrival = append(f.Arrival, o.ArrivalMs)
-			f.Response = append(f.Response, o.ResponseMs)
-		}
-		f.Off = append(f.Off, int32(len(f.Arrival)))
-	}
-	f.Finalize()
-	return f
-}
-
-// queriesOfFrame flattens the frame back into the legacy map — the
-// arrival-sorted per-template order both estimators then walk.
-func queriesOfFrame(f *window.Frame) Queries {
-	out := make(Queries, len(f.Templates))
-	for pos := range f.Templates {
-		arr, resp := f.Obs(pos)
-		if len(arr) == 0 {
-			continue
-		}
-		obs := make([]Obs, len(arr))
-		for i := range arr {
-			obs[i] = Obs{ArrivalMs: arr[i], ResponseMs: resp[i]}
-		}
-		out[f.Templates[pos].Meta.ID] = obs
-	}
-	return out
-}
 
 // sameBits compares two series down to float bits.
 func sameBits(a, b timeseries.Series) bool {
@@ -78,33 +29,32 @@ func sameBits(a, b timeseries.Series) bool {
 	return true
 }
 
-// checkFrameEstimate verifies fe against the legacy est over frame f.
-func checkFrameEstimate(t *testing.T, label string, f *window.Frame, fe *FrameEstimate, est *Estimate) {
+// checkFrameEstimate verifies fe against the reference est over frame f;
+// a reference without SelBucket stands for an estimator that selects none.
+func checkFrameEstimate(t *testing.T, label string, f *window.Frame, fe *FrameEstimate, est *refEstimate) {
 	t.Helper()
 	if !sameBits(fe.Total, est.Total) {
 		t.Fatalf("%s: totals diverge", label)
 	}
 	for pos := range f.Templates {
 		id := f.Templates[pos].Meta.ID
-		legacy, ok := est.PerTemplate[id]
+		want, ok := est.PerTemplate[id]
 		if !ok {
-			// Zero-observation templates have no legacy entry; the frame
+			// Zero-observation templates have no reference entry; the frame
 			// series must be exactly zero.
 			if fe.PerTemplate[pos].Sum() != 0 {
 				t.Fatalf("%s: template %s has mass without observations", label, id)
 			}
 			continue
 		}
-		if !sameBits(fe.PerTemplate[pos], legacy) {
+		if !sameBits(fe.PerTemplate[pos], want) {
 			t.Fatalf("%s: template %s series diverge", label, id)
 		}
 	}
-	if est.SelBucket != nil {
-		for sec := range est.SelBucket {
-			if fe.SelBucket[sec] != est.SelBucket[sec] {
-				t.Fatalf("%s: bucket selection diverges at second %d: %d vs %d",
-					label, sec, fe.SelBucket[sec], est.SelBucket[sec])
-			}
+	for sec := range est.SelBucket {
+		if fe.SelBucket[sec] != est.SelBucket[sec] {
+			t.Fatalf("%s: bucket selection diverges at second %d: %d vs %d",
+				label, sec, fe.SelBucket[sec], est.SelBucket[sec])
 		}
 	}
 }
@@ -119,16 +69,32 @@ func TestFrameEstimatorsMatchLegacyBitForBit(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		raw, observed := randomQueries(rng, startMs, seconds)
 		f := frameFromQueries(raw, startMs, seconds)
-		q := queriesOfFrame(f)
 
-		checkFrameEstimate(t, fmt.Sprintf("seed %d byRT", seed), f,
-			EstimateFrameByRT(f), EstimateByRT(q, startMs, seconds))
-		checkFrameEstimate(t, fmt.Sprintf("seed %d noBuckets", seed), f,
-			EstimateFrameNoBuckets(f), EstimateNoBuckets(q, startMs, seconds))
+		// By RT: each observation's response, in seconds, lands whole in
+		// the second it arrived in, in arrival order.
+		byRT := &refEstimate{PerTemplate: map[sqltemplate.ID]timeseries.Series{}, Total: make(timeseries.Series, seconds)}
+		for _, pos := range f.ByID {
+			s := make(timeseries.Series, seconds)
+			arr, resp := f.Obs(int(pos))
+			for i, a := range arr {
+				if sec := int((a - startMs) / 1000); a >= startMs && sec < seconds {
+					s[sec] += resp[i] / 1000
+				}
+			}
+			byRT.PerTemplate[f.Templates[pos].Meta.ID] = s
+			for i, v := range s {
+				byRT.Total[i] += v
+			}
+		}
+		checkFrameEstimate(t, fmt.Sprintf("seed %d byRT", seed), f, EstimateFrameByRT(f), byRT)
+		// The whole second is the one bucket of K = 1.
+		whole := refEstimateBuckets(f, nil, 1)
+		whole.SelBucket = nil
+		checkFrameEstimate(t, fmt.Sprintf("seed %d noBuckets", seed), f, EstimateFrameNoBuckets(f), whole)
+		want := refEstimateBuckets(f, observed, k)
 		for _, workers := range []int{1, 3, 0} {
 			checkFrameEstimate(t, fmt.Sprintf("seed %d buckets w=%d", seed, workers), f,
-				EstimateFrameBuckets(f, observed, k, workers),
-				EstimateBucketsWorkers(q, observed, startMs, seconds, k, 1))
+				EstimateFrameBuckets(f, observed, k, workers), want)
 		}
 	}
 }
@@ -139,7 +105,7 @@ func TestFrameEstimatorsMatchLegacyBitForBit(t *testing.T) {
 // several seconds long, ten times the window, too long for exact
 // millisecond arithmetic, and non-finite; arrivals before the window, in
 // its last second and past its end.
-func adversarialQueries(rng *rand.Rand, startMs int64, seconds, k int) (Queries, timeseries.Series) {
+func adversarialQueries(rng *rand.Rand, startMs int64, seconds, k int) (queries, timeseries.Series) {
 	windowMs := int64(seconds) * 1000
 	bucketLen := 1000.0 / float64(k)
 	arrival := func() int64 {
@@ -181,12 +147,12 @@ func adversarialQueries(rng *rand.Rand, startMs int64, seconds, k int) (Queries,
 			return rng.Float64() * 40
 		}
 	}
-	q := make(Queries)
+	q := make(queries)
 	for t, nTemplates := 0, 1+rng.Intn(8); t < nTemplates; t++ {
 		id := sqltemplate.ID(fmt.Sprintf("T%02d", t))
 		for o, nObs := 0, rng.Intn(60); o < nObs; o++ {
 			a := arrival()
-			q[id] = append(q[id], Obs{ArrivalMs: a, ResponseMs: response(a)})
+			q[id] = append(q[id], obs{ArrivalMs: a, ResponseMs: response(a)})
 		}
 	}
 	observed := make(timeseries.Series, seconds-rng.Intn(3)) // sometimes short
@@ -200,7 +166,7 @@ func adversarialQueries(rng *rand.Rand, startMs int64, seconds, k int) (Queries,
 // estimator's two shortcuts — a block of seconds enters each group at the
 // maxResp cut, and only a conservative bucket range is evaluated per
 // (observation, second): on spans built to sit on every boundary, for block
-// layouts that split the window unevenly, the estimate equals the legacy
+// layouts that split the window unevenly, the estimate equals the reference
 // all-buckets walk bit for bit.
 func TestFrameBucketsAdversarialSpansMatchLegacy(t *testing.T) {
 	const seconds = 37 // not a multiple of the 8-second block grain
@@ -209,10 +175,10 @@ func TestFrameBucketsAdversarialSpansMatchLegacy(t *testing.T) {
 			for seed := int64(0); seed < 40; seed++ {
 				raw, observed := adversarialQueries(rand.New(rand.NewSource(seed)), startMs, seconds, k)
 				f := frameFromQueries(raw, startMs, seconds)
-				legacy := EstimateBucketsWorkers(queriesOfFrame(f), observed, startMs, seconds, k, 1)
+				want := refEstimateBuckets(f, observed, k)
 				for _, workers := range []int{1, 2, 3, 7} {
 					checkFrameEstimate(t, fmt.Sprintf("start %d k=%d seed %d w=%d", startMs, k, seed, workers), f,
-						EstimateFrameBuckets(f, observed, k, workers), legacy)
+						EstimateFrameBuckets(f, observed, k, workers), want)
 				}
 			}
 		}

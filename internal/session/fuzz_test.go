@@ -15,10 +15,10 @@ import (
 // only is added without the span loop — and at every way of just missing
 // them. Three bytes make one observation: template and kinds, an arrival
 // parameter, a response parameter.
-func shortPathCase(data []byte, startMs int64, seconds, k int) (Queries, timeseries.Series) {
+func shortPathCase(data []byte, startMs int64, seconds, k int) (queries, timeseries.Series) {
 	windowMs := int64(seconds) * 1000
 	bucketLen := 1000.0 / float64(k)
-	q := make(Queries)
+	q := make(queries)
 	for ; len(data) >= 3; data = data[3:] {
 		id := sqltemplate.ID(fmt.Sprintf("T%d", data[0]&3))
 		p, r := int64(data[1]), int64(data[2])
@@ -61,7 +61,7 @@ func shortPathCase(data []byte, startMs int64, seconds, k int) (Queries, timeser
 		default:
 			resp = []float64{math.Inf(1), math.Inf(-1), math.NaN(), 1e300, 1e17, float64(10 * windowMs)}[r%6]
 		}
-		q[id] = append(q[id], Obs{ArrivalMs: a, ResponseMs: resp})
+		q[id] = append(q[id], obs{ArrivalMs: a, ResponseMs: resp})
 	}
 	observed := make(timeseries.Series, seconds)
 	for i := range observed {
@@ -71,7 +71,7 @@ func shortPathCase(data []byte, startMs int64, seconds, k int) (Queries, timeser
 }
 
 // FuzzEstimateShortPath holds EstimateFrameBuckets to the map-keyed
-// estimator, which walks every bucket of every second an observation spans:
+// reference, which walks every bucket of every second an observation spans:
 // same per-template series, total and bucket selection, bit for bit, for
 // every K and worker count, at window starts that are zero, an epoch,
 // negative, and at or beyond the edge of exact millisecond arithmetic.
@@ -97,8 +97,7 @@ func FuzzEstimateShortPath(f *testing.F) {
 		raw, observed := shortPathCase(data, startMs, seconds, k)
 		fr := frameFromQueries(raw, startMs, seconds)
 		checkFrameEstimate(t, fmt.Sprintf("k=%d workers=%d start=%d", k, workers, startMs), fr,
-			EstimateFrameBuckets(fr, observed, k, workers),
-			EstimateBucketsWorkers(queriesOfFrame(fr), observed, startMs, seconds, k, 1))
+			EstimateFrameBuckets(fr, observed, k, workers), refEstimateBuckets(fr, observed, k))
 	})
 }
 
@@ -109,21 +108,21 @@ func FuzzEstimateShortPath(f *testing.F) {
 func TestSecondSpanClampsBeforeConverting(t *testing.T) {
 	tests := []struct {
 		name        string
-		q           Obs
+		q           obs
 		first, last int
 	}{
-		{"+Inf response", Obs{ArrivalMs: 2500, ResponseMs: math.Inf(1)}, 2, 9},
-		{"1e300 ms response", Obs{ArrivalMs: 2500, ResponseMs: 1e300}, 2, 9},
-		{"1e19 ms response", Obs{ArrivalMs: 2500, ResponseMs: 1e19}, 2, 9},
-		{"+Inf from before the window", Obs{ArrivalMs: -4000, ResponseMs: math.Inf(1)}, 0, 9},
-		{"NaN response", Obs{ArrivalMs: 2500, ResponseMs: math.NaN()}, 2, -1},
-		{"-Inf response", Obs{ArrivalMs: 2500, ResponseMs: math.Inf(-1)}, 2, -1},
-		{"-1e300 ms response", Obs{ArrivalMs: 2500, ResponseMs: -1e300}, 2, -1},
-		{"ends at the window's last millisecond", Obs{ArrivalMs: 2500, ResponseMs: 7499}, 2, 9},
+		{"+Inf response", obs{ArrivalMs: 2500, ResponseMs: math.Inf(1)}, 2, 9},
+		{"1e300 ms response", obs{ArrivalMs: 2500, ResponseMs: 1e300}, 2, 9},
+		{"1e19 ms response", obs{ArrivalMs: 2500, ResponseMs: 1e19}, 2, 9},
+		{"+Inf from before the window", obs{ArrivalMs: -4000, ResponseMs: math.Inf(1)}, 0, 9},
+		{"NaN response", obs{ArrivalMs: 2500, ResponseMs: math.NaN()}, 2, -1},
+		{"-Inf response", obs{ArrivalMs: 2500, ResponseMs: math.Inf(-1)}, 2, -1},
+		{"-1e300 ms response", obs{ArrivalMs: 2500, ResponseMs: -1e300}, 2, -1},
+		{"ends at the window's last millisecond", obs{ArrivalMs: 2500, ResponseMs: 7499}, 2, 9},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			first, last := secondSpan(tc.q, 0, 10)
+			first, last := secondSpan(tc.q.ArrivalMs, tc.q.ResponseMs, 0, 10)
 			if first != tc.first || last != tc.last {
 				t.Errorf("span = [%d,%d], want [%d,%d]", first, last, tc.first, tc.last)
 			}
@@ -132,13 +131,13 @@ func TestSecondSpanClampsBeforeConverting(t *testing.T) {
 
 	// And through both estimators: one unbounded response adds a session
 	// to every second from its own on, in the frame estimate as in the
-	// map-keyed one.
-	q := Queries{"A": {{ArrivalMs: 3000, ResponseMs: math.Inf(1)}, {ArrivalMs: 3100, ResponseMs: 1e300}}, "B": {{ArrivalMs: 500, ResponseMs: 20}}}
+	// reference.
+	q := queries{"A": {{ArrivalMs: 3000, ResponseMs: math.Inf(1)}, {ArrivalMs: 3100, ResponseMs: 1e300}}, "B": {{ArrivalMs: 500, ResponseMs: 20}}}
 	observed := make(timeseries.Series, 10)
 	fr := frameFromQueries(q, 0, 10)
 	for _, workers := range []int{1, 2} {
 		fe := EstimateFrameBuckets(fr, observed, 10, workers)
-		checkFrameEstimate(t, "unbounded responses", fr, fe, EstimateBucketsWorkers(queriesOfFrame(fr), observed, 0, 10, 10, 1))
+		checkFrameEstimate(t, "unbounded responses", fr, fe, refEstimateBuckets(fr, observed, 10))
 		pos, _ := fr.Pos("A")
 		for sec, v := range fe.PerTemplate[pos] {
 			if sec < 3 && v != 0 || sec > 3 && v != 2 {

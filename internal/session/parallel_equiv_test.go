@@ -1,8 +1,8 @@
 package session
 
 // Workers-equivalence property for the sharded bucket estimator: for
-// random query logs, EstimateBucketsWorkers must return the exact same
-// Estimate — selected buckets, per-template series, and total, down to
+// random query logs, EstimateFrameBuckets must return the exact same
+// estimate — selected buckets, per-template series, and total, down to
 // floating-point bits — for every worker count.
 
 import (
@@ -19,15 +19,15 @@ import (
 // randomQueries builds a query log with boundary-hostile observations:
 // arrivals before the window, responses spilling past it, zero response
 // times, and sub-millisecond bursts.
-func randomQueries(rng *rand.Rand, startMs int64, seconds int) (Queries, timeseries.Series) {
-	q := make(Queries)
+func randomQueries(rng *rand.Rand, startMs int64, seconds int) (queries, timeseries.Series) {
+	q := make(queries)
 	nTemplates := rng.Intn(9)
 	for t := 0; t < nTemplates; t++ {
 		id := sqltemplate.ID(fmt.Sprintf("T%02d", t))
 		nObs := rng.Intn(41)
 		for o := 0; o < nObs; o++ {
 			arrival := startMs + int64(rng.Intn(seconds*1000+4000)) - 2000
-			q[id] = append(q[id], Obs{
+			q[id] = append(q[id], obs{
 				ArrivalMs:  arrival,
 				ResponseMs: rng.Float64() * 5000,
 			})
@@ -48,10 +48,11 @@ func TestEstimateBucketsWorkersEquivalence(t *testing.T) {
 	)
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		queries, observed := randomQueries(rng, startMs, seconds)
-		seq := EstimateBucketsWorkers(queries, observed, startMs, seconds, k, 1)
+		raw, observed := randomQueries(rng, startMs, seconds)
+		f := frameFromQueries(raw, startMs, seconds)
+		seq := EstimateFrameBuckets(f, observed, k, 1)
 		for _, w := range []int{2, 4, 0} { // 0 = GOMAXPROCS
-			par := EstimateBucketsWorkers(queries, observed, startMs, seconds, k, w)
+			par := EstimateFrameBuckets(f, observed, k, w)
 			if !reflect.DeepEqual(seq, par) {
 				t.Logf("seed %d workers=%d: estimates diverged", seed, w)
 				return false
@@ -64,14 +65,12 @@ func TestEstimateBucketsWorkersEquivalence(t *testing.T) {
 	}
 }
 
-// TestEstimateBucketsWrapperIsSequential pins the compatibility contract:
-// the original EstimateBuckets signature is the Workers=1 path.
+// TestEstimateBucketsWrapperIsSequential pins what Workers = 1 means: one
+// block over the whole window on the calling goroutine, which is the
+// sequential all-buckets walk of the reference estimator, bit for bit.
 func TestEstimateBucketsWrapperIsSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	queries, observed := randomQueries(rng, 0, 20)
-	a := EstimateBuckets(queries, observed, 0, 20, 10)
-	b := EstimateBucketsWorkers(queries, observed, 0, 20, 10, 1)
-	if !reflect.DeepEqual(a, b) {
-		t.Error("EstimateBuckets diverged from EstimateBucketsWorkers(..., 1)")
-	}
+	raw, observed := randomQueries(rng, 0, 20)
+	f := frameFromQueries(raw, 0, 20)
+	checkFrameEstimate(t, "workers=1", f, EstimateFrameBuckets(f, observed, 10, 1), refEstimateBuckets(f, observed, 10))
 }

@@ -19,12 +19,11 @@ import (
 //	                               series plus pinsql_shard_* aggregates)
 //	GET /debug/pprof/...           stdlib profiling endpoints
 //
-// The API is a superset of fleet.Handler's, so `pinsqld -shards K` is a
-// drop-in replacement for the unsharded server: same paths, same document
-// shapes (GET /fleet gains a "shards" field and a per-instance "shard"
-// annotation). Read-only and safe to serve while the shards run — every
-// handler snapshots per-shard state under that shard's own lock; no
-// cross-shard lock exists.
+// It is the one control plane, whatever -shards is: GET /fleet is a fleet's
+// status document plus a "shards" field and a per-instance "shard"
+// annotation. Read-only — process control stays with signals (SIGTERM
+// drains) — and safe to serve while the shards run: every handler snapshots
+// per-shard state under that shard's own lock; no cross-shard lock exists.
 func (m *Manager) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /fleet", func(w http.ResponseWriter, r *http.Request) {

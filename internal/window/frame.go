@@ -17,13 +17,13 @@
 // columns; the string sqltemplate.ID appears only at the boundaries —
 // reports, caseio documents, the HTTP control plane — via Meta.ID.
 //
-// Determinism: the frame fixes every iteration order the legacy map-keyed
-// path reached through sorting. Observation groups hold each template's
-// records sorted by arrival time with ties in log-store insertion order
-// (exactly the store's scan order), and ByID replays the "iterate template
-// IDs in ascending string order" float-accumulation order of the session
-// estimator and impact ranker — so frame-based diagnosis is byte-identical
-// to the legacy Snapshot+Queries path, for every Workers count.
+// Determinism: the frame fixes every iteration order a diagnosis depends
+// on. Observation groups hold each template's records sorted by arrival time
+// with ties in log-store insertion order (exactly the store's scan order),
+// and ByID is the "template IDs in ascending string order" float-accumulation
+// order of the session estimator and impact ranker — so a diagnosis is a
+// function of the window's records and template IDs, not of registry
+// indexes, map iteration or the Workers count.
 package window
 
 import (
@@ -79,7 +79,7 @@ type Frame struct {
 
 	// ByID[k] is the position of the k-th template in ascending Meta.ID
 	// order: the iteration order for every float accumulation whose
-	// result must match the legacy sorted-map walk.
+	// result must not depend on the frame's layout.
 	ByID []int32
 
 	// Instance performance metrics (Definition II.4), one sample/second.

@@ -5,13 +5,11 @@ import (
 	"sort"
 
 	"pinsql/internal/anomaly"
-	"pinsql/internal/cases"
 	"pinsql/internal/collect"
 	"pinsql/internal/core"
 	"pinsql/internal/dbsim"
 	"pinsql/internal/rank"
 	"pinsql/internal/repair"
-	"pinsql/internal/session"
 	"pinsql/internal/sqltemplate"
 	"pinsql/internal/timeseries"
 	"pinsql/internal/window"
@@ -154,21 +152,14 @@ func (r *Run) DetectCases() []*Case {
 	return out
 }
 
-// Queries extracts the raw per-query observations of the run window — the
-// legacy map-keyed session-estimator input (flattened from the window
-// frame; see Frame for the columnar form Diagnose itself consumes).
-func (r *Run) Queries() session.Queries {
-	return cases.QueriesOf(r.Collector, r.Snapshot)
-}
-
 // Frame returns the run window's columnar frame — per-template aggregates,
 // observation columns and metric series in one immutable structure.
 func (r *Run) Frame() *window.Frame {
 	return r.Collector.Frame()
 }
 
-// Diagnose runs the full PinSQL pipeline on a detected case, through the
-// index-first window frame (byte-identical to the legacy map-keyed path).
+// Diagnose runs the full PinSQL pipeline on a detected case, over the run
+// window's frame.
 func (r *Run) Diagnose(c *Case) *Diagnosis {
 	return core.DiagnoseFrame(c, r.Frame(), r.cfg)
 }

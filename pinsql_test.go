@@ -134,7 +134,7 @@ func TestSetConfigChangesDiagnosis(t *testing.T) {
 	cfg.NoEstimateSession = true
 	run.SetConfig(cfg)
 	d := run.Diagnose(c)
-	if d.Est != nil || d.FrameEst != nil {
+	if d.FrameEst != nil {
 		t.Error("estimation ran despite NoEstimateSession")
 	}
 }
