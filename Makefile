@@ -1,7 +1,8 @@
 # PinSQL build/test/verification entry points. CI (.github/workflows/ci.yml)
 # runs build + vet + test + race; fuzz-smoke is a short native-fuzzing slice
 # over the SQL normalizer, the storage codecs, the log-file readers, the
-# log store's order restoration and the session estimator.
+# log store's order restoration, the segment store's seal paths and the
+# session estimator.
 
 GO ?= go
 
@@ -46,12 +47,15 @@ loc:
 # (agreement with encoding/json on every line it accepts), the in-place
 # decimal conversion (bit-equal to strconv.ParseFloat), the log store's order
 # restoration (any loose batches scan back in the stable comparison sort's
-# order), and the frame session estimator's direct paths (bit-equal to the
-# map-keyed reference's all-buckets walk). Long campaigns: raise -fuzztime.
+# order), the segment store's two seal paths (any strict and loose batches,
+# seals and a reopen scan back as the in-memory store's, renamed wal or
+# rewritten), and the frame session estimator's direct paths (bit-equal to
+# the map-keyed reference's all-buckets walk). Long campaigns: raise -fuzztime.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzNormalize -fuzztime=10s ./internal/sqltemplate
 	$(GO) test -run=^$$ -fuzz=FuzzRecordCodec -fuzztime=10s ./internal/logstore/segment
 	$(GO) test -run=^$$ -fuzz=FuzzFrameParser -fuzztime=5s ./internal/logstore/segment
+	$(GO) test -run=^$$ -fuzz=FuzzSealPaths -fuzztime=5s ./internal/logstore/segment
 	$(GO) test -run=^$$ -fuzz=FuzzReproBundle -fuzztime=5s ./internal/caseio
 	$(GO) test -run=^$$ -fuzz=FuzzSlowLogParser -fuzztime=10s ./internal/ingest
 	$(GO) test -run=^$$ -fuzz=FuzzTraceLine -fuzztime=10s ./internal/ingest

@@ -4,7 +4,8 @@
 // (§IV-A). Records are framed with a compact varint codec and a per-record
 // CRC32; an active write-ahead file per topic absorbs out-of-order
 // arrivals and is sealed into immutable, arrival-sorted segment files that
-// carry a sparse in-memory time index. TTL expiry deletes whole segments;
+// carry a sparse in-memory time index — by renaming it when nothing
+// arrived out of order, the two sharing one layout. TTL expiry deletes whole segments;
 // crash recovery truncates the torn tail of the active file and rebuilds
 // every index from the sealed frames.
 package segment

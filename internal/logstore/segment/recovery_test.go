@@ -106,7 +106,7 @@ func TestCorruptedByteRecovery(t *testing.T) {
 	}
 	frames := frameEnds(t, walData)
 
-	for k := len(walMagic); k < len(walData); k++ {
+	for k := len(fileHeader); k < len(walData); k++ {
 		dir := t.TempDir()
 		cloneTopicDir(t, masterDir, dir)
 		mut := append([]byte(nil), walData...)
@@ -147,7 +147,7 @@ func TestCorruptedByteRecovery(t *testing.T) {
 func frameEnds(t *testing.T, data []byte) []int {
 	t.Helper()
 	var ends []int
-	off := len(walMagic)
+	off := len(fileHeader)
 	for off < len(data) {
 		_, next, err := nextFrame(data, off)
 		if err != nil {

@@ -198,27 +198,7 @@ func (s *Store) snapshotRegistryLocked() error {
 	// only after it: a crash at any point leaves either the old
 	// snapshot + full delta or the new snapshot + a delta whose entries
 	// it covers — both states openRegistry recovers from.
-	tmp := s.snapPath() + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, s.snapPath()); err != nil {
-		os.Remove(tmp)
+	if err := writeFileAtomic(s.snapPath(), buf); err != nil {
 		return err
 	}
 	if s.regDelta != nil {

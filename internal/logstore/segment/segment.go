@@ -18,23 +18,33 @@ import (
 // fall back to plain reads.
 var errMmapUnavailable = errors.New("segment: mmap unavailable")
 
-// Sealed segment file layout:
+// Record file layout, format version 2 — one grammar for the active wal and
+// for a sealed segment, so that a wal holding its records in arrival order
+// becomes the segment by being renamed:
 //
 //	magic "PSEGSEG1"
-//	frame(header): uvarint(version) | uvarint(count) | varint(minMs) | varint(maxMs)
-//	count × frame(record), arrival-sorted, delta-encoded (prev starts at 0)
+//	frame(header): uvarint(version)
+//	frame(record)…, delta-encoded (prev starts at 0)
 //
-// Sealed segments are written in one shot to a temporary file and renamed
-// into place, so a segment either exists completely or not at all; the CRC
-// on every frame still guards against on-disk bit rot, and recovery keeps
-// the clean prefix of a damaged segment.
+// A sealed segment's records are arrival-sorted; a wal's are in ingest
+// order. Version 1 files still open: its segments carry count, minMs and
+// maxMs after the version (never read back — open recomputes them), its
+// wals are "PSEGWAL1" followed directly by record frames.
+//
+// A segment is either a rolled wal or written in one shot to a temporary
+// file and renamed into place, so it exists completely or not at all; the
+// CRC on every frame still guards against on-disk bit rot, and recovery
+// keeps the clean prefix of a damaged segment.
 const (
-	segMagic = "PSEGSEG1"
-	walMagic = "PSEGWAL1"
-	regMagic = "PSEGREG1"
+	segMagic   = "PSEGSEG1"
+	walMagicV1 = "PSEGWAL1"
+	regMagic   = "PSEGREG1"
 
-	formatVersion = 1
+	formatVersion = 2
 )
+
+// fileHeader opens every record file this version writes.
+var fileHeader = appendFrame([]byte(segMagic), binary.AppendUvarint(nil, formatVersion))
 
 // indexEntry is one sparse time-index point of a sealed segment: every
 // indexEvery-th record's file offset plus the state needed to resume delta
@@ -47,7 +57,8 @@ type indexEntry struct {
 }
 
 // segfile is an immutable, arrival-sorted segment on disk plus its
-// in-memory metadata. The sparse index is rebuilt from the frames at Open.
+// in-memory metadata. The sparse index is the one kept while appending when
+// the segment is a rolled wal, and rebuilt from the frames at Open.
 // When the platform supports it the file is memory-mapped: scans decode
 // straight out of the mapping with no read syscalls, no bufio staging
 // buffer, and — at open — no whole-file heap copy for CRC verification.
@@ -80,7 +91,8 @@ func walName(seq uint64) string { return fmt.Sprintf("%08d.wal", seq) }
 // writeSegment seals recs (already arrival-sorted) into an immutable
 // segment file at dir/segName(seq), building the sparse index as it goes.
 // The file is written to a temporary name, synced, and renamed into place.
-func writeSegment(dir string, seq uint64, recs []logstore.Record, indexEvery int, noMmap bool) (*segfile, error) {
+// sizeHint, when positive, is the encoded size to expect.
+func writeSegment(dir string, seq uint64, recs []logstore.Record, indexEvery int, noMmap bool, sizeHint int) (*segfile, error) {
 	sf := &segfile{
 		path:  filepath.Join(dir, segName(seq)),
 		seq:   seq,
@@ -88,16 +100,9 @@ func writeSegment(dir string, seq uint64, recs []logstore.Record, indexEvery int
 		live:  len(recs),
 		minMs: recs[0].ArrivalMs,
 		maxMs: recs[len(recs)-1].ArrivalMs,
+		index: make([]indexEntry, 0, (len(recs)+indexEvery-1)/indexEvery),
 	}
-	var buf []byte
-	buf = append(buf, segMagic...)
-	var hdr []byte
-	hdr = binary.AppendUvarint(hdr, formatVersion)
-	hdr = binary.AppendUvarint(hdr, uint64(len(recs)))
-	hdr = binary.AppendVarint(hdr, sf.minMs)
-	hdr = binary.AppendVarint(hdr, sf.maxMs)
-	buf = appendFrame(buf, hdr)
-
+	buf := append(make([]byte, 0, max(sizeHint, len(fileHeader))), fileHeader...)
 	prev := int64(0)
 	var payload []byte
 	for i, rec := range recs {
@@ -113,35 +118,64 @@ func writeSegment(dir string, seq uint64, recs []logstore.Record, indexEvery int
 		buf = appendFrame(buf, payload)
 		prev = rec.ArrivalMs
 	}
-
-	tmp := sf.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
+	if err := writeFileAtomic(sf.path, buf); err != nil {
 		return nil, err
 	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return nil, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return nil, err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return nil, err
-	}
-	if err := os.Rename(tmp, sf.path); err != nil {
-		os.Remove(tmp)
-		return nil, err
-	}
+	var err error
 	if sf.f, err = os.Open(sf.path); err != nil {
 		return nil, err
 	}
 	sf.mapIfEnabled(noMmap)
 	return sf, nil
+}
+
+// writeFileAtomic puts data at path by way of path.tmp: written, fsynced,
+// closed, renamed — a reader finds the old file or the new one, never a mix.
+func writeFileAtomic(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
+}
+
+// readFrames decodes the record frames of data from off up to the first
+// one that is torn, fails its CRC or does not decode, handing each record
+// to fn. It returns the offset just past the last intact frame, that
+// frame's arrival (the next frame's delta base) and one sparse-index entry
+// per indexEvery records.
+func readFrames(data []byte, off, indexEvery int, fn func(logstore.Record)) (good int, prev int64, index []indexEntry) {
+	for n := 0; off < len(data); n++ {
+		payload, next, err := nextFrame(data, off)
+		if err != nil {
+			break
+		}
+		rec, err := decodeRecord(payload, prev)
+		if err != nil {
+			break
+		}
+		if n%indexEvery == 0 {
+			index = append(index, indexEntry{firstMs: rec.ArrivalMs, prevMs: prev, off: int64(off), recIdx: n})
+		}
+		fn(rec)
+		prev = rec.ArrivalMs
+		off = next
+	}
+	return off, prev, index
 }
 
 // openSegment reads a sealed segment, verifying every frame's CRC and
@@ -173,42 +207,17 @@ func openSegment(path string, seq uint64, indexEvery int, noMmap bool) (*segfile
 		sf.close()
 		return nil, fmt.Errorf("segment: %s: unreadable header", path)
 	}
-	version, n := binary.Uvarint(hdr)
-	if n <= 0 || version != formatVersion {
+	if version, n := binary.Uvarint(hdr); n <= 0 || version < 1 || version > formatVersion {
 		sf.close()
 		return nil, fmt.Errorf("segment: %s: unsupported version %d", path, version)
 	}
-
-	prev := int64(0)
-	for off < len(data) {
-		payload, next, ferr := nextFrame(data, off)
-		if ferr != nil {
-			break // bit rot past this point; keep the clean prefix
-		}
-		rec, derr := decodeRecord(payload, prev)
-		if derr != nil {
-			break
-		}
-		if sf.count%indexEvery == 0 {
-			sf.index = append(sf.index, indexEntry{
-				firstMs: rec.ArrivalMs,
-				prevMs:  prev,
-				off:     int64(off),
-				recIdx:  sf.count,
-			})
-		}
-		if sf.count == 0 {
-			sf.minMs = rec.ArrivalMs
-		}
-		sf.maxMs = rec.ArrivalMs
-		sf.count++
-		prev = rec.ArrivalMs
-		off = next
-	}
+	// Bit rot past the clean prefix is left where it is.
+	_, sf.maxMs, sf.index = readFrames(data, off, indexEvery, func(logstore.Record) { sf.count++ })
 	if sf.count == 0 {
 		sf.close()
 		return nil, fmt.Errorf("segment: %s: no intact records", path)
 	}
+	sf.minMs = sf.index[0].firstMs
 	sf.live = sf.count
 	return sf, nil
 }

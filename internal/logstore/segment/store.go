@@ -1,6 +1,7 @@
 package segment
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"math"
@@ -79,6 +80,15 @@ type topic struct {
 	mem   []logstore.Record // mirror of the live wal records
 	dirty bool              // mem needs a lazy stable sort
 
+	// inOrder holds while the wal is, byte for byte, the segment its
+	// records would seal into: the version-2 header, then exactly mem's
+	// frames in arrival order, every write and fsync so far successful.
+	// seal then renames the file instead of rewriting it, and index — one
+	// entry per IndexEvery records, kept while appending — becomes the
+	// segment's.
+	inOrder bool
+	index   []indexEntry
+
 	prevArrival int64 // delta base of the next wal frame
 	sinceSync   int   // wal records appended since the last fsync
 
@@ -91,6 +101,10 @@ type topic struct {
 	refValid bool
 
 	watermark int64 // records with ArrivalMs < watermark are expired
+	// wmStale is set while the watermark file is behind watermark: Expire
+	// writes the file only when a record below the new cutoff is left on
+	// disk, and append catches it up before such a record arrives late.
+	wmStale bool
 }
 
 // Store is a durable, crash-recoverable logstore.Backend. Directory
@@ -104,8 +118,9 @@ type topic struct {
 //
 // Appends go to the wal (one CRC frame per record, one write per batch
 // stretch) and an in-memory mirror; when the wal reaches the segment size
-// the mirror is stable-sorted by arrival and sealed into an immutable .seg
-// file whose sparse time index lives in memory. Scans merge the sorted
+// it is sealed into an immutable .seg file whose sparse time index lives in
+// memory — by renaming it when its records arrived in order, by
+// stable-sorting the mirror into a new file otherwise. Scans merge the sorted
 // segments and the mirror, reproducing exactly the in-memory store's
 // lazily sorted order. Expire deletes whole segments below the TTL cutoff in O(1) per
 // segment and persists the cutoff as a watermark so partially expired
@@ -119,6 +134,10 @@ type Store struct {
 
 	// frames and payload are append's encode buffers, reused under mu.
 	frames, payload []byte
+
+	// rolls and rewrites count the seals that renamed the wal and those
+	// that wrote a new file; sealErrs the attempts that did neither.
+	rolls, rewrites, sealErrs int
 
 	// The registry has its own lock so AppendRegistry can be called from
 	// a collect.Registry intern hook (which holds the registry's lock)
@@ -251,67 +270,74 @@ func (s *Store) recoverTopic(name, dir string) (*topic, error) {
 
 // replayWal loads the active wal's intact frames into the memtable,
 // truncating the torn tail, and leaves the file positioned for appends.
-// A missing wal (fresh topic or crash right after sealing) is created.
+// A wal that is missing (fresh topic, or a crash right after sealing) or
+// torn inside its header is created anew.
 func (s *Store) replayWal(t *topic) error {
 	path := filepath.Join(t.dir, walName(t.seq))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return err
-	}
 	data, err := os.ReadFile(path)
-	if err != nil {
-		f.Close()
+	if err != nil && !os.IsNotExist(err) {
 		return err
 	}
-	good := len(walMagic)
-	if len(data) < good || string(data[:good]) != walMagic {
-		// Brand-new or headerless wal: start it over.
-		if err := f.Truncate(0); err != nil {
-			f.Close()
-			return err
-		}
-		if _, err := f.WriteAt([]byte(walMagic), 0); err != nil {
-			f.Close()
-			return err
-		}
-		good = len(walMagic)
-	} else {
-		prev := int64(0)
-		off := good
-		for off < len(data) {
-			payload, next, ferr := nextFrame(data, off)
-			if ferr != nil {
-				break // torn tail: truncate from here
-			}
-			rec, derr := decodeRecord(payload, prev)
-			if derr != nil {
-				break
-			}
-			if rec.ArrivalMs >= t.watermark {
-				if n := len(t.mem); n > 0 && rec.ArrivalMs < t.mem[n-1].ArrivalMs {
-					t.dirty = true
-				}
-				t.mem = append(t.mem, rec)
-			}
-			prev = rec.ArrivalMs
-			off = next
-			good = next
-		}
-		t.prevArrival = prev
-		if good < len(data) {
-			if err := f.Truncate(int64(good)); err != nil {
-				f.Close()
-				return err
-			}
-		}
+	start := 0
+	switch {
+	case bytes.HasPrefix(data, fileHeader):
+		start = len(fileHeader)
+	case bytes.HasPrefix(data, []byte(walMagicV1)):
+		start = len(walMagicV1)
+	default:
+		return s.createWal(t)
 	}
-	if _, err := f.Seek(int64(good), 0); err != nil {
+	frames := 0
+	good, prev, index := readFrames(data, start, s.opt.IndexEvery, func(rec logstore.Record) {
+		frames++
+		if rec.ArrivalMs < t.watermark {
+			return
+		}
+		if n := len(t.mem); n > 0 && rec.ArrivalMs < t.mem[n-1].ArrivalMs {
+			t.dirty = true
+		}
+		t.mem = append(t.mem, rec)
+	})
+	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	if err != nil {
+		return err
+	}
+	if good < len(data) {
+		err = f.Truncate(int64(good))
+	}
+	if err == nil {
+		_, err = f.Seek(int64(good), 0)
+	}
+	if err != nil {
 		f.Close()
 		return err
 	}
 	t.wal = f
 	t.walBytes = int64(good)
+	t.prevArrival = prev
 	t.sinceSync = 0
+	t.index = index
+	t.inOrder = start == len(fileHeader) && !t.dirty && frames == len(t.mem)
+	return nil
+}
+
+// createWal starts the topic's active wal at t.seq: one create-or-truncate
+// open, one header write. The previous wal's descriptor is the caller's to
+// have closed or handed to its segment.
+func (s *Store) createWal(t *topic) error {
+	t.wal, t.walBytes, t.prevArrival, t.sinceSync, t.inOrder = nil, 0, 0, 0, false
+	f, err := os.OpenFile(filepath.Join(t.dir, walName(t.seq)), os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(fileHeader); err != nil {
+		f.Close()
+		return err
+	}
+	t.wal = f
+	t.walBytes = int64(len(fileHeader))
+	t.index = t.index[:0]
+	t.inOrder = true
 	return nil
 }
 
@@ -329,7 +355,7 @@ func (s *Store) getTopic(name string, create bool) (*topic, error) {
 		return nil, err
 	}
 	t := &topic{name: name, dir: dir, seq: 1, watermark: math.MinInt64}
-	if err := s.replayWal(t); err != nil {
+	if err := s.createWal(t); err != nil {
 		return nil, err
 	}
 	s.topics[name] = t
@@ -424,7 +450,9 @@ func (s *Store) appendBatch(topicName string, recs []logstore.Record, loose bool
 // written once per stretch between seal, SyncEvery and frameBufBytes bounds, so the
 // bytes on disk, the seal points and the fsync points are those of a
 // record-at-a-time writer, and every accepted frame has been handed to the
-// OS before append returns. Callers hold s.mu.
+// OS before append returns. A seal that fails is not tried again before the
+// next call: the records behind it stay in the wal and the memtable, and
+// are written in stretches like any others. Callers hold s.mu.
 func (s *Store) append(t *topic, recs []logstore.Record, loose bool) int {
 	buf, pending := s.frames[:0], 0
 	// flush writes the encoded stretch; sinceSync counts only records whose
@@ -433,9 +461,11 @@ func (s *Store) append(t *topic, recs []logstore.Record, loose bool) int {
 		if t.wal != nil && pending > 0 {
 			if _, err := t.wal.Write(buf); err != nil {
 				s.fail(err)
+				t.inOrder = false
 			} else if t.sinceSync += pending; sync {
 				if err := t.wal.Sync(); err != nil {
 					s.fail(err)
+					t.inOrder = false
 				}
 				t.sinceSync = 0
 			}
@@ -443,10 +473,20 @@ func (s *Store) append(t *topic, recs []logstore.Record, loose bool) int {
 		buf, pending = buf[:0], 0
 		s.frames = buf
 	}
+	sealFailed := false
 	for i, rec := range recs {
 		if !loose && t.refValid && rec.ArrivalMs < t.refLast && t.refLast-rec.ArrivalMs > s.opt.SlackMs {
 			flush(false)
 			return i
+		}
+		if t.wmStale && rec.ArrivalMs < t.watermark {
+			s.persistWatermark(t) // an expired arrival must stay masked after a restart
+		}
+		if n := len(t.mem); n > 0 && rec.ArrivalMs < t.mem[n-1].ArrivalMs {
+			t.dirty, t.inOrder = true, false
+		}
+		if t.inOrder && len(t.mem)%s.opt.IndexEvery == 0 {
+			t.index = append(t.index, indexEntry{firstMs: rec.ArrivalMs, prevMs: t.prevArrival, off: t.walBytes, recIdx: len(t.mem)})
 		}
 		n := len(buf)
 		s.payload = appendRecord(s.payload[:0], t.prevArrival, rec)
@@ -454,9 +494,6 @@ func (s *Store) append(t *topic, recs []logstore.Record, loose bool) int {
 		pending++
 		t.walBytes += int64(len(buf) - n)
 		t.prevArrival = rec.ArrivalMs
-		if n := len(t.mem); n > 0 && rec.ArrivalMs < t.mem[n-1].ArrivalMs {
-			t.dirty = true
-		}
 		t.mem = append(t.mem, rec)
 		// Mirror the in-memory store's last slice element: a loose append
 		// always lands at the end; a strict append lands at the end only when
@@ -466,13 +503,14 @@ func (s *Store) append(t *topic, recs []logstore.Record, loose bool) int {
 		}
 		t.refValid = true
 		syncDue := s.opt.SyncEvery > 0 && t.sinceSync+pending >= s.opt.SyncEvery
-		sealDue := len(t.mem) >= s.opt.SegmentRecords || t.walBytes >= s.opt.SegmentBytes
+		sealDue := !sealFailed && (len(t.mem) >= s.opt.SegmentRecords || t.walBytes >= s.opt.SegmentBytes)
 		if syncDue || sealDue || i == len(recs)-1 || len(buf) >= frameBufBytes {
 			flush(syncDue)
 		}
 		if sealDue {
 			if err := s.seal(t); err != nil {
 				s.fail(err)
+				sealFailed = true
 			}
 		}
 	}
@@ -511,33 +549,75 @@ func (t *topic) syncRef() {
 	}
 }
 
-// seal stable-sorts the memtable into an immutable segment, starts a
-// fresh wal, and removes the sealed one. Callers hold s.mu.
+// seal turns the active wal into an immutable segment and starts a fresh
+// wal. A wal that is already the segment (t.inOrder) is fsynced and renamed;
+// any other is replaced by the stable-sorted memtable written out anew, and
+// removed. Callers hold s.mu.
 func (s *Store) seal(t *topic) error {
 	if len(t.mem) == 0 {
 		return nil
 	}
-	t.ensureSorted()
-	sf, err := writeSegment(t.dir, t.seq, t.mem, s.opt.IndexEvery, s.opt.noMmap)
-	if err != nil {
-		return err
+	oldWal := filepath.Join(t.dir, walName(t.seq))
+	sf := s.roll(t, oldWal)
+	rolled := sf != nil
+	if !rolled {
+		t.ensureSorted()
+		var err error
+		if sf, err = writeSegment(t.dir, t.seq, t.mem, s.opt.IndexEvery, s.opt.noMmap, int(t.walBytes)); err != nil {
+			s.sealErrs++
+			return err
+		}
+		s.rewrites++
+		if t.wal != nil {
+			t.wal.Close()
+		}
 	}
 	t.segs = append(t.segs, sf)
-	oldWal := filepath.Join(t.dir, walName(t.seq))
-	if t.wal != nil {
-		t.wal.Close()
-		t.wal = nil
-	}
 	t.seq++
-	t.mem = nil
+	t.mem = t.mem[:0]
 	t.dirty = false
-	t.prevArrival = 0
-	if err := s.replayWal(t); err != nil { // creates the fresh, empty wal
+	if err := s.createWal(t); err != nil {
 		return err
 	}
-	os.Remove(oldWal)
+	if !rolled {
+		os.Remove(oldWal)
+	}
 	syncDir(t.dir)
 	return nil
+}
+
+// roll seals an in-order wal in place: fsync, then rename to the segment's
+// name. The descriptor stays open as the segment's reader, so nothing after
+// the rename can fail, and the index kept while appending is the segment's.
+// It returns nil, leaving the wal as it was, when the wal is not the
+// segment or either step fails — the caller then rewrites.
+func (s *Store) roll(t *topic, walPath string) *segfile {
+	if !t.inOrder {
+		return nil
+	}
+	if err := t.wal.Sync(); err != nil {
+		s.fail(err)
+		t.inOrder = false
+		return nil
+	}
+	t.sinceSync = 0
+	sf := &segfile{
+		path:  filepath.Join(t.dir, segName(t.seq)),
+		f:     t.wal,
+		seq:   t.seq,
+		count: len(t.mem),
+		live:  len(t.mem),
+		minMs: t.mem[0].ArrivalMs,
+		maxMs: t.mem[len(t.mem)-1].ArrivalMs,
+		index: t.index,
+	}
+	if err := os.Rename(walPath, sf.path); err != nil {
+		return nil
+	}
+	s.rolls++
+	t.index = make([]indexEntry, 0, len(sf.index))
+	sf.mapIfEnabled(s.opt.noMmap)
+	return sf
 }
 
 // mergeRun is one sorted source feeding a scan: a sealed segment iterator
@@ -713,8 +793,9 @@ func (s *Store) Bounds(topicName string) (minMs, maxMs int64, ok bool) {
 
 // Expire drops every record with ArrivalMs < nowMs − TTL and returns the
 // number removed. Wholly expired segments are deleted in O(1) each;
-// partially expired segments are masked by the watermark, which is
-// persisted so the mask survives restarts.
+// partially expired segments, and wal frames trimmed from the memtable,
+// are masked by the watermark, which is persisted whenever it masks
+// something so the mask survives restarts.
 func (s *Store) Expire(nowMs int64) int {
 	cutoff := nowMs - s.opt.TTLMs
 	s.mu.Lock()
@@ -722,6 +803,7 @@ func (s *Store) Expire(nowMs int64) int {
 	removed := 0
 	for _, t := range s.topics {
 		if cutoff > t.watermark {
+			onDisk := false // a record below cutoff stays in a file
 			keep := t.segs[:0]
 			for _, sf := range t.segs {
 				switch {
@@ -735,6 +817,7 @@ func (s *Store) Expire(nowMs int64) int {
 					removed += nowDead - wasDead
 					sf.live = sf.count - nowDead
 					keep = append(keep, sf)
+					onDisk = true
 				default:
 					keep = append(keep, sf)
 				}
@@ -744,11 +827,13 @@ func (s *Store) Expire(nowMs int64) int {
 			lo := sort.Search(len(t.mem), func(i int) bool { return t.mem[i].ArrivalMs >= cutoff })
 			if lo > 0 {
 				removed += lo
-				t.mem = t.mem[lo:]
+				t.mem = t.mem[lo:] // their frames stay in the wal
+				t.inOrder = false
+				onDisk = true
 			}
-			t.watermark = cutoff
-			if err := writeWatermark(t.dir, cutoff); err != nil {
-				s.fail(err)
+			t.watermark, t.wmStale = cutoff, true
+			if onDisk {
+				s.persistWatermark(t)
 			}
 		}
 		// The in-memory store sorts every topic on Expire, even when
@@ -804,7 +889,7 @@ func (s *Store) TruncateFrom(topicName string, fromMs int64) int {
 				os.Remove(sf.path)
 				continue
 			}
-			nsf, err := writeSegment(t.dir, sf.seq, survivors, s.opt.IndexEvery, s.opt.noMmap)
+			nsf, err := writeSegment(t.dir, sf.seq, survivors, s.opt.IndexEvery, s.opt.noMmap, 0)
 			if err != nil {
 				// Disk trouble: stay correct in memory by folding the
 				// survivors into the active wal; durability is degraded
@@ -847,7 +932,7 @@ func (s *Store) TruncateFrom(topicName string, fromMs int64) int {
 // so a crash mid-rewrite leaves either the old or the new wal, never a
 // mix. Callers hold s.mu.
 func (s *Store) rewriteWal(t *topic) error {
-	buf := []byte(walMagic)
+	buf := append(make([]byte, 0, t.walBytes), fileHeader...)
 	prev := int64(0)
 	var payload []byte
 	for _, rec := range t.mem {
@@ -856,24 +941,11 @@ func (s *Store) rewriteWal(t *topic) error {
 		prev = rec.ArrivalMs
 	}
 	path := filepath.Join(t.dir, walName(t.seq))
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		os.Remove(tmp)
+	if err := writeFileAtomic(path, buf); err != nil {
 		return err
 	}
-	f, err := os.OpenFile(tmp, os.O_RDWR, 0o644)
+	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		f.Close()
-		os.Remove(tmp)
 		return err
 	}
 	if _, err := f.Seek(int64(len(buf)), 0); err != nil {
@@ -888,6 +960,7 @@ func (s *Store) rewriteWal(t *topic) error {
 	t.prevArrival = prev
 	t.sinceSync = 0
 	t.dirty = false
+	t.inOrder = false // its index was not kept; the next seal rewrites
 	return nil
 }
 
@@ -960,14 +1033,15 @@ func readWatermark(dir string) int64 {
 	return wm
 }
 
-// writeWatermark atomically persists a topic's expiry cutoff.
-func writeWatermark(dir string, wm int64) error {
-	buf := appendFrame(nil, binary.AppendVarint(nil, wm))
-	tmp := filepath.Join(dir, "watermark.tmp")
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		return err
+// persistWatermark atomically writes the topic's expiry cutoff, fsynced
+// before the rename.
+func (s *Store) persistWatermark(t *topic) {
+	buf := appendFrame(nil, binary.AppendVarint(nil, t.watermark))
+	if err := writeFileAtomic(filepath.Join(t.dir, "watermark"), buf); err != nil {
+		s.fail(err)
+		return
 	}
-	return os.Rename(tmp, filepath.Join(dir, "watermark"))
+	t.wmStale = false
 }
 
 // syncDir best-effort fsyncs a directory after a rename or remove so the
