@@ -1,8 +1,8 @@
 # PinSQL build/test/verification entry points. CI (.github/workflows/ci.yml)
 # runs build + vet + test + race; fuzz-smoke is a short native-fuzzing slice
 # over the SQL normalizer, the storage codecs, the log-file readers, the
-# log store's order restoration, the segment store's seal paths and the
-# session estimator.
+# log store's order restoration, the collector's window log, the segment
+# store's seal paths and the session estimator.
 
 GO ?= go
 
@@ -47,7 +47,10 @@ loc:
 # (agreement with encoding/json on every line it accepts), the in-place
 # decimal conversion (bit-equal to strconv.ParseFloat), the log store's order
 # restoration (any loose batches scan back in the stable comparison sort's
-# order), the segment store's two seal paths (any strict and loose batches,
+# order, and so does any chunk list handed to Arrange), the collector's
+# window log (any records, batch cuts and seal points: every sealed frame is
+# the independent reference's and the arranged runs are a store's scan), the
+# segment store's two seal paths (any strict and loose batches,
 # seals and a reopen scan back as the in-memory store's, renamed wal or
 # rewritten), and the frame session estimator's direct paths (bit-equal to
 # the map-keyed reference's all-buckets walk). Long campaigns: raise -fuzztime.
@@ -60,7 +63,8 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzSlowLogParser -fuzztime=10s ./internal/ingest
 	$(GO) test -run=^$$ -fuzz=FuzzTraceLine -fuzztime=10s ./internal/ingest
 	$(GO) test -run=^$$ -fuzz=FuzzParseDecimal -fuzztime=5s ./internal/ingest
-	$(GO) test -run=^$$ -fuzz=FuzzLooseOrder -fuzztime=10s ./internal/logstore
+	$(GO) test -run=^$$ -fuzz=FuzzLooseOrder -fuzztime=5s ./internal/logstore
+	$(GO) test -run=^$$ -fuzz=FuzzWindowLog -fuzztime=5s ./internal/collect
 	$(GO) test -run=^$$ -fuzz=FuzzEstimateShortPath -fuzztime=10s ./internal/session
 
 # Adversarial workload search: a seed-driven bandit over injection

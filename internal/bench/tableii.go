@@ -6,7 +6,6 @@ import (
 
 	"pinsql/internal/cases"
 	"pinsql/internal/core"
-	"pinsql/internal/logstore"
 	"pinsql/internal/parallel"
 	"pinsql/internal/repair"
 	"pinsql/internal/sqltemplate"
@@ -147,12 +146,13 @@ func slowestTemplate(lab *cases.Labeled, as, ae int) sqltemplate.ID {
 	fromMs := snap.StartMs + int64(as)*1000
 	toMs := snap.StartMs + int64(ae)*1000
 	slow := make(map[int32]int)
-	lab.Collector.Store().ScanFunc(snap.Topic, fromMs, toMs, func(r logstore.Record) bool {
-		if r.ResponseMs > 1000 {
-			slow[r.TemplateIdx]++
+	for _, run := range lab.Collector.TakeArranged() {
+		for _, r := range run {
+			if r.ArrivalMs >= fromMs && r.ArrivalMs < toMs && r.ResponseMs > 1000 {
+				slow[r.TemplateIdx]++
+			}
 		}
-		return true
-	})
+	}
 	var best sqltemplate.ID
 	bestN := 0
 	for idx, n := range slow {

@@ -1,7 +1,7 @@
 package collect
 
 import (
-	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -28,16 +28,8 @@ type TemplateSeries struct {
 	// (copy-on-seal), so sealed frames stay immutable without recopying
 	// untouched templates at every seal.
 	sealed bool
-	// sealPos is 1 + this template's position in the last sealed frame
-	// (0 = not in it): the delta build fetches a clean group's
-	// already-sorted column from there instead of re-sorting its tail.
-	sealPos int32
 
-	// pos is the template's current position in its collector's frame
-	// order, and obs its observation tail — one lookup per record reaches
-	// the series, the tail and the position together.
-	pos int
-	obs obsColumns
+	nobs int32 // observations in the window log: its group's size at the next seal
 }
 
 // touch prepares the series for mutation: if the last sealed frame still
@@ -171,21 +163,22 @@ func (m *metricSet) set(sec int, row dbsim.SecondMetrics) {
 	m.MDLWaits[sec] = float64(row.MDLWaits)
 }
 
-// noDirtyObs is the dirty-watermark sentinel: no observation group has
-// changed since the last seal.
-const noDirtyObs = math.MaxInt
+// logChunk is the fixed record capacity of one chunk of a window log (128
+// KiB): the log grows a fresh chunk at a time and never copies what it holds.
+const logChunk = 4096
 
 // Collector ingests the raw query-log stream and instance metrics of one
 // database instance over a fixed window, producing per-template aggregates
-// and archiving compact records in the log store.
+// and keeping the window's compact records.
 //
-// Frame maintenance is incremental: observation columns accumulate in
-// per-template tails grown in place during Ingest, and each Frame call
-// seals a new immutable frame by patching only what changed since the
-// previous seal — the dirty suffix of the observation columns (tracked by
-// a minimum-position watermark), the aggregate series of touched templates
-// (copy-on-seal), and the live metric series (also copy-on-seal). A warm
-// close therefore allocates O(new records), not O(window).
+// The records are kept once, in ingest order, in a chunked window log, and
+// ordered once: logstore.Arrange gives the log's arrival-ordered form, and
+// a seal scatters that form into the frame's template groups, which leaves
+// every group in arrival order with ties in ingest order by construction.
+// What a seal does not redo: series are handed out by reference and cloned
+// on their next mutation (copy-on-seal), a window nothing was ingested into
+// returns its cached frame, and a seal no record preceded shares the
+// previous frame's observation columns.
 //
 // Lock order: c.mu → the registry's lock → the store's locks. IngestBatch
 // interns (persistence hook included) and appends to the store under c.mu;
@@ -196,7 +189,7 @@ type Collector struct {
 	startMs  int64
 	seconds  int
 	registry *Registry
-	store    logstore.Backend
+	store    logstore.Backend // receives every batch loose; nil for none
 
 	// templates resolves a template ID to its window state: a pre-digested
 	// record reaches the shared registry only on first sight in the window.
@@ -207,8 +200,12 @@ type Collector struct {
 	// templates intern, so sealing never re-sorts.
 	ordered []*TemplateSeries
 
-	// archive is the batch of store records IngestBatch assembles, reused.
-	archive []logstore.Record
+	// log is the window log: every archived record, in ingest order, in
+	// chunks of logChunk; it is never given away. arranged is its
+	// arrival-ordered form, or nil when none is current: built on demand,
+	// dropped when a record arrives, handed over by TakeArranged.
+	log      [][]logstore.Record
+	arranged [][]logstore.Record
 
 	// met holds the live metric series; metSealed marks them as referenced
 	// by the last sealed frame (copy-on-seal, like TemplateSeries.sealed).
@@ -218,43 +215,24 @@ type Collector struct {
 	metSealed  bool
 	metricsLen int
 
-	records int64 // raw query records archived to the store
+	records int64 // raw query records in the window log
 
 	// frame is the last sealed frame; frameValid reports that nothing was
-	// ingested since its seal, so Frame() returns it unchanged. dirtyObs
-	// is the smallest frame position whose observation group changed since
-	// that seal (noDirtyObs when none), and tsetChanged reports templates
-	// added since — both reset at seal.
+	// ingested since its seal, so Frame() returns it unchanged, and
+	// tsetChanged that templates were added since (reset at seal).
 	frame       *window.Frame
 	frameValid  bool
-	dirtyObs    int
 	tsetChanged bool
 }
 
-// obsColumns is one template's in-progress observation columns: the same
-// records the store archives, appended in log-store insertion order during
-// ingest, so Frame() never re-scans the store. Tails are append-only and
-// never sorted in place: a seal copies the tail into the frame column and
-// sorts the copy. dirty marks appends since the last seal: only dirty
-// groups are re-sorted at seal; clean groups copy their sorted form from
-// the previous frame.
-type obsColumns struct {
-	arrival  []int64
-	response []float64
-	dirty    bool
-}
-
 // NewCollector creates a collector for the window [startMs, endMs) on the
-// given topic (instance name). registry and store may be shared across
-// collectors; nil values create private ones. The store may be any
-// logstore.Backend — the volatile in-memory store or the durable segment
-// store (logstore/segment).
+// given topic (instance name). A nil registry creates a private one. A
+// non-nil store — any logstore.Backend, shareable across collectors —
+// additionally receives every ingested batch as a loose append, in ingest
+// order; nil means none: the collector's own window log is the only copy.
 func NewCollector(topic string, startMs, endMs int64, registry *Registry, store logstore.Backend) *Collector {
 	if registry == nil {
 		registry = NewRegistry()
-	}
-	if store == nil {
-		store = logstore.New(0)
 	}
 	seconds := int((endMs - startMs + 999) / 1000)
 	return &Collector{
@@ -265,37 +243,24 @@ func NewCollector(topic string, startMs, endMs int64, registry *Registry, store 
 		store:     store,
 		templates: make(map[sqltemplate.ID]*TemplateSeries),
 		met:       newMetricSet(seconds),
-		dirtyObs:  noDirtyObs,
 	}
 }
 
 // Registry returns the template registry backing this collector.
 func (c *Collector) Registry() *Registry { return c.registry }
 
-// Store returns the log store backing this collector.
-func (c *Collector) Store() logstore.Backend { return c.store }
-
 // Sink returns a dbsim.LogSink that feeds this collector; plug it directly
 // into a simulation run.
 func (c *Collector) Sink() dbsim.LogSink { return c.Ingest }
 
 // insertOrdered places a freshly interned template into the position-order
-// mirror and lowers the dirty watermark to its insertion point: every
-// position at or after it shifts, so the seal rebuilds that suffix.
+// mirror.
 func (c *Collector) insertOrdered(ts *TemplateSeries) {
 	pos := sort.Search(len(c.ordered), func(i int) bool {
 		return c.ordered[i].Meta.Index > ts.Meta.Index
 	})
-	c.ordered = append(c.ordered, nil)
-	copy(c.ordered[pos+1:], c.ordered[pos:])
-	c.ordered[pos] = ts
-	for i := pos; i < len(c.ordered); i++ {
-		c.ordered[i].pos = i
-	}
+	c.ordered = slices.Insert(c.ordered, pos, ts)
 	c.tsetChanged = true
-	if pos < c.dirtyObs {
-		c.dirtyObs = pos
-	}
 }
 
 // Ingest consumes one query-log record: IngestBatch of one.
@@ -330,11 +295,30 @@ func (c *Collector) seriesLocked(rec *dbsim.LogRecord) *TemplateSeries {
 
 // IngestBatch consumes query-log records in order under one acquisition of
 // the collector lock; recs is not retained. Records outside the window are
-// skipped (integer division would round −1..−999 ms up to second 0).
+// skipped (integer division would round −1..−999 ms up to second 0). Each
+// archived record (session estimation needs per-query start and response
+// times, §IV-C) is written once, into the tail of the window log.
 func (c *Collector) IngestBatch(recs []dbsim.LogRecord) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	archive := c.archive[:0]
+	var tail []logstore.Record
+	if n := len(c.log); n > 0 {
+		tail = c.log[n-1]
+	}
+	// flush puts the grown tail chunk back and hands the store the stretch
+	// it has not seen — loosely: records are emitted at completion, far out
+	// of arrival order; under c.mu: the store's insertion order is the log's.
+	sent := len(tail)
+	flush := func() {
+		if len(tail) == sent {
+			return
+		}
+		c.log[len(c.log)-1] = tail
+		if c.store != nil {
+			c.store.AppendLooseBatch(c.topic, tail[sent:])
+		}
+		c.arranged = nil
+	}
 	for i := range recs {
 		rec := &recs[i]
 		if rec.ArrivalMs < c.startMs {
@@ -354,33 +338,22 @@ func (c *Collector) IngestBatch(recs []dbsim.LogRecord) {
 		ts.Count[sec]++
 		ts.SumRT[sec] += rec.ResponseMs
 		ts.SumRows[sec] += float64(rec.ExaminedRows)
+		ts.nobs++
 		c.records++
 
-		// Observation columns for the window frame: the same record the
-		// store archives below, in the same order.
-		ts.obs.arrival = append(ts.obs.arrival, rec.ArrivalMs)
-		ts.obs.response = append(ts.obs.response, rec.ResponseMs)
-		ts.obs.dirty = true
-		if ts.pos < c.dirtyObs {
-			c.dirtyObs = ts.pos
+		if len(tail) == cap(tail) {
+			flush()
+			tail, sent = make([]logstore.Record, 0, logChunk), 0
+			c.log = append(c.log, tail)
 		}
-		archive = append(archive, logstore.Record{
+		tail = append(tail, logstore.Record{
 			TemplateIdx:  ts.Meta.Index,
 			ArrivalMs:    rec.ArrivalMs,
 			ResponseMs:   rec.ResponseMs,
 			ExaminedRows: rec.ExaminedRows,
 		})
 	}
-	// Raw records for the log store (session estimation needs per-query
-	// start and response times, §IV-C). Loose append: records are emitted
-	// at completion, so lock-delayed statements arrive far out of arrival
-	// order. Appended under c.mu so the column order above always equals
-	// the store's insertion order — the tie-break order of a frame's
-	// observation groups.
-	if len(archive) > 0 {
-		c.store.AppendLooseBatch(c.topic, archive)
-	}
-	c.archive = archive[:0]
+	flush()
 }
 
 // touchMetricsLocked prepares the metric series for mutation, cloning them
@@ -474,18 +447,35 @@ func (c *Collector) Snapshot() *Snapshot {
 	return snap
 }
 
+// arrangedLocked returns the window log's arrival-ordered form, building
+// it if none is current.
+func (c *Collector) arrangedLocked() [][]logstore.Record {
+	if c.arranged == nil {
+		c.arranged, _ = logstore.Arrange(c.log)
+	}
+	return c.arranged
+}
+
+// TakeArranged returns the window's records in arrival order with ties in
+// ingest order — what Scan returns from a store fed the same batches — as
+// the runs logstore.Arrange cuts, and gives them up: the caller owns them
+// (and may pass them on to Backend.AppendBatch), the collector forgets
+// them, and a later seal or call derives them afresh. After a seal with
+// nothing ingested since, they are the arrays the seal scattered from.
+func (c *Collector) TakeArranged() [][]logstore.Record {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	runs := c.arrangedLocked()
+	c.arranged = nil
+	return runs
+}
+
 // Frame seals (and caches) the collection window as a columnar
 // window.Frame — per-template aggregates, observation columns grouped by
-// template position, the metric series, and the ByID permutation. The
-// frame is built from data accumulated during Ingest; the log store is
-// never re-scanned.
-//
-// The seal is a delta build: observation groups below the dirty watermark
-// are copied wholesale from the previous (immutable) frame, only groups at
-// or above it are re-materialized from their tails, and aggregate/metric
-// series are handed out by reference under the copy-on-seal protocol —
-// the live copies are cloned on the next mutation, never at seal. Sealed
-// frames are immutable; holding one across further ingestion is safe.
+// template position, the metric series, and the ByID permutation — from
+// what the collector itself holds; no store is scanned. Sealed frames are
+// immutable and alias nothing that is written later; holding one across
+// further ingestion is safe.
 func (c *Collector) Frame() *window.Frame {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -498,8 +488,7 @@ func (c *Collector) Frame() *window.Frame {
 	return f
 }
 
-// sealLocked builds the next immutable frame from the previous one plus
-// the dirty state accumulated since its seal.
+// sealLocked builds the next immutable frame.
 func (c *Collector) sealLocked() *window.Frame {
 	prev := c.frame
 	T := len(c.ordered)
@@ -519,56 +508,34 @@ func (c *Collector) sealLocked() *window.Frame {
 	}
 	c.metSealed = true
 
-	dirty := c.dirtyObs
-	if prev == nil {
-		dirty = 0
-	}
-	if dirty > T {
-		dirty = T
-	}
-
-	if prev != nil && !c.tsetChanged && dirty == T {
-		// No observation changed: the columns of the previous frame are
-		// exactly right — share them.
+	if prev != nil && !c.tsetChanged && int64(prev.NumObs()) == c.records {
+		// No record arrived: the columns of the previous frame are exactly
+		// right — share them.
 		f.Off, f.Arrival, f.Response = prev.Off, prev.Arrival, prev.Response
 	} else {
-		total := 0
-		for _, ts := range c.ordered {
-			total += len(ts.obs.arrival)
-		}
 		f.Off = make([]int32, T+1)
-		f.Arrival = make([]int64, total)
-		f.Response = make([]float64, total)
-
-		if dirty > 0 {
-			// Positions below the watermark are untouched since the last
-			// seal: identical groups at identical offsets (template
-			// inserts always lower the watermark to the insertion point,
-			// so the prefix's positions still name the same templates).
-			n := int(prev.Off[dirty])
-			copy(f.Arrival[:n], prev.Arrival[:n])
-			copy(f.Response[:n], prev.Response[:n])
-			copy(f.Off[:dirty+1], prev.Off[:dirty+1])
+		for i, ts := range c.ordered {
+			f.Off[i+1] = f.Off[i] + ts.nobs
 		}
-		for pos := dirty; pos < T; pos++ {
-			ts := c.ordered[pos]
-			col := &ts.obs
-			off := int(f.Off[pos])
-			end := off + len(col.arrival)
-			if !col.dirty && prev != nil && ts.sealPos > 0 {
-				// Clean group above the watermark (only its position
-				// shifted): its sorted column already exists in the
-				// previous frame — copy it instead of re-sorting.
-				plo := int(prev.Off[ts.sealPos-1])
-				copy(f.Arrival[off:end], prev.Arrival[plo:plo+len(col.arrival)])
-				copy(f.Response[off:end], prev.Response[plo:plo+len(col.arrival)])
-			} else if end > off {
-				copy(f.Arrival[off:end], col.arrival)
-				copy(f.Response[off:end], col.response)
-				window.SortObsGroup(f.Arrival[off:end], f.Response[off:end])
-				col.dirty = false
+		f.Arrival = make([]int64, f.Off[T])
+		f.Response = make([]float64, f.Off[T])
+		if T > 0 {
+			// Scatter: next[x] is where the next record of the template with
+			// registry index x goes. Records are visited in arrival order,
+			// ties in ingest order — the order window.Frame defines for a
+			// group — so nothing is sorted here.
+			next := make([]int32, c.ordered[T-1].Meta.Index+1)
+			for i, ts := range c.ordered {
+				next[ts.Meta.Index] = f.Off[i]
 			}
-			f.Off[pos+1] = int32(end)
+			for _, run := range c.arrangedLocked() {
+				for i := range run {
+					r := &run[i]
+					k := next[r.TemplateIdx]
+					f.Arrival[k], f.Response[k] = r.ArrivalMs, r.ResponseMs
+					next[r.TemplateIdx] = k + 1
+				}
+			}
 		}
 	}
 
@@ -582,7 +549,6 @@ func (c *Collector) sealLocked() *window.Frame {
 			Throttled: ts.Throttled,
 		}
 		ts.sealed = true
-		ts.sealPos = int32(i) + 1
 	}
 
 	if prev != nil && !c.tsetChanged {
@@ -590,7 +556,6 @@ func (c *Collector) sealLocked() *window.Frame {
 	} else {
 		f.FinalizeSorted()
 	}
-	c.dirtyObs = noDirtyObs
 	c.tsetChanged = false
 	return f
 }
@@ -628,9 +593,9 @@ func SnapshotOfFrame(f *window.Frame) *Snapshot {
 	return snap
 }
 
-// Records returns the number of raw query records this collector has
-// archived to the log store (throttled statements are counted in the
-// Throttled series instead). The fleet exports it per window.
+// Records returns the number of raw query records in this collector's
+// window log (throttled statements are counted in the Throttled series
+// instead). The fleet exports it per window.
 func (c *Collector) Records() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

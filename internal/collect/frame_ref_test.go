@@ -1,14 +1,17 @@
 package collect
 
-import "pinsql/internal/window"
+import (
+	"pinsql/internal/logstore"
+	"pinsql/internal/window"
+)
 
-// RebuildFrame assembles the window frame from scratch — every series
-// cloned, every observation group re-concatenated and re-sorted, all
-// derived state recomputed — exactly as Frame did before the delta build.
-// It ignores and leaves untouched the incremental seal state, so it is the
-// from-scratch reference the differential tests compare the delta build
-// against. The result must be byte-identical to Frame()'s at every point of
-// any ingest interleaving.
+// RebuildFrame assembles the window frame from scratch and by other means
+// than Frame: every series cloned, each template's records gathered from
+// the ingest-ordered window log — never from its arranged form — and every
+// group stable-sorted by Finalize. It ignores and leaves untouched the seal
+// state, so it is the independent reference the differential tests compare
+// Frame() against: the two must be byte-identical at every point of any
+// ingest interleaving.
 func (c *Collector) RebuildFrame() *window.Frame {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -34,9 +37,13 @@ func (c *Collector) RebuildFrame() *window.Frame {
 	}
 	sortTemplates(ordered)
 
+	groups := make(map[int32][]logstore.Record, len(ordered))
 	total := 0
-	for _, ts := range ordered {
-		total += len(ts.obs.arrival)
+	for _, chunk := range c.log {
+		for _, r := range chunk {
+			groups[r.TemplateIdx] = append(groups[r.TemplateIdx], r)
+			total++
+		}
 	}
 	f.Templates = make([]window.Template, len(ordered))
 	f.Off = make([]int32, len(ordered)+1)
@@ -50,8 +57,10 @@ func (c *Collector) RebuildFrame() *window.Frame {
 			SumRows:   ts.SumRows.Clone(),
 			Throttled: ts.Throttled.Clone(),
 		}
-		f.Arrival = append(f.Arrival, ts.obs.arrival...)
-		f.Response = append(f.Response, ts.obs.response...)
+		for _, r := range groups[ts.Meta.Index] {
+			f.Arrival = append(f.Arrival, r.ArrivalMs)
+			f.Response = append(f.Response, r.ResponseMs)
+		}
 		f.Off[i+1] = int32(len(f.Arrival))
 	}
 	f.Finalize()

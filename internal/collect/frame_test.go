@@ -23,7 +23,8 @@ func ingestMixed(c *Collector) {
 }
 
 func TestFrameMatchesStoreScan(t *testing.T) {
-	c := NewCollector("frames", 0, 20_000, nil, nil)
+	store := logstore.New(0)
+	c := NewCollector("frames", 0, 20_000, nil, store)
 	ingestMixed(c)
 	f := c.Frame()
 
@@ -34,7 +35,7 @@ func TestFrameMatchesStoreScan(t *testing.T) {
 		r float64
 	}
 	fromStore := make(map[int32][]obs)
-	c.Store().ScanFunc("frames", 0, 20_000, func(r logstore.Record) bool {
+	store.ScanFunc("frames", 0, 20_000, func(r logstore.Record) bool {
 		fromStore[r.TemplateIdx] = append(fromStore[r.TemplateIdx], obs{r.ArrivalMs, r.ResponseMs})
 		return true
 	})

@@ -200,11 +200,13 @@ func TestIncrementalFrameHeldFramesImmutable(t *testing.T) {
 	}
 }
 
-// TestIncrementalFrameAllocBudget is the warm-close allocation budget: a
+// TestIncrementalFrameAllocBudget is the warm-close budget in objects: a
 // window of W seconds and many templates is sealed once, then each
-// {ingest K records → Frame} cycle must allocate O(K) — a fixed number of
-// frame-level allocations plus a bounded number per touched template —
-// independent of the window's size in records, templates or seconds.
+// {ingest K records → Frame} cycle must allocate O(K) objects — a fixed
+// number of frame-level allocations plus a bounded number per touched
+// template — independent of the window's size in records, templates or
+// seconds. (In bytes a close that a record preceded is O(window): it
+// arranges and scatters the window log again.)
 func TestIncrementalFrameAllocBudget(t *testing.T) {
 	const windowMs = 120_000
 	rng := rand.New(rand.NewSource(9))
@@ -240,13 +242,13 @@ func TestIncrementalFrameAllocBudget(t *testing.T) {
 		c.Frame()
 	})
 
-	// Per cycle: the frame struct, Templates, Off, Arrival, Response and
-	// ByID-related state stay O(1) in allocation count; each of the ≤K
-	// touched templates copy-on-seal-clones 4 series and its re-sorted
-	// group costs a few scratch slices; the store append and obs tails
-	// amortize. The bound is generous against noise but far below any
-	// O(window) behaviour (rebuilding this window costs hundreds of
-	// allocations per close in template clones and group sorts alone).
+	// Per cycle: the frame struct, Templates, Off, Arrival, Response, the
+	// arranged form (one array, its per-second offsets, its runs) and the
+	// scatter's cursor table stay O(1) in allocation count; each of the ≤K
+	// touched templates copy-on-seal-clones 4 series; the window log's
+	// chunks amortize. The bound is generous against noise but far below
+	// any O(window) behaviour (rebuilding this window costs hundreds of
+	// allocations per close in template clones alone).
 	budget := float64(16 + K*(4+6+2))
 	if allocs > budget {
 		t.Fatalf("warm incremental close allocates %.1f allocs per %d-record cycle, budget %.0f", allocs, K, budget)

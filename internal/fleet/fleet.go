@@ -96,7 +96,6 @@ type stagedWindow struct {
 	window       int
 	fromMs, toMs int64
 	coll         *collect.Collector
-	staging      *logstore.Store
 	shed         bool
 
 	rep *WindowReport
@@ -487,12 +486,12 @@ func (f *Fleet) runSim(st *instState, w int) {
 }
 
 // simWindow runs the collect/aggregate stage of one window: the player
-// hands the instance's source (the simulator or a recorded trace) to a
-// staging collector backed by a private in-memory store, one trace second
-// per call; nothing durable happens here. Delivery is synchronous, so no
-// record can be dropped and a source may reuse its batch buffer. It
-// returns io.EOF when the trace was exhausted before this window's first
-// second.
+// hands the instance's source (the simulator or a recorded trace) to the
+// window's collector, one trace second per call; the collector holds the
+// window's only copy of its records and nothing durable happens here.
+// Delivery is synchronous, so no record can be dropped and a source may
+// reuse its batch buffer. It returns io.EOF when the trace was exhausted
+// before this window's first second.
 func (f *Fleet) simWindow(st *instState, w int) (*stagedWindow, bool, error) {
 	spec := st.spec
 	windowMs := int64(spec.WindowSec) * 1000
@@ -504,8 +503,7 @@ func (f *Fleet) simWindow(st *instState, w int) (*stagedWindow, bool, error) {
 		injected = spec.Inject(st.world, w, fromMs, toMs)
 	}
 
-	staging := logstore.New(0)
-	coll := collect.NewCollector(spec.ID, fromMs, toMs, st.registry, staging)
+	coll := collect.NewCollector(spec.ID, fromMs, toMs, st.registry, nil)
 	rows, more, err := st.play.PlayWindowBatches(fromMs, toMs, coll.IngestBatch)
 	if err != nil {
 		return nil, more, err
@@ -523,7 +521,7 @@ func (f *Fleet) simWindow(st *instState, w int) (*stagedWindow, bool, error) {
 	}
 	return &stagedWindow{
 		window: w, fromMs: fromMs, toMs: toMs,
-		coll: coll, staging: staging,
+		coll: coll,
 		rep: &WindowReport{
 			Window: w, FromMs: fromMs, ToMs: toMs,
 			Injected:    injected,
@@ -583,7 +581,7 @@ func (f *Fleet) runDrain(st *instState) {
 // pipeline plus repair suggestions for the top R-SQL. Everything runs off
 // the window frame the collector built during ingest: detection reads the
 // frame's metric series, and each phenomenon's diagnosis consumes the
-// frame directly — the staged log store is never re-scanned. The window's
+// frame directly — no log store is scanned. The window's
 // phenomena share one core.FrameDiagnoser, so sessions are estimated once
 // per window; ranking and clustering depend on the anomaly interval and run
 // per phenomenon.
@@ -627,8 +625,9 @@ func (f *Fleet) crash(id string, window int, phase string) bool {
 // commit makes one window durable and applies its repairs, strictly in
 // window order per instance:
 //
-//  1. the staged records are appended (sorted, strict) to the instance's
-//     long-term topic;
+//  1. the window's records, which the collector arranged in arrival order
+//     — at the seal, or here for a shed window — are handed over (strict
+//     appends, given up) to the instance's long-term topic;
 //  2. repairing actions execute (when AutoRepair) against the live
 //     world/simulator and are recorded with their Executed flags;
 //  3. the window is journaled (fsync) — this is the commit point a
@@ -642,38 +641,21 @@ func (f *Fleet) commit(st *instState, sw *stagedWindow) error {
 	if f.crash(id, sw.window, "pre-append") {
 		return errCrashed
 	}
-	var appendErr error
-	crashed := false
-	appended := 0 // records of this window in the long-term topic so far
-	put := func(recs []logstore.Record) bool {
-		var took int
-		took, appendErr = st.store.AppendBatch(id, recs)
-		appended += took
-		return appendErr == nil
-	}
-	sw.staging.ScanRuns(id, sw.fromMs, sw.toMs, func(run []logstore.Record) bool {
-		if appended == 0 && len(run) > 0 {
+	for i, run := range sw.coll.TakeArranged() {
+		if i == 0 {
 			// The mid-append crash point sits between the window's first
 			// record and the rest: append that one alone.
-			if !put(run[:1]) {
-				return false
+			if _, err := st.store.AppendBatch(id, run[:1]); err != nil {
+				return err
+			}
+			if f.crash(id, sw.window, "mid-append") {
+				return errCrashed
 			}
 			run = run[1:]
 		}
-		if len(run) == 0 {
-			return true
+		if _, err := st.store.AppendBatch(id, run); err != nil {
+			return err
 		}
-		if appended == 1 && f.crash(id, sw.window, "mid-append") {
-			crashed = true
-			return false
-		}
-		return put(run)
-	})
-	if crashed {
-		return errCrashed
-	}
-	if appendErr != nil {
-		return appendErr
 	}
 
 	if !sw.shed {

@@ -11,7 +11,9 @@ type Backend interface {
 	// one topic lookup, rejecting a record that arrives more than the slack
 	// window behind the previously appended one: it returns how many
 	// records were accepted before the rejection, and ErrUnsortedAppend.
-	// recs is not retained. Append is AppendBatch of one record.
+	// recs is given up: a backend may keep it and write into it (the
+	// in-memory store makes long in-order stretches its chunks), so a caller
+	// feeding two backends clones it. Append stores one record likewise.
 	AppendBatch(topic string, recs []Record) (int, error)
 	Append(topic string, rec Record) error
 

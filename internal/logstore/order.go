@@ -64,15 +64,17 @@ func sortRun(recs []Record) int {
 	return moves
 }
 
-// restoreOrder rewrites a dirty topic in arrival order, ties in insertion
-// order, and marks it clean. The sorted records are written once, into one
-// array that the topic's new chunks are cut from (each full at its own
-// capacity, so the next append opens a fresh chunk; the array is released
-// when the last of its chunks expires). It returns the number of record
-// moves its insertion passes made.
-func (t *topicLog) restoreOrder() (moves int) {
+// Arrange returns the records of a log — a chunk list in insertion order —
+// in arrival order, ties in insertion order, and the number of record moves
+// its insertion passes made. The records are written once, into one new
+// array that the returned runs are cut from (see cut; the array is released
+// with the last of its runs). No run is empty, and only a log shorter than
+// half a chunk yields a run that short. The log itself is left as it is.
+func Arrange(log [][]Record) (runs [][]Record, moves int) {
+	size := 0
 	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
-	for _, c := range t.chunks {
+	for _, c := range log {
+		size += len(c)
 		for i := range c {
 			lo, hi = min(lo, c[i].ArrivalMs), max(hi, c[i].ArrivalMs)
 		}
@@ -81,10 +83,10 @@ func (t *topicLog) restoreOrder() (moves int) {
 	second := func(r *Record) uint64 { return (uint64(r.ArrivalMs) - uint64(lo)) / 1000 }
 	seconds := (uint64(hi)-uint64(lo))/1000 + 1
 
-	out := make([]Record, t.size)
-	if seconds > uint64(t.size)+sparseSlack {
+	out := make([]Record, size)
+	if seconds > uint64(size)+sparseSlack {
 		n := 0
-		for _, c := range t.chunks {
+		for _, c := range log {
 			n += copy(out[n:], c)
 		}
 		slices.SortStableFunc(out, byArrival)
@@ -93,7 +95,7 @@ func (t *topicLog) restoreOrder() (moves int) {
 		// running offsets, then — once every record is placed — the end of
 		// each second.
 		next := make([]int, seconds+1)
-		for _, c := range t.chunks {
+		for _, c := range log {
 			for i := range c {
 				next[second(&c[i])+1]++
 			}
@@ -101,7 +103,7 @@ func (t *topicLog) restoreOrder() (moves int) {
 		for s := 1; s < len(next); s++ {
 			next[s] += next[s-1]
 		}
-		for _, c := range t.chunks {
+		for _, c := range log {
 			for i := range c {
 				s := second(&c[i])
 				out[next[s]] = c[i]
@@ -117,12 +119,13 @@ func (t *topicLog) restoreOrder() (moves int) {
 		}
 	}
 
-	t.chunks = make([][]Record, 0, (len(out)+chunkCap-1)/chunkCap)
-	for len(out) > 0 {
-		n := min(chunkCap, len(out))
-		t.chunks = append(t.chunks, out[:n:n])
-		out = out[n:]
-	}
+	return cut(make([][]Record, 0, (size+chunkCap-1)/chunkCap), out), moves
+}
+
+// restoreOrder rewrites a dirty topic in arrival order and marks it clean;
+// it returns Arrange's moves.
+func (t *topicLog) restoreOrder() (moves int) {
+	t.chunks, moves = Arrange(t.chunks)
 	t.dirty = false
 	return moves
 }

@@ -147,7 +147,9 @@ func pile(count int, seed byte) []byte {
 
 // FuzzLooseOrder: any arrival sequence, cut into any loose batches with
 // scans in between, must read back in exactly the order the stable
-// comparison sort gives on the insertion sequence.
+// comparison sort gives on the insertion sequence; and Arrange, handed the
+// same sequence cut into any chunk list, must return that order in runs a
+// store can adopt, leaving the list as it was.
 func FuzzLooseOrder(f *testing.F) {
 	day := int64(24 * 3600 * 1000)
 	cat := func(parts ...[]byte) []byte { return slices.Concat(parts...) }
@@ -178,6 +180,27 @@ func FuzzLooseOrder(f *testing.F) {
 			if gt, wt := got.topics["t"], want.topics["t"]; !reflect.DeepEqual(gt.flatten(), wt.flatten()) || gt.size != wt.size || gt.dirty {
 				t.Fatalf("after batch %d: arena differs from the stable sort", i)
 			}
+		}
+
+		all := slices.Concat(p.batches...)
+		var log [][]Record
+		for rest, i := slices.Clone(all), 0; len(rest) > 0; i++ {
+			n := min(len(rest), int(data[i%len(data)])*37+i%2) // empty chunks included
+			log = append(log, rest[:n:n])
+			rest = rest[n:]
+		}
+		runs, _ := Arrange(log)
+		for i, run := range runs {
+			if len(run) == 0 || len(run) > chunkCap || len(run) != cap(run) || len(run) < chunkCap/2 && len(runs) > 1 {
+				t.Fatalf("run %d of %d: len %d, cap %d", i, len(runs), len(run), cap(run))
+			}
+		}
+		if !reflect.DeepEqual(slices.Concat(log...), all) {
+			t.Fatal("Arrange wrote into the log it was handed")
+		}
+		slices.SortStableFunc(all, byArrival)
+		if !reflect.DeepEqual(slices.Concat(runs...), all) {
+			t.Fatalf("Arrange differs from the stable sort (%d records in %d chunks)", len(all), len(log))
 		}
 	})
 }
@@ -340,15 +363,24 @@ func TestLooseAppendsInOrderStayClean(t *testing.T) {
 	}
 }
 
-// TestStrictBatchEqualsRecordLoop: a strict AppendBatch of any run — in
-// order, disturbed within the slack, broken beyond it — on a topic in any
-// state leaves the arena, the accepted count and the error identical to
-// appending its records one at a time.
+// TestStrictBatchEqualsRecordLoop: strict AppendBatch calls of any runs —
+// in order for whole chunks (which the store adopts instead of copying),
+// disturbed within the slack, broken beyond it — on a topic in any state,
+// with TruncateFrom and Expire in between, leave the records, every Scan,
+// Len, Bounds, the accepted count and the error identical to appending the
+// records one at a time. The batch store is given a clone: it owns, and
+// writes into, what it is handed.
 func TestStrictBatchEqualsRecordLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 400; trial++ {
-		batch, loop := New(0), New(0)
-		both := func(fn func(s *Store)) { fn(batch); fn(loop) }
+	adoptions := 0
+	for trial := 0; trial < 120; trial++ {
+		batch, loop := New(1), New(1)
+		both := func(fn func(s *Store) int) {
+			t.Helper()
+			if b, l := fn(batch), fn(loop); b != l {
+				t.Fatalf("trial %d: the batch store removed %d records, the record loop %d", trial, b, l)
+			}
+		}
 		clock := int64(rng.Intn(10_000))
 		switch trial % 4 {
 		case 1: // clean, ending mid-chunk or exactly at a chunk boundary
@@ -358,44 +390,95 @@ func TestStrictBatchEqualsRecordLoop(t *testing.T) {
 				clock += int64(rng.Intn(3))
 				pre[i] = Record{TemplateIdx: -1, ArrivalMs: clock}
 			}
-			both(func(s *Store) { s.AppendLooseBatch("t", pre) })
+			both(func(s *Store) int { s.AppendLooseBatch("t", pre); return 0 })
 		case 2: // dirty: loose appends pending
-			both(func(s *Store) {
+			both(func(s *Store) int {
 				s.AppendLooseBatch("t", []Record{{ArrivalMs: clock}, {ArrivalMs: clock - 300}, {ArrivalMs: clock - 100}})
+				return 0
 			})
 			clock -= 100
 		case 3: // restored: the tail chunk is full at a capacity of its own
-			both(func(s *Store) {
+			both(func(s *Store) int {
 				s.AppendLooseBatch("t", []Record{{ArrivalMs: clock}, {ArrivalMs: clock - 300}, {ArrivalMs: clock - 100}})
 				s.Scan("t", 0, 1)
+				return 0
 			})
 		}
-		run := make([]Record, 1+rng.Intn(3*chunkCap/2))
-		for i := range run {
-			switch k := rng.Intn(1000); {
-			case k < 3 && trial%2 == 0:
-				clock -= 5001 + int64(rng.Intn(100)) // beyond the slack: ends the batch
-			case k < 30:
-				clock -= int64(rng.Intn(4000))
-			default:
-				clock += int64(rng.Intn(4))
+		for round := 0; round <= trial%3; round++ {
+			// A calm run is disturbed two hundred times less often: its
+			// in-order stretches are chunks long.
+			odds := 1000
+			if rng.Intn(2) == 0 {
+				odds = 200_000
 			}
-			run[i] = Record{TemplateIdx: int32(i), ArrivalMs: clock}
-		}
-		took, err := batch.AppendBatch("t", run)
-		want, wantErr := len(run), error(nil)
-		for i, r := range run {
-			if e := loop.Append("t", r); e != nil {
-				want, wantErr = i, e
-				break
+			run := make([]Record, 1+rng.Intn(3*chunkCap))
+			for i := range run {
+				switch k := rng.Intn(odds); {
+				case k < 3 && trial%2 == 0:
+					clock -= 5001 + int64(rng.Intn(100)) // beyond the slack: ends the batch
+				case k < 30:
+					clock -= int64(rng.Intn(4000))
+				default:
+					clock += int64(rng.Intn(4))
+				}
+				run[i] = Record{TemplateIdx: int32(i), ArrivalMs: clock}
+			}
+			own := slices.Clone(run)
+			took, err := batch.AppendBatch("t", own)
+			want, wantErr := len(run), error(nil)
+			for i, r := range run {
+				if e := loop.Append("t", r); e != nil {
+					want, wantErr = i, e
+					break
+				}
+			}
+			if took != want || err != wantErr {
+				t.Fatalf("trial %d: AppendBatch = %d, %v; record loop = %d, %v", trial, took, err, want, wantErr)
+			}
+			for _, c := range batch.topics["t"].chunks {
+				if at := uintptr(unsafe.Pointer(&c[0])) - uintptr(unsafe.Pointer(&own[0])); at < uintptr(len(own))*unsafe.Sizeof(Record{}) {
+					adoptions++ // the chunk lies inside the slice handed over
+				}
+			}
+			if newest, ok := batch.topics["t"].last(); ok {
+				clock = newest.ArrivalMs // a rejected record left the clock behind the topic
+			}
+			switch rng.Intn(4) {
+			case 0: // inside the chunks just appended, as a rule
+				from := clock - int64(rng.Intn(3000))
+				both(func(s *Store) int { return s.TruncateFrom("t", from) })
+			case 1:
+				lo, _, _ := loop.Bounds("t")
+				both(func(s *Store) int { return s.Expire(lo + (clock-lo)/3) })
+			}
+			bt, lt := batch.topics["t"], loop.topics["t"]
+			if (bt == nil) != (lt == nil) {
+				t.Fatalf("trial %d: one store dropped the topic", trial)
+			}
+			if bt == nil {
+				continue
+			}
+			if bt.size != lt.size || bt.dirty != lt.dirty || !slices.Equal(bt.flatten(), lt.flatten()) || batch.Len("t") != loop.Len("t") {
+				t.Fatalf("trial %d: stores differ after a batch of %d (%d accepted)", trial, len(run), took)
+			}
+			blo, bhi, bok := batch.Bounds("t")
+			llo, lhi, lok := loop.Bounds("t")
+			if blo != llo || bhi != lhi || bok != lok {
+				t.Fatalf("trial %d: Bounds = %d, %d, %v; record loop %d, %d, %v", trial, blo, bhi, bok, llo, lhi, lok)
+			}
+			for w := 0; w < 4; w++ {
+				from := llo + rng.Int63n(lhi-llo+1)
+				to := from + rng.Int63n(lhi-llo+2)
+				if !slices.Equal(batch.Scan("t", from, to), loop.Scan("t", from, to)) {
+					t.Fatalf("trial %d: Scan[%d, %d) differs", trial, from, to)
+				}
+			}
+			if newest, ok := lt.last(); ok {
+				clock = newest.ArrivalMs
 			}
 		}
-		if took != want || err != wantErr {
-			t.Fatalf("trial %d: AppendBatch = %d, %v; record loop = %d, %v", trial, took, err, want, wantErr)
-		}
-		bt, lt := batch.topics["t"], loop.topics["t"]
-		if bt.size != lt.size || bt.dirty != lt.dirty || !reflect.DeepEqual(bt.chunks, lt.chunks) {
-			t.Fatalf("trial %d: arenas differ after a batch of %d (%d accepted)", trial, len(run), took)
-		}
+	}
+	if adoptions < 50 {
+		t.Errorf("fixture too tame: %d stretches adopted as chunks", adoptions)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"pinsql/internal/logstore"
@@ -286,7 +287,7 @@ func TestSlackReferenceWithOrderedLooseBatches(t *testing.T) {
 				for i := range batch {
 					batch[i] = rec(clock - []int64{0, 1, 4999, 5000, 5001, 9000}[rng.Intn(6)] + int64(rng.Intn(3)))
 				}
-				nMem, errMem := mem.AppendBatch("t", batch)
+				nMem, errMem := mem.AppendBatch("t", slices.Clone(batch)) // the store keeps what it is handed
 				nSeg, errSeg := seg.AppendBatch("t", batch)
 				if nMem != nSeg || (errMem == nil) != (errSeg == nil) {
 					t.Fatalf("seed %d step %d: strict batch %v: mem took %d (%v), seg took %d (%v)", seed, step, batch, nMem, errMem, nSeg, errSeg)
@@ -447,7 +448,7 @@ func TestBatchAppendMatchesRecordLoop(t *testing.T) {
 						rejections++
 					}
 					for who, got := range map[string]func() (int, error){
-						"mem batch": func() (int, error) { return batch(memBatch, recs, loose) },
+						"mem batch": func() (int, error) { return batch(memBatch, slices.Clone(recs), loose) },
 						"seg loop":  func() (int, error) { return loop(segLoop, recs, loose) },
 						"seg batch": func() (int, error) { return batch(segBatch, recs, loose) },
 					} {

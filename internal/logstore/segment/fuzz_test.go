@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"pinsql/internal/logstore"
@@ -192,7 +193,7 @@ func FuzzSealPaths(f *testing.F) {
 				continue
 			}
 			n1, err1 := seg.AppendBatch("t", recs)
-			n2, err2 := mem.AppendBatch("t", recs)
+			n2, err2 := mem.AppendBatch("t", slices.Clone(recs))
 			if n1 != n2 || err1 != err2 {
 				t.Fatalf("byte %d: segment store took %d (%v), memory store %d (%v)", i, n1, err1, n2, err2)
 			}

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"pinsql/internal/logstore"
@@ -125,7 +126,7 @@ func TestRollCrashMatrix(t *testing.T) {
 	opt := smallOpts()
 	recs := orderedRecs(16, 0)
 	mem := logstore.New(0)
-	mem.AppendBatch("t", recs)
+	mem.AppendBatch("t", slices.Clone(recs)) // the store keeps what it is handed
 
 	// before: the wal full and fsynced, not yet renamed. after: the roll done.
 	before, after := t.TempDir(), t.TempDir()
@@ -163,12 +164,12 @@ func TestRollCrashMatrix(t *testing.T) {
 			s := mustOpen(t, dir, opt)
 			defer s.Close()
 			want := logstore.New(0)
-			want.AppendBatch("t", recs)
+			want.AppendBatch("t", slices.Clone(recs))
 			mustMatch(t, "reopened", s, want)
 
 			more := orderedRecs(20, 100)
 			s.AppendBatch("t", more)
-			want.AppendBatch("t", more)
+			want.AppendBatch("t", slices.Clone(more))
 			mustMatch(t, "appended to", s, want)
 			if len(s.topics["t"].segs) != 2 {
 				t.Fatalf("%d segments after 36 records of 16 a segment, want 2", len(s.topics["t"].segs))
@@ -237,7 +238,7 @@ func TestFallbackTriggersRewrite(t *testing.T) {
 			dir := t.TempDir()
 			s, mem := mustOpen(t, dir, opt), logstore.New(opt.TTLMs)
 			s.AppendBatch("t", head)
-			mem.AppendBatch("t", head)
+			mem.AppendBatch("t", slices.Clone(head))
 			s = trigger(t, s, mem, dir)
 			if s.topics["t"].inOrder && name != "wal write error" { // a write error shows at the next write
 				t.Fatal("the wal still passes for its segment")
@@ -322,7 +323,7 @@ func TestOpensVersion1Layout(t *testing.T) {
 	mustMatch(t, "opened", s, mem)
 	more := orderedRecs(6, 300)
 	s.AppendBatch("t", more) // the 16th record of the wal seals it
-	mem.AppendBatch("t", more)
+	mem.AppendBatch("t", slices.Clone(more))
 	if s.rewrites != 1 || s.rolls != 0 {
 		t.Fatalf("%d rewrites, %d rolls, want 1 and 0", s.rewrites, s.rolls)
 	}

@@ -404,8 +404,9 @@ func (s *Store) Append(topicName string, rec logstore.Record) error {
 // store's last slice element would be — the topic maximum while the topic
 // is sorted, the most recently appended record while loose appends are
 // pending. It returns how many records were accepted; a nil error means
-// all of them. Disk errors degrade durability without failing the append
-// and are reported via Err.
+// all of them. Though the contract gives recs up, this store keeps none of
+// it. Disk errors degrade durability without failing the append and are
+// reported via Err.
 func (s *Store) AppendBatch(topicName string, recs []logstore.Record) (int, error) {
 	return s.appendBatch(topicName, recs, false)
 }

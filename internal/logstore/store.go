@@ -10,6 +10,12 @@
 // way a doubling []Record would (at 128 fleet instances ~10% of CPU was
 // growslice under Append). Range scans are a two-level binary search —
 // chunk spine, then within the chunk — plus a contiguous copy.
+//
+// Arrival order — ascending ArrivalMs, ties in insertion order — has one
+// implementation, Arrange, over any chunk list: a loosely appended topic
+// restores its order with it, and a collector arranges its window log with
+// it before handing the runs to AppendBatch, which takes ownership of what
+// it is given and makes a long in-order stretch a chunk as it is.
 package logstore
 
 import (
@@ -76,6 +82,35 @@ func (t *topicLog) push(recs ...Record) {
 		t.size += k
 		recs = recs[k:]
 	}
+}
+
+// take stores a stretch that continues arrival order and is the topic's to
+// keep. A stretch that does not fit the tail chunk's free space and is at
+// least half a chunk long becomes chunks of its own (cut) — the state
+// restoreOrder leaves — so it is never copied; anything else is pushed.
+func (t *topicLog) take(recs []Record) {
+	if n := len(t.chunks); len(recs) < chunkCap/2 || n > 0 && len(recs) <= cap(t.chunks[n-1])-len(t.chunks[n-1]) {
+		t.push(recs...)
+		return
+	}
+	t.size += len(recs)
+	t.chunks = cut(t.chunks, recs)
+}
+
+// cut appends recs to a chunk list as chunks of at most chunkCap records,
+// each full at its own capacity, so the next append opens a fresh chunk.
+// Where the last would be shorter than half a chunk, the last two share
+// their records evenly.
+func cut(chunks [][]Record, recs []Record) [][]Record {
+	for len(recs) > 0 {
+		n := min(chunkCap, len(recs))
+		if rest := len(recs) - n; rest > 0 && rest < chunkCap/2 {
+			n = len(recs) / 2
+		}
+		chunks = append(chunks, recs[:n:n])
+		recs = recs[n:]
+	}
+	return chunks
 }
 
 // at returns the record at logical index i (insertion order across the
@@ -201,42 +236,64 @@ func (s *Store) topic(name string) *topicLog {
 	return t
 }
 
-// Append stores one record under the topic: AppendBatch of one.
+// Append stores one record under the topic, by AppendBatch's rule; it
+// allocates nothing beyond the chunk a full tail makes it open.
 func (s *Store) Append(topic string, rec Record) error {
-	_, err := s.AppendBatch(topic, []Record{rec})
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t := s.topic(topic)
+	behind, err := s.insertBehind(t, rec)
+	if !behind {
+		t.push(rec)
+	}
 	return err
 }
 
 // AppendBatch stores recs under the topic in order, under one lock
-// acquisition. Records may arrive mildly out of order (asynchronous
-// collectors); anything older than the slack window relative to the
-// topic's newest record is rejected, which ends the batch: it returns how
-// many records were accepted before it, and ErrUnsortedAppend. A stretch
-// that continues arrival order — the whole batch, for a sorted run not
-// behind the topic — costs one comparison pass and chunk-sized copies.
+// acquisition, and recs is given up: the store may keep a stretch of it as
+// a chunk and write into it later. Records may arrive mildly out of order
+// (asynchronous collectors); anything older than the slack window relative
+// to the topic's newest record is rejected, which ends the batch: it
+// returns how many records were accepted before it, and ErrUnsortedAppend.
+// A stretch that continues arrival order — the whole batch, for a sorted
+// run not behind the topic — costs one comparison pass, and no copy when
+// it is long enough to be a chunk of its own (topicLog.take).
 func (s *Store) AppendBatch(topic string, recs []Record) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t := s.topic(topic)
 	for i := 0; i < len(recs); {
-		rec := recs[i]
-		if newest, ok := t.last(); ok && rec.ArrivalMs < newest.ArrivalMs {
-			if newest.ArrivalMs-rec.ArrivalMs > s.slackMs {
-				return i, ErrUnsortedAppend
-			}
-			// Insertion sort within the slack window: first logical index
-			// whose arrival exceeds the record's (equal arrivals keep
-			// insertion order), exactly as the flat-slice store did.
-			at := sort.Search(t.size, func(i int) bool { return t.at(i).ArrivalMs > rec.ArrivalMs })
-			t.insertAt(at, rec)
+		behind, err := s.insertBehind(t, recs[i])
+		if err != nil {
+			return i, err
+		}
+		if behind {
 			i++
 			continue
 		}
-		n := 1 + orderedPrefix(recs[i+1:], rec.ArrivalMs)
-		t.push(recs[i : i+n]...)
+		n := 1 + orderedPrefix(recs[i+1:], recs[i].ArrivalMs)
+		t.take(recs[i : i+n])
 		i += n
 	}
 	return len(recs), nil
+}
+
+// insertBehind handles a record that arrived before the topic's newest
+// (behind reports that it did): within the slack window it is inserted at
+// the first logical index whose arrival exceeds its own, so equal arrivals
+// keep insertion order; beyond it the record is rejected. Callers hold the
+// write lock.
+func (s *Store) insertBehind(t *topicLog, rec Record) (behind bool, err error) {
+	newest, ok := t.last()
+	if !ok || rec.ArrivalMs >= newest.ArrivalMs {
+		return false, nil
+	}
+	if newest.ArrivalMs-rec.ArrivalMs > s.slackMs {
+		return true, ErrUnsortedAppend
+	}
+	at := sort.Search(t.size, func(i int) bool { return t.at(i).ArrivalMs > rec.ArrivalMs })
+	t.insertAt(at, rec)
+	return true, nil
 }
 
 // orderedPrefix returns the length of the longest prefix of recs that
@@ -314,26 +371,18 @@ func (s *Store) Scan(topic string, fromMs, toMs int64) []Record {
 // The callback runs under the store lock: it must be quick and must not
 // call back into the store.
 func (s *Store) ScanFunc(topic string, fromMs, toMs int64, fn func(Record) bool) {
-	s.ScanRuns(topic, fromMs, toMs, func(run []Record) bool {
-		for _, r := range run {
-			if !fn(r) {
-				return false
-			}
-		}
-		return true
-	})
-}
-
-// ScanRuns streams the same range as ScanFunc, handing out each contiguous
-// stretch of an arena chunk whole instead of record by record. A run
-// aliases the store's memory: it is read-only and valid only until fn
-// returns; fn runs under the store lock like ScanFunc's.
-func (s *Store) ScanRuns(topic string, fromMs, toMs int64, fn func([]Record) bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.ensureSorted(topic)
 	if t := s.topics[topic]; t != nil {
-		t.scanRuns(fromMs, toMs, fn)
+		t.scanRuns(fromMs, toMs, func(run []Record) bool {
+			for _, r := range run {
+				if !fn(r) {
+					return false
+				}
+			}
+			return true
+		})
 	}
 }
 

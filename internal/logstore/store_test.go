@@ -430,9 +430,60 @@ func TestAppendAllocBudget(t *testing.T) {
 	}
 }
 
-// TestScanRunsEqualsScan: the runs ScanRuns hands out, concatenated, are
-// Scan's result for the same range — across chunk boundaries, after expiry
-// and truncation left short middle chunks, and with an early stop.
+// TestAppendBatchAllocBudget: in-order runs a chunk long, each continuing
+// the topic — what a fleet commit hands over — become the arena's chunks as
+// they are: appending them allocates the chunk spine and nothing per
+// record. A run that fits the tail's free space is copied there instead.
+func TestAppendBatchAllocBudget(t *testing.T) {
+	const chunks = 64
+	runs := make([][]Record, chunks)
+	for k := range runs {
+		runs[k] = make([]Record, chunkCap)
+		for i := range runs[k] {
+			runs[k][i] = Record{TemplateIdx: int32(k), ArrivalMs: int64(k*chunkCap + i)}
+		}
+	}
+	firsts := make([]*Record, chunks)
+	for k := range runs {
+		firsts[k] = &runs[k][0]
+	}
+	s := New(0)
+	grew := allocated(func() {
+		for _, run := range runs {
+			if n, err := s.AppendBatch("t", run); n != chunkCap || err != nil {
+				t.Fatalf("AppendBatch = %d, %v", n, err)
+			}
+		}
+	})
+	// The spine doubles as it grows: under 4 slice headers per chunk.
+	if budget := int64(chunks*4*24 + 1024); grew > budget {
+		t.Errorf("appending %d chunk-long runs allocated %d B, budget %d B (records %d B)", chunks, grew, budget, chunks*chunkCap*int(unsafe.Sizeof(Record{})))
+	}
+	tl := s.topics["t"]
+	if tl.size != chunks*chunkCap || len(tl.chunks) != chunks {
+		t.Fatalf("%d records in %d chunks", tl.size, len(tl.chunks))
+	}
+	for k, c := range tl.chunks {
+		if &c[0] != firsts[k] || cap(c) != len(c) {
+			t.Fatalf("chunk %d is not run %d, full at its length", k, k)
+		}
+	}
+
+	s.TruncateFrom("t", int64(tl.size-chunkCap/2-10)) // the tail chunk now has free space
+	fits := make([]Record, chunkCap/2)
+	for i := range fits {
+		fits[i].ArrivalMs = int64(chunks * chunkCap)
+	}
+	s.AppendBatch("t", fits)
+	if len(tl.chunks) != chunks || &tl.chunks[chunks-1][0] != firsts[chunks-1] {
+		t.Error("a run that fits the tail chunk's free space was not copied there")
+	}
+}
+
+// TestScanRunsEqualsScan: the records ScanFunc streams, one arena run after
+// another, are Scan's result for the same range — across chunk boundaries,
+// after expiry and truncation left short middle chunks, and with an early
+// stop.
 func TestScanRunsEqualsScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	s := New(0)
@@ -448,17 +499,13 @@ func TestScanRunsEqualsScan(t *testing.T) {
 			from := int64(rng.Intn(n)) - 50
 			to := from + int64(rng.Intn(n))
 			want := s.Scan("t", from, to)
-			got, runs := []Record{}, 0
-			s.ScanRuns("t", from, to, func(run []Record) bool {
-				if len(run) == 0 {
-					t.Fatalf("%s: empty run in [%d,%d)", stage, from, to)
-				}
-				got = append(got, run...)
-				runs++
+			got := []Record{}
+			s.ScanFunc("t", from, to, func(r Record) bool {
+				got = append(got, r)
 				return true
 			})
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: ScanRuns[%d,%d) yielded %d records in %d runs, Scan %d", stage, from, to, len(got), runs, len(want))
+				t.Fatalf("%s: ScanFunc[%d,%d) yielded %d records, Scan %d", stage, from, to, len(got), len(want))
 			}
 		}
 	}
@@ -474,11 +521,11 @@ func TestScanRunsEqualsScan(t *testing.T) {
 	check("after expire, truncate and slack inserts")
 
 	calls := 0
-	s.ScanRuns("t", 0, 1<<62, func([]Record) bool { calls++; return false })
+	s.ScanFunc("t", 0, 1<<62, func(Record) bool { calls++; return false })
 	if calls != 1 {
-		t.Errorf("early stop saw %d runs, want 1", calls)
+		t.Errorf("early stop saw %d records, want 1", calls)
 	}
-	s.ScanRuns("nope", 0, 1<<62, func([]Record) bool {
+	s.ScanFunc("nope", 0, 1<<62, func(Record) bool {
 		t.Error("callback invoked for a missing topic")
 		return false
 	})

@@ -136,9 +136,8 @@ func (f *Frame) Finalize() {
 
 // FinalizeSorted computes the derived state (ByID, the ID→position index)
 // for a builder that guarantees every observation group is already sorted
-// by arrival with insertion-order ties — the incremental frame build sorts
-// only the dirty groups itself via SortObsGroup. The frame must not be
-// mutated afterwards.
+// by arrival with insertion-order ties — the collector fills them in that
+// order. The frame must not be mutated afterwards.
 func (f *Frame) FinalizeSorted() {
 	if len(f.Off) != len(f.Templates)+1 {
 		panic("window: Off must have NumTemplates+1 entries")
@@ -170,9 +169,8 @@ func (f *Frame) FinalizeShared(prev *Frame) {
 	f.posByID = prev.posByID
 }
 
-// SortObsGroup stable-sorts one observation group by arrival time with
-// ties in insertion order — the exact per-group ordering Finalize
-// establishes. Incremental builders call it on dirty groups only.
+// sortObsGroup stable-sorts one observation group by arrival time with
+// ties in insertion order — the per-group ordering Finalize establishes.
 //
 // A group holds one template's records in log (completion) order, which is
 // arrival order disturbed shallowly, so the sort is a paired insertion over
@@ -181,13 +179,13 @@ func (f *Frame) FinalizeShared(prev *Frame) {
 // budget is finished by a stable comparison sort, which reaches the same
 // order from wherever insertion stopped, keeping the worst case
 // O(n log n) comparisons.
-func SortObsGroup(arrival []int64, response []float64) {
+func sortObsGroup(arrival []int64, response []float64) {
 	if !insertObsGroup(arrival, response, 4*len(arrival)*bits.Len(uint(len(arrival)))) {
 		sort.Stable(obsGroup{arrival, response})
 	}
 }
 
-// insertObsGroup is SortObsGroup's insertion pass; it gives up, reporting
+// insertObsGroup is sortObsGroup's insertion pass; it gives up, reporting
 // false, as soon as it has moved more than budget observations.
 func insertObsGroup(arrival []int64, response []float64, budget int) bool {
 	moves := 0
@@ -228,6 +226,6 @@ func (g obsGroup) Swap(i, j int) {
 func (f *Frame) sortGroups() {
 	for t := range f.Templates {
 		lo, hi := f.Off[t], f.Off[t+1]
-		SortObsGroup(f.Arrival[lo:hi], f.Response[lo:hi])
+		sortObsGroup(f.Arrival[lo:hi], f.Response[lo:hi])
 	}
 }

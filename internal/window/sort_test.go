@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// sortObsGroupByPermutation is the group sort SortObsGroup replaced — a
+// sortObsGroupByPermutation is the group sort sortObsGroup replaced — a
 // permutation through sort.SliceStable, applied to scratch copies of both
 // columns — kept here as its oracle.
 func sortObsGroupByPermutation(arrival []int64, response []float64) {
@@ -67,7 +67,7 @@ func TestSortObsGroupMatchesPermutationSort(t *testing.T) {
 		}
 		wantA, wantR := slices.Clone(arrival), slices.Clone(response)
 		sortObsGroupByPermutation(wantA, wantR)
-		SortObsGroup(arrival, response)
+		sortObsGroup(arrival, response)
 		for i := range arrival {
 			if arrival[i] != wantA[i] || math.Float64bits(response[i]) != math.Float64bits(wantR[i]) {
 				t.Fatalf("trial %d (n=%d): row %d = (%d, %#x), permutation sort has (%d, %#x)", trial, n, i,
