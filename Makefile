@@ -2,7 +2,8 @@
 # runs build + vet + test + race; fuzz-smoke is a short native-fuzzing slice
 # over the SQL normalizer, the storage codecs, the log-file readers, the
 # log store's order restoration, the collector's window log, the segment
-# store's seal paths and the session estimator.
+# store's seal paths, the session estimator and the sparse series'
+# correlations.
 
 GO ?= go
 
@@ -52,8 +53,12 @@ loc:
 # the independent reference's and the arranged runs are a store's scan), the
 # segment store's two seal paths (any strict and loose batches,
 # seals and a reopen scan back as the in-memory store's, renamed wal or
-# rewritten), and the frame session estimator's direct paths (bit-equal to
-# the map-keyed reference's all-buckets walk). Long campaigns: raise -fuzztime.
+# rewritten), the three frame session estimators (the sparse series expanded
+# is bit-equal to the dense references, the bucketed one's the map-keyed
+# all-buckets walk), the estimator's compaction of a template's touched
+# seconds, and the sparse series' sums and correlations (bit-equal to the
+# dense ones for any x, y and w, NaN, ±Inf, −0 and negatives included). Long
+# campaigns: raise -fuzztime.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzNormalize -fuzztime=10s ./internal/sqltemplate
 	$(GO) test -run=^$$ -fuzz=FuzzRecordCodec -fuzztime=10s ./internal/logstore/segment
@@ -66,6 +71,8 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzLooseOrder -fuzztime=5s ./internal/logstore
 	$(GO) test -run=^$$ -fuzz=FuzzWindowLog -fuzztime=5s ./internal/collect
 	$(GO) test -run=^$$ -fuzz=FuzzEstimateShortPath -fuzztime=10s ./internal/session
+	$(GO) test -run=^$$ -fuzz=FuzzFillCompact -fuzztime=5s ./internal/session
+	$(GO) test -run=^$$ -fuzz=FuzzSparseCorr -fuzztime=5s ./internal/timeseries
 
 # Adversarial workload search: a seed-driven bandit over injection
 # parameters hunts diagnosis misranks, minimizes each miss, and writes

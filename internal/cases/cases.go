@@ -357,7 +357,7 @@ func (l *Labeled) labelHSQLs() {
 	as, ae := l.Case.AS, l.Case.AE
 	est := session.EstimateFrameNoBuckets(f)
 
-	instLift := lift(est.Total, as, ae)
+	instLift := lift(timeseries.SparseOf(est.Total), as, ae)
 	threshold := math.Max(0.5, 0.05*instLift)
 	for pos, s := range est.PerTemplate {
 		if lift(s, as, ae) >= threshold {
@@ -367,11 +367,17 @@ func (l *Labeled) labelHSQLs() {
 }
 
 // lift is the anomaly-window mean minus the pre-window mean of a series.
-func lift(s timeseries.Series, as, ae int) float64 {
-	if as <= 0 {
-		return s.Slice(0, ae).Mean()
+func lift(s timeseries.Sparse, as, ae int) float64 {
+	mean := func(lo, hi int) float64 {
+		if hi = min(hi, s.N); lo >= hi {
+			return 0
+		}
+		return s.RangeSum(lo, hi) / float64(hi-lo)
 	}
-	return s.Slice(as, ae).Mean() - s.Slice(0, as).Mean()
+	if as <= 0 {
+		return mean(0, ae)
+	}
+	return mean(as, ae) - mean(0, as)
 }
 
 // splitMix is a tiny deterministic RNG for parameter jitter, independent of

@@ -115,6 +115,37 @@ func TestDiagnoseZeroQueryTemplates(t *testing.T) {
 	}
 }
 
+// TestDiagnoseActiveSessionOfAnotherLength: a frame whose ActiveSession is
+// shorter or longer than its Seconds is diagnosed without a panic, with and
+// without the session estimate and at several worker counts: no template's
+// session correlates with a series of another length, so every trend,
+// scale-trend and impact score is 0 — what the dropped length-mismatch
+// errors have always meant — and both rankings still hold every template
+// they would.
+func TestDiagnoseActiveSessionOfAnotherLength(t *testing.T) {
+	c, f := syntheticCase(true)
+	for _, n := range []int{f.Seconds - 11, f.Seconds + 6} {
+		g := *f
+		g.ActiveSession = make(timeseries.Series, n)
+		copy(g.ActiveSession, f.ActiveSession)
+		for _, noEstimate := range []bool{false, true} {
+			for _, workers := range []int{1, 2, 4} {
+				cfg := DefaultConfig()
+				cfg.NoEstimateSession, cfg.Workers = noEstimate, workers
+				d := DiagnoseFrame(c, &g, cfg)
+				if len(d.HSQLs) != 2 || len(d.RSQLs) == 0 {
+					t.Fatalf("n=%d noEstimate=%v w=%d: %d H-SQLs, %d R-SQLs", n, noEstimate, workers, len(d.HSQLs), len(d.RSQLs))
+				}
+				for _, h := range d.HSQLs {
+					if h.Trend != 0 || h.ScaleTrend != 0 || h.Impact != 0 {
+						t.Errorf("n=%d noEstimate=%v w=%d: %s scored %+v against a session of another length", n, noEstimate, workers, h.ID, h)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestIDAccessors(t *testing.T) {
 	c, f := syntheticCase(true)
 	d := DiagnoseFrame(c, f, DefaultConfig())

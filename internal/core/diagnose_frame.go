@@ -50,7 +50,7 @@ type FrameDiagnoser struct {
 	cfg Config
 
 	est       *session.FrameEstimate // nil under NoEstimateSession
-	sessions  []timeseries.Series    // by frame position; nil until computed
+	sessions  []timeseries.Sparse    // by frame position; nil until computed
 	partition *rootcause.Partition   // nil until computed
 }
 
@@ -81,21 +81,21 @@ func (fd *FrameDiagnoser) Partitions() int {
 
 // sessionSeries is stage 1: individual active session estimation (§IV-C),
 // keyed by frame position, computed by the first call.
-func (fd *FrameDiagnoser) sessionSeries() []timeseries.Series {
+func (fd *FrameDiagnoser) sessionSeries() []timeseries.Sparse {
 	if fd.sessions != nil {
 		return fd.sessions
 	}
 	f, cfg := fd.f, fd.cfg
 	if cfg.NoEstimateSession {
 		// Ablation: aggregated response time as the session proxy.
-		fd.sessions = make([]timeseries.Series, len(f.Templates))
+		fd.sessions = make([]timeseries.Sparse, len(f.Templates))
+		var seconds timeseries.Series // one scratch for the case
 		for pos := range f.Templates {
-			sumRT := f.Templates[pos].SumRT
-			s := make(timeseries.Series, len(sumRT))
-			for i, v := range sumRT {
-				s[i] = v / 1000
+			seconds = append(seconds[:0], f.Templates[pos].SumRT...)
+			for i := range seconds {
+				seconds[i] /= 1000
 			}
-			fd.sessions[pos] = s
+			fd.sessions[pos] = timeseries.SparseOf(seconds)
 		}
 	} else {
 		fd.est = session.EstimateFrameBuckets(f, f.ActiveSession, cfg.Buckets, cfg.Workers)

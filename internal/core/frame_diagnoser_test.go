@@ -12,7 +12,8 @@ import (
 	"pinsql/internal/workload"
 )
 
-// estimateBits flattens a frame estimate into its float bit patterns.
+// estimateBits flattens a frame estimate into its float bit patterns: per
+// template the series' length, then each nonzero second and its value.
 func estimateBits(e *session.FrameEstimate) []uint64 {
 	var out []uint64
 	add := func(s timeseries.Series) {
@@ -21,7 +22,11 @@ func estimateBits(e *session.FrameEstimate) []uint64 {
 		}
 	}
 	for _, s := range e.PerTemplate {
-		add(s)
+		out = append(out, uint64(s.N))
+		for _, sec := range s.Idx {
+			out = append(out, uint64(sec))
+		}
+		add(s.Val)
 	}
 	add(e.Total)
 	for _, b := range e.SelBucket {

@@ -41,14 +41,8 @@ func TestDiagnoseWorkersEquivalence(t *testing.T) {
 			if !reflect.DeepEqual(seq.Root.Clusters, par.Root.Clusters) {
 				t.Errorf("%v workers=%d: cluster structure diverged", kind, w)
 			}
-			if !reflect.DeepEqual(seq.FrameEst.PerTemplate, par.FrameEst.PerTemplate) {
-				t.Errorf("%v workers=%d: estimated session series diverged", kind, w)
-			}
-			if !reflect.DeepEqual(seq.FrameEst.Total, par.FrameEst.Total) {
-				t.Errorf("%v workers=%d: estimated total session diverged", kind, w)
-			}
-			if !reflect.DeepEqual(seq.FrameEst.SelBucket, par.FrameEst.SelBucket) {
-				t.Errorf("%v workers=%d: bucket selection diverged", kind, w)
+			if !reflect.DeepEqual(estimateBits(seq.FrameEst), estimateBits(par.FrameEst)) {
+				t.Errorf("%v workers=%d: estimated session series, total or bucket selection diverged", kind, w)
 			}
 		}
 	}

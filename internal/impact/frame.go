@@ -13,12 +13,14 @@ import (
 // session of frame template pos (one entry per template, as produced by
 // session.EstimateFrameBuckets); instSession is the instance's
 // active-session metric; [as, ae) is the anomaly window in series indexes.
+// A session whose length is not instSession's correlates with nothing: its
+// trend and scale-trend scores are 0.
 // Scoring iterates the frame's ByID permutation — ascending template ID — so
 // masses, normalization, α/β selection and the final stable sort depend on
 // the template IDs, not on the frame's layout or the worker count. Each
 // returned Score carries its frame position for index-first downstream
 // stages.
-func RankFrame(f *window.Frame, sessions []timeseries.Series, instSession timeseries.Series, as, ae int, opt Options) []Score {
+func RankFrame(f *window.Frame, sessions []timeseries.Sparse, instSession timeseries.Series, as, ae int, opt Options) []Score {
 	if len(sessions) == 0 {
 		return nil
 	}
@@ -29,7 +31,7 @@ func RankFrame(f *window.Frame, sessions []timeseries.Series, instSession timese
 	// normalized across templates and mapped into [-1, 1].
 	masses := make(timeseries.Series, len(f.ByID))
 	for i, pos := range f.ByID {
-		masses[i] = sessions[pos].Slice(as, ae).Sum()
+		masses[i] = sessions[pos].RangeSum(as, ae)
 	}
 	norm := masses.MinMax()
 
@@ -40,13 +42,14 @@ func RankFrame(f *window.Frame, sessions []timeseries.Series, instSession timese
 
 	scores := make([]Score, len(f.ByID))
 	parallel.Blocks(opt.Workers, len(f.ByID), func(lo, hi int) {
-		// One session-share scratch per chunk, not one series per template.
-		ratio := make(timeseries.Series, n)
+		// One dense scratch per chunk: each session is scattered into it,
+		// scored and cleared out of it.
+		scratch := make(timeseries.Series, n)
 		for i := lo; i < hi; i++ {
 			pos := f.ByID[i]
 			s := sessions[pos]
-			trend, _ := instWeighted.Corr(s)
-			scaleTrend, _ := inst.CorrRatio(s, ratio)
+			trend, _ := instWeighted.Corr(s, scratch)
+			scaleTrend, _ := inst.CorrRatio(s, scratch)
 			scores[i] = Score{
 				ID:         f.Templates[pos].Meta.ID,
 				Pos:        int(pos),
@@ -65,7 +68,7 @@ func RankFrame(f *window.Frame, sessions []timeseries.Series, instSession timese
 
 	alpha, beta := 1.0, 1.0
 	if opt.WeightedScore {
-		a, _ := inst.Corr(sessions[f.ByID[maxIdx]])
+		a, _ := inst.CorrSparse(sessions[f.ByID[maxIdx]], make(timeseries.Series, n))
 		alpha, beta = a, -a
 	}
 	for i := range scores {

@@ -32,10 +32,19 @@ func sessionFrame(sessions map[sqltemplate.ID]timeseries.Series) (*window.Frame,
 	return f, byPos
 }
 
+// sparse is each session as RankFrame takes it.
+func sparse(byPos []timeseries.Series) []timeseries.Sparse {
+	out := make([]timeseries.Sparse, len(byPos))
+	for pos, s := range byPos {
+		out[pos] = timeseries.SparseOf(s)
+	}
+	return out
+}
+
 // rank is RankFrame over sessionFrame(sessions).
 func rank(sessions map[sqltemplate.ID]timeseries.Series, instSession timeseries.Series, as, ae int, opt Options) []Score {
 	f, byPos := sessionFrame(sessions)
-	return RankFrame(f, byPos, instSession, as, ae, opt)
+	return RankFrame(f, sparse(byPos), instSession, as, ae, opt)
 }
 
 // scenario builds an instance session trace with an anomaly window driven

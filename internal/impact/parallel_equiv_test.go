@@ -35,7 +35,8 @@ func TestRankWorkersEquivalence(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 60 + rng.Intn(200)
 		sessions, inst := randomSessions(rng, n)
-		f, byPos := sessionFrame(sessions)
+		f, dense := sessionFrame(sessions)
+		byPos := sparse(dense)
 		as := n / 3
 		ae := 2 * n / 3
 		opt := DefaultOptions()

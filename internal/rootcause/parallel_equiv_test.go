@@ -63,7 +63,7 @@ func randomInput(rng *rand.Rand) Input {
 		templates[t] = Template{
 			ID:      sqltemplate.ID(rune('A'+t%26)) + sqltemplate.ID(rune('A'+t/26)),
 			Exec:    exec,
-			Session: sess,
+			Session: timeseries.SparseOf(sess),
 			Impact:  rng.NormFloat64(),
 		}
 	}

@@ -79,7 +79,7 @@ func DefaultOptions() Options {
 type Template struct {
 	ID      sqltemplate.ID
 	Exec    timeseries.Series // #execution per second over [ts, te)
-	Session timeseries.Series // estimated individual active session
+	Session timeseries.Sparse // estimated individual active session
 	Impact  float64           // H-SQL impact score (or a baseline's score)
 }
 
@@ -132,30 +132,10 @@ type Result struct {
 
 	// ClusterDur and VerifyDur split the module's run time into the
 	// clustering+filtering and history-verification+ranking stages, for
-	// the §VIII-B timing breakdown. ClusterDur includes the partition's
-	// time only where the call computed it (Identify).
+	// the §VIII-B timing breakdown. ClusterDur is Identify's share; whoever
+	// computed the partition adds its time.
 	ClusterDur time.Duration
 	VerifyDur  time.Duration
-}
-
-// Identify runs the full module on one case: it partitions the case's
-// templates and identifies on that partition. A frame with several cases
-// computes the partition once (NewPartition) and calls its Identify per
-// case.
-func Identify(in Input, opt Options) *Result {
-	if len(in.Templates) == 0 {
-		return &Result{}
-	}
-	start := time.Now()
-	exec := make([]timeseries.Series, len(in.Templates))
-	for i := range in.Templates {
-		exec[i] = in.Templates[i].Exec
-	}
-	p := NewPartition(exec, in.Metrics, opt.Tau, opt.Workers)
-	partitionDur := time.Since(start)
-	res := p.Identify(in, opt)
-	res.ClusterDur += partitionDur
-	return res
 }
 
 // Partition is step 1 of the module: the connected components of the
@@ -411,10 +391,7 @@ func selectClusters(clusters []cluster, in Input, inst *timeseries.CorrRef, opt 
 	sum := make(timeseries.Series, len(in.InstSession))
 	for i := 0; i < kc; i++ {
 		for _, m := range clusters[i].members {
-			s := in.Templates[m].Session
-			for t := 0; t < len(sum) && t < len(s); t++ {
-				sum[t] += s[t]
-			}
+			in.Templates[m].Session.AddTo(sum)
 		}
 		cumCorr, _ = inst.Corr(sum)
 		if cumCorr >= opt.TauC {

@@ -1,6 +1,7 @@
 package rootcause
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -51,10 +52,10 @@ func buildPoorSQLCase(rng *rand.Rand) Input {
 	}
 
 	templates := []Template{
-		{ID: "RSQL", Exec: rsqlExec, Session: rsqlSess, Impact: 2.6},
-		{ID: "VICTIM", Exec: victimExec, Session: victimSess, Impact: 1.8},
-		{ID: "OTHER", Exec: otherExec, Session: otherSess, Impact: 0.9},
-		{ID: "GIANT", Exec: giantExec, Session: giantSess, Impact: 0.1},
+		{ID: "RSQL", Exec: rsqlExec, Session: timeseries.SparseOf(rsqlSess), Impact: 2.6},
+		{ID: "VICTIM", Exec: victimExec, Session: timeseries.SparseOf(victimSess), Impact: 1.8},
+		{ID: "OTHER", Exec: otherExec, Session: timeseries.SparseOf(otherSess), Impact: 0.9},
+		{ID: "GIANT", Exec: giantExec, Session: timeseries.SparseOf(giantSess), Impact: 0.1},
 	}
 	history := []HistoryWindow{
 		{DaysAgo: 1, Counts: map[sqltemplate.ID]timeseries.Series{
@@ -145,10 +146,10 @@ func TestClusteringGroupsCoSpikingBusiness(t *testing.T) {
 		}
 		return s
 	}
-	t1 := Template{ID: "API_A1", Exec: mkDAG(10, 80), Impact: 2.0, Session: make(timeseries.Series, n)}
-	t2 := Template{ID: "API_A2", Exec: mkDAG(25, 200), Impact: 1.5, Session: make(timeseries.Series, n)}
-	t3 := Template{ID: "API_A3", Exec: mkDAG(4, 30), Impact: 1.2, Session: make(timeseries.Series, n)}
-	stable := Template{ID: "STABLE", Exec: mkDAG(50, 0), Impact: 0.1, Session: make(timeseries.Series, n)}
+	t1 := Template{ID: "API_A1", Exec: mkDAG(10, 80), Impact: 2.0, Session: timeseries.Sparse{N: n}}
+	t2 := Template{ID: "API_A2", Exec: mkDAG(25, 200), Impact: 1.5, Session: timeseries.Sparse{N: n}}
+	t3 := Template{ID: "API_A3", Exec: mkDAG(4, 30), Impact: 1.2, Session: timeseries.Sparse{N: n}}
+	stable := Template{ID: "STABLE", Exec: mkDAG(50, 0), Impact: 0.1, Session: timeseries.Sparse{N: n}}
 
 	in := Input{
 		Templates:   []Template{t1, t2, t3, stable},
@@ -190,7 +191,7 @@ func TestCumulativeThresholdSelectsMultipleClusters(t *testing.T) {
 				sess[i] += bump
 			}
 		}
-		return Template{Exec: exec, Session: sess}
+		return Template{Exec: exec, Session: timeseries.SparseOf(sess)}
 	}
 	a := mk(600, 750, 20)
 	a.ID, a.Impact = "BIZ_A", 2.0
@@ -198,7 +199,7 @@ func TestCumulativeThresholdSelectsMultipleClusters(t *testing.T) {
 	b.ID, b.Impact = "BIZ_B", 1.8
 	inst := make(timeseries.Series, n)
 	for i := 0; i < n; i++ {
-		inst[i] = a.Session[i] + b.Session[i]
+		inst[i] = a.Session.RangeSum(i, i+1) + b.Session.RangeSum(i, i+1)
 	}
 	in := Input{Templates: []Template{a, b}, InstSession: inst, AS: as, AE: ae}
 
@@ -242,8 +243,8 @@ func TestMetricTempNodesDensifyGraph(t *testing.T) {
 		}
 		return s
 	}
-	a := Template{ID: "A", Exec: noisy(1.0, 1), Session: make(timeseries.Series, n), Impact: 1}
-	b := Template{ID: "B", Exec: noisy(1.0, 2), Session: make(timeseries.Series, n), Impact: 0.5}
+	a := Template{ID: "A", Exec: noisy(1.0, 1), Session: timeseries.Sparse{N: n}, Impact: 1}
+	b := Template{ID: "B", Exec: noisy(1.0, 2), Session: timeseries.Sparse{N: n}, Impact: 0.5}
 
 	withMetric := Input{
 		Templates:   []Template{a, b},
@@ -289,7 +290,7 @@ func TestIdentifySingleTemplate(t *testing.T) {
 	}
 	inst := sess.Clone()
 	in := Input{
-		Templates:   []Template{{ID: "ONLY", Exec: exec, Session: sess, Impact: 1}},
+		Templates:   []Template{{ID: "ONLY", Exec: exec, Session: timeseries.SparseOf(sess), Impact: 1}},
 		InstSession: inst,
 		AS:          300, AE: 350,
 	}
@@ -310,7 +311,7 @@ func TestVerifyFallbackWhenAllFiltered(t *testing.T) {
 		sess[i] = 1
 	}
 	in := Input{
-		Templates:   []Template{{ID: "A", Exec: flatExec, Session: sess, Impact: 1}},
+		Templates:   []Template{{ID: "A", Exec: flatExec, Session: timeseries.SparseOf(sess), Impact: 1}},
 		InstSession: sess.Clone(),
 		AS:          300, AE: 350,
 	}
@@ -383,5 +384,43 @@ func TestStandardizeDegenerate(t *testing.T) {
 	}
 	if norm < 0.999 || norm > 1.001 {
 		t.Errorf("standardized norm = %v, want 1", norm)
+	}
+}
+
+// TestCumulativeSumClampsSessionLength: the cumulative threshold sums each
+// selected session over the seconds it shares with the instance session —
+// a session longer or shorter than it adds what overlaps and nothing else —
+// and the correlation has the bits of the dense sum's.
+func TestCumulativeSumClampsSessionLength(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	const n = 300
+	inst := make(timeseries.Series, n)
+	for i := range inst {
+		inst[i] = rng.Float64() * 8
+	}
+	var templates []Template
+	sum := make(timeseries.Series, n)
+	for i, length := range []int{n, n - 40, n + 25, 0} {
+		sess := make(timeseries.Series, length)
+		for sec := range sess {
+			if rng.Intn(3) == 0 {
+				sess[sec] = rng.Float64() * 4
+			}
+		}
+		if length > 0 {
+			sess[length-1] = 2 // the last second: past the sum's end when longer
+		}
+		templates = append(templates, Template{ID: sqltemplate.ID(rune('A' + i)), Session: timeseries.SparseOf(sess)})
+		for sec := 0; sec < n && sec < length; sec++ {
+			sum[sec] += sess[sec]
+		}
+	}
+	in := Input{Templates: templates, InstSession: inst}
+	opt := DefaultOptions()
+	opt.TauC = 2 // never reached: every cluster is summed
+	selected, got := selectClusters([]cluster{{members: []int{0, 1}}, {members: []int{2, 3}}}, in, timeseries.NewCorrRef(inst), opt)
+	want, _ := timeseries.Corr(sum, inst)
+	if selected != 2 || math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("selected %d clusters at cumulative corr %v, want 2 at the dense sum's %v", selected, got, want)
 	}
 }

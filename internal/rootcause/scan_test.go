@@ -238,7 +238,7 @@ func TestPairScanWorkBudget(t *testing.T) {
 		for j := range exec[i] {
 			exec[i][j] = 50 + rng.NormFloat64()*5
 		}
-		templates[i] = Template{ID: sqltemplate.ID(fmt.Sprintf("T%02d", i)), Exec: exec[i], Session: make(timeseries.Series, 2100)}
+		templates[i] = Template{ID: sqltemplate.ID(fmt.Sprintf("T%02d", i)), Exec: exec[i], Session: timeseries.Sparse{N: 2100}}
 	}
 	res := Identify(Input{Templates: templates, InstSession: make(timeseries.Series, 2100), AS: 1700, AE: 2000}, DefaultOptions())
 	if want := int64(40 * 39 / 2); res.PairsScanned != want || res.MulAdds <= 0 || res.MulAdds > want*length {

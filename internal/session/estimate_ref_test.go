@@ -2,6 +2,7 @@ package session
 
 import (
 	"sort"
+	"testing"
 
 	"pinsql/internal/sqltemplate"
 	"pinsql/internal/timeseries"
@@ -47,8 +48,15 @@ func frameFromQueries(q queries, startMs int64, seconds int) *window.Frame {
 	return f
 }
 
-// refEstimate is refEstimateBuckets' result, keyed by template ID; a
-// template without observations has no entry.
+// dense expands a sparse series.
+func dense(x timeseries.Sparse) timeseries.Series {
+	s := make(timeseries.Series, x.N)
+	x.AddTo(s)
+	return s
+}
+
+// refEstimate is a reference estimator's result, dense and keyed by template
+// ID; a template without observations has no entry.
 type refEstimate struct {
 	PerTemplate map[sqltemplate.ID]timeseries.Series
 	Total       timeseries.Series
@@ -144,4 +152,39 @@ func refEstimateBuckets(f *window.Frame, observed timeseries.Series, k int) *ref
 		}
 	}
 	return est
+}
+
+// refEstimateByRT is EstimateFrameByRT over one dense series per template:
+// each observation's response, in seconds, lands whole in the second it
+// arrived in, in arrival order, and the total sums the series in ByID order.
+func refEstimateByRT(f *window.Frame) *refEstimate {
+	est := &refEstimate{PerTemplate: map[sqltemplate.ID]timeseries.Series{}, Total: make(timeseries.Series, f.Seconds)}
+	for _, pos := range f.ByID {
+		arr, resp := f.Obs(int(pos))
+		if len(arr) == 0 {
+			continue
+		}
+		s := make(timeseries.Series, f.Seconds)
+		for i, a := range arr {
+			if sec := int((a - f.StartMs) / 1000); a >= f.StartMs && sec < f.Seconds {
+				s[sec] += resp[i] / 1000
+			}
+		}
+		est.PerTemplate[f.Templates[pos].Meta.ID] = s
+		for i, v := range s {
+			est.Total[i] += v
+		}
+	}
+	return est
+}
+
+// checkAllEstimators holds the three frame estimators to their dense
+// references over f: the whole second is the one bucket of K = 1.
+func checkAllEstimators(t *testing.T, label string, f *window.Frame, observed timeseries.Series, k, workers int) {
+	t.Helper()
+	checkFrameEstimate(t, label+" byRT", f, EstimateFrameByRT(f), refEstimateByRT(f))
+	whole := refEstimateBuckets(f, nil, 1)
+	whole.SelBucket = nil
+	checkFrameEstimate(t, label+" noBuckets", f, EstimateFrameNoBuckets(f), whole)
+	checkFrameEstimate(t, label+" buckets", f, EstimateFrameBuckets(f, observed, k, workers), refEstimateBuckets(f, observed, k))
 }

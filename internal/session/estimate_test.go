@@ -59,7 +59,7 @@ func TestEstimateNoBucketsSingleQuery(t *testing.T) {
 	// 0.5 in second 1.
 	f := frameFromQueries(queries{"A": {{ArrivalMs: 500, ResponseMs: 1000}}}, 0, 3)
 	est := EstimateFrameNoBuckets(f)
-	s := est.PerTemplate[0]
+	s := dense(est.PerTemplate[0])
 	if !almostEq(s[0], 0.5, 1e-9) || !almostEq(s[1], 0.5, 1e-9) || s[2] != 0 {
 		t.Errorf("per-second estimate = %v", s)
 	}
@@ -71,7 +71,7 @@ func TestEstimateNoBucketsSingleQuery(t *testing.T) {
 func TestEstimateByRTChargesArrivalSecond(t *testing.T) {
 	f := frameFromQueries(queries{"A": {{ArrivalMs: 900, ResponseMs: 2000}}}, 0, 3)
 	est := EstimateFrameByRT(f)
-	s := est.PerTemplate[0]
+	s := dense(est.PerTemplate[0])
 	// All 2 s of response time land in the arrival second — the
 	// inaccuracy the paper calls out.
 	if !almostEq(s[0], 2.0, 1e-9) || s[1] != 0 {
@@ -98,8 +98,8 @@ func TestEstimateBucketsSelectsCorrectBucket(t *testing.T) {
 	if est.SelBucket[0] < 5 {
 		t.Errorf("selected bucket %d, want a late bucket (≥5)", est.SelBucket[0])
 	}
-	if !almostEq(est.PerTemplate[0][0], 1, 1e-9) {
-		t.Errorf("estimate = %v, want 1", est.PerTemplate[0][0])
+	if !almostEq(dense(est.PerTemplate[0])[0], 1, 1e-9) {
+		t.Errorf("estimate = %v, want 1", dense(est.PerTemplate[0])[0])
 	}
 
 	// SHOW STATUS sampled early: saw all 6.
@@ -108,8 +108,8 @@ func TestEstimateBucketsSelectsCorrectBucket(t *testing.T) {
 	if est.SelBucket[0] >= 5 {
 		t.Errorf("selected bucket %d, want an early bucket (<5)", est.SelBucket[0])
 	}
-	if !almostEq(est.PerTemplate[0][0], 6, 1e-9) {
-		t.Errorf("estimate = %v, want 6", est.PerTemplate[0][0])
+	if !almostEq(dense(est.PerTemplate[0])[0], 6, 1e-9) {
+		t.Errorf("estimate = %v, want 6", dense(est.PerTemplate[0])[0])
 	}
 }
 
@@ -123,7 +123,7 @@ func TestEstimateBucketsPerTemplateSplit(t *testing.T) {
 	est := EstimateFrameBuckets(f, timeseries.Series{1}, 10, 1)
 	posA, _ := f.Pos("A")
 	posB, _ := f.Pos("B")
-	a, b := est.PerTemplate[posA][0], est.PerTemplate[posB][0]
+	a, b := dense(est.PerTemplate[posA])[0], dense(est.PerTemplate[posB])[0]
 	// Either bucket family matches the observation of 1; exactly one
 	// template must carry it.
 	if !almostEq(a+b, 1, 1e-9) {
@@ -226,10 +226,11 @@ func TestEstimateAdditivityProperty(t *testing.T) {
 		for sec := 0; sec < seconds; sec++ {
 			var sum float64
 			for _, s := range est.PerTemplate {
-				if s[sec] < 0 {
+				v := s.RangeSum(sec, sec+1)
+				if v < 0 {
 					return false
 				}
-				sum += s[sec]
+				sum += v
 			}
 			if !almostEq(sum, est.Total[sec], 1e-9) {
 				return false

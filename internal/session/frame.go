@@ -14,9 +14,9 @@ import (
 type FrameEstimate struct {
 	// PerTemplate is each template's estimated individual active session
 	// (sessionQ of §IV-C), one value per second, by frame position: one
-	// series per frame template, all zeros for a template with no logged
-	// observations.
-	PerTemplate []timeseries.Series
+	// series per frame template, held as the seconds in which it is not
+	// zero — none for a template with no logged observations.
+	PerTemplate []timeseries.Sparse
 	// Total is the sum over templates; comparing it against the observed
 	// instance active session measures estimation quality (§VIII-F).
 	Total timeseries.Series
@@ -44,14 +44,14 @@ func (e *FrameEstimate) Quality(observed timeseries.Series) (corr, mse float64) 
 // why it correlates poorly with the sampled active session.
 func EstimateFrameByRT(f *window.Frame) *FrameEstimate {
 	est := newFrameEstimate(f)
-	est.fill(f, 1, func(s timeseries.Series, pos int) {
+	est.fill(f, 1, func(s *fillScratch, pos int) {
 		arr, resp := f.Obs(pos)
 		for i, a := range arr {
 			sec := int((a - f.StartMs) / 1000)
 			if a < f.StartMs || sec >= f.Seconds {
 				continue
 			}
-			s[sec] += resp[i] / 1000
+			s.add(sec, resp[i]/1000)
 		}
 	})
 	return est
@@ -63,7 +63,7 @@ func EstimateFrameByRT(f *window.Frame) *FrameEstimate {
 func EstimateFrameNoBuckets(f *window.Frame) *FrameEstimate {
 	est := newFrameEstimate(f)
 	starts := secondStarts(f)
-	est.fill(f, 1, func(s timeseries.Series, pos int) {
+	est.fill(f, 1, func(s *fillScratch, pos int) {
 		accumulateFrame(s, f, pos, starts, starts[:f.Seconds], 1000)
 	})
 	return est
@@ -216,7 +216,7 @@ func EstimateFrameBuckets(f *window.Frame, observed timeseries.Series, k, worker
 	})
 
 	// Pass 3: per-template expectation inside the selected bucket.
-	est.fill(f, workers, func(s timeseries.Series, pos int) {
+	est.fill(f, workers, func(s *fillScratch, pos int) {
 		accumulateFrame(s, f, pos, starts, selLo, bucketLen)
 	})
 	return est
@@ -248,7 +248,7 @@ func secondStarts(f *window.Frame) []float64 {
 // second it begins in is added there directly; the others go through the
 // span loop, which for such an observation evaluates the same period and,
 // where it ends exactly on the second's boundary, one more of zero overlap.
-func accumulateFrame(s timeseries.Series, f *window.Frame, pos int, starts, periodLo []float64, periodLen float64) {
+func accumulateFrame(s *fillScratch, f *window.Frame, pos int, starts, periodLo []float64, periodLen float64) {
 	arr, resp := f.Obs(pos)
 	directLo, directHi := f.StartMs, f.StartMs+int64(f.Seconds)*1000
 	if !exactWindow(f) {
@@ -265,7 +265,7 @@ func accumulateFrame(s timeseries.Series, f *window.Frame, pos int, starts, peri
 					continue // most observations, when the period is a bucket
 				}
 				if ov := overlap(qlo, qhi, lo, hi); ov > 0 {
-					s[sec] += ov / (hi - lo)
+					s.add(sec, ov/(hi-lo))
 				}
 				continue
 			}
@@ -275,7 +275,7 @@ func accumulateFrame(s timeseries.Series, f *window.Frame, pos int, starts, peri
 			lo := periodLo[sec]
 			hi := lo + periodLen
 			if ov := overlap(qlo, qhi, lo, hi); ov > 0 {
-				s[sec] += ov / (hi - lo)
+				s.add(sec, ov/(hi-lo))
 			}
 		}
 	}
@@ -283,7 +283,7 @@ func accumulateFrame(s timeseries.Series, f *window.Frame, pos int, starts, peri
 
 func newFrameEstimate(f *window.Frame) *FrameEstimate {
 	est := &FrameEstimate{
-		PerTemplate: make([]timeseries.Series, len(f.Templates)),
+		PerTemplate: make([]timeseries.Sparse, len(f.Templates)),
 		Total:       make(timeseries.Series, f.Seconds),
 		SelBucket:   make([]int, f.Seconds),
 	}
@@ -293,43 +293,97 @@ func newFrameEstimate(f *window.Frame) *FrameEstimate {
 	return est
 }
 
-// fillChunk is how many templates' series are allocated, filled and summed
-// together: 130 KB at the wide case's 2100 seconds, which stays in cache
-// from the runtime's zeroing to the sum.
+// fillChunk is how many templates' series share one pair of allocations and
+// one visit to Total.
 const fillChunk = 8
 
+// fillScratch is one worker's stage for a chunk of templates. A template
+// accumulates in dense — f.Seconds entries, 17 KB at the wide case, all zero
+// between templates — and is then compacted onto idx and val, behind the
+// chunk's earlier templates.
+type fillScratch struct {
+	dense []float64
+	// idx is the chunk's compacted seconds and, behind them, the seconds
+	// the template being accumulated has touched, in the order it did.
+	idx []int32
+	val []float64
+}
+
+// add adds v to the template's second sec. A second is listed when it is
+// zero before an addition, so possibly twice and possibly for nothing —
+// compact sorts both out — and never missed.
+func (s *fillScratch) add(sec int, v float64) {
+	if s.dense[sec] == 0 {
+		s.idx = append(s.idx, int32(sec))
+	}
+	s.dense[sec] += v
+}
+
+// compact moves the template accumulated since the last compact out of
+// dense — its nonzero seconds, ascending, onto idx and val — and leaves
+// dense zero. Arrival order lists seconds ascending unless an observation
+// spanning several came before; only then is there anything to sort.
+func (s *fillScratch) compact() {
+	start := len(s.val)
+	touched := s.idx[start:]
+	if !slices.IsSorted(touched) {
+		slices.Sort(touched)
+	}
+	s.idx = s.idx[:start]
+	for _, sec := range touched { // writes trail reads
+		if v := s.dense[sec]; v != 0 { // a second listed twice is zero by now
+			s.idx, s.val = append(s.idx, sec), append(s.val, v)
+			s.dense[sec] = 0
+		}
+	}
+}
+
 // fill gives every template its series — accumulate(s, pos) adds template
-// pos's share to the zeroed s — and sums Total in ByID order, so its
-// floating-point bits depend on the template IDs and not on the frame's
-// layout. Templates without observations contribute exact zeros, so
-// including them changes no bits.
+// pos's share, one s.add per addend in the order a dense series would take
+// them — and sums Total in ByID order, so its floating-point bits depend on
+// the template IDs and not on the frame's layout. A second in which a
+// template is zero adds nothing to Total, which changes no bit of it.
 //
-// The templates go through in ByID order a chunk at a time: a chunk's
-// series are one allocation, filled by one worker right after the runtime
-// zeroed them and added to Total, on the calling goroutine and in chunk
-// order, right after that — while they are still in cache, which a window's
-// worth of series (50 MB at the wide case) is not. Each series is written by
-// one worker and Total by one goroutine in one order, so the estimate is
-// identical for every worker count.
-func (e *FrameEstimate) fill(f *window.Frame, workers int, accumulate func(s timeseries.Series, pos int)) {
-	n := f.Seconds
+// The templates go through in ByID order a chunk at a time: one worker
+// stages a chunk on its scratch, clones it into the one index and the one
+// value allocation the chunk's series share, and Total takes them on the
+// calling goroutine, in chunk order. What a call allocates follows the
+// observations that overlap a selected period, not templates × seconds.
+// Each series is written by one worker and Total by one goroutine in one
+// order, so the estimate is identical for every worker count.
+func (e *FrameEstimate) fill(f *window.Frame, workers int, accumulate func(s *fillScratch, pos int)) {
 	chunks := (len(f.ByID) + fillChunk - 1) / fillChunk
 	chunk := func(c int) []int32 { return f.ByID[c*fillChunk : min((c+1)*fillChunk, len(f.ByID))] }
+	// A scratch per producer at work, handed from chunk to chunk.
+	free := make(chan *fillScratch, parallel.Resolve(workers))
 	// Neither function returns an error, so neither does the stream.
 	_ = parallel.OrderedStream(workers, chunks, func(c int) (struct{}, error) {
-		members := chunk(c)
-		slab := make(timeseries.Series, len(members)*n)
-		for j, pos := range members {
-			s := slab[j*n : (j+1)*n : (j+1)*n]
-			e.PerTemplate[pos] = s
-			accumulate(s, int(pos))
+		var s *fillScratch
+		select {
+		case s = <-free:
+		default:
+			s = &fillScratch{dense: make([]float64, f.Seconds)}
 		}
+		members := chunk(c)
+		var ends [fillChunk]int
+		s.idx, s.val = s.idx[:0], s.val[:0]
+		for j, pos := range members {
+			accumulate(s, int(pos))
+			s.compact()
+			ends[j] = len(s.val)
+		}
+		idx, val := slices.Clone(s.idx), slices.Clone(s.val)
+		start := 0
+		for j, pos := range members {
+			end := ends[j]
+			e.PerTemplate[pos] = timeseries.Sparse{N: f.Seconds, Idx: idx[start:end:end], Val: val[start:end:end]}
+			start = end
+		}
+		free <- s
 		return struct{}{}, nil
 	}, func(c int, _ struct{}) error {
 		for _, pos := range chunk(c) {
-			for i, v := range e.PerTemplate[pos] {
-				e.Total[i] += v
-			}
+			e.PerTemplate[pos].AddTo(e.Total)
 		}
 		return nil
 	})

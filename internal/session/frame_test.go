@@ -16,45 +16,59 @@ import (
 	"pinsql/internal/window"
 )
 
-// sameBits compares two series down to float bits.
+// sameBits compares two series down to float bits. Two NaNs are the same:
+// which payload a sum of two keeps (by-RT, given +Inf, −Inf and NaN
+// responses in one second) is the compiler's operand order, not the
+// estimator's addend order.
 func sameBits(a, b timeseries.Series) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) && (a[i] == a[i] || b[i] == b[i]) {
 			return false
 		}
 	}
 	return true
 }
 
-// checkFrameEstimate verifies fe against the reference est over frame f;
-// a reference without SelBucket stands for an estimator that selects none.
+// checkFrameEstimate verifies fe against the dense reference est over frame
+// f: every series is well formed — f.Seconds long, its indexes strictly
+// ascending, no value zero — and, expanded, the reference's bit for bit;
+// so are the total and the bucket selection. A reference without SelBucket
+// stands for an estimator that selects none.
 func checkFrameEstimate(t *testing.T, label string, f *window.Frame, fe *FrameEstimate, est *refEstimate) {
 	t.Helper()
 	if !sameBits(fe.Total, est.Total) {
 		t.Fatalf("%s: totals diverge", label)
 	}
 	for pos := range f.Templates {
-		id := f.Templates[pos].Meta.ID
+		id, x := f.Templates[pos].Meta.ID, fe.PerTemplate[pos]
+		if x.N != f.Seconds || len(x.Idx) != len(x.Val) {
+			t.Fatalf("%s: template %s: length %d of %d, %d indexes, %d values", label, id, x.N, f.Seconds, len(x.Idx), len(x.Val))
+		}
+		for k, i := range x.Idx {
+			if x.Val[k] == 0 || int(i) >= x.N || (k > 0 && i <= x.Idx[k-1]) {
+				t.Fatalf("%s: template %s entry %d: second %d after %v holds %v", label, id, k, i, x.Idx[:k], x.Val[k])
+			}
+		}
 		want, ok := est.PerTemplate[id]
 		if !ok {
 			// Zero-observation templates have no reference entry; the frame
 			// series must be exactly zero.
-			if fe.PerTemplate[pos].Sum() != 0 {
-				t.Fatalf("%s: template %s has mass without observations", label, id)
-			}
-			continue
+			want = make(timeseries.Series, f.Seconds)
 		}
-		if !sameBits(fe.PerTemplate[pos], want) {
+		if !sameBits(dense(x), want) {
 			t.Fatalf("%s: template %s series diverge", label, id)
 		}
 	}
-	for sec := range est.SelBucket {
-		if fe.SelBucket[sec] != est.SelBucket[sec] {
-			t.Fatalf("%s: bucket selection diverges at second %d: %d vs %d",
-				label, sec, fe.SelBucket[sec], est.SelBucket[sec])
+	for sec, sel := range fe.SelBucket {
+		want := -1
+		if est.SelBucket != nil {
+			want = est.SelBucket[sec]
+		}
+		if sel != want {
+			t.Fatalf("%s: bucket selection diverges at second %d: %d vs %d", label, sec, sel, want)
 		}
 	}
 }
@@ -70,31 +84,8 @@ func TestFrameEstimatorsMatchLegacyBitForBit(t *testing.T) {
 		raw, observed := randomQueries(rng, startMs, seconds)
 		f := frameFromQueries(raw, startMs, seconds)
 
-		// By RT: each observation's response, in seconds, lands whole in
-		// the second it arrived in, in arrival order.
-		byRT := &refEstimate{PerTemplate: map[sqltemplate.ID]timeseries.Series{}, Total: make(timeseries.Series, seconds)}
-		for _, pos := range f.ByID {
-			s := make(timeseries.Series, seconds)
-			arr, resp := f.Obs(int(pos))
-			for i, a := range arr {
-				if sec := int((a - startMs) / 1000); a >= startMs && sec < seconds {
-					s[sec] += resp[i] / 1000
-				}
-			}
-			byRT.PerTemplate[f.Templates[pos].Meta.ID] = s
-			for i, v := range s {
-				byRT.Total[i] += v
-			}
-		}
-		checkFrameEstimate(t, fmt.Sprintf("seed %d byRT", seed), f, EstimateFrameByRT(f), byRT)
-		// The whole second is the one bucket of K = 1.
-		whole := refEstimateBuckets(f, nil, 1)
-		whole.SelBucket = nil
-		checkFrameEstimate(t, fmt.Sprintf("seed %d noBuckets", seed), f, EstimateFrameNoBuckets(f), whole)
-		want := refEstimateBuckets(f, observed, k)
 		for _, workers := range []int{1, 3, 0} {
-			checkFrameEstimate(t, fmt.Sprintf("seed %d buckets w=%d", seed, workers), f,
-				EstimateFrameBuckets(f, observed, k, workers), want)
+			checkAllEstimators(t, fmt.Sprintf("seed %d w=%d", seed, workers), f, observed, k, workers)
 		}
 	}
 }

@@ -71,10 +71,11 @@ func shortPathCase(data []byte, startMs int64, seconds, k int) (queries, timeser
 }
 
 // FuzzEstimateShortPath holds EstimateFrameBuckets to the map-keyed
-// reference, which walks every bucket of every second an observation spans:
-// same per-template series, total and bucket selection, bit for bit, for
-// every K and worker count, at window starts that are zero, an epoch,
-// negative, and at or beyond the edge of exact millisecond arithmetic.
+// reference, which walks every bucket of every second an observation spans,
+// and the other two estimators to theirs: same per-template series — the
+// sparse one expanded — total and bucket selection, bit for bit, for every K
+// and worker count, at window starts that are zero, an epoch, negative, and
+// at or beyond the edge of exact millisecond arithmetic.
 func FuzzEstimateShortPath(f *testing.F) {
 	f.Add([]byte{}, uint8(0), uint8(0), uint8(0))
 	// One of each arrival kind with a sub-bucket response.
@@ -92,12 +93,11 @@ func FuzzEstimateShortPath(f *testing.F) {
 			data = data[:3*400]
 		}
 		k := []int{1, 3, 7, 10}[kSel%4]
-		workers := []int{1, 2, 5}[wSel%3]
+		workers := []int{1, 2, 4}[wSel%3]
 		startMs := []int64{0, 1_700_000_000_123, -7_500, maxExactMs - 20_000, 1 << 60}[startSel%5]
 		raw, observed := shortPathCase(data, startMs, seconds, k)
 		fr := frameFromQueries(raw, startMs, seconds)
-		checkFrameEstimate(t, fmt.Sprintf("k=%d workers=%d start=%d", k, workers, startMs), fr,
-			EstimateFrameBuckets(fr, observed, k, workers), refEstimateBuckets(fr, observed, k))
+		checkAllEstimators(t, fmt.Sprintf("k=%d workers=%d start=%d", k, workers, startMs), fr, observed, k, workers)
 	})
 }
 
@@ -139,10 +139,64 @@ func TestSecondSpanClampsBeforeConverting(t *testing.T) {
 		fe := EstimateFrameBuckets(fr, observed, 10, workers)
 		checkFrameEstimate(t, "unbounded responses", fr, fe, refEstimateBuckets(fr, observed, 10))
 		pos, _ := fr.Pos("A")
-		for sec, v := range fe.PerTemplate[pos] {
+		for sec, v := range dense(fe.PerTemplate[pos]) {
 			if sec < 3 && v != 0 || sec > 3 && v != 2 {
 				t.Errorf("workers=%d: second %d holds %v sessions of A, want none before second 3 and 2 after", workers, sec, v)
 			}
 		}
 	}
+}
+
+// FuzzFillCompact drives one worker's stage with any sequence of additions
+// and template ends and holds it to one dense series per template: whatever
+// order a template's seconds were touched in — descending, twice, for a
+// zero addend, summing back to zero — its compacted series is ascending and
+// holds exactly the nonzero seconds (a NaN is one) behind the templates
+// compacted before it, and the dense stage is zero again. Two bytes make one
+// step: a second (15 of 16 values; the last ends the template) and a value.
+func FuzzFillCompact(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 3, 0xff, 0, 9, 4, 4, 0, 4, 2, 1, 10, 1, 11, 1, 14, 7, 1, 7, 2, 6, 5, 6, 4})
+	f.Add([]byte{0xff, 0, 0xff, 0, 14, 1, 0, 6, 0xff, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const seconds = 15
+		values := []float64{0, math.NaN(), 1, 2.5, 2, -2, math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 1e-300, 5, -5, 0.1, 0.2, 7, -0.3}
+		s := &fillScratch{dense: make([]float64, seconds)}
+		model := []timeseries.Series{make(timeseries.Series, seconds)}
+		var ends []int
+		for ; len(data) >= 2; data = data[2:] {
+			if sec := int(data[0] & 15); sec < seconds {
+				v := values[data[1]&15]
+				s.add(sec, v)
+				model[len(model)-1][sec] += v
+				continue
+			}
+			s.compact()
+			ends = append(ends, len(s.val))
+			model = append(model, make(timeseries.Series, seconds))
+		}
+		s.compact()
+		ends = append(ends, len(s.val))
+		if len(s.idx) != len(s.val) {
+			t.Fatalf("%d seconds, %d values", len(s.idx), len(s.val))
+		}
+		start := 0
+		for j, end := range ends {
+			got := timeseries.Sparse{N: seconds, Idx: s.idx[start:end], Val: s.val[start:end]}
+			for k, sec := range got.Idx {
+				if got.Val[k] == 0 || (k > 0 && sec <= got.Idx[k-1]) {
+					t.Fatalf("template %d: second %d after %v holds %v", j, sec, got.Idx[:k], got.Val[k])
+				}
+			}
+			if !sameBits(dense(got), model[j]) {
+				t.Fatalf("template %d: compacted %v / %v, dense %v", j, got.Idx, got.Val, model[j])
+			}
+			start = end
+		}
+		for sec, v := range s.dense {
+			if math.Float64bits(v) != 0 {
+				t.Fatalf("dense[%d] = %v after the last compact", sec, v)
+			}
+		}
+	})
 }

@@ -38,48 +38,6 @@ func degenerate(ss, weight, mean float64) bool {
 	return ss <= 1e-18*weight*(mean*mean+1)
 }
 
-// WeightedCorr returns the weighted Pearson correlation between x and y
-// under the non-negative weight vector w, computed with the weighted
-// covariance of §V:
-//
-//	cov(X,Y;W) = Σᵢ wᵢ·(xᵢ−m(X;W))·(yᵢ−m(Y;W)) / Σᵢ wᵢ
-//
-// Zero total weight or zero weighted variance yields 0.
-func WeightedCorr(x, y, w Series) (float64, error) {
-	if len(x) != len(y) || len(x) != len(w) {
-		return 0, ErrLengthMismatch
-	}
-	if len(x) == 0 {
-		return 0, nil
-	}
-	var wsum float64
-	for _, wi := range w {
-		wsum += wi
-	}
-	if wsum == 0 {
-		return 0, nil
-	}
-	var mx, my float64
-	for i := range x {
-		mx += w[i] * x[i]
-		my += w[i] * y[i]
-	}
-	mx /= wsum
-	my /= wsum
-	var sxy, sxx, syy float64
-	for i := range x {
-		dx := x[i] - mx
-		dy := y[i] - my
-		sxy += w[i] * dx * dy
-		sxx += w[i] * dx * dx
-		syy += w[i] * dy * dy
-	}
-	if degenerate(sxx, wsum, mx) || degenerate(syy, wsum, my) {
-		return 0, nil
-	}
-	return clampCorr(sxy / math.Sqrt(sxx*syy)), nil
-}
-
 // clampCorr guards against floating-point drift pushing a correlation a few
 // ulps outside [-1, 1].
 func clampCorr(c float64) float64 {
@@ -133,12 +91,24 @@ func SigmoidWeight(n, as, ae int, ks float64) Series {
 // it; a call then costs one mean pass and one deviation pass over x. A
 // CorrRef is read-only after construction and safe to share across
 // goroutines.
+//
+// An x held Sparse is scored through the caller's scratch — len(y) zeros,
+// handed back zeroed. The mean pass reads only x's nonzero entries; the
+// deviation pass, where a zero entry is −mean and not zero, runs over x
+// scattered into the scratch, as written for a dense x. Skipping an entry
+// in the mean pass needs what it would have added to be +0: that is decided
+// once, from the fixed side (skipZeros), and where it does not hold the
+// mean pass runs over the scratch too.
 type CorrRef struct {
 	y Series
 	fixedSide
 }
 
-// WeightedCorrRef is CorrRef for WeightedCorr: one y and one w.
+// WeightedCorrRef is CorrRef for the weighted Pearson correlation of §V,
+//
+//	cov(X,Y;W) = Σᵢ wᵢ·(xᵢ−m(X;W))·(yᵢ−m(Y;W)) / Σᵢ wᵢ
+//
+// one y and one w. Zero total weight or zero weighted variance yields 0.
 type WeightedCorrRef struct {
 	y, w Series
 	fixedSide
@@ -150,32 +120,41 @@ type fixedSide struct {
 	dy     Series  // y − its (weighted) mean
 	syy    float64 // (weighted) sum of dy²
 	flatY  bool    // syy is degenerate: every correlation is 0
+	// skipZeros: every divisor (y, for CorrRatio) or factor (w) a zero of x
+	// would meet is finite and not negative, so 0/y and w·0 are +0.
+	skipZeros bool
 }
+
+// finiteNonNeg reports whether 0/v (v != 0) and v·0 are +0.
+func finiteNonNeg(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
 
 // NewCorrRef prepares y for r.Corr(x) == Corr(x, y) and
 // r.CorrRatio(x, …) == Corr(x/y, y).
 func NewCorrRef(y Series) *CorrRef {
 	r := &CorrRef{y: y}
-	r.weight, r.dy = float64(len(y)), make(Series, len(y))
+	r.weight, r.dy, r.skipZeros = float64(len(y)), make(Series, len(y)), true
 	my := y.Mean()
 	for i, v := range y {
 		d := v - my
 		r.dy[i] = d
 		r.syy += d * d
+		r.skipZeros = r.skipZeros && finiteNonNeg(v)
 	}
 	r.flatY = degenerate(r.syy, r.weight, my)
 	return r
 }
 
-// NewWeightedCorrRef prepares y and w for r.Corr(x) == WeightedCorr(x, y, w).
-// With len(w) != len(y) every correlation is a length mismatch.
+// NewWeightedCorrRef prepares y and w for r.Corr(x). With len(w) != len(y)
+// every correlation is a length mismatch.
 func NewWeightedCorrRef(y, w Series) *WeightedCorrRef {
 	r := &WeightedCorrRef{y: y, w: w}
 	if len(w) != len(y) {
 		return r
 	}
+	r.skipZeros = true
 	for _, wi := range w {
 		r.weight += wi
+		r.skipZeros = r.skipZeros && finiteNonNeg(wi)
 	}
 	var my float64
 	for i, v := range y {
@@ -203,28 +182,59 @@ func (r *CorrRef) Corr(x Series) (float64, error) {
 	return r.score(x, x.Mean()), nil
 }
 
-// CorrRatio returns Corr(x/y, y), bit for bit — the element-wise ratio under
-// Div's rule that a zero denominator yields zero. The ratio is written to
-// the caller's scratch, which must have y's length, and summed while it is
-// divided.
-func (r *CorrRef) CorrRatio(x, scratch Series) (float64, error) {
-	if len(x) != len(r.y) || len(scratch) != len(x) {
+// CorrSparse is Corr for a sparse x: the mean is x's, whatever y holds.
+func (r *CorrRef) CorrSparse(x Sparse, scratch Series) (float64, error) {
+	if x.N != len(r.y) || len(scratch) != x.N {
 		return 0, ErrLengthMismatch
 	}
-	if len(x) == 0 {
+	if x.N == 0 {
 		return 0, nil
 	}
-	var sum float64
-	y := r.y[:len(x)]
-	for i, v := range x {
-		var q float64
-		if y[i] != 0 {
-			q = v / y[i]
-		}
-		scratch[i] = q
-		sum += q
+	x.scatter(scratch)
+	c := r.score(scratch, Series(x.Val).Sum()/float64(x.N))
+	x.unscatter(scratch)
+	return c, nil
+}
+
+// CorrRatio returns Corr(x/y, y), bit for bit — the element-wise ratio under
+// Series.Div's rule that a zero denominator yields zero, summed while it is
+// divided.
+func (r *CorrRef) CorrRatio(x Sparse, scratch Series) (float64, error) {
+	if x.N != len(r.y) || len(scratch) != x.N {
+		return 0, ErrLengthMismatch
 	}
-	return r.score(scratch, sum/float64(len(x))), nil
+	if x.N == 0 {
+		return 0, nil
+	}
+	x.scatter(scratch)
+	var sum float64
+	if r.skipZeros {
+		for _, i := range x.Idx {
+			sum += divideAt(scratch, r.y, int(i))
+		}
+	} else {
+		for i := range scratch {
+			sum += divideAt(scratch, r.y, i)
+		}
+	}
+	c := r.score(scratch, sum/float64(x.N))
+	if r.skipZeros {
+		x.unscatter(scratch)
+	} else {
+		clear(scratch) // 0/NaN is not zero
+	}
+	return c, nil
+}
+
+// divideAt replaces q[i] by q[i]/y[i], or by zero where y[i] is, and returns
+// it.
+func divideAt(q, y Series, i int) float64 {
+	v := 0.0
+	if y[i] != 0 {
+		v = q[i] / y[i]
+	}
+	q[i] = v
+	return v
 }
 
 // score is the deviation pass of x, whose mean is mx.
@@ -239,27 +249,35 @@ func (r *CorrRef) score(x Series, mx float64) float64 {
 	return r.finish(sxy, sxx, mx)
 }
 
-// Corr returns WeightedCorr(x, y, w), bit for bit.
-func (r *WeightedCorrRef) Corr(x Series) (float64, error) {
-	if len(x) != len(r.y) || len(x) != len(r.w) {
+// Corr returns the weighted correlation of x with y under w.
+func (r *WeightedCorrRef) Corr(x Sparse, scratch Series) (float64, error) {
+	if x.N != len(r.y) || x.N != len(r.w) || len(scratch) != x.N {
 		return 0, ErrLengthMismatch
 	}
-	if len(x) == 0 || r.weight == 0 {
+	if x.N == 0 || r.weight == 0 {
 		return 0, nil
 	}
-	w, dy := r.w[:len(x)], r.dy[:len(x)]
+	x.scatter(scratch)
+	w, dy := r.w[:len(scratch)], r.dy[:len(scratch)]
 	var mx float64
-	for i, v := range x {
-		mx += w[i] * v
+	if r.skipZeros {
+		for k, i := range x.Idx {
+			mx += w[i] * x.Val[k]
+		}
+	} else {
+		for i, v := range scratch {
+			mx += w[i] * v
+		}
 	}
 	mx /= r.weight
 	var sxy, sxx float64
-	for i, v := range x {
+	for i, v := range scratch {
 		dx := v - mx
 		t := w[i] * dx
 		sxy += t * dy[i]
 		sxx += t * dx
 	}
+	x.unscatter(scratch)
 	return r.finish(sxy, sxx, mx), nil
 }
 

@@ -13,6 +13,49 @@ func sameResult(a float64, aerr error, b float64, berr error) bool {
 	return math.Float64bits(a) == math.Float64bits(b) && aerr == berr
 }
 
+// WeightedCorr is the weighted Pearson correlation between x and y under the
+// weight vector w, computed with the weighted covariance of §V as it is
+// written without a prepared reference:
+//
+//	cov(X,Y;W) = Σᵢ wᵢ·(xᵢ−m(X;W))·(yᵢ−m(Y;W)) / Σᵢ wᵢ
+//
+// Zero total weight or zero weighted variance yields 0. It is the oracle
+// WeightedCorrRef.Corr is held to.
+func WeightedCorr(x, y, w Series) (float64, error) {
+	if len(x) != len(y) || len(x) != len(w) {
+		return 0, ErrLengthMismatch
+	}
+	if len(x) == 0 {
+		return 0, nil
+	}
+	var wsum float64
+	for _, wi := range w {
+		wsum += wi
+	}
+	if wsum == 0 {
+		return 0, nil
+	}
+	var mx, my float64
+	for i := range x {
+		mx += w[i] * x[i]
+		my += w[i] * y[i]
+	}
+	mx /= wsum
+	my /= wsum
+	var sxy, sxx, syy float64
+	for i := range x {
+		dx := x[i] - mx
+		dy := y[i] - my
+		sxy += w[i] * dx * dy
+		sxx += w[i] * dx * dx
+		syy += w[i] * dy * dy
+	}
+	if degenerate(sxx, wsum, mx) || degenerate(syy, wsum, my) {
+		return 0, nil
+	}
+	return clampCorr(sxy / math.Sqrt(sxx*syy)), nil
+}
+
 // divCorr is Corr(x/y, y) as it is written without a prepared reference:
 // divide, then correlate.
 func divCorr(x, y Series) (float64, error) {
@@ -23,35 +66,44 @@ func divCorr(x, y Series) (float64, error) {
 	return Corr(ratio, y)
 }
 
-// checkRefs holds the three prepared scores of x against (y, w) to the
-// functions they stand for.
+// checkRefs holds the prepared scores of x against (y, w) — x dense where a
+// reference takes it dense, and as its nonzero entries — to the functions
+// they stand for, and the scratch to coming back zeroed.
 func checkRefs(t *testing.T, label string, x, y, w Series) {
 	t.Helper()
-	got, gerr := NewCorrRef(y).Corr(x)
+	sx, scratch := SparseOf(x), make(Series, len(y))
+	check := func(name string, got float64, gerr error, want float64, werr error) {
+		t.Helper()
+		if !sameResult(got, gerr, want, werr) {
+			t.Errorf("%s: %s = %v, %v; dense reference = %v, %v", label, name, got, gerr, want, werr)
+		}
+		for i, v := range scratch {
+			if math.Float64bits(v) != 0 {
+				t.Fatalf("%s: %s left scratch[%d] = %v", label, name, i, v)
+			}
+		}
+	}
 	want, werr := Corr(x, y)
-	if !sameResult(got, gerr, want, werr) {
-		t.Errorf("%s: CorrRef.Corr = %v, %v; Corr = %v, %v", label, got, gerr, want, werr)
-	}
-	got, gerr = NewWeightedCorrRef(y, w).Corr(x)
+	got, gerr := NewCorrRef(y).Corr(x)
+	check("CorrRef.Corr", got, gerr, want, werr)
+	got, gerr = NewCorrRef(y).CorrSparse(sx, scratch)
+	check("CorrRef.CorrSparse", got, gerr, want, werr)
+	got, gerr = NewWeightedCorrRef(y, w).Corr(sx, scratch)
 	want, werr = WeightedCorr(x, y, w)
-	if !sameResult(got, gerr, want, werr) {
-		t.Errorf("%s: WeightedCorrRef.Corr = %v, %v; WeightedCorr = %v, %v", label, got, gerr, want, werr)
-	}
-	got, gerr = NewCorrRef(y).CorrRatio(x, make(Series, len(y)))
+	check("WeightedCorrRef.Corr", got, gerr, want, werr)
+	got, gerr = NewCorrRef(y).CorrRatio(sx, scratch)
 	want, werr = divCorr(x, y)
 	if len(x) != len(y) {
 		want, werr = 0, ErrLengthMismatch
 	}
-	if !sameResult(got, gerr, want, werr) {
-		t.Errorf("%s: CorrRef.CorrRatio = %v, %v; Corr(x/y, y) = %v, %v", label, got, gerr, want, werr)
-	}
+	check("CorrRef.CorrRatio", got, gerr, want, werr)
 }
 
 // TestCorrRefMatchesCorrBitForBit: a prepared reference returns exactly what
-// Corr, WeightedCorr and Corr-of-the-ratio return — on random series, and on
-// the inputs where a shortcut would show: NaN and ±Inf on either side,
-// all-zero and negative weights, constant series, zeros in the denominator,
-// empty series and every length mismatch.
+// Corr, WeightedCorr and Corr-of-the-ratio return — on random series, dense
+// and mostly zero, and on the inputs where a shortcut would show: NaN and
+// ±Inf on either side, all-zero and negative weights, constant series, zeros
+// in the denominator, empty series and every length mismatch.
 func TestCorrRefMatchesCorrBitForBit(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -62,6 +114,9 @@ func TestCorrRefMatchesCorrBitForBit(t *testing.T) {
 			if rng.Intn(8) == 0 {
 				y[i] = 0
 			}
+			if seed%2 == 0 && rng.Intn(4) != 0 {
+				x[i] = 0 // a session: mostly idle
+			}
 		}
 		checkRefs(t, "random", x, y, w)
 		// One reference, many x: nothing of one call may leak into the next.
@@ -69,13 +124,14 @@ func TestCorrRefMatchesCorrBitForBit(t *testing.T) {
 		scratch := make(Series, n)
 		for k := 0; k < 3; k++ {
 			for i := range x {
-				x[i] = rng.NormFloat64()
+				x[i] = rng.NormFloat64() * float64(rng.Intn(2))
 			}
-			got, _ := ref.Corr(x)
+			sx := SparseOf(x)
+			got, _ := ref.CorrSparse(sx, scratch)
 			want, _ := Corr(x, y)
-			gotW, _ := wref.Corr(x)
+			gotW, _ := wref.Corr(sx, scratch)
 			wantW, _ := WeightedCorr(x, y, w)
-			gotR, _ := ref.CorrRatio(x, scratch)
+			gotR, _ := ref.CorrRatio(sx, scratch)
 			wantR, _ := divCorr(x, y)
 			if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(gotW) != math.Float64bits(wantW) ||
 				math.Float64bits(gotR) != math.Float64bits(wantR) {
@@ -121,7 +177,7 @@ func TestCorrRefMatchesCorrBitForBit(t *testing.T) {
 	for _, tc := range cases {
 		checkRefs(t, tc.label, tc.x, tc.y, tc.w)
 	}
-	if _, err := NewCorrRef(base).CorrRatio(base, make(Series, 5)); err != ErrLengthMismatch {
+	if _, err := NewCorrRef(base).CorrRatio(SparseOf(base), make(Series, 5)); err != ErrLengthMismatch {
 		t.Errorf("CorrRatio with a short scratch: %v, want ErrLengthMismatch", err)
 	}
 }
