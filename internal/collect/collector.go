@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"unsafe"
 
 	"pinsql/internal/dbsim"
 	"pinsql/internal/logstore"
@@ -164,8 +165,27 @@ func (m *metricSet) set(sec int, row dbsim.SecondMetrics) {
 }
 
 // logChunk is the fixed record capacity of one chunk of a window log (128
-// KiB): the log grows a fresh chunk at a time and never copies what it holds.
+// KiB): the log grows a chunk at a time and never copies what it holds.
 const logChunk = 4096
+
+// chunkPool holds the chunks of released collectors' window logs, contents
+// stale: a log only ever reads what it has appended.
+var chunkPool = sync.Pool{New: func() any { return new([logChunk]logstore.Record) }}
+
+// A collector's identity table has 1 << identBits slots.
+const (
+	identBits  = 8
+	identSlots = 1 << identBits
+)
+
+// identSlot remembers the series of the last record whose TemplateID was the
+// n bytes at p. p keeps that storage from being collected and reused while
+// the slot stands; it is compared, never dereferenced.
+type identSlot struct {
+	p  *byte
+	n  int
+	ts *TemplateSeries
+}
 
 // Collector ingests the raw query-log stream and instance metrics of one
 // database instance over a fixed window, producing per-template aggregates
@@ -185,6 +205,7 @@ const logChunk = 4096
 // neither the registry nor a store ever calls back into a collector.
 type Collector struct {
 	mu       sync.Mutex
+	released bool // Release was called: lock panics
 	topic    string
 	startMs  int64
 	seconds  int
@@ -195,16 +216,26 @@ type Collector struct {
 	// record reaches the shared registry only on first sight in the window.
 	templates map[sqltemplate.ID]*TemplateSeries
 
+	// ident answers for templates before it is asked: direct-mapped on the
+	// identity — data pointer and length — of a record's TemplateID string.
+	// Sources that pre-digest IDs hand out one string per template, so most
+	// records find their series here without hashing the ID's bytes; equal
+	// IDs in other storage miss and take the map.
+	ident [identSlots]identSlot
+
 	// ordered mirrors templates in ascending Meta.Index order — the
 	// frame's template-position order — maintained by insertion as new
 	// templates intern, so sealing never re-sorts.
 	ordered []*TemplateSeries
 
 	// log is the window log: every archived record, in ingest order, in
-	// chunks of logChunk; it is never given away. arranged is its
-	// arrival-ordered form, or nil when none is current: built on demand,
-	// dropped when a record arrives, handed over by TakeArranged.
+	// chunks of logChunk drawn from chunkPool; it is never given away, and
+	// Release returns the chunks. perSec counts its records by arrival
+	// second of the window. arranged is its arrival-ordered form, or nil
+	// when none is current: built on demand, dropped when a record arrives,
+	// handed over by TakeArranged.
 	log      [][]logstore.Record
+	perSec   []int
 	arranged [][]logstore.Record
 
 	// met holds the live metric series; metSealed marks them as referenced
@@ -243,7 +274,30 @@ func NewCollector(topic string, startMs, endMs int64, registry *Registry, store 
 		store:     store,
 		templates: make(map[sqltemplate.ID]*TemplateSeries),
 		met:       newMetricSet(seconds),
+		perSec:    make([]int, seconds),
 	}
+}
+
+// lock takes c.mu for a method of a live collector.
+func (c *Collector) lock() {
+	c.mu.Lock()
+	if c.released {
+		c.mu.Unlock()
+		panic("collect: Collector used after Release")
+	}
+}
+
+// Release ends the collector: its window log's chunks go back to the pool
+// the next collector draws from, and any later call on it panics. Frames it
+// sealed and runs it handed over alias no chunk and stay as they are.
+func (c *Collector) Release() {
+	c.lock()
+	defer c.mu.Unlock()
+	c.released = true
+	for _, chunk := range c.log {
+		chunkPool.Put((*[logChunk]logstore.Record)(chunk[:logChunk]))
+	}
+	c.log = nil
 }
 
 // Registry returns the template registry backing this collector.
@@ -273,7 +327,15 @@ func (c *Collector) Ingest(rec dbsim.LogRecord) {
 // fingerprint index and its hit counters see every one of them).
 func (c *Collector) seriesLocked(rec *dbsim.LogRecord) *TemplateSeries {
 	if id := sqltemplate.ID(rec.TemplateID); id != "" {
+		// The same bytes at the same address are the same ID: strings are
+		// immutable and the slot's pointer has kept these from being reused.
+		p, n := unsafe.StringData(rec.TemplateID), len(rec.TemplateID)
+		slot := &c.ident[(uint64(uintptr(unsafe.Pointer(p)))+uint64(n))*0x9e3779b97f4a7c15>>(64-identBits)]
+		if slot.p == p && slot.n == n {
+			return slot.ts
+		}
 		if ts, ok := c.templates[id]; ok {
+			*slot = identSlot{p, n, ts}
 			return ts
 		}
 	}
@@ -299,7 +361,7 @@ func (c *Collector) seriesLocked(rec *dbsim.LogRecord) *TemplateSeries {
 // archived record (session estimation needs per-query start and response
 // times, §IV-C) is written once, into the tail of the window log.
 func (c *Collector) IngestBatch(recs []dbsim.LogRecord) {
-	c.mu.Lock()
+	c.lock()
 	defer c.mu.Unlock()
 	var tail []logstore.Record
 	if n := len(c.log); n > 0 {
@@ -340,10 +402,11 @@ func (c *Collector) IngestBatch(recs []dbsim.LogRecord) {
 		ts.SumRows[sec] += float64(rec.ExaminedRows)
 		ts.nobs++
 		c.records++
+		c.perSec[sec]++
 
 		if len(tail) == cap(tail) {
 			flush()
-			tail, sent = make([]logstore.Record, 0, logChunk), 0
+			tail, sent = chunkPool.Get().(*[logChunk]logstore.Record)[:0], 0
 			c.log = append(c.log, tail)
 		}
 		tail = append(tail, logstore.Record{
@@ -376,7 +439,7 @@ func (c *Collector) touchMetricsLocked() {
 // a gap would shift every later row one second early. Samplers and the
 // trace replay path must use IngestMetricsAt.
 func (c *Collector) IngestMetrics(rows []dbsim.SecondMetrics) {
-	c.mu.Lock()
+	c.lock()
 	defer c.mu.Unlock()
 	if len(rows) > 0 {
 		c.touchMetricsLocked()
@@ -395,7 +458,7 @@ func (c *Collector) IngestMetrics(rows []dbsim.SecondMetrics) {
 // IngestMetrics; for sparse sampler output it places every row at its
 // actual second.
 func (c *Collector) IngestMetricsAt(rows []dbsim.SecondMetrics) {
-	c.mu.Lock()
+	c.lock()
 	defer c.mu.Unlock()
 	for _, m := range rows {
 		if m.Second < 0 || m.Second >= int64(c.seconds) {
@@ -416,7 +479,7 @@ func (c *Collector) IngestMetricsAt(rows []dbsim.SecondMetrics) {
 // Snapshot assembles the aggregated window view. It is safe to call while
 // ingestion continues; the returned series are copies.
 func (c *Collector) Snapshot() *Snapshot {
-	c.mu.Lock()
+	c.lock()
 	defer c.mu.Unlock()
 
 	met := c.met.clone()
@@ -451,9 +514,15 @@ func (c *Collector) Snapshot() *Snapshot {
 // it if none is current.
 func (c *Collector) arrangedLocked() [][]logstore.Record {
 	if c.arranged == nil {
-		c.arranged, _ = logstore.Arrange(c.log)
+		c.arranged, _ = c.arrangeLocked()
 	}
 	return c.arranged
+}
+
+// arrangeLocked is logstore.Arrange(c.log), entered past its counting phase:
+// IngestBatch kept the counts.
+func (c *Collector) arrangeLocked() ([][]logstore.Record, logstore.Work) {
+	return logstore.ArrangeCounted(c.log, c.startMs, c.perSec)
 }
 
 // TakeArranged returns the window's records in arrival order with ties in
@@ -463,7 +532,7 @@ func (c *Collector) arrangedLocked() [][]logstore.Record {
 // them, and a later seal or call derives them afresh. After a seal with
 // nothing ingested since, they are the arrays the seal scattered from.
 func (c *Collector) TakeArranged() [][]logstore.Record {
-	c.mu.Lock()
+	c.lock()
 	defer c.mu.Unlock()
 	runs := c.arrangedLocked()
 	c.arranged = nil
@@ -477,7 +546,7 @@ func (c *Collector) TakeArranged() [][]logstore.Record {
 // immutable and alias nothing that is written later; holding one across
 // further ingestion is safe.
 func (c *Collector) Frame() *window.Frame {
-	c.mu.Lock()
+	c.lock()
 	defer c.mu.Unlock()
 	if c.frame != nil && c.frameValid {
 		return c.frame
@@ -597,7 +666,7 @@ func SnapshotOfFrame(f *window.Frame) *Snapshot {
 // window log (throttled statements are counted in the Throttled series
 // instead). The fleet exports it per window.
 func (c *Collector) Records() int64 {
-	c.mu.Lock()
+	c.lock()
 	defer c.mu.Unlock()
 	return c.records
 }

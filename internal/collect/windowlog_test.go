@@ -2,13 +2,250 @@ package collect
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime"
+	"runtime/debug"
 	"slices"
+	"strings"
 	"testing"
 
 	"pinsql/internal/dbsim"
 	"pinsql/internal/logstore"
+	"pinsql/internal/testrace"
 )
+
+// withFreshIDs returns the batch with every TemplateID in storage of its
+// own, which no identity slot has seen: a collector fed these resolves each
+// record through its map, as every collector did before the identity table.
+func withFreshIDs(batch []dbsim.LogRecord) []dbsim.LogRecord {
+	out := slices.Clone(batch)
+	for i := range out {
+		out[i].TemplateID = strings.Clone(out[i].TemplateID)
+	}
+	return out
+}
+
+// checkCounted holds the seal's arrangement — entered past the counting
+// phase, with the counts IngestBatch kept — to logstore.Arrange over the
+// same log, run for run.
+func checkCounted(t *testing.T, c *Collector) {
+	t.Helper()
+	counted, _ := c.arrangeLocked()
+	whole, _ := logstore.Arrange(c.log)
+	if !reflect.DeepEqual(counted, whole) {
+		t.Fatalf("counted arrangement: %d runs, Arrange(log): %d, or they differ", len(counted), len(whole))
+	}
+}
+
+// TestIdentityLookup: which storage a record's TemplateID sits in changes
+// nothing. One stream names its templates five ways — a string shared by
+// every record of the template, a fresh copy per record, a prefix of one
+// base string (same data pointer as the other prefixes, another length, and
+// more lengths than the table has slots), the raw SQL alone, and a shared
+// string of 600 templates, again more than slots — and every sealed frame
+// and every arranged run equals those of a collector fed the same records
+// with every ID in storage of its own, and the independent reference's of
+// both.
+func TestIdentityLookup(t *testing.T) {
+	const windowMs = 60_000
+	base := strings.Repeat("IDabcdefghijklmnopqrstuvwxyz", 12)
+	shared := make([]string, 600)
+	for i := range shared {
+		shared[i] = fmt.Sprintf("SH%03d", i)
+	}
+	rng := rand.New(rand.NewSource(23))
+	store, refStore := logstore.New(0), logstore.New(0)
+	c := NewCollector("ident", 0, windowMs, nil, store)
+	ref := NewCollector("ident", 0, windowMs, nil, refStore)
+	for round := 0; round < 6; round++ {
+		batch := make([]dbsim.LogRecord, 5000)
+		for i := range batch {
+			r := randomRecord(rng, windowMs)
+			r.SQL = ""
+			switch k := rng.Intn(24); rng.Intn(5) {
+			case 0:
+				r.TemplateID = shared[k]
+			case 1:
+				r.TemplateID = strings.Clone(shared[k])
+			case 2:
+				// "ID", "IDa", ...: one pointer and more lengths than slots, so
+				// some slot is asked about two of them.
+				r.TemplateID = base[:2+rng.Intn(300)]
+			case 3:
+				r.TemplateID, r.SQL = "", fmt.Sprintf("SELECT c%d FROM ident WHERE id = %d", k, i)
+			case 4:
+				r.TemplateID = shared[rng.Intn(len(shared))]
+			}
+			batch[i] = r
+		}
+		c.IngestBatch(batch)
+		ref.IngestBatch(withFreshIDs(batch))
+
+		checkCounted(t, c)
+		want := ref.RebuildFrame()
+		if err := framesEqual(c.Frame(), want); err != nil {
+			t.Fatalf("round %d: frame differs from the map-resolved collector's reference: %v", round, err)
+		}
+		if err := framesEqual(c.Frame(), c.RebuildFrame()); err != nil {
+			t.Fatalf("round %d: frame differs from the collector's own reference: %v", round, err)
+		}
+		if got, want := c.TakeArranged(), ref.TakeArranged(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: arranged runs differ from the map-resolved collector's", round)
+		}
+	}
+	if got, want := store.Scan("ident", 0, windowMs), refStore.Scan("ident", 0, windowMs); !slices.Equal(got, want) {
+		t.Fatal("the stores of the two collectors scan back differently")
+	}
+	hits := 0
+	for i := range c.ident {
+		if c.ident[i].ts != nil {
+			hits++
+		}
+	}
+	if hits < identSlots/2 {
+		t.Fatalf("fixture lost its teeth: %d of %d identity slots in use", hits, identSlots)
+	}
+}
+
+// TestCountedArrangement: the counts IngestBatch keeps are exactly what
+// Arrange's counting phase would find, for a dense window, for one past
+// sparseSlack (more seconds than records, so the whole log is sorted
+// instead of distributed) and for an empty one — throttled and out-of-window
+// records, which are not in the log, left out of the counts too.
+func TestCountedArrangement(t *testing.T) {
+	for _, shape := range []struct {
+		name            string
+		startMs, endMs  int64
+		records, passes int
+	}{
+		{"dense", 5_000, 65_000, 20_000, 2},
+		{"sparse", 5_000, 4_005_000, 300, 1},
+		{"empty", 5_000, 65_000, 0, 0},
+	} {
+		rng := rand.New(rand.NewSource(29))
+		c := NewCollector("counted", shape.startMs, shape.endMs, nil, nil)
+		batch := make([]dbsim.LogRecord, shape.records)
+		for i := range batch {
+			batch[i] = randomRecord(rng, shape.endMs+10_000) // some before the window, some past it
+		}
+		c.IngestBatch(batch)
+		if n := int(c.Records()); shape.records > 0 && (n == 0 || n == shape.records) {
+			t.Fatalf("%s: %d of %d records archived: nothing was left out, or everything", shape.name, n, shape.records)
+		}
+		checkCounted(t, c)
+		if err := framesEqual(c.Frame(), c.RebuildFrame()); err != nil {
+			t.Fatalf("%s: %v", shape.name, err)
+		}
+		// One pass copies a sparse log, two distribute a dense one.
+		if _, work := c.arrangeLocked(); work.Reads > shape.passes*int(c.Records()) {
+			t.Fatalf("%s: the arrangement read %d records of %d", shape.name, work.Reads, c.Records())
+		}
+	}
+}
+
+// TestSealArrangementWorkBudget counts the records a seal's arrangement
+// reads, in passes over the window rather than time: two — each record is
+// placed in its arrival second, then each second is put in order. Arrange
+// itself makes four: a bounds pass or a counting pass that returned to the
+// seal would show here.
+func TestSealArrangementWorkBudget(t *testing.T) {
+	c := NewCollector("budget", 0, 300_000, nil, nil)
+	for _, b := range windowBatches() {
+		c.IngestBatch(b)
+	}
+	n := int(c.Records())
+	_, work := c.arrangeLocked()
+	if work.Reads > 2*n || work.Reads < n {
+		t.Errorf("a seal's arrangement read %d records for a window of %d, budget %d (2 passes)", work.Reads, n, 2*n)
+	}
+	if _, whole := logstore.Arrange(c.log); whole.Reads != work.Reads+2*n {
+		t.Errorf("Arrange read %d records, the counted entry %d: the two phases it skips are %d", whole.Reads, work.Reads, 2*n)
+	}
+}
+
+// drainChunkPool empties the chunk pool of what earlier tests released: a
+// sync.Pool forgets its contents over two collections.
+func drainChunkPool() {
+	runtime.GC()
+	runtime.GC()
+}
+
+// TestReleaseRecyclesChunks: a released collector's chunks are the next
+// collector's — a second window of the same shape allocates none — and
+// nothing the released window gave out changes when they are overwritten:
+// not a frame it sealed, not the runs it handed over. Any later call on the
+// released collector panics.
+func TestReleaseRecyclesChunks(t *testing.T) {
+	// One P and no collection: what is Put is what the next Get finds.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	drainChunkPool()
+
+	const windowMs = 120_000
+	rng := rand.New(rand.NewSource(31))
+	window := func() []dbsim.LogRecord {
+		batch := make([]dbsim.LogRecord, 3*logChunk+500)
+		for i := range batch {
+			batch[i] = randomRecord(rng, windowMs)
+			batch[i].Throttled = false
+		}
+		return batch
+	}
+	first := NewCollector("release", 0, windowMs, nil, nil)
+	first.IngestBatch(window())
+	reference := first.RebuildFrame()
+	frame := first.Frame()
+	runs := first.TakeArranged()
+	wantRuns := slices.Concat(runs...)
+	var chunks []*logstore.Record
+	for _, chunk := range first.log {
+		chunks = append(chunks, &chunk[0])
+	}
+	first.Release()
+
+	second := NewCollector("release", 0, windowMs, nil, nil)
+	second.IngestBatch(window())
+	if len(second.log) != len(chunks) {
+		t.Fatalf("second window has %d chunks, the first had %d", len(second.log), len(chunks))
+	}
+	if !testrace.Enabled {
+		for i, chunk := range second.log {
+			if !slices.Contains(chunks, &chunk[0]) {
+				t.Errorf("chunk %d of the second window is not one the first released", i)
+			}
+		}
+		if err := framesEqual(second.Frame(), second.RebuildFrame()); err != nil {
+			t.Fatalf("window collected into recycled chunks: %v", err)
+		}
+	}
+	if err := framesEqual(frame, reference); err != nil {
+		t.Fatalf("frame of the released window changed: %v", err)
+	}
+	if !slices.Equal(slices.Concat(runs...), wantRuns) {
+		t.Fatal("runs the released window handed over changed")
+	}
+
+	for name, use := range map[string]func(){
+		"IngestBatch":     func() { first.IngestBatch(window()[:1]) },
+		"IngestMetricsAt": func() { first.IngestMetricsAt([]dbsim.SecondMetrics{{Second: 1}}) },
+		"Frame":           func() { first.Frame() },
+		"TakeArranged":    func() { first.TakeArranged() },
+		"Snapshot":        func() { first.Snapshot() },
+		"Records":         func() { first.Records() },
+		"Release":         first.Release,
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a released collector did not panic", name)
+				}
+			}()
+			use()
+		}()
+	}
+}
 
 // TestArrangedRunsAreHandedOver: TakeArranged is a transfer. A long-term
 // store that adopted the runs as chunks of its arena writes into them — a
@@ -74,12 +311,16 @@ func TestArrangedRunsAreHandedOver(t *testing.T) {
 }
 
 // FuzzWindowLog: any record stream, cut into any batches and sealed at any
-// points, yields at every seal the frame the independent reference builds,
-// and its arranged runs are the scan of a store fed the same batches —
-// whether or not they were taken (and so re-derived) along the way. Each
-// record is six bytes: template, arrival (two, scaled over a window that
-// records may fall outside), response (two), and flags — throttled, end
-// the batch here, seal, take the runs.
+// points, yields at every seal the frame the independent reference builds
+// from the log of a shadow collector — fed every TemplateID in storage of its
+// own, it resolves templates through its map alone — and its arranged runs
+// are the scan of a store fed the same batches and, run for run, Arrange of
+// its log — whether or not they were taken (and so re-derived) along the
+// way. Each record is six bytes: template (low four bits) and the storage
+// its ID comes in (next two: a string shared by the template's records, a
+// fresh copy, a prefix of one base string, the raw SQL alone), arrival (two,
+// scaled over a window that records may fall outside), response (two), and
+// flags — throttled, end the batch here, seal, take the runs.
 func FuzzWindowLog(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 16, 0, 9, 0x06, 1, 0, 16, 0, 7, 0x0e, 2, 0, 8, 1, 1, 0x01, 1, 0, 16, 2, 2, 0x06}) // ties across seals
@@ -98,22 +339,33 @@ func FuzzWindowLog(f *testing.F) {
 		seed = append(seed, byte(rng.Intn(9)), byte(at), byte(at>>8), byte(i), byte(i>>8), flags)
 	}
 	f.Add(seed)
+	for i := 0; i < len(seed); i += 6 { // the same stream, its IDs in every kind of storage
+		seed[i] |= byte(rng.Intn(4)) << 4
+	}
+	f.Add(seed)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const startMs, endMs = 2_000, 62_000
 		store := logstore.New(0)
 		c := NewCollector("fuzz", startMs, endMs, nil, store)
+		shadow := NewCollector("fuzz", startMs, endMs, nil, nil)
 		templates := [...]string{"FZ0", "FZ1", "FZ2", "FZ3", "FZ4", "FZ5", "FZ6", "FZ7", "FZ8", "FZ9", "FZa", "FZb", "FZc", "FZd", "FZe", "FZf"}
+		const base = "FZ0123456789abcdef" // its prefix "FZ0" is templates[0] in other storage
 		var batch []dbsim.LogRecord
 		check := func(seal, take bool) {
 			c.IngestBatch(batch)
+			shadow.IngestBatch(withFreshIDs(batch))
 			batch = batch[:0]
 			if seal {
-				if err := framesEqual(c.Frame(), c.RebuildFrame()); err != nil {
-					t.Fatalf("sealed frame diverges from the reference: %v", err)
+				if err := framesEqual(c.Frame(), shadow.RebuildFrame()); err != nil {
+					t.Fatalf("sealed frame diverges from the map-resolved shadow's reference: %v", err)
 				}
 			}
 			if take {
-				if got, want := slices.Concat(c.TakeArranged()...), store.Scan("fuzz", startMs, endMs); !slices.Equal(got, want) {
+				runs := c.TakeArranged()
+				if whole, _ := logstore.Arrange(c.log); !reflect.DeepEqual(runs, whole) {
+					t.Fatalf("arranged in %d runs, Arrange(log) in %d, or they differ", len(runs), len(whole))
+				}
+				if got, want := slices.Concat(runs...), store.Scan("fuzz", startMs, endMs); !slices.Equal(got, want) {
 					t.Fatalf("arranged runs hold %d records, the store's scan %d, or differ", len(got), len(want))
 				}
 			}
@@ -121,6 +373,14 @@ func FuzzWindowLog(f *testing.F) {
 		for ; len(data) >= 6; data = data[6:] {
 			r := rec(templates[data[0]%16], "", "fuzz", dbsim.KindSelect,
 				int64(binary.LittleEndian.Uint16(data[1:])), float64(binary.LittleEndian.Uint16(data[3:]))/8, int64(data[3]))
+			switch data[0] >> 4 & 3 {
+			case 1:
+				r.TemplateID = strings.Clone(r.TemplateID)
+			case 2:
+				r.TemplateID = base[:2+data[0]%16]
+			case 3:
+				r.TemplateID, r.SQL = "", fmt.Sprintf("SELECT c%d FROM fuzz", data[0]%16)
+			}
 			flags := data[5]
 			r.Throttled = flags&0x01 != 0
 			batch = append(batch, r)

@@ -657,6 +657,7 @@ func (f *Fleet) commit(st *instState, sw *stagedWindow) error {
 			return err
 		}
 	}
+	sw.coll.Release()
 
 	if !sw.shed {
 		for i := range sw.rep.Anomalies {

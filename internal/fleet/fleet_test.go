@@ -175,6 +175,43 @@ func TestFleetShedPolicy(t *testing.T) {
 	}
 }
 
+// TestCommitReleasesCollector: a committed window's collector is ended — its
+// window log's chunks are the pool's again — whether the window was
+// diagnosed or shed.
+func TestCommitReleasesCollector(t *testing.T) {
+	for _, shed := range []bool{false, true} {
+		f, err := New([]InstanceSpec{DefaultSpec("release", 11, 1, 60)}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := f.insts["release"]
+		sw, _, err := f.simWindow(st, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sw.shed = shed; !shed {
+			f.diagnose(sw)
+		}
+		if err := f.commit(st, sw); err != nil {
+			t.Fatal(err)
+		}
+		if got := st.store.Len("release"); int64(got) != sw.rep.Records || got == 0 {
+			t.Fatalf("shed=%v: the store holds %d records, the window %d", shed, got, sw.rep.Records)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("shed=%v: the window's collector is still live after its commit", shed)
+				}
+			}()
+			sw.coll.Records()
+		}()
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestFleetStopDrains checks graceful shutdown: Stop commits everything
 // already queued, seals the durable topics, and a restart picks up the
 // remaining windows.

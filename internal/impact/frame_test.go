@@ -43,7 +43,13 @@ func randomFrameSessions(rng *rand.Rand, templates, seconds int, idle bool) (*wi
 // session. It is the oracle RankFrame's level scores are held to.
 func scoreTemplateRef(s, instSession, weight, ratio timeseries.Series) (trend, scaleTrend float64) {
 	trend = weightedCorr(s, instSession, weight)
-	if s.DivInto(ratio, instSession) == nil {
+	if len(s) == len(instSession) && len(s) == len(ratio) {
+		for i := range s { // s/instSession, an idle second contributing zero
+			ratio[i] = 0
+			if instSession[i] != 0 {
+				ratio[i] = s[i] / instSession[i]
+			}
+		}
 		scaleTrend, _ = timeseries.Corr(ratio, instSession)
 	}
 	return trend, scaleTrend

@@ -238,10 +238,14 @@ func FuzzTraceLine(f *testing.F) {
 	f.Add([]byte(`null`))
 
 	f.Fuzz(func(t *testing.T, line []byte) {
-		var ev traceEvent
-		var scratch []byte
+		var ev, again traceEvent
+		var st lineState
 		orig := append([]byte(nil), line...)
-		accepted := decodeTraceLine(line, &ev, &scratch)
+		accepted := decodeTraceLine(line, &ev, &st)
+		// Once more, now that the name table holds this line's names.
+		if decodeTraceLine(line, &again, &st) != accepted || accepted && !sameBits(again, ev) {
+			t.Fatalf("decoded differently the second time: %q", line)
+		}
 		if !bytes.Equal(line, orig) {
 			t.Fatalf("decoder modified its input")
 		}

@@ -93,6 +93,12 @@ func (s *SlowLogSource) Next() (Batch, error) {
 			if cut := s.same; cut < n || s.eof {
 				b := Batch{Second: first, Records: s.pending[:cut:cut]}
 				s.pending = s.pending[cut:]
+				if want := cut + cut/8; !s.eof && cap(s.pending) < want {
+					// A second holds about as many records as the one before
+					// it (TraceSource.sized's rule): the next run starts with
+					// room for them instead of regrowing from what is left over.
+					s.pending = append(make([]dbsim.LogRecord, 0, want), s.pending...)
+				}
 				s.same = 0
 				b.Last = s.eof && len(s.pending) == 0
 				return b, nil

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -279,5 +280,38 @@ func TestSlowLogAllocsPerEntry(t *testing.T) {
 	})
 	if perEntry := got / entries; perEntry > 2.25 {
 		t.Errorf("%.2f allocations per entry, want at most 2.25", perEntry)
+	}
+}
+
+// TestSlowLogPendingAllocBudget budgets a trace second's record slice in
+// bytes: a second starts with room for the one before it and an eighth more,
+// so its records are written once; regrown from the one record a cut leaves
+// behind, 1 → 2 → … → 256, they would be written twice over.
+func TestSlowLogPendingAllocBudget(t *testing.T) {
+	const seconds, perSecond = 40, 256
+	const measured = 218.0 // bytes per entry: the record, its SQL and time strings, the slack
+	var in strings.Builder
+	for i := 0; i < seconds*perSecond; i++ {
+		in.WriteString(slowEntryText(100+i/perSecond, "SELECT qty, updated_at\n  FROM inventory WHERE sku = 797742"))
+	}
+	text := in.String()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	src := SlowLog(strings.NewReader(text))
+	n := 0
+	for {
+		b, err := src.Next()
+		if err == io.EOF {
+			break
+		}
+		n += len(b.Records)
+	}
+	runtime.ReadMemStats(&after)
+	if n != seconds*perSecond {
+		t.Fatalf("parsed %d entries, want %d", n, seconds*perSecond)
+	}
+	got := float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+	if budget := 1.15 * measured; got > budget { // the parent: 296
+		t.Errorf("%.1f B allocated per entry, budget %.1f", got, budget)
 	}
 }

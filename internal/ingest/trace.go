@@ -98,11 +98,11 @@ type TraceSource struct {
 	cur   int64 // next dense second to emit (absolute)
 	sized int   // capacity the next batch's records start with
 
-	ev      traceEvent // the event last scanned
-	held    bool       // ev belongs to a later second than the batch just emitted
-	scratch []byte     // decodeTraceLine's unescape buffer
-	eof     bool
-	stats   Stats
+	ev    traceEvent // the event last scanned
+	held  bool       // ev belongs to a later second than the batch just emitted
+	line  lineState  // decodeTraceLine's unescape buffer and name table
+	eof   bool
+	stats Stats
 }
 
 // OpenTrace reads the trace header from r (gzip-compressed or plain) and
@@ -202,7 +202,7 @@ func (t *TraceSource) scanEvent() bool {
 		return true
 	}
 	for !t.eof && t.r.Scan() {
-		if decodeTraceLine(t.r.Bytes(), &t.ev, &t.scratch) || t.unmarshalEvent(t.r.Bytes()) {
+		if decodeTraceLine(t.r.Bytes(), &t.ev, &t.line) || t.unmarshalEvent(t.r.Bytes()) {
 			return true
 		}
 		t.stats.ParseErrors++

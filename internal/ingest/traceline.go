@@ -29,17 +29,21 @@ type traceEvent struct {
 // any other line it reports false and the caller hands the line, unchanged,
 // to encoding/json, which stays the definition of the format; ev may then
 // be partly overwritten. FuzzTraceLine pins the two to each other.
-func decodeTraceLine(b []byte, ev *traceEvent, scratch *[]byte) bool {
-	d := lineDecoder{b: b, ok: true, scratch: scratch}
+//
+// A record's TemplateID and Table come out of st's name table: one string per
+// distinct value, so a consumer that recognises storage (the collector's
+// identity table) does, and a record costs no allocation for them.
+func decodeTraceLine(b []byte, ev *traceEvent, st *lineState) bool {
+	d := lineDecoder{b: b, ok: true, st: st}
 	switch {
 	case d.lit(`{"t":"r","rec":{"TemplateID":`):
 		r := &ev.rec
 		ev.isRec = true
-		r.TemplateID = d.str()
+		r.TemplateID = st.name(d.str())
 		d.lit(`,"SQL":`)
-		r.SQL = d.str()
+		r.SQL = string(d.str())
 		d.lit(`,"Table":`)
-		r.Table = d.str()
+		r.Table = st.name(d.str())
 		d.lit(`,"Kind":`)
 		r.Kind = dbsim.QueryKind(d.intField())
 		d.lit(`,"ArrivalMs":`)
@@ -85,14 +89,45 @@ func decodeTraceLine(b []byte, ev *traceEvent, scratch *[]byte) bool {
 	return d.ok && d.i == len(d.b)
 }
 
+// lineState is what a source's line decodes share.
+type lineState struct {
+	scratch []byte            // unescape buffer, reused across strings
+	names   map[string]string // a TemplateID or Table value → its one string
+}
+
+// The name table keeps at most maxNames values of at most maxNameLen bytes;
+// any other is a string of its own, as every one was.
+const (
+	maxNames   = 4096
+	maxNameLen = 64
+)
+
+// name returns raw as a string: the table's, if it has or can take one.
+func (st *lineState) name(raw []byte) string {
+	if len(raw) == 0 || len(raw) > maxNameLen {
+		return string(raw)
+	}
+	if s, ok := st.names[string(raw)]; ok {
+		return s
+	}
+	s := string(raw)
+	if len(st.names) < maxNames {
+		if st.names == nil {
+			st.names = make(map[string]string)
+		}
+		st.names[s] = s
+	}
+	return s
+}
+
 // lineDecoder is a cursor over one line. A failed step clears ok and every
 // later step is a no-op, so a decode reads as the line's grammar and is
 // checked once at the end.
 type lineDecoder struct {
-	b       []byte
-	i       int
-	ok      bool
-	scratch *[]byte // unescape buffer, reused across lines
+	b  []byte
+	i  int
+	ok bool
+	st *lineState
 }
 
 func (d *lineDecoder) reset() *lineDecoder {
@@ -101,9 +136,9 @@ func (d *lineDecoder) reset() *lineDecoder {
 }
 
 // fail refuses the line.
-func (d *lineDecoder) fail() string {
+func (d *lineDecoder) fail() []byte {
 	d.ok = false
-	return ""
+	return nil
 }
 
 // lit consumes the literal s.
@@ -253,8 +288,9 @@ func parseDecimal(b []byte) (f float64, ok bool) {
 }
 
 // str consumes a JSON string and returns its value as encoding/json
-// decodes it.
-func (d *lineDecoder) str() string {
+// decodes it: bytes of the line or of the unescape buffer, good until the
+// next call.
+func (d *lineDecoder) str() []byte {
 	if !d.ok || d.i >= len(d.b) || d.b[d.i] != '"' {
 		return d.fail()
 	}
@@ -265,7 +301,7 @@ func (d *lineDecoder) str() string {
 		c := b[i]
 		if c == '"' {
 			d.i = i + 1
-			return string(b[start:i])
+			return b[start:i]
 		}
 		if c == '\\' || c < ' ' || c >= utf8.RuneSelf {
 			break
@@ -278,16 +314,16 @@ func (d *lineDecoder) str() string {
 // strSlow finishes str for a string with an escape, a control byte or a
 // non-ASCII byte at b[i]: the loop of encoding/json's unquote, with the
 // escapes its scanner rejects (\' and anything unknown) refused here too.
-func (d *lineDecoder) strSlow(start, i int) string {
+func (d *lineDecoder) strSlow(start, i int) []byte {
 	b := d.b
-	out := append((*d.scratch)[:0], b[start:i]...)
+	out := append(d.st.scratch[:0], b[start:i]...)
 	for i < len(b) {
 		c := b[i]
 		switch {
 		case c == '"':
 			d.i = i + 1
-			*d.scratch = out
-			return string(out)
+			d.st.scratch = out
+			return out
 		case c < ' ':
 			return d.fail()
 		case c == '\\':

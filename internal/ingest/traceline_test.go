@@ -5,9 +5,12 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"pinsql/internal/dbsim"
 )
@@ -40,11 +43,11 @@ func TestTraceLineDecoderTakesWriterOutput(t *testing.T) {
 	}
 	sc := bufio.NewScanner(zr)
 	sc.Scan() // header
-	var scratch []byte
+	var st lineState
 	events := 0
 	for ; sc.Scan(); events++ {
 		var ev traceEvent
-		if !decodeTraceLine(sc.Bytes(), &ev, &scratch) {
+		if !decodeTraceLine(sc.Bytes(), &ev, &st) {
 			t.Errorf("writer's line refused: %s", sc.Bytes())
 			continue
 		}
@@ -101,8 +104,8 @@ func TestTraceLineDecoderShape(t *testing.T) {
 	} {
 		line := strings.Replace(rec, tc.old, tc.new, 1)
 		var ev traceEvent
-		var scratch []byte
-		got := decodeTraceLine([]byte(line), &ev, &scratch)
+		var st lineState
+		got := decodeTraceLine([]byte(line), &ev, &st)
 		if got != tc.take {
 			t.Errorf("decodeTraceLine = %v, want %v: %s", got, tc.take, line)
 		}
@@ -145,22 +148,93 @@ not json
 	}
 }
 
-// A budget of work, not of time: a record line costs its three strings.
+// A budget of work, not of time: a record line costs its SQL string; its
+// TemplateID and Table are the name table's after the first sight.
 func TestTraceLineDecoderAllocs(t *testing.T) {
 	rec := []byte(`{"t":"r","rec":{"TemplateID":"CB3B1403","SQL":"SELECT qty FROM inventory WHERE sku \u003e 186258","Table":"inventory","Kind":0,"ArrivalMs":3,"ResponseMs":5.255211280393889,"ExaminedRows":20,"Throttled":false,"TimedOut":false,"LockWaitMs":0.25}}`)
 	met := []byte(`{"t":"m","met":{"Second":0,"ActiveSession":5,"SampleOffsetMs":126,"AvgActiveSession":1.229111912062676,"CPUUsage":7.681949450391724,"IOPSUsage":1.935,"MemUsage":30.3687335736188,"QPS":123,"RowLockWaits":0,"MDLWaits":0,"LockTimeouts":0}}`)
 	var ev traceEvent
-	scratch := make([]byte, 0, 256)
+	st := lineState{scratch: make([]byte, 0, 256)}
 	for _, tc := range []struct {
 		line []byte
 		max  float64
-	}{{rec, 3}, {met, 0}} {
+	}{{rec, 1}, {met, 0}} {
 		if got := testing.AllocsPerRun(200, func() {
-			if !decodeTraceLine(tc.line, &ev, &scratch) {
+			if !decodeTraceLine(tc.line, &ev, &st) {
 				t.Fatal("refused")
 			}
 		}); got > tc.max {
 			t.Errorf("%.0f allocations for %.40s…, want at most %.0f", got, tc.line, tc.max)
 		}
+	}
+}
+
+// TestTraceSourceInternsNames: every record of a template leaves a trace
+// source with its TemplateID in the same storage, and its Table too — what
+// the collector's identity table recognises — while the strings stay the
+// ones written. The table behind it is bounded in names and in their length:
+// past either bound a name is a string of its own, still the right one.
+func TestTraceSourceInternsNames(t *testing.T) {
+	var recs []dbsim.LogRecord
+	for i := 0; i < 3000; i++ {
+		recs = append(recs, dbsim.LogRecord{
+			TemplateID: fmt.Sprintf("T%02d", i%7), SQL: fmt.Sprintf("SELECT %d", i), Table: fmt.Sprintf("tab%d", i%3),
+			ArrivalMs: int64(i), ResponseMs: 1,
+		})
+	}
+	var buf bytes.Buffer
+	if err := WriteTraceData(&buf, 0, 3000, recs, nil); err != nil {
+		t.Fatal(err)
+	}
+	src, err := OpenTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	storage := map[string]*byte{}
+	n := 0
+	for {
+		b, err := src.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range b.Records {
+			if want := recs[n]; r.TemplateID != want.TemplateID || r.Table != want.Table || r.SQL != want.SQL {
+				t.Fatalf("record %d: %+v, written %+v", n, r, want)
+			}
+			n++
+			for _, name := range []string{r.TemplateID, r.Table} {
+				if p, seen := storage[name]; !seen {
+					storage[name] = unsafe.StringData(name)
+				} else if p != unsafe.StringData(name) {
+					t.Fatalf("record %d: %q is in other storage than the first %q", n, name, name)
+				}
+			}
+		}
+	}
+	if n != len(recs) || len(storage) != 10 {
+		t.Fatalf("read %d records, %d names", n, len(storage))
+	}
+
+	var st lineState
+	long := strings.Repeat("x", maxNameLen+1)
+	for _, raw := range []string{long, long, ""} {
+		if got := st.name([]byte(raw)); got != raw {
+			t.Fatalf("name(%q) = %q", raw, got)
+		}
+	}
+	if len(st.names) != 0 {
+		t.Fatalf("the table kept a name of %d bytes or an empty one", len(long))
+	}
+	for i := 0; i < 2*maxNames; i++ {
+		raw := fmt.Sprintf("N%d", i)
+		if got := st.name([]byte(raw)); got != raw {
+			t.Fatalf("name(%q) = %q", raw, got)
+		}
+	}
+	if len(st.names) != maxNames {
+		t.Fatalf("the table holds %d names, bound %d", len(st.names), maxNames)
 	}
 }

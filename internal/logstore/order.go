@@ -64,13 +64,22 @@ func sortRun(recs []Record) int {
 	return moves
 }
 
+// Work is what an arrangement cost, counted rather than timed: Reads is the
+// records its passes visited, one per record per pass, Moves the records its
+// insertion passes moved.
+type Work struct{ Reads, Moves int }
+
 // Arrange returns the records of a log — a chunk list in insertion order —
-// in arrival order, ties in insertion order, and the number of record moves
-// its insertion passes made. The records are written once, into one new
-// array that the returned runs are cut from (see cut; the array is released
-// with the last of its runs). No run is empty, and only a log shorter than
-// half a chunk yields a run that short. The log itself is left as it is.
-func Arrange(log [][]Record) (runs [][]Record, moves int) {
+// in arrival order, ties in insertion order, and what that cost. The records
+// are written once, into one new array that the returned runs are cut from
+// (see cut; the array is released with the last of its runs). No run is
+// empty, and only a log shorter than half a chunk yields a run that short.
+// The log itself is left as it is.
+//
+// Arrange is two phases: it finds the log's bounds and counts its records
+// per arrival second, then distributes them. A caller that kept those counts
+// while it wrote the log enters at the second phase, ArrangeCounted.
+func Arrange(log [][]Record) (runs [][]Record, work Work) {
 	size := 0
 	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
 	for _, c := range log {
@@ -80,52 +89,92 @@ func Arrange(log [][]Record) (runs [][]Record, moves int) {
 		}
 	}
 	// Unsigned subtraction is exact even when hi − lo overflows int64.
-	second := func(r *Record) uint64 { return (uint64(r.ArrivalMs) - uint64(lo)) / 1000 }
 	seconds := (uint64(hi)-uint64(lo))/1000 + 1
-
-	out := make([]Record, size)
 	if seconds > uint64(size)+sparseSlack {
-		n := 0
-		for _, c := range log {
-			n += copy(out[n:], c)
-		}
-		slices.SortStableFunc(out, byArrival)
-	} else {
-		// next[s] is where second s's next record goes: counts, then
-		// running offsets, then — once every record is placed — the end of
-		// each second.
-		next := make([]int, seconds+1)
-		for _, c := range log {
-			for i := range c {
-				next[second(&c[i])+1]++
-			}
-		}
-		for s := 1; s < len(next); s++ {
-			next[s] += next[s-1]
-		}
-		for _, c := range log {
-			for i := range c {
-				s := second(&c[i])
-				out[next[s]] = c[i]
-				next[s]++
-			}
-		}
-		from := 0
-		for _, end := range next[:seconds] {
-			if end-from > 1 {
-				moves += sortRun(out[from:end])
-			}
-			from = end
+		runs, work = sortWhole(log, size)
+		work.Reads += size
+		return runs, work
+	}
+	// next[s] is where second s's next record goes: counts, then running
+	// offsets, then — once every record is placed — the end of each second.
+	next := make([]int, seconds+1)
+	for _, c := range log {
+		for i := range c {
+			next[second(&c[i], lo)+1]++
 		}
 	}
+	for s := 1; s < len(next); s++ {
+		next[s] += next[s-1]
+	}
+	runs, work = distribute(log, lo, next)
+	work.Reads += 2 * size
+	return runs, work
+}
 
-	return cut(make([][]Record, 0, (size+chunkCap-1)/chunkCap), out), moves
+// ArrangeCounted is Arrange for a log whose writer counted as it wrote:
+// every record arrives at or after lo, and counts[s] of them in the second
+// [lo + 1000·s, lo + 1000·(s+1)) — none past the last. It returns Arrange's
+// runs without reading the log for its bounds or its counts; counts is left
+// as it is.
+func ArrangeCounted(log [][]Record, lo int64, counts []int) (runs [][]Record, work Work) {
+	next := make([]int, len(counts)+1)
+	for s, n := range counts {
+		next[s+1] = next[s] + n
+	}
+	if size := next[len(counts)]; len(counts) > size+sparseSlack {
+		return sortWhole(log, size)
+	}
+	return distribute(log, lo, next)
+}
+
+// second is the arrival second of r after lo ≤ r.ArrivalMs.
+func second(r *Record, lo int64) uint64 { return (uint64(r.ArrivalMs) - uint64(lo)) / 1000 }
+
+// sortWhole arranges a log of size records too sparse to distribute: one
+// copy, one comparison sort.
+func sortWhole(log [][]Record, size int) ([][]Record, Work) {
+	out := make([]Record, 0, size)
+	for _, c := range log {
+		out = append(out, c...)
+	}
+	slices.SortStableFunc(out, byArrival)
+	return cutWhole(out), Work{Reads: size}
+}
+
+// distribute places each record of the log at next[its second], which holds
+// the second's first free position in the new array and is advanced past it
+// (placement), then restores arrival order inside every second (insertion).
+func distribute(log [][]Record, lo int64, next []int) ([][]Record, Work) {
+	seconds := len(next) - 1
+	out := make([]Record, next[seconds])
+	for _, c := range log {
+		for i := range c {
+			s := second(&c[i], lo)
+			out[next[s]] = c[i]
+			next[s]++
+		}
+	}
+	work := Work{Reads: len(out)}
+	from := 0
+	for _, end := range next[:seconds] {
+		if end-from > 1 {
+			work.Moves += sortRun(out[from:end])
+			work.Reads += end - from
+		}
+		from = end
+	}
+	return cutWhole(out), work
+}
+
+// cutWhole cuts an arranged array into its runs.
+func cutWhole(out []Record) [][]Record {
+	return cut(make([][]Record, 0, (len(out)+chunkCap-1)/chunkCap), out)
 }
 
 // restoreOrder rewrites a dirty topic in arrival order and marks it clean;
-// it returns Arrange's moves.
-func (t *topicLog) restoreOrder() (moves int) {
-	t.chunks, moves = Arrange(t.chunks)
-	t.dirty = false
-	return moves
+// it returns the moves Arrange made.
+func (t *topicLog) restoreOrder() int {
+	runs, work := Arrange(t.chunks)
+	t.chunks, t.dirty = runs, false
+	return work.Moves
 }

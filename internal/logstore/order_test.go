@@ -202,6 +202,31 @@ func FuzzLooseOrder(f *testing.F) {
 		if !reflect.DeepEqual(slices.Concat(runs...), all) {
 			t.Fatalf("Arrange differs from the stable sort (%d records in %d chunks)", len(all), len(log))
 		}
+
+		// The counted entry: from any origin at or before the first arrival,
+		// with the counts a writer would have kept, the same runs — while
+		// the seconds fit a table, past sparseSlack included.
+		if len(all) == 0 {
+			return
+		}
+		lo := all[0].ArrivalMs
+		if back := int64(data[0]) * 37; lo >= math.MinInt64+back {
+			lo -= back
+		}
+		if span := (uint64(all[len(all)-1].ArrivalMs) - uint64(lo)) / 1000; span < 1<<17 {
+			counts := make([]int, span+1+uint64(data[0]%3)) // empty seconds past the last record
+			for i := range all {
+				counts[second(&all[i], lo)]++
+			}
+			kept := slices.Clone(counts)
+			counted, _ := ArrangeCounted(log, lo, counts)
+			if !reflect.DeepEqual(counted, runs) {
+				t.Fatalf("ArrangeCounted from %d ms before the first arrival: %d runs, Arrange %d, or they differ", all[0].ArrivalMs-lo, len(counted), len(runs))
+			}
+			if !slices.Equal(counts, kept) || !reflect.DeepEqual(slices.Concat(log...), slices.Concat(p.batches...)) {
+				t.Fatal("ArrangeCounted wrote into the counts or the log it was handed")
+			}
+		}
 	})
 }
 

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -87,27 +86,6 @@ func TestTypeConflictPanics(t *testing.T) {
 		}
 	}()
 	r.Gauge("m", "")
-}
-
-// TestHandler scrapes over HTTP.
-func TestHandler(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("h_total", "help").Add(9)
-	srv := httptest.NewServer(r.Handler())
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Fatalf("content type = %q", ct)
-	}
-	buf := make([]byte, 4096)
-	n, _ := resp.Body.Read(buf)
-	if !strings.Contains(string(buf[:n]), "h_total 9") {
-		t.Fatalf("scrape missing counter:\n%s", buf[:n])
-	}
 }
 
 // TestConcurrentUse hammers registration and increments from many

@@ -111,33 +111,6 @@ func (s Series) AddInPlace(t Series) error {
 	return nil
 }
 
-// Div returns the element-wise ratio s/t. Positions where t is zero yield
-// zero rather than Inf/NaN: in PinSQL the denominator is the instance active
-// session, and an idle second contributes no impact signal (§V,
-// scale-trend-level).
-func (s Series) Div(t Series) (Series, error) {
-	out := make(Series, len(s))
-	if err := s.DivInto(out, t); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// DivInto is Div into the caller's dst, overwriting every element, for
-// loops that reuse one scratch series; all three lengths must match.
-func (s Series) DivInto(dst, t Series) error {
-	if len(s) != len(t) || len(s) != len(dst) {
-		return ErrLengthMismatch
-	}
-	for i := range s {
-		dst[i] = 0
-		if t[i] != 0 {
-			dst[i] = s[i] / t[i]
-		}
-	}
-	return nil
-}
-
 // Slice returns s[lo:hi] clamped to the valid index range, so callers can
 // pass anomaly windows that overrun the trace boundary without panicking.
 func (s Series) Slice(lo, hi int) Series {

@@ -96,11 +96,29 @@ func TestAddAndAddInPlace(t *testing.T) {
 	}
 }
 
+// DivInto writes the element-wise ratio s/t into dst, all three of one
+// length. Positions where t is zero yield zero rather than Inf/NaN: in PinSQL
+// the denominator is the instance active session, and an idle second
+// contributes no impact signal (§V, scale-trend-level). It is the division
+// CorrRatio fuses into its passes, kept as the oracle's (divCorr).
+func (s Series) DivInto(dst, t Series) error {
+	if len(s) != len(t) || len(s) != len(dst) {
+		return ErrLengthMismatch
+	}
+	for i := range s {
+		dst[i] = 0
+		if t[i] != 0 {
+			dst[i] = s[i] / t[i]
+		}
+	}
+	return nil
+}
+
 func TestDivZeroDenominator(t *testing.T) {
 	num := Series{4, 6, 8}
 	den := Series{2, 0, 4}
-	got, err := num.Div(den)
-	if err != nil {
+	got := make(Series, 3)
+	if err := num.DivInto(got, den); err != nil {
 		t.Fatal(err)
 	}
 	want := Series{2, 0, 2}
