@@ -33,12 +33,11 @@
 // created with.
 //
 // With -role coordinator every shard runs as a separate supervised
-// `pinsqld -role worker` process speaking a small versioned HTTP/JSON
-// worker API; the parent process is a pure fan-out control plane. A
-// SIGKILLed worker is relaunched and resumes from its own
-// data-dir/shard-<k>/ journal; the aggregated report stays byte-identical
-// to in-process mode. -role worker serves one shard directly (normally
-// spawned by a coordinator, occasionally by hand for debugging).
+// worker process (this binary, relaunched with its config in the
+// environment) speaking a small versioned HTTP/JSON worker API; the
+// parent process is a pure fan-out control plane. A SIGKILLed worker is
+// relaunched and resumes from its own data-dir/shard-<k>/ journal; the
+// aggregated report stays byte-identical to in-process mode.
 //
 // With -ingest the daemon monitors a recorded trace instead of the
 // simulator: a MySQL slow query log, a pg_stat_activity-style wait-event
@@ -70,7 +69,6 @@ import (
 
 	"pinsql/internal/fleet"
 	"pinsql/internal/ingest"
-	"pinsql/internal/parallel"
 	"pinsql/internal/shard"
 	"pinsql/internal/shard/remote"
 )
@@ -92,11 +90,7 @@ func main() {
 		dataDir    = flag.String("data-dir", "", "directory for the durable per-instance stores (empty = in-memory)")
 		syncEvery  = flag.Int("sync-every", 0, "fsync the log-store wal every N records (0 = only at seal/close; process-crash safe either way)")
 		serve      = flag.String("serve", "", "address for the HTTP control plane (empty = run to completion and exit)")
-
-		role       = flag.String("role", "", "process role: \"\" runs shards in-process, \"coordinator\" runs one supervised pinsqld worker process per shard, \"worker\" serves one shard's worker API (normally spawned by a coordinator)")
-		shardIndex = flag.Int("shard-index", 0, "this worker's shard index (with -role worker)")
-		workerAddr = flag.String("worker-addr", "", "worker API listen address (with -role worker; empty = 127.0.0.1: an OS-picked port)")
-		addrFile   = flag.String("addr-file", "", "file the worker publishes host:port and pid to (with -role worker; empty = <data-dir>/worker-<k>.addr)")
+		role       = flag.String("role", "", "process role: \"\" runs shards in-process, \"coordinator\" runs one supervised pinsqld worker process per shard")
 
 		ingestPath   = flag.String("ingest", "", "replay a recorded trace file instead of simulating (slow log, wait-event JSONL, or pinsql trace; .gz fine)")
 		ingestFormat = flag.String("ingest-format", "", "trace format: slowlog, waitevents, or trace (empty = guess from the file name)")
@@ -152,48 +146,14 @@ func main() {
 	case "":
 	case "coordinator":
 		opt.Runtime = remote.Factory(remote.Options{Specs: specSet, DataDir: *dataDir})
-	case "worker":
-		if err := runWorker(specSet, *shardIndex, *shards, *workers, *queueDepth, *syncEvery, *dataDir, *workerAddr, *addrFile); err != nil {
-			fmt.Fprintln(os.Stderr, "pinsqld:", err)
-			os.Exit(1)
-		}
-		return
 	default:
-		fmt.Fprintf(os.Stderr, "pinsqld: unknown -role %q (want coordinator or worker)\n", *role)
+		fmt.Fprintf(os.Stderr, "pinsqld: unknown -role %q (want coordinator)\n", *role)
 		os.Exit(1)
 	}
 	if err := run(*instances, *windows, *windowSec, *seed, *autoRepair, opt, *serve, ing); err != nil {
 		fmt.Fprintln(os.Stderr, "pinsqld:", err)
 		os.Exit(1)
 	}
-}
-
-// runWorker is `pinsqld -role worker`: serve one shard's worker API until
-// the coordinator posts /api/v1/quit. The shard's worker budget is the
-// same pinned split the coordinator computes, so a hand-launched worker
-// produces the same bytes a spawned one would.
-func runWorker(specs remote.SpecSet, shardIndex, shards, workers, queueDepth, syncEvery int, dataDir, addr, addrFile string) error {
-	if shards < 1 {
-		return fmt.Errorf("-role worker needs an explicit -shards count")
-	}
-	if addrFile == "" {
-		if dataDir == "" {
-			return fmt.Errorf("-role worker needs -addr-file (or -data-dir to derive it)")
-		}
-		addrFile = filepath.Join(dataDir, fmt.Sprintf("worker-%d.addr", shardIndex))
-	}
-	return remote.RunWorker(remote.Config{
-		APIVersion: remote.APIVersion,
-		Shard:      shardIndex,
-		Shards:     shards,
-		Specs:      specs,
-		Workers:    shard.WorkerShare(parallel.Resolve(workers), shardIndex, shards),
-		QueueDepth: queueDepth,
-		SyncEvery:  syncEvery,
-		DataDir:    dataDir,
-		Addr:       addr,
-		AddrFile:   addrFile,
-	})
 }
 
 type ingestConfig struct {

@@ -76,12 +76,6 @@ type Config struct {
 	// multiple anomaly phenomena of the same type occur close in time,
 	// they will be merged into a longer anomaly").
 	MergeGapSec int
-	// UseEWMA additionally runs the EWMA control-chart detector as a
-	// basic-layer feature source (off by default; the production system
-	// layers several methods, §IV-B).
-	UseEWMA bool
-	// EWMA tunes the chart when UseEWMA is set.
-	EWMA EWMAOptions
 }
 
 // DefaultConfig returns the detection defaults used in production.
@@ -126,9 +120,6 @@ func NewDetector(cfg Config) *Detector {
 // returns every detected anomalous feature, sorted by start time.
 func (d *Detector) DetectFeatures(metric string, s timeseries.Series) []Event {
 	var events []Event
-	if d.cfg.UseEWMA {
-		events = append(events, DetectEWMA(metric, s, d.cfg.EWMA)...)
-	}
 	for _, sp := range s.DetectSpikes(d.cfg.SpikeZ) {
 		f := SpikeUp
 		if sp.Direction == timeseries.SpikeDown {
@@ -231,6 +222,22 @@ const (
 	MetricQPS           = "qps"
 )
 
+// WatchedMetrics names the three series the default rules watch, in the
+// form DetectPhenomena takes them.
+func WatchedMetrics(activeSession, cpuUsage, iopsUsage timeseries.Series) map[string]timeseries.Series {
+	return map[string]timeseries.Series{
+		MetricActiveSession: activeSession,
+		MetricCPUUsage:      cpuUsage,
+		MetricIOPSUsage:     iopsUsage,
+	}
+}
+
+// DetectDefault is detection as production runs it: the default thresholds
+// and DefaultRules over one window's three watched metrics.
+func DetectDefault(activeSession, cpuUsage, iopsUsage timeseries.Series) []Phenomenon {
+	return NewDetector(Config{}).DetectPhenomena(WatchedMetrics(activeSession, cpuUsage, iopsUsage), DefaultRules())
+}
+
 // Phenomenon is a recognized anomalous phenomenon: a rule that fired over a
 // time window, with the contributing basic-layer events.
 type Phenomenon struct {
@@ -250,14 +257,9 @@ func (d *Detector) DetectPhenomena(metrics map[string]timeseries.Series, rules [
 	for name, s := range metrics {
 		features[name] = d.DetectFeatures(name, s)
 	}
-	return d.assemblePhenomena(features, rules)
-}
-
-// assemblePhenomena is the Phenomenon Perception Layer proper: rule
-// application over the basic-layer features, same-type merging, duration
-// filtering and the deterministic final order. The batch and streaming
-// basic layers both feed it.
-func (d *Detector) assemblePhenomena(features map[string][]Event, rules []Rule) []Phenomenon {
+	// The Phenomenon Perception Layer proper: rule application over the
+	// basic-layer features, same-type merging, duration filtering and the
+	// deterministic final order.
 	var phenomena []Phenomenon
 	for _, rule := range rules {
 		phenomena = append(phenomena, d.applyRule(rule, features)...)

@@ -1,6 +1,8 @@
 package anomaly
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -72,6 +74,152 @@ func TestDetectFeaturesQuietSeries(t *testing.T) {
 	s := flatWithSpike(200, 0, 0, 10, 0)
 	if events := d.DetectFeatures("m", s); len(events) != 0 {
 		t.Errorf("events on quiet series = %+v", events)
+	}
+}
+
+// detectorTestSeries builds metric traces that exercise every detector
+// path: quiet noise, spikes in both directions, a level shift, a constant
+// metric (zero MAD and zero Std) and a noisy one with a burst and a drop.
+func detectorTestSeries(n int) map[string]timeseries.Series {
+	rng := rand.New(rand.NewSource(0))
+	quiet := make(timeseries.Series, n)
+	spiky := make(timeseries.Series, n)
+	shifted := make(timeseries.Series, n)
+	constant := make(timeseries.Series, n)
+	mixed := make(timeseries.Series, n)
+	for i := 0; i < n; i++ {
+		base := 10 + rng.Float64()
+		quiet[i] = base
+		spiky[i] = base
+		if i%37 == 0 {
+			spiky[i] += 40 + rng.Float64()*10
+		}
+		if i%53 == 1 {
+			spiky[i] -= 35
+		}
+		shifted[i] = base
+		if i >= n/2 {
+			shifted[i] += 25
+		}
+		constant[i] = 4
+		mixed[i] = base + rng.NormFloat64()
+		if i > n/3 && i < n/3+8 {
+			mixed[i] += 60
+		}
+		if i >= 3*n/4 {
+			mixed[i] -= 18
+		}
+	}
+	return map[string]timeseries.Series{
+		MetricActiveSession: spiky,
+		MetricCPUUsage:      shifted,
+		MetricIOPSUsage:     quiet,
+		MetricMemUsage:      constant,
+		MetricQPS:           mixed,
+	}
+}
+
+// detectorTestConfigs are the defaults and two non-default rows: low
+// thresholds (dense events) and mid ones.
+var detectorTestConfigs = []struct {
+	name string
+	cfg  Config
+}{
+	{"defaults", Config{}},
+	{"sensitive", Config{SpikeZ: 2.5, ShiftWindow: 10, ShiftZ: 2, MinDurationSec: 1, MergeGapSec: 5}},
+	{"mid", Config{SpikeZ: 3, ShiftWindow: 12, ShiftZ: 3, MinDurationSec: 1, MergeGapSec: 10}},
+}
+
+// TestDetectFeaturesRows pins the Basic Perception Layer, per config and
+// metric, at prefixes of the traces — one sample, shorter than any
+// 2·ShiftWindow, mid-window and whole. The expected events were printed at
+// the commit that still had a second, rolling-state detector held equal to
+// this one at every prefix; a row the table does not name has no events.
+func TestDetectFeaturesRows(t *testing.T) {
+	want := map[string]string{
+		"defaults/active_session/7":    "spike[0,1) spike_down[1,2)",
+		"defaults/active_session/80":   "spike[0,1) spike_down[1,2) spike[37,38) spike_down[54,55) spike[74,75)",
+		"defaults/active_session/120":  "spike[0,1) spike_down[1,2) spike[37,38) spike_down[54,55) spike[74,75) spike_down[107,108) spike[111,112)",
+		"defaults/active_session/240":  "spike[0,1) spike_down[1,2) spike[37,38) levelshift_down[42,44) spike_down[54,55) spike[74,75) spike_down[107,108) spike[111,112) spike[148,149) spike_down[160,161) spike[185,186) spike_down[213,214) spike[222,223)",
+		"defaults/cpu_usage/240":       "levelshift[120,240)",
+		"defaults/qps/120":             "levelshift[78,78) spike[81,88) levelshift_down[89,90)",
+		"defaults/qps/240":             "levelshift[78,78) spike[81,88) levelshift_down[89,90) spike_down[180,240) levelshift_down[180,240)",
+		"sensitive/active_session/7":   "spike[0,1) spike_down[1,2)",
+		"sensitive/active_session/80":  "spike[0,1) spike_down[1,2) levelshift[11,11) spike[37,38) levelshift[37,38) levelshift_down[47,47) spike_down[54,55) levelshift[66,66) spike[74,75)",
+		"sensitive/active_session/120": "spike[0,1) spike_down[1,2) levelshift[11,11) spike[37,38) levelshift[37,38) levelshift_down[47,47) spike_down[54,55) levelshift[66,66) spike[74,75) levelshift_down[75,75) levelshift_down[100,100) spike_down[107,108) levelshift[110,110) spike[111,112)",
+		"sensitive/active_session/240": "spike[0,1) spike_down[1,2) levelshift[11,11) spike[37,38) levelshift[37,38) levelshift_down[47,47) spike_down[54,55) levelshift[66,66) spike[74,75) levelshift_down[75,75) levelshift_down[100,100) spike_down[107,108) spike[111,112) levelshift[111,112) levelshift_down[118,118) spike[148,149) levelshift[148,149) levelshift_down[156,156) spike_down[160,161) levelshift[169,169) levelshift[184,184) spike[185,186) levelshift_down[189,189) levelshift_down[211,211) spike_down[213,214) levelshift[214,214) spike[222,223) levelshift_down[229,229)",
+		"sensitive/cpu_usage/240":      "levelshift[120,240)",
+		"sensitive/qps/80":             "spike[23,24)",
+		"sensitive/qps/120":            "spike[23,24) levelshift[78,78) spike[81,88) levelshift_down[88,88) spike_down[89,90)",
+		"sensitive/qps/240":            "levelshift[78,78) spike[81,88) levelshift_down[88,88) spike_down[180,240) levelshift_down[180,240)",
+		"mid/active_session/7":         "spike[0,1) spike_down[1,2)",
+		"mid/active_session/80":        "spike[0,1) spike_down[1,2) levelshift[13,13) levelshift[26,26) spike[37,38) levelshift_down[48,48) spike_down[54,55) levelshift[63,63) spike[74,75)",
+		"mid/active_session/120":       "spike[0,1) spike_down[1,2) levelshift[13,13) levelshift[26,26) spike[37,38) levelshift_down[48,48) spike_down[54,55) levelshift[63,63) spike[74,75) levelshift_down[75,75) levelshift_down[99,99) spike_down[107,108) levelshift[108,108) spike[111,112)",
+		"mid/active_session/240":       "spike[0,1) spike_down[1,2) levelshift[13,13) levelshift[26,26) spike[37,38) levelshift_down[48,48) spike_down[54,55) levelshift[63,63) spike[74,75) levelshift_down[75,75) levelshift_down[99,99) spike_down[107,108) spike[111,112) levelshift[111,112) levelshift_down[123,123) spike[148,149) levelshift[148,149) levelshift_down[157,157) spike_down[160,161) levelshift[165,165) spike[185,186) levelshift[185,186) levelshift_down[188,188) levelshift_down[209,209) spike_down[213,214) levelshift[214,214) spike[222,223) levelshift_down[226,226)",
+		"mid/cpu_usage/240":            "levelshift[120,240)",
+		"mid/qps/80":                   "spike[23,24)",
+		"mid/qps/120":                  "spike[23,24) levelshift[77,77) spike[81,88) spike_down[89,90) levelshift_down[89,89)",
+		"mid/qps/240":                  "levelshift[77,77) spike[81,88) levelshift_down[89,89) spike_down[180,240) levelshift_down[180,240)",
+	}
+	metrics := detectorTestSeries(240)
+	seen := 0
+	for _, tc := range detectorTestConfigs {
+		d := NewDetector(tc.cfg)
+		for name, s := range metrics {
+			for _, n := range []int{1, 7, 80, 120, 240} {
+				var got string
+				for _, ev := range d.DetectFeatures(name, s[:n]) {
+					if ev.Metric != name {
+						t.Errorf("event metric = %s, want %s", ev.Metric, name)
+					}
+					got += fmt.Sprintf("%s[%d,%d) ", ev.Feature, ev.Start, ev.End)
+				}
+				key := fmt.Sprintf("%s/%s/%d", tc.name, name, n)
+				w, ok := want[key]
+				if ok {
+					seen++
+				}
+				if got = strings.TrimSpace(got); got != w {
+					t.Errorf("%s: events = %q, want %q", key, got, w)
+				}
+			}
+		}
+	}
+	if seen != len(want) {
+		t.Errorf("%d of %d expected rows were reached", seen, len(want))
+	}
+}
+
+// TestDetectPhenomenaRows pins both layers over the whole traces under
+// rules on all five metrics, down-going features included.
+func TestDetectPhenomenaRows(t *testing.T) {
+	rules := append(DefaultRules(), Rule{
+		Name: "qps_anomaly",
+		Conditions: []Condition{{
+			Metric:   MetricQPS,
+			Features: []Feature{SpikeUp, SpikeDown, LevelShiftUp, LevelShiftDown},
+		}},
+	}, Rule{
+		Name: "mem_anomaly",
+		Conditions: []Condition{{
+			Metric:   MetricMemUsage,
+			Features: []Feature{SpikeUp, LevelShiftUp},
+		}},
+	})
+	want := map[string]string{
+		"defaults":  "active_session_anomaly[0,223)x7 qps_anomaly[78,90)x3 cpu_usage_anomaly[120,240)x1 qps_anomaly[180,240)x2",
+		"sensitive": "active_session_anomaly[0,1)x1 active_session_anomaly[37,38)x2 active_session_anomaly[74,75)x1 qps_anomaly[78,88)x3 active_session_anomaly[111,112)x2 cpu_usage_anomaly[120,240)x1 active_session_anomaly[148,149)x2 qps_anomaly[180,240)x2 active_session_anomaly[184,186)x2 active_session_anomaly[222,223)x1",
+		"mid":       "active_session_anomaly[0,1)x1 active_session_anomaly[37,38)x1 active_session_anomaly[74,75)x1 qps_anomaly[77,89)x3 active_session_anomaly[111,112)x2 cpu_usage_anomaly[120,240)x1 active_session_anomaly[148,149)x2 qps_anomaly[180,240)x2 active_session_anomaly[185,186)x2 active_session_anomaly[214,223)x2",
+	}
+	metrics := detectorTestSeries(240)
+	for _, tc := range detectorTestConfigs {
+		var got string
+		for _, p := range NewDetector(tc.cfg).DetectPhenomena(metrics, rules) {
+			got += fmt.Sprintf("%s[%d,%d)x%d ", p.Rule, p.Start, p.End, len(p.Events))
+		}
+		if got = strings.TrimSpace(got); got != want[tc.name] {
+			t.Errorf("%s: phenomena = %q, want %q", tc.name, got, want[tc.name])
+		}
 	}
 }
 

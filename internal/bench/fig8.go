@@ -11,7 +11,6 @@ import (
 	"pinsql/internal/rank"
 	"pinsql/internal/repair"
 	"pinsql/internal/sqltemplate"
-	"pinsql/internal/timeseries"
 	"pinsql/internal/workload"
 )
 
@@ -165,12 +164,6 @@ func RunFig8(seed int64) (*Fig8, error) {
 // fig8Phenomenon detects the dominant phenomenon overlapping the anomaly,
 // falling back to the known window if the detector misses.
 func fig8Phenomenon(snap *collect.Snapshot) anomaly.Phenomenon {
-	det := anomaly.NewDetector(anomaly.Config{})
-	metrics := map[string]timeseries.Series{
-		anomaly.MetricActiveSession: snap.ActiveSession,
-		anomaly.MetricCPUUsage:      snap.CPUUsage,
-		anomaly.MetricIOPSUsage:     snap.IOPSUsage,
-	}
 	best := anomaly.Phenomenon{
 		Rule:  "fallback",
 		Start: fig8AnomalyStart,
@@ -183,7 +176,7 @@ func fig8Phenomenon(snap *collect.Snapshot) anomaly.Phenomenon {
 		}},
 	}
 	bestDur := 0
-	for _, p := range det.DetectPhenomena(metrics, anomaly.DefaultRules()) {
+	for _, p := range anomaly.DetectDefault(snap.ActiveSession, snap.CPUUsage, snap.IOPSUsage) {
 		if p.End > fig8AnomalyStart && p.Duration() > bestDur {
 			best = p
 			bestDur = p.Duration()

@@ -224,13 +224,7 @@ func finish(opt Options, seed, idx int64, name string, kind workload.AnomalyKind
 	snap := coll.Snapshot()
 
 	// Detect the phenomenon with the production-default rules.
-	det := anomaly.NewDetector(anomaly.Config{})
-	metrics := map[string]timeseries.Series{
-		anomaly.MetricActiveSession: snap.ActiveSession,
-		anomaly.MetricCPUUsage:      snap.CPUUsage,
-		anomaly.MetricIOPSUsage:     snap.IOPSUsage,
-	}
-	phenomena := det.DetectPhenomena(metrics, anomaly.DefaultRules())
+	phenomena := anomaly.DetectDefault(snap.ActiveSession, snap.CPUUsage, snap.IOPSUsage)
 	ph, detected := pickPhenomenon(phenomena, int(asMs/1000), int(aeMs/1000))
 	if !detected {
 		ph = anomaly.Phenomenon{

@@ -2,24 +2,19 @@ package core
 
 import (
 	"pinsql/internal/anomaly"
+	"pinsql/internal/timeseries"
 	"pinsql/internal/window"
 )
 
 // Perception is the perception front of the diagnosis pipeline: the Basic
-// and Phenomenon Perception Layers (§IV-B) over the metrics of one
-// monitoring window, backed by rolling order-statistics state
-// (anomaly.StreamDetector). Feeding one second at a time costs O(log n)
-// amortized per metric instead of the O(n log n) full-window re-sort the
-// batch detector pays on every pass, while the recognized phenomena stay
-// bit-identical to the batch path — so diagnosis reports remain
-// byte-identical across worker counts and restarts.
-//
-// A Perception is per-window state: create one per monitoring window,
-// observe the window's metric samples (incrementally via ObserveSecond or
-// all at once via ObserveFrame) and harvest with Phenomena.
+// and Phenomenon Perception Layers (§IV-B, anomaly.Detector) over the
+// metrics of one sealed monitoring window. The recognized phenomena are a
+// pure function of the frame, so diagnosis reports stay byte-identical
+// across worker counts and restarts.
 type Perception struct {
-	det   *anomaly.StreamDetector
-	rules []anomaly.Rule
+	det     *anomaly.Detector
+	rules   []anomaly.Rule
+	metrics map[string]timeseries.Series
 }
 
 // NewPerception builds a perception front with the given detector config
@@ -28,28 +23,19 @@ func NewPerception(cfg anomaly.Config, rules []anomaly.Rule) *Perception {
 	if rules == nil {
 		rules = anomaly.DefaultRules()
 	}
-	return &Perception{det: anomaly.NewStreamDetector(cfg), rules: rules}
+	return &Perception{det: anomaly.NewDetector(cfg), rules: rules}
 }
 
-// ObserveSecond appends one per-second sample of the named metric.
-func (p *Perception) ObserveSecond(metric string, v float64) {
-	p.det.Observe(metric, v)
-}
-
-// ObserveFrame feeds the frame's detection metrics — the three the default
-// production rules watch (active sessions, CPU, IOPS) — sample by sample
-// into the rolling state. Seconds already observed for this window must
-// not be fed twice; the usual pattern is one ObserveFrame on the sealed
-// window frame, or per-second ObserveSecond calls and no ObserveFrame.
+// ObserveFrame takes the frame's detection metrics — the three the default
+// production rules watch (active sessions, CPU, IOPS) — replacing those of
+// any frame observed before. The series are read at Phenomena, not copied.
 func (p *Perception) ObserveFrame(fr *window.Frame) {
-	p.det.ObserveSeries(anomaly.MetricActiveSession, fr.ActiveSession)
-	p.det.ObserveSeries(anomaly.MetricCPUUsage, fr.CPUUsage)
-	p.det.ObserveSeries(anomaly.MetricIOPSUsage, fr.IOPSUsage)
+	p.metrics = anomaly.WatchedMetrics(fr.ActiveSession, fr.CPUUsage, fr.IOPSUsage)
 }
 
-// Phenomena runs the Phenomenon Perception Layer over the features
-// detected from the current rolling state and returns the recognized
-// phenomena, merged, duration-filtered and deterministically ordered.
+// Phenomena runs both perception layers over the observed frame and
+// returns the recognized phenomena, merged, duration-filtered and
+// deterministically ordered.
 func (p *Perception) Phenomena() []anomaly.Phenomenon {
-	return p.det.DetectPhenomena(p.rules)
+	return p.det.DetectPhenomena(p.metrics, p.rules)
 }

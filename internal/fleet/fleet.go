@@ -48,12 +48,6 @@ type Options struct {
 	// segment.Options.SyncEvery).
 	SyncEvery int
 
-	// DiagnosisWorkers is the inner core.Config.Workers of each
-	// diagnosis. The fleet's parallelism comes from running instances
-	// concurrently, so the default is 1 (sequential inner pipeline — no
-	// oversubscription); diagnosis output is identical for every value.
-	DiagnosisWorkers int
-
 	// Metrics receives the fleet's counters and gauges; nil creates a
 	// private registry (reachable via Fleet.Metrics). When several fleets
 	// share one registry (the shard manager), Labels keeps their series
@@ -81,9 +75,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 8
-	}
-	if o.DiagnosisWorkers == 0 {
-		o.DiagnosisWorkers = 1
 	}
 	if o.Metrics == nil {
 		o.Metrics = obs.NewRegistry()
@@ -175,7 +166,11 @@ func New(specs []InstanceSpec, opt Options) (*Fleet, error) {
 	}
 	f.cond = sync.NewCond(&f.mu)
 	f.diagCfg = core.DefaultConfig()
-	f.diagCfg.Workers = opt.DiagnosisWorkers
+	// Sequential inner pipeline: the fleet's parallelism comes from
+	// running instances concurrently, and inner workers on top of that
+	// would oversubscribe the CPUs. Diagnosis output is identical for
+	// every value.
+	f.diagCfg.Workers = 1
 
 	withDefaults := make([]InstanceSpec, 0, len(specs))
 	windowMs := make(map[string]int64, len(specs))

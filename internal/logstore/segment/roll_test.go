@@ -3,11 +3,14 @@ package segment
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"pinsql/internal/logstore"
@@ -308,35 +311,62 @@ func writeV1Topic(t *testing.T, dir string, sealed, active []logstore.Record) {
 	}
 }
 
-// TestOpensVersion1Layout: a directory written before the wal and the
-// segment shared a layout opens with every record, and its wal — in order,
-// but not a version-2 file — seals into one by the rewrite path.
-func TestOpensVersion1Layout(t *testing.T) {
-	dir := t.TempDir()
-	sealed, active := orderedRecs(16, 0), orderedRecs(10, 200)
-	writeV1Topic(t, dir, sealed, active)
-	mem := logstore.New(0)
-	mem.AppendBatch("t", sealed)
-	mem.AppendBatch("t", active)
+// TestRefusesVersion1Layout: a directory written before the wal and the
+// segment shared a layout does not open — Open names the file and its
+// version — and is left byte for byte as it was. The wal row matters most:
+// an unrecognised wal is created anew, which would truncate this one.
+func TestRefusesVersion1Layout(t *testing.T) {
+	for _, tc := range []struct {
+		name, refused string
+		dropSegment   bool
+	}{
+		{name: "segment", refused: segName(1)},
+		{name: "wal", refused: walName(2), dropSegment: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			writeV1Topic(t, dir, orderedRecs(16, 0), orderedRecs(10, 200))
+			topic := filepath.Join(dir, "t", "t")
+			if tc.dropSegment {
+				if err := os.Remove(filepath.Join(topic, segName(1))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := readDirFiles(t, topic)
 
-	s := mustOpen(t, dir, smallOpts())
-	mustMatch(t, "opened", s, mem)
-	more := orderedRecs(6, 300)
-	s.AppendBatch("t", more) // the 16th record of the wal seals it
-	mem.AppendBatch("t", slices.Clone(more))
-	if s.rewrites != 1 || s.rolls != 0 {
-		t.Fatalf("%d rewrites, %d rolls, want 1 and 0", s.rewrites, s.rolls)
+			s, err := Open(dir, smallOpts())
+			if err == nil {
+				s.Close()
+				t.Fatal("a version-1 layout opened")
+			}
+			if !errors.Is(err, errUnsupportedVersion) ||
+				!strings.Contains(err.Error(), filepath.Join(topic, tc.refused)) ||
+				!strings.HasSuffix(err.Error(), "unsupported version 1") {
+				t.Fatalf("Open: %v, want %s refused as unsupported version 1", err, tc.refused)
+			}
+			if after := readDirFiles(t, topic); !maps.EqualFunc(before, after, bytes.Equal) {
+				t.Fatalf("the refused directory changed: %d files before, %d after", len(before), len(after))
+			}
+		})
 	}
-	if data, err := os.ReadFile(filepath.Join(dir, "t", "t", segName(2))); err != nil || !bytes.HasPrefix(data, fileHeader) {
-		t.Fatalf("the sealed wal does not open with the version-2 header (%v)", err)
-	}
-	mustMatch(t, "sealed", s, mem)
-	if err := s.Close(); err != nil {
+}
+
+// readDirFiles returns every file of dir by name.
+func readDirFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	s = mustOpen(t, dir, smallOpts())
-	defer s.Close()
-	mustMatch(t, "reopened", s, mem)
+	files := make(map[string][]byte, len(ents))
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = data
+	}
+	return files
 }
 
 // TestFailedSealIsNotRetriedPerRecord: with the segment's name taken by a

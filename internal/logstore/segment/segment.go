@@ -27,9 +27,8 @@ var errMmapUnavailable = errors.New("segment: mmap unavailable")
 //	frame(record)…, delta-encoded (prev starts at 0)
 //
 // A sealed segment's records are arrival-sorted; a wal's are in ingest
-// order. Version 1 files still open: its segments carry count, minMs and
-// maxMs after the version (never read back — open recomputes them), its
-// wals are "PSEGWAL1" followed directly by record frames.
+// order. Files of any other version — version 1 wals are "PSEGWAL1"
+// followed directly by record frames — are refused, untouched.
 //
 // A segment is either a rolled wal or written in one shot to a temporary
 // file and renamed into place, so it exists completely or not at all; the
@@ -42,6 +41,10 @@ const (
 
 	formatVersion = 2
 )
+
+// errUnsupportedVersion marks a well-formed record file of another format
+// version: Open fails on it, where it skips a file that is merely damaged.
+var errUnsupportedVersion = errors.New("unsupported version")
 
 // fileHeader opens every record file this version writes.
 var fileHeader = appendFrame([]byte(segMagic), binary.AppendUvarint(nil, formatVersion))
@@ -207,9 +210,9 @@ func openSegment(path string, seq uint64, indexEvery int, noMmap bool) (*segfile
 		sf.close()
 		return nil, fmt.Errorf("segment: %s: unreadable header", path)
 	}
-	if version, n := binary.Uvarint(hdr); n <= 0 || version < 1 || version > formatVersion {
+	if version, n := binary.Uvarint(hdr); n <= 0 || version != formatVersion {
 		sf.close()
-		return nil, fmt.Errorf("segment: %s: unsupported version %d", path, version)
+		return nil, fmt.Errorf("segment: %s: %w %d", path, errUnsupportedVersion, version)
 	}
 	// Bit rot past the clean prefix is left where it is.
 	_, sf.maxMs, sf.index = readFrames(data, off, indexEvery, func(logstore.Record) { sf.count++ })

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"math"
 	"net/url"
 	"os"
@@ -214,6 +216,9 @@ func (s *Store) recoverTopic(name, dir string) (*topic, error) {
 				continue
 			}
 			sf, oerr := openSegment(filepath.Join(dir, base), seq, s.opt.IndexEvery, s.opt.noMmap)
+			if errors.Is(oerr, errUnsupportedVersion) {
+				return nil, oerr
+			}
 			if oerr != nil {
 				continue // unreadable segment: leave the file, skip it
 			}
@@ -271,24 +276,22 @@ func (s *Store) recoverTopic(name, dir string) (*topic, error) {
 // replayWal loads the active wal's intact frames into the memtable,
 // truncating the torn tail, and leaves the file positioned for appends.
 // A wal that is missing (fresh topic, or a crash right after sealing) or
-// torn inside its header is created anew.
+// torn inside its header is created anew; a version-1 wal is refused
+// before anything is written, since creating it anew would truncate it.
 func (s *Store) replayWal(t *topic) error {
 	path := filepath.Join(t.dir, walName(t.seq))
 	data, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
 		return err
 	}
-	start := 0
 	switch {
-	case bytes.HasPrefix(data, fileHeader):
-		start = len(fileHeader)
 	case bytes.HasPrefix(data, []byte(walMagicV1)):
-		start = len(walMagicV1)
-	default:
+		return fmt.Errorf("segment: %s: %w 1", path, errUnsupportedVersion)
+	case !bytes.HasPrefix(data, fileHeader):
 		return s.createWal(t)
 	}
 	frames := 0
-	good, prev, index := readFrames(data, start, s.opt.IndexEvery, func(rec logstore.Record) {
+	good, prev, index := readFrames(data, len(fileHeader), s.opt.IndexEvery, func(rec logstore.Record) {
 		frames++
 		if rec.ArrivalMs < t.watermark {
 			return
@@ -317,7 +320,7 @@ func (s *Store) replayWal(t *topic) error {
 	t.prevArrival = prev
 	t.sinceSync = 0
 	t.index = index
-	t.inOrder = start == len(fileHeader) && !t.dirty && frames == len(t.mem)
+	t.inOrder = !t.dirty && frames == len(t.mem)
 	return nil
 }
 

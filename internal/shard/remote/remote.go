@@ -137,17 +137,16 @@ func newRuntime(sh, shards int, specs []fleet.InstanceSpec, fopt fleet.Options, 
 
 	r := &Runtime{
 		cfg: Config{
-			APIVersion:       APIVersion,
-			Shard:            sh,
-			Shards:           shards,
-			Specs:            opt.Specs,
-			Workers:          fopt.Workers,
-			QueueDepth:       fopt.QueueDepth,
-			SyncEvery:        fopt.SyncEvery,
-			DiagnosisWorkers: fopt.DiagnosisWorkers,
-			DataDir:          opt.DataDir,
-			AddrFile:         filepath.Join(addrDir, fmt.Sprintf("worker-%d.addr", sh)),
-			KillAt:           opt.KillAt,
+			APIVersion: APIVersion,
+			Shard:      sh,
+			Shards:     shards,
+			Specs:      opt.Specs,
+			Workers:    fopt.Workers,
+			QueueDepth: fopt.QueueDepth,
+			SyncEvery:  fopt.SyncEvery,
+			DataDir:    opt.DataDir,
+			AddrFile:   filepath.Join(addrDir, fmt.Sprintf("worker-%d.addr", sh)),
+			KillAt:     opt.KillAt,
 		},
 		opt:        opt,
 		ids:        ids,

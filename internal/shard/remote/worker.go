@@ -45,21 +45,19 @@ type Config struct {
 	// Workers is this shard's already-split scheduler budget (the
 	// coordinator runs the same split as in-process mode, so the worker
 	// must not re-derive it).
-	Workers          int `json:"workers"`
-	QueueDepth       int `json:"queue_depth,omitempty"`
-	SyncEvery        int `json:"sync_every,omitempty"`
-	DiagnosisWorkers int `json:"diagnosis_workers,omitempty"`
+	Workers    int `json:"workers"`
+	QueueDepth int `json:"queue_depth,omitempty"`
+	SyncEvery  int `json:"sync_every,omitempty"`
 
 	// DataDir is the fleet-wide root; the worker namespaces itself under
 	// DataDir/shard-<k> exactly like the in-process runtime. "" keeps the
 	// shard in memory.
 	DataDir string `json:"data_dir,omitempty"`
 
-	// Addr is the listen address ("" = 127.0.0.1:0). AddrFile is where
-	// the worker publishes "host:port\npid\n" once it is ready to serve —
+	// AddrFile is where the worker, listening on an OS-picked loopback
+	// port, publishes "host:port\npid\n" once it is ready to serve —
 	// written to a temp name and renamed, so a reader never sees a torn
 	// file.
-	Addr     string `json:"addr,omitempty"`
 	AddrFile string `json:"addr_file"`
 
 	// KillAt is the crash-injection hook: "instance:window:phase" makes
@@ -122,13 +120,12 @@ func RunWorker(cfg Config) error {
 
 	reg := obs.NewRegistry()
 	fopt := fleet.Options{
-		Workers:          cfg.Workers,
-		QueueDepth:       cfg.QueueDepth,
-		SyncEvery:        cfg.SyncEvery,
-		DiagnosisWorkers: cfg.DiagnosisWorkers,
-		Metrics:          reg,
-		Labels:           []obs.Label{obs.L("shard", strconv.Itoa(cfg.Shard))},
-		CrashAt:          killAtHook(cfg.KillAt),
+		Workers:    cfg.Workers,
+		QueueDepth: cfg.QueueDepth,
+		SyncEvery:  cfg.SyncEvery,
+		Metrics:    reg,
+		Labels:     []obs.Label{obs.L("shard", strconv.Itoa(cfg.Shard))},
+		CrashAt:    killAtHook(cfg.KillAt),
 	}
 	if cfg.DataDir != "" {
 		fopt.DataDir = filepath.Join(cfg.DataDir, "shard-"+strconv.Itoa(cfg.Shard))
@@ -138,11 +135,7 @@ func RunWorker(cfg Config) error {
 		return err
 	}
 
-	addr := cfg.Addr
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		flt.Close()
 		return err

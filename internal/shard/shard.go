@@ -54,11 +54,10 @@ type Options struct {
 	// for every value.
 	Workers int
 
-	// QueueDepth, SyncEvery and DiagnosisWorkers are passed through to
-	// every shard's fleet.Options.
-	QueueDepth       int
-	SyncEvery        int
-	DiagnosisWorkers int
+	// QueueDepth and SyncEvery are passed through to every shard's
+	// fleet.Options.
+	QueueDepth int
+	SyncEvery  int
 
 	// DataDir roots the durable layout: shard k keeps its instances'
 	// segment stores and its window journal under DataDir/shard-<k>/, and
@@ -169,14 +168,13 @@ func New(specs []fleet.InstanceSpec, opt Options) (*Manager, error) {
 	}
 	for sh := 0; sh < k; sh++ {
 		fopt := fleet.Options{
-			Workers:          m.shardWorkers(sh, k),
-			QueueDepth:       opt.QueueDepth,
-			SyncEvery:        opt.SyncEvery,
-			DiagnosisWorkers: opt.DiagnosisWorkers,
-			Metrics:          m.metrics,
-			Labels:           []obs.Label{obs.L("shard", strconv.Itoa(sh))},
-			OnCommit:         opt.OnCommit,
-			CrashAt:          opt.CrashAt,
+			Workers:    m.shardWorkers(sh, k),
+			QueueDepth: opt.QueueDepth,
+			SyncEvery:  opt.SyncEvery,
+			Metrics:    m.metrics,
+			Labels:     []obs.Label{obs.L("shard", strconv.Itoa(sh))},
+			OnCommit:   opt.OnCommit,
+			CrashAt:    opt.CrashAt,
 		}
 		if opt.DataDir != "" {
 			fopt.DataDir = filepath.Join(opt.DataDir, "shard-"+strconv.Itoa(sh))
@@ -199,16 +197,7 @@ func New(specs []fleet.InstanceSpec, opt Options) (*Manager, error) {
 // one — a shard is an independent engine and must be able to make progress
 // on its own.
 func (m *Manager) shardWorkers(sh, k int) int {
-	return WorkerShare(m.workers, sh, k)
-}
-
-// WorkerShare is the pinned worker-budget split: shard sh of k gets its
-// even share of total (the first total%k shards absorb the remainder),
-// never less than one. Exported so a manually launched worker process
-// (`pinsqld -role worker`) derives the same budget the coordinator would
-// hand it — the split is part of the determinism contract's inputs.
-func WorkerShare(total, sh, k int) int {
-	w := total/k + boolInt(sh < total%k)
+	w := m.workers/k + boolInt(sh < m.workers%k)
 	if w < 1 {
 		w = 1
 	}

@@ -12,90 +12,15 @@ func (s Series) TukeyBounds(k float64) (lo, hi float64) {
 	return q1 - k*iqr, q3 + k*iqr
 }
 
-// TukeyOutliers returns the indices of observations outside the Tukey fences
-// with multiplier k.
-func (s Series) TukeyOutliers(k float64) []int {
-	if len(s) == 0 {
-		return nil
-	}
-	lo, hi := s.TukeyBounds(k)
-	var out []int
-	for i, v := range s {
-		if v < lo || v > hi {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// TukeyUpperOutliers returns the indices of observations above the upper
-// Tukey fence only. R-SQL history verification cares about sudden increases
-// of #execution, not drops (§VI, History Trend Verification).
-func (s Series) TukeyUpperOutliers(k float64) []int {
-	if len(s) == 0 {
-		return nil
-	}
-	_, hi := s.TukeyBounds(k)
-	var out []int
-	for i, v := range s {
-		if v > hi {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// HasUpperAnomaly reports whether any observation inside [lo, hi) exceeds
-// the upper Tukey fence computed from the whole series.
-func (s Series) HasUpperAnomaly(k float64, lo, hi int) bool {
-	if len(s) == 0 {
-		return false
-	}
-	_, fence := s.TukeyBounds(k)
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(s) {
-		hi = len(s)
-	}
-	for i := lo; i < hi; i++ {
-		if s[i] > fence {
-			return true
-		}
-	}
-	return false
-}
-
-// RobustScale returns the MAD-based robust scale estimate (MAD times the
-// 1.4826 consistency constant for normal data), falling back to the
-// standard deviation when the MAD is zero. Both the batch and the rolling
-// detector paths derive their z-score denominators through this rule.
-func (s Series) RobustScale() float64 {
-	scale := s.MAD() * 1.4826
+// robustScale returns the MAD-based robust scale estimate about the
+// series' median med (MAD times the 1.4826 consistency constant for normal
+// data), falling back to the standard deviation when the MAD is zero.
+func (s Series) robustScale(med float64) float64 {
+	scale := s.madAbout(med) * 1.4826
 	if scale == 0 {
 		scale = s.Std()
 	}
 	return scale
-}
-
-// RobustZScores returns per-point robust z-scores based on the median and
-// MAD (scaled by the 1.4826 consistency constant for normal data). A zero
-// MAD falls back to the standard deviation; if that is also zero the scores
-// are all zero.
-func (s Series) RobustZScores() Series {
-	out := make(Series, len(s))
-	if len(s) == 0 {
-		return out
-	}
-	med := s.Median()
-	scale := s.RobustScale()
-	if scale == 0 {
-		return out
-	}
-	for i, v := range s {
-		out[i] = (v - med) / scale
-	}
-	return out
 }
 
 // SpikeDirection classifies the sign of a detected excursion.
@@ -122,17 +47,10 @@ func (s Series) DetectSpikes(threshold float64) []Spike {
 	if len(s) == 0 {
 		return nil
 	}
-	return s.DetectSpikesScaled(threshold, s.Median(), s.RobustScale())
-}
-
-// DetectSpikesScaled is DetectSpikes with the median and robust scale
-// supplied by the caller — the rolling detector maintains both
-// incrementally and must reproduce the batch result bit-for-bit, so the
-// run scan is shared. A zero scale yields no spikes, matching the all-zero
-// z-scores of the batch path.
-func (s Series) DetectSpikesScaled(threshold, med, scale float64) []Spike {
+	// Robust z-scores: all zero when the scale is (a constant series).
+	med := s.Median()
 	z := make(Series, len(s))
-	if scale != 0 {
+	if scale := s.robustScale(med); scale != 0 {
 		for i, v := range s {
 			z[i] = (v - med) / scale
 		}
@@ -192,17 +110,7 @@ func (s Series) DetectLevelShifts(window int, threshold float64) []LevelShift {
 	for i := 1; i < len(s); i++ {
 		diff[i-1] = s[i] - s[i-1]
 	}
-	return s.DetectLevelShiftsScaled(window, threshold, diff.RobustScale())
-}
-
-// DetectLevelShiftsScaled is DetectLevelShifts with the first-difference
-// robust scale supplied by the caller (the rolling detector maintains it
-// incrementally); the windowed-mean scan is shared so the two paths agree
-// bit-for-bit.
-func (s Series) DetectLevelShiftsScaled(window int, threshold, scale float64) []LevelShift {
-	if window <= 0 || len(s) < 2*window {
-		return nil
-	}
+	scale := diff.robustScale(diff.Median())
 	if scale == 0 {
 		return nil
 	}

@@ -1,8 +1,10 @@
 package timeseries
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -13,65 +15,6 @@ func TestTukeyBounds(t *testing.T) {
 	// Q1 = 2.75, Q3 = 6.25, IQR = 3.5 → fences at -2.5 and 11.5.
 	if !almostEqual(lo, -2.5, 1e-9) || !almostEqual(hi, 11.5, 1e-9) {
 		t.Errorf("bounds = (%v, %v), want (-2.5, 11.5)", lo, hi)
-	}
-}
-
-func TestTukeyOutliers(t *testing.T) {
-	base := make(Series, 50)
-	for i := range base {
-		base[i] = 10 + float64(i%3)
-	}
-	base[25] = 500
-	base[40] = -500
-	out := base.TukeyOutliers(1.5)
-	if len(out) != 2 || out[0] != 25 || out[1] != 40 {
-		t.Errorf("outliers = %v, want [25 40]", out)
-	}
-	upper := base.TukeyUpperOutliers(1.5)
-	if len(upper) != 1 || upper[0] != 25 {
-		t.Errorf("upper outliers = %v, want [25]", upper)
-	}
-	if got := (Series{}).TukeyOutliers(1.5); got != nil {
-		t.Errorf("empty outliers = %v, want nil", got)
-	}
-}
-
-func TestHasUpperAnomaly(t *testing.T) {
-	s := make(Series, 100)
-	for i := range s {
-		s[i] = 5 + float64(i%2)
-	}
-	s[70] = 1000
-	if !s.HasUpperAnomaly(3, 60, 80) {
-		t.Error("expected anomaly inside [60,80)")
-	}
-	if s.HasUpperAnomaly(3, 0, 60) {
-		t.Error("no anomaly expected inside [0,60)")
-	}
-	// Window clamping: out-of-range bounds must not panic.
-	if !s.HasUpperAnomaly(3, -10, 1000) {
-		t.Error("clamped full-range scan should find the anomaly")
-	}
-	if (Series{}).HasUpperAnomaly(3, 0, 10) {
-		t.Error("empty series cannot have anomalies")
-	}
-}
-
-func TestRobustZScoresDegenerate(t *testing.T) {
-	flat := Series{7, 7, 7, 7}
-	for i, z := range flat.RobustZScores() {
-		if z != 0 {
-			t.Errorf("flat z[%d] = %v, want 0", i, z)
-		}
-	}
-	if got := (Series{}).RobustZScores(); len(got) != 0 {
-		t.Errorf("empty z-scores length = %d", len(got))
-	}
-	// Zero MAD but nonzero std: one extreme value among constants.
-	s := Series{5, 5, 5, 5, 5, 5, 5, 100}
-	z := s.RobustZScores()
-	if z[7] <= 0 {
-		t.Errorf("outlier z = %v, want > 0", z[7])
 	}
 }
 
@@ -142,7 +85,95 @@ func TestDetectLevelShiftsDegenerate(t *testing.T) {
 	}
 }
 
-// Property: widening the Tukey multiplier never finds more outliers.
+// step returns n samples at lo then n at hi.
+func step(n int, lo, hi float64) Series {
+	s := make(Series, 2*n)
+	for i := range s {
+		s[i] = lo
+		if i >= n {
+			s[i] = hi
+		}
+	}
+	return s
+}
+
+// TestDetectSpikesRows pins the spike detector on the inputs that decide
+// its scale: the expected runs and peaks were printed at the commit before
+// the median was computed once per call, so any drift in a bit fails.
+func TestDetectSpikesRows(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		s         Series
+		threshold float64
+		want      string
+	}{
+		{"one sample", Series{7}, 3, ""},
+		{"all equal", Series{7, 7, 7, 7, 7, 7, 7, 7}, 3, ""},
+		{"zero MAD falls back to Std", Series{5, 5, 5, 5, 5, 5, 5, 100}, 2, "up[7,8)@3.0237157840738176"},
+		{"zero MAD, Std too large for the threshold", Series{5, 5, 5, 5, 5, 5, 5, 100}, 3.5, ""},
+		{"ties at the median", Series{1, 2, 2, 3, 3, 3, 2, 2, 40, 3, 1, -30}, 5, "up[8,9)@25.630648860110618 down[11,12)@-21.583704303251046"},
+		{"interpolated median", Series{1, 2, 3, 4, 90, 91, -60, 4}, 3, "up[4,6)@29.50897072710104 down[6,7)@-21.415081613381897"},
+		{"adjacent runs of opposite sign split", Series{10, 11, 10, 11, 10, 80, 85, -70, -60, 11, 10, 11, 10, 11}, 6, "up[5,7)@100.49912316201268 down[7,9)@-108.59301227573182"},
+		{"run reaches the last sample", Series{3, 4, 3, 4, 3, 4, 3, 4, 3, 50, 60}, 4, "up[9,11)@37.77148253068933"},
+		{"negative base level", Series{-10, -11, -10, -11, -10, -11, -10, -50, -11, -10}, 6, "down[7,8)@-53.28476999865102"},
+	} {
+		var got string
+		for _, sp := range tc.s.DetectSpikes(tc.threshold) {
+			dir := "up"
+			if sp.Direction == SpikeDown {
+				dir = "down"
+			}
+			got += fmt.Sprintf("%s[%d,%d)@%v ", dir, sp.Start, sp.End, sp.Peak)
+		}
+		if got = strings.TrimSpace(got); got != tc.want {
+			t.Errorf("%s: spikes = %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestDetectLevelShiftsRows is TestDetectSpikesRows for the level-shift
+// detector, whose scale comes from the first differences.
+func TestDetectLevelShiftsRows(t *testing.T) {
+	upDown := append(step(20, 10, 50), step(20, 50, 20)[20:]...)
+	noisy := make(Series, 90)
+	for i := range noisy {
+		noisy[i] = 20 + float64(i%5) - float64(i%3)
+		if i >= 45 {
+			noisy[i] += 30
+		}
+	}
+	for _, tc := range []struct {
+		name      string
+		s         Series
+		window    int
+		threshold float64
+		want      string
+	}{
+		{"shorter than two windows", step(20, 10, 50)[:19], 10, 3, ""},
+		{"exactly two windows", step(10, 10, 50), 10, 3, "up@10(40)"},
+		{"all equal", step(20, 7, 7), 5, 3, ""},
+		{"zero MAD of the differences falls back to Std", step(20, 10, 50), 5, 3, "up@20(40)"},
+		{"up then down", upDown, 5, 3, "up@20(40) down@40(-30)"},
+		{"noisy step, run collapses to the largest delta", noisy, 10, 3, "up@45(30.200000000000003)"},
+		{"noisy step, threshold above it", noisy, 10, 30, ""},
+		{"down", step(30, 5, -5), 8, 2, "down@30(-10)"},
+	} {
+		var got string
+		for _, sh := range tc.s.DetectLevelShifts(tc.window, tc.threshold) {
+			dir := "up"
+			if sh.Direction == SpikeDown {
+				dir = "down"
+			}
+			got += fmt.Sprintf("%s@%d(%v) ", dir, sh.At, sh.Delta)
+		}
+		if got = strings.TrimSpace(got); got != tc.want {
+			t.Errorf("%s: shifts = %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}
+
+// Property: widening the Tukey multiplier never narrows the fences, so it
+// never finds more outliers.
 func TestTukeyMonotoneProperty(t *testing.T) {
 	f := func(vals []float64, k1, k2 float64) bool {
 		s := sanitize(vals)
@@ -151,7 +182,9 @@ func TestTukeyMonotoneProperty(t *testing.T) {
 		if a > b {
 			a, b = b, a
 		}
-		return len(s.TukeyOutliers(b)) <= len(s.TukeyOutliers(a))
+		loA, hiA := s.TukeyBounds(a)
+		loB, hiB := s.TukeyBounds(b)
+		return loB <= loA && hiB >= hiA
 	}
 	if err := quick.Check(f, quickCfg()); err != nil {
 		t.Error(err)

@@ -55,16 +55,6 @@ func PolyFit(x, y Series, degree int) ([]float64, error) {
 	return solveLinear(a, b)
 }
 
-// PolyEval evaluates the polynomial with coefficients c (lowest degree
-// first) at x using Horner's rule.
-func PolyEval(c []float64, x float64) float64 {
-	var v float64
-	for i := len(c) - 1; i >= 0; i-- {
-		v = v*x + c[i]
-	}
-	return v
-}
-
 // solveLinear solves a·x = b in place via Gaussian elimination with partial
 // pivoting. a and b are consumed.
 func solveLinear(a [][]float64, b []float64) ([]float64, error) {

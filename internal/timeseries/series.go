@@ -99,18 +99,6 @@ func (s Series) Add(t Series) (Series, error) {
 	return out, nil
 }
 
-// AddInPlace accumulates t into s element-wise. The series must have equal
-// lengths.
-func (s Series) AddInPlace(t Series) error {
-	if len(s) != len(t) {
-		return ErrLengthMismatch
-	}
-	for i := range s {
-		s[i] += t[i]
-	}
-	return nil
-}
-
 // Slice returns s[lo:hi] clamped to the valid index range, so callers can
 // pass anomaly windows that overrun the trace boundary without panicking.
 func (s Series) Slice(lo, hi int) Series {
@@ -154,11 +142,10 @@ func (s Series) Quantile(q float64) float64 {
 func (s Series) Median() float64 { return s.Quantile(0.5) }
 
 // MAD returns the median absolute deviation from the median.
-func (s Series) MAD() float64 {
-	if len(s) == 0 {
-		return 0
-	}
-	med := s.Median()
+func (s Series) MAD() float64 { return s.madAbout(s.Median()) }
+
+// madAbout is MAD for a caller that already holds the series' median.
+func (s Series) madAbout(med float64) float64 {
 	dev := make(Series, len(s))
 	for i, v := range s {
 		dev[i] = math.Abs(v - med)

@@ -66,7 +66,7 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestAddAndAddInPlace(t *testing.T) {
+func TestAdd(t *testing.T) {
 	a := Series{1, 2, 3}
 	b := Series{10, 20, 30}
 	sum, err := a.Add(b)
@@ -82,17 +82,8 @@ func TestAddAndAddInPlace(t *testing.T) {
 	if a[0] != 1 {
 		t.Error("Add mutated receiver")
 	}
-	if err := a.AddInPlace(b); err != nil {
-		t.Fatal(err)
-	}
-	if a[2] != 33 {
-		t.Errorf("AddInPlace result = %v", a)
-	}
 	if _, err := a.Add(Series{1}); err != ErrLengthMismatch {
 		t.Errorf("Add length mismatch error = %v", err)
-	}
-	if err := a.AddInPlace(Series{1}); err != ErrLengthMismatch {
-		t.Errorf("AddInPlace length mismatch error = %v", err)
 	}
 }
 

@@ -131,14 +131,8 @@ func (r *Run) SetConfig(cfg Config) { r.cfg = cfg }
 // triage: active-session phenomena first (the paper's headline metric,
 // §II), then by duration.
 func (r *Run) DetectCases() []*Case {
-	det := anomaly.NewDetector(anomaly.Config{})
-	metrics := map[string]Series{
-		anomaly.MetricActiveSession: r.Snapshot.ActiveSession,
-		anomaly.MetricCPUUsage:      r.Snapshot.CPUUsage,
-		anomaly.MetricIOPSUsage:     r.Snapshot.IOPSUsage,
-	}
 	var out []*Case
-	for _, p := range det.DetectPhenomena(metrics, anomaly.DefaultRules()) {
+	for _, p := range anomaly.DetectDefault(r.Snapshot.ActiveSession, r.Snapshot.CPUUsage, r.Snapshot.IOPSUsage) {
 		out = append(out, anomaly.NewCase(r.Snapshot, p))
 	}
 	sort.SliceStable(out, func(i, j int) bool {
