@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check loc fuzz-smoke fuzz-search test-corpus bench bench-aa bench-parallel smoke-serve clean
+.PHONY: all build test race vet fmt-check loc docs-size fuzz-smoke fuzz-search test-corpus bench bench-aa bench-parallel smoke-serve clean
 
 all: build vet test
 
@@ -37,6 +37,12 @@ loc:
 	@echo "_test.go outside benchmark/:     $$(git ls-files '*.go' | grep -v '^benchmark/' | grep '_test\.go$$' | xargs cat | wc -l)"
 	@echo "benchmark/:                      $$(git ls-files 'benchmark/*.go' | xargs cat | wc -l)"
 
+# Fails when DESIGN, EXPERIMENTS, CHANGES or README outgrow their byte
+# budgets, or the last CHANGES.md entry exceeds 1.5 KB. The budgets, and
+# the rule that they only go down, are in the script.
+docs-size:
+	@./scripts/docs_size.sh
+
 # Short fuzzing campaigns: sqltemplate.Normalize (panic-freedom,
 # idempotence, stable template IDs, agreement with the tokenize-collapse-join
 # normalizer it replaced, Fingerprint == FNV-1a of the text), the segment
@@ -49,8 +55,8 @@ loc:
 # decimal conversion (bit-equal to strconv.ParseFloat), the log store's order
 # restoration (any loose batches scan back in the stable comparison sort's
 # order, and so does any chunk list handed to Arrange), the collector's
-# window log (any records, batch cuts and seal points: every sealed frame is
-# the independent reference's and the arranged runs are a store's scan), the
+# window log (any records and batch cuts, one seal: the sealed frame is the
+# independent reference's and the arranged runs are a store's scan), the
 # segment store's two seal paths (any strict and loose batches,
 # seals and a reopen scan back as the in-memory store's, renamed wal or
 # rewritten), the three frame session estimators (the sparse series expanded

@@ -194,7 +194,7 @@ func BenchmarkDiagnoseParallel(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			fr := lab.Collector.Frame()
+			fr := lab.Case.Frame
 			cfg := core.DefaultConfig()
 			cfg.Workers = w
 			b.ReportMetric(float64(fr.NumTemplates()), "templates")

@@ -118,10 +118,10 @@ func runDemo(family string, topK int) error {
 		return err
 	}
 	fmt.Printf("generated %s (anomaly window [%d, %d) s, %d templates)\n",
-		lab.Name, lab.Case.AS, lab.Case.AE, len(lab.Case.Snapshot.Templates))
+		lab.Name, lab.Case.AS, lab.Case.AE, len(lab.Case.Frame.Templates))
 	rsqls, _ := lab.TruthIDs()
 	fmt.Printf("ground truth R-SQLs: %v\n\n", rsqls)
-	d := core.DiagnoseFrame(lab.Case, lab.Collector.Frame(), core.DefaultConfig())
+	d := core.DiagnoseFrame(lab.Case, lab.Case.Frame, core.DefaultConfig())
 	printDiagnosis(d, lab.Case, topK)
 	return nil
 }
@@ -131,7 +131,7 @@ func printDiagnosis(d *core.Diagnosis, c *anomaly.Case, topK int) {
 		d.Time.Total().Round(100_000), d.Time.EstimateSession.Round(100_000),
 		d.Time.RankHSQL.Round(100_000), d.Time.ClusterFilter.Round(100_000),
 		d.Root.PairsScanned, d.Root.MulAdds, d.Time.VerifyRank.Round(100_000))
-	fmt.Printf("anomaly window: [%d, %d) of %d seconds\n\n", c.AS, c.AE, c.Snapshot.Seconds)
+	fmt.Printf("anomaly window: [%d, %d) of %d seconds\n\n", c.AS, c.AE, c.Frame.Seconds)
 
 	fmt.Println("High-impact SQLs (H-SQLs):")
 	for i, s := range d.HSQLs {
@@ -160,7 +160,7 @@ func printDiagnosis(d *core.Diagnosis, c *anomaly.Case, topK int) {
 }
 
 func templateText(c *anomaly.Case, id sqltemplate.ID) string {
-	if ts := c.Snapshot.Template(id); ts != nil && ts.Meta.Text != "" {
+	if ts := c.Frame.Template(id); ts != nil && ts.Meta.Text != "" {
 		text := ts.Meta.Text
 		if len(text) > 70 {
 			text = text[:67] + "..."

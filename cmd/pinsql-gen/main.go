@@ -112,7 +112,7 @@ func run(count int, seed int64, family, out string, withQueries, small bool) err
 // case renders to the same bytes every time: the truth lists are sorted, and
 // FromFrame fixes every other order.
 func render(lab *cases.Labeled, withQueries bool) *caseio.File {
-	doc := caseio.FromFrame(lab.Case, lab.Collector.Frame())
+	doc := caseio.FromFrame(lab.Case, lab.Case.Frame)
 	if !withQueries {
 		doc.Queries = nil
 	}

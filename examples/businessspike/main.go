@@ -53,7 +53,7 @@ func main() {
 		cl := d.Root.Clusters[d.RSQLs[0].Cluster]
 		fmt.Printf("\nthe top candidate's business cluster has %d templates:\n", len(cl))
 		for _, id := range cl {
-			if ts := run.Snapshot.Template(id); ts != nil {
+			if ts := run.Frame().Template(id); ts != nil {
 				fmt.Printf("  - %s  %s\n", id, ts.Meta.Text)
 			}
 		}

@@ -32,14 +32,14 @@ func main() {
 	fmt.Printf("detected %s over [%d s, %d s)\n\n", c.Phenomenon.Rule, c.AS, c.AE)
 	fmt.Printf("%-28s %10s %10s\n", "", "baseline", "freeze")
 	fmt.Printf("%-28s %10.2f %10.2f\n", "active session (mean)",
-		c.Snapshot.ActiveSession.Slice(0, 800).Mean(),
-		c.Snapshot.ActiveSession.Slice(c.AS, c.AE).Mean())
+		c.Frame.ActiveSession.Slice(0, 800).Mean(),
+		c.Frame.ActiveSession.Slice(c.AS, c.AE).Mean())
 	fmt.Printf("%-28s %10.1f %10.1f\n", "cpu usage %% (mean)",
-		c.Snapshot.CPUUsage.Slice(0, 800).Mean(),
-		c.Snapshot.CPUUsage.Slice(c.AS, c.AE).Mean())
+		c.Frame.CPUUsage.Slice(0, 800).Mean(),
+		c.Frame.CPUUsage.Slice(c.AS, c.AE).Mean())
 	fmt.Printf("%-28s %10.0f %10.0f\n", "mdl waits (sum)",
-		c.Snapshot.MDLWaits.Slice(0, 800).Sum(),
-		c.Snapshot.MDLWaits.Slice(c.AS, c.AE).Sum())
+		c.Frame.MDLWaits.Slice(0, 800).Sum(),
+		c.Frame.MDLWaits.Slice(c.AS, c.AE).Sum())
 
 	d := run.Diagnose(c)
 	fmt.Println("\nHigh-impact SQLs (the frozen victims dominate):")
@@ -48,7 +48,7 @@ func main() {
 			break
 		}
 		table := ""
-		if ts := run.Snapshot.Template(s.ID); ts != nil {
+		if ts := run.Frame().Template(s.ID); ts != nil {
 			table = ts.Meta.Table
 		}
 		fmt.Printf("  %d. %s (table %s) impact=%+.2f\n", i+1, s.ID, table, s.Impact)

@@ -29,14 +29,14 @@ func main() {
 	c := detected[0]
 
 	// How the lock storm looks on the instance metrics.
-	base := c.Snapshot.ActiveSession.Slice(0, c.AS).Mean()
-	storm1 := c.Snapshot.ActiveSession.Slice(c.AS, c.AE).Mean()
-	waits := c.Snapshot.RowLockWaits.Slice(c.AS, c.AE).Sum()
+	base := c.Frame.ActiveSession.Slice(0, c.AS).Mean()
+	storm1 := c.Frame.ActiveSession.Slice(c.AS, c.AE).Mean()
+	waits := c.Frame.RowLockWaits.Slice(c.AS, c.AE).Sum()
 	fmt.Printf("active session: %.1f → %.1f during the anomaly; %d row-lock waits\n\n",
 		base, storm1, int(waits))
 
 	// What a Top-SQL product would show the DBA.
-	topRT, err := pinsql.TopSQL(c.Snapshot, c.AS, c.AE, "Top-RT")
+	topRT, err := pinsql.TopSQL(c.Frame, c.AS, c.AE, "Top-RT")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func main() {
 }
 
 func textOf(run *pinsql.Run, id pinsql.TemplateID) string {
-	if ts := run.Snapshot.Template(id); ts != nil {
+	if ts := run.Frame().Template(id); ts != nil {
 		return ts.Meta.Text
 	}
 	return ""

@@ -29,8 +29,8 @@ func main() {
 	c := detected[0]
 	fmt.Printf("anomaly window [%d s, %d s): CPU %.1f%% → %.1f%%\n\n",
 		c.AS, c.AE,
-		c.Snapshot.CPUUsage.Slice(0, c.AS).Mean(),
-		c.Snapshot.CPUUsage.Slice(c.AS, c.AE).Mean())
+		c.Frame.CPUUsage.Slice(0, c.AS).Mean(),
+		c.Frame.CPUUsage.Slice(c.AS, c.AE).Mean())
 
 	d := run.Diagnose(c)
 	if len(d.RSQLs) == 0 {
@@ -38,7 +38,7 @@ func main() {
 	}
 	top := d.RSQLs[0]
 	fmt.Printf("pinpointed R-SQL: %s (injected: %s)\n", top.ID, incident.RSQLs[0])
-	before := run.Snapshot.Template(top.ID)
+	before := run.Frame().Template(top.ID)
 	fmt.Printf("  statement: %s\n", before.Meta.Text)
 	fmt.Printf("  mean response time %.1f ms, mean examined rows %.0f\n\n", before.MeanRT(), before.MeanRows())
 
@@ -56,7 +56,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	after := rerun.Snapshot.Template(top.ID)
+	after := rerun.Frame().Template(top.ID)
 	if after == nil {
 		log.Fatal("optimized statement missing from replay")
 	}
@@ -66,5 +66,5 @@ func main() {
 	fmt.Printf("  mean examined rows %.0f (gain %.1f%%)\n",
 		after.MeanRows(), 100*(before.MeanRows()-after.MeanRows())/before.MeanRows())
 	fmt.Printf("  instance CPU in the old anomaly window: %.1f%%\n",
-		rerun.Snapshot.CPUUsage.Slice(c.AS, c.AE).Mean())
+		rerun.Frame().CPUUsage.Slice(c.AS, c.AE).Mean())
 }

@@ -50,7 +50,7 @@ func main() {
 			break
 		}
 		text := ""
-		if ts := run.Snapshot.Template(r.ID); ts != nil {
+		if ts := run.Frame().Template(r.ID); ts != nil {
 			text = ts.Meta.Text
 		}
 		fmt.Printf("  %d. %s  score=%+.2f verified=%v\n     %s\n", i+1, r.ID, r.Score, r.Verified, text)

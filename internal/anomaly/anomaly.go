@@ -19,9 +19,9 @@ import (
 	"fmt"
 	"sort"
 
-	"pinsql/internal/collect"
 	"pinsql/internal/sqltemplate"
 	"pinsql/internal/timeseries"
+	"pinsql/internal/window"
 )
 
 // Feature is one anomalous feature kind of the Basic Perception Layer.
@@ -375,12 +375,12 @@ func (d *Detector) mergePhenomena(ps []Phenomenon) []Phenomenon {
 
 // Case is an anomaly case C = (M, Q, as, ae) per Definition II.2, plus the
 // per-template history windows the R-SQL verifier needs (§VI). All times
-// are second indexes into the snapshot's window [ts, te), where
+// are second indexes into the frame's window [ts, te), where
 // ts = as − δs.
 type Case struct {
-	Snapshot   *collect.Snapshot
+	Frame      *window.Frame // the window the case was detected on
 	Phenomenon Phenomenon
-	AS, AE     int // anomaly window [as, ae) in snapshot-relative seconds
+	AS, AE     int // anomaly window [as, ae) in frame-relative seconds
 
 	// History holds #execution series of earlier, same-length windows
 	// (Nd days ago), used by History Trend Verification.
@@ -393,14 +393,15 @@ type HistoryWindow struct {
 	Counts  map[sqltemplate.ID]timeseries.Series
 }
 
-// NewCase builds a Case from a snapshot and a recognized phenomenon.
-func NewCase(snap *collect.Snapshot, p Phenomenon) *Case {
+// NewCase builds a Case from a window frame and a phenomenon recognized on
+// it.
+func NewCase(f *window.Frame, p Phenomenon) *Case {
 	as, ae := p.Start, p.End
 	if as < 0 {
 		as = 0
 	}
-	if ae > snap.Seconds {
-		ae = snap.Seconds
+	if ae > f.Seconds {
+		ae = f.Seconds
 	}
-	return &Case{Snapshot: snap, Phenomenon: p, AS: as, AE: ae}
+	return &Case{Frame: f, Phenomenon: p, AS: as, AE: ae}
 }

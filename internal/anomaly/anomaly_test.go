@@ -6,8 +6,8 @@ import (
 	"strings"
 	"testing"
 
-	"pinsql/internal/collect"
 	"pinsql/internal/timeseries"
+	"pinsql/internal/window"
 )
 
 // flatWithSpike builds a stable series with a spike of the given height
@@ -333,8 +333,7 @@ func TestFeatureStrings(t *testing.T) {
 }
 
 func TestNewCaseClampsWindow(t *testing.T) {
-	snap := &collect.Snapshot{Seconds: 100}
-	c := NewCase(snap, Phenomenon{Start: -5, End: 400})
+	c := NewCase(&window.Frame{Seconds: 100}, Phenomenon{Start: -5, End: 400})
 	if c.AS != 0 || c.AE != 100 {
 		t.Errorf("case window = [%d,%d), want [0,100)", c.AS, c.AE)
 	}

@@ -52,7 +52,7 @@ func RunParamSweep(opt cases.Options, name string, values []float64) (*ParamSwee
 	err := cases.Stream(opt, func(lab *cases.Labeled) error {
 		rTruth = append(rTruth, lab.RSQLs)
 		hTruth = append(hTruth, lab.HSQLs)
-		fr := lab.Collector.Frame()
+		fr := lab.Case.Frame
 		for i, cfg := range cfgs {
 			d := core.DiagnoseFrame(lab.Case, fr, cfg)
 			rRank[i] = append(rRank[i], d.RSQLIDs())
@@ -118,7 +118,7 @@ func RunFamilyBreakdown(opt cases.Options) (*FamilyBreakdown, error) {
 	n := 0
 	err := cases.Stream(opt, func(lab *cases.Labeled) error {
 		n++
-		fr := lab.Collector.Frame()
+		fr := lab.Case.Frame
 		d := core.DiagnoseFrame(lab.Case, fr, core.DefaultConfig())
 		rank4[lab.Kind] = append(rank4[lab.Kind], d.RSQLIDs())
 		truth4[lab.Kind] = append(truth4[lab.Kind], lab.RSQLs)

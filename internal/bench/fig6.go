@@ -60,7 +60,7 @@ func RunFig6(opt cases.Options) (*Fig6, error) {
 	err := cases.Stream(opt, func(lab *cases.Labeled) error {
 		rTruth = append(rTruth, lab.RSQLs)
 		hTruth = append(hTruth, lab.HSQLs)
-		fr := lab.Collector.Frame()
+		fr := lab.Case.Frame
 		for i, v := range variants {
 			d := core.DiagnoseFrame(lab.Case, fr, v.Cfg)
 			rRank[i] = append(rRank[i], d.RSQLIDs())

@@ -52,7 +52,7 @@ func RunFig7(seed int64, templateSweep []int, periodSweep []int, workers int) (*
 	out := &Fig7{Workers: parallel.Resolve(workers)}
 
 	measure := func(lab *cases.Labeled) Fig7Point {
-		fr := lab.Collector.Frame()
+		fr := lab.Case.Frame
 		seqCfg := core.DefaultConfig()
 		seqCfg.Workers = 1
 		seq := core.DiagnoseFrame(lab.Case, fr, seqCfg)
@@ -60,7 +60,7 @@ func RunFig7(seed int64, templateSweep []int, periodSweep []int, workers int) (*
 		parCfg.Workers = out.Workers
 		par := core.DiagnoseFrame(lab.Case, fr, parCfg)
 		return Fig7Point{
-			Templates: len(lab.Case.Snapshot.Templates),
+			Templates: len(fr.Templates),
 			PeriodSec: lab.Case.AE - lab.Case.AS,
 			TimeSec:   seq.Time.Total().Seconds(),
 			ParSec:    par.Time.Total().Seconds(),

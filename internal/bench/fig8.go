@@ -11,6 +11,7 @@ import (
 	"pinsql/internal/rank"
 	"pinsql/internal/repair"
 	"pinsql/internal/sqltemplate"
+	"pinsql/internal/window"
 	"pinsql/internal/workload"
 )
 
@@ -71,30 +72,41 @@ func RunFig8(seed int64) (*Fig8, error) {
 
 	out := &Fig8{TrueRSQLs: storm.RSQLs}
 	coll := collect.NewCollector("fig8", 0, fig8End*1000, nil, nil)
+	// early is the window the user acts on in phase 2: what was collected
+	// before the manual action.
+	early := collect.NewCollector("fig8", 0, fig8ManualAction*1000, nil, nil)
 
 	// runPhase advances the world on the same instance over [from, to)
-	// seconds and appends the metrics.
-	runPhase := func(from, to int) error {
+	// seconds, feeding its records and metrics — the simulator's rows are
+	// 0-based per run — to the given collectors.
+	runPhase := func(from, to int, colls ...*collect.Collector) error {
 		secs, err := inst.Run(dbsim.RunOptions{
 			StartMs: int64(from) * 1000,
 			EndMs:   int64(to) * 1000,
 			Source:  world.Source(int64(from)*1000, int64(to)*1000, seed+int64(from)),
-			Sink:    coll.Sink(),
+			Sink: func(r dbsim.LogRecord) {
+				for _, c := range colls {
+					c.Ingest(r)
+				}
+			},
 		})
 		if err != nil {
 			return err
 		}
-		coll.IngestMetrics(secs)
-		for _, s := range secs {
+		for i, s := range secs {
+			secs[i].Second += int64(from)
 			out.ActiveSession = append(out.ActiveSession, s.ActiveSession)
 			out.CPUUsage = append(out.CPUUsage, s.CPUUsage)
 			out.IOPSUsage = append(out.IOPSUsage, s.IOPSUsage)
+		}
+		for _, c := range colls {
+			c.IngestMetricsAt(secs)
 		}
 		return nil
 	}
 
 	// Phase 1: healthy baseline, then the anomaly begins and persists.
-	if err := runPhase(0, fig8ManualAction); err != nil {
+	if err := runPhase(0, fig8ManualAction, coll, early); err != nil {
 		return nil, err
 	}
 	out.Events = append(out.Events,
@@ -104,11 +116,10 @@ func RunFig8(seed int64) (*Fig8, error) {
 	// Phase 2: the user throttles the Top-RT statement — which, because
 	// lock-wait time inflates response time, is a blocked victim, not the
 	// root cause.
-	snapshot := collect.SnapshotOfFrame(coll.Frame())
-	topRT := rank.TopSQL(snapshot, fig8AnomalyStart, fig8ManualAction, rank.MethodTopRT)
+	topRT := rank.TopSQL(early.Frame(), fig8AnomalyStart, fig8ManualAction, rank.MethodTopRT)
 	out.ThrottledTemplate = topRT[0]
 	inst.SetThrottle(string(out.ThrottledTemplate), 2)
-	if err := runPhase(fig8ManualAction, fig8ThrottleOff); err != nil {
+	if err := runPhase(fig8ManualAction, fig8ThrottleOff, coll); err != nil {
 		return nil, err
 	}
 
@@ -116,16 +127,14 @@ func RunFig8(seed int64) (*Fig8, error) {
 	// the anomaly phenomenon reappears.
 	out.Events = append(out.Events, Fig8Event{fig8ThrottleOff, "user removes throttle; anomaly returns"})
 	inst.ClearThrottle(string(out.ThrottledTemplate))
-	if err := runPhase(fig8ThrottleOff, fig8PinSQLEnabled); err != nil {
+	if err := runPhase(fig8ThrottleOff, fig8PinSQLEnabled, coll); err != nil {
 		return nil, err
 	}
 
 	// Phase 4: the user enables PinSQL: detect, diagnose, repair.
 	out.Events = append(out.Events, Fig8Event{fig8PinSQLEnabled, "PinSQL enabled: diagnose + repair R-SQL"})
 	fr := coll.Frame()
-	snapshot = collect.SnapshotOfFrame(fr)
-	ph := fig8Phenomenon(snapshot)
-	c := anomaly.NewCase(snapshot, ph)
+	c := anomaly.NewCase(fr, fig8Phenomenon(fr))
 	d := core.DiagnoseFrame(c, fr, core.DefaultConfig())
 	if len(d.RSQLs) > 0 {
 		out.PinpointedRSQL = d.RSQLs[0].ID
@@ -153,7 +162,7 @@ func RunFig8(seed int64) (*Fig8, error) {
 	}
 	mod.Execute(env, sugg)
 
-	// Phase 5: recovery.
+	// Phase 5: recovery, past the diagnosed window.
 	if err := runPhase(fig8PinSQLEnabled, fig8End); err != nil {
 		return nil, err
 	}
@@ -163,7 +172,7 @@ func RunFig8(seed int64) (*Fig8, error) {
 
 // fig8Phenomenon detects the dominant phenomenon overlapping the anomaly,
 // falling back to the known window if the detector misses.
-func fig8Phenomenon(snap *collect.Snapshot) anomaly.Phenomenon {
+func fig8Phenomenon(f *window.Frame) anomaly.Phenomenon {
 	best := anomaly.Phenomenon{
 		Rule:  "fallback",
 		Start: fig8AnomalyStart,
@@ -176,7 +185,7 @@ func fig8Phenomenon(snap *collect.Snapshot) anomaly.Phenomenon {
 		}},
 	}
 	bestDur := 0
-	for _, p := range anomaly.DetectDefault(snap.ActiveSession, snap.CPUUsage, snap.IOPSUsage) {
+	for _, p := range anomaly.DetectDefault(f.ActiveSession, f.CPUUsage, f.IOPSUsage) {
 		if p.End > fig8AnomalyStart && p.Duration() > bestDur {
 			best = p
 			bestDur = p.Duration()

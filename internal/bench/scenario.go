@@ -94,7 +94,7 @@ func RunScenarioAccuracy(opt cases.Options) (*ScenarioAccuracy, error) {
 			a = &scenarioAgg{}
 			aggs[lab.Kind] = a
 		}
-		d := core.DiagnoseFrame(lab.Case, lab.Collector.Frame(), cfg)
+		d := core.DiagnoseFrame(lab.Case, lab.Case.Frame, cfg)
 
 		a.cases++
 		if lab.Detected {

@@ -59,23 +59,21 @@ func RunTableI(opt cases.Options) (*TableI, error) {
 	err := cases.Stream(opt, func(lab *cases.Labeled) error {
 		rTruth = append(rTruth, lab.RSQLs)
 		hTruth = append(hTruth, lab.HSQLs)
-		templates += float64(len(lab.Case.Snapshot.Templates))
+		fr, as, ae := lab.Case.Frame, lab.Case.AS, lab.Case.AE
+		templates += float64(len(fr.Templates))
 		if lab.Detected {
 			detected++
 		}
-		snap := lab.Case.Snapshot
-		as, ae := lab.Case.AS, lab.Case.AE
 
 		for _, m := range rank.Methods() {
 			start := time.Now()
-			ranked := rank.TopSQL(snap, as, ae, m)
+			ranked := rank.TopSQL(fr, as, ae, m)
 			a := byMethod[string(m)]
 			a.timeMs += float64(time.Since(start).Microseconds()) / 1000
 			a.r = append(a.r, ranked)
 			a.h = append(a.h, ranked)
 		}
 
-		fr := lab.Collector.Frame()
 		d := core.DiagnoseFrame(lab.Case, fr, core.DefaultConfig())
 		a := byMethod["PinSQL"]
 		a.timeMs += float64(d.Time.Total().Microseconds()) / 1000

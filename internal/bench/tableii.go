@@ -79,7 +79,7 @@ func RunTableII(seed int64, count, workers int) (*TableII, error) {
 			as, ae := lab.Case.AS, lab.Case.AE
 
 			// Strategy (a): PinSQL's top R-SQL.
-			d := core.DiagnoseFrame(lab.Case, lab.Collector.Frame(), core.DefaultConfig())
+			d := core.DiagnoseFrame(lab.Case, lab.Case.Frame, core.DefaultConfig())
 			if len(d.RSQLs) > 0 {
 				tres, rows, err := optimizationGain(opt, int64(i), kind, d.RSQLs[0].ID, as, ae)
 				if err != nil {
@@ -142,9 +142,9 @@ func RunTableII(seed int64, count, workers int) (*TableII, error) {
 // victims, with their high traffic, dominate such logs even though their
 // slowness is somebody else's lock.
 func slowestTemplate(lab *cases.Labeled, as, ae int) sqltemplate.ID {
-	snap := lab.Case.Snapshot
-	fromMs := snap.StartMs + int64(as)*1000
-	toMs := snap.StartMs + int64(ae)*1000
+	fr := lab.Case.Frame
+	fromMs := fr.StartMs + int64(as)*1000
+	toMs := fr.StartMs + int64(ae)*1000
 	slow := make(map[int32]int)
 	for _, run := range lab.Collector.TakeArranged() {
 		for _, r := range run {
@@ -199,7 +199,7 @@ func replayCase(opt cases.Options, idx int64, kind workload.AnomalyKind, target 
 }
 
 func templateWindowMeans(lab *cases.Labeled, id sqltemplate.ID, as, ae int) (meanRT, meanRows float64) {
-	ts := lab.Case.Snapshot.Template(id)
+	ts := lab.Case.Frame.Template(id)
 	if ts == nil {
 		return 0, 0
 	}

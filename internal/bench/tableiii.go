@@ -47,7 +47,7 @@ func RunTableIII(seed int64, buckets int) (*TableIII, error) {
 	if err != nil {
 		return nil, err
 	}
-	fr := lab.Collector.Frame()
+	fr := lab.Case.Frame
 	observed := fr.ActiveSession
 
 	out := &TableIII{Buckets: buckets}

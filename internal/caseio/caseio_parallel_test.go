@@ -35,7 +35,7 @@ func generateCorpus(t *testing.T, workers int) []*cases.Labeled {
 
 func encodeCase(t *testing.T, lab *cases.Labeled) []byte {
 	t.Helper()
-	f := FromFrame(lab.Case, lab.Collector.Frame())
+	f := FromFrame(lab.Case, lab.Case.Frame)
 	f.Name = lab.Name
 	var buf bytes.Buffer
 	if err := f.Write(&buf); err != nil {
@@ -74,8 +74,8 @@ func TestParallelGenerationSerializesIdentically(t *testing.T) {
 	if c.AS != par[0].Case.AS || c.AE != par[0].Case.AE {
 		t.Errorf("round trip window [%d,%d) vs [%d,%d)", c.AS, c.AE, par[0].Case.AS, par[0].Case.AE)
 	}
-	if len(c.Snapshot.Templates) != len(par[0].Case.Snapshot.Templates) {
-		t.Errorf("round trip templates %d vs %d", len(c.Snapshot.Templates), len(par[0].Case.Snapshot.Templates))
+	if len(c.Frame.Templates) != len(par[0].Case.Frame.Templates) {
+		t.Errorf("round trip templates %d vs %d", len(c.Frame.Templates), len(par[0].Case.Frame.Templates))
 	}
 	if fr.NumObs() == 0 {
 		t.Error("round trip dropped raw queries")

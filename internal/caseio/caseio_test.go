@@ -5,13 +5,12 @@ import (
 	"strings"
 	"testing"
 
-	"pinsql/internal/collect"
 	"pinsql/internal/sqltemplate"
 )
 
 func TestRoundTrip(t *testing.T) {
 	fr := frameSample(t).Frame()
-	c := caseOf(t, collect.SnapshotOfFrame(fr))
+	c := caseOf(t, fr)
 
 	var buf bytes.Buffer
 	if err := FromFrame(c, fr).Write(&buf); err != nil {
@@ -32,11 +31,11 @@ func TestRoundTrip(t *testing.T) {
 	if c2.Phenomenon.Rule != c.Phenomenon.Rule {
 		t.Errorf("rule %q vs %q", c2.Phenomenon.Rule, c.Phenomenon.Rule)
 	}
-	if len(c2.Snapshot.Templates) != 3 {
-		t.Fatalf("templates = %d", len(c2.Snapshot.Templates))
+	if len(c2.Frame.Templates) != 3 {
+		t.Fatalf("templates = %d", len(c2.Frame.Templates))
 	}
-	for i, ts := range c.Snapshot.Templates {
-		got := c2.Snapshot.Template(ts.Meta.ID)
+	for i, ts := range c.Frame.Templates {
+		got := c2.Frame.Template(ts.Meta.ID)
 		if got == nil {
 			t.Fatalf("template %s missing", ts.Meta.ID)
 		}
@@ -49,8 +48,8 @@ func TestRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	for sec := range c.Snapshot.ActiveSession {
-		if c2.Snapshot.ActiveSession[sec] != c.Snapshot.ActiveSession[sec] {
+	for sec := range c.Frame.ActiveSession {
+		if c2.Frame.ActiveSession[sec] != c.Frame.ActiveSession[sec] {
 			t.Fatalf("active session mismatch at %d", sec)
 		}
 	}
@@ -106,8 +105,8 @@ func TestToCaseDigestsSQLWhenNoID(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := sqltemplate.New("SELECT * FROM x WHERE id = 42").ID
-	if c.Snapshot.Templates[0].Meta.ID != want {
-		t.Errorf("digested ID = %s, want %s", c.Snapshot.Templates[0].Meta.ID, want)
+	if c.Frame.Templates[0].Meta.ID != want {
+		t.Errorf("digested ID = %s, want %s", c.Frame.Templates[0].Meta.ID, want)
 	}
 }
 
@@ -143,10 +142,10 @@ func TestSeriesPadding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.Snapshot.ActiveSession) != 10 || c.Snapshot.ActiveSession[1] != 2 || c.Snapshot.ActiveSession[5] != 0 {
-		t.Errorf("padded series = %v", c.Snapshot.ActiveSession)
+	if len(c.Frame.ActiveSession) != 10 || c.Frame.ActiveSession[1] != 2 || c.Frame.ActiveSession[5] != 0 {
+		t.Errorf("padded series = %v", c.Frame.ActiveSession)
 	}
-	if len(c.Snapshot.Template("A").Count) != 10 {
+	if len(c.Frame.Template("A").Count) != 10 {
 		t.Error("template series not padded")
 	}
 }

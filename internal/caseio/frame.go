@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pinsql/internal/anomaly"
-	"pinsql/internal/collect"
 	"pinsql/internal/sqltemplate"
 	"pinsql/internal/timeseries"
 	"pinsql/internal/window"
@@ -140,7 +139,7 @@ func (f *File) ToFrame() (*anomaly.Case, *window.Frame, error) {
 	if rule == "" {
 		rule = "from_file"
 	}
-	c := anomaly.NewCase(collect.SnapshotOfFrame(fr), anomaly.Phenomenon{
+	c := anomaly.NewCase(fr, anomaly.Phenomenon{
 		Rule:  rule,
 		Start: f.Anomaly.Start,
 		End:   f.Anomaly.End,

@@ -9,16 +9,17 @@ import (
 	"pinsql/internal/dbsim"
 	"pinsql/internal/sqltemplate"
 	"pinsql/internal/timeseries"
+	"pinsql/internal/window"
 )
 
-// caseOf wraps a snapshot in an anomaly case with one history window.
-func caseOf(t *testing.T, snap *collect.Snapshot) *anomaly.Case {
+// caseOf wraps a frame in an anomaly case with one history window.
+func caseOf(t *testing.T, fr *window.Frame) *anomaly.Case {
 	t.Helper()
-	c := anomaly.NewCase(snap, anomaly.Phenomenon{Rule: "active_session_anomaly", Start: 10, End: 40})
+	c := anomaly.NewCase(fr, anomaly.Phenomenon{Rule: "active_session_anomaly", Start: 10, End: 40})
 	c.History = []anomaly.HistoryWindow{{
 		DaysAgo: 1,
 		Counts: map[sqltemplate.ID]timeseries.Series{
-			"A1": make(timeseries.Series, snap.Seconds),
+			"A1": make(timeseries.Series, fr.Seconds),
 		},
 	}}
 	return c
@@ -37,15 +38,14 @@ func frameSample(t *testing.T) *collect.Collector {
 	for _, r := range recs {
 		coll.Ingest(r)
 	}
-	coll.IngestMetrics([]dbsim.SecondMetrics{{Second: 0, ActiveSession: 2, CPUUsage: 0.4}})
+	coll.IngestMetricsAt([]dbsim.SecondMetrics{{Second: 0, ActiveSession: 2, CPUUsage: 0.4}})
 	return coll
 }
 
 func TestToFrameRoundTrip(t *testing.T) {
 	coll := frameSample(t)
 	fr := coll.Frame()
-	snap := collect.SnapshotOfFrame(fr)
-	c := caseOf(t, snap)
+	c := caseOf(t, fr)
 
 	var buf bytes.Buffer
 	if err := FromFrame(c, fr).Write(&buf); err != nil {

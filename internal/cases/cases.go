@@ -220,11 +220,11 @@ func finish(opt Options, seed, idx int64, name string, kind workload.AnomalyKind
 	if err != nil {
 		return nil, err
 	}
-	coll.IngestMetrics(secs)
-	snap := coll.Snapshot()
+	coll.IngestMetricsAt(secs)
+	fr := coll.Frame()
 
 	// Detect the phenomenon with the production-default rules.
-	phenomena := anomaly.DetectDefault(snap.ActiveSession, snap.CPUUsage, snap.IOPSUsage)
+	phenomena := anomaly.DetectDefault(fr.ActiveSession, fr.CPUUsage, fr.IOPSUsage)
 	ph, detected := pickPhenomenon(phenomena, int(asMs/1000), int(aeMs/1000))
 	if !detected {
 		ph = anomaly.Phenomenon{
@@ -233,7 +233,7 @@ func finish(opt Options, seed, idx int64, name string, kind workload.AnomalyKind
 			End:   int(aeMs / 1000),
 		}
 	}
-	cs := anomaly.NewCase(snap, ph)
+	cs := anomaly.NewCase(fr, ph)
 
 	// History windows: replay the same (pristine) world with fresh noise.
 	for _, days := range opt.HistoryDays {
@@ -347,8 +347,7 @@ func pickPhenomenon(ps []anomaly.Phenomenon, as, ae int) (anomaly.Phenomenon, bo
 // a template is an H-SQL when its session lift during the anomaly window
 // is material both absolutely and relative to the instance lift.
 func (l *Labeled) labelHSQLs() {
-	f := l.Collector.Frame()
-	as, ae := l.Case.AS, l.Case.AE
+	f, as, ae := l.Case.Frame, l.Case.AS, l.Case.AE
 	est := session.EstimateFrameNoBuckets(f)
 
 	instLift := lift(timeseries.SparseOf(est.Total), as, ae)

@@ -40,8 +40,8 @@ func TestGenerateOneEachFamily(t *testing.T) {
 			if len(lab.HSQLs) == 0 {
 				t.Error("no ground-truth H-SQLs")
 			}
-			if lab.Case.Snapshot == nil || lab.Case.Snapshot.Seconds != 1200 {
-				t.Errorf("snapshot seconds = %d", lab.Case.Snapshot.Seconds)
+			if lab.Case.Frame == nil || lab.Case.Frame.Seconds != 1200 {
+				t.Errorf("frame seconds = %d", lab.Case.Frame.Seconds)
 			}
 			if lab.Case.AE <= lab.Case.AS {
 				t.Errorf("anomaly window [%d,%d) malformed", lab.Case.AS, lab.Case.AE)
@@ -82,7 +82,7 @@ func TestHSQLLabelsIncludeAffectedTemplates(t *testing.T) {
 	// template (a frozen victim) as H-SQL.
 	found := false
 	for id := range lab.HSQLs {
-		if ts := lab.Case.Snapshot.Template(id); ts != nil && ts.Meta.Table == "orders" {
+		if ts := lab.Case.Frame.Template(id); ts != nil && ts.Meta.Table == "orders" {
 			found = true
 			break
 		}
@@ -142,8 +142,8 @@ func TestGenerateDeterministic(t *testing.T) {
 			t.Errorf("R-SQL truth differs: %s", id)
 		}
 	}
-	sa := a.Case.Snapshot.ActiveSession
-	sb := b.Case.Snapshot.ActiveSession
+	sa := a.Case.Frame.ActiveSession
+	sb := b.Case.Frame.ActiveSession
 	for i := range sa {
 		if sa[i] != sb[i] {
 			t.Fatalf("active session differs at %d: %v vs %v", i, sa[i], sb[i])
@@ -156,9 +156,9 @@ func TestQueriesOfCoversLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := lab.Collector.Frame().NumObs()
+	total := lab.Case.Frame.NumObs()
 	var logged float64
-	for _, ts := range lab.Case.Snapshot.Templates {
+	for _, ts := range lab.Case.Frame.Templates {
 		logged += ts.Count.Sum()
 	}
 	if float64(total) != logged {
@@ -174,11 +174,11 @@ func corpusFingerprint(t *testing.T, labs []*Labeled) string {
 	var b strings.Builder
 	for _, lab := range labs {
 		fmt.Fprintf(&b, "%s|%s|%v|%d|%d\n", lab.Name, lab.Kind, lab.Detected, lab.Case.AS, lab.Case.AE)
-		for _, v := range lab.Case.Snapshot.ActiveSession {
+		for _, v := range lab.Case.Frame.ActiveSession {
 			fmt.Fprintf(&b, "%.12g ", v)
 		}
 		b.WriteByte('\n')
-		for _, ts := range lab.Case.Snapshot.Templates {
+		for _, ts := range lab.Case.Frame.Templates {
 			fmt.Fprintf(&b, "%s %.12g %.12g %.12g\n", ts.Meta.ID, ts.Count.Sum(), ts.SumRT.Sum(), ts.SumRows.Sum())
 		}
 		ids := make([]string, 0, len(lab.RSQLs)+len(lab.HSQLs))

@@ -210,7 +210,7 @@ func TestGenerateFromParamsDeterministic(t *testing.T) {
 		t.Fatalf("case identity diverged: %v/%d/%d vs %v/%d/%d",
 			a.Name, a.Case.AS, a.Case.AE, b.Name, b.Case.AS, b.Case.AE)
 	}
-	sa, sb := a.Case.Snapshot, b.Case.Snapshot
+	sa, sb := a.Case.Frame, b.Case.Frame
 	if len(sa.Templates) != len(sb.Templates) {
 		t.Fatalf("template counts diverged: %d vs %d", len(sa.Templates), len(sb.Templates))
 	}

@@ -49,48 +49,43 @@ func batchStream(rng *rand.Rand, n int) []dbsim.LogRecord {
 }
 
 // TestIngestBatchMatchesRecordLoop: one record stream split at arbitrary
-// batch boundaries — batches of one and one batch for everything included,
-// Frame() calls interleaved — leaves every sealed frame, the caller's
-// store's scan, the registry and the fingerprint-index counters exactly as
-// the record-at-a-time run does; and the arranged runs, concatenated, are
-// that store's scan — ties, out-of-window and throttled records included —
-// whenever they are taken.
+// batch boundaries — batches of one and one batch for everything included —
+// and sealed once leaves the frame, the caller's store's scan, the registry
+// and the fingerprint-index counters exactly as the record-at-a-time run
+// does; and the arranged runs, concatenated, are that store's scan — ties,
+// out-of-window and throttled records included — whenever they are taken.
 func TestIngestBatchMatchesRecordLoop(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		recs := batchStream(rng, 1500)
-		// sealAfter[i] seals a frame once record i is in.
-		sealAfter := map[int]bool{len(recs) - 1: true}
+		// takeAfter[i] takes the arranged runs once record i is in.
+		takeAfter := map[int]bool{len(recs) - 1: true}
 		for k := 0; k < int(seed%4)*3; k++ {
-			sealAfter[rng.Intn(len(recs))] = true
+			takeAfter[rng.Intn(len(recs))] = true
 		}
 
-		run := func(cut func() int) ([]*window.Frame, []logstore.Record, *Collector) {
+		run := func(cut func() int) (*window.Frame, []logstore.Record, *Collector) {
 			store := logstore.New(0)
 			c := NewCollector("batch", 10_000, 70_000, NewRegistry(), store)
-			var frames []*window.Frame
 			for lo := 0; lo < len(recs); {
 				hi := min(lo+cut(), len(recs))
 				for i := lo; i < hi; i++ {
-					if sealAfter[i] {
+					if takeAfter[i] {
 						hi = i + 1
 					}
 				}
 				c.IngestBatch(recs[lo:hi])
-				if sealAfter[hi-1] {
-					frames = append(frames, c.Frame())
-				}
-				if sealAfter[hi-1] && len(frames)%2 == 0 || hi == len(recs) {
+				if takeAfter[hi-1] {
 					if got, want := slices.Concat(c.TakeArranged()...), store.Scan("batch", -1<<62, 1<<62); !slices.Equal(got, want) {
 						t.Fatalf("seed %d: after record %d the arranged runs hold %d records, the store's scan %d, or differ", seed, hi-1, len(got), len(want))
 					}
 				}
 				lo = hi
 			}
-			return frames, store.Scan("batch", -1<<62, 1<<62), c
+			return c.Frame(), store.Scan("batch", -1<<62, 1<<62), c
 		}
 
-		wantFrames, wantScan, want := run(func() int { return 1 })
+		wantFrame, wantScan, want := run(func() int { return 1 })
 		if want.Records() == 0 || len(want.Registry().Entries()) < 30 {
 			t.Fatalf("seed %d: fixture too tame: %d records, %d templates", seed, want.Records(), len(want.Registry().Entries()))
 		}
@@ -100,14 +95,9 @@ func TestIngestBatchMatchesRecordLoop(t *testing.T) {
 			"small":  func() int { return 1 + rng.Intn(3) },
 		}
 		for name, cut := range cuts {
-			gotFrames, gotScan, got := run(cut)
-			if len(gotFrames) != len(wantFrames) {
-				t.Fatalf("seed %d %s: %d frames, want %d", seed, name, len(gotFrames), len(wantFrames))
-			}
-			for i := range wantFrames {
-				if err := framesEqual(gotFrames[i], wantFrames[i]); err != nil {
-					t.Fatalf("seed %d %s: frame %d diverges from the record loop: %v", seed, name, i, err)
-				}
+			gotFrame, gotScan, got := run(cut)
+			if err := framesEqual(gotFrame, wantFrame); err != nil {
+				t.Fatalf("seed %d %s: frame diverges from the record loop: %v", seed, name, err)
 			}
 			if !reflect.DeepEqual(gotScan, wantScan) {
 				t.Fatalf("seed %d %s: store scan diverges (%d vs %d records)", seed, name, len(gotScan), len(wantScan))
@@ -121,8 +111,8 @@ func TestIngestBatchMatchesRecordLoop(t *testing.T) {
 				t.Fatalf("seed %d %s: fingerprint index %d/%d, records %d; record loop %d/%d, %d",
 					seed, name, gh, gm, got.Records(), wh, wm, want.Records())
 			}
-			if err := framesEqual(got.Frame(), got.RebuildFrame()); err != nil {
-				t.Fatalf("seed %d %s: final frame diverges from rebuild: %v", seed, name, err)
+			if err := framesEqual(gotFrame, got.RebuildFrame()); err != nil {
+				t.Fatalf("seed %d %s: frame diverges from rebuild: %v", seed, name, err)
 			}
 		}
 	}

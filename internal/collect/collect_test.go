@@ -84,11 +84,11 @@ func TestCollectorAggregation(t *testing.T) {
 	c.Ingest(rec("A", "SELECT a", "t", dbsim.KindSelect, 1100, 30, 9))
 	c.Ingest(rec("B", "SELECT b", "t", dbsim.KindSelect, 2500, 40, 11))
 
-	snap := c.Snapshot()
-	if len(snap.Templates) != 2 {
-		t.Fatalf("templates = %d, want 2", len(snap.Templates))
+	f := c.Frame()
+	if len(f.Templates) != 2 {
+		t.Fatalf("templates = %d, want 2", len(f.Templates))
 	}
-	a := snap.Template("A")
+	a := f.Template("A")
 	if a == nil {
 		t.Fatal("template A missing")
 	}
@@ -107,11 +107,11 @@ func TestCollectorAggregation(t *testing.T) {
 	if got := a.MeanRows(); got != 7 {
 		t.Errorf("A meanRows = %v, want 7", got)
 	}
-	b := snap.Template("B")
+	b := f.Template("B")
 	if b.Count[2] != 1 {
 		t.Errorf("B count = %v", b.Count)
 	}
-	if snap.Template("missing") != nil {
+	if f.Template("missing") != nil {
 		t.Error("missing template lookup should be nil")
 	}
 }
@@ -121,8 +121,7 @@ func TestCollectorIgnoresOutOfWindow(t *testing.T) {
 	c.Ingest(rec("A", "q", "t", dbsim.KindSelect, 500, 1, 1))  // before
 	c.Ingest(rec("A", "q", "t", dbsim.KindSelect, 2500, 1, 1)) // after
 	c.Ingest(rec("A", "q", "t", dbsim.KindSelect, 1500, 1, 1)) // inside
-	snap := c.Snapshot()
-	if got := snap.Template("A").Count.Sum(); got != 1 {
+	if got := c.Frame().Template("A").Count.Sum(); got != 1 {
 		t.Errorf("in-window count = %v, want 1", got)
 	}
 }
@@ -133,8 +132,7 @@ func TestCollectorThrottledSeparated(t *testing.T) {
 	r.Throttled = true
 	c.Ingest(r)
 	c.Ingest(rec("A", "q", "t", dbsim.KindSelect, 200, 1, 5))
-	snap := c.Snapshot()
-	a := snap.Template("A")
+	a := c.Frame().Template("A")
 	if a.Count.Sum() != 1 || a.Throttled.Sum() != 1 {
 		t.Errorf("count = %v, throttled = %v", a.Count.Sum(), a.Throttled.Sum())
 	}
@@ -146,16 +144,16 @@ func TestCollectorThrottledSeparated(t *testing.T) {
 
 func TestCollectorMetricsIngest(t *testing.T) {
 	c := NewCollector("db1", 0, 2000, nil, nil)
-	c.IngestMetrics([]dbsim.SecondMetrics{
+	c.IngestMetricsAt([]dbsim.SecondMetrics{
 		{Second: 0, ActiveSession: 3, CPUUsage: 50, QPS: 100},
 		{Second: 1, ActiveSession: 7, CPUUsage: 80, QPS: 200},
 	})
-	snap := c.Snapshot()
-	if snap.ActiveSession[0] != 3 || snap.ActiveSession[1] != 7 {
-		t.Errorf("active session = %v", snap.ActiveSession)
+	f := c.Frame()
+	if f.ActiveSession[0] != 3 || f.ActiveSession[1] != 7 {
+		t.Errorf("active session = %v", f.ActiveSession)
 	}
-	if snap.CPUUsage[1] != 80 || snap.QPS[0] != 100 {
-		t.Errorf("cpu = %v qps = %v", snap.CPUUsage, snap.QPS)
+	if f.CPUUsage[1] != 80 || f.QPS[0] != 100 {
+		t.Errorf("cpu = %v qps = %v", f.CPUUsage, f.QPS)
 	}
 }
 
@@ -164,22 +162,11 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 	for _, tpl := range []string{"C", "A", "B"} {
 		c.Ingest(rec(tpl, "q"+tpl, "t", dbsim.KindSelect, 10, 1, 1))
 	}
-	snap := c.Snapshot()
-	for i := 1; i < len(snap.Templates); i++ {
-		if snap.Templates[i-1].Meta.Index > snap.Templates[i].Meta.Index {
+	f := c.Frame()
+	for i := 1; i < len(f.Templates); i++ {
+		if f.Templates[i-1].Meta.Index > f.Templates[i].Meta.Index {
 			t.Fatal("templates not sorted by index")
 		}
-	}
-}
-
-func TestSnapshotSeriesAreCopies(t *testing.T) {
-	c := NewCollector("db1", 0, 1000, nil, nil)
-	c.Ingest(rec("A", "q", "t", dbsim.KindSelect, 10, 1, 1))
-	snap := c.Snapshot()
-	snap.Template("A").Count[0] = 999
-	snap2 := c.Snapshot()
-	if snap2.Template("A").Count[0] != 1 {
-		t.Error("Snapshot shares storage with collector")
 	}
 }
 
@@ -256,8 +243,7 @@ func TestStreamAggregatorEndToEnd(t *testing.T) {
 	}
 	cancel()
 	<-done
-	snap := c.Snapshot()
-	if got := snap.Template("A").Count.Sum(); got != 20 {
+	if got := c.Frame().Template("A").Count.Sum(); got != 20 {
 		t.Errorf("aggregated count = %v, want 20", got)
 	}
 }

@@ -13,104 +13,17 @@ import (
 	"pinsql/internal/window"
 )
 
-// TemplateSeries is the aggregated view of one SQL template over the
-// collection window: per-second #execution, total response time and total
-// examined rows, produced by the sum/count aggregation of §IV-A.
-type TemplateSeries struct {
-	Meta TemplateMeta
-
-	Count     timeseries.Series // #execution per second
-	SumRT     timeseries.Series // Σ tres per second, milliseconds
-	SumRows   timeseries.Series // Σ #examined_rows per second
-	Throttled timeseries.Series // statements rejected by a throttle rule
-
-	// sealed marks the live series as referenced by the collector's last
-	// sealed frame: the next aggregate mutation clones them first
-	// (copy-on-seal), so sealed frames stay immutable without recopying
-	// untouched templates at every seal.
-	sealed bool
-
-	nobs int32 // observations in the window log: its group's size at the next seal
-}
-
-// touch prepares the series for mutation: if the last sealed frame still
-// references them, fresh copies replace them first.
-func (ts *TemplateSeries) touch() {
-	if !ts.sealed {
-		return
-	}
-	ts.Count = ts.Count.Clone()
-	ts.SumRT = ts.SumRT.Clone()
-	ts.SumRows = ts.SumRows.Clone()
-	ts.Throttled = ts.Throttled.Clone()
-	ts.sealed = false
-}
-
-// MeanRT returns the average response time per executed statement over the
-// whole window, in milliseconds.
-func (ts *TemplateSeries) MeanRT() float64 {
-	n := ts.Count.Sum()
-	if n == 0 {
-		return 0
-	}
-	return ts.SumRT.Sum() / n
-}
-
-// MeanRows returns the average examined rows per executed statement.
-func (ts *TemplateSeries) MeanRows() float64 {
-	n := ts.Count.Sum()
-	if n == 0 {
-		return 0
-	}
-	return ts.SumRows.Sum() / n
-}
-
-// Snapshot is the assembled data of one collection window: everything the
-// diagnosis pipeline consumes.
-type Snapshot struct {
-	Topic   string
-	StartMs int64
-	Seconds int
-
-	Templates []*TemplateSeries
-
-	// Instance performance metrics (Definition II.4), one sample/second.
-	ActiveSession timeseries.Series // SHOW STATUS samples — the headline metric
-	AvgSession    timeseries.Series
-	CPUUsage      timeseries.Series
-	IOPSUsage     timeseries.Series
-	MemUsage      timeseries.Series
-	QPS           timeseries.Series
-	RowLockWaits  timeseries.Series
-	MDLWaits      timeseries.Series
-
-	// byID is the lazily built ID→series index behind Template; it sits
-	// on the repair and fig8 hot paths, which resolve templates by ID per
-	// suggestion.
-	byIDOnce sync.Once
-	byID     map[sqltemplate.ID]*TemplateSeries
-}
-
-// Template returns the series for a template ID, or nil. The lookup index
-// is built once on first use; callers must not grow s.Templates afterwards.
-func (s *Snapshot) Template(id sqltemplate.ID) *TemplateSeries {
-	s.byIDOnce.Do(func() {
-		m := make(map[sqltemplate.ID]*TemplateSeries, len(s.Templates))
-		for _, ts := range s.Templates {
-			if _, dup := m[ts.Meta.ID]; !dup { // first match wins, as the linear scan did
-				m[ts.Meta.ID] = ts
-			}
-		}
-		s.byID = m
-	})
-	return s.byID[id]
+// templateSeries is one template's live state over the collection window:
+// the aggregates a seal hands to the frame as they are, and the size of its
+// observation group.
+type templateSeries struct {
+	window.Template
+	nobs int32 // observations in the window log: its group's size at the seal
 }
 
 // metricSet is the live per-second instance metric series, populated row
-// by row during ingestion. set is the single bounds-checked placement
-// point: Snapshot and Frame previously each re-copied the accumulated rows
-// with their own silent `i >= seconds` truncation; now rows land in their
-// final columnar form exactly once.
+// by row during ingestion; set is the single bounds-checked placement point,
+// and the seal hands the series to the frame as they are.
 type metricSet struct {
 	ActiveSession timeseries.Series
 	AvgSession    timeseries.Series
@@ -132,19 +45,6 @@ func newMetricSet(seconds int) metricSet {
 		QPS:           make(timeseries.Series, seconds),
 		RowLockWaits:  make(timeseries.Series, seconds),
 		MDLWaits:      make(timeseries.Series, seconds),
-	}
-}
-
-func (m *metricSet) clone() metricSet {
-	return metricSet{
-		ActiveSession: m.ActiveSession.Clone(),
-		AvgSession:    m.AvgSession.Clone(),
-		CPUUsage:      m.CPUUsage.Clone(),
-		IOPSUsage:     m.IOPSUsage.Clone(),
-		MemUsage:      m.MemUsage.Clone(),
-		QPS:           m.QPS.Clone(),
-		RowLockWaits:  m.RowLockWaits.Clone(),
-		MDLWaits:      m.MDLWaits.Clone(),
 	}
 }
 
@@ -184,7 +84,7 @@ const (
 type identSlot struct {
 	p  *byte
 	n  int
-	ts *TemplateSeries
+	ts *templateSeries
 }
 
 // Collector ingests the raw query-log stream and instance metrics of one
@@ -193,12 +93,12 @@ type identSlot struct {
 //
 // The records are kept once, in ingest order, in a chunked window log, and
 // ordered once: logstore.Arrange gives the log's arrival-ordered form, and
-// a seal scatters that form into the frame's template groups, which leaves
+// the seal scatters that form into the frame's template groups, which leaves
 // every group in arrival order with ties in ingest order by construction.
-// What a seal does not redo: series are handed out by reference and cloned
-// on their next mutation (copy-on-seal), a window nothing was ingested into
-// returns its cached frame, and a seal no record preceded shares the
-// previous frame's observation columns.
+//
+// The seal is terminal: the first Frame call builds the window's one frame,
+// handing it the live series, and from then on every ingest panics, so
+// nothing writes a sealed frame.
 //
 // Lock order: c.mu → the registry's lock → the store's locks. IngestBatch
 // interns (persistence hook included) and appends to the store under c.mu;
@@ -214,7 +114,7 @@ type Collector struct {
 
 	// templates resolves a template ID to its window state: a pre-digested
 	// record reaches the shared registry only on first sight in the window.
-	templates map[sqltemplate.ID]*TemplateSeries
+	templates map[sqltemplate.ID]*templateSeries
 
 	// ident answers for templates before it is asked: direct-mapped on the
 	// identity — data pointer and length — of a record's TemplateID string.
@@ -226,7 +126,7 @@ type Collector struct {
 	// ordered mirrors templates in ascending Meta.Index order — the
 	// frame's template-position order — maintained by insertion as new
 	// templates intern, so sealing never re-sorts.
-	ordered []*TemplateSeries
+	ordered []*templateSeries
 
 	// log is the window log: every archived record, in ingest order, in
 	// chunks of logChunk drawn from chunkPool; it is never given away, and
@@ -238,22 +138,10 @@ type Collector struct {
 	perSec   []int
 	arranged [][]logstore.Record
 
-	// met holds the live metric series; metSealed marks them as referenced
-	// by the last sealed frame (copy-on-seal, like TemplateSeries.sealed).
-	// metricsLen is the logical row count of the positional IngestMetrics
-	// path: row i of accumulated calls lands at window second i.
-	met        metricSet
-	metSealed  bool
-	metricsLen int
-
+	met     metricSet
 	records int64 // raw query records in the window log
 
-	// frame is the last sealed frame; frameValid reports that nothing was
-	// ingested since its seal, so Frame() returns it unchanged, and
-	// tsetChanged that templates were added since (reset at seal).
-	frame       *window.Frame
-	frameValid  bool
-	tsetChanged bool
+	frame *window.Frame // the sealed window; nil until Frame
 }
 
 // NewCollector creates a collector for the window [startMs, endMs) on the
@@ -272,26 +160,31 @@ func NewCollector(topic string, startMs, endMs int64, registry *Registry, store 
 		seconds:   seconds,
 		registry:  registry,
 		store:     store,
-		templates: make(map[sqltemplate.ID]*TemplateSeries),
+		templates: make(map[sqltemplate.ID]*templateSeries),
 		met:       newMetricSet(seconds),
 		perSec:    make([]int, seconds),
 	}
 }
 
-// lock takes c.mu for a method of a live collector.
-func (c *Collector) lock() {
+// lock takes c.mu for a method of a live collector; an ingest also needs
+// the window unsealed.
+func (c *Collector) lock(ingest bool) {
 	c.mu.Lock()
-	if c.released {
+	switch {
+	case c.released:
 		c.mu.Unlock()
 		panic("collect: Collector used after Release")
+	case ingest && c.frame != nil:
+		c.mu.Unlock()
+		panic("collect: Collector ingest after Frame sealed the window")
 	}
 }
 
 // Release ends the collector: its window log's chunks go back to the pool
-// the next collector draws from, and any later call on it panics. Frames it
-// sealed and runs it handed over alias no chunk and stay as they are.
+// the next collector draws from, and any later call on it panics. The frame
+// it sealed and runs it handed over alias no chunk and stay as they are.
 func (c *Collector) Release() {
-	c.lock()
+	c.lock(false)
 	defer c.mu.Unlock()
 	c.released = true
 	for _, chunk := range c.log {
@@ -309,12 +202,11 @@ func (c *Collector) Sink() dbsim.LogSink { return c.Ingest }
 
 // insertOrdered places a freshly interned template into the position-order
 // mirror.
-func (c *Collector) insertOrdered(ts *TemplateSeries) {
+func (c *Collector) insertOrdered(ts *templateSeries) {
 	pos := sort.Search(len(c.ordered), func(i int) bool {
 		return c.ordered[i].Meta.Index > ts.Meta.Index
 	})
 	c.ordered = slices.Insert(c.ordered, pos, ts)
-	c.tsetChanged = true
 }
 
 // Ingest consumes one query-log record: IngestBatch of one.
@@ -325,7 +217,7 @@ func (c *Collector) Ingest(rec dbsim.LogRecord) {
 // seriesLocked returns the window state of the record's template, creating
 // it on first sight. Raw-SQL records intern per record (the registry's
 // fingerprint index and its hit counters see every one of them).
-func (c *Collector) seriesLocked(rec *dbsim.LogRecord) *TemplateSeries {
+func (c *Collector) seriesLocked(rec *dbsim.LogRecord) *templateSeries {
 	if id := sqltemplate.ID(rec.TemplateID); id != "" {
 		// The same bytes at the same address are the same ID: strings are
 		// immutable and the slot's pointer has kept these from being reused.
@@ -342,13 +234,13 @@ func (c *Collector) seriesLocked(rec *dbsim.LogRecord) *TemplateSeries {
 	meta := c.registry.intern(rec)
 	ts, ok := c.templates[meta.ID]
 	if !ok {
-		ts = &TemplateSeries{
-			Meta:      meta,
+		ts = &templateSeries{Template: window.Template{
+			Meta:      window.Meta(meta),
 			Count:     make(timeseries.Series, c.seconds),
 			SumRT:     make(timeseries.Series, c.seconds),
 			SumRows:   make(timeseries.Series, c.seconds),
 			Throttled: make(timeseries.Series, c.seconds),
-		}
+		}}
 		c.templates[meta.ID] = ts
 		c.insertOrdered(ts)
 	}
@@ -361,7 +253,7 @@ func (c *Collector) seriesLocked(rec *dbsim.LogRecord) *TemplateSeries {
 // archived record (session estimation needs per-query start and response
 // times, §IV-C) is written once, into the tail of the window log.
 func (c *Collector) IngestBatch(recs []dbsim.LogRecord) {
-	c.lock()
+	c.lock(true)
 	defer c.mu.Unlock()
 	var tail []logstore.Record
 	if n := len(c.log); n > 0 {
@@ -391,8 +283,6 @@ func (c *Collector) IngestBatch(recs []dbsim.LogRecord) {
 			continue
 		}
 		ts := c.seriesLocked(rec)
-		ts.touch()
-		c.frameValid = false
 		if rec.Throttled {
 			ts.Throttled[sec]++
 			continue
@@ -419,95 +309,17 @@ func (c *Collector) IngestBatch(recs []dbsim.LogRecord) {
 	flush()
 }
 
-// touchMetricsLocked prepares the metric series for mutation, cloning them
-// first if the last sealed frame still references them.
-func (c *Collector) touchMetricsLocked() {
-	if c.metSealed {
-		c.met = c.met.clone()
-		c.metSealed = false
-	}
-}
-
-// IngestMetrics stores the instance's per-second performance metrics.
-//
-// Contract (audited for the ingest layer): placement is positional, not
-// keyed — row i of the accumulated calls lands at window second i and the
-// rows' Second fields are ignored. That is exactly right for stacking
-// multiple simulator runs into one window (each dbsim run's rows are
-// 0-based, as in the Fig. 8 scripted scenario), and exactly wrong for
-// real samplers, whose rows are sparse and sometimes double-reported:
-// a gap would shift every later row one second early. Samplers and the
-// trace replay path must use IngestMetricsAt.
-func (c *Collector) IngestMetrics(rows []dbsim.SecondMetrics) {
-	c.lock()
-	defer c.mu.Unlock()
-	if len(rows) > 0 {
-		c.touchMetricsLocked()
-	}
-	for _, m := range rows {
-		c.met.set(c.metricsLen, m)
-		c.metricsLen++
-	}
-	c.frameValid = false
-}
-
 // IngestMetricsAt stores per-second performance metrics keyed by each
 // row's window-relative Second: gaps stay zero rows, a duplicated second
-// keeps the last row, rows outside [0, seconds) are dropped. For the
-// dense 0-based rows the simulator produces this is bit-identical to
-// IngestMetrics; for sparse sampler output it places every row at its
-// actual second.
+// keeps the last row, rows outside [0, seconds) are dropped. A caller
+// stacking several 0-based simulator runs into one window shifts each run's
+// rows by its offset first.
 func (c *Collector) IngestMetricsAt(rows []dbsim.SecondMetrics) {
-	c.lock()
+	c.lock(true)
 	defer c.mu.Unlock()
 	for _, m := range rows {
-		if m.Second < 0 || m.Second >= int64(c.seconds) {
-			continue
-		}
-		c.touchMetricsLocked()
 		c.met.set(int(m.Second), m)
-		// Keep the positional path's cursor consistent with the
-		// accumulated-rows semantics: the next IngestMetrics row lands
-		// after the highest second placed so far.
-		if n := int(m.Second) + 1; n > c.metricsLen {
-			c.metricsLen = n
-		}
 	}
-	c.frameValid = false
-}
-
-// Snapshot assembles the aggregated window view. It is safe to call while
-// ingestion continues; the returned series are copies.
-func (c *Collector) Snapshot() *Snapshot {
-	c.lock()
-	defer c.mu.Unlock()
-
-	met := c.met.clone()
-	snap := &Snapshot{
-		Topic:         c.topic,
-		StartMs:       c.startMs,
-		Seconds:       c.seconds,
-		ActiveSession: met.ActiveSession,
-		AvgSession:    met.AvgSession,
-		CPUUsage:      met.CPUUsage,
-		IOPSUsage:     met.IOPSUsage,
-		MemUsage:      met.MemUsage,
-		QPS:           met.QPS,
-		RowLockWaits:  met.RowLockWaits,
-		MDLWaits:      met.MDLWaits,
-	}
-	// c.ordered is already in the deterministic registry-index order.
-	snap.Templates = make([]*TemplateSeries, 0, len(c.ordered))
-	for _, ts := range c.ordered {
-		snap.Templates = append(snap.Templates, &TemplateSeries{
-			Meta:      ts.Meta,
-			Count:     ts.Count.Clone(),
-			SumRT:     ts.SumRT.Clone(),
-			SumRows:   ts.SumRows.Clone(),
-			Throttled: ts.Throttled.Clone(),
-		})
-	}
-	return snap
 }
 
 // arrangedLocked returns the window log's arrival-ordered form, building
@@ -529,39 +341,33 @@ func (c *Collector) arrangeLocked() ([][]logstore.Record, logstore.Work) {
 // ingest order — what Scan returns from a store fed the same batches — as
 // the runs logstore.Arrange cuts, and gives them up: the caller owns them
 // (and may pass them on to Backend.AppendBatch), the collector forgets
-// them, and a later seal or call derives them afresh. After a seal with
-// nothing ingested since, they are the arrays the seal scattered from.
+// them, and a later seal or call derives them afresh. After the seal, the
+// first call returns the arrays the seal scattered from.
 func (c *Collector) TakeArranged() [][]logstore.Record {
-	c.lock()
+	c.lock(false)
 	defer c.mu.Unlock()
 	runs := c.arrangedLocked()
 	c.arranged = nil
 	return runs
 }
 
-// Frame seals (and caches) the collection window as a columnar
+// Frame seals the collection window, on its first call, into its columnar
 // window.Frame — per-template aggregates, observation columns grouped by
 // template position, the metric series, and the ByID permutation — from
-// what the collector itself holds; no store is scanned. Sealed frames are
-// immutable and alias nothing that is written later; holding one across
-// further ingestion is safe.
+// what the collector itself holds; no store is scanned. Every call returns
+// that one frame, and any ingest after it panics.
 func (c *Collector) Frame() *window.Frame {
-	c.lock()
+	c.lock(false)
 	defer c.mu.Unlock()
-	if c.frame != nil && c.frameValid {
-		return c.frame
+	if c.frame == nil {
+		c.frame = c.sealLocked()
 	}
-	f := c.sealLocked()
-	c.frame = f
-	c.frameValid = true
-	return f
+	return c.frame
 }
 
-// sealLocked builds the next immutable frame.
+// sealLocked builds the window's frame.
 func (c *Collector) sealLocked() *window.Frame {
-	prev := c.frame
 	T := len(c.ordered)
-
 	f := &window.Frame{
 		Topic:         c.topic,
 		StartMs:       c.startMs,
@@ -574,99 +380,46 @@ func (c *Collector) sealLocked() *window.Frame {
 		QPS:           c.met.QPS,
 		RowLockWaits:  c.met.RowLockWaits,
 		MDLWaits:      c.met.MDLWaits,
+		Templates:     make([]window.Template, T),
+		Off:           make([]int32, T+1),
 	}
-	c.metSealed = true
-
-	if prev != nil && !c.tsetChanged && int64(prev.NumObs()) == c.records {
-		// No record arrived: the columns of the previous frame are exactly
-		// right — share them.
-		f.Off, f.Arrival, f.Response = prev.Off, prev.Arrival, prev.Response
-	} else {
-		f.Off = make([]int32, T+1)
-		for i, ts := range c.ordered {
-			f.Off[i+1] = f.Off[i] + ts.nobs
-		}
-		f.Arrival = make([]int64, f.Off[T])
-		f.Response = make([]float64, f.Off[T])
-		if T > 0 {
-			// Scatter: next[x] is where the next record of the template with
-			// registry index x goes. Records are visited in arrival order,
-			// ties in ingest order — the order window.Frame defines for a
-			// group — so nothing is sorted here.
-			next := make([]int32, c.ordered[T-1].Meta.Index+1)
-			for i, ts := range c.ordered {
-				next[ts.Meta.Index] = f.Off[i]
-			}
-			for _, run := range c.arrangedLocked() {
-				for i := range run {
-					r := &run[i]
-					k := next[r.TemplateIdx]
-					f.Arrival[k], f.Response[k] = r.ArrivalMs, r.ResponseMs
-					next[r.TemplateIdx] = k + 1
-				}
-			}
-		}
-	}
-
-	f.Templates = make([]window.Template, T)
 	for i, ts := range c.ordered {
-		f.Templates[i] = window.Template{
-			Meta:      window.Meta(ts.Meta),
-			Count:     ts.Count,
-			SumRT:     ts.SumRT,
-			SumRows:   ts.SumRows,
-			Throttled: ts.Throttled,
+		f.Templates[i] = ts.Template
+		f.Off[i+1] = f.Off[i] + ts.nobs
+	}
+	f.Arrival = make([]int64, f.Off[T])
+	f.Response = make([]float64, f.Off[T])
+	if T > 0 {
+		// Scatter: next[x] is where the next record of the template with
+		// registry index x goes. Records are visited in arrival order, ties
+		// in ingest order — the order window.Frame defines for a group — so
+		// nothing is sorted here.
+		next := make([]int32, c.ordered[T-1].Meta.Index+1)
+		for i, ts := range c.ordered {
+			next[ts.Meta.Index] = f.Off[i]
 		}
-		ts.sealed = true
+		for _, run := range c.arrangedLocked() {
+			for i := range run {
+				r := &run[i]
+				k := next[r.TemplateIdx]
+				f.Arrival[k], f.Response[k] = r.ArrivalMs, r.ResponseMs
+				next[r.TemplateIdx] = k + 1
+			}
+		}
 	}
-
-	if prev != nil && !c.tsetChanged {
-		f.FinalizeShared(prev)
-	} else {
-		f.FinalizeSorted()
-	}
-	c.tsetChanged = false
+	f.FinalizeSorted()
 	return f
 }
 
-// SnapshotOfFrame derives a Snapshot view from a frame for code that still
-// speaks the legacy aggregate type (the anomaly detector's NewCase, repair
-// suggestion rules, Top-SQL baselines). The snapshot shares the frame's
-// series — treat it as read-only; mutating callers must use
-// Collector.Snapshot, which clones.
-func SnapshotOfFrame(f *window.Frame) *Snapshot {
-	snap := &Snapshot{
-		Topic:         f.Topic,
-		StartMs:       f.StartMs,
-		Seconds:       f.Seconds,
-		ActiveSession: f.ActiveSession,
-		AvgSession:    f.AvgSession,
-		CPUUsage:      f.CPUUsage,
-		IOPSUsage:     f.IOPSUsage,
-		MemUsage:      f.MemUsage,
-		QPS:           f.QPS,
-		RowLockWaits:  f.RowLockWaits,
-		MDLWaits:      f.MDLWaits,
-		Templates:     make([]*TemplateSeries, len(f.Templates)),
-	}
-	for i := range f.Templates {
-		t := &f.Templates[i]
-		snap.Templates[i] = &TemplateSeries{
-			Meta:      TemplateMeta(t.Meta),
-			Count:     t.Count,
-			SumRT:     t.SumRT,
-			SumRows:   t.SumRows,
-			Throttled: t.Throttled,
-		}
-	}
-	return snap
-}
+// SnapshotOfFrame returns f: the window's one type is window.Frame. It
+// stays for benchmark/, which still names it.
+func SnapshotOfFrame(f *window.Frame) *window.Frame { return f }
 
 // Records returns the number of raw query records in this collector's
 // window log (throttled statements are counted in the Throttled series
 // instead). The fleet exports it per window.
 func (c *Collector) Records() int64 {
-	c.lock()
+	c.lock(false)
 	defer c.mu.Unlock()
 	return c.records
 }

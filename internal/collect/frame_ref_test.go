@@ -10,28 +10,27 @@ import (
 // the ingest-ordered window log — never from its arranged form — and every
 // group stable-sorted by Finalize. It ignores and leaves untouched the seal
 // state, so it is the independent reference the differential tests compare
-// Frame() against: the two must be byte-identical at every point of any
-// ingest interleaving.
+// Frame() against: the two must be byte-identical for any ingest
+// interleaving.
 func (c *Collector) RebuildFrame() *window.Frame {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	met := c.met.clone()
 	f := &window.Frame{
 		Topic:         c.topic,
 		StartMs:       c.startMs,
 		Seconds:       c.seconds,
-		ActiveSession: met.ActiveSession,
-		AvgSession:    met.AvgSession,
-		CPUUsage:      met.CPUUsage,
-		IOPSUsage:     met.IOPSUsage,
-		MemUsage:      met.MemUsage,
-		QPS:           met.QPS,
-		RowLockWaits:  met.RowLockWaits,
-		MDLWaits:      met.MDLWaits,
+		ActiveSession: c.met.ActiveSession.Clone(),
+		AvgSession:    c.met.AvgSession.Clone(),
+		CPUUsage:      c.met.CPUUsage.Clone(),
+		IOPSUsage:     c.met.IOPSUsage.Clone(),
+		MemUsage:      c.met.MemUsage.Clone(),
+		QPS:           c.met.QPS.Clone(),
+		RowLockWaits:  c.met.RowLockWaits.Clone(),
+		MDLWaits:      c.met.MDLWaits.Clone(),
 	}
 
-	ordered := make([]*TemplateSeries, 0, len(c.templates))
+	ordered := make([]*templateSeries, 0, len(c.templates))
 	for _, ts := range c.templates {
 		ordered = append(ordered, ts)
 	}
@@ -51,7 +50,7 @@ func (c *Collector) RebuildFrame() *window.Frame {
 	f.Response = make([]float64, 0, total)
 	for i, ts := range ordered {
 		f.Templates[i] = window.Template{
-			Meta:      window.Meta(ts.Meta),
+			Meta:      ts.Meta,
 			Count:     ts.Count.Clone(),
 			SumRT:     ts.SumRT.Clone(),
 			SumRows:   ts.SumRows.Clone(),
@@ -67,8 +66,8 @@ func (c *Collector) RebuildFrame() *window.Frame {
 	return f
 }
 
-func sortTemplates(ts []*TemplateSeries) {
-	// Insertion sort: template counts per snapshot are moderate and the
+func sortTemplates(ts []*templateSeries) {
+	// Insertion sort: template counts per window are moderate and the
 	// input is usually almost sorted (registry order of first arrival).
 	for i := 1; i < len(ts); i++ {
 		for j := i; j > 0 && ts[j-1].Meta.Index > ts[j].Meta.Index; j-- {

@@ -1,7 +1,6 @@
 package collect
 
 import (
-	"fmt"
 	"testing"
 
 	"pinsql/internal/dbsim"
@@ -59,106 +58,77 @@ func TestFrameMatchesStoreScan(t *testing.T) {
 	}
 }
 
+// TestFrameMatchesSnapshotAggregates: the sealed frame holds the window's
+// aggregates and metrics as the record-by-record sums, equal to the
+// independent reference's, and SnapshotOfFrame is the frame itself.
 func TestFrameMatchesSnapshotAggregates(t *testing.T) {
 	c := NewCollector("frames", 0, 20_000, nil, nil)
 	ingestMixed(c)
-	c.IngestMetrics([]dbsim.SecondMetrics{{Second: 0, ActiveSession: 3, CPUUsage: 0.5}})
+	c.IngestMetricsAt([]dbsim.SecondMetrics{{Second: 0, ActiveSession: 3, CPUUsage: 0.5}})
+	want := c.RebuildFrame()
 	f := c.Frame()
-	snap := c.Snapshot()
-
-	if len(f.Templates) != len(snap.Templates) {
-		t.Fatalf("frame has %d templates, snapshot %d", len(f.Templates), len(snap.Templates))
+	if err := framesEqual(f, want); err != nil {
+		t.Fatal(err)
 	}
-	for i := range snap.Templates {
-		st, ft := snap.Templates[i], &f.Templates[i]
-		if TemplateMeta(ft.Meta) != st.Meta {
-			t.Errorf("template %d meta: frame %+v vs snapshot %+v", i, ft.Meta, st.Meta)
-		}
-		if ft.Count.Sum() != st.Count.Sum() || ft.SumRT.Sum() != st.SumRT.Sum() {
-			t.Errorf("template %d aggregates differ", i)
-		}
+	t1 := f.Template("T1")
+	if t1.Count[1] != 2 || t1.Count[5] != 1 || t1.SumRT.Sum() != 90 || t1.MeanRows() != 3 {
+		t.Errorf("T1 aggregates: count %v, sumRT %v, mean rows %v", t1.Count, t1.SumRT.Sum(), t1.MeanRows())
 	}
-	if f.ActiveSession[0] != snap.ActiveSession[0] || f.CPUUsage[0] != snap.CPUUsage[0] {
-		t.Error("metric series differ between frame and snapshot")
+	if t2 := f.Template("T2"); t2.Count.Sum() != 1 || t2.Throttled[3] != 1 {
+		t.Errorf("T2 aggregates: count %v, throttled %v", t2.Count, t2.Throttled)
 	}
-
-	// SnapshotOfFrame closes the loop: a snapshot view over the frame is
-	// indistinguishable from the collector's own snapshot.
-	view := SnapshotOfFrame(f)
-	if view.Topic != snap.Topic || view.Seconds != snap.Seconds || view.StartMs != snap.StartMs {
-		t.Errorf("SnapshotOfFrame header = %s/%d/%d", view.Topic, view.Seconds, view.StartMs)
+	if f.ActiveSession[0] != 3 || f.CPUUsage[0] != 0.5 {
+		t.Error("metric row not in the frame")
 	}
-	for i := range snap.Templates {
-		if view.Templates[i].Meta != snap.Templates[i].Meta {
-			t.Errorf("SnapshotOfFrame template %d meta differs", i)
-		}
+	if SnapshotOfFrame(f) != f {
+		t.Error("SnapshotOfFrame is not the identity")
 	}
 }
 
-func TestFrameCacheInvalidation(t *testing.T) {
+// TestFrameSealIsTerminal: the first Frame seals the window — every later
+// call returns that frame, and any ingest panics, leaving it as it was.
+func TestFrameSealIsTerminal(t *testing.T) {
 	c := NewCollector("frames", 0, 20_000, nil, nil)
 	ingestMixed(c)
-	f1 := c.Frame()
-	if c.Frame() != f1 {
-		t.Error("second Frame() call rebuilt an unchanged window")
+	f := c.Frame()
+	want := c.RebuildFrame()
+	if c.Frame() != f {
+		t.Error("a second Frame() returned another frame")
 	}
-	c.Ingest(rec("T1", "SELECT 1", "a", dbsim.KindSelect, 6_000, 70, 7))
-	f2 := c.Frame()
-	if f2 == f1 {
-		t.Error("Frame() returned a stale cache after Ingest")
+	for name, ingest := range map[string]func(){
+		"Ingest":          func() { c.Ingest(rec("T1", "SELECT 1", "a", dbsim.KindSelect, 6_000, 70, 7)) },
+		"IngestBatch":     func() { c.IngestBatch(nil) },
+		"IngestMetricsAt": func() { c.IngestMetricsAt([]dbsim.SecondMetrics{{Second: 1, ActiveSession: 1}}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s after the seal did not panic", name)
+				}
+			}()
+			ingest()
+		}()
 	}
-	if f2.NumObs() != f1.NumObs()+1 {
-		t.Errorf("NumObs = %d after one more record (was %d)", f2.NumObs(), f1.NumObs())
+	if err := framesEqual(f, want); err != nil {
+		t.Fatalf("an ingest after the seal changed the frame: %v", err)
 	}
-	c.IngestMetrics([]dbsim.SecondMetrics{{Second: 1, ActiveSession: 1}})
-	if c.Frame() == f2 {
-		t.Error("Frame() returned a stale cache after IngestMetrics")
-	}
-	// A throttled record carries no observation but still counts toward
-	// the Throttled series, so it must invalidate too.
-	tr := rec("T1", "SELECT 1", "a", dbsim.KindSelect, 7_000, 80, 8)
-	tr.Throttled = true
-	f3 := c.Frame()
-	c.Ingest(tr)
-	if c.Frame() == f3 {
-		t.Error("Frame() returned a stale cache after a throttled Ingest")
+	if c.Frame() != f || c.Records() != int64(f.NumObs()) || len(c.TakeArranged()) == 0 {
+		t.Error("the sealed collector no longer answers Frame, Records and TakeArranged")
 	}
 }
 
 func TestSnapshotTemplateLookup(t *testing.T) {
 	c := NewCollector("frames", 0, 20_000, nil, nil)
 	ingestMixed(c)
-	snap := c.Snapshot()
-	ts := snap.Template(sqltemplate.ID("T2"))
+	f := c.Frame()
+	ts := f.Template(sqltemplate.ID("T2"))
 	if ts == nil || ts.Meta.ID != "T2" {
 		t.Fatalf("Template(T2) = %+v", ts)
 	}
-	if snap.Template(sqltemplate.ID("nope")) != nil {
+	if f.Template(sqltemplate.ID("nope")) != nil {
 		t.Error("lookup of a missing template succeeded")
 	}
-	// The lazy index must serve repeated lookups from the same map.
-	if snap.Template(sqltemplate.ID("T1")) != snap.Template(sqltemplate.ID("T1")) {
+	if f.Template(sqltemplate.ID("T1")) != f.Template(sqltemplate.ID("T1")) {
 		t.Error("repeated lookups disagree")
-	}
-}
-
-// BenchmarkSnapshotTemplate measures the ID lookup that used to walk the
-// template slice linearly — the lazy index makes it O(1) after the first
-// call.
-func BenchmarkSnapshotTemplate(b *testing.B) {
-	c := NewCollector("bench", 0, 1_000_000, nil, nil)
-	const n = 2000
-	ids := make([]sqltemplate.ID, n)
-	for i := 0; i < n; i++ {
-		id := fmt.Sprintf("T%04d", i)
-		c.Ingest(rec(id, "SELECT "+id, "t", dbsim.KindSelect, int64(i), 1, 1))
-		ids[i] = sqltemplate.ID(id)
-	}
-	snap := c.Snapshot()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if snap.Template(ids[i%n]) == nil {
-			b.Fatal("missing template")
-		}
 	}
 }

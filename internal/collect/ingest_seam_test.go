@@ -82,66 +82,21 @@ func TestIngestMetricsAtSparse(t *testing.T) {
 	c := NewCollector("t", 0, 5000, nil, nil)
 	c.IngestMetricsAt([]dbsim.SecondMetrics{
 		{Second: 1, ActiveSession: 10, QPS: 100},
-		{Second: 3, ActiveSession: 30},
-		{Second: 3, ActiveSession: 33}, // duplicate: last wins
+		{Second: 4, ActiveSession: 30},
+		{Second: 4, ActiveSession: 44}, // duplicate: last wins
 		{Second: -1, ActiveSession: 99},
 		{Second: 5, ActiveSession: 99}, // past the window: dropped
 	})
-	snap := c.Snapshot()
-	want := []float64{0, 10, 0, 33, 0}
-	for i, w := range want {
-		if snap.ActiveSession[i] != w {
-			t.Fatalf("ActiveSession[%d] = %v, want %v (series %v)", i, snap.ActiveSession[i], w, snap.ActiveSession)
-		}
-	}
-	if snap.QPS[1] != 100 {
-		t.Fatalf("QPS[1] = %v, want 100", snap.QPS[1])
-	}
 	// Late keyed rows may fill an earlier gap.
 	c.IngestMetricsAt([]dbsim.SecondMetrics{{Second: 2, ActiveSession: 20}})
-	if snap := c.Snapshot(); snap.ActiveSession[2] != 20 {
-		t.Fatalf("backfilled ActiveSession[2] = %v, want 20", snap.ActiveSession[2])
-	}
-}
-
-// TestIngestMetricsAtMatchesAppendForDenseRows pins the equivalence the
-// fleet's no-op refactor relies on: for the dense 0-based rows a
-// simulator run produces, the keyed path and the legacy positional append
-// build identical snapshots.
-func TestIngestMetricsAtMatchesAppendForDenseRows(t *testing.T) {
-	rows := make([]dbsim.SecondMetrics, 4)
-	for i := range rows {
-		rows[i] = dbsim.SecondMetrics{
-			Second: int64(i), ActiveSession: float64(i) * 1.5, CPUUsage: 10 + float64(i),
-			QPS: 7 * i, RowLockWaits: i, SampleOffsetMs: i * 13,
-		}
-	}
-	a := NewCollector("t", 0, 4000, nil, nil)
-	a.IngestMetrics(rows)
-	b := NewCollector("t", 0, 4000, nil, nil)
-	b.IngestMetricsAt(rows)
-	sa, sb := a.Snapshot(), b.Snapshot()
-	for i := 0; i < 4; i++ {
-		if sa.ActiveSession[i] != sb.ActiveSession[i] || sa.CPUUsage[i] != sb.CPUUsage[i] ||
-			sa.QPS[i] != sb.QPS[i] || sa.RowLockWaits[i] != sb.RowLockWaits[i] {
-			t.Fatalf("second %d: keyed and positional ingestion diverge", i)
-		}
-	}
-}
-
-// TestIngestMetricsAppendContract documents the audited legacy behavior:
-// positional append ignores the rows' Second fields, which is what lets
-// multiple 0-based simulator runs stack into one window (the Fig. 8
-// scripted scenario) — and why samplers must not use it.
-func TestIngestMetricsAppendContract(t *testing.T) {
-	c := NewCollector("t", 0, 4000, nil, nil)
-	c.IngestMetrics([]dbsim.SecondMetrics{{Second: 0, ActiveSession: 1}, {Second: 1, ActiveSession: 2}})
-	c.IngestMetrics([]dbsim.SecondMetrics{{Second: 0, ActiveSession: 3}, {Second: 1, ActiveSession: 4}})
-	snap := c.Snapshot()
-	want := []float64{1, 2, 3, 4}
+	f := c.Frame()
+	want := []float64{0, 10, 20, 0, 44}
 	for i, w := range want {
-		if snap.ActiveSession[i] != w {
-			t.Fatalf("ActiveSession = %v, want %v", snap.ActiveSession, want)
+		if f.ActiveSession[i] != w {
+			t.Fatalf("ActiveSession[%d] = %v, want %v (series %v)", i, f.ActiveSession[i], w, f.ActiveSession)
 		}
+	}
+	if f.QPS[1] != 100 {
+		t.Fatalf("QPS[1] = %v, want 100", f.QPS[1])
 	}
 }

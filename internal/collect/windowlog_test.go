@@ -44,10 +44,9 @@ func checkCounted(t *testing.T, c *Collector) {
 // every record of the template, a fresh copy per record, a prefix of one
 // base string (same data pointer as the other prefixes, another length, and
 // more lengths than the table has slots), the raw SQL alone, and a shared
-// string of 600 templates, again more than slots — and every sealed frame
-// and every arranged run equals those of a collector fed the same records
-// with every ID in storage of its own, and the independent reference's of
-// both.
+// string of 600 templates, again more than slots — and every arranged run
+// and the sealed frame equal those of a collector fed the same records with
+// every ID in storage of its own, and the independent reference's of both.
 func TestIdentityLookup(t *testing.T) {
 	const windowMs = 60_000
 	base := strings.Repeat("IDabcdefghijklmnopqrstuvwxyz", 12)
@@ -84,16 +83,16 @@ func TestIdentityLookup(t *testing.T) {
 		ref.IngestBatch(withFreshIDs(batch))
 
 		checkCounted(t, c)
-		want := ref.RebuildFrame()
-		if err := framesEqual(c.Frame(), want); err != nil {
-			t.Fatalf("round %d: frame differs from the map-resolved collector's reference: %v", round, err)
-		}
-		if err := framesEqual(c.Frame(), c.RebuildFrame()); err != nil {
-			t.Fatalf("round %d: frame differs from the collector's own reference: %v", round, err)
-		}
 		if got, want := c.TakeArranged(), ref.TakeArranged(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: arranged runs differ from the map-resolved collector's", round)
 		}
+	}
+	want := ref.RebuildFrame()
+	if err := framesEqual(c.Frame(), want); err != nil {
+		t.Fatalf("frame differs from the map-resolved collector's reference: %v", err)
+	}
+	if err := framesEqual(c.Frame(), c.RebuildFrame()); err != nil {
+		t.Fatalf("frame differs from the collector's own reference: %v", err)
 	}
 	if got, want := store.Scan("ident", 0, windowMs), refStore.Scan("ident", 0, windowMs); !slices.Equal(got, want) {
 		t.Fatal("the stores of the two collectors scan back differently")
@@ -232,7 +231,6 @@ func TestReleaseRecyclesChunks(t *testing.T) {
 		"IngestMetricsAt": func() { first.IngestMetricsAt([]dbsim.SecondMetrics{{Second: 1}}) },
 		"Frame":           func() { first.Frame() },
 		"TakeArranged":    func() { first.TakeArranged() },
-		"Snapshot":        func() { first.Snapshot() },
 		"Records":         func() { first.Records() },
 		"Release":         first.Release,
 	} {
@@ -252,8 +250,8 @@ func TestReleaseRecyclesChunks(t *testing.T) {
 // within-slack insertion shifts an adopted chunk in place, an append after a
 // TruncateFrom inside one overwrites its tail, an Expire trims one — and
 // none of it shows in a frame held from before, in a frame sealed
-// afterwards, or in the runs a second call derives, whether the runs taken
-// were the arrays a seal had scattered from or not.
+// afterwards from runs derived afresh, or in the runs a second call derives,
+// whether the runs taken were the arrays the seal had scattered from or not.
 func TestArrangedRunsAreHandedOver(t *testing.T) {
 	const windowMs = 120_000
 	for _, sealFirst := range []bool{true, false} {
@@ -303,27 +301,24 @@ func TestArrangedRunsAreHandedOver(t *testing.T) {
 		if got := slices.Concat(c.TakeArranged()...); !slices.Equal(got, want) {
 			t.Fatalf("sealFirst=%v: a second TakeArranged returned what the store wrote into", sealFirst)
 		}
-		c.Ingest(randomRecord(rng, windowMs))
-		if err := framesEqual(c.Frame(), c.RebuildFrame()); err != nil {
-			t.Fatalf("sealFirst=%v: frame sealed from re-derived runs: %v", sealFirst, err)
-		}
 	}
 }
 
-// FuzzWindowLog: any record stream, cut into any batches and sealed at any
-// points, yields at every seal the frame the independent reference builds
-// from the log of a shadow collector — fed every TemplateID in storage of its
-// own, it resolves templates through its map alone — and its arranged runs
-// are the scan of a store fed the same batches and, run for run, Arrange of
-// its log — whether or not they were taken (and so re-derived) along the
-// way. Each record is six bytes: template (low four bits) and the storage
-// its ID comes in (next two: a string shared by the template's records, a
-// fresh copy, a prefix of one base string, the raw SQL alone), arrival (two,
+// FuzzWindowLog: any record stream, cut into any batches and sealed once at
+// its end, yields the frame the independent reference builds from the log
+// of a shadow collector — fed every TemplateID in storage of its own, it
+// resolves templates through its map alone — and its arranged runs are the
+// scan of a store fed the same batches and, run for run, Arrange of its log
+// — whether or not they were taken (and so re-derived) along the way. Each
+// record is six bytes: template (low four bits) and the storage its ID
+// comes in (next two: a string shared by the template's records, a fresh
+// copy, a prefix of one base string, the raw SQL alone), arrival (two,
 // scaled over a window that records may fall outside), response (two), and
-// flags — throttled, end the batch here, seal, take the runs.
+// flags — throttled, end the batch here (either of the next two bits), take
+// the runs.
 func FuzzWindowLog(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{1, 0, 16, 0, 9, 0x06, 1, 0, 16, 0, 7, 0x0e, 2, 0, 8, 1, 1, 0x01, 1, 0, 16, 2, 2, 0x06}) // ties across seals
+	f.Add([]byte{1, 0, 16, 0, 9, 0x06, 1, 0, 16, 0, 7, 0x0e, 2, 0, 8, 1, 1, 0x01, 1, 0, 16, 2, 2, 0x06}) // ties across batches
 	f.Add(binary.LittleEndian.AppendUint64(nil, 0xffff_ffff_ffff_ffff))
 	seed := make([]byte, 0, 6*3*logChunk)
 	rng := rand.New(rand.NewSource(1))
@@ -351,24 +346,19 @@ func FuzzWindowLog(f *testing.F) {
 		templates := [...]string{"FZ0", "FZ1", "FZ2", "FZ3", "FZ4", "FZ5", "FZ6", "FZ7", "FZ8", "FZ9", "FZa", "FZb", "FZc", "FZd", "FZe", "FZf"}
 		const base = "FZ0123456789abcdef" // its prefix "FZ0" is templates[0] in other storage
 		var batch []dbsim.LogRecord
-		check := func(seal, take bool) {
+		take := func() {
+			runs := c.TakeArranged()
+			if whole, _ := logstore.Arrange(c.log); !reflect.DeepEqual(runs, whole) {
+				t.Fatalf("arranged in %d runs, Arrange(log) in %d, or they differ", len(runs), len(whole))
+			}
+			if got, want := slices.Concat(runs...), store.Scan("fuzz", startMs, endMs); !slices.Equal(got, want) {
+				t.Fatalf("arranged runs hold %d records, the store's scan %d, or differ", len(got), len(want))
+			}
+		}
+		flush := func() {
 			c.IngestBatch(batch)
 			shadow.IngestBatch(withFreshIDs(batch))
 			batch = batch[:0]
-			if seal {
-				if err := framesEqual(c.Frame(), shadow.RebuildFrame()); err != nil {
-					t.Fatalf("sealed frame diverges from the map-resolved shadow's reference: %v", err)
-				}
-			}
-			if take {
-				runs := c.TakeArranged()
-				if whole, _ := logstore.Arrange(c.log); !reflect.DeepEqual(runs, whole) {
-					t.Fatalf("arranged in %d runs, Arrange(log) in %d, or they differ", len(runs), len(whole))
-				}
-				if got, want := slices.Concat(runs...), store.Scan("fuzz", startMs, endMs); !slices.Equal(got, want) {
-					t.Fatalf("arranged runs hold %d records, the store's scan %d, or differ", len(got), len(want))
-				}
-			}
 		}
 		for ; len(data) >= 6; data = data[6:] {
 			r := rec(templates[data[0]%16], "", "fuzz", dbsim.KindSelect,
@@ -385,9 +375,16 @@ func FuzzWindowLog(f *testing.F) {
 			r.Throttled = flags&0x01 != 0
 			batch = append(batch, r)
 			if flags&0x0e != 0 {
-				check(flags&0x04 != 0, flags&0x08 != 0)
+				flush()
+			}
+			if flags&0x08 != 0 {
+				take()
 			}
 		}
-		check(true, true)
+		flush()
+		if err := framesEqual(c.Frame(), shadow.RebuildFrame()); err != nil {
+			t.Fatalf("sealed frame diverges from the map-resolved shadow's reference: %v", err)
+		}
+		take()
 	})
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"pinsql/internal/anomaly"
-	"pinsql/internal/collect"
 	"pinsql/internal/timeseries"
 	"pinsql/internal/window"
 )
@@ -80,7 +79,7 @@ func syntheticCase(stableLogged bool) (*anomaly.Case, *window.Frame) {
 	}
 	f.Off = append(f.Off, int32(len(f.Arrival)))
 	f.Finalize()
-	c := anomaly.NewCase(collect.SnapshotOfFrame(f), anomaly.Phenomenon{Rule: "active_session_anomaly", Start: as, End: ae})
+	c := anomaly.NewCase(f, anomaly.Phenomenon{Rule: "active_session_anomaly", Start: as, End: ae})
 	return c, f
 }
 
@@ -128,11 +127,13 @@ func TestDiagnoseActiveSessionOfAnotherLength(t *testing.T) {
 		g := *f
 		g.ActiveSession = make(timeseries.Series, n)
 		copy(g.ActiveSession, f.ActiveSession)
+		gc := *c
+		gc.Frame = &g
 		for _, noEstimate := range []bool{false, true} {
 			for _, workers := range []int{1, 2, 4} {
 				cfg := DefaultConfig()
 				cfg.NoEstimateSession, cfg.Workers = noEstimate, workers
-				d := DiagnoseFrame(c, &g, cfg)
+				d := DiagnoseFrame(&gc, &g, cfg)
 				if len(d.HSQLs) != 2 || len(d.RSQLs) == 0 {
 					t.Fatalf("n=%d noEstimate=%v w=%d: %d H-SQLs, %d R-SQLs", n, noEstimate, workers, len(d.HSQLs), len(d.RSQLs))
 				}

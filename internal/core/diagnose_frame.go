@@ -17,10 +17,9 @@ import (
 // through estimation, H-SQL ranking and R-SQL clustering; string template
 // IDs appear only in the returned Diagnosis.
 //
-// The frame must be the window the case was detected on (c.Snapshot built
-// from the same collector state, e.g. via collect.SnapshotOfFrame). Every
-// float accumulation runs in an order the template IDs fix (see
-// window.Frame's ByID contract), so the output depends on neither the
+// The frame must be the window the case was detected on, c.Frame; any other
+// panics. Every float accumulation runs in an order the template IDs fix
+// (see window.Frame's ByID contract), so the output depends on neither the
 // frame's layout nor cfg.Workers.
 //
 // It is the one-case use of a FrameDiagnoser; a window with several
@@ -128,12 +127,16 @@ func (fd *FrameDiagnoser) templatePartition() *rootcause.Partition {
 	return fd.partition
 }
 
-// Diagnose runs the pipeline on one anomaly case of the frame.
+// Diagnose runs the pipeline on one anomaly case of the frame; a case
+// detected on another frame panics.
 // Time.EstimateSession is the estimate's time on the call that computed it
 // and the lookup's on every other; Time.ClusterFilter likewise includes the
 // partition's time only on the call that computed it.
 func (fd *FrameDiagnoser) Diagnose(c *anomaly.Case) *Diagnosis {
 	f, cfg := fd.f, fd.cfg
+	if c.Frame != f {
+		panic("core: Diagnose of a case detected on another frame")
+	}
 	d := &Diagnosis{}
 
 	start := time.Now()

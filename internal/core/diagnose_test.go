@@ -20,7 +20,7 @@ func diagnoseCase(t *testing.T, idx int64, kind workload.AnomalyKind, cfg Config
 	if err != nil {
 		t.Fatal(err)
 	}
-	return lab, DiagnoseFrame(lab.Case, lab.Collector.Frame(), cfg)
+	return lab, DiagnoseFrame(lab.Case, lab.Case.Frame, cfg)
 }
 
 func TestDiagnoseBusinessSpike(t *testing.T) {
@@ -91,7 +91,7 @@ func TestDiagnoseBeatsTopSQLOnRSQL(t *testing.T) {
 	if !rank.Hit(d.RSQLIDs(), lab.RSQLs, 1) {
 		t.Fatalf("PinSQL missed the R-SQL: %v", head(d.RSQLIDs(), 5))
 	}
-	snap := lab.Case.Snapshot
+	snap := lab.Case.Frame
 	topEN := rank.TopSQL(snap, lab.Case.AS, lab.Case.AE, rank.MethodTopEN)
 	if rank.Hit(topEN, lab.RSQLs, 1) {
 		t.Log("Top-EN also found it (possible but unusual); not a failure")

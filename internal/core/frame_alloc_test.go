@@ -30,7 +30,7 @@ func TestDiagnoseFrameAllocBudget(t *testing.T) {
 		}
 		cfg := DefaultConfig()
 		cfg.Workers = 1 // sequential: no scheduling allocations in the count
-		fr := lab.Collector.Frame()
+		fr := lab.Case.Frame
 		d := DiagnoseFrame(lab.Case, fr, cfg) // warm-up
 		for _, cand := range d.Root.Ranked {
 			if cand.Cluster >= d.Root.Selected {

@@ -9,6 +9,7 @@ import (
 	"pinsql/internal/cases"
 	"pinsql/internal/session"
 	"pinsql/internal/timeseries"
+	"pinsql/internal/window"
 	"pinsql/internal/workload"
 )
 
@@ -56,7 +57,7 @@ func TestFrameDiagnoserSharesOneEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr := lab.Collector.Frame()
+	fr := lab.Case.Frame
 	// The detected case plus two more phenomena of the same window, over
 	// other intervals: what the fleet sees when two rules fire, or one
 	// rule twice.
@@ -135,7 +136,7 @@ func TestFrameDiagnoserSharesOnePartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr := lab.Collector.Frame()
+	fr := lab.Case.Frame
 	phenomena := []*anomaly.Case{lab.Case}
 	for _, shift := range []int{-90, -30, 40} {
 		c := *lab.Case
@@ -177,5 +178,27 @@ func TestFrameDiagnoserSharesOnePartition(t *testing.T) {
 				t.Fatalf("metricNodes=%v workers=%d: the shared estimate changed between the first and the last phenomenon", metricNodes, workers)
 			}
 		}
+	}
+}
+
+// TestFrameDiagnoserRefusesAnotherFramesCase: a case is diagnosed only on
+// the frame it was detected on. One from another frame — even an equal
+// copy — panics instead of reading this frame's series over its interval.
+func TestFrameDiagnoserRefusesAnotherFramesCase(t *testing.T) {
+	c, f := syntheticCase(true)
+	other, _ := syntheticCase(true)
+	copied := *f
+	for name, fr := range map[string]*window.Frame{"another frame": other.Frame, "a copy of the frame": &copied} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Diagnose of a case detected on %s did not panic", name)
+				}
+			}()
+			NewFrameDiagnoser(fr, DefaultConfig()).Diagnose(c)
+		}()
+	}
+	if d := NewFrameDiagnoser(f, DefaultConfig()).Diagnose(c); len(d.RSQLs) == 0 {
+		t.Fatal("the case's own frame diagnosed nothing")
 	}
 }

@@ -23,7 +23,7 @@ func TestDiagnoseWorkersEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fr := lab.Collector.Frame()
+		fr := lab.Case.Frame
 
 		cfg := DefaultConfig()
 		cfg.Workers = 1

@@ -7,6 +7,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"time"
@@ -435,12 +436,24 @@ func (f *Fleet) maybeScheduleDrain(st *instState) {
 	f.pool.SubmitLow(func() { f.runDrain(st) })
 }
 
+// caught turns a panic of the task it is deferred in into *err, with the
+// stack: the instance fails loudly and its task still clears its flag, so
+// Wait, Stop and Close return.
+func caught(err *error) {
+	if r := recover(); r != nil {
+		*err = fmt.Errorf("panic: %v\n%s", r, debug.Stack())
+	}
+}
+
 // runSim plays window w and stages its output, shedding the oldest
 // queued window when the queue is full — the player is never blocked on
 // diagnosis.
 func (f *Fleet) runSim(st *instState, w int) {
 	start := time.Now()
-	sw, more, err := f.simWindow(st, w)
+	sw, more, err := func() (sw *stagedWindow, more bool, err error) {
+		defer caught(&err)
+		return f.simWindow(st, w)
+	}()
 	f.stages.collect.Observe(time.Since(start).Seconds())
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -541,14 +554,18 @@ func (f *Fleet) runDrain(st *instState) {
 	st.queue = st.queue[1:]
 	f.mu.Unlock()
 
-	if sw.shed {
-		sw.rep.Shed = true
-	} else {
-		f.diagnose(sw)
-	}
-	start := time.Now()
-	err := f.commit(st, sw)
-	f.stages.commit.Observe(time.Since(start).Seconds())
+	err := func() (err error) {
+		defer caught(&err)
+		if sw.shed {
+			sw.rep.Shed = true
+		} else {
+			f.diagnose(sw)
+		}
+		start := time.Now()
+		err = f.commit(st, sw)
+		f.stages.commit.Observe(time.Since(start).Seconds())
+		return err
+	}()
 
 	f.mu.Lock()
 	st.drainActive = false
@@ -582,7 +599,6 @@ func (f *Fleet) runDrain(st *instState) {
 // per phenomenon.
 func (f *Fleet) diagnose(sw *stagedWindow) {
 	fr := sw.coll.Frame()
-	snap := collect.SnapshotOfFrame(fr)
 	start := time.Now()
 	per := core.NewPerception(anomaly.Config{}, nil)
 	per.ObserveFrame(fr)
@@ -593,7 +609,7 @@ func (f *Fleet) diagnose(sw *stagedWindow) {
 	baseSec := int(sw.fromMs / 1000)
 	fd := core.NewFrameDiagnoser(fr, f.diagCfg)
 	for _, ph := range phenomena {
-		c := anomaly.NewCase(snap, ph)
+		c := anomaly.NewCase(fr, ph)
 		d := fd.Diagnose(c)
 		ar := AnomalyReport{Rule: ph.Rule, StartSec: baseSec + ph.Start, EndSec: baseSec + ph.End}
 		for i, cand := range d.RSQLs {

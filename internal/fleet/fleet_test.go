@@ -1,9 +1,15 @@
 package fleet
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"pinsql/internal/dbsim"
+	"pinsql/internal/ingest"
+	"pinsql/internal/workload"
 )
 
 // testSpecs is the shared fixture: four heterogeneous instances, the last
@@ -319,4 +325,68 @@ func TestRunInstanceSingle(t *testing.T) {
 	if reps[1].Injected == "" || reps[1].Records == 0 {
 		t.Fatalf("window 1 looks empty: %+v", reps[1])
 	}
+}
+
+// panicSource is a trace whose Next panics on the first batch at or past
+// second at.
+type panicSource struct {
+	ingest.Source
+	at int64
+}
+
+func (s *panicSource) Next() (ingest.Batch, error) {
+	b, err := s.Source.Next()
+	if err == nil && b.Second >= s.at {
+		panic("trace source broke")
+	}
+	return b, err
+}
+
+// TestFleetTaskPanicFailsInstance: a panic inside an instance's task — here
+// its trace source, in window 2 — fails that instance with the panic's value
+// and stack, and nothing waits on it: Wait returns the error, the other
+// instances report what they report without it, and Close returns.
+func TestFleetTaskPanicFailsInstance(t *testing.T) {
+	const windowSec = 300
+	healthy := DefaultFleet(2, 5, 3, windowSec)
+	want, _ := runReport(t, healthy, Options{Workers: 2})
+
+	faulty := TraceSpec("faulty", windowSec, func() (ingest.Source, error) {
+		world := workload.DefaultWorld(9)
+		cfg := dbsim.DefaultConfig()
+		cfg.Seed = 9
+		sim := dbsim.NewInstance(cfg)
+		world.Apply(sim)
+		return &panicSource{Source: ingest.NewSimSource(world, sim, 9, 4, windowSec), at: 2 * windowSec}, nil
+	})
+	f, err := New(append(slices.Clone(healthy), faulty), Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Start()
+	within := func(what string, fn func() error) error {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- fn() }()
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(time.Minute):
+			t.Fatalf("%s did not return after a task panicked", what)
+			return nil
+		}
+	}
+	err = within("Wait", f.Wait)
+	if err == nil || !strings.Contains(err.Error(), "instance faulty: panic: trace source broke") || !strings.Contains(err.Error(), "panicSource") {
+		t.Fatalf("Wait = %v, want the faulty instance's panic with its stack", err)
+	}
+	var got strings.Builder
+	for _, id := range []string{"inst-00", "inst-01"} {
+		reps, _ := f.Diagnoses(id)
+		FormatInstanceReport(&got, id, reps)
+	}
+	if got.String() != want {
+		t.Fatalf("healthy instances' reports changed beside a failed one\n--- alone ---\n%s\n--- beside it ---\n%s", want, got.String())
+	}
+	within("Close", f.Close)
 }

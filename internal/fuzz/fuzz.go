@@ -191,7 +191,7 @@ func (s *searcher) eval(idx int64, p cases.CaseParams) (probeResult, error) {
 	if err != nil {
 		return probeResult{}, err
 	}
-	d := core.DiagnoseFrame(lab.Case, lab.Collector.Frame(), s.cfg)
+	d := core.DiagnoseFrame(lab.Case, lab.Case.Frame, s.cfg)
 	return probeResult{params: p, lab: lab, diag: d, v: Judge(lab.RSQLs, lab.HSQLs, d)}, nil
 }
 
@@ -398,7 +398,7 @@ func (s *searcher) record(opt Options, idx int64, armName string, orig probeResu
 // byte-identical to the live one, or the bundle would not reproduce the
 // miss it claims. A failure here is a determinism bug, not a bad case.
 func (s *searcher) replayCheck(name string, min probeResult) (*caseio.File, error) {
-	file := caseio.FromFrame(min.lab.Case, min.lab.Collector.Frame())
+	file := caseio.FromFrame(min.lab.Case, min.lab.Case.Frame)
 	file.Name = name
 	file.Truth = &caseio.Truth{Kind: min.lab.Kind.String()}
 	file.Truth.RSQLs, file.Truth.HSQLs = min.lab.TruthIDs()

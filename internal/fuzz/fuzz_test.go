@@ -123,7 +123,7 @@ func TestRunFindsAndMinimizesMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2 := Judge(lab.RSQLs, lab.HSQLs, core.DiagnoseFrame(lab.Case, lab.Collector.Frame(), cfg))
+	v2 := Judge(lab.RSQLs, lab.HSQLs, core.DiagnoseFrame(lab.Case, lab.Case.Frame, cfg))
 	assertVerdictBytes(t, m.Verdict, v2, "generator replay")
 }
 

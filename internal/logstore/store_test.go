@@ -1,6 +1,7 @@
 package logstore
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -447,14 +448,20 @@ func TestAppendBatchAllocBudget(t *testing.T) {
 	for k := range runs {
 		firsts[k] = &runs[k][0]
 	}
-	s := New(0)
-	grew := allocated(func() {
-		for _, run := range runs {
-			if n, err := s.AppendBatch("t", run); n != chunkCap || err != nil {
-				t.Fatalf("AppendBatch = %d, %v", n, err)
+	// TotalAlloc also counts the runtime's background allocations: the
+	// least of several fresh stores is the appends' own.
+	var s *Store
+	grew := int64(math.MaxInt64)
+	for range 5 {
+		s = New(0)
+		grew = min(grew, allocated(func() {
+			for _, run := range runs {
+				if n, err := s.AppendBatch("t", run); n != chunkCap || err != nil {
+					t.Fatalf("AppendBatch = %d, %v", n, err)
+				}
 			}
-		}
-	})
+		}))
+	}
 	// The spine doubles as it grows: under 4 slice headers per chunk.
 	if budget := int64(chunks*4*24 + 1024); grew > budget {
 		t.Errorf("appending %d chunk-long runs allocated %d B, budget %d B (records %d B)", chunks, grew, budget, chunks*chunkCap*int(unsafe.Sizeof(Record{})))

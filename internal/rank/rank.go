@@ -9,8 +9,8 @@ package rank
 import (
 	"sort"
 
-	"pinsql/internal/collect"
 	"pinsql/internal/sqltemplate"
+	"pinsql/internal/window"
 )
 
 // Hit reports whether any of the first k entries of ranked appears in the
@@ -85,16 +85,17 @@ const (
 // Methods lists the individual baselines in presentation order.
 func Methods() []Method { return []Method{MethodTopRT, MethodTopER, MethodTopEN} }
 
-// TopSQL ranks the snapshot's templates by the method's metric summed over
+// TopSQL ranks the frame's templates by the method's metric summed over
 // the anomaly window [as, ae), descending. Ties break by template ID for
 // determinism.
-func TopSQL(snap *collect.Snapshot, as, ae int, m Method) []sqltemplate.ID {
+func TopSQL(f *window.Frame, as, ae int, m Method) []sqltemplate.ID {
 	type scored struct {
 		id    sqltemplate.ID
 		value float64
 	}
-	rows := make([]scored, 0, len(snap.Templates))
-	for _, ts := range snap.Templates {
+	rows := make([]scored, 0, len(f.Templates))
+	for i := range f.Templates {
+		ts := &f.Templates[i]
 		var v float64
 		switch m {
 		case MethodTopEN:

@@ -7,6 +7,7 @@ import (
 	"pinsql/internal/dbsim"
 	"pinsql/internal/sqltemplate"
 	"pinsql/internal/timeseries"
+	"pinsql/internal/window"
 )
 
 func ids(ss ...string) []sqltemplate.ID {
@@ -88,7 +89,7 @@ func TestEvaluateDegenerate(t *testing.T) {
 	}
 }
 
-func snapFor(t *testing.T) *collect.Snapshot {
+func frameFor(t *testing.T) *window.Frame {
 	t.Helper()
 	c := collect.NewCollector("db", 0, 10_000, nil, nil)
 	add := func(tpl string, sec int, rt float64, rows int64) {
@@ -105,35 +106,35 @@ func snapFor(t *testing.T) *collect.Snapshot {
 	add("SCAN", 3, 5, 100_000)
 	// Outside the window: must not count.
 	add("SLOW", 8, 9999, 1)
-	return c.Snapshot()
+	return c.Frame()
 }
 
 func TestTopSQLVariants(t *testing.T) {
-	snap := snapFor(t)
-	if got := TopSQL(snap, 2, 5, MethodTopEN)[0]; got != "MANY" {
+	f := frameFor(t)
+	if got := TopSQL(f, 2, 5, MethodTopEN)[0]; got != "MANY" {
 		t.Errorf("Top-EN first = %s", got)
 	}
-	if got := TopSQL(snap, 2, 5, MethodTopRT)[0]; got != "SLOW" {
+	if got := TopSQL(f, 2, 5, MethodTopRT)[0]; got != "SLOW" {
 		t.Errorf("Top-RT first = %s", got)
 	}
-	if got := TopSQL(snap, 2, 5, MethodTopER)[0]; got != "SCAN" {
+	if got := TopSQL(f, 2, 5, MethodTopER)[0]; got != "SCAN" {
 		t.Errorf("Top-ER first = %s", got)
 	}
 	// All variants rank every template.
-	if got := TopSQL(snap, 2, 5, MethodTopRT); len(got) != 3 {
+	if got := TopSQL(f, 2, 5, MethodTopRT); len(got) != 3 {
 		t.Errorf("ranking length = %d, want 3", len(got))
 	}
 }
 
 func TestTopSQLDeterministicTies(t *testing.T) {
-	snap := &collect.Snapshot{
+	f := &window.Frame{
 		Seconds: 3,
-		Templates: []*collect.TemplateSeries{
-			{Meta: collect.TemplateMeta{ID: "B"}, Count: timeseries.Series{1, 1, 1}, SumRT: timeseries.Series{1, 1, 1}, SumRows: timeseries.Series{0, 0, 0}},
-			{Meta: collect.TemplateMeta{ID: "A"}, Count: timeseries.Series{1, 1, 1}, SumRT: timeseries.Series{1, 1, 1}, SumRows: timeseries.Series{0, 0, 0}},
+		Templates: []window.Template{
+			{Meta: window.Meta{ID: "B"}, Count: timeseries.Series{1, 1, 1}, SumRT: timeseries.Series{1, 1, 1}, SumRows: timeseries.Series{0, 0, 0}},
+			{Meta: window.Meta{ID: "A"}, Count: timeseries.Series{1, 1, 1}, SumRT: timeseries.Series{1, 1, 1}, SumRows: timeseries.Series{0, 0, 0}},
 		},
 	}
-	got := TopSQL(snap, 0, 3, MethodTopRT)
+	got := TopSQL(f, 0, 3, MethodTopRT)
 	if got[0] != "A" || got[1] != "B" {
 		t.Errorf("tie order = %v, want [A B]", got)
 	}

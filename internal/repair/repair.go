@@ -13,9 +13,9 @@ import (
 	"fmt"
 
 	"pinsql/internal/anomaly"
-	"pinsql/internal/collect"
 	"pinsql/internal/sqltemplate"
 	"pinsql/internal/timeseries"
+	"pinsql/internal/window"
 )
 
 // Action names used in configuration.
@@ -208,7 +208,7 @@ func (m *Module) Suggest(c *anomaly.Case, rsqls []sqltemplate.ID) []Suggestion {
 				})
 			case ActionThrottle, ActionOptimize:
 				for _, id := range rsqls {
-					ts := c.Snapshot.Template(id)
+					ts := c.Frame.Template(id)
 					if ts == nil {
 						continue
 					}
@@ -312,7 +312,7 @@ func featureName(f anomaly.Feature) string { return f.String() }
 
 // templateMatches re-runs the feature detector on the template's own metric
 // series inside the case window.
-func templateMatches(det *anomaly.Detector, cond Condition, ts *collect.TemplateSeries, c *anomaly.Case) bool {
+func templateMatches(det *anomaly.Detector, cond Condition, ts *window.Template, c *anomaly.Case) bool {
 	var series timeseries.Series
 	switch cond.Metric {
 	case "examined_rows":

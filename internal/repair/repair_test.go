@@ -5,10 +5,10 @@ import (
 	"testing"
 
 	"pinsql/internal/anomaly"
-	"pinsql/internal/collect"
 	"pinsql/internal/dbsim"
 	"pinsql/internal/sqltemplate"
 	"pinsql/internal/timeseries"
+	"pinsql/internal/window"
 )
 
 // fakeCase builds a minimal anomaly case with one template whose
@@ -29,16 +29,18 @@ func fakeCase(metric string, feature anomaly.Feature) *anomaly.Case {
 			rt[i] += 5000
 		}
 	}
-	snap := &collect.Snapshot{
+	f := &window.Frame{
 		Seconds: n,
-		Templates: []*collect.TemplateSeries{{
-			Meta:    collect.TemplateMeta{ID: "RSQL1", Table: "orders"},
+		Templates: []window.Template{{
+			Meta:    window.Meta{ID: "RSQL1", Table: "orders"},
 			Count:   count,
 			SumRT:   rt,
 			SumRows: rows,
 		}},
+		Off: make([]int32, 2),
 	}
-	return anomaly.NewCase(snap, anomaly.Phenomenon{
+	f.Finalize()
+	return anomaly.NewCase(f, anomaly.Phenomenon{
 		Rule:  metric + "_anomaly",
 		Start: as,
 		End:   ae,
@@ -111,8 +113,8 @@ func TestSuggestCPUBurnRequiresRowsSpike(t *testing.T) {
 
 	// Flatten the rows series: the template condition must now fail.
 	flat := fakeCase(anomaly.MetricCPUUsage, anomaly.SpikeUp)
-	for i := range flat.Snapshot.Templates[0].SumRows {
-		flat.Snapshot.Templates[0].SumRows[i] = 100
+	for i := range flat.Frame.Templates[0].SumRows {
+		flat.Frame.Templates[0].SumRows[i] = 100
 	}
 	for _, s := range m.Suggest(flat, []sqltemplate.ID{"RSQL1"}) {
 		if s.Rule == "cpu-burn" {

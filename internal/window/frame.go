@@ -57,6 +57,25 @@ type Template struct {
 	Throttled timeseries.Series // statements rejected by a throttle rule
 }
 
+// MeanRT returns the average response time per executed statement over the
+// whole window, in milliseconds.
+func (t *Template) MeanRT() float64 {
+	n := t.Count.Sum()
+	if n == 0 {
+		return 0
+	}
+	return t.SumRT.Sum() / n
+}
+
+// MeanRows returns the average examined rows per executed statement.
+func (t *Template) MeanRows() float64 {
+	n := t.Count.Sum()
+	if n == 0 {
+		return 0
+	}
+	return t.SumRows.Sum() / n
+}
+
 // Frame is one collection window in columnar form. Frames are immutable
 // once built (Finalize); sharing one across goroutines is safe.
 type Frame struct {
@@ -118,8 +137,14 @@ func (f *Frame) Pos(id sqltemplate.ID) (pos int, ok bool) {
 	return int(p), ok
 }
 
-// Template returns the template at a frame position.
-func (f *Frame) Template(pos int) *Template { return &f.Templates[pos] }
+// Template returns the template with the given ID, or nil when the frame
+// has none: Pos at the boundary, for callers that want the series.
+func (f *Frame) Template(id sqltemplate.ID) *Template {
+	if pos, ok := f.Pos(id); ok {
+		return &f.Templates[pos]
+	}
+	return nil
+}
 
 // Finalize fixes the frame's derived state after the builder filled
 // Templates (ascending Meta.Index), Off/Arrival/Response and the metric
@@ -151,22 +176,11 @@ func (f *Frame) FinalizeSorted() {
 	})
 	f.posByID = make(map[sqltemplate.ID]int32, len(f.Templates))
 	for i := range f.Templates {
-		f.posByID[f.Templates[i].Meta.ID] = int32(i)
+		id := f.Templates[i].Meta.ID
+		if _, dup := f.posByID[id]; !dup { // a duplicated ID names its first position, as caseio reads it
+			f.posByID[id] = int32(i)
+		}
 	}
-}
-
-// FinalizeShared adopts the derived state of a previous frame over the
-// same template set (identical IDs in identical positions): ByID and the
-// ID index are order-only structures, so a delta build that did not add or
-// remove templates reuses them without recomputation. Frames are immutable
-// once finalized, making the sharing safe. Observation groups must already
-// be sorted, as for FinalizeSorted.
-func (f *Frame) FinalizeShared(prev *Frame) {
-	if len(prev.Templates) != len(f.Templates) {
-		panic("window: FinalizeShared across different template sets")
-	}
-	f.ByID = prev.ByID
-	f.posByID = prev.posByID
 }
 
 // sortObsGroup stable-sorts one observation group by arrival time with

@@ -73,9 +73,15 @@ func TestPosLookup(t *testing.T) {
 		if !ok || pos != tc.pos {
 			t.Errorf("Pos(%q) = %d, %v", tc.id, pos, ok)
 		}
+		if got := f.Template(sqltemplate.ID(tc.id)); got != &f.Templates[tc.pos] {
+			t.Errorf("Template(%q) is not the template at position %d", tc.id, tc.pos)
+		}
 	}
 	if _, ok := f.Pos(sqltemplate.ID("missing")); ok {
 		t.Error("Pos found a template that is not there")
+	}
+	if f.Template(sqltemplate.ID("missing")) != nil {
+		t.Error("Template found a template that is not there")
 	}
 }
 

@@ -24,10 +24,9 @@ type (
 	TemplateID = sqltemplate.ID
 	// Template is a normalized SQL statement with its digest.
 	Template = sqltemplate.Template
-	// Snapshot is one collection window: per-template series + metrics.
-	Snapshot = collect.Snapshot
-	// Frame is the columnar, index-keyed window representation every
-	// diagnosis stage consumes (internal/window).
+	// Frame is one collection window — per-template series, observation
+	// columns and metrics — in the columnar form every stage consumes
+	// (internal/window).
 	Frame = window.Frame
 	// Collector aggregates query logs and metrics (§IV-A).
 	Collector = collect.Collector
@@ -80,7 +79,6 @@ type Run struct {
 	World     *World
 	Instance  *Instance
 	Collector *Collector
-	Snapshot  *Snapshot
 	cfg       Config
 }
 
@@ -112,12 +110,11 @@ func Simulate(w *World, opt SimOptions) (*Run, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pinsql: simulation failed: %w", err)
 	}
-	coll.IngestMetrics(secs)
+	coll.IngestMetricsAt(secs)
 	return &Run{
 		World:     w,
 		Instance:  inst,
 		Collector: coll,
-		Snapshot:  coll.Snapshot(),
 		cfg:       DefaultConfig(),
 	}, nil
 }
@@ -132,8 +129,9 @@ func (r *Run) SetConfig(cfg Config) { r.cfg = cfg }
 // §II), then by duration.
 func (r *Run) DetectCases() []*Case {
 	var out []*Case
-	for _, p := range anomaly.DetectDefault(r.Snapshot.ActiveSession, r.Snapshot.CPUUsage, r.Snapshot.IOPSUsage) {
-		out = append(out, anomaly.NewCase(r.Snapshot, p))
+	f := r.Frame()
+	for _, p := range anomaly.DetectDefault(f.ActiveSession, f.CPUUsage, f.IOPSUsage) {
+		out = append(out, anomaly.NewCase(f, p))
 	}
 	sort.SliceStable(out, func(i, j int) bool {
 		si := out[i].Phenomenon.Rule == "active_session_anomaly"
@@ -146,13 +144,13 @@ func (r *Run) DetectCases() []*Case {
 	return out
 }
 
-// Frame returns the run window's columnar frame — per-template aggregates,
-// observation columns and metric series in one immutable structure.
+// Frame returns the run window's frame: the collector's seal, made on the
+// first call.
 func (r *Run) Frame() *window.Frame {
 	return r.Collector.Frame()
 }
 
-// Diagnose runs the full PinSQL pipeline on a detected case, over the run
+// Diagnose runs the full PinSQL pipeline on a case detected on the run
 // window's frame.
 func (r *Run) Diagnose(c *Case) *Diagnosis {
 	return core.DiagnoseFrame(c, r.Frame(), r.cfg)
@@ -181,12 +179,12 @@ func (r *Run) Repair(c *Case, d *Diagnosis, auto bool) []Suggestion {
 	return mod.Execute(env, sugg)
 }
 
-// TopSQL ranks the snapshot's templates over [as, ae) with one of the
+// TopSQL ranks the frame's templates over [as, ae) with one of the
 // Table I baseline methods: "Top-RT", "Top-ER" or "Top-EN".
-func TopSQL(snap *Snapshot, as, ae int, method string) ([]TemplateID, error) {
+func TopSQL(f *Frame, as, ae int, method string) ([]TemplateID, error) {
 	switch rank.Method(method) {
 	case rank.MethodTopRT, rank.MethodTopER, rank.MethodTopEN:
-		return rank.TopSQL(snap, as, ae, rank.Method(method)), nil
+		return rank.TopSQL(f, as, ae, rank.Method(method)), nil
 	}
 	return nil, fmt.Errorf("pinsql: unknown Top-SQL method %q", method)
 }

@@ -23,14 +23,14 @@ func endToEnd(t *testing.T) (*Run, *Case, TemplateID) {
 
 func TestSimulateProducesSnapshot(t *testing.T) {
 	run, _, _ := endToEnd(t)
-	snap := run.Snapshot
-	if snap.Seconds != 1500 {
-		t.Errorf("seconds = %d", snap.Seconds)
+	f := run.Frame()
+	if f.Seconds != 1500 {
+		t.Errorf("seconds = %d", f.Seconds)
 	}
-	if len(snap.Templates) < 10 {
-		t.Errorf("templates = %d, want the demo world's population", len(snap.Templates))
+	if len(f.Templates) < 10 {
+		t.Errorf("templates = %d, want the demo world's population", len(f.Templates))
 	}
-	if snap.ActiveSession.Sum() <= 0 {
+	if f.ActiveSession.Sum() <= 0 {
 		t.Error("no session activity recorded")
 	}
 }
@@ -90,7 +90,7 @@ func TestRepairSuggestionsAndExecution(t *testing.T) {
 func TestTopSQLFacade(t *testing.T) {
 	run, c, _ := endToEnd(t)
 	for _, method := range []string{"Top-RT", "Top-ER", "Top-EN"} {
-		ranked, err := TopSQL(run.Snapshot, c.AS, c.AE, method)
+		ranked, err := TopSQL(run.Frame(), c.AS, c.AE, method)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestTopSQLFacade(t *testing.T) {
 			t.Errorf("%s returned nothing", method)
 		}
 	}
-	if _, err := TopSQL(run.Snapshot, c.AS, c.AE, "Top-Nope"); err == nil {
+	if _, err := TopSQL(run.Frame(), c.AS, c.AE, "Top-Nope"); err == nil {
 		t.Error("unknown method accepted")
 	}
 }
@@ -120,8 +120,8 @@ func TestSimulateValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.Snapshot.Seconds != 1800 {
-		t.Errorf("default duration = %d", run.Snapshot.Seconds)
+	if run.Frame().Seconds != 1800 {
+		t.Errorf("default duration = %d", run.Frame().Seconds)
 	}
 	if run.Instance.Cores() != 16 {
 		t.Errorf("default cores = %d", run.Instance.Cores())
