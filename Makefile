@@ -1,9 +1,8 @@
 # PinSQL build/test/verification entry points. CI (.github/workflows/ci.yml)
 # runs build + vet + test + race; fuzz-smoke is a short native-fuzzing slice
 # over the SQL normalizer, the storage codecs, the log-file readers, the
-# log store's order restoration, the collector's window log, the segment
-# store's seal paths, the session estimator and the sparse series'
-# correlations.
+# window log's arrangement, the collector's window log, the segment store's
+# seal paths, the session estimator and the sparse series' correlations.
 
 GO ?= go
 
@@ -17,9 +16,9 @@ build:
 test:
 	$(GO) test ./...
 
-# The full suite under the race detector; includes the broker concurrency
-# suite (internal/collect/broker_race_test.go) and the Workers-equivalence
-# property tests.
+# The full suite under the race detector, every package once; includes the
+# broker concurrency suite (internal/collect/broker_race_test.go), the
+# Workers-equivalence property tests and the adversarial search's.
 race:
 	$(GO) test -race -timeout 30m ./...
 
@@ -52,19 +51,20 @@ docs-size:
 # (panic-freedom, UTF-8 validity, trace-codec round trip, agreement with the
 # string-based parser it replaced), the positional trace-line decoder
 # (agreement with encoding/json on every line it accepts), the in-place
-# decimal conversion (bit-equal to strconv.ParseFloat), the log store's order
-# restoration (any loose batches scan back in the stable comparison sort's
-# order, and so does any chunk list handed to Arrange), the collector's
-# window log (any records and batch cuts, one seal: the sealed frame is the
-# independent reference's and the arranged runs are a store's scan), the
-# segment store's two seal paths (any strict and loose batches,
-# seals and a reopen scan back as the in-memory store's, renamed wal or
-# rewritten), the three frame session estimators (the sparse series expanded
-# is bit-equal to the dense references, the bucketed one's the map-keyed
-# all-buckets walk), the estimator's compaction of a template's touched
-# seconds, and the sparse series' sums and correlations (bit-equal to the
-# dense ones for any x, y and w, NaN, ±Inf, −0 and negatives included). Long
-# campaigns: raise -fuzztime.
+# decimal conversion (bit-equal to strconv.ParseFloat), the window log's
+# arrangement (any chunk list in completion order, arranged by
+# ArrangeCounted, is the stable comparison sort, in runs a store adopts),
+# the collector's window log (any records and batch cuts, one seal: the
+# sealed frame is the independent reference's, the arranged runs the stable
+# sort, and the store handed them at the seal scans them back), the segment
+# store's two seal paths (any batches, stragglers refused, with seals,
+# Expire, TruncateFrom and reopens scan back as the in-memory store's,
+# renamed wal or rewritten), the three frame session estimators (the sparse
+# series expanded is bit-equal to the dense references, the bucketed one's
+# the map-keyed all-buckets walk), the estimator's compaction of a
+# template's touched seconds, and the sparse series' sums and correlations
+# (bit-equal to the dense ones for any x, y and w, NaN, ±Inf, −0 and
+# negatives included). Long campaigns: raise -fuzztime.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzNormalize -fuzztime=10s ./internal/sqltemplate
 	$(GO) test -run=^$$ -fuzz=FuzzRecordCodec -fuzztime=10s ./internal/logstore/segment

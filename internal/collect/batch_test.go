@@ -52,8 +52,9 @@ func batchStream(rng *rand.Rand, n int) []dbsim.LogRecord {
 // batch boundaries — batches of one and one batch for everything included —
 // and sealed once leaves the frame, the caller's store's scan, the registry
 // and the fingerprint-index counters exactly as the record-at-a-time run
-// does; and the arranged runs, concatenated, are that store's scan — ties,
-// out-of-window and throttled records included — whenever they are taken.
+// does; and the arranged runs, concatenated, are the stable sort of the
+// window log — ties, out-of-window and throttled records included —
+// whenever they are taken.
 func TestIngestBatchMatchesRecordLoop(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -76,8 +77,8 @@ func TestIngestBatchMatchesRecordLoop(t *testing.T) {
 				}
 				c.IngestBatch(recs[lo:hi])
 				if takeAfter[hi-1] {
-					if got, want := slices.Concat(c.TakeArranged()...), store.Scan("batch", -1<<62, 1<<62); !slices.Equal(got, want) {
-						t.Fatalf("seed %d: after record %d the arranged runs hold %d records, the store's scan %d, or differ", seed, hi-1, len(got), len(want))
+					if got, want := slices.Concat(c.TakeArranged()...), arrivalOrder(c); !slices.Equal(got, want) {
+						t.Fatalf("seed %d: after record %d the arranged runs hold %d records, the stable sort %d, or differ", seed, hi-1, len(got), len(want))
 					}
 				}
 				lo = hi
@@ -135,17 +136,16 @@ func windowBatches() [][]dbsim.LogRecord {
 }
 
 // TestIngestBatchAllocBudget budgets the work of collecting a window in
-// objects and bytes, not time, in both shapes — the collector alone, and
-// with a caller's store receiving every batch. Warm, a 150-record second
-// costs O(1) objects amortised — a log chunk now and then, no per-record
-// object — and a whole window costs a bounded number of bytes per record:
-// the floor is the 32 B record written once into the window log (and once
-// more by a store), the rest is the last chunk's slack, the per-template
-// series, the per-second counts and the identity table; the chunks are made
-// here, not drawn from a released window (TestReleaseRecyclesChunks and the
-// fleet's TestWindowAllocBudget have that case). The bytes budget is 1.25 ×
-// what this code measured, and the test checks that it bites: a per-window
-// 65 536-slot record channel put back must break it.
+// objects and bytes, not time. Warm, a 150-record second costs O(1) objects
+// amortised — a log chunk now and then, no per-record object — and a whole
+// window costs a bounded number of bytes per record: the floor is the 32 B
+// record written once into the window log, the rest is the last chunk's
+// slack, the per-template series, the per-second counts and the identity
+// table; the chunks are made here, not drawn from a released window
+// (TestReleaseRecyclesChunks and the fleet's TestWindowAllocBudget have that
+// case). The bytes budget is 1.25 × what this code measured, and the test
+// checks that it bites: a per-window 65 536-slot record channel put back
+// must break it.
 func TestIngestBatchAllocBudget(t *testing.T) {
 	drainChunkPool() // no collector here is released: every chunk is made
 	batches := windowBatches()
@@ -155,55 +155,41 @@ func TestIngestBatchAllocBudget(t *testing.T) {
 			reg.Intern(r)
 		}
 	}
-	newStore := func(with bool) logstore.Backend {
-		if with {
-			return logstore.New(0)
-		}
-		return nil
+	warm := NewCollector("budget", 0, 300_000, reg, nil)
+	warm.IngestBatch(batches[0])
+	next := 1
+	perBatch := testing.AllocsPerRun(len(batches)-2, func() {
+		warm.IngestBatch(batches[next])
+		next++
+	})
+	if perBatch > 1 {
+		t.Errorf("a warm 150-record IngestBatch allocates %.1f objects, budget 1", perBatch)
 	}
-	for _, shape := range []struct {
-		name      string
-		withStore bool
-		measured  float64 // bytes per record
-	}{
-		{"collector alone", false, 39.6},
-		{"with a caller's store", true, 71.7},
-	} {
-		warm := NewCollector("budget", 0, 300_000, reg, newStore(shape.withStore))
-		warm.IngestBatch(batches[0])
-		next := 1
-		perBatch := testing.AllocsPerRun(len(batches)-2, func() {
-			warm.IngestBatch(batches[next])
-			next++
-		})
-		if perBatch > 1 {
-			t.Errorf("%s: a warm 150-record IngestBatch allocates %.1f objects, budget 1", shape.name, perBatch)
-		}
 
-		var sink chan dbsim.LogRecord
-		window := func(perWindow func()) float64 {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			if perWindow != nil {
-				perWindow()
-			}
-			c := NewCollector("budget", 0, 300_000, reg, newStore(shape.withStore))
-			for _, b := range batches {
-				c.IngestBatch(b)
-			}
-			runtime.ReadMemStats(&after)
-			if c.Records() != 45_000 {
-				t.Fatalf("window collected %d records", c.Records())
-			}
-			return float64(after.TotalAlloc-before.TotalAlloc) / 45_000
+	var sink chan dbsim.LogRecord
+	window := func(perWindow func()) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if perWindow != nil {
+			perWindow()
 		}
-		budget := 1.25 * shape.measured
-		if got := window(nil); got > budget || got < 32 {
-			t.Errorf("%s: collecting a window allocates %.1f B per record, budget %.1f (floor 32)", shape.name, got, budget)
+		c := NewCollector("budget", 0, 300_000, reg, nil)
+		for _, b := range batches {
+			c.IngestBatch(b)
 		}
-		if got := window(func() { sink = make(chan dbsim.LogRecord, 65536) }); got <= budget {
-			t.Errorf("%s: budget does not bite: %.1f B per record with a per-window channel, budget %.1f", shape.name, got, budget)
+		runtime.ReadMemStats(&after)
+		if c.Records() != 45_000 {
+			t.Fatalf("window collected %d records", c.Records())
 		}
-		_ = sink
+		return float64(after.TotalAlloc-before.TotalAlloc) / 45_000
 	}
+	const measured = 39.6 // bytes per record
+	budget := 1.25 * measured
+	if got := window(nil); got > budget || got < 32 {
+		t.Errorf("collecting a window allocates %.1f B per record, budget %.1f (floor 32)", got, budget)
+	}
+	if got := window(func() { sink = make(chan dbsim.LogRecord, 65536) }); got <= budget {
+		t.Errorf("budget does not bite: %.1f B per record with a per-window channel, budget %.1f", got, budget)
+	}
+	_ = sink
 }

@@ -92,17 +92,19 @@ type identSlot struct {
 // and keeping the window's compact records.
 //
 // The records are kept once, in ingest order, in a chunked window log, and
-// ordered once: logstore.Arrange gives the log's arrival-ordered form, and
-// the seal scatters that form into the frame's template groups, which leaves
-// every group in arrival order with ties in ingest order by construction.
+// ordered once: logstore.ArrangeCounted gives the log's arrival-ordered
+// form, and the seal scatters that form into the frame's template groups,
+// which leaves every group in arrival order with ties in ingest order by
+// construction.
 //
 // The seal is terminal: the first Frame call builds the window's one frame,
 // handing it the live series, and from then on every ingest panics, so
 // nothing writes a sealed frame.
 //
 // Lock order: c.mu → the registry's lock → the store's locks. IngestBatch
-// interns (persistence hook included) and appends to the store under c.mu;
-// neither the registry nor a store ever calls back into a collector.
+// interns (persistence hook included) and the seal appends to the store
+// under c.mu; neither the registry nor a store ever calls back into a
+// collector.
 type Collector struct {
 	mu       sync.Mutex
 	released bool // Release was called: lock panics
@@ -110,7 +112,7 @@ type Collector struct {
 	startMs  int64
 	seconds  int
 	registry *Registry
-	store    logstore.Backend // receives every batch loose; nil for none
+	store    logstore.Backend // receives the arranged window at the seal; nil for none
 
 	// templates resolves a template ID to its window state: a pre-digested
 	// record reaches the shared registry only on first sight in the window.
@@ -146,9 +148,11 @@ type Collector struct {
 
 // NewCollector creates a collector for the window [startMs, endMs) on the
 // given topic (instance name). A nil registry creates a private one. A
-// non-nil store — any logstore.Backend, shareable across collectors —
-// additionally receives every ingested batch as a loose append, in ingest
-// order; nil means none: the collector's own window log is the only copy.
+// non-nil store — any logstore.Backend, shareable across collectors — is
+// handed the window's arranged runs once, at the seal (AppendBatch, given
+// up as TakeArranged gives them; the hand-over stops at the first record
+// behind the topic's newest); nil means none: the collector's own window
+// log is the only copy.
 func NewCollector(topic string, startMs, endMs int64, registry *Registry, store logstore.Backend) *Collector {
 	if registry == nil {
 		registry = NewRegistry()
@@ -259,18 +263,13 @@ func (c *Collector) IngestBatch(recs []dbsim.LogRecord) {
 	if n := len(c.log); n > 0 {
 		tail = c.log[n-1]
 	}
-	// flush puts the grown tail chunk back and hands the store the stretch
-	// it has not seen — loosely: records are emitted at completion, far out
-	// of arrival order; under c.mu: the store's insertion order is the log's.
+	// flush puts the grown tail chunk back.
 	sent := len(tail)
 	flush := func() {
 		if len(tail) == sent {
 			return
 		}
 		c.log[len(c.log)-1] = tail
-		if c.store != nil {
-			c.store.AppendLooseBatch(c.topic, tail[sent:])
-		}
 		c.arranged = nil
 	}
 	for i := range recs {
@@ -331,18 +330,19 @@ func (c *Collector) arrangedLocked() [][]logstore.Record {
 	return c.arranged
 }
 
-// arrangeLocked is logstore.Arrange(c.log), entered past its counting phase:
-// IngestBatch kept the counts.
+// arrangeLocked arranges the window log with the per-second counts
+// IngestBatch kept.
 func (c *Collector) arrangeLocked() ([][]logstore.Record, logstore.Work) {
 	return logstore.ArrangeCounted(c.log, c.startMs, c.perSec)
 }
 
 // TakeArranged returns the window's records in arrival order with ties in
-// ingest order — what Scan returns from a store fed the same batches — as
-// the runs logstore.Arrange cuts, and gives them up: the caller owns them
+// ingest order — what a store handed them scans back — as the runs
+// logstore.ArrangeCounted cuts, and gives them up: the caller owns them
 // (and may pass them on to Backend.AppendBatch), the collector forgets
-// them, and a later seal or call derives them afresh. After the seal, the
-// first call returns the arrays the seal scattered from.
+// them, and a later seal or call derives them afresh. After the seal of a
+// collector without a store, the first call returns the arrays the seal
+// scattered from.
 func (c *Collector) TakeArranged() [][]logstore.Record {
 	c.lock(false)
 	defer c.mu.Unlock()
@@ -354,13 +354,22 @@ func (c *Collector) TakeArranged() [][]logstore.Record {
 // Frame seals the collection window, on its first call, into its columnar
 // window.Frame — per-template aggregates, observation columns grouped by
 // template position, the metric series, and the ByID permutation — from
-// what the collector itself holds; no store is scanned. Every call returns
-// that one frame, and any ingest after it panics.
+// what the collector itself holds; no store is scanned. A collector given a
+// store hands it the arranged runs then. Every call returns that one frame,
+// and any ingest after it panics.
 func (c *Collector) Frame() *window.Frame {
 	c.lock(false)
 	defer c.mu.Unlock()
 	if c.frame == nil {
 		c.frame = c.sealLocked()
+		if c.store != nil {
+			for _, run := range c.arrangedLocked() {
+				if _, err := c.store.AppendBatch(c.topic, run); err != nil {
+					break // the store's rule: nothing behind its topic's newest
+				}
+			}
+			c.arranged = nil
+		}
 	}
 	return c.frame
 }

@@ -1,6 +1,7 @@
 package collect
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -27,15 +28,21 @@ func withFreshIDs(batch []dbsim.LogRecord) []dbsim.LogRecord {
 	return out
 }
 
-// checkCounted holds the seal's arrangement — entered past the counting
-// phase, with the counts IngestBatch kept — to logstore.Arrange over the
-// same log, run for run.
+// arrivalOrder is the order every arrangement of the collector's window
+// log must give: its records, stable-sorted by arrival.
+func arrivalOrder(c *Collector) []logstore.Record {
+	all := slices.Concat(c.log...)
+	slices.SortStableFunc(all, func(a, b logstore.Record) int { return cmp.Compare(a.ArrivalMs, b.ArrivalMs) })
+	return all
+}
+
+// checkCounted holds the seal's arrangement — with the counts IngestBatch
+// kept — to the stable sort of the same log.
 func checkCounted(t *testing.T, c *Collector) {
 	t.Helper()
 	counted, _ := c.arrangeLocked()
-	whole, _ := logstore.Arrange(c.log)
-	if !reflect.DeepEqual(counted, whole) {
-		t.Fatalf("counted arrangement: %d runs, Arrange(log): %d, or they differ", len(counted), len(whole))
+	if got, want := slices.Concat(counted...), arrivalOrder(c); !slices.Equal(got, want) {
+		t.Fatalf("counted arrangement holds %d records, the stable sort %d, or they differ", len(got), len(want))
 	}
 }
 
@@ -46,7 +53,8 @@ func checkCounted(t *testing.T, c *Collector) {
 // more lengths than the table has slots), the raw SQL alone, and a shared
 // string of 600 templates, again more than slots — and every arranged run
 // and the sealed frame equal those of a collector fed the same records with
-// every ID in storage of its own, and the independent reference's of both.
+// every ID in storage of its own, and the independent reference's of both;
+// and the stores the two seals handed their runs to scan back alike.
 func TestIdentityLookup(t *testing.T) {
 	const windowMs = 60_000
 	base := strings.Repeat("IDabcdefghijklmnopqrstuvwxyz", 12)
@@ -94,6 +102,7 @@ func TestIdentityLookup(t *testing.T) {
 	if err := framesEqual(c.Frame(), c.RebuildFrame()); err != nil {
 		t.Fatalf("frame differs from the collector's own reference: %v", err)
 	}
+	ref.Frame()
 	if got, want := store.Scan("ident", 0, windowMs), refStore.Scan("ident", 0, windowMs); !slices.Equal(got, want) {
 		t.Fatal("the stores of the two collectors scan back differently")
 	}
@@ -108,11 +117,11 @@ func TestIdentityLookup(t *testing.T) {
 	}
 }
 
-// TestCountedArrangement: the counts IngestBatch keeps are exactly what
-// Arrange's counting phase would find, for a dense window, for one past
-// sparseSlack (more seconds than records, so the whole log is sorted
-// instead of distributed) and for an empty one — throttled and out-of-window
-// records, which are not in the log, left out of the counts too.
+// TestCountedArrangement: the counts IngestBatch keeps arrange the log into
+// the stable sort's order, for a dense window, for one past sparseSlack
+// (more seconds than records, so the whole log is sorted instead of
+// distributed) and for an empty one — throttled and out-of-window records,
+// which are not in the log, left out of the counts too.
 func TestCountedArrangement(t *testing.T) {
 	for _, shape := range []struct {
 		name            string
@@ -146,9 +155,8 @@ func TestCountedArrangement(t *testing.T) {
 
 // TestSealArrangementWorkBudget counts the records a seal's arrangement
 // reads, in passes over the window rather than time: two — each record is
-// placed in its arrival second, then each second is put in order. Arrange
-// itself makes four: a bounds pass or a counting pass that returned to the
-// seal would show here.
+// placed in its arrival second, then each second is put in order. A bounds
+// pass or a counting pass that returned to the seal would show here.
 func TestSealArrangementWorkBudget(t *testing.T) {
 	c := NewCollector("budget", 0, 300_000, nil, nil)
 	for _, b := range windowBatches() {
@@ -158,9 +166,6 @@ func TestSealArrangementWorkBudget(t *testing.T) {
 	_, work := c.arrangeLocked()
 	if work.Reads > 2*n || work.Reads < n {
 		t.Errorf("a seal's arrangement read %d records for a window of %d, budget %d (2 passes)", work.Reads, n, 2*n)
-	}
-	if _, whole := logstore.Arrange(c.log); whole.Reads != work.Reads+2*n {
-		t.Errorf("Arrange read %d records, the counted entry %d: the two phases it skips are %d", whole.Reads, work.Reads, 2*n)
 	}
 }
 
@@ -246,9 +251,9 @@ func TestReleaseRecyclesChunks(t *testing.T) {
 }
 
 // TestArrangedRunsAreHandedOver: TakeArranged is a transfer. A long-term
-// store that adopted the runs as chunks of its arena writes into them — a
-// within-slack insertion shifts an adopted chunk in place, an append after a
-// TruncateFrom inside one overwrites its tail, an Expire trims one — and
+// store that adopted the runs as chunks of its arena writes into them — an
+// append after a TruncateFrom inside one overwrites its tail, an Expire
+// trims one — and
 // none of it shows in a frame held from before, in a frame sealed
 // afterwards from runs derived afresh, or in the runs a second call derives,
 // whether the runs taken were the arrays the seal had scattered from or not.
@@ -279,13 +284,12 @@ func TestArrangedRunsAreHandedOver(t *testing.T) {
 		if got := long.Scan("owner", 0, windowMs); !slices.Equal(got, want) {
 			t.Fatal("the adopting store scans back something else than it was handed")
 		}
-		newest, mid := want[len(want)-1].ArrivalMs, want[len(want)/2].ArrivalMs
-		if err := long.Append("owner", logstore.Record{TemplateIdx: -1, ArrivalMs: newest - 3000}); err != nil {
-			t.Fatal(err)
-		}
+		mid := want[len(want)/2].ArrivalMs
 		long.TruncateFrom("owner", mid)
 		for i := 0; i < 100; i++ { // into the truncated chunk's free space
-			long.AppendLoose("owner", logstore.Record{TemplateIdx: -2, ArrivalMs: mid + int64(i)})
+			if err := long.Append("owner", logstore.Record{TemplateIdx: -2, ArrivalMs: mid + int64(i)}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		long.Expire(want[len(want)/4].ArrivalMs)
 		if slices.Equal(slices.Concat(runs...), want) {
@@ -308,8 +312,8 @@ func TestArrangedRunsAreHandedOver(t *testing.T) {
 // its end, yields the frame the independent reference builds from the log
 // of a shadow collector — fed every TemplateID in storage of its own, it
 // resolves templates through its map alone — and its arranged runs are the
-// scan of a store fed the same batches and, run for run, Arrange of its log
-// — whether or not they were taken (and so re-derived) along the way. Each
+// stable sort of its log whenever they are taken (and so re-derived), and
+// what the store handed them at the seal scans back. Each
 // record is six bytes: template (low four bits) and the storage its ID
 // comes in (next two: a string shared by the template's records, a fresh
 // copy, a prefix of one base string, the raw SQL alone), arrival (two,
@@ -347,12 +351,8 @@ func FuzzWindowLog(f *testing.F) {
 		const base = "FZ0123456789abcdef" // its prefix "FZ0" is templates[0] in other storage
 		var batch []dbsim.LogRecord
 		take := func() {
-			runs := c.TakeArranged()
-			if whole, _ := logstore.Arrange(c.log); !reflect.DeepEqual(runs, whole) {
-				t.Fatalf("arranged in %d runs, Arrange(log) in %d, or they differ", len(runs), len(whole))
-			}
-			if got, want := slices.Concat(runs...), store.Scan("fuzz", startMs, endMs); !slices.Equal(got, want) {
-				t.Fatalf("arranged runs hold %d records, the store's scan %d, or differ", len(got), len(want))
+			if got, want := slices.Concat(c.TakeArranged()...), arrivalOrder(c); !slices.Equal(got, want) {
+				t.Fatalf("arranged runs hold %d records, the stable sort %d, or differ", len(got), len(want))
 			}
 		}
 		flush := func() {
@@ -384,6 +384,9 @@ func FuzzWindowLog(f *testing.F) {
 		flush()
 		if err := framesEqual(c.Frame(), shadow.RebuildFrame()); err != nil {
 			t.Fatalf("sealed frame diverges from the map-resolved shadow's reference: %v", err)
+		}
+		if got, want := store.Scan("fuzz", startMs, endMs), arrivalOrder(c); !slices.Equal(got, want) {
+			t.Fatalf("the store scans back %d records, the stable sort is %d, or they differ", len(got), len(want))
 		}
 		take()
 	})

@@ -370,11 +370,6 @@ func (f *Fleet) registerMetrics() {
 		m.GaugeFunc("pinsql_ingest_lag_seconds", "Known trace end minus the replay playhead.", func() float64 {
 			return st.play.Stats().LagSeconds
 		}, f.lbls(lbl)...)
-		// The player feeds the collector directly: nothing sits between
-		// them that could drop a record, so this series reads 0.
-		m.CounterFunc("pinsql_broker_dropped_total", "Records dropped by the broker under backpressure.", func() float64 {
-			return 0
-		}, f.lbls(obs.L("topic", id))...)
 	}
 }
 
@@ -894,7 +889,7 @@ type InstanceStatus struct {
 	Shed       int64  `json:"shed"`
 	Anomalies  int    `json:"anomalies"`
 	Records    int64  `json:"records"`
-	Dropped    int64  `json:"dropped"`
+	Dropped    int64  `json:"dropped"` // always 0: delivery is synchronous
 	AutoRepair bool   `json:"auto_repair,omitempty"`
 	Done       bool   `json:"done"`
 	Error      string `json:"error,omitempty"`

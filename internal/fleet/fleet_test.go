@@ -290,7 +290,6 @@ func TestFleetHTTP(t *testing.T) {
 		`pinsql_fleet_anomalies_total{instance=`,
 		`pinsql_fleet_shed_windows_total{instance="inst-01"} 0`,
 		`pinsql_registry_raw_cache_hits_total{instance=`,
-		`pinsql_broker_dropped_total{topic="inst-00"} 0`,
 		`pinsql_fleet_queue_depth{instance="inst-01"} 0`,
 		`pinsql_ingest_parse_errors_total{instance="inst-00"} 0`,
 		`pinsql_ingest_lag_seconds{instance="inst-01"} 0`,

@@ -19,7 +19,6 @@ type WindowReport struct {
 	ToMs     int64  `json:"to_ms"`
 	Injected string `json:"injected,omitempty"`
 	Records  int64  `json:"records"`
-	Dropped  int64  `json:"dropped,omitempty"` // broker backpressure loss
 	// Shed windows lost their diagnosis to backpressure: the queue was
 	// full when a newer window arrived. Their records are still committed
 	// so window numbering and the durable topic stay contiguous.
@@ -70,9 +69,6 @@ func FormatInstanceReport(b *strings.Builder, id string, reps []*WindowReport) {
 			formatFloat(r.MeanSession), formatFloat(r.MeanCPU))
 		if r.Injected != "" {
 			fmt.Fprintf(b, " injected=%s", r.Injected)
-		}
-		if r.Dropped > 0 {
-			fmt.Fprintf(b, " dropped=%d", r.Dropped)
 		}
 		if r.Shed {
 			b.WriteString(" SHED")

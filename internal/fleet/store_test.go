@@ -1,0 +1,115 @@
+package fleet
+
+import (
+	"net/url"
+	"path/filepath"
+	"sync"
+	"testing"
+
+	"pinsql/internal/logstore"
+	"pinsql/internal/logstore/segment"
+)
+
+// checkStoredTopics reads every instance's long-term topic back through
+// ScanFunc and holds it to what the fleet committed: Σ WindowReport.Records
+// records, arrivals that never decrease, and each window's count equal to
+// its report's Records. open returns the instance's store and a closer.
+func checkStoredTopics(t *testing.T, f *Fleet, open func(id string) (logstore.Backend, func())) {
+	t.Helper()
+	for id, reps := range f.Reports() {
+		store, done := open(id)
+		var total int64
+		for _, r := range reps {
+			total += r.Records
+		}
+		var n int64
+		prev := int64(-1 << 62)
+		store.ScanFunc(id, -1<<62, 1<<62, func(rec logstore.Record) bool {
+			if rec.ArrivalMs < prev {
+				t.Errorf("%s: arrival %d after %d", id, rec.ArrivalMs, prev)
+				return false
+			}
+			prev = rec.ArrivalMs
+			n++
+			return true
+		})
+		if n != total || total == 0 {
+			t.Errorf("%s: topic holds %d records, the reports %d", id, n, total)
+		}
+		for _, r := range reps {
+			var in int64
+			store.ScanFunc(id, r.FromMs, r.ToMs, func(logstore.Record) bool { in++; return true })
+			if in != r.Records {
+				t.Errorf("%s window %d: topic holds %d records, the report %d", id, r.Window, in, r.Records)
+			}
+		}
+		done()
+	}
+}
+
+// TestFleetStoresWhatItCommits is the first reader of the fleet's topics:
+// a fleet with a lock-storm instance — statements that complete windows
+// after they arrived — commits each window's records after the previous
+// window's, in arrival order, and nothing else; in memory, with a DataDir,
+// and after a mid-append crash and a restart.
+func TestFleetStoresWhatItCommits(t *testing.T) {
+	specs := testSpecs()
+	t.Run("memory", func(t *testing.T) {
+		_, f := runReport(t, specs, Options{Workers: 2, QueueDepth: 16})
+		storm := false
+		for _, reps := range f.Reports() {
+			for _, r := range reps {
+				storm = storm || r.Injected == "lock_storm"
+			}
+		}
+		if !storm {
+			t.Fatal("fixture lost its teeth: no instance has a lock storm")
+		}
+		checkStoredTopics(t, f, func(id string) (logstore.Backend, func()) {
+			return f.insts[id].store, func() {}
+		})
+	})
+
+	openSeg := func(dir string) func(id string) (logstore.Backend, func()) {
+		return func(id string) (logstore.Backend, func()) {
+			s, err := segment.Open(filepath.Join(dir, url.PathEscape(id)), segment.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s, func() { s.Close() }
+		}
+	}
+	t.Run("data dir", func(t *testing.T) {
+		dir := t.TempDir()
+		_, f := runReport(t, specs, Options{Workers: 2, QueueDepth: 16, DataDir: dir})
+		checkStoredTopics(t, f, openSeg(dir))
+	})
+
+	t.Run("mid-append crash", func(t *testing.T) {
+		dir := t.TempDir()
+		var mu sync.Mutex
+		fired := false
+		opt := Options{Workers: 2, QueueDepth: 16, DataDir: dir}
+		opt.CrashAt = func(id string, window int, ph string) bool {
+			mu.Lock()
+			defer mu.Unlock()
+			if id == "inst-01" && window == 1 && ph == "mid-append" {
+				fired = true
+				return true
+			}
+			return false
+		}
+		f, err := New(specs, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Start()
+		f.Wait()
+		f.Close()
+		if !fired {
+			t.Fatal("crash hook never fired")
+		}
+		_, f = runReport(t, specs, Options{Workers: 2, QueueDepth: 16, DataDir: dir})
+		checkStoredTopics(t, f, openSeg(dir))
+	})
+}

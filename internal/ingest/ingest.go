@@ -21,8 +21,7 @@
 // w+1 before window w's repairs were applied, and for real traces, where
 // it keeps replay single-pass. Raw inputs are rarely dense or ordered;
 // adapters stay simple and sparse, and the Replay wrapper densifies,
-// re-orders within a bounded slack (mirroring the log store's slack
-// contract), and compresses recording gaps.
+// re-orders within a bounded slack, and compresses recording gaps.
 //
 // Records inside a batch are in emission order — the order a database
 // writes its slow log, i.e. query completion. Batch concatenation order is

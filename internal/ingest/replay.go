@@ -23,9 +23,7 @@ type ReplayOptions struct {
 
 	// SlackSec bounds how far out of order the raw stream may be: a
 	// batch is held until every second that could still precede it has
-	// been seen. Mirrors the log store's 5-second insertion-sort slack
-	// (logstore.Append), which is the same contract the collector's
-	// staging path relies on. Default 5.
+	// been seen. Default 5.
 	SlackSec int
 }
 

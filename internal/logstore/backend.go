@@ -8,21 +8,15 @@ package logstore
 // the same ingest sequence, so the diagnosis pipeline is backend-agnostic.
 type Backend interface {
 	// AppendBatch stores recs under the topic in order, under one lock and
-	// one topic lookup, rejecting a record that arrives more than the slack
-	// window behind the previously appended one: it returns how many
-	// records were accepted before the rejection, and ErrUnsortedAppend.
+	// one topic lookup. Each append continues arrival order: a record whose
+	// ArrivalMs is below the topic's newest live record is refused, and the
+	// call returns how many records were accepted before it, and
+	// ErrUnsortedAppend; equal arrivals are accepted and keep ingest order.
 	// recs is given up: a backend may keep it and write into it (the
-	// in-memory store makes long in-order stretches its chunks), so a caller
-	// feeding two backends clones it. Append stores one record likewise.
+	// in-memory store makes long stretches its chunks), so a caller feeding
+	// two backends clones it. Append stores one record likewise.
 	AppendBatch(topic string, recs []Record) (int, error)
 	Append(topic string, rec Record) error
-
-	// AppendLooseBatch stores recs with no ordering requirement; ordering
-	// is restored lazily before the next scan. Batch collectors use this
-	// path because query logs are emitted at statement completion. recs
-	// is not retained. AppendLoose is AppendLooseBatch of one record.
-	AppendLooseBatch(topic string, recs []Record)
-	AppendLoose(topic string, rec Record)
 
 	// Scan returns a copy of the records in topic with ArrivalMs in
 	// [fromMs, toMs), sorted by ArrivalMs (ties in ingest order).

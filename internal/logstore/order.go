@@ -2,15 +2,14 @@ package logstore
 
 import (
 	"cmp"
-	"math"
 	"math/bits"
 	"slices"
 )
 
-// Order restoration. A loosely appended topic holds its records in log
+// Order restoration. A collector's window log holds its records in log
 // order — completion order — which is arrival order disturbed shallowly:
 // most records sit within a few positions of where they belong once the
-// topic is split by arrival second. The contract is the stable sort's:
+// log is split by arrival second. The contract is the stable sort's:
 // ascending ArrivalMs, ties in insertion order. The work is proportional to
 // the disorder: a stable distribution over arrival seconds, then an
 // insertion pass inside each second. Insertion moves a record only past
@@ -19,9 +18,9 @@ import (
 // result — which is what happens to a second whose insertion pass exceeds
 // its move budget, keeping the worst case O(n log n).
 
-// sparseSlack is how many more arrival seconds than records a topic may
-// span and still be distributed; beyond it the offsets table would
-// outweigh the records and the comparison sort takes the whole topic.
+// sparseSlack is how many more arrival seconds than records a log may span
+// and still be distributed; beyond it the offsets table would outweigh the
+// records and the comparison sort takes the whole log.
 const sparseSlack = 1024
 
 // moveBudget is the number of record moves an insertion pass over n records
@@ -69,53 +68,16 @@ func sortRun(recs []Record) int {
 // insertion passes moved.
 type Work struct{ Reads, Moves int }
 
-// Arrange returns the records of a log — a chunk list in insertion order —
-// in arrival order, ties in insertion order, and what that cost. The records
-// are written once, into one new array that the returned runs are cut from
-// (see cut; the array is released with the last of its runs). No run is
-// empty, and only a log shorter than half a chunk yields a run that short.
-// The log itself is left as it is.
-//
-// Arrange is two phases: it finds the log's bounds and counts its records
-// per arrival second, then distributes them. A caller that kept those counts
-// while it wrote the log enters at the second phase, ArrangeCounted.
-func Arrange(log [][]Record) (runs [][]Record, work Work) {
-	size := 0
-	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
-	for _, c := range log {
-		size += len(c)
-		for i := range c {
-			lo, hi = min(lo, c[i].ArrivalMs), max(hi, c[i].ArrivalMs)
-		}
-	}
-	// Unsigned subtraction is exact even when hi − lo overflows int64.
-	seconds := (uint64(hi)-uint64(lo))/1000 + 1
-	if seconds > uint64(size)+sparseSlack {
-		runs, work = sortWhole(log, size)
-		work.Reads += size
-		return runs, work
-	}
-	// next[s] is where second s's next record goes: counts, then running
-	// offsets, then — once every record is placed — the end of each second.
-	next := make([]int, seconds+1)
-	for _, c := range log {
-		for i := range c {
-			next[second(&c[i], lo)+1]++
-		}
-	}
-	for s := 1; s < len(next); s++ {
-		next[s] += next[s-1]
-	}
-	runs, work = distribute(log, lo, next)
-	work.Reads += 2 * size
-	return runs, work
-}
-
-// ArrangeCounted is Arrange for a log whose writer counted as it wrote:
-// every record arrives at or after lo, and counts[s] of them in the second
-// [lo + 1000·s, lo + 1000·(s+1)) — none past the last. It returns Arrange's
-// runs without reading the log for its bounds or its counts; counts is left
-// as it is.
+// ArrangeCounted returns the records of a log — a chunk list in insertion
+// order — in arrival order, ties in insertion order, and what that cost.
+// Its writer counted as it wrote: every record arrives at or after lo, and
+// counts[s] of them in the second [lo + 1000·s, lo + 1000·(s+1)) — none
+// past the last. The records are written once, into one new array that the
+// returned runs are cut from (see cut; the array is released with the last
+// of its runs), distributed over their seconds when the seconds fit a table
+// and sorted whole when they do not. No run is empty, and only a log
+// shorter than half a chunk yields a run that short. The log and counts are
+// left as they are.
 func ArrangeCounted(log [][]Record, lo int64, counts []int) (runs [][]Record, work Work) {
 	next := make([]int, len(counts)+1)
 	for s, n := range counts {
@@ -169,12 +131,4 @@ func distribute(log [][]Record, lo int64, next []int) ([][]Record, Work) {
 // cutWhole cuts an arranged array into its runs.
 func cutWhole(out []Record) [][]Record {
 	return cut(make([][]Record, 0, (len(out)+chunkCap-1)/chunkCap), out)
-}
-
-// restoreOrder rewrites a dirty topic in arrival order and marks it clean;
-// it returns the moves Arrange made.
-func (t *topicLog) restoreOrder() int {
-	runs, work := Arrange(t.chunks)
-	t.chunks, t.dirty = runs, false
-	return work.Moves
 }

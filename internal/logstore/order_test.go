@@ -13,43 +13,56 @@ import (
 	"unsafe"
 )
 
-// The routine restoreOrder replaced — flatten, stable comparison sort,
-// re-chunk — kept here as its oracle: it is the definition of the order
-// (ascending ArrivalMs, ties in insertion order).
-
-// flatten materializes the topic in insertion order.
-func (t *topicLog) flatten() []Record {
-	out := make([]Record, 0, t.size)
-	for _, c := range t.chunks {
-		out = append(out, c...)
+// arrange is ArrangeCounted with its writer's counting done here: it finds
+// the log's bounds and counts its records per arrival second first. It is
+// the oracle ArrangeCounted is held to, and the stable comparison sort is
+// the definition of the order both return (ascending ArrivalMs, ties in
+// insertion order).
+func arrange(log [][]Record) (runs [][]Record, work Work) {
+	size := 0
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for _, c := range log {
+		size += len(c)
+		for i := range c {
+			lo, hi = min(lo, c[i].ArrivalMs), max(hi, c[i].ArrivalMs)
+		}
 	}
-	return out
+	// Unsigned subtraction is exact even when hi − lo overflows int64.
+	seconds := (uint64(hi)-uint64(lo))/1000 + 1
+	if seconds > uint64(size)+sparseSlack {
+		runs, work = sortWhole(log, size)
+		work.Reads += size
+		return runs, work
+	}
+	next := make([]int, seconds+1)
+	for _, c := range log {
+		for i := range c {
+			next[second(&c[i], lo)+1]++
+		}
+	}
+	for s := 1; s < len(next); s++ {
+		next[s] += next[s-1]
+	}
+	runs, work = distribute(log, lo, next)
+	work.Reads += 2 * size
+	return runs, work
 }
 
-// sortByComparison restores a topic's order the way the store did before
-// restoreOrder.
-func (t *topicLog) sortByComparison() {
-	recs := t.flatten()
+// sortByComparison is the routine the distribution replaced — flatten,
+// stable comparison sort, re-chunk.
+func sortByComparison(log [][]Record) [][]Record {
+	recs := slices.Concat(log...)
 	slices.SortStableFunc(recs, byArrival)
-	t.chunks = t.chunks[:0]
-	t.size = 0
+	var t topicLog
 	t.push(recs...)
-	t.dirty = false
+	return t.chunks
 }
 
-// oracleScan is Scan with the oracle in ensureSorted's place.
-func oracleScan(s *Store, topic string, fromMs, toMs int64) []Record {
-	if t := s.topics[topic]; t != nil && t.dirty {
-		t.sortByComparison()
-	}
-	return s.Scan(topic, fromMs, toMs)
-}
-
-// looseProgram decodes fuzz input into loose batches. Each instruction is
-// an opcode byte and its operands:
+// decodeLooseLog decodes fuzz input into a window log in completion order:
+// a chunk list in any arrival order. Each instruction is an opcode byte and
+// its operands:
 //
-//	0 cut      end the current batch; with the high bit set, scan too
-//	           (the first maxFuzzScans times: a scan is O(records))
+//	0 cut      end the current chunk
 //	1 literal  8 bytes: one record arriving at that int64 (the anchor)
 //	2 ramp     2 bytes count, 2 bytes step: count records, each step ms
 //	           after its predecessor (negative steps run backwards)
@@ -58,18 +71,10 @@ func oracleScan(s *Store, topic string, fromMs, toMs int64) []Record {
 //
 // TemplateIdx numbers the records in insertion order, so comparing whole
 // records checks the tie order too.
-type looseProgram struct {
-	batches [][]Record
-	scan    []bool // scan after batch i
-}
+const maxFuzzRecords = 1 << 16
 
-const (
-	maxFuzzRecords = 1 << 16
-	maxFuzzScans   = 8
-)
-
-func decodeLooseProgram(data []byte) looseProgram {
-	var p looseProgram
+func decodeLooseLog(data []byte) [][]Record {
+	var log [][]Record
 	var cur []Record
 	var anchor, last int64
 	n := 0
@@ -78,14 +83,8 @@ func decodeLooseProgram(data []byte) looseProgram {
 		last = ms
 		n++
 	}
-	scans := 0
-	cut := func(scan bool) {
-		scan = scan && scans < maxFuzzScans
-		if scan {
-			scans++
-		}
-		p.batches = append(p.batches, cur)
-		p.scan = append(p.scan, scan)
+	cut := func() {
+		log = append(log, cur[:len(cur):len(cur)])
 		cur = nil
 	}
 	for len(data) > 0 && n < maxFuzzRecords {
@@ -93,7 +92,7 @@ func decodeLooseProgram(data []byte) looseProgram {
 		data = data[1:]
 		switch op & 3 {
 		case 0:
-			cut(op&0x80 != 0)
+			cut()
 		case 1:
 			if len(data) < 8 {
 				data = nil
@@ -127,9 +126,8 @@ func decodeLooseProgram(data []byte) looseProgram {
 			data = data[3:]
 		}
 	}
-	scans = 0
-	cut(true)
-	return p
+	cut()
+	return log
 }
 
 func literal(ms int64) []byte {
@@ -145,11 +143,12 @@ func pile(count int, seed byte) []byte {
 	return append(binary.LittleEndian.AppendUint16([]byte{3}, uint16(count)), seed)
 }
 
-// FuzzLooseOrder: any arrival sequence, cut into any loose batches with
-// scans in between, must read back in exactly the order the stable
-// comparison sort gives on the insertion sequence; and Arrange, handed the
-// same sequence cut into any chunk list, must return that order in runs a
-// store can adopt, leaving the list as it was.
+// FuzzLooseOrder: any window log — any arrival sequence cut into any
+// chunk list, empty chunks included — arranged by ArrangeCounted from any
+// origin at or before its first arrival, with the counts its writer would
+// have kept, comes out in exactly the stable comparison sort's order, in
+// the runs its oracle arrange cuts, which a store adopts and scans back as
+// they are; the log and the counts are left as they were.
 func FuzzLooseOrder(f *testing.F) {
 	day := int64(24 * 3600 * 1000)
 	cat := func(parts ...[]byte) []byte { return slices.Concat(parts...) }
@@ -159,73 +158,58 @@ func FuzzLooseOrder(f *testing.F) {
 	f.Add(cat(literal(1<<40), ramp(20_000, -1), []byte{0}, ramp(20_000, -7)))     // reverse order
 	f.Add(cat(literal(3_000), pile(50_000, 9)))                                   // 50 k records inside one second
 	f.Add(cat(literal(3*day), literal(2*day), literal(day), literal(0)))          // one record per day across the TTL
-	f.Add(cat(literal(0), ramp(3000, 6), []byte{0x80}, pile(300, 1), literal(9))) // in order, scanned, then disturbed
+	f.Add(cat(literal(0), ramp(3000, 6), []byte{0x80}, pile(300, 1), literal(9))) // in order, then disturbed
 	f.Add(cat(literal(math.MaxInt64-3), ramp(10, 1)))                             // ramp wrapping past MaxInt64
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p := decodeLooseProgram(data)
-		got, want := New(0), New(0)
-		for i, b := range p.batches {
-			got.AppendLooseBatch("t", b)
-			want.AppendLooseBatch("t", b)
-			if !p.scan[i] {
-				continue
-			}
-			// [MinInt64, MaxInt64) leaves out arrivals at MaxInt64, so the
-			// arenas themselves are compared as well.
-			g := got.Scan("t", math.MinInt64, math.MaxInt64)
-			w := oracleScan(want, "t", math.MinInt64, math.MaxInt64)
-			if !reflect.DeepEqual(g, w) {
-				t.Fatalf("after batch %d: Scan differs from the stable sort (%d vs %d records)", i, len(g), len(w))
-			}
-			if gt, wt := got.topics["t"], want.topics["t"]; !reflect.DeepEqual(gt.flatten(), wt.flatten()) || gt.size != wt.size || gt.dirty {
-				t.Fatalf("after batch %d: arena differs from the stable sort", i)
-			}
-		}
+		log := decodeLooseLog(data)
+		all := slices.Concat(log...)
+		want := slices.Clone(all)
+		slices.SortStableFunc(want, byArrival)
 
-		all := slices.Concat(p.batches...)
-		var log [][]Record
-		for rest, i := slices.Clone(all), 0; len(rest) > 0; i++ {
-			n := min(len(rest), int(data[i%len(data)])*37+i%2) // empty chunks included
-			log = append(log, rest[:n:n])
-			rest = rest[n:]
+		runs, _ := arrange(log)
+		if !reflect.DeepEqual(slices.Concat(runs...), want) {
+			t.Fatalf("arrange differs from the stable sort (%d records in %d chunks)", len(all), len(log))
 		}
-		runs, _ := Arrange(log)
-		for i, run := range runs {
-			if len(run) == 0 || len(run) > chunkCap || len(run) != cap(run) || len(run) < chunkCap/2 && len(runs) > 1 {
-				t.Fatalf("run %d of %d: len %d, cap %d", i, len(runs), len(run), cap(run))
-			}
-		}
-		if !reflect.DeepEqual(slices.Concat(log...), all) {
-			t.Fatal("Arrange wrote into the log it was handed")
-		}
-		slices.SortStableFunc(all, byArrival)
-		if !reflect.DeepEqual(slices.Concat(runs...), all) {
-			t.Fatalf("Arrange differs from the stable sort (%d records in %d chunks)", len(all), len(log))
-		}
-
-		// The counted entry: from any origin at or before the first arrival,
-		// with the counts a writer would have kept, the same runs — while
-		// the seconds fit a table, past sparseSlack included.
 		if len(all) == 0 {
 			return
 		}
-		lo := all[0].ArrivalMs
+		// ArrangeCounted from an origin up to 37·255 ms before the first
+		// arrival, with empty seconds past the last record, while the
+		// seconds fit a table — past sparseSlack included.
+		lo := want[0].ArrivalMs
 		if back := int64(data[0]) * 37; lo >= math.MinInt64+back {
 			lo -= back
 		}
-		if span := (uint64(all[len(all)-1].ArrivalMs) - uint64(lo)) / 1000; span < 1<<17 {
-			counts := make([]int, span+1+uint64(data[0]%3)) // empty seconds past the last record
-			for i := range all {
-				counts[second(&all[i], lo)]++
+		span := (uint64(want[len(want)-1].ArrivalMs) - uint64(lo)) / 1000
+		if span >= 1<<17 {
+			return
+		}
+		counts := make([]int, span+1+uint64(data[0]%3))
+		for i := range all {
+			counts[second(&all[i], lo)]++
+		}
+		kept := slices.Clone(counts)
+		counted, _ := ArrangeCounted(log, lo, counts)
+		if !reflect.DeepEqual(counted, runs) {
+			t.Fatalf("ArrangeCounted from %d ms before the first arrival: %d runs, arrange %d, or they differ", want[0].ArrivalMs-lo, len(counted), len(runs))
+		}
+		for i, run := range counted {
+			if len(run) == 0 || len(run) > chunkCap || len(run) != cap(run) || len(run) < chunkCap/2 && len(counted) > 1 {
+				t.Fatalf("run %d of %d: len %d, cap %d", i, len(counted), len(run), cap(run))
 			}
-			kept := slices.Clone(counts)
-			counted, _ := ArrangeCounted(log, lo, counts)
-			if !reflect.DeepEqual(counted, runs) {
-				t.Fatalf("ArrangeCounted from %d ms before the first arrival: %d runs, Arrange %d, or they differ", all[0].ArrivalMs-lo, len(counted), len(runs))
+		}
+		if !slices.Equal(counts, kept) || !reflect.DeepEqual(slices.Concat(log...), all) {
+			t.Fatal("ArrangeCounted wrote into the counts or the log it was handed")
+		}
+		// Handed to a store, the runs continue each other's arrival order.
+		s := New(0)
+		for _, run := range counted {
+			if n, err := s.AppendBatch("t", run); n != len(run) || err != nil {
+				t.Fatalf("AppendBatch of an arranged run took %d of %d (%v)", n, len(run), err)
 			}
-			if !slices.Equal(counts, kept) || !reflect.DeepEqual(slices.Concat(log...), slices.Concat(p.batches...)) {
-				t.Fatal("ArrangeCounted wrote into the counts or the log it was handed")
-			}
+		}
+		if got := s.topics["t"].flatten(); !reflect.DeepEqual(got, want) {
+			t.Fatal("the store holds something else than the arranged runs")
 		}
 	})
 }
@@ -258,16 +242,25 @@ func completionOrdered(n, seconds int, seed int64) []Record {
 	return out
 }
 
-// looseStore returns a store holding recs in one topic, appended loosely a
-// second's worth at a time, as a collector does.
-func looseStore(recs []Record, perBatch int) *Store {
-	s := New(0)
+// completionLog returns recs as a collector's window log holds them: in
+// chunks of perChunk, in the order they were emitted.
+func completionLog(recs []Record, perChunk int) [][]Record {
+	var log [][]Record
 	for len(recs) > 0 {
-		n := min(perBatch, len(recs))
-		s.AppendLooseBatch("t", recs[:n])
+		n := min(perChunk, len(recs))
+		log = append(log, recs[:n:n])
 		recs = recs[n:]
 	}
-	return s
+	return log
+}
+
+// flatten materializes the topic in insertion order.
+func (t *topicLog) flatten() []Record {
+	out := make([]Record, 0, t.size)
+	for _, c := range t.chunks {
+		out = append(out, c...)
+	}
+	return out
 }
 
 // allocated returns the bytes fn allocates.
@@ -281,37 +274,39 @@ func allocated(fn func()) int64 {
 }
 
 // TestRestoreOrderBudget bounds the work of restoring a fleet-sized
-// window's order, in bytes and in record moves rather than in time: one new
-// record array plus a table of offsets per second, and a number of moves
-// proportional to the disorder. The flatten-sort-rebuild oracle allocates
-// two record arrays and fails the byte budget.
+// window's arrival order with ArrangeCounted, in bytes and in record moves
+// rather than in time: one new record array plus a table of offsets per
+// second, and a number of moves proportional to the disorder. The
+// flatten-sort-rebuild oracle allocates two record arrays and fails the
+// byte budget.
 func TestRestoreOrderBudget(t *testing.T) {
 	const n, seconds = 47_000, 300
 	recs := completionOrdered(n, seconds, 1)
 	raw := int64(n) * int64(unsafe.Sizeof(Record{}))
 	budget := raw + raw/20 + int64(seconds+sparseSlack)*8
 
-	s := looseStore(recs, n/seconds)
-	tl := s.topics["t"]
-	if !tl.dirty {
-		t.Fatal("completion-ordered input left the topic clean")
+	log := completionLog(recs, n/seconds)
+	counts := make([]int, seconds)
+	for i := range recs {
+		counts[second(&recs[i], 0)]++
 	}
-	var moves int
-	if got := allocated(func() { moves = tl.restoreOrder() }); got > budget {
-		t.Errorf("restoreOrder allocated %d B, budget %d B (records %d B)", got, budget, raw)
+	var runs [][]Record
+	var work Work
+	if got := allocated(func() { runs, work = ArrangeCounted(log, 0, counts) }); got > budget {
+		t.Errorf("ArrangeCounted allocated %d B, budget %d B (records %d B)", got, budget, raw)
 	}
 	// Shallow disorder: a few positions per record, nowhere near the
 	// budget at which the comparison sort takes over.
-	if moves == 0 || moves > 8*n {
-		t.Errorf("restoreOrder moved %d records for %d", moves, n)
+	if work.Moves == 0 || work.Moves > 8*n {
+		t.Errorf("ArrangeCounted moved %d records for %d", work.Moves, n)
 	}
 
-	o := looseStore(recs, n/seconds)
-	if got := allocated(o.topics["t"].sortByComparison); got <= budget {
+	var sorted [][]Record
+	if got := allocated(func() { sorted = sortByComparison(log) }); got <= budget {
 		t.Errorf("the flatten-sort-rebuild oracle allocated %d B, within the budget of %d B", got, budget)
 	}
-	if !reflect.DeepEqual(tl.flatten(), o.topics["t"].flatten()) {
-		t.Fatal("restoreOrder and the oracle disagree")
+	if !reflect.DeepEqual(slices.Concat(runs...), slices.Concat(sorted...)) {
+		t.Fatal("ArrangeCounted and the oracle disagree")
 	}
 }
 
@@ -334,14 +329,13 @@ func TestRestoreOrderWorstCases(t *testing.T) {
 		for i := range recs {
 			recs[i] = Record{TemplateIdx: int32(i), ArrivalMs: arrival(i)}
 		}
-		s, o := looseStore(recs, 157), looseStore(recs, 157)
-		moves := s.topics["t"].restoreOrder()
-		if limit := 6 * n * bits.Len(n); moves > limit {
-			t.Errorf("%s: %d moves for %d records, over the n·log n limit %d", name, moves, n, limit)
+		log := completionLog(recs, 157)
+		runs, work := arrange(log)
+		if limit := 6 * n * bits.Len(n); work.Moves > limit {
+			t.Errorf("%s: %d moves for %d records, over the n·log n limit %d", name, work.Moves, n, limit)
 		}
-		o.topics["t"].sortByComparison()
-		if !reflect.DeepEqual(s.topics["t"].flatten(), o.topics["t"].flatten()) {
-			t.Errorf("%s: restoreOrder and the oracle disagree", name)
+		if !reflect.DeepEqual(slices.Concat(runs...), slices.Concat(sortByComparison(log)...)) {
+			t.Errorf("%s: the arrangement and the oracle disagree", name)
 		}
 	}
 	// The fallback itself: a reversed run exhausts its budget.
@@ -354,47 +348,13 @@ func TestRestoreOrderWorstCases(t *testing.T) {
 	}
 }
 
-// TestLooseAppendsInOrderStayClean: orderedness is decided while a loose
-// batch is copied — first record against the tail, then neighbour against
-// neighbour — so in-order loose appends never mark the topic and the
-// readers pay no pass; one record behind its predecessor does.
-func TestLooseAppendsInOrderStayClean(t *testing.T) {
-	s := New(0)
-	dirty := func() bool { return s.topics["t"].dirty }
-	s.AppendLooseBatch("t", nil)
-	s.AppendLooseBatch("t", []Record{{ArrivalMs: 5}, {ArrivalMs: 5}, {ArrivalMs: 9}})
-	s.AppendLoose("t", Record{ArrivalMs: 9})
-	if err := s.Append("t", Record{ArrivalMs: 8}); err != nil { // slack insert keeps order
-		t.Fatal(err)
-	}
-	s.AppendLooseBatch("t", []Record{{ArrivalMs: 9}, {ArrivalMs: 12}})
-	if dirty() {
-		t.Fatal("in-order loose appends marked the topic dirty")
-	}
-	s.AppendLooseBatch("t", []Record{{ArrivalMs: 12}, {ArrivalMs: 11}}) // neighbour behind neighbour
-	if !dirty() {
-		t.Fatal("a descending loose batch left the topic clean")
-	}
-	s.AppendLooseBatch("t", []Record{{ArrivalMs: 20}})
-	if !dirty() {
-		t.Fatal("an in-order batch cleaned a dirty topic")
-	}
-	if lo, hi, ok := s.Bounds("t"); !ok || lo != 5 || hi != 20 || dirty() {
-		t.Fatalf("Bounds = %d, %d, %v (dirty %v)", lo, hi, ok, dirty())
-	}
-	s.AppendLoose("t", Record{ArrivalMs: 19}) // first record behind the tail
-	if !dirty() {
-		t.Fatal("a loose record behind the tail left the topic clean")
-	}
-}
-
-// TestStrictBatchEqualsRecordLoop: strict AppendBatch calls of any runs —
-// in order for whole chunks (which the store adopts instead of copying),
-// disturbed within the slack, broken beyond it — on a topic in any state,
-// with TruncateFrom and Expire in between, leave the records, every Scan,
-// Len, Bounds, the accepted count and the error identical to appending the
-// records one at a time. The batch store is given a clone: it owns, and
-// writes into, what it is handed.
+// TestStrictBatchEqualsRecordLoop: AppendBatch calls of any runs — in
+// order for whole chunks (which the store adopts instead of copying), with
+// ties, broken by a record behind the topic's newest — on a topic in any
+// state, with TruncateFrom and Expire in between, leave the records, every
+// Scan, Len, Bounds, the accepted count and the error identical to
+// appending the records one at a time. The batch store is given a clone:
+// it owns, and writes into, what it is handed.
 func TestStrictBatchEqualsRecordLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	adoptions := 0
@@ -407,30 +367,22 @@ func TestStrictBatchEqualsRecordLoop(t *testing.T) {
 			}
 		}
 		clock := int64(rng.Intn(10_000))
-		switch trial % 4 {
-		case 1: // clean, ending mid-chunk or exactly at a chunk boundary
+		if trial%3 > 0 {
+			// A topic ending mid-chunk or exactly at a chunk boundary, or
+			// in an adopted chunk full at a capacity of its own.
 			n := chunkCap - 2 + rng.Intn(5)
+			if trial%3 == 2 {
+				n = chunkCap/2 + rng.Intn(chunkCap)
+			}
 			pre := make([]Record, n)
 			for i := range pre {
 				clock += int64(rng.Intn(3))
 				pre[i] = Record{TemplateIdx: -1, ArrivalMs: clock}
 			}
-			both(func(s *Store) int { s.AppendLooseBatch("t", pre); return 0 })
-		case 2: // dirty: loose appends pending
-			both(func(s *Store) int {
-				s.AppendLooseBatch("t", []Record{{ArrivalMs: clock}, {ArrivalMs: clock - 300}, {ArrivalMs: clock - 100}})
-				return 0
-			})
-			clock -= 100
-		case 3: // restored: the tail chunk is full at a capacity of its own
-			both(func(s *Store) int {
-				s.AppendLooseBatch("t", []Record{{ArrivalMs: clock}, {ArrivalMs: clock - 300}, {ArrivalMs: clock - 100}})
-				s.Scan("t", 0, 1)
-				return 0
-			})
+			both(func(s *Store) int { s.AppendBatch("t", slices.Clone(pre)); return 0 })
 		}
 		for round := 0; round <= trial%3; round++ {
-			// A calm run is disturbed two hundred times less often: its
+			// A calm run is broken two hundred times less often: its
 			// in-order stretches are chunks long.
 			odds := 1000
 			if rng.Intn(2) == 0 {
@@ -438,12 +390,9 @@ func TestStrictBatchEqualsRecordLoop(t *testing.T) {
 			}
 			run := make([]Record, 1+rng.Intn(3*chunkCap))
 			for i := range run {
-				switch k := rng.Intn(odds); {
-				case k < 3 && trial%2 == 0:
-					clock -= 5001 + int64(rng.Intn(100)) // beyond the slack: ends the batch
-				case k < 30:
-					clock -= int64(rng.Intn(4000))
-				default:
+				if rng.Intn(odds) < 3 {
+					clock -= 1 + int64(rng.Intn(100)) // behind the newest: ends the batch
+				} else {
 					clock += int64(rng.Intn(4))
 				}
 				run[i] = Record{TemplateIdx: int32(i), ArrivalMs: clock}
@@ -466,7 +415,7 @@ func TestStrictBatchEqualsRecordLoop(t *testing.T) {
 				}
 			}
 			if newest, ok := batch.topics["t"].last(); ok {
-				clock = newest.ArrivalMs // a rejected record left the clock behind the topic
+				clock = newest.ArrivalMs // a refused record left the clock behind the topic
 			}
 			switch rng.Intn(4) {
 			case 0: // inside the chunks just appended, as a rule
@@ -483,7 +432,7 @@ func TestStrictBatchEqualsRecordLoop(t *testing.T) {
 			if bt == nil {
 				continue
 			}
-			if bt.size != lt.size || bt.dirty != lt.dirty || !slices.Equal(bt.flatten(), lt.flatten()) || batch.Len("t") != loop.Len("t") {
+			if bt.size != lt.size || !slices.Equal(bt.flatten(), lt.flatten()) || batch.Len("t") != loop.Len("t") {
 				t.Fatalf("trial %d: stores differ after a batch of %d (%d accepted)", trial, len(run), took)
 			}
 			blo, bhi, bok := batch.Bounds("t")

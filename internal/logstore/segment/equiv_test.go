@@ -15,9 +15,9 @@ import (
 // TestBackendEquivalence drives the same ingest run into the in-memory
 // store and the durable segment store and asserts byte-identical Scan
 // results over many windows — the contract that makes the diagnosis
-// pipeline backend-agnostic. The run mixes strict and loose appends,
-// multiple topics, ties, TTL expiry, and a close/reopen cycle (restart
-// replay) in the middle.
+// pipeline backend-agnostic. The run mixes in-order appends, ties and
+// records behind the topic's newest (refused by both), multiple topics,
+// TTL expiry, and a close/reopen cycle (restart replay) in the middle.
 func TestBackendEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	mem := logstore.New(60_000)
@@ -26,10 +26,6 @@ func TestBackendEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	topics := []string{"alpha", "beta", "gamma"}
 	clock := make(map[string]int64)
-	used := map[string]map[int64]bool{}
-	for _, topic := range topics {
-		used[topic] = map[int64]bool{}
-	}
 
 	ingest := func(n int) {
 		for i := 0; i < n; i++ {
@@ -41,43 +37,13 @@ func TestBackendEquivalence(t *testing.T) {
 				ResponseMs:   rng.Float64() * 1000,
 				ExaminedRows: int64(rng.Intn(10_000)),
 			}
-			switch draw := rng.Intn(6); {
-			case draw == 0:
-				// Loose append with an arbitrarily late completion.
-				rec.ArrivalMs -= int64(rng.Intn(30_000))
-				mem.AppendLoose(topic, rec)
-				seg.AppendLoose(topic, rec)
-				used[topic][rec.ArrivalMs] = true
-			case draw == 1:
-				// Out-of-order strict append, in or just beyond the slack
-				// window, so acceptance depends on the slack reference both
-				// backends must agree on. Its arrival is kept distinct from
-				// every record already in the topic: when the in-memory
-				// store has loose appends pending, it insertion-sorts into
-				// an unsorted slice, and the position it lands at among
-				// equal arrivals is a binary-search artifact no other
-				// backend can reproduce.
-				rec.ArrivalMs -= int64(1 + rng.Intn(6000))
-				for used[topic][rec.ArrivalMs] {
-					rec.ArrivalMs--
-				}
-				errMem := mem.Append(topic, rec)
-				errSeg := seg.Append(topic, rec)
-				if (errMem == nil) != (errSeg == nil) {
-					t.Fatalf("out-of-order append divergence for %+v: mem=%v seg=%v", rec, errMem, errSeg)
-				}
-				if errMem == nil {
-					used[topic][rec.ArrivalMs] = true
-				}
-			default:
-				errMem := mem.Append(topic, rec)
-				errSeg := seg.Append(topic, rec)
-				if (errMem == nil) != (errSeg == nil) {
-					t.Fatalf("append divergence for %+v: mem=%v seg=%v", rec, errMem, errSeg)
-				}
-				if errMem == nil {
-					used[topic][rec.ArrivalMs] = true
-				}
+			if rng.Intn(6) == 0 {
+				rec.ArrivalMs -= 1 + int64(rng.Intn(30_000)) // a straggler, behind the newest
+			}
+			errMem := mem.Append(topic, rec)
+			errSeg := seg.Append(topic, rec)
+			if errMem != errSeg {
+				t.Fatalf("append divergence for %+v: mem=%v seg=%v", rec, errMem, errSeg)
 			}
 		}
 	}
@@ -153,172 +119,99 @@ func TestBackendEquivalence(t *testing.T) {
 	check("expire after reopen")
 }
 
-// TestStrictAppendSlackParity pins accept/reject parity of the strict
-// Append path on directed sequences. The key regression: an in-slack
-// out-of-order append must not shift the slack reference off the topic
-// maximum — for {1000, 998, -4001} the third record is 5001 ms behind
-// the maximum and both backends must reject it (the in-memory store
-// insertion-sorts 998 back into place, so its reference stays 1000).
+// TestStrictAppendSlackParity runs the same directed sequences against both
+// backends — an in-order run, ties, a record behind the newest alone and
+// mid-batch, records after Expire and after TruncateFrom — and holds them
+// to the same accepted counts and errors at every step, the same scans, and
+// the same scans after a reopen, with the newest record in the memtable and
+// in sealed segments. There is no slack: behind the newest is refused.
 func TestStrictAppendSlackParity(t *testing.T) {
-	sequences := [][]int64{
-		{1000, 998, -4001},
-		{1000, 998, 999, -4001},
-		{1000, 998, -4000}, // exactly at the slack boundary: accepted
-		{1000, 9000, 3000, 5000, 4000, 6000},
-		{1000, 998, 996, 994, -4001, -3999},
-		{5000, 0, 10_000, 5000, 4999},
+	type step struct {
+		app      []int64 // one AppendBatch of these arrivals (Append for one)
+		expire   int64   // else Expire(expire), TTL 1000
+		truncate int64   // else TruncateFrom(truncate)
+		want     int     // records the append accepts
 	}
-	for si, seq := range sequences {
-		mem := logstore.New(0)
-		seg := mustOpen(t, t.TempDir(), Options{})
-		for i, ms := range seq {
-			r := logstore.Record{TemplateIdx: int32(i), ArrivalMs: ms}
-			errMem := mem.Append("t", r)
-			errSeg := seg.Append("t", r)
-			if (errMem == nil) != (errSeg == nil) {
-				t.Errorf("seq %d, append %d (arrival %d): mem=%v seg=%v", si, i, ms, errMem, errSeg)
-			}
-		}
-		if got, want := seg.Scan("t", -1<<60, 1<<60), mem.Scan("t", -1<<60, 1<<60); !reflect.DeepEqual(got, want) {
-			t.Errorf("seq %d: scan diverged:\n seg %v\n mem %v", si, got, want)
-		}
-		seg.Close()
+	app := func(want int, ms ...int64) step { return step{app: ms, want: want} }
+	sequences := []struct {
+		name  string
+		steps []step
+	}{
+		{"in order", []step{app(3, 1000, 2000, 3000), app(1, 4000), app(2, 4000, 5000)}},
+		{"tie", []step{app(2, 1000, 2000), app(1, 2000), app(4, 2000, 2000, 2500, 2500)}},
+		{"behind the newest alone", []step{app(2, 1000, 3000), app(0, 2999), app(0, -5000), app(1, 3000)}},
+		{"behind the newest mid-batch", []step{app(2, 1000, 3000), app(2, 3100, 3200, 3150, 3300), app(1, 3200)}},
+		{"after Expire", []step{app(5, 1000, 2000, 3000, 4000, 5000), {expire: 3500}, app(0, 4999), app(1, 5000)}},
+		{"after TruncateFrom", []step{app(5, 1000, 2000, 3000, 4000, 5000), {truncate: 3000}, app(0, 1999), app(2, 2500, 2600)}},
+		{"after TruncateFrom of everything", []step{app(3, 1000, 2000, 3000), {truncate: 0}, app(2, 10, 20)}},
 	}
-}
-
-// TestSlackReferenceAcrossStates walks the reference through every state
-// transition the in-memory store exposes — loose appends move it to the
-// last appended record, a scan resorts it to the topic maximum, and full
-// expiry resets the topic — asserting parity at each step.
-func TestSlackReferenceAcrossStates(t *testing.T) {
-	mem := logstore.New(0)
-	seg := mustOpen(t, t.TempDir(), Options{})
-	defer seg.Close()
-	parity := func(stage string, ms int64) {
-		t.Helper()
-		r := logstore.Record{ArrivalMs: ms}
-		errMem := mem.Append("t", r)
-		errSeg := seg.Append("t", r)
-		if (errMem == nil) != (errSeg == nil) {
-			t.Fatalf("%s (arrival %d): mem=%v seg=%v", stage, ms, errMem, errSeg)
-		}
-	}
-
-	parity("first", 10_000)
-	loose := logstore.Record{ArrivalMs: 400}
-	mem.AppendLoose("t", loose)
-	seg.AppendLoose("t", loose)
-	// Reference is now the loose record: 4800 ms behind it is in slack
-	// even though it is 14400 ms behind the topic maximum.
-	parity("behind pending loose", -4400)
-	// A scan resorts both stores; the reference snaps back to the max.
-	if got, want := seg.Scan("t", -1<<60, 1<<60), mem.Scan("t", -1<<60, 1<<60); !reflect.DeepEqual(got, want) {
-		t.Fatalf("scan diverged:\n seg %v\n mem %v", got, want)
-	}
-	parity("behind max after sort", 4999) // 5001 behind 10000: rejected
-	parity("at slack after sort", 5000)   // exactly 5000 behind: accepted
-
-	// Full expiry empties the topic in both backends; arbitrarily old
-	// arrivals are acceptable again.
-	now := 100_000 + int64(logstore.DefaultTTLMs)
-	if r1, r2 := mem.Expire(now), seg.Expire(now); r1 != r2 {
-		t.Fatalf("Expire removed mem %d, seg %d", r1, r2)
-	}
-	parity("after full expiry", 123)
-}
-
-// TestSlackReferenceWithOrderedLooseBatches: the in-memory store decides
-// while it copies a loose batch whether the topic needs its order restored,
-// and one that arrives in order leaves it clean — no sort at the next
-// Scan, Bounds or Expire. The segment store's refLast/refValid mirror of
-// that store's last element must not notice: mixed sequences of loose
-// batches (in order, at or after the topic's newest record, or not),
-// strict appends at every lag around the slack, and the calls that realign
-// the reference, keep accepting and rejecting the same records and
-// scanning the same bytes.
-func TestSlackReferenceWithOrderedLooseBatches(t *testing.T) {
-	for seed := int64(0); seed < 12; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		mem := logstore.New(0)
-		seg := mustOpen(t, t.TempDir(), Options{SegmentRecords: 16 + int(seed), IndexEvery: 3})
-		clock, next := int64(100_000), int32(0)
-		// disordered: a loose batch broke arrival order and nothing has
-		// sorted since. A strict append that has to be inserted into such a
-		// topic is outside the equivalence (the in-memory store
-		// binary-searches an arena that is not sorted), so strict batches
-		// wait for a scan.
-		disordered := false
-		scan := func(step int, from, to int64) {
-			if got, want := seg.Scan("t", from, to), mem.Scan("t", from, to); !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d step %d: Scan diverged:\n seg %v\n mem %v", seed, step, got, want)
-			}
-			disordered = false
-		}
-		rec := func(ms int64) logstore.Record {
-			next++
-			return logstore.Record{TemplateIdx: next, ArrivalMs: ms}
-		}
-		for step := 0; step < 400; step++ {
-			switch k := rng.Intn(10); {
-			case k < 3: // a loose batch in arrival order, not behind the topic
-				batch := make([]logstore.Record, 1+rng.Intn(6))
-				for i := range batch {
-					clock += int64(rng.Intn(40))
-					batch[i] = rec(clock)
-				}
-				mem.AppendLooseBatch("t", batch)
-				seg.AppendLooseBatch("t", batch)
-			case k < 4: // in order within itself, but starting behind the topic
-				at := clock - int64(rng.Intn(8000))
-				batch := []logstore.Record{rec(at), rec(at + 1), rec(at + 1)}
-				mem.AppendLooseBatch("t", batch)
-				seg.AppendLooseBatch("t", batch)
-				disordered = true
-			case k < 5: // out of order within itself
-				batch := []logstore.Record{rec(clock + 50), rec(clock - int64(rng.Intn(7000))), rec(clock + 20)}
-				mem.AppendLooseBatch("t", batch)
-				seg.AppendLooseBatch("t", batch)
-				disordered = true
-			case k < 8: // strict appends around the slack boundary
-				if disordered {
-					scan(step, clock-10_000, clock)
-				}
-				batch := make([]logstore.Record, 1+rng.Intn(4))
-				for i := range batch {
-					batch[i] = rec(clock - []int64{0, 1, 4999, 5000, 5001, 9000}[rng.Intn(6)] + int64(rng.Intn(3)))
-				}
-				nMem, errMem := mem.AppendBatch("t", slices.Clone(batch)) // the store keeps what it is handed
-				nSeg, errSeg := seg.AppendBatch("t", batch)
-				if nMem != nSeg || (errMem == nil) != (errSeg == nil) {
-					t.Fatalf("seed %d step %d: strict batch %v: mem took %d (%v), seg took %d (%v)", seed, step, batch, nMem, errMem, nSeg, errSeg)
-				}
-			case k < 9: // the calls at which the in-memory store sorts
-				switch rng.Intn(3) {
-				case 0:
-					lo1, hi1, ok1 := mem.Bounds("t")
-					lo2, hi2, ok2 := seg.Bounds("t")
-					if lo1 != lo2 || hi1 != hi2 || ok1 != ok2 {
-						t.Fatalf("seed %d step %d: Bounds mem %d,%d,%v seg %d,%d,%v", seed, step, lo1, hi1, ok1, lo2, hi2, ok2)
+	for _, sq := range sequences {
+		for _, segRecords := range []int{2, 1 << 20} {
+			t.Run(fmt.Sprintf("%s/segment=%d", sq.name, segRecords), func(t *testing.T) {
+				dir := t.TempDir()
+				opt := Options{TTLMs: 1000, SegmentRecords: segRecords, IndexEvery: 2}
+				mem, seg := logstore.New(1000), mustOpen(t, dir, opt)
+				defer func() { seg.Close() }()
+				scans := func(stage string) {
+					t.Helper()
+					if got, want := seg.Scan("t", -1<<60, 1<<60), mem.Scan("t", -1<<60, 1<<60); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: scan diverged:\n seg %v\n mem %v", stage, got, want)
 					}
-					disordered = false
-				case 1:
-					now := clock - 20_000 + logstore.DefaultTTLMs
-					if r1, r2 := mem.Expire(now), seg.Expire(now); r1 != r2 {
-						t.Fatalf("seed %d step %d: Expire removed mem %d, seg %d", seed, step, r1, r2)
-					}
-					disordered = false
-				default:
-					from := clock - int64(rng.Intn(30_000))
-					scan(step, from, from+10_000)
 				}
-			default:
-				clock += int64(rng.Intn(3000))
-			}
+				for i, st := range sq.steps {
+					stage := fmt.Sprintf("step %d", i)
+					switch {
+					case st.app != nil:
+						recs := make([]logstore.Record, len(st.app))
+						for k, ms := range st.app {
+							recs[k] = logstore.Record{TemplateIdx: int32(10*i + k), ArrivalMs: ms}
+						}
+						var n1, n2 int
+						var e1, e2 error
+						if len(recs) == 1 {
+							e1, e2 = mem.Append("t", recs[0]), seg.Append("t", recs[0])
+							if e1 == nil {
+								n1 = 1
+							}
+							if e2 == nil {
+								n2 = 1
+							}
+						} else {
+							n1, e1 = mem.AppendBatch("t", slices.Clone(recs))
+							n2, e2 = seg.AppendBatch("t", recs)
+						}
+						wantErr := error(nil)
+						if st.want < len(recs) {
+							wantErr = logstore.ErrUnsortedAppend
+						}
+						if n1 != st.want || e1 != wantErr || n2 != n1 || e2 != e1 {
+							t.Fatalf("%s: memory store took %d (%v), segment store %d (%v), want %d", stage, n1, e1, n2, e2, st.want)
+						}
+					case st.expire != 0:
+						if r1, r2 := mem.Expire(st.expire), seg.Expire(st.expire); r1 != r2 || r1 == 0 {
+							t.Fatalf("%s: Expire removed %d, segment store %d", stage, r1, r2)
+						}
+					default:
+						if r1, r2 := mem.TruncateFrom("t", st.truncate), seg.TruncateFrom("t", st.truncate); r1 != r2 || r1 == 0 {
+							t.Fatalf("%s: TruncateFrom removed %d, segment store %d", stage, r1, r2)
+						}
+					}
+					scans(stage)
+				}
+				if err := seg.Close(); err != nil {
+					t.Fatal(err)
+				}
+				seg = mustOpen(t, dir, opt)
+				scans("reopened")
+				// The reopened store refuses what the memory store refuses.
+				if _, newest, ok := mem.Bounds("t"); ok {
+					behind := logstore.Record{TemplateIdx: -1, ArrivalMs: newest - 1}
+					if e1, e2 := mem.Append("t", behind), seg.Append("t", behind); e1 != logstore.ErrUnsortedAppend || e2 != e1 {
+						t.Fatalf("reopened: append behind the newest: memory store %v, segment store %v", e1, e2)
+					}
+				}
+			})
 		}
-		if got, want := seg.Scan("t", -1<<60, 1<<60), mem.Scan("t", -1<<60, 1<<60); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: final scan diverged (%d vs %d records)", seed, len(got), len(want))
-		}
-		seg.Close()
 	}
 }
 
@@ -336,9 +229,13 @@ func TestBackendEquivalenceSeeds(t *testing.T) {
 			clock := int64(0)
 			for i := 0; i < 200; i++ {
 				clock += int64(rng.Intn(100))
-				rec := logstore.Record{TemplateIdx: int32(i), ArrivalMs: clock - int64(rng.Intn(5000))}
-				mem.AppendLoose("t", rec)
-				seg.AppendLoose("t", rec)
+				rec := logstore.Record{TemplateIdx: int32(i), ArrivalMs: clock}
+				if rng.Intn(5) == 0 {
+					rec.ArrivalMs -= int64(rng.Intn(5000)) // behind the newest, or a tie
+				}
+				if e1, e2 := mem.Append("t", rec), seg.Append("t", rec); e1 != e2 {
+					t.Fatalf("append %+v: mem=%v seg=%v", rec, e1, e2)
+				}
 			}
 			if got, want := seg.Scan("t", 0, 1<<62), mem.Scan("t", 0, 1<<62); !reflect.DeepEqual(got, want) {
 				t.Fatalf("full scan diverged:\n seg %v\n mem %v", got, want)
@@ -377,11 +274,11 @@ func storeFiles(t *testing.T, dir string) map[string]string {
 	return files
 }
 
-// TestBatchAppendMatchesRecordLoop feeds one random sequence of strict and
-// loose batches to both backends twice — whole, and record by record
-// through Append/AppendLoose — and asserts the batch forms are the record
-// loop bit for bit: the accepted count and the index of the first
-// ErrUnsortedAppend, within-slack insertions, scans, and for the segment
+// TestBatchAppendMatchesRecordLoop feeds one random sequence of batches —
+// in order, with ties, and broken by records behind the newest — to both
+// backends twice, whole and record by record through Append, and asserts
+// the batch forms are the record loop bit for bit: the accepted count and
+// the index of the first ErrUnsortedAppend, scans, and for the segment
 // store the seal count, the fsync points (records written since the last
 // fsync, after every batch) and the bytes of every .wal and .seg file.
 // Segment boundaries, by record count or by byte size, fall inside batches.
@@ -399,58 +296,36 @@ func TestBatchAppendMatchesRecordLoop(t *testing.T) {
 				memBatch, memLoop := logstore.New(0), logstore.New(0)
 
 				// loop is the record-at-a-time reference for one batch.
-				loop := func(b logstore.Backend, recs []logstore.Record, loose bool) (int, error) {
+				loop := func(b logstore.Backend, recs []logstore.Record) (int, error) {
 					for i, r := range recs {
-						if loose {
-							b.AppendLoose("t", r)
-						} else if err := b.Append("t", r); err != nil {
+						if err := b.Append("t", r); err != nil {
 							return i, err
 						}
 					}
 					return len(recs), nil
 				}
-				batch := func(b logstore.Backend, recs []logstore.Record, loose bool) (int, error) {
-					if loose {
-						b.AppendLooseBatch("t", recs)
-						return len(recs), nil
-					}
-					return b.AppendBatch("t", recs)
-				}
 
 				rng := rand.New(rand.NewSource(int64(syncEvery) + 11))
-				clock, used, rejections := int64(0), map[int64]bool{}, 0
+				clock, rejections := int64(0), 0
 				for step := 0; step < 60; step++ {
-					loose := rng.Intn(3) == 0
 					recs := make([]logstore.Record, 1+rng.Intn(40))
 					for i := range recs {
-						clock += int64(1 + rng.Intn(300))
+						clock += int64(rng.Intn(300)) // ties included
 						ms := clock
-						switch rng.Intn(8) {
-						case 0: // behind, inside or just beyond the slack window
-							ms -= int64(rng.Intn(7000))
-						case 1:
-							if loose {
-								ms -= int64(rng.Intn(30_000))
-							}
+						if rng.Intn(8) == 0 {
+							ms -= int64(rng.Intn(7000)) // behind the newest, as a rule
 						}
-						// Distinct arrivals: where a within-slack insertion
-						// lands among equal arrivals of an unsorted topic is
-						// an artifact of the in-memory store alone.
-						for used[ms] {
-							ms--
-						}
-						used[ms] = true
 						recs[i] = logstore.Record{TemplateIdx: int32(rng.Intn(50)), ArrivalMs: ms,
 							ResponseMs: rng.Float64() * 1000, ExaminedRows: int64(rng.Intn(10_000))}
 					}
-					wantN, wantErr := loop(memLoop, recs, loose)
+					wantN, wantErr := loop(memLoop, recs)
 					if wantErr != nil {
 						rejections++
 					}
 					for who, got := range map[string]func() (int, error){
-						"mem batch": func() (int, error) { return batch(memBatch, slices.Clone(recs), loose) },
-						"seg loop":  func() (int, error) { return loop(segLoop, recs, loose) },
-						"seg batch": func() (int, error) { return batch(segBatch, recs, loose) },
+						"mem batch": func() (int, error) { return memBatch.AppendBatch("t", slices.Clone(recs)) },
+						"seg loop":  func() (int, error) { return loop(segLoop, recs) },
+						"seg batch": func() (int, error) { return segBatch.AppendBatch("t", recs) },
 					} {
 						if n, err := got(); n != wantN || err != wantErr {
 							t.Fatalf("step %d: %s took %d (%v), record loop took %d (%v)", step, who, n, err, wantN, wantErr)
@@ -465,7 +340,7 @@ func TestBatchAppendMatchesRecordLoop(t *testing.T) {
 					if syncEvery > 0 && tb.sinceSync != len(tb.mem)%syncEvery {
 						t.Fatalf("step %d: %d records in the wal, %d since the last fsync, SyncEvery %d", step, len(tb.mem), tb.sinceSync, syncEvery)
 					}
-					if step%10 == 9 { // a scan sorts, which moves the slack reference
+					if step%10 == 9 {
 						want := memLoop.Scan("t", -1<<60, 1<<60)
 						for who, b := range map[string]logstore.Backend{"mem batch": memBatch, "seg loop": segLoop, "seg batch": segBatch} {
 							if got := b.Scan("t", -1<<60, 1<<60); !reflect.DeepEqual(got, want) {
@@ -503,12 +378,14 @@ func TestLargeBatchKeepsEncodeBufferBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	recs := make([]logstore.Record, 30_000)
 	for i := range recs {
-		recs[i] = logstore.Record{TemplateIdx: int32(rng.Intn(50)), ArrivalMs: int64(i*3 + rng.Intn(5000)),
+		recs[i] = logstore.Record{TemplateIdx: int32(rng.Intn(50)), ArrivalMs: int64(i*3 + rng.Intn(3)),
 			ResponseMs: rng.Float64() * 1000, ExaminedRows: int64(rng.Intn(10_000))}
 	}
-	segBatch.AppendLooseBatch("t", recs)
+	if n, err := segBatch.AppendBatch("t", recs); n != len(recs) || err != nil {
+		t.Fatalf("AppendBatch took %d of %d (%v)", n, len(recs), err)
+	}
 	for _, r := range recs {
-		segLoop.AppendLoose("t", r)
+		segLoop.Append("t", r)
 	}
 	if wal := segBatch.topics["t"].walBytes; wal < 4*frameBufBytes {
 		t.Fatalf("fixture too small: %d wal bytes", wal)
@@ -531,15 +408,15 @@ func TestTornBatchWriteRecovery(t *testing.T) {
 	s := mustOpen(t, masterDir, Options{SegmentRecords: 1 << 20})
 	var recs []logstore.Record
 	for i := 0; i < 12; i++ {
-		recs = append(recs, logstore.Record{TemplateIdx: int32(i % 5), ArrivalMs: int64((i*37)%200 + i),
+		recs = append(recs, logstore.Record{TemplateIdx: int32(i % 5), ArrivalMs: int64(i / 2 * 37),
 			ResponseMs: float64(i) * 1.5, ExaminedRows: int64(i * i)})
 	}
-	s.AppendLooseBatch("t", recs[:4])
+	s.AppendBatch("t", recs[:4])
 	before, err := os.ReadFile(walPathOf(t, masterDir, "t"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.AppendLooseBatch("t", recs[4:]) // the write to tear
+	s.AppendBatch("t", recs[4:]) // the write to tear
 	walData, err := os.ReadFile(walPathOf(t, masterDir, "t"))
 	if err != nil {
 		t.Fatal(err)

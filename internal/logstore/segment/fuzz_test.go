@@ -118,23 +118,25 @@ func FuzzFrameParser(f *testing.F) {
 	})
 }
 
-// FuzzSealPaths reads its input as a program of strict and loose batches in
-// any order, forced seals, scans and a reopen, runs it against a segment
-// store that seals every few records and against the in-memory store, and
-// holds the two to the same accepted counts and the same scans — whichever
-// path, rename or sort-and-rewrite, each wal took to its segment.
+// FuzzSealPaths reads its input as a program of batches, forced seals,
+// expiries, truncations, scans and reopens, runs it against a segment store
+// that seals every few records and against the in-memory store, and holds
+// the two to the same accepted counts and the same scans — whichever path,
+// rename or rewrite, each wal took to its segment. Expire and TruncateFrom
+// are what send a wal down the rewrite path.
 //
-// A byte whose low two bits are 3 is a control (bits 2–3: scan, seal,
-// close and reopen, scan); any other opens a batch — strict unless those
-// bits are 2 — of 1 + (bits 2–5) records, one following byte each: the
+// A byte whose low two bits are 3 is a control, by bits 2–4: seal, close
+// and reopen, Expire or TruncateFrom at the clock minus 40 ms × the next
+// byte, else only a scan; every control ends with a scan. Any other byte
+// opens a batch of 1 + (bits 2–5) records, one following byte each: the
 // arrival is the clock plus 40 ms × that byte as an int8, and the clock
-// follows it forward only, so a negative byte is a straggler up to 5.1 s
-// late, either side of the slack.
+// follows it forward only, so a negative byte is a straggler behind the
+// newest, refused with the rest of its batch.
 func FuzzSealPaths(f *testing.F) {
-	f.Add([]byte{0x3c, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 0x03})            // one wal in order: rolled
-	f.Add([]byte{0x3e, 9, 8, 0x80, 7, 6, 5, 0xff, 4, 3, 2, 1, 1, 1, 1, 1, 1, 0x07, 0x3c, 1, 2}) // loose stragglers: rewritten
-	f.Add([]byte{0x10, 100, 100, 100, 0x90, 0x88, 0x0b, 0x14, 0xfe, 1, 0xfd, 1, 0, 0x0f})       // in and beyond the slack, reopened
-	f.Add([]byte{0x04, 5, 5, 0x07, 0x0b, 0x06, 0, 0, 0x07, 0x0b, 0x3c, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{0x3c, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 0x03})                        // one wal in order: rolled
+	f.Add([]byte{0x2c, 1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 0x0f, 2, 0x1c, 3, 3, 3, 3, 3, 3, 3, 3, 0x0b})  // memtable expired: rewritten, reopened
+	f.Add([]byte{0x2c, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 0x13, 2, 0x1c, 1, 1, 1, 1, 1, 1, 1, 1, 0x0b}) // wal truncated: rewritten, reopened
+	f.Add([]byte{0x1c, 5, 5, 5, 0xfe, 6, 6, 0, 7, 0x1c, 0, 0, 1, 1, 0x80, 2, 2, 2, 0x07, 0x0b, 0x13, 0})    // ties, stragglers mid-batch
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		dir := t.TempDir()
 		opt := Options{SegmentRecords: 8, IndexEvery: 3}
@@ -150,47 +152,47 @@ func FuzzSealPaths(f *testing.F) {
 				t.Fatalf("byte %d: segment store scans %d records, memory store %d, or they differ\n got %v\nwant %v", at, len(got), len(want), got, want)
 			}
 		}
-		clock, used := int64(1<<20), map[int64]bool{}
+		clock := int64(1 << 20)
 		for i := 0; i < len(prog); {
 			op := prog[i]
 			i++
 			if op&3 == 3 {
-				switch op >> 2 & 3 {
+				back := int64(0)
+				if i < len(prog) {
+					back = 40 * int64(prog[i])
+				}
+				switch op >> 2 & 7 {
 				case 1:
 					if err := seg.Seal(); err != nil {
 						t.Fatal(err)
 					}
 				case 2:
-					compare(i) // a reopened store starts sorted: the memory store must sort here too
 					if err := seg.Close(); err != nil {
 						t.Fatal(err)
 					}
 					if seg, err = Open(dir, opt); err != nil {
 						t.Fatal(err)
 					}
+				case 3:
+					i++
+					now := clock - back + logstore.DefaultTTLMs
+					if r1, r2 := seg.Expire(now), mem.Expire(now); r1 != r2 {
+						t.Fatalf("byte %d: Expire removed %d, memory store %d", i, r1, r2)
+					}
+				case 4:
+					i++
+					if r1, r2 := seg.TruncateFrom("t", clock-back), mem.TruncateFrom("t", clock-back); r1 != r2 {
+						t.Fatalf("byte %d: TruncateFrom removed %d, memory store %d", i, r1, r2)
+					}
 				}
 				compare(i)
 				continue
 			}
-			loose := op&3 == 2
 			var recs []logstore.Record
 			for n := 1 + int(op>>2&15); n > 0 && i < len(prog); n, i = n-1, i+1 {
 				ms := clock + 40*int64(int8(prog[i]))
-				if ms > clock {
-					clock = ms
-				}
-				// Where the memory store's in-slack insertion lands among
-				// equal arrivals of an unsorted topic is its own artifact.
-				for !loose && ms < clock && used[ms] {
-					ms--
-				}
-				used[ms] = true
+				clock = max(clock, ms)
 				recs = append(recs, logstore.Record{TemplateIdx: int32(i), ArrivalMs: ms, ResponseMs: float64(prog[i]) / 8, ExaminedRows: int64(len(recs))})
-			}
-			if loose {
-				seg.AppendLooseBatch("t", recs)
-				mem.AppendLooseBatch("t", recs)
-				continue
 			}
 			n1, err1 := seg.AppendBatch("t", recs)
 			n2, err2 := mem.AppendBatch("t", slices.Clone(recs))

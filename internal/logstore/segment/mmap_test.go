@@ -10,9 +10,9 @@ import (
 	"pinsql/internal/logstore"
 )
 
-// populateStore fills a store with a deterministic mixed workload of
-// strict and loose appends across several sealed segments, returning the
-// topics written.
+// populateStore fills a store with a deterministic workload of in-order
+// appends, ties and refused stragglers across several sealed segments,
+// returning the topics written.
 func populateStore(t *testing.T, s *Store, seed int64) []string {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -21,7 +21,7 @@ func populateStore(t *testing.T, s *Store, seed int64) []string {
 		topic := topics[i%len(topics)]
 		r := rec(int32(rng.Intn(40)), int64(i*25+rng.Intn(10)))
 		if rng.Intn(5) == 0 {
-			s.AppendLoose(topic, logstore.Record{
+			s.Append(topic, logstore.Record{
 				TemplateIdx: r.TemplateIdx,
 				ArrivalMs:   int64(rng.Intn(10_000)),
 				ResponseMs:  r.ResponseMs,

@@ -25,10 +25,12 @@ func recoveryFixture(t *testing.T, dir string) (walPath string, recs []logstore.
 	t.Helper()
 	s := mustOpen(t, dir, Options{SegmentRecords: 1 << 20})
 	for i := 0; i < 25; i++ {
-		// Mildly out-of-order arrivals with repeats, varied payloads.
-		ms := int64((i*37)%200 + i)
+		// Arrivals in order with repeats, varied payloads.
+		ms := int64(i / 3 * 37)
 		r := logstore.Record{TemplateIdx: int32(i % 5), ArrivalMs: ms, ResponseMs: float64(i) * 1.5, ExaminedRows: int64(i * i)}
-		s.AppendLoose("t", r)
+		if err := s.Append("t", r); err != nil {
+			t.Fatal(err)
+		}
 		recs = append(recs, r)
 	}
 	if err := s.Close(); err != nil {
@@ -42,7 +44,7 @@ func recoveryFixture(t *testing.T, dir string) (walPath string, recs []logstore.
 func expectPrefix(recs []logstore.Record, n int) []logstore.Record {
 	mem := logstore.New(0)
 	for _, r := range recs[:n] {
-		mem.AppendLoose("t", r)
+		mem.Append("t", r)
 	}
 	return mem.Scan("t", 0, 1<<62)
 }
@@ -86,7 +88,9 @@ func TestTornTailTruncation(t *testing.T) {
 		}
 		// The torn tail must actually be truncated so new appends start a
 		// clean frame chain.
-		s.AppendLoose("t", logstore.Record{TemplateIdx: 9, ArrivalMs: 10_000})
+		if err := s.Append("t", logstore.Record{TemplateIdx: 9, ArrivalMs: 10_000}); err != nil {
+			t.Fatalf("offset %d: post-recovery append: %v", k, err)
+		}
 		if got := s.Len("t"); got != intact+1 {
 			t.Fatalf("offset %d: post-recovery append Len = %d, want %d", k, got, intact+1)
 		}

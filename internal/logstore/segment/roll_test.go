@@ -194,25 +194,12 @@ func TestRollCrashMatrix(t *testing.T) {
 }
 
 // TestFallbackTriggersRewrite: every event that makes the wal something
-// other than its segment sends the seal down the sort-and-rewrite path, and
-// the store goes on scanning what the memory store scans, reopened too.
+// other than its segment sends the seal down the rewrite path, and the
+// store goes on scanning what the memory store scans, reopened too.
 func TestFallbackTriggersRewrite(t *testing.T) {
 	opt := Options{SegmentRecords: 16, IndexEvery: 4, TTLMs: 1000}
-	head, tail := orderedRecs(8, 5000), orderedRecs(8, 5100)
+	head, tail := orderedRecs(8, 5000), orderedRecs(16, 5100)
 	triggers := map[string]func(t *testing.T, s *Store, mem *logstore.Store, dir string) *Store{
-		"loose out of order": func(t *testing.T, s *Store, mem *logstore.Store, dir string) *Store {
-			late := rec(9, 10)
-			s.AppendLoose("t", late)
-			mem.AppendLoose("t", late)
-			return s
-		},
-		"strict inside the slack": func(t *testing.T, s *Store, mem *logstore.Store, dir string) *Store {
-			late := rec(9, 4999)
-			if e1, e2 := s.Append("t", late), mem.Append("t", late); e1 != nil || e2 != nil {
-				t.Fatalf("in-slack append: segment %v, memory %v", e1, e2)
-			}
-			return s
-		},
 		"memtable trimmed by Expire": func(t *testing.T, s *Store, mem *logstore.Store, dir string) *Store {
 			if r1, r2 := s.Expire(6010), mem.Expire(6010); r1 != r2 || r1 == 0 {
 				t.Fatalf("Expire removed %d, memory store %d", r1, r2)
@@ -247,10 +234,8 @@ func TestFallbackTriggersRewrite(t *testing.T) {
 				t.Fatal("the wal still passes for its segment")
 			}
 			mustMatch(t, "after the trigger", s, mem)
-			s.AppendLooseBatch("t", tail)
-			mem.AppendLooseBatch("t", tail)
-			s.AppendLooseBatch("t", tail) // past the threshold whatever the trigger removed
-			mem.AppendLooseBatch("t", tail)
+			s.AppendBatch("t", tail) // past the threshold whatever the trigger removed
+			mem.AppendBatch("t", slices.Clone(tail))
 			if s.rewrites != 1 || s.rolls != 0 {
 				t.Fatalf("%d rewrites, %d rolls, want 1 and 0", s.rewrites, s.rolls)
 			}
@@ -270,8 +255,8 @@ func TestFallbackTriggersRewrite(t *testing.T) {
 				t.Fatal(err)
 			}
 			rolls := s.rolls
-			s.AppendLooseBatch("t", orderedRecs(16, 6000))
-			mem.AppendLooseBatch("t", orderedRecs(16, 6000))
+			s.AppendBatch("t", orderedRecs(16, 6000))
+			mem.AppendBatch("t", orderedRecs(16, 6000))
 			if s.rolls != rolls+1 {
 				t.Fatalf("%d rolls after an in-order wal, want %d", s.rolls, rolls+1)
 			}
@@ -351,6 +336,86 @@ func TestRefusesVersion1Layout(t *testing.T) {
 	}
 }
 
+// writeTopicFiles lays out a topic directory of this format version: each
+// file the header and the given records' frames.
+func writeTopicFiles(t *testing.T, dir string, files map[string][]logstore.Record) {
+	t.Helper()
+	topic := filepath.Join(dir, "t", "t")
+	if err := os.MkdirAll(topic, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, recs := range files {
+		buf, prev := slices.Clone(fileHeader), int64(0)
+		for _, r := range recs {
+			buf = appendFrame(buf, appendRecord(nil, prev, r))
+			prev = r.ArrivalMs
+		}
+		if err := os.WriteFile(filepath.Join(topic, name), buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRefusesOutOfOrderTopic: a topic whose files do not continue each
+// other's arrival order — a wal frame behind its predecessor, a segment
+// that starts before the previous one ends, a wal that starts before the
+// last segment ends — does not open: Open names the file, and the
+// directory is left byte for byte as it was. An in-order layout of the same
+// files opens.
+func TestRefusesOutOfOrderTopic(t *testing.T) {
+	for _, tc := range []struct {
+		name, refused string
+		files         map[string][]logstore.Record
+	}{
+		{"wal frame behind its predecessor", walName(1), map[string][]logstore.Record{
+			walName(1): {rec(0, 100), rec(1, 300), rec(2, 200)},
+		}},
+		{"segment starts before the previous ends", segName(2), map[string][]logstore.Record{
+			segName(1): orderedRecs(8, 1000),
+			segName(2): orderedRecs(8, 1010),
+			walName(3): orderedRecs(4, 2000),
+		}},
+		{"wal starts before the last segment ends", walName(2), map[string][]logstore.Record{
+			segName(1): orderedRecs(8, 1000),
+			walName(2): orderedRecs(4, 1010),
+		}},
+		{"in order", "", map[string][]logstore.Record{
+			segName(1): orderedRecs(8, 1000),
+			segName(2): orderedRecs(8, 1020),
+			walName(3): orderedRecs(4, 1040),
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			writeTopicFiles(t, dir, tc.files)
+			topic := filepath.Join(dir, "t", "t")
+			before := readDirFiles(t, topic)
+
+			s, err := Open(dir, smallOpts())
+			if tc.refused == "" {
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				if got := s.Len("t"); got != 20 {
+					t.Fatalf("Len %d, want 20", got)
+				}
+				return
+			}
+			if err == nil {
+				s.Close()
+				t.Fatal("an out-of-order topic opened")
+			}
+			if !errors.Is(err, errOutOfOrder) || !strings.Contains(err.Error(), filepath.Join(topic, tc.refused)) {
+				t.Fatalf("Open: %v, want %s refused as out of order", err, tc.refused)
+			}
+			if after := readDirFiles(t, topic); !maps.EqualFunc(before, after, bytes.Equal) {
+				t.Fatalf("the refused directory changed: %d files before, %d after", len(before), len(after))
+			}
+		})
+	}
+}
+
 // readDirFiles returns every file of dir by name.
 func readDirFiles(t *testing.T, dir string) map[string][]byte {
 	t.Helper()
@@ -415,8 +480,9 @@ func TestFailedSealIsNotRetriedPerRecord(t *testing.T) {
 // TestWatermarkWrittenOnlyWhenItMasks: an Expire that leaves no record
 // below its cutoff on disk writes no watermark file, and the store reopens
 // to the same scan; one that half-expires a segment writes it; and a record
-// arriving below an unwritten cutoff has the file written first, so it is
-// as invisible after a restart as it was before.
+// arriving below an unwritten cutoff — which only an emptied topic accepts
+// — has the file written first, so it is as invisible after a restart as it
+// was before.
 func TestWatermarkWrittenOnlyWhenItMasks(t *testing.T) {
 	dir := t.TempDir()
 	opt := Options{SegmentRecords: 16, IndexEvery: 4, TTLMs: 1000}
@@ -446,13 +512,6 @@ func TestWatermarkWrittenOnlyWhenItMasks(t *testing.T) {
 	}
 	reopen("nothing expired")
 
-	s.Expire(5500)
-	s.AppendLoose("t", rec(9, 4400)) // below the cutoff no file records yet
-	if got := readWatermark(filepath.Dir(wmPath)); got != 4500 {
-		t.Fatalf("watermark file holds %d after an arrival below the cutoff, want 4500", got)
-	}
-	reopen("late arrival below the cutoff")
-
 	if removed := s.Expire(6020); removed != 6 { // cutoff 5020: six records of the first segment
 		t.Fatalf("Expire removed %d, want 6", removed)
 	}
@@ -460,6 +519,25 @@ func TestWatermarkWrittenOnlyWhenItMasks(t *testing.T) {
 		t.Fatalf("watermark file holds %d after a segment was half expired, want 5020", got)
 	}
 	reopen("segment half expired")
+
+	// Everything sealed, then wholly expired: no record is left on disk
+	// below the cutoff, so the file stays behind it.
+	if err := s.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if removed := s.Expire(7000); removed != 34 { // cutoff 6000
+		t.Fatalf("Expire removed %d, want 34", removed)
+	}
+	if got := readWatermark(filepath.Dir(wmPath)); got != 5020 {
+		t.Fatalf("watermark file holds %d after whole segments expired, want 5020", got)
+	}
+	if err := s.Append("t", rec(9, 5900)); err != nil { // below the cutoff no file records yet
+		t.Fatal(err)
+	}
+	if got := readWatermark(filepath.Dir(wmPath)); got != 6000 {
+		t.Fatalf("watermark file holds %d after an arrival below the cutoff, want 6000", got)
+	}
+	reopen("late arrival below the cutoff")
 	s.Close()
 }
 

@@ -26,9 +26,10 @@ var errMmapUnavailable = errors.New("segment: mmap unavailable")
 //	frame(header): uvarint(version)
 //	frame(record)…, delta-encoded (prev starts at 0)
 //
-// A sealed segment's records are arrival-sorted; a wal's are in ingest
-// order. Files of any other version — version 1 wals are "PSEGWAL1"
-// followed directly by record frames — are refused, untouched.
+// A wal's records, like a sealed segment's, are in arrival order, and a
+// topic's files in seq order continue each other. Files of any other
+// version — version 1 wals are "PSEGWAL1" followed directly by record
+// frames — are refused, untouched.
 //
 // A segment is either a rolled wal or written in one shot to a temporary
 // file and renamed into place, so it exists completely or not at all; the

@@ -2,7 +2,6 @@ package segment
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -10,7 +9,6 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -33,9 +31,6 @@ type Options struct {
 	// IndexEvery is the sparse time-index granularity in records
 	// (default 64).
 	IndexEvery int
-	// SlackMs is the reordering tolerance of the strict Append path
-	// (default 5000, matching the in-memory store).
-	SlackMs int64
 	// SyncEvery fsyncs a topic's active wal after every SyncEvery
 	// appended records (and the registry delta after every interned
 	// template), bounding how much a power failure or OS crash can lose.
@@ -62,9 +57,6 @@ func (o Options) withDefaults() Options {
 	if o.IndexEvery <= 0 {
 		o.IndexEvery = 64
 	}
-	if o.SlackMs <= 0 {
-		o.SlackMs = 5000
-	}
 	return o
 }
 
@@ -79,8 +71,7 @@ type topic struct {
 	wal      *os.File
 	walBytes int64
 
-	mem   []logstore.Record // mirror of the live wal records
-	dirty bool              // mem needs a lazy stable sort
+	mem []logstore.Record // mirror of the live wal records, in arrival order
 
 	// inOrder holds while the wal is, byte for byte, the segment its
 	// records would seal into: the version-2 header, then exactly mem's
@@ -93,14 +84,6 @@ type topic struct {
 
 	prevArrival int64 // delta base of the next wal frame
 	sinceSync   int   // wal records appended since the last fsync
-
-	// refLast mirrors what the in-memory store's recs[len-1].ArrivalMs
-	// would be for the same call sequence — the reference point of the
-	// strict Append slack check. refValid is false when the in-memory
-	// topic would be empty (never appended, or deleted by Expire), a
-	// state that accepts any arrival.
-	refLast  int64
-	refValid bool
 
 	watermark int64 // records with ArrivalMs < watermark are expired
 	// wmStale is set while the watermark file is behind watermark: Expire
@@ -115,16 +98,17 @@ type topic struct {
 //	<dir>/registry.snap          template-registry snapshot
 //	<dir>/registry.delta         registry entries appended since the snapshot
 //	<dir>/t/<topic>/NNNNNNNN.seg immutable arrival-sorted segments
-//	<dir>/t/<topic>/NNNNNNNN.wal the active append-order write-ahead file
+//	<dir>/t/<topic>/NNNNNNNN.wal the active write-ahead file
 //	<dir>/t/<topic>/watermark    persisted TTL expiry cutoff
 //
-// Appends go to the wal (one CRC frame per record, one write per batch
-// stretch) and an in-memory mirror; when the wal reaches the segment size
-// it is sealed into an immutable .seg file whose sparse time index lives in
-// memory — by renaming it when its records arrived in order, by
-// stable-sorting the mirror into a new file otherwise. Scans merge the sorted
-// segments and the mirror, reproducing exactly the in-memory store's
-// lazily sorted order. Expire deletes whole segments below the TTL cutoff in O(1) per
+// Every append continues the topic's arrival order, so a topic's files,
+// taken in seq order, are one arrival-ordered sequence. Appends go to the
+// wal (one CRC frame per record, one write per batch stretch) and an
+// in-memory mirror; when the wal reaches the segment size it is sealed into
+// an immutable .seg file whose sparse time index lives in memory — by
+// renaming it when it is, byte for byte, the segment, by writing the mirror
+// into a new file otherwise. Scans read the segments in seq order, then the
+// mirror. Expire deletes whole segments below the TTL cutoff in O(1) per
 // segment and persists the cutoff as a watermark so partially expired
 // segments stay filtered across restarts.
 type Store struct {
@@ -162,7 +146,10 @@ var _ logstore.Backend = (*Store)(nil)
 // verifies every frame CRC, truncates the torn tail of each topic's
 // active wal, removes wal files already sealed into a segment, deletes
 // segments wholly below the persisted watermark, and rebuilds the sparse
-// indexes and the template registry (snapshot plus delta replay).
+// indexes and the template registry (snapshot plus delta replay). A topic
+// Open cannot continue — a file of format version 1, or files out of
+// arrival order — fails it with an error naming the file, and that topic's
+// directory is left as it was.
 func Open(dir string, opt Options) (*Store, error) {
 	s := &Store{
 		dir:    dir,
@@ -197,9 +184,24 @@ func Open(dir string, opt Options) (*Store, error) {
 	return s, nil
 }
 
-// recoverTopic rebuilds one topic from its directory.
-func (s *Store) recoverTopic(name, dir string) (*topic, error) {
+// errOutOfOrder marks a topic whose live records — those at or after its
+// watermark — do not continue each other's arrival order: a wal frame
+// behind its predecessor, or a file that starts before the previous one
+// ends. Expired records are left out: an emptied topic accepts any arrival.
+var errOutOfOrder = errors.New("records out of arrival order")
+
+// recoverTopic rebuilds one topic from its directory. Whatever it refuses
+// is found before it changes a file, so a refused directory is left as it
+// was.
+func (s *Store) recoverTopic(name, dir string) (_ *topic, err error) {
 	t := &topic{name: name, dir: dir, watermark: readWatermark(dir)}
+	defer func() {
+		if err != nil {
+			for _, sf := range t.segs {
+				sf.close()
+			}
+		}
+	}()
 
 	files, err := os.ReadDir(dir)
 	if err != nil {
@@ -207,6 +209,7 @@ func (s *Store) recoverTopic(name, dir string) (*topic, error) {
 	}
 	segSeqs := map[uint64]bool{}
 	var walSeqs []uint64
+	var tmps []string
 	for _, f := range files {
 		base := f.Name()
 		switch {
@@ -222,12 +225,6 @@ func (s *Store) recoverTopic(name, dir string) (*topic, error) {
 			if oerr != nil {
 				continue // unreadable segment: leave the file, skip it
 			}
-			if sf.maxMs < t.watermark {
-				sf.close()
-				os.Remove(sf.path) // wholly expired while we were down
-				continue
-			}
-			sf.live = sf.count - sf.countBefore(t.watermark)
 			t.segs = append(t.segs, sf)
 			segSeqs[seq] = true
 		case strings.HasSuffix(base, ".wal"):
@@ -237,21 +234,32 @@ func (s *Store) recoverTopic(name, dir string) (*topic, error) {
 			}
 			walSeqs = append(walSeqs, seq)
 		case strings.HasSuffix(base, ".tmp"):
-			os.Remove(filepath.Join(dir, base)) // interrupted seal or snapshot
+			tmps = append(tmps, base) // interrupted seal or snapshot
 		}
 	}
 	sort.Slice(t.segs, func(i, j int) bool { return t.segs[i].seq < t.segs[j].seq })
+	floor := int64(math.MinInt64) // where the next live record may start
+	for _, sf := range t.segs {
+		if sf.maxMs < t.watermark {
+			continue // wholly expired: removed below
+		}
+		if sf.minMs < floor {
+			return nil, fmt.Errorf("segment: %s: %w", sf.path, errOutOfOrder)
+		}
+		floor = sf.maxMs
+	}
 
 	// A wal whose segment exists was sealed but not yet removed (crash
 	// between rename and delete): the segment's copy wins.
 	active := uint64(0)
+	var stale []uint64
 	for _, seq := range walSeqs {
 		if segSeqs[seq] || seq < active {
-			os.Remove(filepath.Join(dir, walName(seq)))
+			stale = append(stale, seq)
 			continue
 		}
 		if active != 0 {
-			os.Remove(filepath.Join(dir, walName(active)))
+			stale = append(stale, active)
 		}
 		active = seq
 	}
@@ -266,61 +274,107 @@ func (s *Store) recoverTopic(name, dir string) (*topic, error) {
 		}
 	}
 	t.seq = active
-	if err := s.replayWal(t); err != nil {
+	wal, err := s.readWal(filepath.Join(dir, walName(t.seq)), t.watermark, floor)
+	if err != nil {
 		return nil, err
 	}
-	t.syncRef() // a fresh open starts from the sorted state
+
+	for _, base := range tmps {
+		os.Remove(filepath.Join(dir, base))
+	}
+	for _, seq := range stale {
+		os.Remove(filepath.Join(dir, walName(seq)))
+	}
+	keep := t.segs[:0]
+	for _, sf := range t.segs {
+		if sf.maxMs < t.watermark {
+			sf.close()
+			os.Remove(sf.path) // wholly expired while we were down
+			continue
+		}
+		sf.live = sf.count - sf.countBefore(t.watermark)
+		keep = append(keep, sf)
+	}
+	t.segs = keep
+	if err := s.replayWal(t, wal); err != nil {
+		return nil, err
+	}
 	return t, nil
 }
 
-// replayWal loads the active wal's intact frames into the memtable,
-// truncating the torn tail, and leaves the file positioned for appends.
-// A wal that is missing (fresh topic, or a crash right after sealing) or
-// torn inside its header is created anew; a version-1 wal is refused
-// before anything is written, since creating it anew would truncate it.
-func (s *Store) replayWal(t *topic) error {
-	path := filepath.Join(t.dir, walName(t.seq))
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return err
+// walImage is an active wal as recovery read it: the file's bytes, the live
+// records of its intact frames, and where those frames end.
+type walImage struct {
+	path   string
+	data   []byte
+	recs   []logstore.Record // the frames at or after the watermark
+	frames int               // intact frames, expired ones included
+	good   int               // offset just past the last intact frame
+	prev   int64             // that frame's arrival
+	index  []indexEntry      // one entry per IndexEvery frames
+	header bool              // data opens with this version's file header
+}
+
+// readWal reads and decodes the wal at path without changing it. A version-1
+// wal is refused, since creating it anew would truncate it, and so is one
+// whose live frames — at or after watermark — fall behind each other or
+// behind floor, the end of the topic's last live segment.
+func (s *Store) readWal(path string, watermark, floor int64) (walImage, error) {
+	w := walImage{path: path}
+	var err error
+	if w.data, err = os.ReadFile(path); err != nil && !os.IsNotExist(err) {
+		return w, err
 	}
-	switch {
-	case bytes.HasPrefix(data, []byte(walMagicV1)):
-		return fmt.Errorf("segment: %s: %w 1", path, errUnsupportedVersion)
-	case !bytes.HasPrefix(data, fileHeader):
+	if bytes.HasPrefix(w.data, []byte(walMagicV1)) {
+		return w, fmt.Errorf("segment: %s: %w 1", path, errUnsupportedVersion)
+	}
+	if w.header = bytes.HasPrefix(w.data, fileHeader); !w.header {
+		return w, nil
+	}
+	ordered := true
+	w.good, w.prev, w.index = readFrames(w.data, len(fileHeader), s.opt.IndexEvery, func(rec logstore.Record) {
+		w.frames++
+		if rec.ArrivalMs >= watermark {
+			ordered = ordered && rec.ArrivalMs >= floor
+			floor = rec.ArrivalMs
+			w.recs = append(w.recs, rec)
+		}
+	})
+	if !ordered {
+		return w, fmt.Errorf("segment: %s: %w", path, errOutOfOrder)
+	}
+	return w, nil
+}
+
+// replayWal loads the active wal's intact frames into the memtable,
+// truncating the torn tail, and leaves the file positioned for appends. A
+// wal that is missing (fresh topic, or a crash right after sealing) or torn
+// inside its header is created anew.
+func (s *Store) replayWal(t *topic, w walImage) error {
+	if !w.header {
 		return s.createWal(t)
 	}
-	frames := 0
-	good, prev, index := readFrames(data, len(fileHeader), s.opt.IndexEvery, func(rec logstore.Record) {
-		frames++
-		if rec.ArrivalMs < t.watermark {
-			return
-		}
-		if n := len(t.mem); n > 0 && rec.ArrivalMs < t.mem[n-1].ArrivalMs {
-			t.dirty = true
-		}
-		t.mem = append(t.mem, rec)
-	})
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	f, err := os.OpenFile(w.path, os.O_RDWR, 0o644)
 	if err != nil {
 		return err
 	}
-	if good < len(data) {
-		err = f.Truncate(int64(good))
+	if w.good < len(w.data) {
+		err = f.Truncate(int64(w.good))
 	}
 	if err == nil {
-		_, err = f.Seek(int64(good), 0)
+		_, err = f.Seek(int64(w.good), 0)
 	}
 	if err != nil {
 		f.Close()
 		return err
 	}
 	t.wal = f
-	t.walBytes = int64(good)
-	t.prevArrival = prev
+	t.mem = w.recs
+	t.walBytes = int64(w.good)
+	t.prevArrival = w.prev
 	t.sinceSync = 0
-	t.index = index
-	t.inOrder = !t.dirty && frames == len(t.mem)
+	t.index = w.index
+	t.inOrder = w.frames == len(w.recs)
 	return nil
 }
 
@@ -379,10 +433,9 @@ func (s *Store) fail(err error) {
 }
 
 // Err returns the first unrecoverable disk error hit by an append or
-// seal, if any. Append and AppendLoose keep accepting records into the
-// memtable past such an error (an Append error strictly means the record
-// was rejected, e.g. for ordering), so callers should check Err before
-// trusting durability.
+// seal, if any. Appends keep accepting records into the memtable past such
+// an error (an Append error strictly means the record was refused for its
+// order), so callers should check Err before trusting durability.
 func (s *Store) Err() error {
 	s.errMu.Lock()
 	defer s.errMu.Unlock()
@@ -401,36 +454,13 @@ func (s *Store) Append(topicName string, rec logstore.Record) error {
 	return err
 }
 
-// AppendBatch stores recs under the topic in order, rejecting a record
-// that arrives more than the slack window out of order, with the same
-// observable rule as the in-memory store: the reference point is what that
-// store's last slice element would be — the topic maximum while the topic
-// is sorted, the most recently appended record while loose appends are
-// pending. It returns how many records were accepted; a nil error means
-// all of them. Though the contract gives recs up, this store keeps none of
-// it. Disk errors degrade durability without failing the append and are
+// AppendBatch stores recs under the topic in order, by the in-memory
+// store's rule: a record behind the topic's newest live record ends the
+// batch. It returns how many records were accepted; a nil error means all
+// of them. Though the contract gives recs up, this store keeps none of it.
+// Disk errors degrade durability without failing the append and are
 // reported via Err.
 func (s *Store) AppendBatch(topicName string, recs []logstore.Record) (int, error) {
-	return s.appendBatch(topicName, recs, false)
-}
-
-// AppendLoose stores one record with no ordering requirement:
-// AppendLooseBatch of one.
-func (s *Store) AppendLoose(topicName string, rec logstore.Record) {
-	s.AppendLooseBatch(topicName, []logstore.Record{rec})
-}
-
-// AppendLooseBatch stores recs with no ordering requirement; ordering is
-// restored lazily before the next scan (and eagerly when sealing).
-func (s *Store) AppendLooseBatch(topicName string, recs []logstore.Record) {
-	s.appendBatch(topicName, recs, true)
-}
-
-// frameBufBytes bounds the frames one wal.Write carries, and with it the
-// encode buffer a store keeps between appends.
-const frameBufBytes = 64 << 10
-
-func (s *Store) appendBatch(topicName string, recs []logstore.Record, loose bool) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -441,23 +471,28 @@ func (s *Store) appendBatch(topicName string, recs []logstore.Record, loose bool
 		s.fail(err)
 		return 0, err
 	}
-	if n := s.append(t, recs, loose); n < len(recs) {
+	if n := s.append(t, recs); n < len(recs) {
 		return n, logstore.ErrUnsortedAppend
 	}
 	return len(recs), nil
 }
 
+// frameBufBytes bounds the frames one wal.Write carries, and with it the
+// encode buffer a store keeps between appends.
+const frameBufBytes = 64 << 10
+
 // append writes one frame per record to the wal and mirrors the records in
 // the memtable, sealing when the active file reaches the segment size. It
-// stops at the first strict (!loose) record outside the slack window and
-// returns how many records it took. Frames are encoded into one buffer and
-// written once per stretch between seal, SyncEvery and frameBufBytes bounds, so the
-// bytes on disk, the seal points and the fsync points are those of a
+// stops at the first record behind the topic's newest and returns how many
+// records it took. Frames are encoded into one buffer and written once per
+// stretch between seal, SyncEvery and frameBufBytes bounds, so the bytes on
+// disk, the seal points and the fsync points are those of a
 // record-at-a-time writer, and every accepted frame has been handed to the
 // OS before append returns. A seal that fails is not tried again before the
 // next call: the records behind it stay in the wal and the memtable, and
 // are written in stretches like any others. Callers hold s.mu.
-func (s *Store) append(t *topic, recs []logstore.Record, loose bool) int {
+func (s *Store) append(t *topic, recs []logstore.Record) int {
+	newest, has := t.newest()
 	buf, pending := s.frames[:0], 0
 	// flush writes the encoded stretch; sinceSync counts only records whose
 	// frames reached the wal.
@@ -479,15 +514,13 @@ func (s *Store) append(t *topic, recs []logstore.Record, loose bool) int {
 	}
 	sealFailed := false
 	for i, rec := range recs {
-		if !loose && t.refValid && rec.ArrivalMs < t.refLast && t.refLast-rec.ArrivalMs > s.opt.SlackMs {
+		if has && rec.ArrivalMs < newest {
 			flush(false)
 			return i
 		}
+		newest, has = rec.ArrivalMs, true
 		if t.wmStale && rec.ArrivalMs < t.watermark {
 			s.persistWatermark(t) // an expired arrival must stay masked after a restart
-		}
-		if n := len(t.mem); n > 0 && rec.ArrivalMs < t.mem[n-1].ArrivalMs {
-			t.dirty, t.inOrder = true, false
 		}
 		if t.inOrder && len(t.mem)%s.opt.IndexEvery == 0 {
 			t.index = append(t.index, indexEntry{firstMs: rec.ArrivalMs, prevMs: t.prevArrival, off: t.walBytes, recIdx: len(t.mem)})
@@ -499,13 +532,6 @@ func (s *Store) append(t *topic, recs []logstore.Record, loose bool) int {
 		t.walBytes += int64(len(buf) - n)
 		t.prevArrival = rec.ArrivalMs
 		t.mem = append(t.mem, rec)
-		// Mirror the in-memory store's last slice element: a loose append
-		// always lands at the end; a strict append lands at the end only when
-		// it is not insertion-sorted below the current last element.
-		if loose || !t.refValid || rec.ArrivalMs >= t.refLast {
-			t.refLast = rec.ArrivalMs
-		}
-		t.refValid = true
 		syncDue := s.opt.SyncEvery > 0 && t.sinceSync+pending >= s.opt.SyncEvery
 		sealDue := !sealFailed && (len(t.mem) >= s.opt.SegmentRecords || t.walBytes >= s.opt.SegmentBytes)
 		if syncDue || sealDue || i == len(recs)-1 || len(buf) >= frameBufBytes {
@@ -521,42 +547,25 @@ func (s *Store) append(t *topic, recs []logstore.Record, loose bool) int {
 	return len(recs)
 }
 
-// ensureSorted lazily restores the memtable's stable arrival order.
-func (t *topic) ensureSorted() {
-	if !t.dirty {
-		return
-	}
-	slices.SortStableFunc(t.mem, func(a, b logstore.Record) int { return cmp.Compare(a.ArrivalMs, b.ArrivalMs) })
-	t.dirty = false
-}
-
-// syncRef realigns the slack reference with the in-memory store's state
-// after its ensureSorted ran for the topic: the last slice element
-// becomes the live maximum, and a topic whose records have all expired
-// behaves as empty (the in-memory Expire deletes such topics). Must be
-// called exactly where the in-memory store sorts — Scan, ScanFunc,
-// Bounds, and Expire — so the two backends keep accepting and rejecting
-// the same strict appends.
-func (t *topic) syncRef() {
-	t.ensureSorted()
-	t.refValid = false
-	t.refLast = 0
-	for _, sf := range t.segs {
-		if sf.live > 0 && (!t.refValid || sf.maxMs > t.refLast) {
-			t.refLast, t.refValid = sf.maxMs, true
-		}
-	}
+// newest returns the arrival of the topic's newest live record; ok is
+// false when the topic holds none.
+func (t *topic) newest() (ms int64, ok bool) {
 	if n := len(t.mem); n > 0 {
-		if last := t.mem[n-1].ArrivalMs; !t.refValid || last > t.refLast {
-			t.refLast, t.refValid = last, true
+		return t.mem[n-1].ArrivalMs, true
+	}
+	for i := len(t.segs) - 1; i >= 0; i-- {
+		if t.segs[i].live > 0 {
+			return t.segs[i].maxMs, true
 		}
 	}
+	return 0, false
 }
 
 // seal turns the active wal into an immutable segment and starts a fresh
 // wal. A wal that is already the segment (t.inOrder) is fsynced and renamed;
-// any other is replaced by the stable-sorted memtable written out anew, and
-// removed. Callers hold s.mu.
+// any other — frames Expire trimmed from the memtable, a wal TruncateFrom
+// rewrote, a failed write — is replaced by the memtable written out anew,
+// and removed. Callers hold s.mu.
 func (s *Store) seal(t *topic) error {
 	if len(t.mem) == 0 {
 		return nil
@@ -565,7 +574,6 @@ func (s *Store) seal(t *topic) error {
 	sf := s.roll(t, oldWal)
 	rolled := sf != nil
 	if !rolled {
-		t.ensureSorted()
 		var err error
 		if sf, err = writeSegment(t.dir, t.seq, t.mem, s.opt.IndexEvery, s.opt.noMmap, int(t.walBytes)); err != nil {
 			s.sealErrs++
@@ -579,7 +587,6 @@ func (s *Store) seal(t *topic) error {
 	t.segs = append(t.segs, sf)
 	t.seq++
 	t.mem = t.mem[:0]
-	t.dirty = false
 	if err := s.createWal(t); err != nil {
 		return err
 	}
@@ -624,84 +631,37 @@ func (s *Store) roll(t *topic, walPath string) *segfile {
 	return sf
 }
 
-// mergeRun is one sorted source feeding a scan: a sealed segment iterator
-// or the memtable.
-type mergeRun struct {
-	cur logstore.Record
-	ok  bool
-	adv func() (logstore.Record, bool)
-}
-
 // scanLocked streams the records of [fromMs, toMs) in arrival order with
-// ingest-order ties, merging the sorted segments (in seal order) with the
-// memtable. Callers hold s.mu.
+// ingest-order ties: the sealed segments in seq order, then the memtable.
+// Callers hold s.mu.
 func (s *Store) scanLocked(t *topic, fromMs, toMs int64, fn func(logstore.Record) bool) {
 	if t == nil {
 		return
 	}
-	if fromMs < t.watermark {
-		fromMs = t.watermark
-	}
+	fromMs = max(fromMs, t.watermark)
 	if fromMs >= toMs {
 		return
 	}
-	var runs []*mergeRun
 	for _, sf := range t.segs {
-		if sf.live == 0 || sf.maxMs < fromMs || sf.minMs >= toMs {
+		if sf.live == 0 || sf.maxMs < fromMs {
 			continue
 		}
+		// The iterator starts at the sparse-index point before the range.
 		it := sf.iterFrom(fromMs)
-		runs = append(runs, &mergeRun{adv: it.next})
-	}
-	t.ensureSorted()
-	lo := sort.Search(len(t.mem), func(i int) bool { return t.mem[i].ArrivalMs >= fromMs })
-	if lo < len(t.mem) && t.mem[lo].ArrivalMs < toMs {
-		i := lo
-		runs = append(runs, &mergeRun{adv: func() (logstore.Record, bool) {
-			if i >= len(t.mem) {
-				return logstore.Record{}, false
-			}
-			rec := t.mem[i]
-			i++
-			return rec, true
-		}})
-	}
-	// Prime each run past records below fromMs (segment iterators start
-	// at the sparse-index point before the range).
-	live := 0
-	for _, r := range runs {
 		for {
-			r.cur, r.ok = r.adv()
-			if !r.ok || r.cur.ArrivalMs >= fromMs {
+			rec, ok := it.next()
+			if !ok {
 				break
 			}
-		}
-		if r.ok && r.cur.ArrivalMs >= toMs {
-			r.ok = false
-		}
-		if r.ok {
-			live++
-		}
-	}
-	// K-way merge; ties resolve to the earliest run (segments in seal
-	// order before the memtable), which reproduces a global stable sort
-	// by arrival over the ingest sequence.
-	for live > 0 {
-		var best *mergeRun
-		for _, r := range runs {
-			if r.ok && (best == nil || r.cur.ArrivalMs < best.cur.ArrivalMs) {
-				best = r
+			if rec.ArrivalMs >= fromMs && (rec.ArrivalMs >= toMs || !fn(rec)) {
+				return
 			}
 		}
-		if !fn(best.cur) {
+	}
+	lo := sort.Search(len(t.mem), func(i int) bool { return t.mem[i].ArrivalMs >= fromMs })
+	for _, rec := range t.mem[lo:] {
+		if rec.ArrivalMs >= toMs || !fn(rec) {
 			return
-		}
-		best.cur, best.ok = best.adv()
-		if best.ok && best.cur.ArrivalMs >= toMs {
-			best.ok = false
-		}
-		if !best.ok {
-			live--
 		}
 	}
 }
@@ -713,9 +673,6 @@ func (s *Store) ScanFunc(topicName string, fromMs, toMs int64, fn func(logstore.
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t, _ := s.getTopic(topicName, false)
-	if t != nil {
-		t.syncRef() // the in-memory store sorts here
-	}
 	s.scanLocked(t, fromMs, toMs, fn)
 }
 
@@ -767,7 +724,8 @@ func (s *Store) Topics() []string {
 	return names
 }
 
-// Bounds returns the minimum and maximum live ArrivalMs of a topic.
+// Bounds returns the minimum and maximum live ArrivalMs of a topic: its
+// first and last live records.
 func (s *Store) Bounds(topicName string) (minMs, maxMs int64, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -775,23 +733,14 @@ func (s *Store) Bounds(topicName string) (minMs, maxMs int64, ok bool) {
 	if t == nil {
 		return 0, 0, false
 	}
-	t.syncRef() // the in-memory store sorts here
-	s.scanLocked(t, t.watermark, 1<<62, func(rec logstore.Record) bool {
+	s.scanLocked(t, math.MinInt64, math.MaxInt64, func(rec logstore.Record) bool {
 		minMs, ok = rec.ArrivalMs, true
 		return false
 	})
 	if !ok {
 		return 0, 0, false
 	}
-	for _, sf := range t.segs {
-		if sf.live > 0 && sf.maxMs > maxMs {
-			maxMs = sf.maxMs
-		}
-	}
-	t.ensureSorted()
-	if n := len(t.mem); n > 0 && t.mem[n-1].ArrivalMs > maxMs {
-		maxMs = t.mem[n-1].ArrivalMs
-	}
+	maxMs, _ = t.newest()
 	return minMs, maxMs, true
 }
 
@@ -827,7 +776,6 @@ func (s *Store) Expire(nowMs int64) int {
 				}
 			}
 			t.segs = keep
-			t.ensureSorted()
 			lo := sort.Search(len(t.mem), func(i int) bool { return t.mem[i].ArrivalMs >= cutoff })
 			if lo > 0 {
 				removed += lo
@@ -840,9 +788,6 @@ func (s *Store) Expire(nowMs int64) int {
 				s.persistWatermark(t)
 			}
 		}
-		// The in-memory store sorts every topic on Expire, even when
-		// nothing is removed, so the slack reference resets regardless.
-		t.syncRef()
 	}
 	return removed
 }
@@ -851,9 +796,10 @@ func (s *Store) Expire(nowMs int64) int {
 // returns the number of live records removed. It is the crash-recovery
 // inverse of Append: a restarting consumer (the fleet) discards the
 // partially committed suffix of its topic before replaying a window.
-// Segments wholly at/after the boundary are deleted; a segment straddling
-// it is rewritten in place (atomically, tmp + rename); the memtable is cut
-// and the active wal rewritten so the truncation survives a further crash.
+// The memtable is cut and the active wal rewritten so the truncation
+// survives a further crash; segments wholly at/after the boundary are
+// deleted; a segment straddling it is rewritten in place (atomically,
+// tmp + rename).
 func (s *Store) TruncateFrom(topicName string, fromMs int64) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -862,7 +808,17 @@ func (s *Store) TruncateFrom(topicName string, fromMs int64) int {
 		return 0
 	}
 	removed := 0
-	var orphans []logstore.Record // survivors of a failed segment rewrite
+	lo := sort.Search(len(t.mem), func(i int) bool { return t.mem[i].ArrivalMs >= fromMs })
+	if cut := len(t.mem) - lo; cut > 0 {
+		// The memtable holds no watermark-dead records (replay filters
+		// them, Expire trims them), so every cut record was live.
+		removed += cut
+		t.mem = t.mem[:lo:lo]
+		if err := s.rewriteWal(t); err != nil {
+			s.fail(err)
+		}
+	}
+	var orphans []logstore.Record // live survivors of a failed segment rewrite
 	keep := t.segs[:0]
 	for _, sf := range t.segs {
 		switch {
@@ -883,10 +839,7 @@ func (s *Store) TruncateFrom(topicName string, fromMs int64) int {
 			// Records below the watermark are already dead; both the
 			// survivor prefix and the dead prefix are prefixes of the
 			// sorted segment, so the kept live count is their difference.
-			deadKept := sf.countBefore(t.watermark)
-			if deadKept > len(survivors) {
-				deadKept = len(survivors)
-			}
+			deadKept := min(sf.countBefore(t.watermark), len(survivors))
 			removed += sf.live - (len(survivors) - deadKept)
 			if len(survivors) == 0 {
 				sf.close()
@@ -896,12 +849,13 @@ func (s *Store) TruncateFrom(topicName string, fromMs int64) int {
 			nsf, err := writeSegment(t.dir, sf.seq, survivors, s.opt.IndexEvery, s.opt.noMmap, 0)
 			if err != nil {
 				// Disk trouble: stay correct in memory by folding the
-				// survivors into the active wal; durability is degraded
-				// and flagged via Err.
+				// survivors into the active wal, which the cut left empty
+				// (its records all followed this segment's); durability is
+				// degraded and flagged via Err.
 				s.fail(err)
 				sf.close()
 				os.Remove(sf.path)
-				orphans = append(orphans, survivors...)
+				orphans = append(orphans, survivors[deadKept:]...)
 				continue
 			}
 			sf.close()
@@ -912,29 +866,15 @@ func (s *Store) TruncateFrom(topicName string, fromMs int64) int {
 		}
 	}
 	t.segs = keep
-	s.append(t, orphans, true)
-
-	t.ensureSorted()
-	lo := sort.Search(len(t.mem), func(i int) bool { return t.mem[i].ArrivalMs >= fromMs })
-	if cut := len(t.mem) - lo; cut > 0 {
-		// The memtable holds no watermark-dead records (replay filters
-		// them, Expire trims them), so every cut record was live.
-		removed += cut
-		t.mem = t.mem[:lo:lo]
-		if err := s.rewriteWal(t); err != nil {
-			s.fail(err)
-		}
-	}
+	s.append(t, orphans)
 	syncDir(t.dir)
-	t.syncRef()
 	return removed
 }
 
 // rewriteWal replaces the topic's active wal with frames for exactly the
-// current memtable (in sorted order — observably identical, since scans
-// sort lazily anyway). Written to a temporary file and renamed into place
-// so a crash mid-rewrite leaves either the old or the new wal, never a
-// mix. Callers hold s.mu.
+// current memtable. Written to a temporary file and renamed into place so
+// a crash mid-rewrite leaves either the old or the new wal, never a mix.
+// Callers hold s.mu.
 func (s *Store) rewriteWal(t *topic) error {
 	buf := append(make([]byte, 0, t.walBytes), fileHeader...)
 	prev := int64(0)
@@ -963,7 +903,6 @@ func (s *Store) rewriteWal(t *topic) error {
 	t.walBytes = int64(len(buf))
 	t.prevArrival = prev
 	t.sinceSync = 0
-	t.dirty = false
 	t.inOrder = false // its index was not kept; the next seal rewrites
 	return nil
 }

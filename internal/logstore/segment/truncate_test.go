@@ -31,10 +31,11 @@ func TestTruncateFromEquivalence(t *testing.T) {
 				ExaminedRows: int64(rng.Intn(1000)),
 			}
 			if rng.Intn(4) == 0 {
-				rec.ArrivalMs -= int64(rng.Intn(10_000)) // loose stragglers
+				rec.ArrivalMs -= 1 + int64(rng.Intn(10_000)) // stragglers: refused by both
 			}
-			mem.AppendLoose("t", rec)
-			seg.AppendLoose("t", rec)
+			if e1, e2 := mem.Append("t", rec), seg.Append("t", rec); e1 != e2 {
+				t.Fatalf("append %+v: mem=%v seg=%v", rec, e1, e2)
+			}
 		}
 	}
 	check := func(stage string) {
@@ -94,7 +95,7 @@ func TestTruncateFromEdgeCases(t *testing.T) {
 				t.Fatalf("unknown topic removed %d", got)
 			}
 			for ms := int64(0); ms < 20; ms++ {
-				st.AppendLoose("t", logstore.Record{ArrivalMs: ms * 100})
+				st.Append("t", logstore.Record{ArrivalMs: ms * 100})
 			}
 			if got := st.TruncateFrom("t", 10_000); got != 0 {
 				t.Fatalf("cut beyond max removed %d", got)

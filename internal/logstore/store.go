@@ -11,11 +11,12 @@
 // growslice under Append). Range scans are a two-level binary search —
 // chunk spine, then within the chunk — plus a contiguous copy.
 //
-// Arrival order — ascending ArrivalMs, ties in insertion order — has one
-// implementation, Arrange, over any chunk list: a loosely appended topic
-// restores its order with it, and a collector arranges its window log with
-// it before handing the runs to AppendBatch, which takes ownership of what
-// it is given and makes a long in-order stretch a chunk as it is.
+// The store has one write order: every append continues arrival order —
+// ascending ArrivalMs, ties in insertion order — and a record behind the
+// topic's newest is refused. A collector arranges its window log into that
+// order with ArrangeCounted before handing the runs to AppendBatch, which
+// takes ownership of what it is given and makes a long stretch a chunk as
+// it is.
 package logstore
 
 import (
@@ -38,8 +39,8 @@ type Record struct {
 // DefaultTTLMs is the paper's three-day default expiration period.
 const DefaultTTLMs = 3 * 24 * 3600 * 1000
 
-// ErrUnsortedAppend reports an append that would break a topic's arrival
-// ordering beyond the allowed slack.
+// ErrUnsortedAppend reports an append of a record that arrived before the
+// topic's newest live record.
 var ErrUnsortedAppend = errors.New("logstore: record arrival time out of order")
 
 // chunkCap is the fixed record capacity of one arena chunk (32 B/record →
@@ -47,19 +48,17 @@ var ErrUnsortedAppend = errors.New("logstore: record arrival time out of order")
 // records already stored.
 const chunkCap = 4096
 
-// topicLog is one topic's chunked record arena. When the topic is clean
-// (no loose append landed behind its predecessor) every chunk is sorted by
+// topicLog is one topic's chunked record arena. Every chunk is sorted by
 // ArrivalMs and the chunks are ordered: chunks[i]'s last record ≤
 // chunks[i+1]'s first. Middle chunks may be shorter than chunkCap after
 // expiry or truncation; only the tail chunk accepts plain appends.
 type topicLog struct {
 	chunks [][]Record
 	size   int
-	dirty  bool // insertion order is not arrival order: restoreOrder pending
 }
 
-// last returns the final record in insertion order; ok is false when the
-// topic is empty.
+// last returns the topic's newest record; ok is false when the topic is
+// empty.
 func (t *topicLog) last() (Record, bool) {
 	if len(t.chunks) == 0 {
 		return Record{}, false
@@ -86,8 +85,8 @@ func (t *topicLog) push(recs ...Record) {
 
 // take stores a stretch that continues arrival order and is the topic's to
 // keep. A stretch that does not fit the tail chunk's free space and is at
-// least half a chunk long becomes chunks of its own (cut) — the state
-// restoreOrder leaves — so it is never copied; anything else is pushed.
+// least half a chunk long becomes chunks of its own (cut), so it is never
+// copied; anything else is pushed.
 func (t *topicLog) take(recs []Record) {
 	if n := len(t.chunks); len(recs) < chunkCap/2 || n > 0 && len(recs) <= cap(t.chunks[n-1])-len(t.chunks[n-1]) {
 		t.push(recs...)
@@ -113,57 +112,6 @@ func cut(chunks [][]Record, recs []Record) [][]Record {
 	return chunks
 }
 
-// at returns the record at logical index i (insertion order across the
-// chunk spine). O(#chunks) — used only by the rare within-slack insertion
-// path, which needs logical indexing to replicate the flat slice's
-// binary-search semantics exactly.
-func (t *topicLog) at(i int) Record {
-	for _, c := range t.chunks {
-		if i < len(c) {
-			return c[i]
-		}
-		i -= len(c)
-	}
-	panic("logstore: chunk index out of range")
-}
-
-// insertAt places rec at logical index i, shifting everything at or after
-// i one slot right. A full chunk overflows its last record into the front
-// of the next chunk, cascading toward the tail — each step is a bounded
-// memmove inside one fixed-size chunk, never a whole-topic copy.
-func (t *topicLog) insertAt(i int, rec Record) {
-	ci := 0
-	// An index at the boundary of a full chunk is equivalently position 0
-	// of the next chunk; step past so the cascade below always has a slot
-	// (or falls off the end into a plain push).
-	for ci < len(t.chunks) && (i > len(t.chunks[ci]) ||
-		(i == len(t.chunks[ci]) && len(t.chunks[ci]) == cap(t.chunks[ci]))) {
-		i -= len(t.chunks[ci])
-		ci++
-	}
-	if ci == len(t.chunks) {
-		t.push(rec)
-		return
-	}
-	carry := rec
-	for ; ci < len(t.chunks); ci++ {
-		c := t.chunks[ci]
-		if len(c) < cap(c) {
-			c = append(c, Record{})
-			copy(c[i+1:], c[i:])
-			c[i] = carry
-			t.chunks[ci] = c
-			t.size++
-			return
-		}
-		over := c[len(c)-1]
-		copy(c[i+1:], c[i:len(c)-1])
-		c[i] = carry
-		carry, i = over, 0 // the overflow preceded everything in the next chunk
-	}
-	t.push(carry)
-}
-
 // find returns the position of the first record for which pred holds,
 // assuming pred is monotone over the (sorted) topic: false…false
 // true…true. It returns the logical index plus the (chunk, offset)
@@ -186,7 +134,7 @@ func (t *topicLog) find(pred func(Record) bool) (logical, chunk, off int) {
 
 // scanRuns calls fn with the records whose ArrivalMs lies in [fromMs, toMs),
 // in order, one contiguous stretch of an arena chunk per call, until fn
-// returns false. The topic must be clean (sorted); runs alias the arena.
+// returns false. Runs alias the arena.
 func (t *topicLog) scanRuns(fromMs, toMs int64, fn func([]Record) bool) {
 	_, ci, off := t.find(func(r Record) bool { return r.ArrivalMs >= fromMs })
 	for ; ci < len(t.chunks); ci++ {
@@ -204,9 +152,6 @@ type Store struct {
 	mu     sync.RWMutex
 	ttlMs  int64
 	topics map[string]*topicLog
-	// slackMs tolerates mild reordering from asynchronous collection;
-	// records are kept sorted by insertion sort within the slack window.
-	slackMs int64
 }
 
 // New creates a store with the given TTL in milliseconds; ttlMs ≤ 0 selects
@@ -216,9 +161,8 @@ func New(ttlMs int64) *Store {
 		ttlMs = DefaultTTLMs
 	}
 	return &Store{
-		ttlMs:   ttlMs,
-		topics:  make(map[string]*topicLog),
-		slackMs: 5000,
+		ttlMs:  ttlMs,
+		topics: make(map[string]*topicLog),
 	}
 }
 
@@ -242,58 +186,35 @@ func (s *Store) Append(topic string, rec Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t := s.topic(topic)
-	behind, err := s.insertBehind(t, rec)
-	if !behind {
-		t.push(rec)
+	if newest, ok := t.last(); ok && rec.ArrivalMs < newest.ArrivalMs {
+		return ErrUnsortedAppend
 	}
-	return err
+	t.push(rec)
+	return nil
 }
 
 // AppendBatch stores recs under the topic in order, under one lock
 // acquisition, and recs is given up: the store may keep a stretch of it as
-// a chunk and write into it later. Records may arrive mildly out of order
-// (asynchronous collectors); anything older than the slack window relative
-// to the topic's newest record is rejected, which ends the batch: it
-// returns how many records were accepted before it, and ErrUnsortedAppend.
-// A stretch that continues arrival order — the whole batch, for a sorted
-// run not behind the topic — costs one comparison pass, and no copy when
-// it is long enough to be a chunk of its own (topicLog.take).
+// a chunk and write into it later. Every record must continue arrival order
+// — at or after the topic's newest, ties keeping ingest order — and the
+// first that does not ends the batch: it returns how many records were
+// accepted before it, and ErrUnsortedAppend. The accepted stretch costs one
+// comparison pass, and no copy when it is long enough to be a chunk of its
+// own (topicLog.take).
 func (s *Store) AppendBatch(topic string, recs []Record) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t := s.topic(topic)
-	for i := 0; i < len(recs); {
-		behind, err := s.insertBehind(t, recs[i])
-		if err != nil {
-			return i, err
-		}
-		if behind {
-			i++
-			continue
-		}
-		n := 1 + orderedPrefix(recs[i+1:], recs[i].ArrivalMs)
-		t.take(recs[i : i+n])
-		i += n
+	prevMs := int64(math.MinInt64)
+	if newest, ok := t.last(); ok {
+		prevMs = newest.ArrivalMs
 	}
-	return len(recs), nil
-}
-
-// insertBehind handles a record that arrived before the topic's newest
-// (behind reports that it did): within the slack window it is inserted at
-// the first logical index whose arrival exceeds its own, so equal arrivals
-// keep insertion order; beyond it the record is rejected. Callers hold the
-// write lock.
-func (s *Store) insertBehind(t *topicLog, rec Record) (behind bool, err error) {
-	newest, ok := t.last()
-	if !ok || rec.ArrivalMs >= newest.ArrivalMs {
-		return false, nil
+	n := orderedPrefix(recs, prevMs)
+	t.take(recs[:n])
+	if n < len(recs) {
+		return n, ErrUnsortedAppend
 	}
-	if newest.ArrivalMs-rec.ArrivalMs > s.slackMs {
-		return true, ErrUnsortedAppend
-	}
-	at := sort.Search(t.size, func(i int) bool { return t.at(i).ArrivalMs > rec.ArrivalMs })
-	t.insertAt(at, rec)
-	return true, nil
+	return n, nil
 }
 
 // orderedPrefix returns the length of the longest prefix of recs that
@@ -308,50 +229,11 @@ func orderedPrefix(recs []Record, prevMs int64) int {
 	return len(recs)
 }
 
-// AppendLoose stores one record with no ordering requirement:
-// AppendLooseBatch of one.
-func (s *Store) AppendLoose(topic string, rec Record) {
-	s.AppendLooseBatch(topic, []Record{rec})
-}
-
-// AppendLooseBatch stores recs without any ordering requirement: arrival
-// order is restored lazily at the next Scan. Query logs are emitted at
-// statement *completion*, so a statement that spent minutes in a lock queue
-// arrives long after later-arriving statements — far outside any streaming
-// slack window. Batch collectors use this path. Whether order needs
-// restoring at all is decided here, while the batch is copied: loose
-// appends that happen to arrive in order leave the topic clean.
-func (s *Store) AppendLooseBatch(topic string, recs []Record) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t := s.topic(topic)
-	if !t.dirty {
-		prevMs := int64(math.MinInt64)
-		if newest, ok := t.last(); ok {
-			prevMs = newest.ArrivalMs
-		}
-		t.dirty = orderedPrefix(recs, prevMs) < len(recs)
-	}
-	t.push(recs...)
-}
-
-// ensureSorted restores a topic's arrival order after loose appends broke
-// it. Callers must hold the write lock.
-func (s *Store) ensureSorted(topic string) {
-	if t := s.topics[topic]; t != nil && t.dirty {
-		t.restoreOrder()
-	}
-}
-
 // Scan returns a copy of the records in topic with ArrivalMs in
 // [fromMs, toMs).
 func (s *Store) Scan(topic string, fromMs, toMs int64) []Record {
-	// The write lock covers the whole scan: a concurrent AppendLoose
-	// between sorting and searching would otherwise leave an unsorted
-	// tail under the binary search.
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ensureSorted(topic)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	t := s.topics[topic]
 	if t == nil {
 		return []Record{}
@@ -371,9 +253,8 @@ func (s *Store) Scan(topic string, fromMs, toMs int64) []Record {
 // The callback runs under the store lock: it must be quick and must not
 // call back into the store.
 func (s *Store) ScanFunc(topic string, fromMs, toMs int64, fn func(Record) bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ensureSorted(topic)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if t := s.topics[topic]; t != nil {
 		t.scanRuns(fromMs, toMs, func(run []Record) bool {
 			for _, r := range run {
@@ -389,22 +270,14 @@ func (s *Store) ScanFunc(topic string, fromMs, toMs int64, fn func(Record) bool)
 // Bounds returns the minimum and maximum ArrivalMs in a topic; ok is false
 // when the topic is empty or unknown.
 func (s *Store) Bounds(topic string) (minMs, maxMs int64, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ensureSorted(topic)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	t := s.topics[topic]
 	if t == nil || t.size == 0 {
 		return 0, 0, false
 	}
-	first := t.chunks[0]
-	for _, c := range t.chunks {
-		if len(c) > 0 {
-			first = c
-			break
-		}
-	}
 	newest, _ := t.last()
-	return first[0].ArrivalMs, newest.ArrivalMs, true
+	return t.chunks[0][0].ArrivalMs, newest.ArrivalMs, true
 }
 
 // Len returns the number of live records in a topic.
@@ -440,9 +313,7 @@ func (s *Store) Expire(nowMs int64) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	removed := 0
-	for topic := range s.topics {
-		s.ensureSorted(topic)
-		t := s.topics[topic]
+	for topic, t := range s.topics {
 		lo, ci, off := t.find(func(r Record) bool { return r.ArrivalMs >= cutoff })
 		if lo == 0 {
 			continue
@@ -468,7 +339,6 @@ func (s *Store) Expire(nowMs int64) int {
 func (s *Store) TruncateFrom(topic string, fromMs int64) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.ensureSorted(topic)
 	t := s.topics[topic]
 	if t == nil {
 		return 0

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -52,26 +53,22 @@ func TestScanReturnsCopy(t *testing.T) {
 	}
 }
 
+// TestSlackReordering: the store has no slack window — a record behind the
+// topic's newest is refused, not reordered into place, and leaves the topic
+// as it was; equal arrivals are accepted in ingest order.
 func TestSlackReordering(t *testing.T) {
 	s := New(0)
-	s.Append("t", Record{ArrivalMs: 1000})
-	s.Append("t", Record{ArrivalMs: 3000})
-	// Mildly late record (within 5 s slack) is inserted in order.
-	if err := s.Append("t", Record{ArrivalMs: 2000}); err != nil {
-		t.Fatal(err)
+	s.Append("t", Record{TemplateIdx: 0, ArrivalMs: 1000})
+	s.Append("t", Record{TemplateIdx: 1, ArrivalMs: 3000})
+	if err := s.Append("t", Record{TemplateIdx: 2, ArrivalMs: 2999}); err != ErrUnsortedAppend {
+		t.Errorf("append 1 ms behind the newest: error %v, want ErrUnsortedAppend", err)
 	}
-	recs := s.Scan("t", 0, 10_000)
-	if len(recs) != 3 {
-		t.Fatalf("len = %d", len(recs))
+	if err := s.Append("t", Record{TemplateIdx: 3, ArrivalMs: 3000}); err != nil {
+		t.Fatalf("tie with the newest: %v", err)
 	}
-	for i := 1; i < len(recs); i++ {
-		if recs[i].ArrivalMs < recs[i-1].ArrivalMs {
-			t.Fatalf("records out of order: %v", recs)
-		}
-	}
-	// Hopelessly late record is rejected.
-	if err := s.Append("t", Record{ArrivalMs: 3000 - 6000}); err != ErrUnsortedAppend {
-		t.Errorf("stale append error = %v, want ErrUnsortedAppend", err)
+	want := []Record{{TemplateIdx: 0, ArrivalMs: 1000}, {TemplateIdx: 1, ArrivalMs: 3000}, {TemplateIdx: 3, ArrivalMs: 3000}}
+	if got := s.Scan("t", 0, 10_000); !reflect.DeepEqual(got, want) {
+		t.Fatalf("scan = %v, want %v", got, want)
 	}
 }
 
@@ -130,7 +127,7 @@ func TestConcurrentAppendScan(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			topic := string(rune('a' + w%4))
+			topic := string(rune('a' + w)) // one writer a topic: its appends stay in order
 			for i := 0; i < 500; i++ {
 				s.Append(topic, Record{ArrivalMs: int64(i)})
 				if i%50 == 0 {
@@ -149,14 +146,13 @@ func TestConcurrentAppendScan(t *testing.T) {
 	}
 }
 
-// Property: after any sequence of in-slack appends, every topic scan is
+// Property: after any sequence of in-order appends, every topic scan is
 // sorted and Scan(from,to) returns exactly the records in range.
 func TestScanWindowProperty(t *testing.T) {
 	f := func(offsets []uint16, from, to uint16) bool {
 		s := New(0)
 		base := int64(0)
 		for _, off := range offsets {
-			// Keep deltas within slack so every append is accepted.
 			base += int64(off % 512)
 			if err := s.Append("t", Record{ArrivalMs: base}); err != nil {
 				return false
@@ -219,7 +215,7 @@ func TestExpireProperty(t *testing.T) {
 func TestScanFuncStreamsWindow(t *testing.T) {
 	s := New(0)
 	for i := 0; i < 20; i++ {
-		s.AppendLoose("t", Record{TemplateIdx: int32(i), ArrivalMs: int64((i * 13) % 100)})
+		s.Append("t", Record{TemplateIdx: int32(i), ArrivalMs: int64(i * 13 / 3)})
 	}
 	want := s.Scan("t", 20, 80)
 	var got []Record
@@ -256,9 +252,10 @@ func TestBounds(t *testing.T) {
 	if _, _, ok := s.Bounds("t"); ok {
 		t.Error("Bounds ok for an empty store")
 	}
-	s.AppendLoose("t", Record{ArrivalMs: 700})
-	s.AppendLoose("t", Record{ArrivalMs: -50})
-	s.AppendLoose("t", Record{ArrivalMs: 300})
+	s.Append("t", Record{ArrivalMs: -50})
+	s.Append("t", Record{ArrivalMs: 300})
+	s.Append("t", Record{ArrivalMs: 700})
+	s.Append("t", Record{ArrivalMs: 299}) // refused
 	min, max, ok := s.Bounds("t")
 	if !ok || min != -50 || max != 700 {
 		t.Errorf("Bounds = %d, %d, %v, want -50, 700, true", min, max, ok)
@@ -297,12 +294,12 @@ func TestExpireSkipsCleanTopics(t *testing.T) {
 
 // TestChunkedArenaDifferential drives the chunked arena and a flat
 // reference slice through the same randomized mixed workload (in-order
-// appends, slack inserts, loose appends, expiry, truncation) and asserts
-// every scan stays byte-identical to the flat model.
+// appends, refused appends behind the newest, expiry, truncation) and
+// asserts every scan stays byte-identical to the flat model.
 func TestChunkedArenaDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	s := New(0)
-	var ref []Record // flat model, kept sorted exactly like the old store
+	var ref []Record // flat model: the accepted records in order
 	now := int64(0)
 	for op := 0; op < 30_000; op++ {
 		switch k := rng.Intn(100); {
@@ -312,20 +309,12 @@ func TestChunkedArenaDifferential(t *testing.T) {
 			if err := s.Append("t", rec); err != nil {
 				t.Fatalf("op %d: %v", op, err)
 			}
-			i := sort.Search(len(ref), func(i int) bool { return ref[i].ArrivalMs > rec.ArrivalMs })
-			ref = append(ref, Record{})
-			copy(ref[i+1:], ref[i:])
-			ref[i] = rec
-		case k < 95: // slack insert behind the newest arrival
-			back := int64(rng.Intn(int(s.slackMs)))
-			rec := Record{TemplateIdx: int32(op), ArrivalMs: now - back}
-			if err := s.Append("t", rec); err != nil {
-				t.Fatalf("op %d: %v", op, err)
+			ref = append(ref, rec)
+		case k < 95 && len(ref) > 0: // behind the newest arrival: refused, nothing changes
+			rec := Record{TemplateIdx: int32(op), ArrivalMs: ref[len(ref)-1].ArrivalMs - 1 - int64(rng.Intn(5000))}
+			if err := s.Append("t", rec); err != ErrUnsortedAppend {
+				t.Fatalf("op %d: append behind the newest: %v", op, err)
 			}
-			i := sort.Search(len(ref), func(i int) bool { return ref[i].ArrivalMs > rec.ArrivalMs })
-			ref = append(ref, Record{})
-			copy(ref[i+1:], ref[i:])
-			ref[i] = rec
 		case k < 98: // expire a prefix
 			// Mirror Expire's cutoff arithmetic: Expire(nowMs) drops
 			// records with ArrivalMs < nowMs-ttl. Use ttl=1 and
@@ -499,7 +488,8 @@ func TestScanRunsEqualsScan(t *testing.T) {
 	for i := range recs {
 		recs[i] = Record{TemplateIdx: int32(i), ArrivalMs: int64(rng.Intn(n))}
 	}
-	s.AppendLooseBatch("t", recs)
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].ArrivalMs < recs[j].ArrivalMs })
+	s.AppendBatch("t", slices.Clone(recs))
 	check := func(stage string) {
 		t.Helper()
 		for w := 0; w < 200; w++ {
@@ -516,16 +506,16 @@ func TestScanRunsEqualsScan(t *testing.T) {
 			}
 		}
 	}
-	check("loose batch")
+	check("one batch")
 	s.ttlMs = 1
 	s.Expire(n / 5) // trims the first chunk in place
 	s.TruncateFrom("t", n-n/5)
-	for i := 0; i < 50; i++ { // within-slack insertions shift across chunks
-		if err := s.Append("t", Record{TemplateIdx: -1, ArrivalMs: int64(n - n/5 - 1 - rng.Intn(100))}); err != nil {
+	for i := 0; i < 50; i++ { // into the truncated chunk's free space, ties included
+		if err := s.Append("t", Record{TemplateIdx: -1, ArrivalMs: int64(n - n/5 + i/3)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	check("after expire, truncate and slack inserts")
+	check("after expire, truncate and appends")
 
 	calls := 0
 	s.ScanFunc("t", 0, 1<<62, func(Record) bool { calls++; return false })
@@ -536,29 +526,4 @@ func TestScanRunsEqualsScan(t *testing.T) {
 		t.Error("callback invoked for a missing topic")
 		return false
 	})
-}
-
-// TestLooseAppendsInOrderSkipTheSort: loose appends that arrived in order
-// leave the arena as it is (no flatten, no re-chunk), and an out-of-order
-// one still gets the stable sort.
-func TestLooseAppendsInOrderSkipTheSort(t *testing.T) {
-	s := New(0)
-	recs := make([]Record, chunkCap+10)
-	for i := range recs {
-		recs[i] = Record{TemplateIdx: int32(i), ArrivalMs: int64(i / 3)} // ties included
-	}
-	s.AppendLooseBatch("t", recs)
-	first := &s.topics["t"].chunks[0][0]
-	if got := s.Scan("t", 0, 1<<62); !reflect.DeepEqual(got, recs) {
-		t.Fatal("in-order loose appends scanned out of order")
-	}
-	if &s.topics["t"].chunks[0][0] != first {
-		t.Error("in-order loose appends were re-chunked")
-	}
-	s.AppendLoose("t", Record{TemplateIdx: -1, ArrivalMs: 1})
-	got := s.Scan("t", 0, 2)
-	want := append(append([]Record{}, recs[:6]...), Record{TemplateIdx: -1, ArrivalMs: 1})
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("late loose append: got %v, want %v", got, want)
-	}
 }

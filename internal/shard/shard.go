@@ -212,7 +212,9 @@ func boolInt(b bool) int {
 }
 
 // resolveShards picks the shard count: an explicit request must match any
-// persisted layout; 0 adopts the persisted layout or GOMAXPROCS.
+// persisted layout; 0 adopts the persisted layout or GOMAXPROCS. Shard
+// directories without the file that says how many there are refuse to
+// open: re-partitioning them would strand the instances that moved.
 func resolveShards(opt Options) (int, error) {
 	req := opt.Shards
 	if opt.DataDir == "" {
@@ -237,27 +239,49 @@ func resolveShards(opt Options) (int, error) {
 	} else if !os.IsNotExist(err) {
 		return 0, err
 	}
+	if shards, _ := filepath.Glob(filepath.Join(opt.DataDir, "shard-*")); len(shards) > 0 {
+		return 0, fmt.Errorf("shard: %s is missing but %s exists: the layout's shard count is unknown", path, shards[0])
+	}
 	if req <= 0 {
 		req = parallel.Resolve(0)
 	}
-	// Persist with an fsync: the shard count is part of the durable
-	// layout's commit point, same as the journals it governs.
-	f, err := os.Create(path)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := f.WriteString(strconv.Itoa(req) + "\n"); err != nil {
-		f.Close()
-		return 0, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return 0, err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeShardCount(opt.DataDir, req); err != nil {
 		return 0, err
 	}
 	return req, nil
+}
+
+// writeShardCount persists the shard count as the durable layout's commit
+// point, like the journals it governs: written to a temporary file,
+// fsynced, renamed into place, and the directory fsynced — a crash leaves
+// no shard-count file or a whole one, never an empty one.
+func writeShardCount(dir string, k int) error {
+	path := filepath.Join(dir, shardsFile)
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	_, err = f.WriteString(strconv.Itoa(k) + "\n")
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // registerMetrics adds the per-shard aggregate series. Everything reads

@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -232,6 +234,37 @@ func TestShardCountPersistence(t *testing.T) {
 	m.Close()
 }
 
+// TestMissingShardCountRefused: a durable layout whose shard-count file is
+// gone — its shard directories still there — does not open under any shard
+// count, so the instances of a vanished shard are never restarted from
+// window 0 elsewhere; the error names the missing file.
+func TestMissingShardCountRefused(t *testing.T) {
+	specs := testSpecs(4)
+	dir := t.TempDir()
+	m, err := New(specs, Options{Shards: 2, Workers: 1, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Close()
+	path := filepath.Join(dir, shardsFile)
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{0, 1, 2} {
+		m, err := New(specs, Options{Shards: shards, Workers: 1, DataDir: dir})
+		if err == nil {
+			m.Close()
+			t.Fatalf("shards=%d: a layout without %s opened", shards, shardsFile)
+		}
+		if !strings.Contains(err.Error(), path) {
+			t.Fatalf("shards=%d: %v does not name %s", shards, err, path)
+		}
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("a refused open wrote %s (%v)", path, err)
+	}
+}
+
 // TestShardStopDrains: Stop seals every shard in parallel after the first
 // commit; the drained-window counts across shards sum to the manager's
 // total, and a restart finishes the remainder byte-identically.
@@ -375,7 +408,6 @@ func TestShardHTTP(t *testing.T) {
 		// registry without colliding (labels render sorted by key).
 		`pinsql_fleet_windows_total{instance="inst-00",shard="0"} 2`,
 		`pinsql_fleet_windows_total{instance="inst-01",shard="1"} 2`,
-		`pinsql_broker_dropped_total{shard="0",topic="inst-00"} 0`,
 		`pinsql_ingest_parse_errors_total{instance="inst-00",shard="0"} 0`,
 	} {
 		if !strings.Contains(metrics, want) {

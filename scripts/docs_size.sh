@@ -19,10 +19,10 @@ check() { # file budget
 		echo "$1: $size bytes (budget $2)"
 	fi
 }
-check DESIGN.md 75002
+check DESIGN.md 74919
 check EXPERIMENTS.md 122102
-check CHANGES.md 73138
-check README.md 21738
+check CHANGES.md 46458
+check README.md 21692
 
 last=$(LC_ALL=C awk '/^- PR /{n=0} {n += length($0) + 1} END{print n}' CHANGES.md)
 if [ "$last" -gt 1536 ]; then

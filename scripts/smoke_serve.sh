@@ -65,7 +65,7 @@ curl -s -o /dev/null -w '%{http_code}' "http://$ADDR/instances/nope/diagnoses" |
 METRICS=$(curl -sf "http://$ADDR/metrics")
 for metric in pinsql_fleet_windows_total pinsql_fleet_anomalies_total \
   pinsql_fleet_queue_depth pinsql_registry_raw_cache_misses_total \
-  pinsql_broker_dropped_total pinsql_ingest_records_total \
+  pinsql_ingest_records_total \
   pinsql_ingest_parse_errors_total pinsql_ingest_lag_seconds \
   pinsql_shard_instances pinsql_shard_windows_total \
   pinsql_shard_queue_depth pinsql_shard_shed_windows_total \
