@@ -57,9 +57,9 @@ docs-size:
 # the collector's window log (any records and batch cuts, one seal: the
 # sealed frame is the independent reference's, the arranged runs the stable
 # sort, and the store handed them at the seal scans them back), the segment
-# store's two seal paths (any batches, stragglers refused, with seals,
-# Expire, TruncateFrom and reopens scan back as the in-memory store's,
-# renamed wal or rewritten), the three frame session estimators (the sparse
+# store's seal (any batches, stragglers refused, with seals — each a renamed
+# wal —, Expire, TruncateFrom and reopens scan back as the in-memory
+# store's), the three frame session estimators (the sparse
 # series expanded is bit-equal to the dense references, the bucketed one's
 # the map-keyed all-buckets walk), the estimator's compaction of a
 # template's touched seconds, and the sparse series' sums and correlations

@@ -29,8 +29,8 @@ func OpenRegistry(st *segment.Store) (*Registry, error) {
 		}
 	}
 	reg.SetOnIntern(func(meta TemplateMeta) {
-		// Append errors surface through the store's sticky Err; the
-		// in-memory registry stays authoritative either way.
+		// An append error is the store's sticky error: it refuses the
+		// next record append, so no record outlives its template.
 		st.AppendRegistry(segment.RegistryEntry{
 			Index: meta.Index,
 			ID:    string(meta.ID),

@@ -266,36 +266,20 @@ func (f *Fleet) openInstance(spec InstanceSpec, reports []*WindowReport) (*instS
 
 		// Replay committed history in window order: injections first (they
 		// consume the world's RNG stream exactly as the original run did),
-		// then that window's executed repairing actions.
-		opt := repair.DefaultOptimizer()
+		// then that window's executed repairing actions, by the module that
+		// executed them at commit.
 		for _, rep := range st.reports {
 			spec.Inject(world, rep.Window, rep.FromMs, rep.ToMs)
+			var executed []repair.Suggestion
 			for _, a := range rep.Anomalies {
 				for _, act := range a.Actions {
-					if !act.Executed {
-						continue
-					}
-					switch act.Action {
-					case repair.ActionThrottle:
-						if act.DurationMs > 0 {
-							st.sim.SetThrottleUntil(act.Template, act.Value, rep.ToMs+act.DurationMs)
-						} else {
-							st.sim.SetThrottle(act.Template, act.Value)
-						}
-					case repair.ActionOptimize:
-						if sp := world.SpecByID(sqltemplate.ID(act.Template)); sp != nil {
-							sp.ApplyOptimization(opt.RowsFactor, opt.TimeFactor)
-						}
-					case repair.ActionAutoScale:
-						cur := st.sim.Cores()
-						target := int(float64(cur) * act.Value)
-						if target <= cur {
-							target = cur + 1
-						}
-						st.sim.SetCores(target)
+					if act.Executed {
+						executed = append(executed, repair.Suggestion{Rule: act.Rule, Action: act.Action,
+							Template: sqltemplate.ID(act.Template), Value: act.Value, DurationMs: act.DurationMs})
 					}
 				}
 			}
+			f.mod.Execute(st.repairEnv(rep.ToMs, true), executed)
 		}
 		st.play = ingest.NewPlayer(ingest.NewSimSource(world, st.sim, spec.Seed, spec.Windows, spec.WindowSec))
 	}
@@ -311,6 +295,27 @@ func (f *Fleet) openInstance(spec InstanceSpec, reports []*WindowReport) (*instS
 		}
 	}
 	return st, nil
+}
+
+// repairEnv is the environment the instance's repairing actions execute in
+// at nowMs. A trace-backed instance has no live simulator or world: the
+// interfaces stay nil (not typed-nil), so Execute records the actions as
+// suggestions without executing anything.
+func (st *instState) repairEnv(nowMs int64, auto bool) repair.Environment {
+	env := repair.Environment{AutoExecute: auto, NowMs: nowMs}
+	if st.sim != nil {
+		env.Throttler = st.sim
+		env.Scaler = st.sim
+	}
+	if st.world != nil {
+		env.SpecOf = func(tid sqltemplate.ID) repair.Optimizable {
+			if sp := st.world.SpecByID(tid); sp != nil {
+				return sp
+			}
+			return nil
+		}
+	}
+	return env
 }
 
 // closeStorage releases an instance's storage handles on an openInstance
@@ -641,7 +646,8 @@ func (f *Fleet) crash(id string, window int, phase string) bool {
 //  4. the store expires past-TTL records.
 //
 // A crash anywhere before (3) leaves an unjournaled suffix in the topic
-// that recovery truncates and replays; a crash after (3) loses nothing.
+// that recovery truncates and replays; a crash after (3) loses nothing. A
+// disk error refuses the append in (1), failing the instance before (3).
 func (f *Fleet) commit(st *instState, sw *stagedWindow) error {
 	id := st.spec.ID
 	if f.crash(id, sw.window, "pre-append") {
@@ -671,26 +677,7 @@ func (f *Fleet) commit(st *instState, sw *stagedWindow) error {
 			if len(sugg) == 0 {
 				continue
 			}
-			env := repair.Environment{
-				AutoExecute: st.spec.AutoRepair,
-				NowMs:       sw.toMs,
-			}
-			// A trace-backed instance has no live simulator/world: leave
-			// the interfaces nil (not typed-nil) so Execute records the
-			// actions as suggestions without executing anything.
-			if st.sim != nil {
-				env.Throttler = st.sim
-				env.Scaler = st.sim
-			}
-			if st.world != nil {
-				env.SpecOf = func(tid sqltemplate.ID) repair.Optimizable {
-					if sp := st.world.SpecByID(tid); sp != nil {
-						return sp
-					}
-					return nil
-				}
-			}
-			for _, s := range f.mod.Execute(env, sugg) {
+			for _, s := range f.mod.Execute(st.repairEnv(sw.toMs, st.spec.AutoRepair), sugg) {
 				sw.rep.Anomalies[i].Actions = append(sw.rep.Anomalies[i].Actions, ActionReport{
 					Rule: s.Rule, Action: s.Action, Template: string(s.Template),
 					Value: s.Value, DurationMs: s.DurationMs, Executed: s.Executed,
@@ -941,25 +928,4 @@ func (f *Fleet) Status() Status {
 		out.Instances = append(out.Instances, is)
 	}
 	return out
-}
-
-// RunInstance runs one instance's full monitoring loop to completion —
-// single-instance mode (the old pinsqld inner loop) is just a 1-instance
-// fleet. It returns the committed window reports.
-func RunInstance(spec InstanceSpec, opt Options) ([]*WindowReport, error) {
-	f, err := New([]InstanceSpec{spec}, opt)
-	if err != nil {
-		return nil, err
-	}
-	f.Start()
-	werr := f.Wait()
-	cerr := f.Close()
-	if werr != nil {
-		return nil, werr
-	}
-	if cerr != nil {
-		return nil, cerr
-	}
-	reps, _ := f.Diagnoses(spec.ID)
-	return reps, nil
 }

@@ -312,20 +312,6 @@ func TestFleetHTTP(t *testing.T) {
 	}
 }
 
-// TestRunInstanceSingle pins the single-instance helper pinsqld uses.
-func TestRunInstanceSingle(t *testing.T) {
-	reps, err := RunInstance(DefaultSpec("one", 42, 2, 300), Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reps) != 2 {
-		t.Fatalf("got %d reports, want 2", len(reps))
-	}
-	if reps[1].Injected == "" || reps[1].Records == 0 {
-		t.Fatalf("window 1 looks empty: %+v", reps[1])
-	}
-}
-
 // panicSource is a trace whose Next panics on the first batch at or past
 // second at.
 type panicSource struct {

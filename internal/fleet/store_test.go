@@ -1,8 +1,12 @@
 package fleet
 
 import (
+	"fmt"
 	"net/url"
+	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -47,6 +51,17 @@ func checkStoredTopics(t *testing.T, f *Fleet, open func(id string) (logstore.Ba
 	}
 }
 
+// openSeg opens an instance's segment store under a fleet's DataDir.
+func openSeg(t *testing.T, dir string) func(id string) (logstore.Backend, func()) {
+	return func(id string) (logstore.Backend, func()) {
+		s, err := segment.Open(filepath.Join(dir, url.PathEscape(id)), segment.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, func() { s.Close() }
+	}
+}
+
 // TestFleetStoresWhatItCommits is the first reader of the fleet's topics:
 // a fleet with a lock-storm instance — statements that complete windows
 // after they arrived — commits each window's records after the previous
@@ -70,19 +85,10 @@ func TestFleetStoresWhatItCommits(t *testing.T) {
 		})
 	})
 
-	openSeg := func(dir string) func(id string) (logstore.Backend, func()) {
-		return func(id string) (logstore.Backend, func()) {
-			s, err := segment.Open(filepath.Join(dir, url.PathEscape(id)), segment.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s, func() { s.Close() }
-		}
-	}
 	t.Run("data dir", func(t *testing.T) {
 		dir := t.TempDir()
 		_, f := runReport(t, specs, Options{Workers: 2, QueueDepth: 16, DataDir: dir})
-		checkStoredTopics(t, f, openSeg(dir))
+		checkStoredTopics(t, f, openSeg(t, dir))
 	})
 
 	t.Run("mid-append crash", func(t *testing.T) {
@@ -110,6 +116,73 @@ func TestFleetStoresWhatItCommits(t *testing.T) {
 			t.Fatal("crash hook never fired")
 		}
 		_, f = runReport(t, specs, Options{Workers: 2, QueueDepth: 16, DataDir: dir})
-		checkStoredTopics(t, f, openSeg(dir))
+		checkStoredTopics(t, f, openSeg(t, dir))
 	})
+}
+
+// TestFleetFailsLoudlyOnDiskError: an instance whose store cannot create its
+// next wal — a directory sits at that name from the first commit on — fails
+// with the error naming the file, in Wait and in Status, instead of
+// journaling windows whose records reached no file. Reopened once the name
+// is free, the fleet finishes the run with every journaled window's records
+// in the topic and the report of a run that never failed.
+func TestFleetFailsLoudlyOnDiskError(t *testing.T) {
+	specs := []InstanceSpec{DefaultSpec("inst-00", 7, 3, 300)}
+	want, _ := runReport(t, specs, Options{Workers: 1, DataDir: t.TempDir()})
+
+	dir := t.TempDir()
+	id := specs[0].ID
+	topic := filepath.Join(dir, url.PathEscape(id), "t", url.PathEscape(id))
+	var mu sync.Mutex
+	blocked := ""
+	opt := Options{Workers: 1, DataDir: dir} // one worker: no commit runs while OnCommit does
+	opt.OnCommit = func(string, *WindowReport) {
+		mu.Lock()
+		defer mu.Unlock()
+		if blocked != "" {
+			return
+		}
+		wals, err := filepath.Glob(filepath.Join(topic, "*.wal"))
+		if err != nil || len(wals) != 1 {
+			t.Errorf("wal files %v (%v), want one", wals, err)
+			return
+		}
+		seq, err := strconv.ParseUint(strings.TrimSuffix(filepath.Base(wals[0]), ".wal"), 10, 64)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		blocked = filepath.Join(topic, fmt.Sprintf("%08d.wal", seq+1))
+		if err := os.Mkdir(blocked, 0o755); err != nil {
+			t.Error(err)
+		}
+	}
+	f, err := New(specs, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Start()
+	werr := f.Wait()
+	mu.Lock()
+	defer mu.Unlock()
+	if blocked == "" {
+		t.Fatal("no window committed")
+	}
+	if werr == nil || !strings.Contains(werr.Error(), blocked) {
+		t.Fatalf("Wait: %v, want an error naming %s", werr, blocked)
+	}
+	st := f.Status().Instances[0]
+	if !strings.Contains(st.Error, blocked) || st.Committed == 0 || st.Committed >= specs[0].Windows {
+		t.Fatalf("status: %d of %d windows committed, error %q, want one naming %s", st.Committed, specs[0].Windows, st.Error, blocked)
+	}
+	f.Close()
+
+	if err := os.Remove(blocked); err != nil {
+		t.Fatal(err)
+	}
+	got, f := runReport(t, specs, Options{Workers: 1, DataDir: dir})
+	checkStoredTopics(t, f, openSeg(t, dir))
+	if got != want {
+		t.Fatalf("report after the failure and a restart differs from an unfailed run's:\n%s\nwant\n%s", got, want)
+	}
 }

@@ -14,7 +14,11 @@ type Backend interface {
 	// ErrUnsortedAppend; equal arrivals are accepted and keep ingest order.
 	// recs is given up: a backend may keep it and write into it (the
 	// in-memory store makes long stretches its chunks), so a caller feeding
-	// two backends clones it. Append stores one record likewise.
+	// two backends clones it. A durable backend also ends the batch at its
+	// first disk error, returning the records that reached its files and
+	// that error, and refuses every later append with it: an accepted
+	// record is never held only in memory. Append stores one record
+	// likewise.
 	AppendBatch(topic string, recs []Record) (int, error)
 	Append(topic string, rec Record) error
 

@@ -2,12 +2,12 @@
 // topic-partitioned, segment-based on-disk store for compact query-log
 // records, the crash-recoverable substitute for the paper's LogStore
 // (§IV-A). Records are framed with a compact varint codec and a per-record
-// CRC32; an active write-ahead file per topic absorbs out-of-order
-// arrivals and is sealed into immutable, arrival-sorted segment files that
-// carry a sparse in-memory time index — by renaming it when nothing
-// arrived out of order, the two sharing one layout. TTL expiry deletes whole segments;
+// CRC32; an active write-ahead file per topic takes the appends, in arrival
+// order, and is sealed into an immutable segment — fsynced and renamed, the
+// two sharing one layout — whose sparse time index stays in memory. The
+// files are the only copy of a record. TTL expiry deletes whole segments;
 // crash recovery truncates the torn tail of the active file and rebuilds
-// every index from the sealed frames.
+// every index from the frames.
 package segment
 
 import (

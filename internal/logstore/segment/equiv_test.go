@@ -21,7 +21,7 @@ import (
 func TestBackendEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	mem := logstore.New(60_000)
-	seg := logstore.Backend(mustOpen(t, dir, Options{TTLMs: 60_000, SegmentRecords: 32, IndexEvery: 4}))
+	seg := logstore.Backend(mustOpen(t, dir, Options{TTLMs: 60_000, segmentRecords: 32, indexEvery: 4}))
 
 	rng := rand.New(rand.NewSource(7))
 	topics := []string{"alpha", "beta", "gamma"}
@@ -105,7 +105,7 @@ func TestBackendEquivalence(t *testing.T) {
 	if err := seg.Close(); err != nil {
 		t.Fatal(err)
 	}
-	seg = mustOpen(t, dir, Options{TTLMs: 60_000, SegmentRecords: 32, IndexEvery: 4})
+	seg = mustOpen(t, dir, Options{TTLMs: 60_000, segmentRecords: 32, indexEvery: 4})
 	defer seg.Close()
 	check("after reopen")
 
@@ -123,7 +123,7 @@ func TestBackendEquivalence(t *testing.T) {
 // backends — an in-order run, ties, a record behind the newest alone and
 // mid-batch, records after Expire and after TruncateFrom — and holds them
 // to the same accepted counts and errors at every step, the same scans, and
-// the same scans after a reopen, with the newest record in the memtable and
+// the same scans after a reopen, with the newest record in the wal and
 // in sealed segments. There is no slack: behind the newest is refused.
 func TestStrictAppendSlackParity(t *testing.T) {
 	type step struct {
@@ -149,7 +149,7 @@ func TestStrictAppendSlackParity(t *testing.T) {
 		for _, segRecords := range []int{2, 1 << 20} {
 			t.Run(fmt.Sprintf("%s/segment=%d", sq.name, segRecords), func(t *testing.T) {
 				dir := t.TempDir()
-				opt := Options{TTLMs: 1000, SegmentRecords: segRecords, IndexEvery: 2}
+				opt := Options{TTLMs: 1000, segmentRecords: segRecords, indexEvery: 2}
 				mem, seg := logstore.New(1000), mustOpen(t, dir, opt)
 				defer func() { seg.Close() }()
 				scans := func(stage string) {
@@ -223,7 +223,7 @@ func TestBackendEquivalenceSeeds(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			dir := t.TempDir()
 			mem := logstore.New(0)
-			seg := mustOpen(t, dir, Options{SegmentRecords: 8 + int(seed), IndexEvery: 2})
+			seg := mustOpen(t, dir, Options{segmentRecords: 8 + int(seed), indexEvery: 2})
 			defer seg.Close()
 			rng := rand.New(rand.NewSource(seed))
 			clock := int64(0)
@@ -284,8 +284,8 @@ func storeFiles(t *testing.T, dir string) map[string]string {
 // Segment boundaries, by record count or by byte size, fall inside batches.
 func TestBatchAppendMatchesRecordLoop(t *testing.T) {
 	limits := map[string]Options{
-		"records": {SegmentRecords: 13, IndexEvery: 4},
-		"bytes":   {SegmentBytes: 150, IndexEvery: 4},
+		"records": {segmentRecords: 13, indexEvery: 4},
+		"bytes":   {segmentBytes: 150, indexEvery: 4},
 	}
 	for name, opt := range limits {
 		for _, syncEvery := range []int{0, 1, 7} {
@@ -332,13 +332,13 @@ func TestBatchAppendMatchesRecordLoop(t *testing.T) {
 						}
 					}
 					tb, tl := segBatch.topics["t"], segLoop.topics["t"]
-					if tb.seq != tl.seq || tb.sinceSync != tl.sinceSync || tb.walBytes != tl.walBytes {
+					if tb.act.seq != tl.act.seq || tb.sinceSync != tl.sinceSync || tb.walBytes != tl.walBytes {
 						t.Fatalf("step %d: batch writer at seal %d / %d since fsync / %d wal bytes, record writer at %d / %d / %d",
-							step, tb.seq, tb.sinceSync, tb.walBytes, tl.seq, tl.sinceSync, tl.walBytes)
+							step, tb.act.seq, tb.sinceSync, tb.walBytes, tl.act.seq, tl.sinceSync, tl.walBytes)
 					}
 					// SyncEvery fsyncs at every SyncEvery-th record of a wal.
-					if syncEvery > 0 && tb.sinceSync != len(tb.mem)%syncEvery {
-						t.Fatalf("step %d: %d records in the wal, %d since the last fsync, SyncEvery %d", step, len(tb.mem), tb.sinceSync, syncEvery)
+					if syncEvery > 0 && tb.sinceSync != tb.act.count%syncEvery {
+						t.Fatalf("step %d: %d records in the wal, %d since the last fsync, SyncEvery %d", step, tb.act.count, tb.sinceSync, syncEvery)
 					}
 					if step%10 == 9 {
 						want := memLoop.Scan("t", -1<<60, 1<<60)
@@ -349,8 +349,8 @@ func TestBatchAppendMatchesRecordLoop(t *testing.T) {
 						}
 					}
 				}
-				if rejections == 0 || segBatch.topics["t"].seq < 4 {
-					t.Fatalf("fixture too tame: %d rejections, %d seals", rejections, segBatch.topics["t"].seq-1)
+				if rejections == 0 || segBatch.topics["t"].act.seq < 4 {
+					t.Fatalf("fixture too tame: %d rejections, %d seals", rejections, segBatch.topics["t"].act.seq-1)
 				}
 				if err := segBatch.Err(); err != nil {
 					t.Fatal(err)
@@ -372,7 +372,7 @@ func TestBatchAppendMatchesRecordLoop(t *testing.T) {
 // equal the record-at-a-time writer's and the store's retained encode buffer
 // stays near frameBufBytes instead of growing to the whole stretch.
 func TestLargeBatchKeepsEncodeBufferBounded(t *testing.T) {
-	opt := Options{SegmentRecords: 1 << 20, SegmentBytes: 1 << 30}
+	opt := Options{segmentRecords: 1 << 20, segmentBytes: 1 << 30}
 	batchDir, loopDir := t.TempDir(), t.TempDir()
 	segBatch, segLoop := mustOpen(t, batchDir, opt), mustOpen(t, loopDir, opt)
 	rng := rand.New(rand.NewSource(5))
@@ -405,7 +405,7 @@ func TestLargeBatchKeepsEncodeBufferBounded(t *testing.T) {
 // it does for a record-at-a-time writer.
 func TestTornBatchWriteRecovery(t *testing.T) {
 	masterDir := t.TempDir()
-	s := mustOpen(t, masterDir, Options{SegmentRecords: 1 << 20})
+	s := mustOpen(t, masterDir, Options{segmentRecords: 1 << 20})
 	var recs []logstore.Record
 	for i := 0; i < 12; i++ {
 		recs = append(recs, logstore.Record{TemplateIdx: int32(i % 5), ArrivalMs: int64(i / 2 * 37),
@@ -431,7 +431,7 @@ func TestTornBatchWriteRecovery(t *testing.T) {
 		if err := os.WriteFile(walPathOf(t, dir, "t"), walData[:k], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		r := mustOpen(t, dir, Options{SegmentRecords: 1 << 20})
+		r := mustOpen(t, dir, Options{segmentRecords: 1 << 20})
 		intact := 0
 		for _, end := range frames {
 			if end <= k {

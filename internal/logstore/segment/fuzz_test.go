@@ -121,9 +121,8 @@ func FuzzFrameParser(f *testing.F) {
 // FuzzSealPaths reads its input as a program of batches, forced seals,
 // expiries, truncations, scans and reopens, runs it against a segment store
 // that seals every few records and against the in-memory store, and holds
-// the two to the same accepted counts and the same scans — whichever path,
-// rename or rewrite, each wal took to its segment. Expire and TruncateFrom
-// are what send a wal down the rewrite path.
+// the two to the same accepted counts and the same scans. Every seal renames
+// the wal, which Expire masks and TruncateFrom cuts in place.
 //
 // A byte whose low two bits are 3 is a control, by bits 2–4: seal, close
 // and reopen, Expire or TruncateFrom at the clock minus 40 ms × the next
@@ -134,12 +133,12 @@ func FuzzFrameParser(f *testing.F) {
 // newest, refused with the rest of its batch.
 func FuzzSealPaths(f *testing.F) {
 	f.Add([]byte{0x3c, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 0x03})                        // one wal in order: rolled
-	f.Add([]byte{0x2c, 1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 0x0f, 2, 0x1c, 3, 3, 3, 3, 3, 3, 3, 3, 0x0b})  // memtable expired: rewritten, reopened
-	f.Add([]byte{0x2c, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 0x13, 2, 0x1c, 1, 1, 1, 1, 1, 1, 1, 1, 0x0b}) // wal truncated: rewritten, reopened
+	f.Add([]byte{0x2c, 1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 0x0f, 2, 0x1c, 3, 3, 3, 3, 3, 3, 3, 3, 0x0b})  // wal frames expired: rolled, reopened
+	f.Add([]byte{0x2c, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 0x13, 2, 0x1c, 1, 1, 1, 1, 1, 1, 1, 1, 0x0b}) // wal cut: rolled, reopened
 	f.Add([]byte{0x1c, 5, 5, 5, 0xfe, 6, 6, 0, 7, 0x1c, 0, 0, 1, 1, 0x80, 2, 2, 2, 0x07, 0x0b, 0x13, 0})    // ties, stragglers mid-batch
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		dir := t.TempDir()
-		opt := Options{SegmentRecords: 8, IndexEvery: 3}
+		opt := Options{segmentRecords: 8, indexEvery: 3}
 		seg, err := Open(dir, opt)
 		if err != nil {
 			t.Fatal(err)

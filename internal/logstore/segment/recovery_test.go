@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"pinsql/internal/logstore"
@@ -23,7 +24,7 @@ func walPathOf(t *testing.T, dir, topic string) string {
 // the expected recovery: want[i] is the scan after the first i records.
 func recoveryFixture(t *testing.T, dir string) (walPath string, recs []logstore.Record) {
 	t.Helper()
-	s := mustOpen(t, dir, Options{SegmentRecords: 1 << 20})
+	s := mustOpen(t, dir, Options{segmentRecords: 1 << 20})
 	for i := 0; i < 25; i++ {
 		// Arrivals in order with repeats, varied payloads.
 		ms := int64(i / 3 * 37)
@@ -70,7 +71,7 @@ func TestTornTailTruncation(t *testing.T) {
 		if err := os.WriteFile(torn, walData[:k], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s, err := Open(dir, Options{SegmentRecords: 1 << 20})
+		s, err := Open(dir, Options{segmentRecords: 1 << 20})
 		if err != nil {
 			t.Fatalf("offset %d: open: %v", k, err)
 		}
@@ -119,7 +120,7 @@ func TestCorruptedByteRecovery(t *testing.T) {
 		if err := os.WriteFile(torn, mut, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s, err := Open(dir, Options{SegmentRecords: 1 << 20})
+		s, err := Open(dir, Options{segmentRecords: 1 << 20})
 		if err != nil {
 			t.Fatalf("offset %d: open: %v", k, err)
 		}
@@ -144,6 +145,54 @@ func TestCorruptedByteRecovery(t *testing.T) {
 			}
 		}
 		s.Close()
+	}
+}
+
+// TestCorruptSegmentPrefixRecovery: a sealed segment damaged mid-file
+// reopens with its clean prefix — every record whose frame ends before the
+// damaged byte — and the segment after it whole.
+func TestCorruptSegmentPrefixRecovery(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, smallOpts())
+	var recs []logstore.Record
+	for i := 0; i < 32; i++ { // two sealed segments
+		recs = append(recs, rec(int32(i), int64(i*100)))
+	}
+	if n, err := s.AppendBatch("t", recs); n != len(recs) || err != nil {
+		t.Fatal(n, err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Flip a byte two-thirds into the first segment's record area.
+	target := filepath.Join(dir, "t", "t", segName(1))
+	data, err := os.ReadFile(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, intact := len(data)*2/3, 0
+	for _, end := range frameEnds(t, data) {
+		if end <= bad {
+			intact++
+		}
+	}
+	if intact == 0 || intact >= 16 {
+		t.Fatalf("fixture: %d of 16 frames before the damaged byte", intact)
+	}
+	data[bad] ^= 0xFF
+	if err := os.WriteFile(target, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r := mustOpen(t, dir, smallOpts())
+	defer r.Close()
+	want := append(slices.Clone(recs[:intact]), recs[16:]...)
+	if got := r.Scan("t", -1<<62, 1<<62); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened store scans %d records, want the %d intact ones", len(got), len(want))
+	}
+	if got := r.Len("t"); got != len(want) {
+		t.Fatalf("Len %d, want %d", got, len(want))
 	}
 }
 

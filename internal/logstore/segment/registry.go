@@ -15,8 +15,8 @@ import (
 //	registry.delta: magic "PSEGREG1" | entry frames (appended, torn tail
 //	                truncated at Open)
 //
-// Open replays snapshot then delta; Close (or SnapshotRegistry) folds the
-// delta back into a fresh snapshot.
+// Open replays snapshot then delta; Close folds the delta back into a
+// fresh snapshot.
 
 // RegistryEntry is one persisted template-registry row. Index is the dense
 // index recorded in logstore.Record.TemplateIdx; entries are persisted in
@@ -148,7 +148,8 @@ func (s *Store) RegistryEntries() []RegistryEntry {
 // AppendRegistry durably appends one newly interned template to the delta
 // log. Entries must arrive in dense index order. It takes only the
 // registry lock, never the record lock, so it is safe to call from a
-// collect.Registry intern hook even while a scan is in progress.
+// collect.Registry intern hook even while a scan is in progress. A write
+// error is the store's sticky error: its next record append is refused.
 func (s *Store) AppendRegistry(e RegistryEntry) error {
 	s.regMu.Lock()
 	defer s.regMu.Unlock()
@@ -178,15 +179,8 @@ func (s *Store) AppendRegistry(e RegistryEntry) error {
 	return nil
 }
 
-// SnapshotRegistry folds the delta log into a fresh atomic snapshot. Close
-// does this automatically; long-running daemons may call it periodically
-// to bound delta replay time.
-func (s *Store) SnapshotRegistry() error {
-	s.regMu.Lock()
-	defer s.regMu.Unlock()
-	return s.snapshotRegistryLocked()
-}
-
+// snapshotRegistryLocked folds the delta log into a fresh atomic snapshot;
+// Close calls it. Callers hold s.regMu.
 func (s *Store) snapshotRegistryLocked() error {
 	buf := []byte(regMagic)
 	var payload []byte

@@ -37,17 +37,29 @@ func mustMatch(t *testing.T, stage string, s *Store, mem *logstore.Store) {
 	if got, want := s.Len("t"), mem.Len("t"); got != want {
 		t.Fatalf("%s: Len %d, memory store %d", stage, got, want)
 	}
-	// Whichever way a segment was sealed, its index is the file's.
-	for _, sf := range s.topics["t"].segs {
-		fromFile, err := openSegment(sf.path, sf.seq, s.opt.IndexEvery, true)
+	// Every file's metadata in memory — the wal's too — is what its frames
+	// rebuild.
+	tp := s.topics["t"]
+	for _, sf := range append(slices.Clone(tp.segs), &tp.act) {
+		fromFile, _, err := readFile(sf.path, s.opt.indexEvery, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", stage, err)
 		}
-		fromFile.close()
-		if !reflect.DeepEqual(sf.index, fromFile.index) || sf.count != fromFile.count || sf.minMs != fromFile.minMs || sf.maxMs != fromFile.maxMs {
-			t.Fatalf("%s: segment %d's index, count or bounds in memory are not what its file rebuilds", stage, sf.seq)
+		if !slices.Equal(sf.index, fromFile.index) || sf.count != fromFile.count || sf.minMs != fromFile.minMs || sf.maxMs != fromFile.maxMs {
+			t.Fatalf("%s: file %d's index, count or bounds in memory are not what its frames rebuild", stage, sf.seq)
 		}
 	}
+}
+
+// encodeFile is a record file of recs as a one-shot writer makes it: the
+// header, then one frame per record.
+func encodeFile(recs []logstore.Record) []byte {
+	buf, prev := slices.Clone(fileHeader), int64(0)
+	for _, r := range recs {
+		buf = appendFrame(buf, appendRecord(nil, prev, r))
+		prev = r.ArrivalMs
+	}
+	return buf
 }
 
 // TestRollKeepsTheWalFile: sealing an in-order wal renames it — the segment
@@ -72,59 +84,48 @@ func TestRollKeepsTheWalFile(t *testing.T) {
 	if !os.SameFile(wal, seg) {
 		t.Fatal("the sealed segment is not the file the wal was")
 	}
-	if s.rolls != 1 || s.rewrites != 0 {
-		t.Fatalf("%d rolls, %d rewrites, want 1 and 0", s.rolls, s.rewrites)
+	if n := len(s.topics["t"].segs); n != 1 {
+		t.Fatalf("%d segments, want 1", n)
 	}
 	if next, err := os.ReadFile(walPathOf(t, dir, "t")); err != nil || !bytes.Equal(next, fileHeader) {
 		t.Fatalf("the next wal holds %q (%v), want the header alone", next, err)
 	}
 }
 
-// TestRolledSegmentEqualsWrittenSegment: a rolled wal is, byte for byte, the
-// file writeSegment makes of the same records, and the index kept while
-// appending is the one openSegment rebuilds from that file.
+// TestRolledSegmentEqualsWrittenSegment: a rolled wal is, byte for byte,
+// the file a one-shot writer makes of the same records, and the index kept
+// while appending is the one openSegment rebuilds from that file.
 func TestRolledSegmentEqualsWrittenSegment(t *testing.T) {
 	dir := t.TempDir()
-	opt := Options{SegmentRecords: 50, IndexEvery: 4} // a last index stride of two records
+	opt := Options{segmentRecords: 50, indexEvery: 4} // a last index stride of two records
 	s := mustOpen(t, dir, opt)
 	defer s.Close()
 	recs := orderedRecs(50, -300)
 	s.AppendBatch("t", recs[:7]) // batch edges inside index strides
 	s.AppendBatch("t", recs[7:])
-	if s.rolls != 1 {
-		t.Fatalf("%d rolls, want 1", s.rolls)
+	if n := len(s.topics["t"].segs); n != 1 {
+		t.Fatalf("%d segments, want 1", n)
 	}
 	rolled := s.topics["t"].segs[0]
-
-	written, err := writeSegment(t.TempDir(), 1, recs, opt.IndexEvery, false, 0)
+	if got := readDirFiles(t, filepath.Dir(rolled.path))[segName(1)]; len(got) == 0 || !bytes.Equal(got, encodeFile(recs)) {
+		t.Fatalf("rolled segment is %d bytes, the one-shot file %d, or they differ", len(got), len(encodeFile(recs)))
+	}
+	reopened, err := openSegment(rolled.path, 1, opt.indexEvery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer written.close()
-	got, _ := os.ReadFile(rolled.path)
-	want, _ := os.ReadFile(written.path)
-	if len(got) == 0 || !bytes.Equal(got, want) {
-		t.Fatalf("rolled segment is %d bytes, written one %d, or they differ", len(got), len(want))
+	if !reflect.DeepEqual(rolled.index, reopened.index) {
+		t.Errorf("index kept while appending differs from the file's:\n got %v\nwant %v", rolled.index, reopened.index)
 	}
-	reopened, err := openSegment(rolled.path, 1, opt.IndexEvery, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reopened.close()
-	for who, sf := range map[string]*segfile{"written": written, "reopened": reopened} {
-		if !reflect.DeepEqual(rolled.index, sf.index) {
-			t.Errorf("index kept while appending differs from the %s segment's:\n got %v\nwant %v", who, rolled.index, sf.index)
-		}
-		if rolled.count != sf.count || rolled.live != sf.live || rolled.minMs != sf.minMs || rolled.maxMs != sf.maxMs {
-			t.Errorf("rolled segment holds %d/%d records over [%d, %d], the %s one %d/%d over [%d, %d]", rolled.count, rolled.live,
-				rolled.minMs, rolled.maxMs, who, sf.count, sf.live, sf.minMs, sf.maxMs)
-		}
+	if rolled.count != reopened.count || rolled.live != reopened.live || rolled.minMs != reopened.minMs || rolled.maxMs != reopened.maxMs {
+		t.Errorf("rolled segment holds %d/%d records over [%d, %d], the file %d/%d over [%d, %d]", rolled.count, rolled.live,
+			rolled.minMs, rolled.maxMs, reopened.count, reopened.live, reopened.minMs, reopened.maxMs)
 	}
 }
 
 // TestRollCrashMatrix reopens each directory state a process killed inside
 // a roll can leave: every appended record is there, appends go on, and a
-// truncation inside the rolled segment still rewrites it.
+// truncation inside the rolled segment cuts it in place.
 func TestRollCrashMatrix(t *testing.T) {
 	opt := smallOpts()
 	recs := orderedRecs(16, 0)
@@ -133,13 +134,13 @@ func TestRollCrashMatrix(t *testing.T) {
 
 	// before: the wal full and fsynced, not yet renamed. after: the roll done.
 	before, after := t.TempDir(), t.TempDir()
-	s := mustOpen(t, before, Options{SegmentRecords: 1 << 20})
+	s := mustOpen(t, before, Options{segmentRecords: 1 << 20})
 	s.AppendBatch("t", recs)
 	s.Close()
 	s = mustOpen(t, after, opt)
 	s.AppendBatch("t", recs)
-	if s.rolls != 1 {
-		t.Fatalf("%d rolls, want 1", s.rolls)
+	if n := len(s.topics["t"].segs); n != 1 {
+		t.Fatalf("%d segments, want 1", n)
 	}
 	s.Close()
 	nextWal := filepath.Join("t", "t", walName(2))
@@ -183,8 +184,8 @@ func TestRollCrashMatrix(t *testing.T) {
 			}
 			mustMatch(t, "truncated", s, want)
 			first := s.topics["t"].segs[0]
-			if reopened, err := openSegment(first.path, 1, opt.IndexEvery, false); err != nil || reopened.count != first.count || first.count >= 16 {
-				t.Fatalf("the straddled segment was not rewritten: %d records in memory, file %+v (%v)", first.count, reopened, err)
+			if got := readDirFiles(t, filepath.Dir(first.path))[segName(1)]; first.count >= 16 || !bytes.Equal(got, encodeFile(recs[:first.count])) {
+				t.Fatalf("the straddled segment was not cut to its first %d records: %d bytes", first.count, len(got))
 			}
 			if err := s.Err(); err != nil {
 				t.Fatal(err)
@@ -193,33 +194,30 @@ func TestRollCrashMatrix(t *testing.T) {
 	}
 }
 
-// TestFallbackTriggersRewrite: every event that makes the wal something
-// other than its segment sends the seal down the rewrite path, and the
-// store goes on scanning what the memory store scans, reopened too.
-func TestFallbackTriggersRewrite(t *testing.T) {
-	opt := Options{SegmentRecords: 16, IndexEvery: 4, TTLMs: 1000}
+// TestEverySealRolls: what once made a wal something other than its segment
+// — Expire masking its frames, a replay meeting expired frames, TruncateFrom
+// cutting it — leaves it the segment: the next seal renames the very file,
+// and the store goes on scanning what the memory store scans, reopened too.
+func TestEverySealRolls(t *testing.T) {
+	opt := Options{segmentRecords: 16, indexEvery: 4, TTLMs: 1000}
 	head, tail := orderedRecs(8, 5000), orderedRecs(16, 5100)
 	triggers := map[string]func(t *testing.T, s *Store, mem *logstore.Store, dir string) *Store{
-		"memtable trimmed by Expire": func(t *testing.T, s *Store, mem *logstore.Store, dir string) *Store {
+		"wal masked by Expire": func(t *testing.T, s *Store, mem *logstore.Store, dir string) *Store {
 			if r1, r2 := s.Expire(6010), mem.Expire(6010); r1 != r2 || r1 == 0 {
 				t.Fatalf("Expire removed %d, memory store %d", r1, r2)
 			}
 			return s
 		},
-		"replay filtered expired frames": func(t *testing.T, s *Store, mem *logstore.Store, dir string) *Store {
+		"expired frames replayed": func(t *testing.T, s *Store, mem *logstore.Store, dir string) *Store {
 			s.Expire(6010)
 			mem.Expire(6010)
 			s.Close()
 			return mustOpen(t, dir, opt)
 		},
-		"wal rewritten by TruncateFrom": func(t *testing.T, s *Store, mem *logstore.Store, dir string) *Store {
+		"wal cut by TruncateFrom": func(t *testing.T, s *Store, mem *logstore.Store, dir string) *Store {
 			if r1, r2 := s.TruncateFrom("t", 5020), mem.TruncateFrom("t", 5020); r1 != r2 || r1 == 0 {
 				t.Fatalf("TruncateFrom removed %d, memory store %d", r1, r2)
 			}
-			return s
-		},
-		"wal write error": func(t *testing.T, s *Store, mem *logstore.Store, dir string) *Store {
-			s.topics["t"].wal.Close()
 			return s
 		},
 	}
@@ -230,37 +228,24 @@ func TestFallbackTriggersRewrite(t *testing.T) {
 			s.AppendBatch("t", head)
 			mem.AppendBatch("t", slices.Clone(head))
 			s = trigger(t, s, mem, dir)
-			if s.topics["t"].inOrder && name != "wal write error" { // a write error shows at the next write
-				t.Fatal("the wal still passes for its segment")
-			}
 			mustMatch(t, "after the trigger", s, mem)
+			wal, err := os.Stat(walPathOf(t, dir, "t"))
+			if err != nil {
+				t.Fatal(err)
+			}
 			s.AppendBatch("t", tail) // past the threshold whatever the trigger removed
 			mem.AppendBatch("t", slices.Clone(tail))
-			if s.rewrites != 1 || s.rolls != 0 {
-				t.Fatalf("%d rewrites, %d rolls, want 1 and 0", s.rewrites, s.rolls)
+			seg, err := os.Stat(filepath.Join(dir, "t", "t", segName(1)))
+			if err != nil || !os.SameFile(wal, seg) {
+				t.Fatalf("the sealed segment is not the file the wal was (%v)", err)
 			}
 			mustMatch(t, "after the seal", s, mem)
-			wantErr := name == "wal write error"
-			if err := s.Close(); (err != nil) != wantErr {
-				t.Fatalf("Close: %v", err)
-			}
-			if wantErr {
-				return // the records behind the failed write were never on disk
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
 			}
 			s = mustOpen(t, dir, opt)
 			defer s.Close()
 			mustMatch(t, "reopened", s, mem)
-			// A fresh wal starts in order again whatever its predecessor was.
-			if err := s.Seal(); err != nil {
-				t.Fatal(err)
-			}
-			rolls := s.rolls
-			s.AppendBatch("t", orderedRecs(16, 6000))
-			mem.AppendBatch("t", orderedRecs(16, 6000))
-			if s.rolls != rolls+1 {
-				t.Fatalf("%d rolls after an in-order wal, want %d", s.rolls, rolls+1)
-			}
-			mustMatch(t, "after the roll", s, mem)
 		})
 	}
 }
@@ -345,12 +330,7 @@ func writeTopicFiles(t *testing.T, dir string, files map[string][]logstore.Recor
 		t.Fatal(err)
 	}
 	for name, recs := range files {
-		buf, prev := slices.Clone(fileHeader), int64(0)
-		for _, r := range recs {
-			buf = appendFrame(buf, appendRecord(nil, prev, r))
-			prev = r.ArrivalMs
-		}
-		if err := os.WriteFile(filepath.Join(topic, name), buf, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(topic, name), encodeFile(recs), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -434,46 +414,118 @@ func readDirFiles(t *testing.T, dir string) map[string][]byte {
 	return files
 }
 
-// TestFailedSealIsNotRetriedPerRecord: with the segment's name taken by a
-// directory neither seal path can finish; the batch behind the failure is
-// kept, readable, and costs a bounded number of attempts — not one, each
-// re-encoding the whole memtable, per record.
-func TestFailedSealIsNotRetriedPerRecord(t *testing.T) {
-	dir := t.TempDir()
-	opt := Options{SegmentRecords: 64, IndexEvery: 8}
-	s := mustOpen(t, dir, opt)
+// TestDiskErrorRefusesAppends: a disk error — the next wal cannot be
+// created, the segment's name is taken so the rename fails, a wal write
+// fails — ends the batch with that error and the count of records whose
+// frames reached the OS, and every later append is refused with it. Scans go
+// on serving what the files hold, and a reopened store holds exactly what
+// was accepted. Before the error, a record behind the newest is refused for
+// its order alone.
+func TestDiskErrorRefusesAppends(t *testing.T) {
+	opt := Options{segmentRecords: 16, indexEvery: 4}
+	faults := []struct {
+		name   string
+		inject func(t *testing.T, s *Store, topic string) (undo func())
+		scans  bool // the store can still read its wal
+	}{
+		{"next wal cannot be created", func(t *testing.T, s *Store, topic string) func() {
+			return blockName(t, filepath.Join(topic, walName(2)))
+		}, true},
+		{"segment name taken", func(t *testing.T, s *Store, topic string) func() {
+			return blockName(t, filepath.Join(topic, segName(1)))
+		}, true},
+		{"wal write fails", func(t *testing.T, s *Store, topic string) func() {
+			s.topics["t"].wal.Close()
+			return func() {}
+		}, false},
+	}
+	for _, fc := range faults {
+		t.Run(fc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := mustOpen(t, dir, opt)
+			recs := orderedRecs(41, 100)
+			if n, err := s.AppendBatch("t", recs[:3]); n != 3 || err != nil {
+				t.Fatal(n, err)
+			}
+			if err := s.Append("t", rec(0, 0)); err != logstore.ErrUnsortedAppend || s.Err() != nil {
+				t.Fatalf("append behind the newest: %v, sticky %v", err, s.Err())
+			}
+			undo := fc.inject(t, s, filepath.Join(dir, "t", "t"))
+
+			n, err := s.AppendBatch("t", recs[3:])
+			if n >= len(recs)-3 || err == nil || err == logstore.ErrUnsortedAppend || err != s.Err() {
+				t.Fatalf("batch at a disk fault took %d of %d (%v), sticky %v", n, len(recs)-3, err, s.Err())
+			}
+			accepted := 3 + n
+			if err2 := s.Append("t", recs[len(recs)-1]); err2 != err {
+				t.Fatalf("append after the fault: %v, want %v", err2, err)
+			}
+			if n2, err2 := s.AppendBatch("t", recs[accepted:]); n2 != 0 || err2 != err {
+				t.Fatalf("batch after the fault took %d (%v), want 0 and %v", n2, err2, err)
+			}
+			if got := s.Scan("t", 0, 1<<62); fc.scans && !reflect.DeepEqual(got, recs[:accepted]) {
+				t.Fatalf("store scans %d records, accepted %d", len(got), accepted)
+			}
+			if cerr := s.Close(); cerr != err {
+				t.Fatalf("Close: %v, want %v", cerr, err)
+			}
+			undo()
+			r := mustOpen(t, dir, opt)
+			defer r.Close()
+			if got := r.Scan("t", 0, 1<<62); !reflect.DeepEqual(got, recs[:accepted]) {
+				t.Fatalf("reopened store holds %d records, accepted %d", len(got), accepted)
+			}
+		})
+	}
+}
+
+// blockName puts a non-empty directory at path, so that neither creating
+// nor renaming onto it can succeed, and returns its remover.
+func blockName(t *testing.T, path string) func() {
+	t.Helper()
+	if err := os.MkdirAll(filepath.Join(path, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	return func() {
+		if err := os.RemoveAll(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSealedSegmentsHoldNoDescriptors: a sealed segment is a path and its
+// metadata — sealing segments leaves the process's open descriptors where
+// they were with none, and scanning them leaves none behind.
+func TestSealedSegmentsHoldNoDescriptors(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("counts /proc/self/fd")
+	}
+	openFDs := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(ents)
+	}
+	s := mustOpen(t, t.TempDir(), smallOpts())
+	defer s.Close()
 	s.Append("t", rec(0, 0))
-	blocker := filepath.Join(dir, "t", "t", segName(1), "x")
-	if err := os.MkdirAll(blocker, 0o755); err != nil {
-		t.Fatal(err)
+	before := openFDs()
+	const segs = 200
+	if n, err := s.AppendBatch("t", orderedRecs(segs*16, 10)); n != segs*16 || err != nil {
+		t.Fatal(n, err)
 	}
-	recs := orderedRecs(3*opt.SegmentRecords, 10)
-	if n, err := s.AppendBatch("t", recs); n != len(recs) || err != nil {
-		t.Fatalf("batch behind a failing seal took %d of %d (%v)", n, len(recs), err)
+	if got := len(s.topics["t"].segs); got != segs {
+		t.Fatalf("%d segments, want %d", got, segs)
 	}
-	if s.Err() == nil {
-		t.Fatal("the failed seal left no sticky error")
+	if got := s.Len("t"); got != segs*16+1 {
+		t.Fatalf("Len %d, want %d", got, segs*16+1)
 	}
-	if attempts := s.rolls + s.rewrites + s.sealErrs; attempts != 1 || s.sealErrs != 1 {
-		t.Fatalf("%d seal attempts (%d failed) inside one append, want 1", attempts, s.sealErrs)
+	if len(s.Scan("t", 0, 1<<62)) != segs*16+1 {
+		t.Fatal("scan lost records")
 	}
-	if got := s.Scan("t", 0, 1<<62); len(got) != len(recs)+1 || !reflect.DeepEqual(got[1:], recs) {
-		t.Fatalf("store returns %d records, want %d", len(got), len(recs)+1)
-	}
-	// The next call tries again, once; with the name free it succeeds, and
-	// the wal — untouched by the failures — still rolls.
-	if err := os.RemoveAll(filepath.Dir(blocker)); err != nil {
-		t.Fatal(err)
-	}
-	s.Append("t", rec(1, 1<<20))
-	if s.rolls != 1 || s.sealErrs != 1 {
-		t.Fatalf("after the name was freed: %d rolls, %d failures, want 1 and 1", s.rolls, s.sealErrs)
-	}
-	s.Close() // the sticky error stays
-	r := mustOpen(t, dir, opt)
-	defer r.Close()
-	if got := r.Len("t"); got != len(recs)+2 {
-		t.Fatalf("reopened store holds %d records, want %d", got, len(recs)+2)
+	if after := openFDs(); after != before {
+		t.Fatalf("%d open descriptors with %d sealed segments, %d with none", after, segs, before)
 	}
 }
 
@@ -485,7 +537,7 @@ func TestFailedSealIsNotRetriedPerRecord(t *testing.T) {
 // was before.
 func TestWatermarkWrittenOnlyWhenItMasks(t *testing.T) {
 	dir := t.TempDir()
-	opt := Options{SegmentRecords: 16, IndexEvery: 4, TTLMs: 1000}
+	opt := Options{segmentRecords: 16, indexEvery: 4, TTLMs: 1000}
 	wmPath := filepath.Join(dir, "t", "t", "watermark")
 	s := mustOpen(t, dir, opt)
 	s.AppendBatch("t", orderedRecs(40, 5000)) // two segments and a wal, arrivals 5000–5130
@@ -506,9 +558,6 @@ func TestWatermarkWrittenOnlyWhenItMasks(t *testing.T) {
 	}
 	if _, err := os.Stat(wmPath); !os.IsNotExist(err) {
 		t.Fatalf("an Expire that removed nothing wrote the watermark (%v)", err)
-	}
-	if !s.topics["t"].inOrder {
-		t.Fatal("an Expire that removed nothing cost the wal its order")
 	}
 	reopen("nothing expired")
 
@@ -543,11 +592,11 @@ func TestWatermarkWrittenOnlyWhenItMasks(t *testing.T) {
 
 // TestInOrderAppendAllocBudget: appending in-order records to a warm topic
 // allocates a segment's bookkeeping per seal — its index, its names — and
-// nothing per record: no second encoding, no regrown memtable.
+// nothing per record: no second encoding, no copy of the record.
 func TestInOrderAppendAllocBudget(t *testing.T) {
 	s := mustOpen(t, t.TempDir(), Options{})
 	defer s.Close()
-	per := s.opt.SegmentRecords
+	per := s.opt.segmentRecords
 	batch := make([]logstore.Record, per/4+1) // seals fall inside batches
 	clock := int64(0)
 	fill := func(records int) {
@@ -561,14 +610,14 @@ func TestInOrderAppendAllocBudget(t *testing.T) {
 			}
 		}
 	}
-	fill(2 * per) // warm: memtable, encode buffers and index at their sizes
-	rolls := s.rolls
+	fill(2 * per) // warm: encode buffers and index at their sizes
+	seals := s.topics["t"].act.seq
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	fill(8 * per)
 	runtime.ReadMemStats(&after)
-	if got := s.rolls - rolls; got < 8 || s.rewrites != 0 {
-		t.Fatalf("%d rolls and %d rewrites while measuring, want at least 8 and 0", got, s.rewrites)
+	if got := s.topics["t"].act.seq - seals; got < 8 {
+		t.Fatalf("%d seals while measuring, want at least 8", got)
 	}
 	const budget = 2 // bytes per record: 0.7 measured, 168 when every seal rewrote
 	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(budget*8*per) {

@@ -1,7 +1,6 @@
 package segment
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -22,15 +21,6 @@ type Options struct {
 	// TTLMs is the record time-to-live in milliseconds; ≤ 0 selects
 	// logstore.DefaultTTLMs.
 	TTLMs int64
-	// SegmentRecords seals the active file once it holds this many
-	// records (default 8192).
-	SegmentRecords int
-	// SegmentBytes seals the active file once its encoded size reaches
-	// this many bytes (default 1 MiB).
-	SegmentBytes int64
-	// IndexEvery is the sparse time-index granularity in records
-	// (default 64).
-	IndexEvery int
 	// SyncEvery fsyncs a topic's active wal after every SyncEvery
 	// appended records (and the registry delta after every interned
 	// template), bounding how much a power failure or OS crash can lose.
@@ -38,52 +28,43 @@ type Options struct {
 	// safe against a *process* crash — frames reach the OS page cache
 	// before Append returns — but not against losing the machine.
 	SyncEvery int
-	// noMmap keeps sealed-segment scans on the plain file-read path — the
-	// one a platform without memory-mapping takes — so the package's tests
-	// can hold the two paths to identical results on one host.
-	noMmap bool
+
+	// segmentRecords seals the active wal once it holds this many records
+	// (default 8192), segmentBytes once its size reaches this many bytes
+	// (default 1 MiB); indexEvery is the sparse time-index granularity in
+	// records (default 64). The package's tests shrink them.
+	segmentRecords int
+	segmentBytes   int64
+	indexEvery     int
 }
 
 func (o Options) withDefaults() Options {
 	if o.TTLMs <= 0 {
 		o.TTLMs = logstore.DefaultTTLMs
 	}
-	if o.SegmentRecords <= 0 {
-		o.SegmentRecords = 8192
+	if o.segmentRecords <= 0 {
+		o.segmentRecords = 8192
 	}
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 1 << 20
+	if o.segmentBytes <= 0 {
+		o.segmentBytes = 1 << 20
 	}
-	if o.IndexEvery <= 0 {
-		o.IndexEvery = 64
+	if o.indexEvery <= 0 {
+		o.indexEvery = 64
 	}
 	return o
 }
 
-// topic is the mutable per-topic state: sealed segments, the active
-// write-ahead file, and its in-memory mirror (the memtable).
+// topic is the per-topic state: the sealed segments and the active wal,
+// each described by its segfile; no record is held in memory.
 type topic struct {
 	name string
 	dir  string
 	segs []*segfile // ascending seq
 
-	seq      uint64 // seq the active wal will seal into
-	wal      *os.File
-	walBytes int64
-
-	mem []logstore.Record // mirror of the live wal records, in arrival order
-
-	// inOrder holds while the wal is, byte for byte, the segment its
-	// records would seal into: the version-2 header, then exactly mem's
-	// frames in arrival order, every write and fsync so far successful.
-	// seal then renames the file instead of rewriting it, and index — one
-	// entry per IndexEvery records, kept while appending — becomes the
-	// segment's.
-	inOrder bool
-	index   []indexEntry
-
-	prevArrival int64 // delta base of the next wal frame
-	sinceSync   int   // wal records appended since the last fsync
+	act       segfile  // the active wal; act.seq is the seq it seals into
+	wal       *os.File // its descriptor: appends write it, scans read it
+	walBytes  int64
+	sinceSync int // wal records appended since the last fsync
 
 	watermark int64 // records with ArrivalMs < watermark are expired
 	// wmStale is set while the watermark file is behind watermark: Expire
@@ -97,20 +78,21 @@ type topic struct {
 //
 //	<dir>/registry.snap          template-registry snapshot
 //	<dir>/registry.delta         registry entries appended since the snapshot
-//	<dir>/t/<topic>/NNNNNNNN.seg immutable arrival-sorted segments
+//	<dir>/t/<topic>/NNNNNNNN.seg immutable arrival-ordered segments
 //	<dir>/t/<topic>/NNNNNNNN.wal the active write-ahead file
 //	<dir>/t/<topic>/watermark    persisted TTL expiry cutoff
 //
 // Every append continues the topic's arrival order, so a topic's files,
-// taken in seq order, are one arrival-ordered sequence. Appends go to the
-// wal (one CRC frame per record, one write per batch stretch) and an
-// in-memory mirror; when the wal reaches the segment size it is sealed into
-// an immutable .seg file whose sparse time index lives in memory — by
-// renaming it when it is, byte for byte, the segment, by writing the mirror
-// into a new file otherwise. Scans read the segments in seq order, then the
-// mirror. Expire deletes whole segments below the TTL cutoff in O(1) per
-// segment and persists the cutoff as a watermark so partially expired
-// segments stay filtered across restarts.
+// taken in seq order, are one arrival-ordered sequence, and the files are
+// the store's only copy of a record. Appends go to the wal, one CRC frame
+// per record and one write per batch stretch; when the wal reaches the
+// segment size it is fsynced and renamed into an immutable .seg file, whose
+// sparse time index — kept while appending — stays in memory. Scans read
+// the segments in seq order, then the wal, each through a descriptor opened
+// for the scan (the wal's write descriptor for the wal). Expire deletes
+// whole segments below the TTL cutoff in O(1) per segment and persists the
+// cutoff as a watermark so partially expired files stay masked across
+// restarts. The first disk error refuses every later append.
 type Store struct {
 	mu     sync.Mutex
 	dir    string
@@ -120,10 +102,6 @@ type Store struct {
 
 	// frames and payload are append's encode buffers, reused under mu.
 	frames, payload []byte
-
-	// rolls and rewrites count the seals that renamed the wal and those
-	// that wrote a new file; sealErrs the attempts that did neither.
-	rolls, rewrites, sealErrs int
 
 	// The registry has its own lock so AppendRegistry can be called from
 	// a collect.Registry intern hook (which holds the registry's lock)
@@ -137,7 +115,7 @@ type Store struct {
 	// The sticky error has a leaf lock of its own: fail is reachable
 	// from both s.mu and regMu critical sections.
 	errMu sync.Mutex
-	err   error // first unrecoverable disk error
+	err   error // first disk error
 }
 
 var _ logstore.Backend = (*Store)(nil)
@@ -193,16 +171,8 @@ var errOutOfOrder = errors.New("records out of arrival order")
 // recoverTopic rebuilds one topic from its directory. Whatever it refuses
 // is found before it changes a file, so a refused directory is left as it
 // was.
-func (s *Store) recoverTopic(name, dir string) (_ *topic, err error) {
+func (s *Store) recoverTopic(name, dir string) (*topic, error) {
 	t := &topic{name: name, dir: dir, watermark: readWatermark(dir)}
-	defer func() {
-		if err != nil {
-			for _, sf := range t.segs {
-				sf.close()
-			}
-		}
-	}()
-
 	files, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -218,7 +188,7 @@ func (s *Store) recoverTopic(name, dir string) (_ *topic, err error) {
 			if perr != nil {
 				continue
 			}
-			sf, oerr := openSegment(filepath.Join(dir, base), seq, s.opt.IndexEvery, s.opt.noMmap)
+			sf, oerr := openSegment(filepath.Join(dir, base), seq, s.opt.indexEvery)
 			if errors.Is(oerr, errUnsupportedVersion) {
 				return nil, oerr
 			}
@@ -234,7 +204,7 @@ func (s *Store) recoverTopic(name, dir string) (_ *topic, err error) {
 			}
 			walSeqs = append(walSeqs, seq)
 		case strings.HasSuffix(base, ".tmp"):
-			tmps = append(tmps, base) // interrupted seal or snapshot
+			tmps = append(tmps, base) // interrupted watermark write
 		}
 	}
 	sort.Slice(t.segs, func(i, j int) bool { return t.segs[i].seq < t.segs[j].seq })
@@ -249,8 +219,9 @@ func (s *Store) recoverTopic(name, dir string) (_ *topic, err error) {
 		floor = sf.maxMs
 	}
 
-	// A wal whose segment exists was sealed but not yet removed (crash
-	// between rename and delete): the segment's copy wins.
+	// A wal whose segment exists was sealed but not yet removed (a crash
+	// between a rewrite seal's rename and delete, which earlier versions
+	// made): the segment's copy wins.
 	active := uint64(0)
 	var stale []uint64
 	for _, seq := range walSeqs {
@@ -273,8 +244,8 @@ func (s *Store) recoverTopic(name, dir string) (_ *topic, err error) {
 			active = 1
 		}
 	}
-	t.seq = active
-	wal, err := s.readWal(filepath.Join(dir, walName(t.seq)), t.watermark, floor)
+	t.act.seq = active
+	wal, good, err := s.readWal(filepath.Join(dir, walName(active)), t.watermark, floor)
 	if err != nil {
 		return nil, err
 	}
@@ -288,102 +259,79 @@ func (s *Store) recoverTopic(name, dir string) (_ *topic, err error) {
 	keep := t.segs[:0]
 	for _, sf := range t.segs {
 		if sf.maxMs < t.watermark {
-			sf.close()
 			os.Remove(sf.path) // wholly expired while we were down
 			continue
 		}
-		sf.live = sf.count - sf.countBefore(t.watermark)
+		sf.live = sf.count - t.countBefore(sf, t.watermark)
 		keep = append(keep, sf)
 	}
 	t.segs = keep
-	if err := s.replayWal(t, wal); err != nil {
+	if err := s.replayWal(t, wal, good); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
-// walImage is an active wal as recovery read it: the file's bytes, the live
-// records of its intact frames, and where those frames end.
-type walImage struct {
-	path   string
-	data   []byte
-	recs   []logstore.Record // the frames at or after the watermark
-	frames int               // intact frames, expired ones included
-	good   int               // offset just past the last intact frame
-	prev   int64             // that frame's arrival
-	index  []indexEntry      // one entry per IndexEvery frames
-	header bool              // data opens with this version's file header
-}
-
-// readWal reads and decodes the wal at path without changing it. A version-1
-// wal is refused, since creating it anew would truncate it, and so is one
-// whose live frames — at or after watermark — fall behind each other or
-// behind floor, the end of the topic's last live segment.
-func (s *Store) readWal(path string, watermark, floor int64) (walImage, error) {
-	w := walImage{path: path}
-	var err error
-	if w.data, err = os.ReadFile(path); err != nil && !os.IsNotExist(err) {
-		return w, err
-	}
-	if bytes.HasPrefix(w.data, []byte(walMagicV1)) {
-		return w, fmt.Errorf("segment: %s: %w 1", path, errUnsupportedVersion)
-	}
-	if w.header = bytes.HasPrefix(w.data, fileHeader); !w.header {
-		return w, nil
-	}
+// readWal reads the wal at path without changing it and returns its
+// metadata and where its intact frames end; a nil segfile means the wal is
+// missing (a fresh topic, or a crash right after a seal) or torn inside its
+// header. A version-1 wal is refused, since creating it anew would truncate
+// it, and so is one whose live frames — at or after watermark — fall behind
+// each other or behind floor, the end of the topic's last live segment.
+func (s *Store) readWal(path string, watermark, floor int64) (*segfile, int64, error) {
 	ordered := true
-	w.good, w.prev, w.index = readFrames(w.data, len(fileHeader), s.opt.IndexEvery, func(rec logstore.Record) {
-		w.frames++
+	wal, good, err := readFile(path, s.opt.indexEvery, func(rec logstore.Record) {
 		if rec.ArrivalMs >= watermark {
 			ordered = ordered && rec.ArrivalMs >= floor
 			floor = rec.ArrivalMs
-			w.recs = append(w.recs, rec)
 		}
 	})
-	if !ordered {
-		return w, fmt.Errorf("segment: %s: %w", path, errOutOfOrder)
+	switch {
+	case os.IsNotExist(err) || errors.Is(err, errNoHeader):
+		return nil, 0, nil
+	case err != nil:
+		return nil, 0, err
+	case !ordered:
+		return nil, 0, fmt.Errorf("segment: %s: %w", path, errOutOfOrder)
 	}
-	return w, nil
+	return wal, good, nil
 }
 
-// replayWal loads the active wal's intact frames into the memtable,
-// truncating the torn tail, and leaves the file positioned for appends. A
-// wal that is missing (fresh topic, or a crash right after sealing) or torn
-// inside its header is created anew.
-func (s *Store) replayWal(t *topic, w walImage) error {
-	if !w.header {
+// replayWal makes the recovered wal the topic's active file, truncating its
+// torn tail, and leaves it positioned for appends. A wal readWal did not
+// find is created anew.
+func (s *Store) replayWal(t *topic, wal *segfile, good int64) error {
+	if wal == nil {
 		return s.createWal(t)
 	}
-	f, err := os.OpenFile(w.path, os.O_RDWR, 0o644)
+	f, err := os.OpenFile(wal.path, os.O_RDWR, 0o644)
 	if err != nil {
 		return err
 	}
-	if w.good < len(w.data) {
-		err = f.Truncate(int64(w.good))
+	st, err := f.Stat()
+	if err == nil && good < st.Size() {
+		err = f.Truncate(good)
 	}
 	if err == nil {
-		_, err = f.Seek(int64(w.good), 0)
+		_, err = f.Seek(good, 0)
 	}
 	if err != nil {
 		f.Close()
 		return err
 	}
-	t.wal = f
-	t.mem = w.recs
-	t.walBytes = int64(w.good)
-	t.prevArrival = w.prev
-	t.sinceSync = 0
-	t.index = w.index
-	t.inOrder = w.frames == len(w.recs)
+	wal.seq = t.act.seq
+	t.act, t.wal, t.walBytes, t.sinceSync = *wal, f, good, 0
+	t.act.live = t.act.count - t.countBefore(&t.act, t.watermark)
 	return nil
 }
 
-// createWal starts the topic's active wal at t.seq: one create-or-truncate
-// open, one header write. The previous wal's descriptor is the caller's to
-// have closed or handed to its segment.
+// createWal starts the topic's active wal at t.act.seq: one
+// create-or-truncate open, one header write. The previous wal's descriptor
+// is the caller's to have closed.
 func (s *Store) createWal(t *topic) error {
-	t.wal, t.walBytes, t.prevArrival, t.sinceSync, t.inOrder = nil, 0, 0, 0, false
-	f, err := os.OpenFile(filepath.Join(t.dir, walName(t.seq)), os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
+	t.act = segfile{path: filepath.Join(t.dir, walName(t.act.seq)), seq: t.act.seq, index: t.act.index[:0]}
+	t.wal, t.walBytes, t.sinceSync = nil, 0, 0
+	f, err := os.OpenFile(t.act.path, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
 	if err != nil {
 		return err
 	}
@@ -393,8 +341,6 @@ func (s *Store) createWal(t *topic) error {
 	}
 	t.wal = f
 	t.walBytes = int64(len(fileHeader))
-	t.index = t.index[:0]
-	t.inOrder = true
 	return nil
 }
 
@@ -411,7 +357,7 @@ func (s *Store) getTopic(name string, create bool) (*topic, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	t := &topic{name: name, dir: dir, seq: 1, watermark: math.MinInt64}
+	t := &topic{name: name, dir: dir, act: segfile{seq: 1}, watermark: math.MinInt64}
 	if err := s.createWal(t); err != nil {
 		return nil, err
 	}
@@ -419,8 +365,8 @@ func (s *Store) getTopic(name string, create bool) (*topic, error) {
 	return t, nil
 }
 
-// fail records the first unrecoverable disk error; later operations keep
-// serving from memory but the store is no longer durable past this point.
+// fail records the first disk error; from then on every append is refused
+// with it.
 func (s *Store) fail(err error) {
 	if err == nil {
 		return
@@ -432,10 +378,8 @@ func (s *Store) fail(err error) {
 	s.errMu.Unlock()
 }
 
-// Err returns the first unrecoverable disk error hit by an append or
-// seal, if any. Appends keep accepting records into the memtable past such
-// an error (an Append error strictly means the record was refused for its
-// order), so callers should check Err before trusting durability.
+// Err returns the first disk error hit by the store, if any: every Append
+// and AppendBatch since has been refused with it, and Close returns it.
 func (s *Store) Err() error {
 	s.errMu.Lock()
 	defer s.errMu.Unlock()
@@ -456,102 +400,148 @@ func (s *Store) Append(topicName string, rec logstore.Record) error {
 
 // AppendBatch stores recs under the topic in order, by the in-memory
 // store's rule: a record behind the topic's newest live record ends the
-// batch. It returns how many records were accepted; a nil error means all
-// of them. Though the contract gives recs up, this store keeps none of it.
-// Disk errors degrade durability without failing the append and are
-// reported via Err.
+// batch with logstore.ErrUnsortedAppend. A disk error — a wal write, fsync,
+// create or rename, a watermark or registry write — ends it too: the call
+// returns how many records' frames reached the OS before it, and that error,
+// and every later call is refused with it. A nil error means all of recs
+// was accepted. Though the contract gives recs up, this store keeps none of
+// it.
 func (s *Store) AppendBatch(topicName string, recs []logstore.Record) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return 0, os.ErrClosed
 	}
+	if err := s.Err(); err != nil {
+		return 0, err
+	}
 	t, err := s.getTopic(topicName, true)
 	if err != nil {
 		s.fail(err)
 		return 0, err
 	}
-	if n := s.append(t, recs); n < len(recs) {
-		return n, logstore.ErrUnsortedAppend
+	n, err := s.append(t, recs)
+	if err != nil && err != logstore.ErrUnsortedAppend {
+		s.fail(err)
 	}
-	return len(recs), nil
+	return n, err
 }
 
 // frameBufBytes bounds the frames one wal.Write carries, and with it the
 // encode buffer a store keeps between appends.
 const frameBufBytes = 64 << 10
 
-// append writes one frame per record to the wal and mirrors the records in
-// the memtable, sealing when the active file reaches the segment size. It
-// stops at the first record behind the topic's newest and returns how many
+// append writes one frame per record to the wal, sealing when the wal
+// reaches the segment size. It stops at the first record behind the topic's
+// newest live record, or at the first disk error, and returns how many
 // records it took. Frames are encoded into one buffer and written once per
 // stretch between seal, SyncEvery and frameBufBytes bounds, so the bytes on
 // disk, the seal points and the fsync points are those of a
 // record-at-a-time writer, and every accepted frame has been handed to the
-// OS before append returns. A seal that fails is not tried again before the
-// next call: the records behind it stay in the wal and the memtable, and
-// are written in stretches like any others. Callers hold s.mu.
-func (s *Store) append(t *topic, recs []logstore.Record) int {
+// OS before append returns. Callers hold s.mu.
+func (s *Store) append(t *topic, recs []logstore.Record) (int, error) {
 	newest, has := t.newest()
-	buf, pending := s.frames[:0], 0
-	// flush writes the encoded stretch; sinceSync counts only records whose
-	// frames reached the wal.
-	flush := func(sync bool) {
-		if t.wal != nil && pending > 0 {
-			if _, err := t.wal.Write(buf); err != nil {
-				s.fail(err)
-				t.inOrder = false
-			} else if t.sinceSync += pending; sync {
-				if err := t.wal.Sync(); err != nil {
-					s.fail(err)
-					t.inOrder = false
-				}
+	buf, prev := s.frames[:0], t.act.maxMs
+	defer func() { s.frames = buf[:0] }()
+	done := 0 // recs[done:] have not reached the wal
+	// flush writes the frames of recs[done:end]; on a failed write the
+	// records whose whole frames reached the OS are the wal's.
+	flush := func(end int, sync bool) error {
+		if end == done {
+			return nil
+		}
+		n, err := t.wal.Write(buf)
+		k := end - done
+		if err != nil {
+			k, n = wholeFrames(buf[:n])
+		}
+		t.commit(recs[done:done+k], int64(n))
+		done += k
+		buf = buf[:0]
+		if err == nil && sync {
+			if err = t.wal.Sync(); err == nil {
 				t.sinceSync = 0
 			}
 		}
-		buf, pending = buf[:0], 0
-		s.frames = buf
+		return err
 	}
-	sealFailed := false
 	for i, rec := range recs {
 		if has && rec.ArrivalMs < newest {
-			flush(false)
-			return i
+			if err := flush(i, false); err != nil {
+				return done, err
+			}
+			return i, logstore.ErrUnsortedAppend
 		}
-		newest, has = rec.ArrivalMs, true
-		if t.wmStale && rec.ArrivalMs < t.watermark {
-			s.persistWatermark(t) // an expired arrival must stay masked after a restart
+		if rec.ArrivalMs >= t.watermark {
+			newest, has = rec.ArrivalMs, true
+		} else if t.wmStale {
+			// An expired arrival must stay masked after a restart.
+			if err := flush(i, false); err != nil {
+				return done, err
+			}
+			if err := s.persistWatermark(t); err != nil {
+				return i, err
+			}
 		}
-		if t.inOrder && len(t.mem)%s.opt.IndexEvery == 0 {
-			t.index = append(t.index, indexEntry{firstMs: rec.ArrivalMs, prevMs: t.prevArrival, off: t.walBytes, recIdx: len(t.mem)})
+		if ord := t.act.count + i - done; ord%s.opt.indexEvery == 0 {
+			t.act.index = append(t.act.index, indexEntry{firstMs: rec.ArrivalMs, prevMs: prev, off: t.walBytes + int64(len(buf)), recIdx: ord})
 		}
-		n := len(buf)
-		s.payload = appendRecord(s.payload[:0], t.prevArrival, rec)
+		s.payload = appendRecord(s.payload[:0], prev, rec)
 		buf = appendFrame(buf, s.payload)
-		pending++
-		t.walBytes += int64(len(buf) - n)
-		t.prevArrival = rec.ArrivalMs
-		t.mem = append(t.mem, rec)
+		prev = rec.ArrivalMs
+		pending := i + 1 - done
 		syncDue := s.opt.SyncEvery > 0 && t.sinceSync+pending >= s.opt.SyncEvery
-		sealDue := !sealFailed && (len(t.mem) >= s.opt.SegmentRecords || t.walBytes >= s.opt.SegmentBytes)
+		sealDue := t.act.count+pending >= s.opt.segmentRecords || t.walBytes+int64(len(buf)) >= s.opt.segmentBytes
 		if syncDue || sealDue || i == len(recs)-1 || len(buf) >= frameBufBytes {
-			flush(syncDue)
+			if err := flush(i+1, syncDue); err != nil {
+				return done, err
+			}
 		}
 		if sealDue {
 			if err := s.seal(t); err != nil {
-				s.fail(err)
-				sealFailed = true
+				return i + 1, err
 			}
+			prev = 0
 		}
 	}
-	return len(recs)
+	return len(recs), nil
+}
+
+// wholeFrames counts the frames that lie wholly in a short write's bytes
+// and where they end.
+func wholeFrames(data []byte) (k, end int) {
+	for {
+		_, next, err := nextFrame(data, end)
+		if err != nil {
+			return k, end
+		}
+		k, end = k+1, next
+	}
+}
+
+// commit adds recs, whose frames took n bytes of the wal, to its metadata,
+// and drops index entries written ahead for records that did not make it.
+func (t *topic) commit(recs []logstore.Record, n int64) {
+	for _, rec := range recs {
+		if t.act.count == 0 {
+			t.act.minMs = rec.ArrivalMs
+		}
+		if rec.ArrivalMs >= t.watermark {
+			t.act.live++
+		}
+		t.act.count++
+		t.act.maxMs = rec.ArrivalMs
+	}
+	t.walBytes += n
+	t.sinceSync += len(recs)
+	t.act.trimIndex()
 }
 
 // newest returns the arrival of the topic's newest live record; ok is
 // false when the topic holds none.
 func (t *topic) newest() (ms int64, ok bool) {
-	if n := len(t.mem); n > 0 {
-		return t.mem[n-1].ArrivalMs, true
+	if t.act.live > 0 {
+		return t.act.maxMs, true
 	}
 	for i := len(t.segs) - 1; i >= 0; i-- {
 		if t.segs[i].live > 0 {
@@ -561,78 +551,82 @@ func (t *topic) newest() (ms int64, ok bool) {
 	return 0, false
 }
 
-// seal turns the active wal into an immutable segment and starts a fresh
-// wal. A wal that is already the segment (t.inOrder) is fsynced and renamed;
-// any other — frames Expire trimmed from the memtable, a wal TruncateFrom
-// rewrote, a failed write — is replaced by the memtable written out anew,
-// and removed. Callers hold s.mu.
+// live counts the topic's live records.
+func (t *topic) live() int {
+	n := t.act.live
+	for _, sf := range t.segs {
+		n += sf.live
+	}
+	return n
+}
+
+// seal turns the active wal into an immutable segment — fsync, then rename
+// to the segment's name — and starts a fresh wal. The index kept while
+// appending is the segment's. A failed fsync or rename leaves the wal as it
+// was. Callers hold s.mu.
 func (s *Store) seal(t *topic) error {
-	if len(t.mem) == 0 {
+	if t.act.count == 0 {
 		return nil
 	}
-	oldWal := filepath.Join(t.dir, walName(t.seq))
-	sf := s.roll(t, oldWal)
-	rolled := sf != nil
-	if !rolled {
-		var err error
-		if sf, err = writeSegment(t.dir, t.seq, t.mem, s.opt.IndexEvery, s.opt.noMmap, int(t.walBytes)); err != nil {
-			s.sealErrs++
-			return err
-		}
-		s.rewrites++
-		if t.wal != nil {
-			t.wal.Close()
-		}
-	}
-	t.segs = append(t.segs, sf)
-	t.seq++
-	t.mem = t.mem[:0]
-	if err := s.createWal(t); err != nil {
+	if err := t.wal.Sync(); err != nil {
 		return err
 	}
-	if !rolled {
-		os.Remove(oldWal)
+	t.sinceSync = 0
+	sf := t.act
+	sf.path = filepath.Join(t.dir, segName(sf.seq))
+	if err := os.Rename(t.act.path, sf.path); err != nil {
+		return err
+	}
+	t.wal.Close()
+	t.segs = append(t.segs, &sf)
+	t.act = segfile{seq: sf.seq + 1, index: make([]indexEntry, 0, len(sf.index))}
+	if err := s.createWal(t); err != nil {
+		return err
 	}
 	syncDir(t.dir)
 	return nil
 }
 
-// roll seals an in-order wal in place: fsync, then rename to the segment's
-// name. The descriptor stays open as the segment's reader, so nothing after
-// the rename can fail, and the index kept while appending is the segment's.
-// It returns nil, leaving the wal as it was, when the wal is not the
-// segment or either step fails — the caller then rewrites.
-func (s *Store) roll(t *topic, walPath string) *segfile {
-	if !t.inOrder {
-		return nil
+// open starts an iterator over file sf at index point e: the active wal is
+// read through its write descriptor, a sealed segment through a descriptor
+// opened here and released by the iterator's close.
+func (t *topic) open(sf *segfile, e indexEntry) (*iter, error) {
+	if sf == &t.act {
+		return newIter(t.wal, e, sf.count), nil
 	}
-	if err := t.wal.Sync(); err != nil {
-		s.fail(err)
-		t.inOrder = false
-		return nil
+	f, err := os.Open(sf.path)
+	if err != nil {
+		return nil, err
 	}
-	t.sinceSync = 0
-	sf := &segfile{
-		path:  filepath.Join(t.dir, segName(t.seq)),
-		f:     t.wal,
-		seq:   t.seq,
-		count: len(t.mem),
-		live:  len(t.mem),
-		minMs: t.mem[0].ArrivalMs,
-		maxMs: t.mem[len(t.mem)-1].ArrivalMs,
-		index: t.index,
+	it := newIter(f, e, sf.count)
+	it.closer = f
+	return it, nil
+}
+
+// countBefore returns how many of file sf's records have ArrivalMs <
+// cutoff, using the sparse index to skip whole blocks.
+func (t *topic) countBefore(sf *segfile, cutoff int64) int {
+	if sf.count == 0 || cutoff <= sf.minMs {
+		return 0
 	}
-	if err := os.Rename(walPath, sf.path); err != nil {
-		return nil
+	if cutoff > sf.maxMs {
+		return sf.count
 	}
-	s.rolls++
-	t.index = make([]indexEntry, 0, len(sf.index))
-	sf.mapIfEnabled(s.opt.noMmap)
-	return sf
+	e := sf.startEntry(cutoff)
+	n := e.recIdx
+	it, err := t.open(sf, e)
+	if err != nil {
+		return n
+	}
+	defer it.close()
+	for rec, ok := it.next(); ok && rec.ArrivalMs < cutoff; rec, ok = it.next() {
+		n++
+	}
+	return n
 }
 
 // scanLocked streams the records of [fromMs, toMs) in arrival order with
-// ingest-order ties: the sealed segments in seq order, then the memtable.
+// ingest-order ties: the sealed segments in seq order, then the wal.
 // Callers hold s.mu.
 func (s *Store) scanLocked(t *topic, fromMs, toMs int64, fn func(logstore.Record) bool) {
 	if t == nil {
@@ -642,28 +636,30 @@ func (s *Store) scanLocked(t *topic, fromMs, toMs int64, fn func(logstore.Record
 	if fromMs >= toMs {
 		return
 	}
-	for _, sf := range t.segs {
+	// scan reports whether the scan goes on past file sf.
+	scan := func(sf *segfile) bool {
 		if sf.live == 0 || sf.maxMs < fromMs {
-			continue
+			return true
 		}
 		// The iterator starts at the sparse-index point before the range.
-		it := sf.iterFrom(fromMs)
-		for {
-			rec, ok := it.next()
-			if !ok {
-				break
-			}
+		it, err := t.open(sf, sf.startEntry(fromMs))
+		if err != nil {
+			return true
+		}
+		defer it.close()
+		for rec, ok := it.next(); ok; rec, ok = it.next() {
 			if rec.ArrivalMs >= fromMs && (rec.ArrivalMs >= toMs || !fn(rec)) {
-				return
+				return false
 			}
 		}
+		return true
 	}
-	lo := sort.Search(len(t.mem), func(i int) bool { return t.mem[i].ArrivalMs >= fromMs })
-	for _, rec := range t.mem[lo:] {
-		if rec.ArrivalMs >= toMs || !fn(rec) {
+	for _, sf := range t.segs {
+		if !scan(sf) {
 			return
 		}
 	}
+	scan(&t.act)
 }
 
 // ScanFunc streams the records of [fromMs, toMs) in the same order as the
@@ -699,11 +695,7 @@ func (s *Store) Len(topicName string) int {
 	if t == nil {
 		return 0
 	}
-	n := len(t.mem)
-	for _, sf := range t.segs {
-		n += sf.live
-	}
-	return n
+	return t.live()
 }
 
 // Topics returns the sorted names of topics with at least one live record.
@@ -712,11 +704,7 @@ func (s *Store) Topics() []string {
 	defer s.mu.Unlock()
 	names := make([]string, 0, len(s.topics))
 	for name, t := range s.topics {
-		n := len(t.mem)
-		for _, sf := range t.segs {
-			n += sf.live
-		}
-		if n > 0 {
+		if t.live() > 0 {
 			names = append(names, name)
 		}
 	}
@@ -745,48 +733,41 @@ func (s *Store) Bounds(topicName string) (minMs, maxMs int64, ok bool) {
 }
 
 // Expire drops every record with ArrivalMs < nowMs − TTL and returns the
-// number removed. Wholly expired segments are deleted in O(1) each;
-// partially expired segments, and wal frames trimmed from the memtable,
-// are masked by the watermark, which is persisted whenever it masks
-// something so the mask survives restarts.
+// number removed. Wholly expired segments are deleted in O(1) each; the
+// records of a partially expired segment, or of the wal, are masked by the
+// watermark, which is persisted whenever it masks something so the mask
+// survives restarts.
 func (s *Store) Expire(nowMs int64) int {
 	cutoff := nowMs - s.opt.TTLMs
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	removed := 0
 	for _, t := range s.topics {
-		if cutoff > t.watermark {
-			onDisk := false // a record below cutoff stays in a file
-			keep := t.segs[:0]
-			for _, sf := range t.segs {
-				switch {
-				case sf.maxMs < cutoff:
-					removed += sf.live
-					sf.close()
-					os.Remove(sf.path)
-				case sf.minMs < cutoff:
-					wasDead := sf.countBefore(t.watermark)
-					nowDead := sf.countBefore(cutoff)
-					removed += nowDead - wasDead
-					sf.live = sf.count - nowDead
-					keep = append(keep, sf)
-					onDisk = true
-				default:
-					keep = append(keep, sf)
-				}
+		if cutoff <= t.watermark {
+			continue
+		}
+		onDisk := false // a record below cutoff stays in a file
+		mask := func(sf *segfile) {
+			dead := t.countBefore(sf, cutoff)
+			removed += sf.live - (sf.count - dead)
+			sf.live = sf.count - dead
+			onDisk = onDisk || dead > 0
+		}
+		keep := t.segs[:0]
+		for _, sf := range t.segs {
+			if sf.maxMs < cutoff {
+				removed += sf.live
+				os.Remove(sf.path)
+				continue
 			}
-			t.segs = keep
-			lo := sort.Search(len(t.mem), func(i int) bool { return t.mem[i].ArrivalMs >= cutoff })
-			if lo > 0 {
-				removed += lo
-				t.mem = t.mem[lo:] // their frames stay in the wal
-				t.inOrder = false
-				onDisk = true
-			}
-			t.watermark, t.wmStale = cutoff, true
-			if onDisk {
-				s.persistWatermark(t)
-			}
+			mask(sf)
+			keep = append(keep, sf)
+		}
+		t.segs = keep
+		mask(&t.act)
+		t.watermark, t.wmStale = cutoff, true
+		if onDisk {
+			s.fail(s.persistWatermark(t))
 		}
 	}
 	return removed
@@ -795,11 +776,10 @@ func (s *Store) Expire(nowMs int64) int {
 // TruncateFrom drops every record in topic with ArrivalMs >= fromMs and
 // returns the number of live records removed. It is the crash-recovery
 // inverse of Append: a restarting consumer (the fleet) discards the
-// partially committed suffix of its topic before replaying a window.
-// The memtable is cut and the active wal rewritten so the truncation
-// survives a further crash; segments wholly at/after the boundary are
-// deleted; a segment straddling it is rewritten in place (atomically,
-// tmp + rename).
+// partially committed suffix of its topic before replaying a window. Each
+// file holding such a record is cut in place at the frame of its first one
+// and fsynced; segments left empty are deleted, and the wal stays the
+// active file. A disk error here refuses the store's next append.
 func (s *Store) TruncateFrom(topicName string, fromMs int64) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -808,103 +788,68 @@ func (s *Store) TruncateFrom(topicName string, fromMs int64) int {
 		return 0
 	}
 	removed := 0
-	lo := sort.Search(len(t.mem), func(i int) bool { return t.mem[i].ArrivalMs >= fromMs })
-	if cut := len(t.mem) - lo; cut > 0 {
-		// The memtable holds no watermark-dead records (replay filters
-		// them, Expire trims them), so every cut record was live.
-		removed += cut
-		t.mem = t.mem[:lo:lo]
-		if err := s.rewriteWal(t); err != nil {
-			s.fail(err)
-		}
-	}
-	var orphans []logstore.Record // live survivors of a failed segment rewrite
 	keep := t.segs[:0]
 	for _, sf := range t.segs {
-		switch {
-		case sf.minMs >= fromMs: // wholly cut
-			removed += sf.live
-			sf.close()
+		n, err := s.cut(t, sf, fromMs)
+		removed += n
+		s.fail(err)
+		if sf.count == 0 {
 			os.Remove(sf.path)
-		case sf.maxMs >= fromMs: // straddles the boundary: rewrite survivors
-			var survivors []logstore.Record
-			it := sf.iterFrom(math.MinInt64)
-			for {
-				rec, ok := it.next()
-				if !ok || rec.ArrivalMs >= fromMs {
-					break
-				}
-				survivors = append(survivors, rec)
-			}
-			// Records below the watermark are already dead; both the
-			// survivor prefix and the dead prefix are prefixes of the
-			// sorted segment, so the kept live count is their difference.
-			deadKept := min(sf.countBefore(t.watermark), len(survivors))
-			removed += sf.live - (len(survivors) - deadKept)
-			if len(survivors) == 0 {
-				sf.close()
-				os.Remove(sf.path)
-				continue
-			}
-			nsf, err := writeSegment(t.dir, sf.seq, survivors, s.opt.IndexEvery, s.opt.noMmap, 0)
-			if err != nil {
-				// Disk trouble: stay correct in memory by folding the
-				// survivors into the active wal, which the cut left empty
-				// (its records all followed this segment's); durability is
-				// degraded and flagged via Err.
-				s.fail(err)
-				sf.close()
-				os.Remove(sf.path)
-				orphans = append(orphans, survivors[deadKept:]...)
-				continue
-			}
-			sf.close()
-			nsf.live = nsf.count - deadKept
-			keep = append(keep, nsf)
-		default:
-			keep = append(keep, sf)
+			continue
 		}
+		keep = append(keep, sf)
 	}
 	t.segs = keep
-	s.append(t, orphans)
+	n, err := s.cut(t, &t.act, fromMs)
+	s.fail(err)
 	syncDir(t.dir)
-	return removed
+	return removed + n
 }
 
-// rewriteWal replaces the topic's active wal with frames for exactly the
-// current memtable. Written to a temporary file and renamed into place so
-// a crash mid-rewrite leaves either the old or the new wal, never a mix.
+// cut removes file sf's records from its first one at or after fromMs on,
+// truncating the file at that record's frame, and returns how many live
+// records went. A segment cut to no records is the caller's to delete.
 // Callers hold s.mu.
-func (s *Store) rewriteWal(t *topic) error {
-	buf := append(make([]byte, 0, t.walBytes), fileHeader...)
-	prev := int64(0)
-	var payload []byte
-	for _, rec := range t.mem {
-		payload = appendRecord(payload[:0], prev, rec)
-		buf = appendFrame(buf, payload)
-		prev = rec.ArrivalMs
+func (s *Store) cut(t *topic, sf *segfile, fromMs int64) (int, error) {
+	if sf.count == 0 || sf.maxMs < fromMs {
+		return 0, nil
 	}
-	path := filepath.Join(t.dir, walName(t.seq))
-	if err := writeFileAtomic(path, buf); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	dead := t.countBefore(sf, t.watermark)
+	it, err := t.open(sf, sf.index[0])
 	if err != nil {
-		return err
+		return 0, err
 	}
-	if _, err := f.Seek(int64(len(buf)), 0); err != nil {
-		f.Close()
-		return err
+	// keep records precede the first cut one; their frames end at off.
+	keep, off, prev := 0, it.off, it.prev
+	for rec, ok := it.next(); ok && rec.ArrivalMs < fromMs; rec, ok = it.next() {
+		keep, off, prev = it.n, it.off, it.prev
 	}
-	if t.wal != nil {
-		t.wal.Close()
+	it.close()
+	if it.err != nil {
+		return 0, it.err
 	}
-	t.wal = f
-	t.walBytes = int64(len(buf))
-	t.prevArrival = prev
-	t.sinceSync = 0
-	t.inOrder = false // its index was not kept; the next seal rewrites
-	return nil
+	if keep == sf.count {
+		return 0, nil
+	}
+	if sf == &t.act {
+		err = t.wal.Truncate(off)
+		if err == nil {
+			err = t.wal.Sync()
+		}
+		if err == nil {
+			_, err = t.wal.Seek(off, 0)
+		}
+		t.walBytes, t.sinceSync = off, 0
+	} else if keep > 0 {
+		err = truncateFile(sf.path, off)
+	}
+	removed := sf.live - max(0, keep-dead)
+	sf.count, sf.live, sf.maxMs = keep, max(0, keep-dead), prev
+	if keep == 0 {
+		sf.minMs, sf.maxMs = 0, 0
+	}
+	sf.trimIndex()
+	return removed, err
 }
 
 // Seal forces the active wal of every topic into a sealed segment; mainly
@@ -949,9 +894,6 @@ func (s *Store) Close() error {
 			t.wal.Close()
 			t.wal = nil
 		}
-		for _, sf := range t.segs {
-			sf.close()
-		}
 	}
 	return s.Err()
 }
@@ -978,13 +920,13 @@ func readWatermark(dir string) int64 {
 
 // persistWatermark atomically writes the topic's expiry cutoff, fsynced
 // before the rename.
-func (s *Store) persistWatermark(t *topic) {
+func (s *Store) persistWatermark(t *topic) error {
 	buf := appendFrame(nil, binary.AppendVarint(nil, t.watermark))
 	if err := writeFileAtomic(filepath.Join(t.dir, "watermark"), buf); err != nil {
-		s.fail(err)
-		return
+		return err
 	}
 	t.wmStale = false
+	return nil
 }
 
 // syncDir best-effort fsyncs a directory after a rename or remove so the

@@ -12,7 +12,7 @@ import (
 
 // smallOpts forces frequent sealing so tests cross segment boundaries.
 func smallOpts() Options {
-	return Options{SegmentRecords: 16, IndexEvery: 4}
+	return Options{segmentRecords: 16, indexEvery: 4}
 }
 
 func mustOpen(t *testing.T, dir string, opt Options) *Store {
@@ -72,7 +72,7 @@ func TestScanFuncEarlyStop(t *testing.T) {
 }
 
 // TestSlackRejection: a record behind the topic's newest live record is
-// refused — whether the newest sits in the memtable or, after a seal and a
+// refused — whether the newest sits in the wal or, after a seal and a
 // reopen, in a segment — and a tie with it is accepted.
 func TestSlackRejection(t *testing.T) {
 	dir := t.TempDir()
@@ -85,7 +85,7 @@ func TestSlackRejection(t *testing.T) {
 			t.Errorf("%s: append 1 ms behind the newest: error %v, want ErrUnsortedAppend", stage, err)
 		}
 	}
-	check("memtable")
+	check("wal")
 	if err := s.Seal(); err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestReopenReplaysEverything(t *testing.T) {
 
 func TestExpireDeletesWholeSegments(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{SegmentRecords: 10, IndexEvery: 4, TTLMs: 1000})
+	s := mustOpen(t, dir, Options{segmentRecords: 10, indexEvery: 4, TTLMs: 1000})
 	for i := 0; i < 40; i++ {
 		s.Append("t", rec(int32(i), int64(i*100)))
 	}
@@ -164,7 +164,7 @@ func TestExpireDeletesWholeSegments(t *testing.T) {
 	// The watermark survives a restart: reopening must not resurrect
 	// expired records.
 	s.Close()
-	r := mustOpen(t, dir, Options{SegmentRecords: 10, IndexEvery: 4, TTLMs: 1000})
+	r := mustOpen(t, dir, Options{segmentRecords: 10, indexEvery: 4, TTLMs: 1000})
 	defer r.Close()
 	if got := r.Len("t"); got != 15 {
 		t.Errorf("Len after reopen = %d, want 15", got)
@@ -346,47 +346,12 @@ func TestConcurrentAppendScan(t *testing.T) {
 	}
 }
 
-// TestAppendAcceptsDespiteStickyDiskError: once a record is accepted
-// into the memtable, Append returns nil even when the store has a sticky
-// disk error — degraded durability is reported via Err, not conflated
-// with per-record ordering rejections.
-func TestAppendAcceptsDespiteStickyDiskError(t *testing.T) {
-	s := mustOpen(t, t.TempDir(), Options{})
-	defer s.Close()
-	if err := s.Append("t", rec(0, 100)); err != nil {
-		t.Fatal(err)
-	}
-	s.mu.Lock()
-	s.topics["t"].wal.Close() // force every later wal write to fail
-	s.mu.Unlock()
-	if err := s.Append("t", rec(1, 200)); err != nil {
-		t.Fatalf("accepted append returned %v", err)
-	}
-	if s.Err() == nil {
-		t.Fatal("wal write failure not recorded as sticky error")
-	}
-	if err := s.Append("t", rec(2, 300)); err != nil {
-		t.Fatalf("append after sticky error returned %v", err)
-	}
-	// Ordering rejections stay distinguishable from the degraded state.
-	if err := s.Append("t", rec(3, -90_000)); err != logstore.ErrUnsortedAppend {
-		t.Fatalf("stale append error = %v, want ErrUnsortedAppend", err)
-	}
-	// A batch degrades the same way: all of it is accepted into memory.
-	if n, err := s.AppendBatch("t", []logstore.Record{rec(4, 400), rec(5, 500), rec(6, -90_000), rec(7, 600)}); n != 2 || err != logstore.ErrUnsortedAppend {
-		t.Fatalf("batch after sticky error took %d (%v), want 2 and ErrUnsortedAppend", n, err)
-	}
-	if got := s.Scan("t", 0, 1000); len(got) != 5 {
-		t.Fatalf("memtable holds %d records, want 5", len(got))
-	}
-}
-
 // TestSyncEveryPolicy exercises the periodic-fsync path: appends and the
 // registry delta sync without error, and a crash-style reopen (no Close)
 // still sees every record.
 func TestSyncEveryPolicy(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{SyncEvery: 3, SegmentRecords: 8, IndexEvery: 2})
+	s := mustOpen(t, dir, Options{SyncEvery: 3, segmentRecords: 8, indexEvery: 2})
 	if err := s.AppendRegistry(RegistryEntry{Index: 0, ID: "id-a", Text: "SELECT 1"}); err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +363,7 @@ func TestSyncEveryPolicy(t *testing.T) {
 	if err := s.Err(); err != nil {
 		t.Fatal(err)
 	}
-	r := mustOpen(t, dir, Options{SyncEvery: 3, SegmentRecords: 8, IndexEvery: 2})
+	r := mustOpen(t, dir, Options{SyncEvery: 3, segmentRecords: 8, indexEvery: 2})
 	defer r.Close()
 	if got := r.Len("t"); got != 20 {
 		t.Fatalf("records after crash-reopen = %d, want 20", got)

@@ -12,10 +12,10 @@ import (
 // sequence into both backends and asserts identical removal counts and
 // byte-identical scans — including after a close/reopen cycle, proving
 // the truncation is durable (whole segments deleted, straddling segments
-// rewritten, the wal rewritten).
+// and the wal cut in place).
 func TestTruncateFromEquivalence(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{TTLMs: 1 << 60, SegmentRecords: 16, IndexEvery: 4}
+	opts := Options{TTLMs: 1 << 60, segmentRecords: 16, indexEvery: 4}
 	mem := logstore.New(1 << 60)
 	seg := logstore.Backend(mustOpen(t, dir, opts))
 
@@ -88,7 +88,7 @@ func TestTruncateFromEdgeCases(t *testing.T) {
 			if backend == "mem" {
 				st = logstore.New(0)
 			} else {
-				st = mustOpen(t, t.TempDir(), Options{SegmentRecords: 4, IndexEvery: 2})
+				st = mustOpen(t, t.TempDir(), Options{segmentRecords: 4, indexEvery: 2})
 				defer st.Close()
 			}
 			if got := st.TruncateFrom("missing", 0); got != 0 {
