@@ -49,8 +49,9 @@ docs-size:
 # rejection), the repro-bundle parsers (manifest + case document, canonical
 # re-encode and frame idempotence), the slow-log ingestion parser
 # (panic-freedom, UTF-8 validity, trace-codec round trip, agreement with the
-# string-based parser it replaced), the positional trace-line decoder
-# (agreement with encoding/json on every line it accepts), the in-place
+# string-based parser it replaced), the slow log's "# Time:" stamp read
+# from its bytes (agreement with time.Parse), the positional trace-line
+# decoder (agreement with encoding/json on every line it accepts), the in-place
 # decimal conversion (bit-equal to strconv.ParseFloat), the window log's
 # arrangement (any chunk list in completion order, arranged by
 # ArrangeCounted, is the stable comparison sort, in runs a store adopts),
@@ -72,6 +73,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzSealPaths -fuzztime=5s ./internal/logstore/segment
 	$(GO) test -run=^$$ -fuzz=FuzzReproBundle -fuzztime=5s ./internal/caseio
 	$(GO) test -run=^$$ -fuzz=FuzzSlowLogParser -fuzztime=10s ./internal/ingest
+	$(GO) test -run=^$$ -fuzz=FuzzSlowLogStamp -fuzztime=5s ./internal/ingest
 	$(GO) test -run=^$$ -fuzz=FuzzTraceLine -fuzztime=10s ./internal/ingest
 	$(GO) test -run=^$$ -fuzz=FuzzParseDecimal -fuzztime=5s ./internal/ingest
 	$(GO) test -run=^$$ -fuzz=FuzzLooseOrder -fuzztime=5s ./internal/logstore

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 	"unicode/utf8"
 
 	"pinsql/internal/dbsim"
@@ -275,6 +276,50 @@ func sameBits(a, b any) bool {
 	ja, _ := json.Marshal(a)
 	jb, _ := json.Marshal(b)
 	return reflect.DeepEqual(a, b) && bytes.Equal(ja, jb)
+}
+
+// FuzzSlowLogStamp pins the "# Time:" stamp read from bytes to time.Parse:
+// whatever rfc3339Ms accepts, time.Parse with RFC3339Nano accepts as the
+// same millisecond, and stampMs, fast path and fallback together, agrees
+// with parseSlowLogTime on every input, accepted or refused.
+func FuzzSlowLogStamp(f *testing.F) {
+	for _, s := range []string{
+		"2023-05-12T03:14:15.123456Z", "2023-05-12T03:14:15Z", "2023-05-12T03:14:15.5+08:00",
+		"2023-05-12T03:14:15.123456789123-07:30", "1969-12-31T23:59:59.999Z", "0000-01-01T00:00:00Z",
+		"9999-12-31T23:59:59.999999999+23:59", "2024-02-29T00:00:00Z", "2023-02-29T00:00:00Z",
+		"2023-04-31T00:00:00Z", "2023-05-12T24:00:00Z", "2023-05-12T03:60:15Z", "2023-05-12T03:14:60Z",
+		"2023-05-12T03:14:15+24:00", "2023-05-12T03:14:15+08:60", "2023-05-12t03:14:15z",
+		"2023-05-12T03:14:15.Z", "2023-05-12T03:14:15,5Z", "2023-05-12T03:14:15+0800",
+		"2023-05-12 03:14:15Z", "+023-05-12T03:14:15Z", "2023-5-12T03:14:15Z", "230512  3:14:20", "",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if ms, ok := rfc3339Ms([]byte(s)); ok {
+			if tm, err := time.Parse(time.RFC3339Nano, s); err != nil || tm.UnixMilli() != ms {
+				t.Fatalf("rfc3339Ms(%q) = %d; time.Parse = %v, %v", s, ms, tm.UnixMilli(), err)
+			}
+		}
+		got, ok := stampMs([]byte(s))
+		want, err := parseSlowLogTime(s)
+		if ok != (err == nil) || ok && got != want {
+			t.Fatalf("stampMs(%q) = %d, %v; parseSlowLogTime = %d, %v", s, got, ok, want, err)
+		}
+	})
+}
+
+// TestSlowLogStampTakesMySQLOutput: the stamps MySQL writes, in UTC or
+// with an offset, are read from the bytes, not handed to time.Parse.
+func TestSlowLogStampTakesMySQLOutput(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 5_000; i++ {
+		zone := time.FixedZone("", (rng.Intn(48)-24)*1800)
+		tm := time.UnixMicro(rng.Int63n(4e15)).In(zone)
+		s := tm.Format("2006-01-02T15:04:05.000000Z07:00")
+		if ms, ok := rfc3339Ms([]byte(s)); !ok || ms != tm.UnixMilli() {
+			t.Fatalf("rfc3339Ms(%q) = %d, %v; want %d", s, ms, ok, tm.UnixMilli())
+		}
+	}
 }
 
 // FuzzParseDecimal holds the in-place decimal conversion to

@@ -61,10 +61,20 @@ func (b Batch) Empty() bool { return len(b.Records) == 0 && len(b.Metrics) == 0 
 // the fleet used to get from its hardwired dbsim.Instance. Sources are
 // single-consumer and not concurrency-safe; the fleet guarantees one
 // reader (the per-instance sim slot).
+//
+// A batch's Records and Metrics are valid until the next call to Next: a
+// source may write the next second into the same storage, and a consumer
+// that needs a batch longer copies it. The file adapters do reuse theirs —
+// TraceSource one record buffer, SlowLogSource two — and the wrappers that
+// hold batches across their input's Next, Replay (its slack pen) and
+// SessionSynth (its lookahead), copy each input batch into storage they
+// recycle once the batch they returned is dead. SliceSource and SimSource
+// hand out slices they never write again.
 type Source interface {
 	// Next returns the next second's batch, or io.EOF when the trace is
 	// exhausted. Batches follow the dense contract: consecutive seconds,
-	// one batch each, starting at the source's lower bound.
+	// one batch each, starting at the source's lower bound. The previous
+	// batch's slices may be overwritten.
 	Next() (Batch, error)
 
 	// Bounds returns the trace extent in absolute trace milliseconds,

@@ -3,6 +3,7 @@ package ingest
 import (
 	"io"
 	"reflect"
+	"slices"
 	"testing"
 
 	"pinsql/internal/dbsim"
@@ -11,6 +12,14 @@ import (
 
 func rec(arrivalMs int64, responseMs float64) dbsim.LogRecord {
 	return dbsim.LogRecord{TemplateID: "t", SQL: "SELECT 1", ArrivalMs: arrivalMs, ResponseMs: responseMs}
+}
+
+// cloneBatch copies a batch a test keeps past its source's next Next, which
+// may overwrite the batch's slices.
+func cloneBatch(b Batch) Batch {
+	b.Records = slices.Clone(b.Records)
+	b.Metrics = slices.Clone(b.Metrics)
+	return b
 }
 
 // TestSliceSourceDense checks the dense-batch contract: one batch per
@@ -41,7 +50,7 @@ func TestSliceSourceDense(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, b)
+		got = append(got, cloneBatch(b))
 	}
 	if len(got) != 4 {
 		t.Fatalf("batches = %d, want 4 (dense)", len(got))

@@ -4,6 +4,8 @@ import (
 	"io"
 	"sort"
 	"time"
+
+	"pinsql/internal/dbsim"
 )
 
 // ReplayOptions configures the replay clock.
@@ -43,7 +45,8 @@ func (o ReplayOptions) withDefaults() ReplayOptions {
 // timeline so the first active trace second becomes second 0 (rewriting
 // record timestamps to match), re-orders within a bounded slack,
 // compresses long recording gaps, and optionally paces emission against
-// the wall clock.
+// the wall clock. Each input batch is copied into the pen, in storage that
+// is recycled once the batch it became has been returned and is dead.
 type Replay struct {
 	src Source
 	opt ReplayOptions
@@ -53,6 +56,9 @@ type Replay struct {
 	innerEOF bool
 
 	outQ []Batch // dense, rebased, ready to emit
+	lent Batch   // the batch Next returned last
+	recs recycler[dbsim.LogRecord]
+	mets recycler[dbsim.SecondMetrics]
 
 	started   bool
 	prevTrace int64 // last trace second flushed
@@ -69,6 +75,9 @@ func NewReplay(src Source, opt ReplayOptions) *Replay {
 
 // Next implements Source.
 func (r *Replay) Next() (Batch, error) {
+	r.recs.put(r.lent.Records)
+	r.mets.put(r.lent.Metrics)
+	r.lent = Batch{}
 	for len(r.outQ) == 0 {
 		if r.innerEOF {
 			if len(r.pend) == 0 {
@@ -90,10 +99,11 @@ func (r *Replay) Next() (Batch, error) {
 		r.flushReady()
 	}
 	out := r.outQ[0]
-	r.outQ = r.outQ[1:]
+	r.outQ = r.outQ[:copy(r.outQ, r.outQ[1:])]
 	if r.innerEOF && len(r.pend) == 0 && len(r.outQ) == 0 {
 		out.Last = true
 	}
+	r.lent = out
 	r.pace()
 	return out, nil
 }
@@ -112,10 +122,11 @@ func (r *Replay) hold(b Batch) {
 	}
 	i := sort.Search(len(r.pend), func(i int) bool { return r.pend[i].Second >= b.Second })
 	if i < len(r.pend) && r.pend[i].Second == b.Second {
-		r.pend[i].Records = append(r.pend[i].Records, b.Records...)
-		r.pend[i].Metrics = append(r.pend[i].Metrics, b.Metrics...)
+		p := &r.pend[i]
+		p.Records, p.Metrics = r.recs.extend(p.Records, b.Records), r.mets.extend(p.Metrics, b.Metrics)
 		return
 	}
+	b.Records, b.Metrics = r.recs.extend(nil, b.Records), r.mets.extend(nil, b.Metrics)
 	r.pend = append(r.pend, Batch{})
 	copy(r.pend[i+1:], r.pend[i:])
 	r.pend[i] = b
@@ -130,7 +141,7 @@ func (r *Replay) flushReady() {
 		if !r.innerEOF && b.Second+int64(r.opt.SlackSec) >= r.maxSeen {
 			return
 		}
-		r.pend = r.pend[1:]
+		r.pend = r.pend[:copy(r.pend, r.pend[1:])]
 		r.emit(b)
 	}
 }
@@ -201,3 +212,37 @@ func (r *Replay) Stats() Stats {
 
 // Close implements Source.
 func (r *Replay) Close() error { return r.src.Close() }
+
+// recycler keeps the slices of dead batches for reuse, so the slack pen
+// allocates none in steady state. Not a ring: the pen frees out of the
+// order it fills — a late second is emitted before seconds read ahead of
+// it — and a merge extends a slice in place.
+type recycler[T any] struct{ free [][]T }
+
+// extend appends src to dst. A nil dst starts as a recycled slice: the
+// smallest free one that holds src, else the largest, which grows — so a
+// small slice is not regrown for a large second while a large one lies
+// idle. Nothing appended to nil stays nil, as in a batch without records.
+func (p *recycler[T]) extend(dst, src []T) []T {
+	if dst == nil && len(src) > 0 && len(p.free) > 0 {
+		best := 0
+		for i, s := range p.free {
+			c, b := cap(s), cap(p.free[best])
+			if fits, bestFits := c >= len(src), b >= len(src); fits && (!bestFits || c < b) || !fits && !bestFits && c > b {
+				best = i
+			}
+		}
+		last := len(p.free) - 1
+		dst = p.free[best]
+		p.free[best], p.free[last] = p.free[last], nil
+		p.free = p.free[:last]
+	}
+	return append(dst, src...)
+}
+
+// put hands back a slice whose batch is dead.
+func (p *recycler[T]) put(s []T) {
+	if cap(s) > 0 {
+		p.free = append(p.free, s[:0])
+	}
+}

@@ -43,7 +43,7 @@ func drainReplay(t *testing.T, r *Replay) []Batch {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, b)
+		out = append(out, cloneBatch(b))
 	}
 }
 

@@ -46,7 +46,8 @@ import (
 //
 // Records leave with TemplateID == "": template identity is assigned
 // downstream by the collector registry's raw-SQL intern path, the same
-// sqltemplate normalization every other input takes.
+// sqltemplate normalization every other input takes. Batches are read into
+// two record buffers in turn, each overwritten the Next after its batch.
 type SlowLogSource struct {
 	sc  *bufio.Scanner
 	err error
@@ -61,6 +62,7 @@ type SlowLogSource struct {
 	sqlBuf      []byte // the statement's raw lines so far, '\n'-joined
 
 	pending []dbsim.LogRecord // completed records not yet batched
+	spare   []dbsim.LogRecord // the storage of the batch last returned
 	same    int               // pending[:same] share pending[0]'s emission second
 	eof     bool
 
@@ -91,14 +93,11 @@ func (s *SlowLogSource) Next() (Batch, error) {
 			for s.same = max(s.same, 1); s.same < n && EmissionMs(s.pending[s.same])/1000 == first; s.same++ {
 			}
 			if cut := s.same; cut < n || s.eof {
+				// The records past the cut, the next second's first, move to
+				// the spare buffer, which the batch returned before this one
+				// no longer needs; the batch keeps the buffer it was read into.
 				b := Batch{Second: first, Records: s.pending[:cut:cut]}
-				s.pending = s.pending[cut:]
-				if want := cut + cut/8; !s.eof && cap(s.pending) < want {
-					// A second holds about as many records as the one before
-					// it (TraceSource.sized's rule): the next run starts with
-					// room for them instead of regrowing from what is left over.
-					s.pending = append(make([]dbsim.LogRecord, 0, want), s.pending...)
-				}
+				s.pending, s.spare = append(s.spare[:0], s.pending[cut:]...), s.pending
 				s.same = 0
 				b.Last = s.eof && len(s.pending) == 0
 				return b, nil
@@ -144,8 +143,8 @@ func (s *SlowLogSource) consumeLine(line []byte) bool {
 			s.stats.ParseErrors++
 			s.resetEntry()
 		}
-		ts, err := parseSlowLogTime(string(bytes.TrimSpace(trimmed[len("# Time:"):])))
-		if err != nil {
+		ts, ok := stampMs(bytes.TrimSpace(trimmed[len("# Time:"):]))
+		if !ok {
 			s.stats.ParseErrors++
 			s.hdrTimeMs = 0
 			return false
@@ -309,6 +308,74 @@ func (s *SlowLogSource) Stats() Stats { return s.stats }
 // sources with the file's closer).
 func (s *SlowLogSource) Close() error { return nil }
 
+// stampMs reads a "# Time:" payload into milliseconds since the epoch:
+// rfc3339Ms, else parseSlowLogTime.
+func stampMs(b []byte) (int64, bool) {
+	if ms, ok := rfc3339Ms(b); ok {
+		return ms, true
+	}
+	ms, err := parseSlowLogTime(string(b))
+	return ms, err == nil
+}
+
+// rfc3339Ms reads the RFC 3339 stamp MySQL ≥ 5.7 writes —
+// 2006-01-02T15:04:05, a fraction of any length, then Z or a ±hh:mm offset —
+// from its bytes, as time.Parse's own RFC 3339 path reads it, without the
+// string time.Parse needs (FuzzSlowLogStamp holds the two together). ok is
+// false for anything else.
+func rfc3339Ms(b []byte) (ms int64, ok bool) {
+	ok = true
+	num := func(d []byte, lo, hi int) int {
+		x := 0
+		for _, c := range d {
+			if c-'0' > 9 {
+				ok = false
+				return lo
+			}
+			x = x*10 + int(c-'0')
+		}
+		if x < lo || x > hi {
+			ok = false
+			return lo
+		}
+		return x
+	}
+	if len(b) < len("2006-01-02T15:04:05Z") || b[4] != '-' || b[7] != '-' || b[10] != 'T' || b[13] != ':' || b[16] != ':' {
+		return 0, false
+	}
+	year, month, day := num(b[0:4], 0, 9999), num(b[5:7], 1, 12), num(b[8:10], 1, 31)
+	hour, minute, sec := num(b[11:13], 0, 23), num(b[14:16], 0, 59), num(b[17:19], 0, 59)
+	rest := b[19:]
+	frac := 0 // the fraction's milliseconds: its first three digits
+	if len(rest) >= 2 && rest[0] == '.' && rest[1]-'0' <= 9 {
+		n := 1
+		for ; n < len(rest) && rest[n]-'0' <= 9; n++ {
+			if n <= 3 {
+				frac = frac*10 + int(rest[n]-'0')
+			}
+		}
+		for i := n; i <= 3; i++ {
+			frac *= 10
+		}
+		rest = rest[n:]
+	}
+	off := 0 // the zone's offset east of UTC, in seconds
+	if len(rest) != 1 || rest[0] != 'Z' {
+		if len(rest) != len("-07:00") || rest[0] != '+' && rest[0] != '-' || rest[3] != ':' {
+			return 0, false
+		}
+		off = (num(rest[1:3], 0, 23)*60 + num(rest[4:6], 0, 59)) * 60
+		if rest[0] == '-' {
+			off = -off
+		}
+	}
+	t := time.Date(year, time.Month(month), day, hour, minute, sec, 0, time.UTC)
+	if !ok || t.Day() != day { // time.Date carries a day past the month's end into the next
+		return 0, false
+	}
+	return (t.Unix()-int64(off))*1000 + int64(frac), true
+}
+
 // parseSlowLogTime parses the "# Time:" payload: RFC 3339 with any zone
 // offset (MySQL ≥ 5.7 writes UTC or system time with offset), or the
 // legacy compact "yymmdd h:mm:ss" form (naive, taken as UTC).
@@ -327,15 +394,20 @@ func isUseLine(trimmed []byte) bool {
 	return hasPrefixFold(trimmed, "use ") && trimmed[len(trimmed)-1] == ';' && !bytes.ContainsAny(trimmed, "()=")
 }
 
+// parseSetTimestamp reads a `SET timestamp=` line's epoch seconds into
+// milliseconds. Like headerMs it refuses what no server writes and an int64
+// cannot carry: zero or less, NaN, an infinity, and a value whose
+// milliseconds overflow — converting such a float is implementation-defined.
 func parseSetTimestamp(trimmed []byte) (int64, bool) {
 	v := trimmed[len("SET timestamp="):]
 	v = trimSemicolon(bytes.TrimSpace(v))
 	// Fractional epochs appear with log_timestamps=SYSTEM on 8.0.
 	sec, ok := parseFloat(v)
-	if !ok || sec <= 0 || sec != sec {
+	ms := sec * 1000
+	if !ok || !(ms > 0 && ms < 1<<63) {
 		return 0, false
 	}
-	return int64(sec * 1000), true
+	return int64(ms), true
 }
 
 // isServerBanner spots mysqld restart banners, which interleave with

@@ -72,7 +72,7 @@ func (s *refSlowLog) consumeLine(line string) {
 	case strings.HasPrefix(strings.ToLower(trimmed), "set timestamp="):
 		v := strings.TrimSuffix(strings.TrimSpace(trimmed[len("SET timestamp="):]), ";")
 		sec, err := strconv.ParseFloat(v, 64)
-		if err != nil || sec <= 0 || sec != sec {
+		if err != nil || !refHeaderSeconds(sec) || sec == 0 {
 			s.stats.ParseErrors++
 			return
 		}

@@ -23,7 +23,9 @@ import (
 //
 // The input must already be dense (wrap raw adapters in Replay first).
 // Batches that carry sampler metrics pass through untouched — synthesis
-// only fills silence.
+// only fills silence. Each input batch is copied as it is read ahead, into
+// a ring whose oldest slices are freed once the batch they became has been
+// returned and is dead.
 type SessionSynth struct {
 	src       Source
 	lookahead int64
@@ -34,6 +36,11 @@ type SessionSynth struct {
 	carried  []span   // spans of emitted batches that outlive their second
 	free     [][]span // span slices of emitted batches, for reuse
 	visited  int64    // spans looked at by synthesize and prune (tests)
+
+	lent Batch                  // the batch Next returned last
+	row  [1]dbsim.SecondMetrics // its synthesized row, when it has one
+	recs ring[dbsim.LogRecord]
+	mets ring[dbsim.SecondMetrics]
 }
 
 // span is one statement's session occupancy.
@@ -68,6 +75,9 @@ func NewSessionSynth(src Source, opt SynthOptions) *SessionSynth {
 
 // Next implements Source.
 func (s *SessionSynth) Next() (Batch, error) {
+	s.recs.pop(len(s.lent.Records))
+	s.mets.pop(len(s.lent.Metrics))
+	s.lent = Batch{}
 	for !s.innerEOF && (len(s.buf) == 0 || s.buf[len(s.buf)-1].Second-s.buf[0].Second < s.lookahead) {
 		b, err := s.src.Next()
 		if err == io.EOF {
@@ -89,19 +99,22 @@ func (s *SessionSynth) Next() (Batch, error) {
 		}
 		return Batch{}, io.EOF
 	}
-	if b := &s.buf[0]; len(b.Metrics) == 0 {
-		b.Metrics = []dbsim.SecondMetrics{s.synthesize(b.Second)}
+	b := s.buf[0].Batch
+	s.lent = b // what the ring frees: the synthesized row is not the ring's
+	if len(b.Metrics) == 0 {
+		s.row[0] = s.synthesize(b.Second)
+		b.Metrics = s.row[:]
 	}
-	s.prune(s.buf[0].Second)
-	head := s.buf[0]
-	s.buf = s.buf[1:]
+	s.prune(b.Second)
 	// What outlives the second was carried over by prune.
-	s.free = append(s.free, head.spans[:0])
-	return head.Batch, nil
+	s.free = append(s.free, s.buf[0].spans[:0])
+	s.buf = s.buf[:copy(s.buf, s.buf[1:])]
+	return b, nil
 }
 
-// index computes a batch's spans and their bounds.
+// index copies a batch and computes its spans and their bounds.
 func (s *SessionSynth) index(b Batch) synthBatch {
+	b.Records, b.Metrics = s.recs.push(b.Records), s.mets.push(b.Metrics)
 	sb := synthBatch{Batch: b, minArr: math.MaxInt64, minEm: math.MaxInt64}
 	if n := len(s.free); n > 0 {
 		sb.spans, s.free = s.free[n-1], s.free[:n-1]
@@ -190,3 +203,64 @@ func (s *SessionSynth) Stats() Stats {
 
 // Close implements Source.
 func (s *SessionSynth) Close() error { return s.src.Close() }
+
+// ring holds the slices of the batches a SessionSynth reads ahead in one
+// buffer, first in, first out: a batch's slice is written after the newest
+// one, or at the buffer's start when it does not fit before the end. A
+// buffer that cannot take a batch beside the live ones is left to them and
+// replaced by one twice its size. Not a free list: one slice is freed per
+// second and taken by the next, so a second's slice would be the one freed
+// a lookahead before, regrown whenever that second was smaller.
+type ring[T any] struct {
+	buf        []T
+	head, tail int  // the live elements: buf[head:tail], or buf[head:end] and buf[:tail] when wrapped
+	end        int  // when wrapped, the end of the live elements before the buffer's start
+	wrapped    bool // the newest batches were written at the buffer's start
+	live, old  int  // live batches in buf, and in the buffers it replaced
+}
+
+// push copies s in as the newest batch's and returns the copy. An empty s
+// stays nil, as in a batch without records.
+func (r *ring[T]) push(s []T) []T {
+	n := len(s)
+	if n == 0 {
+		return nil
+	}
+	at := -1
+	switch {
+	case r.live == 0:
+		r.head, r.tail, r.wrapped = 0, 0, false
+		if n <= len(r.buf) {
+			at = 0
+		}
+	case !r.wrapped && r.tail+n <= len(r.buf):
+		at = r.tail
+	case !r.wrapped && n <= r.head:
+		r.end, r.wrapped, at = r.tail, true, 0
+	case r.wrapped && r.tail+n <= r.head:
+		at = r.tail
+	}
+	if at < 0 {
+		r.old += r.live
+		r.buf = make([]T, max(2*len(r.buf), 4*n))
+		r.head, r.wrapped, r.live, at = 0, false, 0, 0
+	}
+	copy(r.buf[at:], s)
+	r.tail = at + n
+	r.live++
+	return r.buf[at:r.tail:r.tail]
+}
+
+// pop frees the oldest batch's slice, n long.
+func (r *ring[T]) pop(n int) {
+	switch {
+	case n == 0:
+	case r.old > 0:
+		r.old--
+	default:
+		r.live--
+		if r.head += n; r.wrapped && r.head == r.end {
+			r.head, r.wrapped = 0, false
+		}
+	}
+}

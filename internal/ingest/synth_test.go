@@ -128,7 +128,7 @@ func (s *flatSynth) Next() (Batch, error) {
 		for _, r := range b.Records {
 			s.spans = append(s.spans, span{arrMs: r.ArrivalMs, emMs: EmissionMs(r), lockWait: r.LockWaitMs > 0})
 		}
-		s.buf = append(s.buf, b)
+		s.buf = append(s.buf, cloneBatch(b))
 	}
 	if len(s.buf) == 0 {
 		return Batch{}, io.EOF
@@ -263,5 +263,48 @@ func TestSessionSynthWorkIndependentOfLookahead(t *testing.T) {
 	if short > 4*perSecond || long > short*1.05 {
 		t.Errorf("spans visited per emitted second: %.0f at lookahead 5, %.0f at lookahead 300; want at most %d and no growth",
 			short, long, 4*perSecond)
+	}
+}
+
+// The ring hands every batch a slice of its own: pushing and popping first
+// in, first out, whatever the sizes and however many batches are live, no
+// live slice is written over. Small rings, small batches and a few live
+// ones put the wrap and the growth at every boundary often.
+func TestRingKeepsLiveBatches(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	type batch struct {
+		s     []int
+		first int // what s[0] was pushed as; s counts up from it
+	}
+	for trial := 0; trial < 2000; trial++ {
+		var r ring[int]
+		var live []batch // oldest first
+		maxLive, maxN, next := 1+rng.Intn(8), 1+rng.Intn(6), 0
+		for step := 0; step < 300; step++ {
+			if len(live) > 0 && (len(live) >= maxLive || rng.Intn(2) == 0) {
+				oldest := live[0]
+				for i, v := range oldest.s {
+					if v != oldest.first+i {
+						t.Fatalf("trial %d step %d: a live slice was written over: %v, pushed from %d", trial, step, oldest.s, oldest.first)
+					}
+				}
+				r.pop(len(oldest.s))
+				live = live[1:]
+				continue
+			}
+			in := make([]int, rng.Intn(maxN+1))
+			for i := range in {
+				in[i] = next
+				next++
+			}
+			got := r.push(in)
+			if len(in) == 0 {
+				if got != nil {
+					t.Fatalf("trial %d step %d: an empty batch got %v", trial, step, got)
+				}
+				continue
+			}
+			live = append(live, batch{got, in[0]})
+		}
 	}
 }

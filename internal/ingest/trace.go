@@ -92,11 +92,15 @@ func WriteTraceData(w io.Writer, fromMs, toMs int64, recs []dbsim.LogRecord, row
 // Lines in the writer's own byte shape are decoded positionally
 // (decodeTraceLine); the header and every other line go through
 // encoding/json, which defines the format.
+//
+// A batch's records and metric rows live in one buffer each, which the
+// next second overwrites.
 type TraceSource struct {
-	r     *bufio.Scanner
-	hdr   traceHeader
-	cur   int64 // next dense second to emit (absolute)
-	sized int   // capacity the next batch's records start with
+	r    *bufio.Scanner
+	hdr  traceHeader
+	cur  int64 // next dense second to emit (absolute)
+	recs []dbsim.LogRecord
+	mets []dbsim.SecondMetrics
 
 	ev    traceEvent // the event last scanned
 	held  bool       // ev belongs to a later second than the batch just emitted
@@ -153,11 +157,7 @@ func (t *TraceSource) Next() (Batch, error) {
 	if t.cur >= toSec {
 		return Batch{}, io.EOF
 	}
-	b := Batch{Second: t.cur}
-	if t.sized > 0 {
-		// A second holds about as many records as the one before it.
-		b.Records = make([]dbsim.LogRecord, 0, t.sized)
-	}
+	b := Batch{Second: t.cur, Records: t.recs[:0], Metrics: t.mets[:0]}
 	lastSec := toSec - 1
 	for t.scanEvent() {
 		ev := &t.ev
@@ -184,12 +184,15 @@ func (t *TraceSource) Next() (Batch, error) {
 	return t.emit(b), nil
 }
 
-// emit moves on to the next second.
+// emit keeps the buffers the batch grew and moves on to the next second.
 func (t *TraceSource) emit(b Batch) Batch {
 	t.cur++
-	t.sized = len(b.Records) + len(b.Records)/8
+	t.recs, t.mets = b.Records, b.Metrics
 	if len(b.Records) == 0 {
 		b.Records = nil // as a second without records always was
+	}
+	if len(b.Metrics) == 0 {
+		b.Metrics = nil
 	}
 	return b
 }
