@@ -54,10 +54,11 @@ docs-size:
 # decoder (agreement with encoding/json on every line it accepts), the in-place
 # decimal conversion (bit-equal to strconv.ParseFloat), the window log's
 # arrangement (any chunk list in completion order, arranged by
-# ArrangeCounted, is the stable comparison sort, in runs a store adopts),
-# the collector's window log (any records and batch cuts, one seal: the
-# sealed frame is the independent reference's, the arranged runs the stable
-# sort, and the store handed them at the seal scans them back), the segment
+# ArrangeCounted, is the stable comparison sort, and a store cuts it into
+# chunks of the shapes it promises), the collector's window log (any records
+# and batch cuts, one seal: the sealed frame is the independent reference's,
+# the arranged array the stable sort, and the store handed it at the seal
+# scans it back), the segment
 # store's seal (any batches, stragglers refused, with seals — each a renamed
 # wal —, Expire, TruncateFrom and reopens scan back as the in-memory
 # store's), the three frame session estimators (the sparse

@@ -14,7 +14,8 @@
 // committed-window journal live on disk (internal/logstore/segment): a
 // restart — even after SIGKILL — resumes every instance at its last
 // committed window and runs the remainder of its `-windows` target,
-// reproducing the uninterrupted run byte for byte.
+// reproducing the uninterrupted run byte for byte. Without it no raw log is
+// kept, and reports stay in memory.
 //
 // With -serve the process exposes an HTTP control plane (fleet status,
 // per-instance diagnoses, Prometheus metrics — including per-stage
@@ -87,7 +88,7 @@ func main() {
 		shards     = flag.Int("shards", 1, "independent scheduler/store shards; instances are hash-partitioned across them (0 = GOMAXPROCS; a durable layout keeps the count it was created with)")
 		workers    = flag.Int("workers", 0, "total scheduler workers split across shards (0 = GOMAXPROCS, 1 = sequential)")
 		queueDepth = flag.Int("queue-depth", 8, "staged windows per instance before diagnosis shedding")
-		dataDir    = flag.String("data-dir", "", "directory for the durable per-instance stores (empty = in-memory)")
+		dataDir    = flag.String("data-dir", "", "directory for the durable per-instance stores (empty = no raw log; reports stay in memory)")
 		syncEvery  = flag.Int("sync-every", 0, "fsync the log-store wal every N records (0 = only at seal/close; process-crash safe either way)")
 		serve      = flag.String("serve", "", "address for the HTTP control plane (empty = run to completion and exit)")
 		role       = flag.String("role", "", "process role: \"\" runs shards in-process, \"coordinator\" runs one supervised pinsqld worker process per shard")
@@ -145,7 +146,7 @@ func main() {
 	switch *role {
 	case "":
 	case "coordinator":
-		opt.Runtime = remote.Factory(remote.Options{Specs: specSet, DataDir: *dataDir})
+		opt.Runtime = remote.Factory(remote.Options{Specs: specSet})
 	default:
 		fmt.Fprintf(os.Stderr, "pinsqld: unknown -role %q (want coordinator)\n", *role)
 		os.Exit(1)

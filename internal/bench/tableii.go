@@ -146,11 +146,9 @@ func slowestTemplate(lab *cases.Labeled, as, ae int) sqltemplate.ID {
 	fromMs := fr.StartMs + int64(as)*1000
 	toMs := fr.StartMs + int64(ae)*1000
 	slow := make(map[int32]int)
-	for _, run := range lab.Collector.TakeArranged() {
-		for _, r := range run {
-			if r.ArrivalMs >= fromMs && r.ArrivalMs < toMs && r.ResponseMs > 1000 {
-				slow[r.TemplateIdx]++
-			}
+	for _, r := range lab.Collector.TakeArranged() {
+		if r.ArrivalMs >= fromMs && r.ArrivalMs < toMs && r.ResponseMs > 1000 {
+			slow[r.TemplateIdx]++
 		}
 	}
 	var best sqltemplate.ID

@@ -52,14 +52,14 @@ func batchStream(rng *rand.Rand, n int) []dbsim.LogRecord {
 // batch boundaries — batches of one and one batch for everything included —
 // and sealed once leaves the frame, the caller's store's scan, the registry
 // and the fingerprint-index counters exactly as the record-at-a-time run
-// does; and the arranged runs, concatenated, are the stable sort of the
+// does; and the arranged records are the stable sort of the
 // window log — ties, out-of-window and throttled records included —
 // whenever they are taken.
 func TestIngestBatchMatchesRecordLoop(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		recs := batchStream(rng, 1500)
-		// takeAfter[i] takes the arranged runs once record i is in.
+		// takeAfter[i] takes the arranged records once record i is in.
 		takeAfter := map[int]bool{len(recs) - 1: true}
 		for k := 0; k < int(seed%4)*3; k++ {
 			takeAfter[rng.Intn(len(recs))] = true
@@ -77,8 +77,8 @@ func TestIngestBatchMatchesRecordLoop(t *testing.T) {
 				}
 				c.IngestBatch(recs[lo:hi])
 				if takeAfter[hi-1] {
-					if got, want := slices.Concat(c.TakeArranged()...), arrivalOrder(c); !slices.Equal(got, want) {
-						t.Fatalf("seed %d: after record %d the arranged runs hold %d records, the stable sort %d, or differ", seed, hi-1, len(got), len(want))
+					if got, want := c.TakeArranged(), arrivalOrder(c); !slices.Equal(got, want) {
+						t.Fatalf("seed %d: after record %d the arranged array holds %d records, the stable sort %d, or differ", seed, hi-1, len(got), len(want))
 					}
 				}
 				lo = hi

@@ -138,7 +138,7 @@ type Collector struct {
 	// handed over by TakeArranged.
 	log      [][]logstore.Record
 	perSec   []int
-	arranged [][]logstore.Record
+	arranged []logstore.Record
 
 	met     metricSet
 	records int64 // raw query records in the window log
@@ -149,10 +149,10 @@ type Collector struct {
 // NewCollector creates a collector for the window [startMs, endMs) on the
 // given topic (instance name). A nil registry creates a private one. A
 // non-nil store — any logstore.Backend, shareable across collectors — is
-// handed the window's arranged runs once, at the seal (AppendBatch, given
-// up as TakeArranged gives them; the hand-over stops at the first record
-// behind the topic's newest); nil means none: the collector's own window
-// log is the only copy.
+// handed the window's arranged records once, at the seal (one AppendBatch,
+// given up as TakeArranged gives them; it stops at the first record behind
+// the topic's newest); nil means none: the collector's own window log is
+// the only copy.
 func NewCollector(topic string, startMs, endMs int64, registry *Registry, store logstore.Backend) *Collector {
 	if registry == nil {
 		registry = NewRegistry()
@@ -323,7 +323,7 @@ func (c *Collector) IngestMetricsAt(rows []dbsim.SecondMetrics) {
 
 // arrangedLocked returns the window log's arrival-ordered form, building
 // it if none is current.
-func (c *Collector) arrangedLocked() [][]logstore.Record {
+func (c *Collector) arrangedLocked() []logstore.Record {
 	if c.arranged == nil {
 		c.arranged, _ = c.arrangeLocked()
 	}
@@ -332,42 +332,40 @@ func (c *Collector) arrangedLocked() [][]logstore.Record {
 
 // arrangeLocked arranges the window log with the per-second counts
 // IngestBatch kept.
-func (c *Collector) arrangeLocked() ([][]logstore.Record, logstore.Work) {
+func (c *Collector) arrangeLocked() ([]logstore.Record, logstore.Work) {
 	return logstore.ArrangeCounted(c.log, c.startMs, c.perSec)
 }
 
 // TakeArranged returns the window's records in arrival order with ties in
-// ingest order — what a store handed them scans back — as the runs
-// logstore.ArrangeCounted cuts, and gives them up: the caller owns them
-// (and may pass them on to Backend.AppendBatch), the collector forgets
-// them, and a later seal or call derives them afresh. After the seal of a
-// collector without a store, the first call returns the arrays the seal
-// scattered from.
-func (c *Collector) TakeArranged() [][]logstore.Record {
+// ingest order — what a store handed them scans back — as the one array
+// logstore.ArrangeCounted writes, and gives it up: the caller owns it (and
+// may pass it on to Backend.AppendBatch), the collector forgets it, and a
+// later seal or call derives it afresh. After the seal of a collector
+// without a store, the first call returns the array the seal scattered
+// from.
+func (c *Collector) TakeArranged() []logstore.Record {
 	c.lock(false)
 	defer c.mu.Unlock()
-	runs := c.arrangedLocked()
+	recs := c.arrangedLocked()
 	c.arranged = nil
-	return runs
+	return recs
 }
 
 // Frame seals the collection window, on its first call, into its columnar
 // window.Frame — per-template aggregates, observation columns grouped by
 // template position, the metric series, and the ByID permutation — from
 // what the collector itself holds; no store is scanned. A collector given a
-// store hands it the arranged runs then. Every call returns that one frame,
-// and any ingest after it panics.
+// store hands it the arranged records then. Every call returns that one
+// frame, and any ingest after it panics.
 func (c *Collector) Frame() *window.Frame {
 	c.lock(false)
 	defer c.mu.Unlock()
 	if c.frame == nil {
 		c.frame = c.sealLocked()
 		if c.store != nil {
-			for _, run := range c.arrangedLocked() {
-				if _, err := c.store.AppendBatch(c.topic, run); err != nil {
-					break // the store's rule: nothing behind its topic's newest
-				}
-			}
+			// The store's rule may refuse a suffix, nothing behind its
+			// topic's newest; the frame is sealed either way.
+			_, _ = c.store.AppendBatch(c.topic, c.arrangedLocked())
 			c.arranged = nil
 		}
 	}
@@ -407,13 +405,12 @@ func (c *Collector) sealLocked() *window.Frame {
 		for i, ts := range c.ordered {
 			next[ts.Meta.Index] = f.Off[i]
 		}
-		for _, run := range c.arrangedLocked() {
-			for i := range run {
-				r := &run[i]
-				k := next[r.TemplateIdx]
-				f.Arrival[k], f.Response[k] = r.ArrivalMs, r.ResponseMs
-				next[r.TemplateIdx] = k + 1
-			}
+		recs := c.arrangedLocked()
+		for i := range recs {
+			r := &recs[i]
+			k := next[r.TemplateIdx]
+			f.Arrival[k], f.Response[k] = r.ArrivalMs, r.ResponseMs
+			next[r.TemplateIdx] = k + 1
 		}
 	}
 	f.FinalizeSorted()

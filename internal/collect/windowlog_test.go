@@ -41,7 +41,7 @@ func arrivalOrder(c *Collector) []logstore.Record {
 func checkCounted(t *testing.T, c *Collector) {
 	t.Helper()
 	counted, _ := c.arrangeLocked()
-	if got, want := slices.Concat(counted...), arrivalOrder(c); !slices.Equal(got, want) {
+	if got, want := counted, arrivalOrder(c); !slices.Equal(got, want) {
 		t.Fatalf("counted arrangement holds %d records, the stable sort %d, or they differ", len(got), len(want))
 	}
 }
@@ -51,10 +51,10 @@ func checkCounted(t *testing.T, c *Collector) {
 // every record of the template, a fresh copy per record, a prefix of one
 // base string (same data pointer as the other prefixes, another length, and
 // more lengths than the table has slots), the raw SQL alone, and a shared
-// string of 600 templates, again more than slots — and every arranged run
+// string of 600 templates, again more than slots — and every arranged array
 // and the sealed frame equal those of a collector fed the same records with
 // every ID in storage of its own, and the independent reference's of both;
-// and the stores the two seals handed their runs to scan back alike.
+// and the stores the two seals handed theirs to scan back alike.
 func TestIdentityLookup(t *testing.T) {
 	const windowMs = 60_000
 	base := strings.Repeat("IDabcdefghijklmnopqrstuvwxyz", 12)
@@ -92,7 +92,7 @@ func TestIdentityLookup(t *testing.T) {
 
 		checkCounted(t, c)
 		if got, want := c.TakeArranged(), ref.TakeArranged(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("round %d: arranged runs differ from the map-resolved collector's", round)
+			t.Fatalf("round %d: arranged records differ from the map-resolved collector's", round)
 		}
 	}
 	want := ref.RebuildFrame()
@@ -179,8 +179,8 @@ func drainChunkPool() {
 // TestReleaseRecyclesChunks: a released collector's chunks are the next
 // collector's — a second window of the same shape allocates none — and
 // nothing the released window gave out changes when they are overwritten:
-// not a frame it sealed, not the runs it handed over. Any later call on the
-// released collector panics.
+// not a frame it sealed, not the records it handed over. Any later call on
+// the released collector panics.
 func TestReleaseRecyclesChunks(t *testing.T) {
 	// One P and no collection: what is Put is what the next Get finds.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -201,8 +201,8 @@ func TestReleaseRecyclesChunks(t *testing.T) {
 	first.IngestBatch(window())
 	reference := first.RebuildFrame()
 	frame := first.Frame()
-	runs := first.TakeArranged()
-	wantRuns := slices.Concat(runs...)
+	arranged := first.TakeArranged()
+	wantArranged := slices.Clone(arranged)
 	var chunks []*logstore.Record
 	for _, chunk := range first.log {
 		chunks = append(chunks, &chunk[0])
@@ -227,8 +227,8 @@ func TestReleaseRecyclesChunks(t *testing.T) {
 	if err := framesEqual(frame, reference); err != nil {
 		t.Fatalf("frame of the released window changed: %v", err)
 	}
-	if !slices.Equal(slices.Concat(runs...), wantRuns) {
-		t.Fatal("runs the released window handed over changed")
+	if !slices.Equal(arranged, wantArranged) {
+		t.Fatal("records the released window handed over changed")
 	}
 
 	for name, use := range map[string]func(){
@@ -250,13 +250,13 @@ func TestReleaseRecyclesChunks(t *testing.T) {
 	}
 }
 
-// TestArrangedRunsAreHandedOver: TakeArranged is a transfer. A long-term
-// store that adopted the runs as chunks of its arena writes into them — an
-// append after a TruncateFrom inside one overwrites its tail, an Expire
-// trims one — and
-// none of it shows in a frame held from before, in a frame sealed
-// afterwards from runs derived afresh, or in the runs a second call derives,
-// whether the runs taken were the arrays the seal had scattered from or not.
+// TestArrangedRunsAreHandedOver: TakeArranged is a transfer. A store
+// that cut the array into chunks of its arena writes into them — an append
+// after a TruncateFrom inside one overwrites its tail, an Expire trims one —
+// and none of it shows in a frame held from before, in a frame sealed
+// afterwards from records arranged afresh, or in the array a second call
+// derives, whether the array taken was the one the seal had scattered from
+// or not.
 func TestArrangedRunsAreHandedOver(t *testing.T) {
 	const windowMs = 120_000
 	for _, sealFirst := range []bool{true, false} {
@@ -273,13 +273,11 @@ func TestArrangedRunsAreHandedOver(t *testing.T) {
 			held = c.Frame()
 		}
 
-		runs := c.TakeArranged()
-		want := slices.Concat(runs...)
+		arranged := c.TakeArranged()
+		want := slices.Clone(arranged)
 		long := logstore.New(1)
-		for _, run := range runs {
-			if n, err := long.AppendBatch("owner", run); n != len(run) || err != nil {
-				t.Fatalf("AppendBatch = %d, %v", n, err)
-			}
+		if n, err := long.AppendBatch("owner", arranged); n != len(arranged) || err != nil {
+			t.Fatalf("AppendBatch = %d, %v", n, err)
 		}
 		if got := long.Scan("owner", 0, windowMs); !slices.Equal(got, want) {
 			t.Fatal("the adopting store scans back something else than it was handed")
@@ -292,8 +290,8 @@ func TestArrangedRunsAreHandedOver(t *testing.T) {
 			}
 		}
 		long.Expire(want[len(want)/4].ArrivalMs)
-		if slices.Equal(slices.Concat(runs...), want) {
-			t.Fatal("fixture lost its teeth: the store never wrote into the runs it was handed")
+		if slices.Equal(arranged, want) {
+			t.Fatal("fixture lost its teeth: the store never wrote into the array it was handed")
 		}
 
 		if err := framesEqual(held, reference); err != nil {
@@ -302,7 +300,7 @@ func TestArrangedRunsAreHandedOver(t *testing.T) {
 		if err := framesEqual(c.Frame(), reference); err != nil {
 			t.Fatalf("sealFirst=%v: frame sealed after the hand-over: %v", sealFirst, err)
 		}
-		if got := slices.Concat(c.TakeArranged()...); !slices.Equal(got, want) {
+		if got := c.TakeArranged(); !slices.Equal(got, want) {
 			t.Fatalf("sealFirst=%v: a second TakeArranged returned what the store wrote into", sealFirst)
 		}
 	}
@@ -311,15 +309,15 @@ func TestArrangedRunsAreHandedOver(t *testing.T) {
 // FuzzWindowLog: any record stream, cut into any batches and sealed once at
 // its end, yields the frame the independent reference builds from the log
 // of a shadow collector — fed every TemplateID in storage of its own, it
-// resolves templates through its map alone — and its arranged runs are the
-// stable sort of its log whenever they are taken (and so re-derived), and
+// resolves templates through its map alone — and its arranged records are
+// the stable sort of its log whenever they are taken (and so re-derived), and
 // what the store handed them at the seal scans back. Each
 // record is six bytes: template (low four bits) and the storage its ID
 // comes in (next two: a string shared by the template's records, a fresh
 // copy, a prefix of one base string, the raw SQL alone), arrival (two,
 // scaled over a window that records may fall outside), response (two), and
 // flags — throttled, end the batch here (either of the next two bits), take
-// the runs.
+// the arranged records.
 func FuzzWindowLog(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 16, 0, 9, 0x06, 1, 0, 16, 0, 7, 0x0e, 2, 0, 8, 1, 1, 0x01, 1, 0, 16, 2, 2, 0x06}) // ties across batches
@@ -351,8 +349,8 @@ func FuzzWindowLog(f *testing.F) {
 		const base = "FZ0123456789abcdef" // its prefix "FZ0" is templates[0] in other storage
 		var batch []dbsim.LogRecord
 		take := func() {
-			if got, want := slices.Concat(c.TakeArranged()...), arrivalOrder(c); !slices.Equal(got, want) {
-				t.Fatalf("arranged runs hold %d records, the stable sort %d, or differ", len(got), len(want))
+			if got, want := c.TakeArranged(), arrivalOrder(c); !slices.Equal(got, want) {
+				t.Fatalf("the arranged array holds %d records, the stable sort %d, or differ", len(got), len(want))
 			}
 		}
 		flush := func() {

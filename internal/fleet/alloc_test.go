@@ -6,9 +6,11 @@ import (
 	"runtime"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"pinsql/internal/dbsim"
 	"pinsql/internal/ingest"
+	"pinsql/internal/logstore"
 	"pinsql/internal/testrace"
 )
 
@@ -28,62 +30,71 @@ func (g *gatedSource) Next() (ingest.Batch, error) {
 	return g.Source.Next()
 }
 
+// The fleet-shaped window of the budgets below: 45 000 records of 28
+// templates over 300 s.
+const budgetRecords, budgetSeconds = 45_000, 300
+
+// budgetStream returns windows fleet-shaped windows back to back, records
+// emitted in completion order, and their metric rows. One record in eighty
+// waits out a lock, but none completes past its window's end.
+func budgetStream(windows int) ([]dbsim.LogRecord, []dbsim.SecondMetrics) {
+	rng := rand.New(rand.NewSource(5))
+	recs := make([]dbsim.LogRecord, windows*budgetRecords)
+	for i := range recs {
+		resp := rng.ExpFloat64() * 40
+		if rng.Intn(80) == 0 {
+			resp = rng.Float64() * 20_000 // waited out a lock
+		}
+		recs[i] = dbsim.LogRecord{
+			TemplateID:   fmt.Sprintf("PT%02d", rng.Intn(28)),
+			Table:        "budget",
+			Kind:         dbsim.KindSelect,
+			ArrivalMs:    int64(i) * budgetSeconds * 1000 / budgetRecords,
+			ResponseMs:   resp,
+			ExaminedRows: int64(rng.Intn(1000)),
+		}
+		if late := recs[i].ArrivalMs + int64(resp); late/(budgetSeconds*1000) != recs[i].ArrivalMs/(budgetSeconds*1000) {
+			recs[i].ResponseMs = 1 // completes in the window it arrived in: every window holds 45 000
+		}
+	}
+	sort.SliceStable(recs, func(a, b int) bool { return ingest.EmissionMs(recs[a]) < ingest.EmissionMs(recs[b]) })
+	rows := make([]dbsim.SecondMetrics, windows*budgetSeconds)
+	for i := range rows {
+		rows[i] = dbsim.SecondMetrics{Second: int64(i), ActiveSession: 4 + rng.Float64(), CPUUsage: 0.3, QPS: budgetRecords / budgetSeconds}
+	}
+	return recs, rows
+}
+
 // TestWindowAllocBudget budgets a window's way through the fleet in bytes,
-// not time: a fleet-shaped window — 45 000 records of 28 templates over
-// 300 s, emitted in completion order — is collected, sealed, searched for
-// anomalies and committed to the in-memory long-term store by a
-// one-instance trace-backed fleet. Per record that is the 32 B written into
-// the collector's window log, 32 B in its arrival-ordered form (which the
-// long-term store then adopts as it is) and 16 B in the frame's columns;
-// the rest is per-template series, detection and the chunk behind the
-// mid-append crash point. In the steady state — the second and third of
-// three windows collected one after the other's commit — the log's 32 B are
-// the chunks the previous window's commit released. Each budget is 1.25 ×
-// what this code measured; a per-window staging store, per-template
-// observation tails, a commit that copies each or a window log made afresh
-// breaks one.
+// not time: a fleet-shaped window is collected, sealed, searched for
+// anomalies and committed by a one-instance trace-backed fleet without a
+// DataDir, whose commit drops the records. Per record that is the 32 B
+// written into the collector's window log, 32 B in its arrival-ordered
+// form, from which the seal scatters, and 16 B in the frame's columns; the
+// rest is per-template series and detection. In the steady state — the
+// second and third of three windows collected one after the other's commit
+// — the log's 32 B are the chunks the previous window's commit released.
+// Each budget is 1.25 × what this code measured; a per-window staging
+// store, per-template observation tails, a commit that copies the records
+// or a window log made afresh breaks one.
 func TestWindowAllocBudget(t *testing.T) {
-	const records, seconds = 45_000, 300
 	for _, row := range []struct {
 		name            string
 		windows, warmup int     // windows played; of them, committed before the measurement starts
 		measured, floor float64 // bytes per record
 	}{
-		{"first window", 1, 0, 94.3, 80},
-		{"steady state", 3, 1, 61.4, 48},
+		{"first window", 1, 0, 90.5, 80},
+		{"steady state", 3, 1, 57.7, 48},
 	} {
 		if row.warmup > 0 && testrace.Enabled {
 			continue // the chunk pool drops a quarter of what it is handed
 		}
-		rng := rand.New(rand.NewSource(5))
-		recs := make([]dbsim.LogRecord, row.windows*records)
-		for i := range recs {
-			resp := rng.ExpFloat64() * 40
-			if rng.Intn(80) == 0 {
-				resp = rng.Float64() * 20_000 // waited out a lock
-			}
-			recs[i] = dbsim.LogRecord{
-				TemplateID:   fmt.Sprintf("PT%02d", rng.Intn(28)),
-				Table:        "budget",
-				Kind:         dbsim.KindSelect,
-				ArrivalMs:    int64(i) * seconds * 1000 / records,
-				ResponseMs:   resp,
-				ExaminedRows: int64(rng.Intn(1000)),
-			}
-			if late := recs[i].ArrivalMs + int64(resp); late/(seconds*1000) != recs[i].ArrivalMs/(seconds*1000) {
-				recs[i].ResponseMs = 1 // completes in the window it arrived in: every window holds 45 000
-			}
-		}
-		sort.SliceStable(recs, func(a, b int) bool { return ingest.EmissionMs(recs[a]) < ingest.EmissionMs(recs[b]) })
-		rows := make([]dbsim.SecondMetrics, row.windows*seconds)
-		for i := range rows {
-			rows[i] = dbsim.SecondMetrics{Second: int64(i), ActiveSession: 4 + rng.Float64(), CPUUsage: 0.3, QPS: records / seconds}
-		}
+		recs, rows := budgetStream(row.windows)
 		// Lockstep, as a paced instance runs: a window's first second is read
 		// once the window before it has committed (on the second worker).
 		committed := make(chan struct{}, row.windows)
-		spec := TraceSpec("budget", seconds, func() (ingest.Source, error) {
-			return &gatedSource{Source: ingest.NewSliceSource(0, int64(len(rows))*1000, recs, rows), perWindow: seconds, gate: committed}, nil
+		spec := TraceSpec("budget", budgetSeconds, func() (ingest.Source, error) {
+			return &gatedSource{Source: ingest.NewSliceSource(0, int64(len(rows))*1000, recs, rows), perWindow: budgetSeconds, gate: committed}, nil
 		})
 		var before, after runtime.MemStats
 		f, err := New([]InstanceSpec{spec}, Options{Workers: 2, OnCommit: func(_ string, rep *WindowReport) {
@@ -114,13 +125,55 @@ func TestWindowAllocBudget(t *testing.T) {
 			t.Fatalf("%s: committed %d windows", row.name, len(reps))
 		}
 		for _, rep := range reps {
-			if rep.Records != records {
+			if rep.Records != budgetRecords {
 				t.Fatalf("%s: window %d holds %d records", row.name, rep.Window, rep.Records)
 			}
 		}
-		got := float64(after.TotalAlloc-before.TotalAlloc) / float64((row.windows-row.warmup)*records)
+		got := float64(after.TotalAlloc-before.TotalAlloc) / float64((row.windows-row.warmup)*budgetRecords)
 		if budget := 1.25 * row.measured; got > budget || got < row.floor {
 			t.Errorf("%s: a window through the fleet allocates %.1f B per record, budget %.1f (floor %.0f)", row.name, got, budget, row.floor)
 		}
+	}
+}
+
+// TestLiveHeapAllocBudget: a fleet without a DataDir keeps no raw log, so
+// its live heap does not grow with the windows it has committed. Two
+// fleets play the same eight-window stream, one stopping after two windows
+// and one after all eight; with each still reachable and the heap
+// collected, the second may hold less than one window's records (45 000 ×
+// 32 B) more than the first — six windows' reports, and nothing per record.
+func TestLiveHeapAllocBudget(t *testing.T) {
+	recs, rows := budgetStream(8)
+	live := func(windows int) uint64 {
+		spec := TraceSpec("heap", budgetSeconds, func() (ingest.Source, error) {
+			return ingest.NewSliceSource(0, int64(len(rows))*1000, recs, rows), nil
+		})
+		spec.Windows = windows
+		f, err := New([]InstanceSpec{spec}, Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Start()
+		if err := f.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		// Closed, the fleet's workers have exited, so no task still holds a
+		// window; the fleet itself stays reachable past the measurement.
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.GC() // the second collection empties the chunk pool
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		if st := f.Status(); st.Committed != windows {
+			t.Fatalf("committed %d of %d windows", st.Committed, windows)
+		}
+		return ms.HeapAlloc
+	}
+	two, eight := live(2), live(8)
+	grew := int64(eight) - int64(two)
+	if limit := int64(budgetRecords * unsafe.Sizeof(logstore.Record{})); grew >= limit {
+		t.Errorf("six more committed windows grew the live heap by %d B, limit %d B (one window's records)", grew, limit)
 	}
 }

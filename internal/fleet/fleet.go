@@ -17,7 +17,6 @@ import (
 	"pinsql/internal/core"
 	"pinsql/internal/dbsim"
 	"pinsql/internal/ingest"
-	"pinsql/internal/logstore"
 	"pinsql/internal/logstore/segment"
 	"pinsql/internal/obs"
 	"pinsql/internal/parallel"
@@ -41,8 +40,9 @@ type Options struct {
 	QueueDepth int
 
 	// DataDir enables durable per-instance stores under
-	// DataDir/<instance>/ (a segment store plus a committed-window
-	// journal); "" keeps everything in memory.
+	// DataDir/<instance>/ (a segment store of the raw records plus a
+	// committed-window journal). "" keeps no raw log: a committed window's
+	// records are dropped, and its report stays in memory.
 	DataDir string
 
 	// SyncEvery is the segment store's wal fsync policy (see
@@ -103,8 +103,7 @@ type instState struct {
 	play     *ingest.Player  // the instance's raw stream, window by window
 	srcEOF   bool            // the source is exhausted; simulate no further
 	registry *collect.Registry
-	store    logstore.Backend
-	seg      *segment.Store // non-nil in durable mode
+	seg      *segment.Store // the raw log; nil without a DataDir
 
 	reports []*WindowReport // committed windows, len(reports) == next to commit
 
@@ -233,7 +232,6 @@ func (f *Fleet) openInstance(spec InstanceSpec, reports []*WindowReport) (*instS
 
 	if f.opt.DataDir == "" {
 		st.registry = collect.NewRegistry()
-		st.store = logstore.New(0)
 	} else {
 		dir := filepath.Join(f.opt.DataDir, url.PathEscape(spec.ID))
 		seg, err := segment.Open(dir, segment.Options{SyncEvery: f.opt.SyncEvery})
@@ -241,7 +239,6 @@ func (f *Fleet) openInstance(spec InstanceSpec, reports []*WindowReport) (*instS
 			return nil, err
 		}
 		st.seg = seg
-		st.store = seg
 		if st.registry, err = collect.OpenRegistry(seg); err != nil {
 			seg.Close()
 			return nil, err
@@ -551,6 +548,7 @@ func (f *Fleet) runDrain(st *instState) {
 		return
 	}
 	sw := st.queue[0]
+	st.queue[0] = nil // the backing array must not keep a committed window
 	st.queue = st.queue[1:]
 	f.mu.Unlock()
 
@@ -636,14 +634,15 @@ func (f *Fleet) crash(id string, window int, phase string) bool {
 // commit makes one window durable and applies its repairs, strictly in
 // window order per instance:
 //
-//  1. the window's records, which the collector arranged in arrival order
-//     — at the seal, or here for a shed window — are handed over (strict
-//     appends, given up) to the instance's long-term topic;
+//  1. with a DataDir, the window's records, which the collector arranged in
+//     arrival order — at the seal, or here for a shed window — are handed
+//     over (strict appends, given up) to the instance's segment store;
+//     without one they are dropped;
 //  2. repairing actions execute (when AutoRepair) against the live
 //     world/simulator and are recorded with their Executed flags;
 //  3. the window is journaled (fsync) — this is the commit point a
 //     restart counts;
-//  4. the store expires past-TTL records.
+//  4. the segment store expires past-TTL records.
 //
 // A crash anywhere before (3) leaves an unjournaled suffix in the topic
 // that recovery truncates and replays; a crash after (3) loses nothing. A
@@ -653,20 +652,19 @@ func (f *Fleet) commit(st *instState, sw *stagedWindow) error {
 	if f.crash(id, sw.window, "pre-append") {
 		return errCrashed
 	}
-	for i, run := range sw.coll.TakeArranged() {
-		if i == 0 {
+	if st.seg != nil {
+		if recs := sw.coll.TakeArranged(); len(recs) > 0 {
 			// The mid-append crash point sits between the window's first
 			// record and the rest: append that one alone.
-			if _, err := st.store.AppendBatch(id, run[:1]); err != nil {
+			if _, err := st.seg.AppendBatch(id, recs[:1]); err != nil {
 				return err
 			}
 			if f.crash(id, sw.window, "mid-append") {
 				return errCrashed
 			}
-			run = run[1:]
-		}
-		if _, err := st.store.AppendBatch(id, run); err != nil {
-			return err
+			if _, err := st.seg.AppendBatch(id, recs[1:]); err != nil {
+				return err
+			}
 		}
 	}
 	sw.coll.Release()
@@ -697,7 +695,9 @@ func (f *Fleet) commit(st *instState, sw *stagedWindow) error {
 	if f.crash(id, sw.window, "post-journal") {
 		return errCrashed
 	}
-	st.store.Expire(sw.toMs)
+	if st.seg != nil {
+		st.seg.Expire(sw.toMs)
+	}
 	return nil
 }
 
@@ -789,8 +789,6 @@ func (f *Fleet) Close() error {
 			if err := st.seg.Close(); err != nil && first == nil {
 				first = err
 			}
-		} else if st.store != nil {
-			st.store.Close()
 		}
 	}
 	// After a simulated crash the journal is abandoned exactly as a kill
@@ -807,7 +805,7 @@ func (f *Fleet) Close() error {
 }
 
 // JournalStats reports the fleet journal's group-commit accounting: total
-// fsynced batches and the windows they covered. Zero in in-memory mode.
+// fsynced batches and the windows they covered. Zero without a DataDir.
 func (f *Fleet) JournalStats() (batches, windows int64) {
 	if f.journal == nil {
 		return 0, 0

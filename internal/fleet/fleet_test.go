@@ -183,10 +183,10 @@ func TestFleetShedPolicy(t *testing.T) {
 
 // TestCommitReleasesCollector: a committed window's collector is ended — its
 // window log's chunks are the pool's again — whether the window was
-// diagnosed or shed.
+// diagnosed or shed, and its records are in the segment store.
 func TestCommitReleasesCollector(t *testing.T) {
 	for _, shed := range []bool{false, true} {
-		f, err := New([]InstanceSpec{DefaultSpec("release", 11, 1, 60)}, Options{})
+		f, err := New([]InstanceSpec{DefaultSpec("release", 11, 1, 60)}, Options{DataDir: t.TempDir()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +201,7 @@ func TestCommitReleasesCollector(t *testing.T) {
 		if err := f.commit(st, sw); err != nil {
 			t.Fatal(err)
 		}
-		if got := st.store.Len("release"); int64(got) != sw.rep.Records || got == 0 {
+		if got := st.seg.Len("release"); int64(got) != sw.rep.Records || got == 0 {
 			t.Fatalf("shed=%v: the store holds %d records, the window %d", shed, got, sw.rep.Records)
 		}
 		func() {

@@ -14,14 +14,17 @@ import (
 	"pinsql/internal/logstore/segment"
 )
 
-// checkStoredTopics reads every instance's long-term topic back through
-// ScanFunc and holds it to what the fleet committed: Σ WindowReport.Records
-// records, arrivals that never decrease, and each window's count equal to
-// its report's Records. open returns the instance's store and a closer.
-func checkStoredTopics(t *testing.T, f *Fleet, open func(id string) (logstore.Backend, func())) {
+// checkStoredTopics reopens every instance's segment store under the
+// fleet's DataDir, reads its topic back through ScanFunc and holds it to
+// what the fleet committed: Σ WindowReport.Records records, arrivals that
+// never decrease, and each window's count equal to its report's Records.
+func checkStoredTopics(t *testing.T, f *Fleet, dir string) {
 	t.Helper()
 	for id, reps := range f.Reports() {
-		store, done := open(id)
+		store, err := segment.Open(filepath.Join(dir, url.PathEscape(id)), segment.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		var total int64
 		for _, r := range reps {
 			total += r.Records
@@ -47,30 +50,20 @@ func checkStoredTopics(t *testing.T, f *Fleet, open func(id string) (logstore.Ba
 				t.Errorf("%s window %d: topic holds %d records, the report %d", id, r.Window, in, r.Records)
 			}
 		}
-		done()
-	}
-}
-
-// openSeg opens an instance's segment store under a fleet's DataDir.
-func openSeg(t *testing.T, dir string) func(id string) (logstore.Backend, func()) {
-	return func(id string) (logstore.Backend, func()) {
-		s, err := segment.Open(filepath.Join(dir, url.PathEscape(id)), segment.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s, func() { s.Close() }
+		store.Close()
 	}
 }
 
 // TestFleetStoresWhatItCommits is the first reader of the fleet's topics:
 // a fleet with a lock-storm instance — statements that complete windows
 // after they arrived — commits each window's records after the previous
-// window's, in arrival order, and nothing else; in memory, with a DataDir,
-// and after a mid-append crash and a restart.
+// window's, in arrival order, and nothing else; in a run, and after a
+// mid-append crash and a restart.
 func TestFleetStoresWhatItCommits(t *testing.T) {
 	specs := testSpecs()
-	t.Run("memory", func(t *testing.T) {
-		_, f := runReport(t, specs, Options{Workers: 2, QueueDepth: 16})
+	t.Run("data dir", func(t *testing.T) {
+		dir := t.TempDir()
+		_, f := runReport(t, specs, Options{Workers: 2, QueueDepth: 16, DataDir: dir})
 		storm := false
 		for _, reps := range f.Reports() {
 			for _, r := range reps {
@@ -80,15 +73,7 @@ func TestFleetStoresWhatItCommits(t *testing.T) {
 		if !storm {
 			t.Fatal("fixture lost its teeth: no instance has a lock storm")
 		}
-		checkStoredTopics(t, f, func(id string) (logstore.Backend, func()) {
-			return f.insts[id].store, func() {}
-		})
-	})
-
-	t.Run("data dir", func(t *testing.T) {
-		dir := t.TempDir()
-		_, f := runReport(t, specs, Options{Workers: 2, QueueDepth: 16, DataDir: dir})
-		checkStoredTopics(t, f, openSeg(t, dir))
+		checkStoredTopics(t, f, dir)
 	})
 
 	t.Run("mid-append crash", func(t *testing.T) {
@@ -116,7 +101,7 @@ func TestFleetStoresWhatItCommits(t *testing.T) {
 			t.Fatal("crash hook never fired")
 		}
 		_, f = runReport(t, specs, Options{Workers: 2, QueueDepth: 16, DataDir: dir})
-		checkStoredTopics(t, f, openSeg(t, dir))
+		checkStoredTopics(t, f, dir)
 	})
 }
 
@@ -181,7 +166,7 @@ func TestFleetFailsLoudlyOnDiskError(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, f := runReport(t, specs, Options{Workers: 1, DataDir: dir})
-	checkStoredTopics(t, f, openSeg(t, dir))
+	checkStoredTopics(t, f, dir)
 	if got != want {
 		t.Fatalf("report after the failure and a restart differs from an unfailed run's:\n%s\nwant\n%s", got, want)
 	}

@@ -1,11 +1,11 @@
 package logstore
 
 // Backend is the storage contract behind the log-store layer. Two
-// implementations exist: the in-memory Store in this package (fast,
-// volatile — the original substitute for the paper's LogStore) and the
-// durable segment store in logstore/segment (crash-recoverable, TTL by
-// whole-segment deletion). Both produce byte-identical Scan results for
-// the same ingest sequence, so the diagnosis pipeline is backend-agnostic.
+// implementations exist: the durable segment store in logstore/segment
+// (crash-recoverable, TTL by whole-segment deletion), the fleet's raw log,
+// and the in-memory Store in this package, the segment store's test
+// reference and the benchmark's staging store — not a fleet backend. Both
+// produce byte-identical Scan results for the same ingest sequence.
 type Backend interface {
 	// AppendBatch stores recs under the topic in order, under one lock and
 	// one topic lookup. Each append continues arrival order: a record whose
@@ -13,8 +13,8 @@ type Backend interface {
 	// call returns how many records were accepted before it, and
 	// ErrUnsortedAppend; equal arrivals are accepted and keep ingest order.
 	// recs is given up: a backend may keep it and write into it (the
-	// in-memory store makes long stretches its chunks), so a caller feeding
-	// two backends clones it. A durable backend also ends the batch at its
+	// in-memory store cuts long stretches into its chunks), so a caller
+	// feeding two backends clones it. A durable backend also ends the batch at its
 	// first disk error, returning the records that reached its files and
 	// that error, and refuses every later append with it: an accepted
 	// record is never held only in memory. Append stores one record
@@ -42,7 +42,8 @@ type Backend interface {
 	Topics() []string
 
 	// Expire drops every record with ArrivalMs < nowMs − TTL and returns
-	// the number removed.
+	// the number removed. A record appended later waits for the next
+	// Expire, whatever its arrival.
 	Expire(nowMs int64) int
 
 	// TruncateFrom drops every record in topic with ArrivalMs >= fromMs

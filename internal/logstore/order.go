@@ -72,13 +72,10 @@ type Work struct{ Reads, Moves int }
 // order — in arrival order, ties in insertion order, and what that cost.
 // Its writer counted as it wrote: every record arrives at or after lo, and
 // counts[s] of them in the second [lo + 1000·s, lo + 1000·(s+1)) — none
-// past the last. The records are written once, into one new array that the
-// returned runs are cut from (see cut; the array is released with the last
-// of its runs), distributed over their seconds when the seconds fit a table
-// and sorted whole when they do not. No run is empty, and only a log
-// shorter than half a chunk yields a run that short. The log and counts are
-// left as they are.
-func ArrangeCounted(log [][]Record, lo int64, counts []int) (runs [][]Record, work Work) {
+// past the last. The records are written once, into one new array,
+// distributed over their seconds when the seconds fit a table and sorted
+// whole when they do not. The log and counts are left as they are.
+func ArrangeCounted(log [][]Record, lo int64, counts []int) (arranged []Record, work Work) {
 	next := make([]int, len(counts)+1)
 	for s, n := range counts {
 		next[s+1] = next[s] + n
@@ -94,19 +91,19 @@ func second(r *Record, lo int64) uint64 { return (uint64(r.ArrivalMs) - uint64(l
 
 // sortWhole arranges a log of size records too sparse to distribute: one
 // copy, one comparison sort.
-func sortWhole(log [][]Record, size int) ([][]Record, Work) {
+func sortWhole(log [][]Record, size int) ([]Record, Work) {
 	out := make([]Record, 0, size)
 	for _, c := range log {
 		out = append(out, c...)
 	}
 	slices.SortStableFunc(out, byArrival)
-	return cutWhole(out), Work{Reads: size}
+	return out, Work{Reads: size}
 }
 
 // distribute places each record of the log at next[its second], which holds
 // the second's first free position in the new array and is advanced past it
 // (placement), then restores arrival order inside every second (insertion).
-func distribute(log [][]Record, lo int64, next []int) ([][]Record, Work) {
+func distribute(log [][]Record, lo int64, next []int) ([]Record, Work) {
 	seconds := len(next) - 1
 	out := make([]Record, next[seconds])
 	for _, c := range log {
@@ -125,10 +122,5 @@ func distribute(log [][]Record, lo int64, next []int) ([][]Record, Work) {
 		}
 		from = end
 	}
-	return cutWhole(out), work
-}
-
-// cutWhole cuts an arranged array into its runs.
-func cutWhole(out []Record) [][]Record {
-	return cut(make([][]Record, 0, (len(out)+chunkCap-1)/chunkCap), out)
+	return out, work
 }

@@ -18,7 +18,7 @@ import (
 // the oracle ArrangeCounted is held to, and the stable comparison sort is
 // the definition of the order both return (ascending ArrivalMs, ties in
 // insertion order).
-func arrange(log [][]Record) (runs [][]Record, work Work) {
+func arrange(log [][]Record) (arranged []Record, work Work) {
 	size := 0
 	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
 	for _, c := range log {
@@ -30,9 +30,9 @@ func arrange(log [][]Record) (runs [][]Record, work Work) {
 	// Unsigned subtraction is exact even when hi − lo overflows int64.
 	seconds := (uint64(hi)-uint64(lo))/1000 + 1
 	if seconds > uint64(size)+sparseSlack {
-		runs, work = sortWhole(log, size)
+		arranged, work = sortWhole(log, size)
 		work.Reads += size
-		return runs, work
+		return arranged, work
 	}
 	next := make([]int, seconds+1)
 	for _, c := range log {
@@ -43,9 +43,9 @@ func arrange(log [][]Record) (runs [][]Record, work Work) {
 	for s := 1; s < len(next); s++ {
 		next[s] += next[s-1]
 	}
-	runs, work = distribute(log, lo, next)
+	arranged, work = distribute(log, lo, next)
 	work.Reads += 2 * size
-	return runs, work
+	return arranged, work
 }
 
 // sortByComparison is the routine the distribution replaced — flatten,
@@ -146,9 +146,10 @@ func pile(count int, seed byte) []byte {
 // FuzzLooseOrder: any window log — any arrival sequence cut into any
 // chunk list, empty chunks included — arranged by ArrangeCounted from any
 // origin at or before its first arrival, with the counts its writer would
-// have kept, comes out in exactly the stable comparison sort's order, in
-// the runs its oracle arrange cuts, which a store adopts and scans back as
-// they are; the log and the counts are left as they were.
+// have kept, comes out in exactly the stable comparison sort's order, as
+// its oracle arrange does; the log and the counts are left as they were.
+// Handed to a store in one batch, the array is cut into chunks of the
+// shapes take promises and scans back as it is.
 func FuzzLooseOrder(f *testing.F) {
 	day := int64(24 * 3600 * 1000)
 	cat := func(parts ...[]byte) []byte { return slices.Concat(parts...) }
@@ -166,8 +167,8 @@ func FuzzLooseOrder(f *testing.F) {
 		want := slices.Clone(all)
 		slices.SortStableFunc(want, byArrival)
 
-		runs, _ := arrange(log)
-		if !reflect.DeepEqual(slices.Concat(runs...), want) {
+		arranged, _ := arrange(log)
+		if !slices.Equal(arranged, want) {
 			t.Fatalf("arrange differs from the stable sort (%d records in %d chunks)", len(all), len(log))
 		}
 		if len(all) == 0 {
@@ -190,26 +191,26 @@ func FuzzLooseOrder(f *testing.F) {
 		}
 		kept := slices.Clone(counts)
 		counted, _ := ArrangeCounted(log, lo, counts)
-		if !reflect.DeepEqual(counted, runs) {
-			t.Fatalf("ArrangeCounted from %d ms before the first arrival: %d runs, arrange %d, or they differ", want[0].ArrivalMs-lo, len(counted), len(runs))
-		}
-		for i, run := range counted {
-			if len(run) == 0 || len(run) > chunkCap || len(run) != cap(run) || len(run) < chunkCap/2 && len(counted) > 1 {
-				t.Fatalf("run %d of %d: len %d, cap %d", i, len(counted), len(run), cap(run))
-			}
+		if !reflect.DeepEqual(counted, arranged) {
+			t.Fatalf("ArrangeCounted from %d ms before the first arrival differs from arrange (%d records)", want[0].ArrivalMs-lo, len(counted))
 		}
 		if !slices.Equal(counts, kept) || !reflect.DeepEqual(slices.Concat(log...), all) {
 			t.Fatal("ArrangeCounted wrote into the counts or the log it was handed")
 		}
-		// Handed to a store, the runs continue each other's arrival order.
+		// Handed to a store, an array of half a chunk or more is cut into
+		// chunks of its own, each full at its length and none shorter than
+		// half a chunk; a shorter one is copied into a fresh chunk.
 		s := New(0)
-		for _, run := range counted {
-			if n, err := s.AppendBatch("t", run); n != len(run) || err != nil {
-				t.Fatalf("AppendBatch of an arranged run took %d of %d (%v)", n, len(run), err)
+		if n, err := s.AppendBatch("t", counted); n != len(counted) || err != nil {
+			t.Fatalf("AppendBatch of the arranged array took %d of %d (%v)", n, len(counted), err)
+		}
+		for i, c := range s.topics["t"].chunks {
+			if len(c) < min(len(counted), chunkCap/2) || len(c) > chunkCap || (len(c) == cap(c)) != (len(counted) >= chunkCap/2) {
+				t.Fatalf("chunk %d of %d records: len %d, cap %d", i, len(counted), len(c), cap(c))
 			}
 		}
 		if got := s.topics["t"].flatten(); !reflect.DeepEqual(got, want) {
-			t.Fatal("the store holds something else than the arranged runs")
+			t.Fatal("the store holds something else than the arranged array")
 		}
 	})
 }
@@ -290,9 +291,9 @@ func TestRestoreOrderBudget(t *testing.T) {
 	for i := range recs {
 		counts[second(&recs[i], 0)]++
 	}
-	var runs [][]Record
+	var arranged []Record
 	var work Work
-	if got := allocated(func() { runs, work = ArrangeCounted(log, 0, counts) }); got > budget {
+	if got := allocated(func() { arranged, work = ArrangeCounted(log, 0, counts) }); got > budget {
 		t.Errorf("ArrangeCounted allocated %d B, budget %d B (records %d B)", got, budget, raw)
 	}
 	// Shallow disorder: a few positions per record, nowhere near the
@@ -305,7 +306,7 @@ func TestRestoreOrderBudget(t *testing.T) {
 	if got := allocated(func() { sorted = sortByComparison(log) }); got <= budget {
 		t.Errorf("the flatten-sort-rebuild oracle allocated %d B, within the budget of %d B", got, budget)
 	}
-	if !reflect.DeepEqual(slices.Concat(runs...), slices.Concat(sorted...)) {
+	if !reflect.DeepEqual(arranged, slices.Concat(sorted...)) {
 		t.Fatal("ArrangeCounted and the oracle disagree")
 	}
 }
@@ -330,11 +331,11 @@ func TestRestoreOrderWorstCases(t *testing.T) {
 			recs[i] = Record{TemplateIdx: int32(i), ArrivalMs: arrival(i)}
 		}
 		log := completionLog(recs, 157)
-		runs, work := arrange(log)
+		arranged, work := arrange(log)
 		if limit := 6 * n * bits.Len(n); work.Moves > limit {
 			t.Errorf("%s: %d moves for %d records, over the n·log n limit %d", name, work.Moves, n, limit)
 		}
-		if !reflect.DeepEqual(slices.Concat(runs...), slices.Concat(sortByComparison(log)...)) {
+		if !reflect.DeepEqual(arranged, slices.Concat(sortByComparison(log)...)) {
 			t.Errorf("%s: the arrangement and the oracle disagree", name)
 		}
 	}

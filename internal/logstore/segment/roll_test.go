@@ -532,9 +532,9 @@ func TestSealedSegmentsHoldNoDescriptors(t *testing.T) {
 // TestWatermarkWrittenOnlyWhenItMasks: an Expire that leaves no record
 // below its cutoff on disk writes no watermark file, and the store reopens
 // to the same scan; one that half-expires a segment writes it; and a record
-// arriving below an unwritten cutoff — which only an emptied topic accepts
-// — has the file written first, so it is as invisible after a restart as it
-// was before.
+// arriving below the cutoff — which only an emptied topic accepts — is
+// live, as the in-memory store keeps it: the topic's expired files and its
+// watermark go first, so the record stays live after a restart.
 func TestWatermarkWrittenOnlyWhenItMasks(t *testing.T) {
 	dir := t.TempDir()
 	opt := Options{segmentRecords: 16, indexEvery: 4, TTLMs: 1000}
@@ -583,8 +583,11 @@ func TestWatermarkWrittenOnlyWhenItMasks(t *testing.T) {
 	if err := s.Append("t", rec(9, 5900)); err != nil { // below the cutoff no file records yet
 		t.Fatal(err)
 	}
-	if got := readWatermark(filepath.Dir(wmPath)); got != 6000 {
-		t.Fatalf("watermark file holds %d after an arrival below the cutoff, want 6000", got)
+	if _, err := os.Stat(wmPath); !os.IsNotExist(err) {
+		t.Fatalf("the watermark file outlived the topic's expired records (%v)", err)
+	}
+	if got := s.Scan("t", -1<<62, 1<<62); !reflect.DeepEqual(got, []logstore.Record{rec(9, 5900)}) {
+		t.Fatalf("after an arrival below the cutoff the topic scans %v, want that record alone", got)
 	}
 	reopen("late arrival below the cutoff")
 	s.Close()

@@ -67,10 +67,6 @@ type topic struct {
 	sinceSync int // wal records appended since the last fsync
 
 	watermark int64 // records with ArrivalMs < watermark are expired
-	// wmStale is set while the watermark file is behind watermark: Expire
-	// writes the file only when a record below the new cutoff is left on
-	// disk, and append catches it up before such a record arrives late.
-	wmStale bool
 }
 
 // Store is a durable, crash-recoverable logstore.Backend. Directory
@@ -472,17 +468,18 @@ func (s *Store) append(t *topic, recs []logstore.Record) (int, error) {
 			}
 			return i, logstore.ErrUnsortedAppend
 		}
-		if rec.ArrivalMs >= t.watermark {
-			newest, has = rec.ArrivalMs, true
-		} else if t.wmStale {
-			// An expired arrival must stay masked after a restart.
-			if err := flush(i, false); err != nil {
-				return done, err
-			}
-			if err := s.persistWatermark(t); err != nil {
+		if rec.ArrivalMs < t.watermark {
+			// Only a topic without live records takes an arrival behind its
+			// expiry cutoff (any other's newest is ahead of it), so its files
+			// hold expired records alone, and nothing of this batch precedes
+			// the arrival. They go, and the cutoff with them: the arrival is
+			// live, as in a topic never expired.
+			if err := s.dropExpired(t); err != nil {
 				return i, err
 			}
+			prev = 0
 		}
+		newest, has = rec.ArrivalMs, true
 		if ord := t.act.count + i - done; ord%s.opt.indexEvery == 0 {
 			t.act.index = append(t.act.index, indexEntry{firstMs: rec.ArrivalMs, prevMs: prev, off: t.walBytes + int64(len(buf)), recIdx: ord})
 		}
@@ -765,7 +762,7 @@ func (s *Store) Expire(nowMs int64) int {
 		}
 		t.segs = keep
 		mask(&t.act)
-		t.watermark, t.wmStale = cutoff, true
+		t.watermark = cutoff
 		if onDisk {
 			s.fail(s.persistWatermark(t))
 		}
@@ -787,6 +784,11 @@ func (s *Store) TruncateFrom(topicName string, fromMs int64) int {
 	if t == nil {
 		return 0
 	}
+	return s.truncate(t, fromMs)
+}
+
+// truncate is TruncateFrom on a topic. Callers hold s.mu.
+func (s *Store) truncate(t *topic, fromMs int64) int {
 	removed := 0
 	keep := t.segs[:0]
 	for _, sf := range t.segs {
@@ -922,10 +924,22 @@ func readWatermark(dir string) int64 {
 // before the rename.
 func (s *Store) persistWatermark(t *topic) error {
 	buf := appendFrame(nil, binary.AppendVarint(nil, t.watermark))
-	if err := writeFileAtomic(filepath.Join(t.dir, "watermark"), buf); err != nil {
+	return writeFileAtomic(filepath.Join(t.dir, "watermark"), buf)
+}
+
+// dropExpired empties a topic that holds no live record: its files are cut
+// to nothing before its watermark is removed, so no expired record is ever
+// unmasked. Callers hold s.mu.
+func (s *Store) dropExpired(t *topic) error {
+	s.truncate(t, math.MinInt64)
+	if err := s.Err(); err != nil {
 		return err
 	}
-	t.wmStale = false
+	t.watermark = math.MinInt64
+	if err := os.Remove(filepath.Join(t.dir, "watermark")); err != nil && !os.IsNotExist(err) {
+		return err
+	}
+	syncDir(t.dir)
 	return nil
 }
 

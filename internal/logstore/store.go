@@ -1,22 +1,23 @@
-// Package logstore is the repository for collected query logs — the
-// substitute for Alibaba Cloud LogStore in the paper's pipeline (§IV-A).
-// It is an append-only, topic-partitioned store of compact per-query
-// records with TTL-based expiry ("the data will be invalidated after three
-// days, or another user-customized expiration period").
+// Package logstore defines the repository for collected query logs — the
+// substitute for Alibaba Cloud LogStore in the paper's pipeline (§IV-A):
+// an append-only, topic-partitioned store of compact per-query records
+// with TTL-based expiry ("the data will be invalidated after three days, or
+// another user-customized expiration period"). Backend is its contract;
+// the fleet's one implementation is the durable segment store in
+// logstore/segment.
 //
-// Records are kept per topic (one topic per database instance) in arrival
-// order inside a chunked record arena: fixed-capacity chunks linked by a
-// small spine, so an append never copies the topic's existing records the
-// way a doubling []Record would (at 128 fleet instances ~10% of CPU was
-// growslice under Append). Range scans are a two-level binary search —
-// chunk spine, then within the chunk — plus a contiguous copy.
+// Store is the in-memory implementation: the segment store's test
+// reference and the benchmark's staging store, not a fleet backend. It
+// keeps records per topic in arrival order inside a chunked record arena:
+// fixed-capacity chunks linked by a small spine, so an append never copies
+// the topic's existing records the way a doubling []Record would. Range
+// scans are a two-level binary search — chunk spine, then within the
+// chunk — plus a contiguous copy.
 //
-// The store has one write order: every append continues arrival order —
-// ascending ArrivalMs, ties in insertion order — and a record behind the
+// Every backend has one write order: every append continues arrival order
+// — ascending ArrivalMs, ties in insertion order — and a record behind the
 // topic's newest is refused. A collector arranges its window log into that
-// order with ArrangeCounted before handing the runs to AppendBatch, which
-// takes ownership of what it is given and makes a long stretch a chunk as
-// it is.
+// order with ArrangeCounted before handing the array to AppendBatch.
 package logstore
 
 import (

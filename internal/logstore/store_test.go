@@ -421,8 +421,7 @@ func TestAppendAllocBudget(t *testing.T) {
 }
 
 // TestAppendBatchAllocBudget: in-order runs a chunk long, each continuing
-// the topic — what a fleet commit hands over — become the arena's chunks as
-// they are: appending them allocates the chunk spine and nothing per
+// the topic, become the arena's chunks as they are: appending them allocates the chunk spine and nothing per
 // record. A run that fits the tail's free space is copied there instead.
 func TestAppendBatchAllocBudget(t *testing.T) {
 	const chunks = 64

@@ -24,14 +24,6 @@ type Options struct {
 	// (each worker keeps only the instances Assign routes to its shard).
 	Specs SpecSet
 
-	// DataDir is the fleet-wide durable root — the same value handed to
-	// shard.Options.DataDir. Workers namespace themselves under
-	// DataDir/shard-<k>, and the address files live next to the SHARDS
-	// file so a restarted coordinator can find (and adopt) live workers.
-	// "" keeps shards in memory; address files then live in a temp
-	// directory and adoption across coordinator restarts is off.
-	DataDir string
-
 	// Command builds the command that launches a worker for a config.
 	// Nil selects SelfCommand (re-exec this binary with EnvConfig set;
 	// the binary must call MaybeWorker first thing in main). Tests
@@ -126,8 +118,13 @@ func newRuntime(sh, shards int, specs []fleet.InstanceSpec, fopt fleet.Options, 
 		opt.MaxRestarts = 16
 	}
 
-	addrDir, tmpDir := opt.DataDir, ""
-	if addrDir == "" {
+	// A worker opens the shard's data directory the manager resolved, and
+	// publishes its address beside it, where a restarted coordinator finds
+	// (and adopts) it. Without one the shard keeps no raw log, the address
+	// file lives in a temp directory, and adoption across coordinator
+	// restarts is off.
+	addrDir, tmpDir := filepath.Dir(fopt.DataDir), ""
+	if fopt.DataDir == "" {
 		d, err := os.MkdirTemp("", "pinsql-remote-")
 		if err != nil {
 			return nil, err
@@ -144,7 +141,7 @@ func newRuntime(sh, shards int, specs []fleet.InstanceSpec, fopt fleet.Options, 
 			Workers:    fopt.Workers,
 			QueueDepth: fopt.QueueDepth,
 			SyncEvery:  fopt.SyncEvery,
-			DataDir:    opt.DataDir,
+			DataDir:    fopt.DataDir,
 			AddrFile:   filepath.Join(addrDir, fmt.Sprintf("worker-%d.addr", sh)),
 			KillAt:     opt.KillAt,
 		},

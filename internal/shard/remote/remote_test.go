@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -178,7 +180,8 @@ func TestRemoteControlPlane(t *testing.T) {
 }
 
 // TestWorkerKillRestart SIGKILLs a worker process at every commit phase
-// and asserts the coordinator relaunches it, the journal replays, and
+// and asserts the coordinator relaunches it, the journal replays — the
+// victim's worker keeps its journal in the shard's data directory — and
 // the final report matches the never-killed golden byte for byte.
 func TestWorkerKillRestart(t *testing.T) {
 	if testing.Short() {
@@ -203,10 +206,11 @@ func TestWorkerKillRestart(t *testing.T) {
 				t.Fatal(err)
 			}
 			var rts []*Runtime
+			dir := t.TempDir()
 			got := runToReport(t, specs, shard.Options{
 				Shards:  2,
 				Workers: 2,
-				DataDir: t.TempDir(),
+				DataDir: dir,
 				Runtime: recordingFactory(Options{
 					Specs:  ss,
 					KillAt: victim + ":1:" + phase,
@@ -225,6 +229,9 @@ func TestWorkerKillRestart(t *testing.T) {
 			}
 			if !killed {
 				t.Errorf("kill hook at %s never fired: no worker restart recorded", phase)
+			}
+			if _, err := os.Stat(filepath.Join(dir, "shard-"+strconv.Itoa(victimShard), "journal.jsonl")); err != nil {
+				t.Errorf("the victim's worker kept no journal in its shard directory: %v", err)
 			}
 		})
 	}
@@ -248,7 +255,7 @@ func TestCoordinatorRestartAdoptsWorkers(t *testing.T) {
 	var rts1 []*Runtime
 	m1, err := shard.New(specs, shard.Options{
 		Shards: 2, Workers: 2, DataDir: dir,
-		Runtime: recordingFactory(Options{Specs: ss, DataDir: dir}, &rts1),
+		Runtime: recordingFactory(Options{Specs: ss}, &rts1),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -284,7 +291,7 @@ func TestCoordinatorRestartAdoptsWorkers(t *testing.T) {
 	var rts2 []*Runtime
 	m2, err := shard.New(specs, shard.Options{
 		Shards: 2, Workers: 2, DataDir: dir,
-		Runtime: recordingFactory(Options{Specs: ss, DataDir: dir}, &rts2),
+		Runtime: recordingFactory(Options{Specs: ss}, &rts2),
 	})
 	if err != nil {
 		t.Fatal(err)

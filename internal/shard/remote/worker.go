@@ -20,7 +20,7 @@ import (
 // APIVersion is the worker API's version. The /ready handshake carries it
 // and the coordinator refuses a worker that speaks a different version —
 // a mixed-binary deployment fails loudly at spawn, not subtly at merge.
-const APIVersion = 1
+const APIVersion = 2
 
 // EnvConfig is the environment variable a coordinator sets when spawning
 // a worker: the JSON-encoded Config. A process that finds it set is a
@@ -49,9 +49,9 @@ type Config struct {
 	QueueDepth int `json:"queue_depth,omitempty"`
 	SyncEvery  int `json:"sync_every,omitempty"`
 
-	// DataDir is the fleet-wide root; the worker namespaces itself under
-	// DataDir/shard-<k> exactly like the in-process runtime. "" keeps the
-	// shard in memory.
+	// DataDir is the shard's data directory, as the manager resolved it
+	// for the in-process runtime (fleet.Options.DataDir). "" keeps no raw
+	// log.
 	DataDir string `json:"data_dir,omitempty"`
 
 	// AddrFile is where the worker, listening on an OS-picked loopback
@@ -122,13 +122,11 @@ func RunWorker(cfg Config) error {
 	fopt := fleet.Options{
 		Workers:    cfg.Workers,
 		QueueDepth: cfg.QueueDepth,
+		DataDir:    cfg.DataDir,
 		SyncEvery:  cfg.SyncEvery,
 		Metrics:    reg,
 		Labels:     []obs.Label{obs.L("shard", strconv.Itoa(cfg.Shard))},
 		CrashAt:    killAtHook(cfg.KillAt),
-	}
-	if cfg.DataDir != "" {
-		fopt.DataDir = filepath.Join(cfg.DataDir, "shard-"+strconv.Itoa(cfg.Shard))
 	}
 	flt, err := fleet.New(mine, fopt)
 	if err != nil {

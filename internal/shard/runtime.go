@@ -37,7 +37,7 @@ type Runtime interface {
 	Status() (fleet.Status, error)
 
 	// JournalStats reports the shard journal's group-commit accounting
-	// (fsynced batches, windows covered). Zero in in-memory mode or when
+	// (fsynced batches, windows covered). Zero without a DataDir or when
 	// a remote worker is unreachable.
 	JournalStats() (batches, windows int64)
 

@@ -61,8 +61,8 @@ type Options struct {
 
 	// DataDir roots the durable layout: shard k keeps its instances'
 	// segment stores and its window journal under DataDir/shard-<k>/, and
-	// the manager persists the shard count in DataDir/SHARDS. "" keeps
-	// everything in memory.
+	// the manager persists the shard count in DataDir/SHARDS. "" keeps no
+	// raw log, and reports stay in memory.
 	DataDir string
 
 	// Metrics receives every shard's series (kept apart by a shard

@@ -27,7 +27,6 @@
 package window
 
 import (
-	"math/bits"
 	"sort"
 
 	"pinsql/internal/dbsim"
@@ -184,41 +183,10 @@ func (f *Frame) FinalizeSorted() {
 }
 
 // sortObsGroup stable-sorts one observation group by arrival time with
-// ties in insertion order — the per-group ordering Finalize establishes.
-//
-// A group holds one template's records in log (completion) order, which is
-// arrival order disturbed shallowly, so the sort is a paired insertion over
-// the two columns. Insertion moves an observation only past strictly later
-// arrivals and so never reorders a tie; a group that exceeds its move
-// budget is finished by a stable comparison sort, which reaches the same
-// order from wherever insertion stopped, keeping the worst case
-// O(n log n) comparisons.
+// ties in insertion order — the per-group ordering Finalize establishes —
+// moving both columns together.
 func sortObsGroup(arrival []int64, response []float64) {
-	if !insertObsGroup(arrival, response, 4*len(arrival)*bits.Len(uint(len(arrival)))) {
-		sort.Stable(obsGroup{arrival, response})
-	}
-}
-
-// insertObsGroup is sortObsGroup's insertion pass; it gives up, reporting
-// false, as soon as it has moved more than budget observations.
-func insertObsGroup(arrival []int64, response []float64, budget int) bool {
-	moves := 0
-	for i := 1; i < len(arrival); i++ {
-		a := arrival[i]
-		if a >= arrival[i-1] {
-			continue
-		}
-		r := response[i]
-		j := i
-		for ; j > 0 && arrival[j-1] > a; j-- {
-			arrival[j], response[j] = arrival[j-1], response[j-1]
-		}
-		arrival[j], response[j] = a, r
-		if moves += i - j; moves > budget {
-			return false
-		}
-	}
-	return true
+	sort.Stable(obsGroup{arrival, response})
 }
 
 // obsGroup orders the paired columns by arrival for sort.Stable.

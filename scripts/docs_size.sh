@@ -19,10 +19,10 @@ check() { # file budget
 		echo "$1: $size bytes (budget $2)"
 	fi
 }
-check DESIGN.md 73813
-check EXPERIMENTS.md 121944
-check CHANGES.md 39510
-check README.md 21692
+check DESIGN.md 73771
+check EXPERIMENTS.md 120635
+check CHANGES.md 39082
+check README.md 21684
 
 last=$(LC_ALL=C awk '/^- PR /{n=0} {n += length($0) + 1} END{print n}' CHANGES.md)
 if [ "$last" -gt 1536 ]; then
