@@ -1,7 +1,8 @@
 # PinSQL build/test/verification entry points. CI (.github/workflows/ci.yml)
 # runs build + vet + test + race; fuzz-smoke is a short native-fuzzing slice
 # over the SQL normalizer, the storage codecs, the log-file readers, the
-# window log's arrangement, the collector's window log, the segment store's
+# window log's arrangement, the collector's window log, a frame group's
+# sort, the segment store's
 # seal paths, the session estimator and the sparse series' correlations.
 
 GO ?= go
@@ -57,8 +58,10 @@ docs-size:
 # ArrangeCounted, is the stable comparison sort, and a store cuts it into
 # chunks of the shapes it promises), the collector's window log (any records
 # and batch cuts, one seal: the sealed frame is the independent reference's,
-# the arranged array the stable sort, and the store handed it at the seal
-# scans it back), the segment
+# each group the arranged array's rows of its template, the arranged array
+# the stable sort, and the store handed it at the seal scans it back), a
+# frame group's sort (the permutation sort's result, falling back or not),
+# the segment
 # store's seal (any batches, stragglers refused, with seals — each a renamed
 # wal —, Expire, TruncateFrom and reopens scan back as the in-memory
 # store's), the three frame session estimators (the sparse
@@ -79,6 +82,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzParseDecimal -fuzztime=5s ./internal/ingest
 	$(GO) test -run=^$$ -fuzz=FuzzLooseOrder -fuzztime=5s ./internal/logstore
 	$(GO) test -run=^$$ -fuzz=FuzzWindowLog -fuzztime=5s ./internal/collect
+	$(GO) test -run=^$$ -fuzz=FuzzSortObsGroup -fuzztime=5s ./internal/window
 	$(GO) test -run=^$$ -fuzz=FuzzEstimateShortPath -fuzztime=10s ./internal/session
 	$(GO) test -run=^$$ -fuzz=FuzzFillCompact -fuzztime=5s ./internal/session
 	$(GO) test -run=^$$ -fuzz=FuzzSparseCorr -fuzztime=5s ./internal/timeseries

@@ -91,11 +91,11 @@ type identSlot struct {
 // database instance over a fixed window, producing per-template aggregates
 // and keeping the window's compact records.
 //
-// The records are kept once, in ingest order, in a chunked window log, and
-// ordered once: logstore.ArrangeCounted gives the log's arrival-ordered
-// form, and the seal scatters that form into the frame's template groups,
-// which leaves every group in arrival order with ties in ingest order by
-// construction.
+// The records are kept once, in ingest order, in a chunked window log. The
+// seal scatters the log into the frame's template groups, which Finalize
+// sorts, each nearly sorted already; the one arrival order across templates
+// (logstore.ArrangeCounted) is made only for a store: by TakeArranged, or
+// at the seal of a collector given one.
 //
 // The seal is terminal: the first Frame call builds the window's one frame,
 // handing it the live series, and from then on every ingest panics, so
@@ -133,12 +133,9 @@ type Collector struct {
 	// log is the window log: every archived record, in ingest order, in
 	// chunks of logChunk drawn from chunkPool; it is never given away, and
 	// Release returns the chunks. perSec counts its records by arrival
-	// second of the window. arranged is its arrival-ordered form, or nil
-	// when none is current: built on demand, dropped when a record arrives,
-	// handed over by TakeArranged.
-	log      [][]logstore.Record
-	perSec   []int
-	arranged []logstore.Record
+	// second of the window, for the arrangement a store takes.
+	log    [][]logstore.Record
+	perSec []int
 
 	met     metricSet
 	records int64 // raw query records in the window log
@@ -149,10 +146,10 @@ type Collector struct {
 // NewCollector creates a collector for the window [startMs, endMs) on the
 // given topic (instance name). A nil registry creates a private one. A
 // non-nil store — any logstore.Backend, shareable across collectors — is
-// handed the window's arranged records once, at the seal (one AppendBatch,
-// given up as TakeArranged gives them; it stops at the first record behind
-// the topic's newest); nil means none: the collector's own window log is
-// the only copy.
+// handed the window's records once, at the seal, arranged as TakeArranged
+// arranges them (one AppendBatch, given up; it stops at the first record
+// behind the topic's newest); nil means none: the collector's own window
+// log is the only copy, and the seal arranges nothing.
 func NewCollector(topic string, startMs, endMs int64, registry *Registry, store logstore.Backend) *Collector {
 	if registry == nil {
 		registry = NewRegistry()
@@ -270,7 +267,6 @@ func (c *Collector) IngestBatch(recs []dbsim.LogRecord) {
 			return
 		}
 		c.log[len(c.log)-1] = tail
-		c.arranged = nil
 	}
 	for i := range recs {
 		rec := &recs[i]
@@ -321,15 +317,6 @@ func (c *Collector) IngestMetricsAt(rows []dbsim.SecondMetrics) {
 	}
 }
 
-// arrangedLocked returns the window log's arrival-ordered form, building
-// it if none is current.
-func (c *Collector) arrangedLocked() []logstore.Record {
-	if c.arranged == nil {
-		c.arranged, _ = c.arrangeLocked()
-	}
-	return c.arranged
-}
-
 // arrangeLocked arranges the window log with the per-second counts
 // IngestBatch kept.
 func (c *Collector) arrangeLocked() ([]logstore.Record, logstore.Work) {
@@ -337,17 +324,14 @@ func (c *Collector) arrangeLocked() ([]logstore.Record, logstore.Work) {
 }
 
 // TakeArranged returns the window's records in arrival order with ties in
-// ingest order — what a store handed them scans back — as the one array
-// logstore.ArrangeCounted writes, and gives it up: the caller owns it (and
-// may pass it on to Backend.AppendBatch), the collector forgets it, and a
-// later seal or call derives it afresh. After the seal of a collector
-// without a store, the first call returns the array the seal scattered
-// from.
+// ingest order — what a store handed them scans back — as the one new
+// array logstore.ArrangeCounted writes, and gives it up: the caller owns it
+// (and may pass it on to Backend.AppendBatch), and every call arranges
+// afresh. The seal neither needs nor keeps this form.
 func (c *Collector) TakeArranged() []logstore.Record {
 	c.lock(false)
 	defer c.mu.Unlock()
-	recs := c.arrangedLocked()
-	c.arranged = nil
+	recs, _ := c.arrangeLocked()
 	return recs
 }
 
@@ -355,8 +339,8 @@ func (c *Collector) TakeArranged() []logstore.Record {
 // window.Frame — per-template aggregates, observation columns grouped by
 // template position, the metric series, and the ByID permutation — from
 // what the collector itself holds; no store is scanned. A collector given a
-// store hands it the arranged records then. Every call returns that one
-// frame, and any ingest after it panics.
+// store hands it the arranged records then, as TakeArranged gives them.
+// Every call returns that one frame, and any ingest after it panics.
 func (c *Collector) Frame() *window.Frame {
 	c.lock(false)
 	defer c.mu.Unlock()
@@ -365,8 +349,8 @@ func (c *Collector) Frame() *window.Frame {
 		if c.store != nil {
 			// The store's rule may refuse a suffix, nothing behind its
 			// topic's newest; the frame is sealed either way.
-			_, _ = c.store.AppendBatch(c.topic, c.arrangedLocked())
-			c.arranged = nil
+			recs, _ := c.arrangeLocked()
+			_, _ = c.store.AppendBatch(c.topic, recs)
 		}
 	}
 	return c.frame
@@ -398,22 +382,23 @@ func (c *Collector) sealLocked() *window.Frame {
 	f.Response = make([]float64, f.Off[T])
 	if T > 0 {
 		// Scatter: next[x] is where the next record of the template with
-		// registry index x goes. Records are visited in arrival order, ties
-		// in ingest order — the order window.Frame defines for a group — so
-		// nothing is sorted here.
+		// registry index x goes. Records are visited in ingest order, which
+		// Finalize's stable sort keeps among a group's ties — the order
+		// window.Frame defines for a group.
 		next := make([]int32, c.ordered[T-1].Meta.Index+1)
 		for i, ts := range c.ordered {
 			next[ts.Meta.Index] = f.Off[i]
 		}
-		recs := c.arrangedLocked()
-		for i := range recs {
-			r := &recs[i]
-			k := next[r.TemplateIdx]
-			f.Arrival[k], f.Response[k] = r.ArrivalMs, r.ResponseMs
-			next[r.TemplateIdx] = k + 1
+		for _, chunk := range c.log {
+			for i := range chunk {
+				r := &chunk[i]
+				k := next[r.TemplateIdx]
+				f.Arrival[k], f.Response[k] = r.ArrivalMs, r.ResponseMs
+				next[r.TemplateIdx] = k + 1
+			}
 		}
 	}
-	f.FinalizeSorted()
+	f.Finalize()
 	return f
 }
 

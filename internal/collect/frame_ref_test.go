@@ -1,6 +1,9 @@
 package collect
 
 import (
+	"cmp"
+	"slices"
+
 	"pinsql/internal/logstore"
 	"pinsql/internal/window"
 )
@@ -8,10 +11,11 @@ import (
 // RebuildFrame assembles the window frame from scratch and by other means
 // than Frame: every series cloned, each template's records gathered from
 // the ingest-ordered window log — never from its arranged form — and every
-// group stable-sorted by Finalize. It ignores and leaves untouched the seal
-// state, so it is the independent reference the differential tests compare
-// Frame() against: the two must be byte-identical for any ingest
-// interleaving.
+// group stable-sorted here, by slices.SortStableFunc on the records, before
+// it is split into columns; the group sort Finalize runs is the code under
+// test. It ignores and leaves untouched the seal state, so it is the
+// independent reference the differential tests compare Frame() against:
+// the two must be byte-identical for any ingest interleaving.
 func (c *Collector) RebuildFrame() *window.Frame {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -56,7 +60,9 @@ func (c *Collector) RebuildFrame() *window.Frame {
 			SumRows:   ts.SumRows.Clone(),
 			Throttled: ts.Throttled.Clone(),
 		}
-		for _, r := range groups[ts.Meta.Index] {
+		group := groups[ts.Meta.Index]
+		slices.SortStableFunc(group, func(a, b logstore.Record) int { return cmp.Compare(a.ArrivalMs, b.ArrivalMs) })
+		for _, r := range group {
 			f.Arrival = append(f.Arrival, r.ArrivalMs)
 			f.Response = append(f.Response, r.ResponseMs)
 		}

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -36,8 +37,8 @@ func arrivalOrder(c *Collector) []logstore.Record {
 	return all
 }
 
-// checkCounted holds the seal's arrangement — with the counts IngestBatch
-// kept — to the stable sort of the same log.
+// checkCounted holds the arrangement a store takes — with the counts
+// IngestBatch kept — to the stable sort of the same log.
 func checkCounted(t *testing.T, c *Collector) {
 	t.Helper()
 	counted, _ := c.arrangeLocked()
@@ -153,11 +154,12 @@ func TestCountedArrangement(t *testing.T) {
 	}
 }
 
-// TestSealArrangementWorkBudget counts the records a seal's arrangement
-// reads, in passes over the window rather than time: two — each record is
-// placed in its arrival second, then each second is put in order. A bounds
-// pass or a counting pass that returned to the seal would show here.
-func TestSealArrangementWorkBudget(t *testing.T) {
+// TestHandOverArrangementWorkBudget counts the records the arrangement a
+// store is handed reads, in passes over the window rather than time: two —
+// each record is placed in its arrival second, then each second is put in
+// order. A bounds pass or a counting pass that returned to the hand-over
+// would show here.
+func TestHandOverArrangementWorkBudget(t *testing.T) {
 	c := NewCollector("budget", 0, 300_000, nil, nil)
 	for _, b := range windowBatches() {
 		c.IngestBatch(b)
@@ -165,7 +167,7 @@ func TestSealArrangementWorkBudget(t *testing.T) {
 	n := int(c.Records())
 	_, work := c.arrangeLocked()
 	if work.Reads > 2*n || work.Reads < n {
-		t.Errorf("a seal's arrangement read %d records for a window of %d, budget %d (2 passes)", work.Reads, n, 2*n)
+		t.Errorf("the hand-over's arrangement read %d records for a window of %d, budget %d (2 passes)", work.Reads, n, 2*n)
 	}
 }
 
@@ -254,9 +256,8 @@ func TestReleaseRecyclesChunks(t *testing.T) {
 // that cut the array into chunks of its arena writes into them — an append
 // after a TruncateFrom inside one overwrites its tail, an Expire trims one —
 // and none of it shows in a frame held from before, in a frame sealed
-// afterwards from records arranged afresh, or in the array a second call
-// derives, whether the array taken was the one the seal had scattered from
-// or not.
+// afterwards, or in the array a second call derives, whether the array was
+// taken after the seal or before it.
 func TestArrangedRunsAreHandedOver(t *testing.T) {
 	const windowMs = 120_000
 	for _, sealFirst := range []bool{true, false} {
@@ -310,8 +311,10 @@ func TestArrangedRunsAreHandedOver(t *testing.T) {
 // its end, yields the frame the independent reference builds from the log
 // of a shadow collector — fed every TemplateID in storage of its own, it
 // resolves templates through its map alone — and its arranged records are
-// the stable sort of its log whenever they are taken (and so re-derived), and
-// what the store handed them at the seal scans back. Each
+// the stable sort of its log whenever they are taken, and what the store
+// handed them at the seal scans back. Each frame group is the arranged
+// array filtered to its template: the frame's order, computed per group,
+// is the store's scan order, computed across templates. Each
 // record is six bytes: template (low four bits) and the storage its ID
 // comes in (next two: a string shared by the template's records, a fresh
 // copy, a prefix of one base string, the raw SQL alone), arrival (two,
@@ -348,10 +351,12 @@ func FuzzWindowLog(f *testing.F) {
 		templates := [...]string{"FZ0", "FZ1", "FZ2", "FZ3", "FZ4", "FZ5", "FZ6", "FZ7", "FZ8", "FZ9", "FZa", "FZb", "FZc", "FZd", "FZe", "FZf"}
 		const base = "FZ0123456789abcdef" // its prefix "FZ0" is templates[0] in other storage
 		var batch []dbsim.LogRecord
-		take := func() {
-			if got, want := c.TakeArranged(), arrivalOrder(c); !slices.Equal(got, want) {
+		take := func() []logstore.Record {
+			got, want := c.TakeArranged(), arrivalOrder(c)
+			if !slices.Equal(got, want) {
 				t.Fatalf("the arranged array holds %d records, the stable sort %d, or differ", len(got), len(want))
 			}
+			return got
 		}
 		flush := func() {
 			c.IngestBatch(batch)
@@ -380,12 +385,29 @@ func FuzzWindowLog(f *testing.F) {
 			}
 		}
 		flush()
-		if err := framesEqual(c.Frame(), shadow.RebuildFrame()); err != nil {
+		fr := c.Frame()
+		if err := framesEqual(fr, shadow.RebuildFrame()); err != nil {
 			t.Fatalf("sealed frame diverges from the map-resolved shadow's reference: %v", err)
 		}
 		if got, want := store.Scan("fuzz", startMs, endMs), arrivalOrder(c); !slices.Equal(got, want) {
 			t.Fatalf("the store scans back %d records, the stable sort is %d, or they differ", len(got), len(want))
 		}
-		take()
+		arranged := take()
+		for pos := range fr.Templates {
+			arrival, response := fr.Obs(pos)
+			k := 0
+			for _, r := range arranged {
+				if r.TemplateIdx != fr.Templates[pos].Meta.Index {
+					continue
+				}
+				if k == len(arrival) || arrival[k] != r.ArrivalMs || math.Float64bits(response[k]) != math.Float64bits(r.ResponseMs) {
+					t.Fatalf("template %s: group row %d is not the arranged array's row for it", fr.Templates[pos].Meta.ID, k)
+				}
+				k++
+			}
+			if k != len(arrival) {
+				t.Fatalf("template %s: group holds %d rows, the arranged array %d", fr.Templates[pos].Meta.ID, len(arrival), k)
+			}
+		}
 	})
 }

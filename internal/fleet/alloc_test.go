@@ -68,23 +68,24 @@ func budgetStream(windows int) ([]dbsim.LogRecord, []dbsim.SecondMetrics) {
 // TestWindowAllocBudget budgets a window's way through the fleet in bytes,
 // not time: a fleet-shaped window is collected, sealed, searched for
 // anomalies and committed by a one-instance trace-backed fleet without a
-// DataDir, whose commit drops the records. Per record that is the 32 B
-// written into the collector's window log, 32 B in its arrival-ordered
-// form, from which the seal scatters, and 16 B in the frame's columns; the
-// rest is per-template series and detection. In the steady state — the
-// second and third of three windows collected one after the other's commit
-// — the log's 32 B are the chunks the previous window's commit released.
-// Each budget is 1.25 × what this code measured; a per-window staging
-// store, per-template observation tails, a commit that copies the records
-// or a window log made afresh breaks one.
+// DataDir, whose commit drops the records unarranged. Per record that is
+// the 32 B written into the collector's window log and the 16 B of the
+// frame's columns, which the seal scatters the log into; the rest is
+// per-template series and detection. In the steady state — the second and
+// third of three windows collected one after the other's commit — the log's
+// 32 B are the chunks the previous window's commit released. Each budget is
+// 1.25 × what this code measured, and each floor the bytes named above; a
+// per-window staging store, per-template observation tails, a commit that
+// copies the records, a window log made afresh or an arranged array (32 B)
+// back in the seal breaks one.
 func TestWindowAllocBudget(t *testing.T) {
 	for _, row := range []struct {
 		name            string
 		windows, warmup int     // windows played; of them, committed before the measurement starts
 		measured, floor float64 // bytes per record
 	}{
-		{"first window", 1, 0, 90.5, 80},
-		{"steady state", 3, 1, 57.7, 48},
+		{"first window", 1, 0, 58.4, 48},
+		{"steady state", 3, 1, 25.6, 16},
 	} {
 		if row.warmup > 0 && testrace.Enabled {
 			continue // the chunk pool drops a quarter of what it is handed

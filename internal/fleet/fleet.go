@@ -634,10 +634,10 @@ func (f *Fleet) crash(id string, window int, phase string) bool {
 // commit makes one window durable and applies its repairs, strictly in
 // window order per instance:
 //
-//  1. with a DataDir, the window's records, which the collector arranged in
-//     arrival order — at the seal, or here for a shed window — are handed
-//     over (strict appends, given up) to the instance's segment store;
-//     without one they are dropped;
+//  1. with a DataDir, the collector arranges the window's records in
+//     arrival order, here and only here, and hands them over (strict
+//     appends, given up) to the instance's segment store; without one
+//     they are dropped unarranged;
 //  2. repairing actions execute (when AutoRepair) against the live
 //     world/simulator and are recorded with their Executed flags;
 //  3. the window is journaled (fsync) — this is the commit point a

@@ -27,6 +27,7 @@
 package window
 
 import (
+	"math/bits"
 	"sort"
 
 	"pinsql/internal/dbsim"
@@ -154,17 +155,9 @@ func (f *Frame) Finalize() {
 	if len(f.Off) != len(f.Templates)+1 {
 		panic("window: Off must have NumTemplates+1 entries")
 	}
-	f.sortGroups()
-	f.FinalizeSorted()
-}
-
-// FinalizeSorted computes the derived state (ByID, the ID→position index)
-// for a builder that guarantees every observation group is already sorted
-// by arrival with insertion-order ties — the collector fills them in that
-// order. The frame must not be mutated afterwards.
-func (f *Frame) FinalizeSorted() {
-	if len(f.Off) != len(f.Templates)+1 {
-		panic("window: Off must have NumTemplates+1 entries")
+	for t := range f.Templates {
+		lo, hi := f.Off[t], f.Off[t+1]
+		sortObsGroup(f.Arrival[lo:hi], f.Response[lo:hi])
 	}
 	f.ByID = make([]int32, len(f.Templates))
 	for i := range f.ByID {
@@ -183,10 +176,37 @@ func (f *Frame) FinalizeSorted() {
 }
 
 // sortObsGroup stable-sorts one observation group by arrival time with
-// ties in insertion order — the per-group ordering Finalize establishes —
-// moving both columns together.
+// ties in insertion order. A group in log (completion) order is nearly
+// sorted, so this is a paired insertion, which moves an observation only
+// past strictly later arrivals; past its move budget sort.Stable finishes
+// the group from where insertion stopped, O(n log n) at worst.
 func sortObsGroup(arrival []int64, response []float64) {
-	sort.Stable(obsGroup{arrival, response})
+	n := len(arrival)
+	if _, done := insertObsGroup(arrival, response, 4*n*bits.Len(uint(n))); !done {
+		sort.Stable(obsGroup{arrival, response})
+	}
+}
+
+// insertObsGroup is sortObsGroup's insertion pass; it gives up as soon as
+// it has moved more than budget observations. done reports whether it
+// finished.
+func insertObsGroup(arrival []int64, response []float64, budget int) (moves int, done bool) {
+	for i := 1; i < len(arrival); i++ {
+		a := arrival[i]
+		if a >= arrival[i-1] {
+			continue
+		}
+		r := response[i]
+		j := i
+		for ; j > 0 && arrival[j-1] > a; j-- {
+			arrival[j], response[j] = arrival[j-1], response[j-1]
+		}
+		arrival[j], response[j] = a, r
+		if moves += i - j; moves > budget {
+			return moves, false
+		}
+	}
+	return moves, true
 }
 
 // obsGroup orders the paired columns by arrival for sort.Stable.
@@ -200,14 +220,4 @@ func (g obsGroup) Less(i, j int) bool { return g.arrival[i] < g.arrival[j] }
 func (g obsGroup) Swap(i, j int) {
 	g.arrival[i], g.arrival[j] = g.arrival[j], g.arrival[i]
 	g.response[i], g.response[j] = g.response[j], g.response[i]
-}
-
-// sortGroups sorts every observation group, reproducing the log store's
-// scan order (stable by ArrivalMs over insertion-ordered appends, filtered
-// per template).
-func (f *Frame) sortGroups() {
-	for t := range f.Templates {
-		lo, hi := f.Off[t], f.Off[t+1]
-		sortObsGroup(f.Arrival[lo:hi], f.Response[lo:hi])
-	}
 }
