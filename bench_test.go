@@ -28,10 +28,11 @@ import (
 // identification.
 func BenchmarkTableI_Overall(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := bench.RunTableI(bench.SmallCorpus(1, 12))
+		ev, err := bench.Evaluate(bench.SmallCorpus(1, 12), bench.Fig6Variants()[:1])
 		if err != nil {
 			b.Fatal(err)
 		}
+		res := ev.TableI()
 		for _, row := range res.Rows {
 			if row.Method == "PinSQL" {
 				b.ReportMetric(100*row.R.H1, "R-H@1-%")
@@ -52,10 +53,11 @@ func BenchmarkTableI_Overall(b *testing.B) {
 // removed in turn.
 func BenchmarkFig6_Ablation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := bench.RunFig6(bench.SmallCorpus(2, 8))
+		ev, err := bench.Evaluate(bench.SmallCorpus(2, 8), bench.Fig6Variants())
 		if err != nil {
 			b.Fatal(err)
 		}
+		res := ev.Fig6()
 		b.ReportMetric(100*res.Rows[0].R.H1, "full-R-H@1-%")
 		for _, row := range res.Rows {
 			if row.Variant == "w/o Estimate Session" {

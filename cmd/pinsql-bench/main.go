@@ -32,8 +32,8 @@ func main() {
 // run before the process exits (os.Exit skips defers).
 func realMain() (code int) {
 	var (
-		exp        = flag.String("exp", "all", "experiment: table1|fig6|fig7|fig8|table2|table3|table4|sweep|families|scenario|fuzz|all")
-		n          = flag.Int("cases", 24, "corpus size for table1/fig6/families")
+		exp        = flag.String("exp", "all", "experiment: table1|fig6|fig7|fig8|table2|table3|table4|sweep|scenario|fuzz|all")
+		n          = flag.Int("cases", 24, "corpus size for table1/fig6/scenario/sweep")
 		seed       = flag.Int64("seed", 1, "corpus seed")
 		param      = flag.String("param", "ks", "sweep parameter: ks|tau|buckets")
 		small      = flag.Bool("small", false, "use reduced trace lengths (faster, noisier)")
@@ -99,12 +99,32 @@ func realMain() (code int) {
 		fmt.Printf("[%s completed in %s]\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
 
+	// Table I, Fig. 6 and the scenario table are reductions of one corpus
+	// evaluation; -exp all evaluates once, with every Fig. 6 variant, for
+	// the three.
+	var shared *bench.Evaluation
+	evaluated := func(variants []bench.AblationVariant, reduce func(*bench.Evaluation) formatter) func() (fmt.Stringer, error) {
+		return func() (fmt.Stringer, error) {
+			if shared == nil {
+				if *exp == "all" {
+					variants = bench.Fig6Variants()
+				}
+				ev, err := bench.Evaluate(corpus(*n), variants)
+				if err != nil {
+					return nil, err
+				}
+				shared = ev
+			}
+			return wrapped{reduce(shared)}, nil
+		}
+	}
+
 	experiments := map[string]func(){
 		"table1": func() {
-			run("table1", func() (fmt.Stringer, error) { return wrap(bench.RunTableI(corpus(*n))) })
+			run("table1", evaluated(bench.Fig6Variants()[:1], func(e *bench.Evaluation) formatter { return e.TableI() }))
 		},
 		"fig6": func() {
-			run("fig6", func() (fmt.Stringer, error) { return wrap(bench.RunFig6(corpus(*n))) })
+			run("fig6", evaluated(bench.Fig6Variants(), func(e *bench.Evaluation) formatter { return e.Fig6() }))
 		},
 		"fig7": func() {
 			run("fig7", func() (fmt.Stringer, error) { return wrap(bench.RunFig7(*seed, nil, nil, *workers)) })
@@ -131,11 +151,8 @@ func realMain() (code int) {
 				return wrap(bench.RunParamSweep(corpus(*n), *param, values))
 			})
 		},
-		"families": func() {
-			run("families", func() (fmt.Stringer, error) { return wrap(bench.RunFamilyBreakdown(corpus(*n))) })
-		},
 		"scenario": func() {
-			run("scenario", func() (fmt.Stringer, error) { return wrap(bench.RunScenarioAccuracy(corpus(*n))) })
+			run("scenario", evaluated(bench.Fig6Variants()[:1], func(e *bench.Evaluation) formatter { return e.Scenario() }))
 		},
 		"fuzz": func() {
 			run("fuzz", func() (fmt.Stringer, error) {
@@ -162,7 +179,7 @@ func realMain() (code int) {
 	}
 
 	if *exp == "all" {
-		for _, name := range []string{"table1", "fig6", "fig7", "fig8", "table2", "table3", "table4", "families"} {
+		for _, name := range []string{"table1", "fig6", "fig7", "fig8", "table2", "table3", "table4", "scenario"} {
 			experiments[name]()
 		}
 	} else if fn, ok := experiments[*exp]; ok {

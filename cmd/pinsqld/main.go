@@ -151,7 +151,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pinsqld: unknown -role %q (want coordinator)\n", *role)
 		os.Exit(1)
 	}
-	if err := run(*instances, *windows, *windowSec, *seed, *autoRepair, opt, *serve, ing); err != nil {
+	if err := run(specSet, opt, *serve, ing); err != nil {
 		fmt.Fprintln(os.Stderr, "pinsqld:", err)
 		os.Exit(1)
 	}
@@ -171,32 +171,25 @@ func (c ingestConfig) traceSpec(windows, windowSec int) fleet.InstanceSpec {
 		id = strings.TrimSuffix(id, ext)
 	}
 	spec := fleet.TraceSpec(id, windowSec, func() (ingest.Source, error) {
-		return ingest.Open(c.path, c.format, ingest.OpenOptions{
-			Replay: ingest.ReplayOptions{Speed: c.speed},
-		})
+		return ingest.Open(c.path, c.format, ingest.OpenOptions{Speed: c.speed})
 	})
 	spec.Windows = windows
 	return spec
 }
 
-func run(instances, windows, windowSec int, seed int64, autoRepair bool, opt shard.Options, serve string, ing ingestConfig) error {
-	var specs []fleet.InstanceSpec
-	switch {
-	case ing.path != "":
-		if autoRepair {
+func run(specSet remote.SpecSet, opt shard.Options, serve string, ing ingestConfig) error {
+	specs, err := specSet.Build()
+	if err != nil {
+		return err
+	}
+	if ing.path != "" {
+		if specSet.AutoRepair {
 			return fmt.Errorf("-auto-repair has no live database to act on in -ingest mode")
 		}
-		if instances > 1 {
+		if specSet.Instances > 1 {
 			return fmt.Errorf("-ingest replays one trace; drop -instances")
 		}
-		specs = []fleet.InstanceSpec{ing.traceSpec(windows, windowSec)}
-	case instances <= 1:
-		specs = []fleet.InstanceSpec{fleet.DefaultSpec("pinsqld", seed, windows, windowSec)}
-	default:
-		specs = fleet.DefaultFleet(instances, seed, windows, windowSec)
-	}
-	for i := range specs {
-		specs[i].AutoRepair = autoRepair
+		specs = []fleet.InstanceSpec{ing.traceSpec(specSet.Windows, specSet.WindowSec)}
 	}
 
 	// One progress line per committed window, as the scheduler drains.

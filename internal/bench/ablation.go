@@ -7,8 +7,6 @@ import (
 	"pinsql/internal/cases"
 	"pinsql/internal/core"
 	"pinsql/internal/rank"
-	"pinsql/internal/sqltemplate"
-	"pinsql/internal/workload"
 )
 
 // ParamSweepRow is one parameter setting's evaluation.
@@ -28,9 +26,10 @@ type ParamSweep struct {
 }
 
 // RunParamSweep evaluates the pipeline over a shared corpus with the named
-// parameter swept. Supported names: "ks", "tau", "buckets".
+// parameter swept, one variant per value. Supported names: "ks", "tau",
+// "buckets".
 func RunParamSweep(opt cases.Options, name string, values []float64) (*ParamSweep, error) {
-	cfgs := make([]core.Config, len(values))
+	variants := make([]AblationVariant, len(values))
 	for i, v := range values {
 		cfg := core.DefaultConfig()
 		switch name {
@@ -43,34 +42,17 @@ func RunParamSweep(opt cases.Options, name string, values []float64) (*ParamSwee
 		default:
 			return nil, fmt.Errorf("bench: unknown sweep parameter %q", name)
 		}
-		cfgs[i] = cfg
+		variants[i] = AblationVariant{Cfg: cfg}
 	}
-
-	rRank := make([][][]sqltemplate.ID, len(values))
-	hRank := make([][][]sqltemplate.ID, len(values))
-	var rTruth, hTruth []map[sqltemplate.ID]bool
-	err := cases.Stream(opt, func(lab *cases.Labeled) error {
-		rTruth = append(rTruth, lab.RSQLs)
-		hTruth = append(hTruth, lab.HSQLs)
-		fr := lab.Case.Frame
-		for i, cfg := range cfgs {
-			d := core.DiagnoseFrame(lab.Case, fr, cfg)
-			rRank[i] = append(rRank[i], d.RSQLIDs())
-			hRank[i] = append(hRank[i], d.HSQLIDs())
-		}
-		return nil
-	})
+	ev, err := Evaluate(opt, variants)
 	if err != nil {
 		return nil, err
 	}
-
-	out := &ParamSweep{Name: name, Cases: len(rTruth)}
+	out := &ParamSweep{Name: name, Cases: len(ev.cases)}
 	for i, v := range values {
-		out.Rows = append(out.Rows, ParamSweepRow{
-			Param: v,
-			R:     rank.Evaluate(rRank[i], rTruth),
-			H:     rank.Evaluate(hRank[i], hTruth),
-		})
+		row := ParamSweepRow{Param: v}
+		row.R, row.H = variantEval(ev.cases, i)
+		out.Rows = append(out.Rows, row)
 	}
 	return out, nil
 }
@@ -101,53 +83,4 @@ func SmallCorpus(seed int64, count int) cases.Options {
 	opt.FillerSpecs = 5
 	opt.HistoryDays = []int{1, 3}
 	return opt
-}
-
-// FamilyBreakdown evaluates PinSQL per anomaly family, exposing where the
-// residual errors live (the paper reports only the aggregate).
-type FamilyBreakdown struct {
-	Rows  map[workload.AnomalyKind]rank.Eval
-	Cases int
-}
-
-// RunFamilyBreakdown runs PinSQL over a corpus and groups R-SQL accuracy by
-// injected family.
-func RunFamilyBreakdown(opt cases.Options) (*FamilyBreakdown, error) {
-	rank4 := make(map[workload.AnomalyKind][][]sqltemplate.ID)
-	truth4 := make(map[workload.AnomalyKind][]map[sqltemplate.ID]bool)
-	n := 0
-	err := cases.Stream(opt, func(lab *cases.Labeled) error {
-		n++
-		fr := lab.Case.Frame
-		d := core.DiagnoseFrame(lab.Case, fr, core.DefaultConfig())
-		rank4[lab.Kind] = append(rank4[lab.Kind], d.RSQLIDs())
-		truth4[lab.Kind] = append(truth4[lab.Kind], lab.RSQLs)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := &FamilyBreakdown{Rows: make(map[workload.AnomalyKind]rank.Eval), Cases: n}
-	for kind, ranks := range rank4 {
-		out.Rows[kind] = rank.Evaluate(ranks, truth4[kind])
-	}
-	return out, nil
-}
-
-// Format renders the per-family accuracy.
-func (f *FamilyBreakdown) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Per-family R-SQL accuracy (%d cases)\n", f.Cases)
-	for _, kind := range []workload.AnomalyKind{
-		workload.KindBusinessSpike, workload.KindPoorSQL,
-		workload.KindLockStorm, workload.KindMDL,
-	} {
-		ev, ok := f.Rows[kind]
-		if !ok {
-			continue
-		}
-		fmt.Fprintf(&b, "  %-15s H@1 %5.1f  H@5 %5.1f  MRR %.2f  (%d cases)\n",
-			kind, 100*ev.H1, 100*ev.H5, ev.MRR, ev.Cases)
-	}
-	return b.String()
 }

@@ -1,20 +1,38 @@
 package bench
 
 import (
+	"os"
 	"strings"
+	"sync"
 	"testing"
 
 	"pinsql/internal/dbsim"
 )
 
-func TestRunTableISmall(t *testing.T) {
+// smallEval is the one Evaluate pass over SmallCorpus(5, 8) that
+// TestRunTableISmall, TestRunFig6Small and TestEvaluationTables all read.
+var smallEval struct {
+	once sync.Once
+	ev   *Evaluation
+	err  error
+}
+
+func smallEvaluation(t *testing.T) *Evaluation {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("corpus generation is slow")
 	}
-	res, err := RunTableI(SmallCorpus(3, 8))
-	if err != nil {
-		t.Fatal(err)
+	smallEval.once.Do(func() {
+		smallEval.ev, smallEval.err = Evaluate(SmallCorpus(5, 8), Fig6Variants())
+	})
+	if smallEval.err != nil {
+		t.Fatal(smallEval.err)
 	}
+	return smallEval.ev
+}
+
+func TestRunTableISmall(t *testing.T) {
+	res := smallEvaluation(t).TableI()
 	if res.Cases != 8 {
 		t.Fatalf("cases = %d", res.Cases)
 	}
@@ -48,13 +66,7 @@ func TestRunTableISmall(t *testing.T) {
 }
 
 func TestRunFig6Small(t *testing.T) {
-	if testing.Short() {
-		t.Skip("corpus generation is slow")
-	}
-	res, err := RunFig6(SmallCorpus(5, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := smallEvaluation(t).Fig6()
 	if len(res.Rows) != 9 {
 		t.Fatalf("variants = %d, want 9", len(res.Rows))
 	}
@@ -71,6 +83,28 @@ func TestRunFig6Small(t *testing.T) {
 	}
 	if !strings.Contains(res.Format(), "w/o Cumulative Threshold") {
 		t.Error("Format missing ablation rows")
+	}
+}
+
+// TestEvaluationTables renders Table I, Fig. 6 and the scenario table from
+// one Evaluate pass, timing fields zeroed, and compares them byte for byte
+// with testdata/tables.golden, rendered by the three harnesses that each
+// streamed the corpus themselves.
+func TestEvaluationTables(t *testing.T) {
+	ev := smallEvaluation(t)
+	t1, f6, sc := ev.TableI(), ev.Fig6(), ev.Scenario()
+	for i := range t1.Rows {
+		t1.Rows[i].TimeMs = 0
+	}
+	t1.StageMs.Estimate, t1.StageMs.RankH, t1.StageMs.Cluster, t1.StageMs.Verify = 0, 0, 0, 0
+	sc.Sec = 0
+	got := t1.Format() + "\n" + f6.Format() + "\n" + sc.Format()
+	want, err := os.ReadFile("testdata/tables.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("tables differ from testdata/tables.golden:\n%s", got)
 	}
 }
 
@@ -256,22 +290,6 @@ func TestRunParamSweep(t *testing.T) {
 		t.Error("unknown parameter accepted")
 	}
 	if !strings.Contains(res.Format(), "ks") {
-		t.Error("Format incomplete")
-	}
-}
-
-func TestRunFamilyBreakdown(t *testing.T) {
-	if testing.Short() {
-		t.Skip("corpus generation is slow")
-	}
-	res, err := RunFamilyBreakdown(SmallCorpus(29, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("families = %d, want 4", len(res.Rows))
-	}
-	if !strings.Contains(res.Format(), "business_spike") {
 		t.Error("Format incomplete")
 	}
 }

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"pinsql/internal/cases"
 	"pinsql/internal/core"
 	"pinsql/internal/rank"
-	"pinsql/internal/sqltemplate"
 )
 
 // AblationVariant names one Fig. 6 pipeline variant and its configuration.
@@ -16,8 +14,8 @@ type AblationVariant struct {
 	Cfg  core.Config
 }
 
-// Fig6Variants returns the paper's ablations: the full system plus each
-// component removed in turn.
+// Fig6Variants returns the paper's ablations: the full system first, then
+// each component removed in turn.
 func Fig6Variants() []AblationVariant {
 	mk := func(name string, mod func(*core.Config)) AblationVariant {
 		cfg := core.DefaultConfig()
@@ -50,37 +48,15 @@ type Fig6 struct {
 	Cases int
 }
 
-// RunFig6 evaluates every ablation variant over one shared corpus.
-func RunFig6(opt cases.Options) (*Fig6, error) {
-	variants := Fig6Variants()
-	rRank := make([][][]sqltemplate.ID, len(variants))
-	hRank := make([][][]sqltemplate.ID, len(variants))
-	var rTruth, hTruth []map[sqltemplate.ID]bool
-
-	err := cases.Stream(opt, func(lab *cases.Labeled) error {
-		rTruth = append(rTruth, lab.RSQLs)
-		hTruth = append(hTruth, lab.HSQLs)
-		fr := lab.Case.Frame
-		for i, v := range variants {
-			d := core.DiagnoseFrame(lab.Case, fr, v.Cfg)
-			rRank[i] = append(rRank[i], d.RSQLIDs())
-			hRank[i] = append(hRank[i], d.HSQLIDs())
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+// Fig6 reduces the evaluation to the ablation study: one row per variant.
+func (e *Evaluation) Fig6() *Fig6 {
+	out := &Fig6{Cases: len(e.cases)}
+	for i, v := range e.variants {
+		row := Fig6Row{Variant: v.Name}
+		row.R, row.H = variantEval(e.cases, i)
+		out.Rows = append(out.Rows, row)
 	}
-
-	out := &Fig6{Cases: len(rTruth)}
-	for i, v := range variants {
-		out.Rows = append(out.Rows, Fig6Row{
-			Variant: v.Name,
-			R:       rank.Evaluate(rRank[i], rTruth),
-			H:       rank.Evaluate(hRank[i], hTruth),
-		})
-	}
-	return out, nil
+	return out
 }
 
 // Format renders both panels of Fig. 6 as text.

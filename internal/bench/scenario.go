@@ -3,10 +3,7 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"time"
 
-	"pinsql/internal/cases"
-	"pinsql/internal/core"
 	"pinsql/internal/rank"
 	"pinsql/internal/sqltemplate"
 	"pinsql/internal/workload"
@@ -80,49 +77,40 @@ func setOverlap(pred []sqltemplate.ID, truth map[sqltemplate.ID]bool) (tp, np, n
 	return tp, len(pred), len(truth)
 }
 
-// RunScenarioAccuracy diagnoses every case of the corpus through the frame
-// pipeline and aggregates set-based accuracy per anomaly family.
-func RunScenarioAccuracy(opt cases.Options) (*ScenarioAccuracy, error) {
-	start := time.Now()
-	cfg := core.DefaultConfig()
-	cfg.Workers = 1
-
+// Scenario reduces the evaluation to set-based accuracy per anomaly
+// family, read from PinSQL, the first variant.
+func (e *Evaluation) Scenario() *ScenarioAccuracy {
 	aggs := map[workload.AnomalyKind]*scenarioAgg{}
-	err := cases.Stream(opt, func(lab *cases.Labeled) error {
-		a := aggs[lab.Kind]
+	for _, c := range e.cases {
+		a := aggs[c.kind]
 		if a == nil {
 			a = &scenarioAgg{}
-			aggs[lab.Kind] = a
+			aggs[c.kind] = a
 		}
-		d := core.DiagnoseFrame(lab.Case, lab.Case.Frame, cfg)
-
+		run := c.runs[0]
 		a.cases++
-		if lab.Detected {
+		if c.detected {
 			a.detected++
 		}
-		rtp, rnp, rnt := setOverlap(d.RSQLIDs(), lab.RSQLs)
+		rtp, rnp, rnt := setOverlap(run.rsqls, c.rTruth)
 		a.rTP += rtp
 		a.rPred += rnp
 		a.rTruth += rnt
 
-		h := d.HSQLIDs()
+		h := run.hsqls
 		if len(h) > 5 {
 			h = h[:5]
 		}
-		htp, hnp, hnt := setOverlap(h, lab.HSQLs)
+		htp, hnp, hnt := setOverlap(h, c.hTruth)
 		a.hTP += htp
 		a.hPred += hnp
 		a.hTruth += hnt
 
-		a.rankings = append(a.rankings, d.RSQLIDs())
-		a.truths = append(a.truths, lab.RSQLs)
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		a.rankings = append(a.rankings, run.rsqls)
+		a.truths = append(a.truths, c.rTruth)
 	}
 
-	res := &ScenarioAccuracy{}
+	res := &ScenarioAccuracy{Sec: e.elapsed.Seconds()}
 	ratio := func(num, den int) float64 {
 		if den == 0 {
 			return 0
@@ -152,8 +140,7 @@ func RunScenarioAccuracy(opt cases.Options) (*ScenarioAccuracy, error) {
 		})
 		res.Cases += a.cases
 	}
-	res.Sec = time.Since(start).Seconds()
-	return res, nil
+	return res
 }
 
 // Format renders the table.

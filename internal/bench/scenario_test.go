@@ -19,10 +19,11 @@ func TestScenarioAccuracyFloors(t *testing.T) {
 	opt.AnomalyMaxDurSec = 180
 	opt.Workers = 1
 
-	res, err := RunScenarioAccuracy(opt)
+	ev, err := Evaluate(opt, Fig6Variants()[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := ev.Scenario()
 	t.Log("\n" + res.Format())
 	if res.Cases != 8 {
 		t.Fatalf("corpus ran %d cases, want 8", res.Cases)

@@ -1,17 +1,16 @@
 // Package bench is the experiment harness that regenerates every table and
 // figure of the paper's evaluation (§VIII) on the simulated substrate. Each
-// RunXxx function produces a structured result plus a Format method that
-// prints rows shaped like the paper's, so `pinsql-bench` and the testing.B
-// benchmarks share one implementation.
+// experiment produces a structured result plus a Format method that prints
+// rows shaped like the paper's, so `pinsql-bench` and the testing.B
+// benchmarks share one implementation. Table I, Fig. 6, the parameter sweep
+// and the per-scenario table are reductions of one Evaluate pass; the other
+// experiments each have a RunXxx function.
 package bench
 
 import (
 	"fmt"
 	"strings"
-	"time"
 
-	"pinsql/internal/cases"
-	"pinsql/internal/core"
 	"pinsql/internal/rank"
 	"pinsql/internal/sqltemplate"
 )
@@ -39,58 +38,25 @@ type TableI struct {
 	}
 }
 
-// RunTableI evaluates PinSQL and the Top-SQL baselines over a generated
-// corpus (the ADAC substitute).
-func RunTableI(opt cases.Options) (*TableI, error) {
-	type acc struct {
-		r, h   [][]sqltemplate.ID
-		timeMs float64
-	}
-	methods := []string{"Top-RT", "Top-ER", "Top-EN", "PinSQL"}
-	byMethod := make(map[string]*acc, len(methods))
-	for _, m := range methods {
-		byMethod[m] = &acc{}
-	}
-	var rTruth, hTruth []map[sqltemplate.ID]bool
-	var templates float64
-	detected := 0
-	var stEst, stRank, stCluster, stVerify float64
-
-	err := cases.Stream(opt, func(lab *cases.Labeled) error {
-		rTruth = append(rTruth, lab.RSQLs)
-		hTruth = append(hTruth, lab.HSQLs)
-		fr, as, ae := lab.Case.Frame, lab.Case.AS, lab.Case.AE
-		templates += float64(len(fr.Templates))
-		if lab.Detected {
-			detected++
+// TableI reduces the evaluation to Table I: the Top-SQL baselines, the
+// best of them (Top-All) and PinSQL, the first variant.
+func (e *Evaluation) TableI() *TableI {
+	n := len(e.cases)
+	out := &TableI{Cases: n}
+	rTruth, hTruth := truths(e.cases)
+	var templates, stEst, stRank, stCluster, stVerify, pinMs float64
+	for _, c := range e.cases {
+		templates += float64(c.templates)
+		if c.detected {
+			out.Detected++
 		}
-
-		for _, m := range rank.Methods() {
-			start := time.Now()
-			ranked := rank.TopSQL(fr, as, ae, m)
-			a := byMethod[string(m)]
-			a.timeMs += float64(time.Since(start).Microseconds()) / 1000
-			a.r = append(a.r, ranked)
-			a.h = append(a.h, ranked)
-		}
-
-		d := core.DiagnoseFrame(lab.Case, fr, core.DefaultConfig())
-		a := byMethod["PinSQL"]
-		a.timeMs += float64(d.Time.Total().Microseconds()) / 1000
-		stEst += float64(d.Time.EstimateSession.Microseconds()) / 1000
-		stRank += float64(d.Time.RankHSQL.Microseconds()) / 1000
-		stCluster += float64(d.Time.ClusterFilter.Microseconds()) / 1000
-		stVerify += float64(d.Time.VerifyRank.Microseconds()) / 1000
-		a.r = append(a.r, d.RSQLIDs())
-		a.h = append(a.h, d.HSQLIDs())
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		t := c.runs[0].timing
+		pinMs += ms(t.Total())
+		stEst += ms(t.EstimateSession)
+		stRank += ms(t.RankHSQL)
+		stCluster += ms(t.ClusterFilter)
+		stVerify += ms(t.VerifyRank)
 	}
-
-	n := len(rTruth)
-	out := &TableI{Cases: n, Detected: detected}
 	if n > 0 {
 		out.Templates = templates / float64(n)
 		out.StageMs.Estimate = stEst / float64(n)
@@ -98,31 +64,34 @@ func RunTableI(opt cases.Options) (*TableI, error) {
 		out.StageMs.Cluster = stCluster / float64(n)
 		out.StageMs.Verify = stVerify / float64(n)
 	}
-	var individual []rank.Eval
-	var individualH []rank.Eval
-	for _, m := range methods {
-		a := byMethod[m]
+	perCase := float64(max(n, 1))
+
+	var individual, individualH []rank.Eval
+	for i, m := range rank.Methods() {
+		var ranked [][]sqltemplate.ID
+		var timeMs float64
+		for _, c := range e.cases {
+			ranked = append(ranked, c.top[i].ids)
+			timeMs += ms(c.top[i].dur)
+		}
 		row := TableIRow{
-			Method: m,
-			R:      rank.Evaluate(a.r, rTruth),
-			H:      rank.Evaluate(a.h, hTruth),
-			TimeMs: a.timeMs / float64(max(n, 1)),
+			Method: string(m),
+			R:      rank.Evaluate(ranked, rTruth),
+			H:      rank.Evaluate(ranked, hTruth),
+			TimeMs: timeMs / perCase,
 		}
-		if m != "PinSQL" {
-			individual = append(individual, row.R)
-			individualH = append(individualH, row.H)
-		}
+		individual = append(individual, row.R)
+		individualH = append(individualH, row.H)
 		out.Rows = append(out.Rows, row)
 	}
-	// Insert Top-All (the best of the individual baselines) before PinSQL.
-	topAll := TableIRow{
+	pin := TableIRow{Method: "PinSQL", TimeMs: pinMs / perCase}
+	pin.R, pin.H = variantEval(e.cases, 0)
+	out.Rows = append(out.Rows, TableIRow{
 		Method: "Top-All",
 		R:      rank.BestOf(individual...),
 		H:      rank.BestOf(individualH...),
-	}
-	last := out.Rows[len(out.Rows)-1]
-	out.Rows = append(out.Rows[:len(out.Rows)-1], topAll, last)
-	return out, nil
+	}, pin)
+	return out
 }
 
 // Format renders the table in the paper's layout.
@@ -142,11 +111,4 @@ func (t *TableI) Format() string {
 	fmt.Fprintf(&b, "detector found %d/%d phenomena unaided; PinSQL stage means: estimate %.1fms, rank %.1fms, cluster %.1fms, verify %.1fms\n",
 		t.Detected, t.Cases, t.StageMs.Estimate, t.StageMs.RankH, t.StageMs.Cluster, t.StageMs.Verify)
 	return b.String()
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -47,46 +47,29 @@ type TableIV struct {
 	Cells   map[dbsim.PerfSchemaConfig]map[StressMix]TableIVCell
 }
 
+// The Table IV stress setup: the paper's concurrency, instance size, table
+// count and rows per table, and the per-statement service demands.
+const (
+	stressThreads        = 32
+	stressCores          = 4
+	stressTables         = 20
+	stressRowsPer        = 10_000_000
+	stressReadMs         = 0.1
+	stressWriteMs        = 0.14
+	defaultStressSeconds = 20
+)
+
 // StressOptions tunes the Table IV stress driver.
 type StressOptions struct {
-	Threads     int     // default 32 (the paper's concurrency)
-	Cores       int     // default 4
-	Tables      int     // default 20
-	RowsPer     int64   // default 10M
-	DurationSec int     // default 20 simulated seconds per cell
-	ReadMs      float64 // read service demand; default 0.1 ms
-	WriteMs     float64 // write service demand; default 0.14 ms
+	DurationSec int // simulated seconds per cell; 0 selects 20
 	Seed        int64
-}
-
-func (o StressOptions) withDefaults() StressOptions {
-	if o.Threads <= 0 {
-		o.Threads = 32
-	}
-	if o.Cores <= 0 {
-		o.Cores = 4
-	}
-	if o.Tables <= 0 {
-		o.Tables = 20
-	}
-	if o.RowsPer <= 0 {
-		o.RowsPer = 10_000_000
-	}
-	if o.DurationSec <= 0 {
-		o.DurationSec = 20
-	}
-	if o.ReadMs <= 0 {
-		o.ReadMs = 0.1
-	}
-	if o.WriteMs <= 0 {
-		o.WriteMs = 0.14
-	}
-	return o
 }
 
 // RunTableIV measures every config × mix cell.
 func RunTableIV(opt StressOptions) (*TableIV, error) {
-	opt = opt.withDefaults()
+	if opt.DurationSec <= 0 {
+		opt.DurationSec = defaultStressSeconds
+	}
 	out := &TableIV{
 		Configs: []dbsim.PerfSchemaConfig{
 			dbsim.PerfSchemaOff, dbsim.PerfSchemaOn, dbsim.PerfSchemaIns,
@@ -121,17 +104,17 @@ func RunTableIV(opt StressOptions) (*TableIV, error) {
 // stressQPS runs one closed-loop stress cell and returns the steady QPS.
 func stressQPS(opt StressOptions, pfs dbsim.PerfSchemaConfig, mix StressMix) (float64, error) {
 	cfg := dbsim.DefaultConfig()
-	cfg.Cores = opt.Cores
+	cfg.Cores = stressCores
 	cfg.Seed = opt.Seed + int64(pfs)*31 + int64(mix)*7
 	inst := dbsim.NewInstance(cfg)
 	inst.SetPerfSchema(pfs)
-	for i := 0; i < opt.Tables; i++ {
-		inst.CreateTable(fmt.Sprintf("sbtest%d", i+1), opt.RowsPer)
+	for i := 0; i < stressTables; i++ {
+		inst.CreateTable(fmt.Sprintf("sbtest%d", i+1), stressRowsPer)
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	mkQuery := func(now int64) *dbsim.Query {
-		table := fmt.Sprintf("sbtest%d", rng.Intn(opt.Tables)+1)
+		table := fmt.Sprintf("sbtest%d", rng.Intn(stressTables)+1)
 		isWrite := false
 		switch mix {
 		case ReadWrite:
@@ -143,7 +126,7 @@ func stressQPS(opt StressOptions, pfs dbsim.PerfSchemaConfig, mix StressMix) (fl
 			return &dbsim.Query{
 				TemplateID: "STRESS-W", SQL: "UPDATE " + table + " SET k = k + 1 WHERE id = ?",
 				Table: table, Kind: dbsim.KindUpdate, ArrivalMs: now,
-				ServiceMs: opt.WriteMs, ExaminedRows: 1, IOOps: 0.5,
+				ServiceMs: stressWriteMs, ExaminedRows: 1, IOOps: 0.5,
 				// Point updates over 10M rows: collisions negligible.
 				LockKeys: []int{rng.Intn(1_000_000)},
 			}
@@ -151,11 +134,11 @@ func stressQPS(opt StressOptions, pfs dbsim.PerfSchemaConfig, mix StressMix) (fl
 		return &dbsim.Query{
 			TemplateID: "STRESS-R", SQL: "SELECT c FROM " + table + " WHERE id = ?",
 			Table: table, Kind: dbsim.KindSelect, ArrivalMs: now,
-			ServiceMs: opt.ReadMs, ExaminedRows: 1, IOOps: 0.2,
+			ServiceMs: stressReadMs, ExaminedRows: 1, IOOps: 0.2,
 		}
 	}
 
-	initial := make([]*dbsim.Query, opt.Threads)
+	initial := make([]*dbsim.Query, stressThreads)
 	for i := range initial {
 		initial[i] = mkQuery(0)
 	}

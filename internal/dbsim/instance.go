@@ -9,7 +9,6 @@ import (
 type Config struct {
 	Cores        int     // CPU cores (processor-sharing capacity)
 	IOPSCapacity float64 // I/O operations per second at 100 % iops_usage
-	MemoryGiB    float64 // only reported, never a bottleneck in this model
 	PerfSchema   PerfSchemaConfig
 	Seed         int64 // randomness for SHOW STATUS offsets
 	// LockWaitTimeoutMs aborts statements that wait on a lock longer than
@@ -20,12 +19,12 @@ type Config struct {
 }
 
 // DefaultConfig mirrors the average ADAC instance of the paper (§VIII-A:
-// 15.9 cores, 87.9 GiB memory); 16 cores keeps the arithmetic simple.
+// 15.9 cores, 87.9 GiB memory, which this model never makes a bottleneck);
+// 16 cores keeps the arithmetic simple.
 func DefaultConfig() Config {
 	return Config{
 		Cores:             16,
 		IOPSCapacity:      20000,
-		MemoryGiB:         88,
 		PerfSchema:        PerfSchemaOff,
 		Seed:              1,
 		LockWaitTimeoutMs: 50_000,

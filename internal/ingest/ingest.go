@@ -54,9 +54,6 @@ type Batch struct {
 	Last bool
 }
 
-// Empty reports whether the batch carries no records and no metric rows.
-func (b Batch) Empty() bool { return len(b.Records) == 0 && len(b.Metrics) == 0 }
-
 // Source is a trace of one database instance: the generalization of what
 // the fleet used to get from its hardwired dbsim.Instance. Sources are
 // single-consumer and not concurrency-safe; the fleet guarantees one

@@ -21,15 +21,9 @@ const (
 
 // OpenOptions configures the adapter stack Open builds.
 type OpenOptions struct {
-	// Replay configures the replay clock wrapped around slow-log and
-	// wait-event sources (traces are already dense and skip it).
-	Replay ReplayOptions
-
-	// Synth configures session synthesis for slow-log sources.
-	Synth SynthOptions
-
-	// WaitEvents configures the wait-event sampler mapping.
-	WaitEvents WaitEventsOptions
+	// Speed paces the replay clock wrapped around slow-log and wait-event
+	// sources (traces are already dense and skip it); see NewReplay.
+	Speed float64
 }
 
 // Open opens a trace file and composes the full adapter stack for its
@@ -75,9 +69,9 @@ func openReader(r io.Reader, format string, opt OpenOptions) (Source, error) {
 	}
 	switch format {
 	case FormatSlowLog:
-		return NewSessionSynth(NewReplay(SlowLog(r), opt.Replay), opt.Synth), nil
+		return NewSessionSynth(NewReplay(SlowLog(r), opt.Speed)), nil
 	case FormatWaitEvents:
-		return NewReplay(NewWaitEventsSource(r, opt.WaitEvents), opt.Replay), nil
+		return NewReplay(NewWaitEventsSource(r), opt.Speed), nil
 	case FormatTrace:
 		return newTraceSource(r) // r is decompressed and buffered already
 	default:

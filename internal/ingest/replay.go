@@ -8,36 +8,18 @@ import (
 	"pinsql/internal/dbsim"
 )
 
-// ReplayOptions configures the replay clock.
-type ReplayOptions struct {
-	// Speed is the wall-clock pacing factor: 1 replays in real time, 2
-	// twice as fast, 0 (default) as fast as the pipeline drains. Pacing
-	// changes only timing, never content — the batch sequence is
-	// identical at every speed.
-	Speed float64
+const (
+	// replayMaxGapSec caps how many consecutive idle trace seconds survive
+	// into the replay timeline; a longer recording gap collapses to exactly
+	// this many empty seconds (monitoring windows should measure the
+	// workload, not the collector's downtime).
+	replayMaxGapSec = 5
 
-	// MaxGapSec caps how many consecutive idle trace seconds survive into
-	// the replay timeline; a recording gap longer than this collapses to
-	// exactly MaxGapSec empty seconds (monitoring windows should measure
-	// the workload, not the collector's downtime). Default 5; negative
-	// preserves all gaps.
-	MaxGapSec int
-
-	// SlackSec bounds how far out of order the raw stream may be: a
+	// replaySlackSec bounds how far out of order the raw stream may be: a
 	// batch is held until every second that could still precede it has
-	// been seen. Default 5.
-	SlackSec int
-}
-
-func (o ReplayOptions) withDefaults() ReplayOptions {
-	if o.MaxGapSec == 0 {
-		o.MaxGapSec = 5
-	}
-	if o.SlackSec <= 0 {
-		o.SlackSec = 5
-	}
-	return o
-}
+	// been seen.
+	replaySlackSec = 5
+)
 
 // Replay turns a raw adapter stream (sparse batches, absolute trace
 // epoch, locally out of order) into the dense contract the Player needs:
@@ -48,8 +30,8 @@ func (o ReplayOptions) withDefaults() ReplayOptions {
 // the wall clock. Each input batch is copied into the pen, in storage that
 // is recycled once the batch it became has been returned and is dead.
 type Replay struct {
-	src Source
-	opt ReplayOptions
+	src   Source
+	speed float64
 
 	pend     []Batch // out-of-order holding pen, sorted by trace second
 	maxSeen  int64   // highest trace second pulled so far
@@ -68,9 +50,12 @@ type Replay struct {
 	lastEmit time.Time
 }
 
-// NewReplay wraps a raw source in the replay clock.
-func NewReplay(src Source, opt ReplayOptions) *Replay {
-	return &Replay{src: src, opt: opt.withDefaults()}
+// NewReplay wraps a raw source in the replay clock. speed is the wall-clock
+// pacing factor: 1 replays in real time, 2 twice as fast, 0 as fast as the
+// pipeline drains. Pacing changes only timing, never content — the batch
+// sequence is identical at every speed.
+func NewReplay(src Source, speed float64) *Replay {
+	return &Replay{src: src, speed: speed}
 }
 
 // Next implements Source.
@@ -133,12 +118,12 @@ func (r *Replay) hold(b Batch) {
 }
 
 // flushReady moves every pen batch that is out of slack danger — older
-// than maxSeen by more than SlackSec, or everything on inner EOF — into
+// than maxSeen by more than replaySlackSec, or everything on inner EOF — into
 // the dense output queue, synthesizing empty seconds for (capped) gaps.
 func (r *Replay) flushReady() {
 	for len(r.pend) > 0 {
 		b := r.pend[0]
-		if !r.innerEOF && b.Second+int64(r.opt.SlackSec) >= r.maxSeen {
+		if !r.innerEOF && b.Second+replaySlackSec >= r.maxSeen {
 			return
 		}
 		r.pend = r.pend[:copy(r.pend, r.pend[1:])]
@@ -155,10 +140,7 @@ func (r *Replay) emit(b Batch) {
 		r.prevTrace = b.Second - 1
 	}
 	gap := b.Second - r.prevTrace - 1 // idle trace seconds skipped over
-	keep := gap
-	if r.opt.MaxGapSec >= 0 && keep > int64(r.opt.MaxGapSec) {
-		keep = int64(r.opt.MaxGapSec)
-	}
+	keep := min(gap, replayMaxGapSec)
 	r.shiftSec += gap - keep
 	for i := int64(0); i < keep; i++ {
 		r.outQ = append(r.outQ, Batch{Second: r.outSec})
@@ -179,10 +161,10 @@ func (r *Replay) emit(b Batch) {
 
 // pace sleeps so emission tracks the wall clock at the configured speed.
 func (r *Replay) pace() {
-	if r.opt.Speed <= 0 {
+	if r.speed <= 0 {
 		return
 	}
-	interval := time.Duration(float64(time.Second) / r.opt.Speed)
+	interval := time.Duration(float64(time.Second) / r.speed)
 	now := time.Now()
 	if !r.lastEmit.IsZero() {
 		if wait := interval - now.Sub(r.lastEmit); wait > 0 {

@@ -53,7 +53,7 @@ func TestReplayRebaseAndDensify(t *testing.T) {
 		rawBatch(1000, 999500),
 		rawBatch(1004, 1003800),
 	}}
-	out := drainReplay(t, NewReplay(src, ReplayOptions{}))
+	out := drainReplay(t, NewReplay(src, 0))
 	if len(out) != 5 {
 		t.Fatalf("got %d batches, want 5 (dense 0..4)", len(out))
 	}
@@ -75,13 +75,13 @@ func TestReplayRebaseAndDensify(t *testing.T) {
 }
 
 func TestReplayGapCompression(t *testing.T) {
-	// A 100-second recording gap collapses to MaxGapSec empty seconds,
+	// A 100-second recording gap collapses to replayMaxGapSec empty seconds,
 	// and the later batch's records shift by the dropped 95 seconds too.
 	src := &rawSource{batches: []Batch{
 		rawBatch(10, 9000),
 		rawBatch(111, 110500),
 	}}
-	out := drainReplay(t, NewReplay(src, ReplayOptions{MaxGapSec: 5}))
+	out := drainReplay(t, NewReplay(src, 0))
 	if len(out) != 7 {
 		t.Fatalf("got %d batches, want 7 (sec 0, five gap seconds, sec 6)", len(out))
 	}
@@ -93,13 +93,6 @@ func TestReplayGapCompression(t *testing.T) {
 	if got := last.Records[0].ArrivalMs; got != 110500-105_000 {
 		t.Errorf("arrival after gap = %d, want %d", got, 110500-105_000)
 	}
-
-	// MaxGapSec < 0 preserves the whole gap.
-	src2 := &rawSource{batches: []Batch{rawBatch(10, 9000), rawBatch(111, 110500)}}
-	out2 := drainReplay(t, NewReplay(src2, ReplayOptions{MaxGapSec: -1}))
-	if len(out2) != 102 {
-		t.Fatalf("uncompressed: got %d batches, want 102", len(out2))
-	}
 }
 
 func TestReplaySlackReorder(t *testing.T) {
@@ -109,7 +102,7 @@ func TestReplaySlackReorder(t *testing.T) {
 		rawBatch(3, 2500),
 		rawBatch(4, 3500),
 	}}
-	out := drainReplay(t, NewReplay(src, ReplayOptions{}))
+	out := drainReplay(t, NewReplay(src, 0))
 	if len(out) != 3 {
 		t.Fatalf("got %d batches, want 3", len(out))
 	}
@@ -124,14 +117,14 @@ func TestReplaySlackReorder(t *testing.T) {
 }
 
 func TestReplayBeyondSlackClamps(t *testing.T) {
-	// A batch arriving > SlackSec behind is clamped forward, not dropped.
+	// A batch arriving > replaySlackSec behind is clamped forward, not dropped.
 	src := &rawSource{batches: []Batch{
 		rawBatch(100, 99500),
 		rawBatch(110, 109500), // flushes second 100 (slack 5)
 		rawBatch(99, 98500),   // older than anything still open
 		rawBatch(120, 119500),
 	}}
-	out := drainReplay(t, NewReplay(src, ReplayOptions{MaxGapSec: -1}))
+	out := drainReplay(t, NewReplay(src, 0))
 	var total int
 	for _, b := range out {
 		total += len(b.Records)
@@ -147,7 +140,7 @@ func TestReplaySameSecondMerge(t *testing.T) {
 		rawBatch(7, 6200),
 		rawBatch(7, 6300),
 	}}
-	out := drainReplay(t, NewReplay(src, ReplayOptions{}))
+	out := drainReplay(t, NewReplay(src, 0))
 	if len(out) != 1 {
 		t.Fatalf("got %d batches, want 1 merged", len(out))
 	}

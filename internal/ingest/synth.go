@@ -58,19 +58,13 @@ type synthBatch struct {
 	minArr, minEm int64
 }
 
-// SynthOptions configures SessionSynth.
-type SynthOptions struct {
-	// LookaheadSec bounds how far past a second the synthesizer reads
-	// before computing that second's session count. Default 300.
-	LookaheadSec int
-}
+// synthLookaheadSec bounds how far past a second the synthesizer reads
+// before computing that second's session count.
+const synthLookaheadSec = 300
 
 // NewSessionSynth wraps a dense source.
-func NewSessionSynth(src Source, opt SynthOptions) *SessionSynth {
-	if opt.LookaheadSec <= 0 {
-		opt.LookaheadSec = 300
-	}
-	return &SessionSynth{src: src, lookahead: int64(opt.LookaheadSec)}
+func NewSessionSynth(src Source) *SessionSynth {
+	return &SessionSynth{src: src, lookahead: synthLookaheadSec}
 }
 
 // Next implements Source.

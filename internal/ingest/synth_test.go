@@ -18,7 +18,7 @@ func TestSessionSynthActiveSessions(t *testing.T) {
 		{SQL: "SELECT 1", ArrivalMs: 1100, ResponseMs: 300},                           // [1100, 1400)
 		{SQL: "SELECT 2", ArrivalMs: 1600, ResponseMs: 200},                           // [1600, 1800)
 	}
-	src := NewSessionSynth(NewSliceSource(0, 4000, recs, nil), SynthOptions{})
+	src := NewSessionSynth(NewSliceSource(0, 4000, recs, nil))
 	var rows []dbsim.SecondMetrics
 	for {
 		b, err := src.Next()
@@ -61,7 +61,7 @@ func TestSessionSynthActiveSessions(t *testing.T) {
 
 func TestSessionSynthLeavesSamplerRowsAlone(t *testing.T) {
 	rows := []dbsim.SecondMetrics{{Second: 0, ActiveSession: 42}}
-	src := NewSessionSynth(NewSliceSource(0, 2000, nil, rows), SynthOptions{})
+	src := NewSessionSynth(NewSliceSource(0, 2000, nil, rows))
 	b0, err := src.Next()
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +84,8 @@ func TestSessionSynthLookaheadSeesLongStatement(t *testing.T) {
 	recs := []dbsim.LogRecord{
 		{SQL: "SELECT SLEEP(7)", ArrivalMs: 1200, ResponseMs: 7000}, // [1200, 8200)
 	}
-	src := NewSessionSynth(NewSliceSource(0, 10000, recs, nil), SynthOptions{LookaheadSec: 20})
+	src := NewSessionSynth(NewSliceSource(0, 10000, recs, nil))
+	src.lookahead = 20
 	var rows []dbsim.SecondMetrics
 	for {
 		b, err := src.Next()
@@ -215,7 +216,8 @@ func TestSessionSynthMatchesFlatReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		batches := synthStream(rng, 40+rng.Intn(80))
 		lookahead := []int{1, 2, 7, 30, 300}[seed%5]
-		got := NewSessionSynth(&SliceSource{batches: batches}, SynthOptions{LookaheadSec: lookahead})
+		got := NewSessionSynth(&SliceSource{batches: batches})
+		got.lookahead = int64(lookahead)
 		want := &flatSynth{src: &SliceSource{batches: batches}, lookahead: int64(lookahead)}
 		for {
 			gb, gerr := got.Next()
@@ -249,7 +251,8 @@ func TestSessionSynthWorkIndependentOfLookahead(t *testing.T) {
 		}
 	}
 	visitedPerSecond := func(lookahead int) float64 {
-		src := NewSessionSynth(&SliceSource{batches: batches}, SynthOptions{LookaheadSec: lookahead})
+		src := NewSessionSynth(&SliceSource{batches: batches})
+		src.lookahead = int64(lookahead)
 		for {
 			if _, err := src.Next(); err == io.EOF {
 				break

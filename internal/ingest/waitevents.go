@@ -25,7 +25,7 @@ import (
 // sessions, and wait-event classes map onto the simulator's metric
 // vocabulary — Lock waits count as row-lock waits (relation locks as
 // metadata-lock waits), IO waits drive the IOPS-usage gauge and on-CPU
-// sessions the CPU-usage gauge, both scaled against Options.Cores.
+// sessions the CPU-usage gauge, both scaled against waitEventsCores.
 //
 // Query-log records are reconstructed ASH-style: a (pid, query_start)
 // pair that stops appearing has finished, and is emitted as a LogRecord
@@ -39,7 +39,6 @@ import (
 // source in Replay to densify. Malformed lines are counted and skipped.
 type WaitEventsSource struct {
 	r     *bufio.Scanner
-	opt   WaitEventsOptions
 	live  map[liveKey]*liveQuery
 	queue []Batch // completed batches not yet handed out
 	eof   bool
@@ -49,12 +48,9 @@ type WaitEventsSource struct {
 	firstMs, lastMs int64
 }
 
-// WaitEventsOptions configures the sampler adapter.
-type WaitEventsOptions struct {
-	// Cores scales on-CPU / in-IO session counts to utilization
-	// percentages: usage = min(100, sessions*100/Cores). Default 8.
-	Cores int
-}
+// waitEventsCores scales on-CPU / in-IO session counts to utilization
+// percentages: usage = min(100, sessions*100/waitEventsCores).
+const waitEventsCores = 8
 
 type liveKey struct {
 	pid     int64
@@ -83,13 +79,10 @@ type weSession struct {
 }
 
 // NewWaitEventsSource wraps r. The reader stays owned by the caller.
-func NewWaitEventsSource(r io.Reader, opt WaitEventsOptions) *WaitEventsSource {
-	if opt.Cores <= 0 {
-		opt.Cores = 8
-	}
+func NewWaitEventsSource(r io.Reader) *WaitEventsSource {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
-	return &WaitEventsSource{r: sc, opt: opt, live: make(map[liveKey]*liveQuery)}
+	return &WaitEventsSource{r: sc, live: make(map[liveKey]*liveQuery)}
 }
 
 // Next implements Source: one batch per snapshot line.
@@ -154,8 +147,8 @@ func (s *WaitEventsSource) sample(raw []byte) {
 		s.track(sess, tMs, ord)
 	}
 	row.AvgActiveSession = row.ActiveSession
-	row.CPUUsage = usagePct(row.CPUUsage, s.opt.Cores)
-	row.IOPSUsage = usagePct(row.IOPSUsage, s.opt.Cores)
+	row.CPUUsage = usagePct(row.CPUUsage, waitEventsCores)
+	row.IOPSUsage = usagePct(row.IOPSUsage, waitEventsCores)
 
 	b := Batch{Second: row.Second, Metrics: []dbsim.SecondMetrics{row}}
 	b.Records = s.reap(ord, tMs)

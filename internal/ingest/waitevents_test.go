@@ -41,7 +41,7 @@ func TestWaitEventsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	src := NewWaitEventsSource(f, WaitEventsOptions{Cores: 8})
+	src := NewWaitEventsSource(f)
 
 	var got weGolden
 	var rows []dbsim.SecondMetrics

@@ -21,7 +21,7 @@ import (
 func TestBackendEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	mem := logstore.New(60_000)
-	seg := logstore.Backend(mustOpen(t, dir, Options{TTLMs: 60_000, segmentRecords: 32, indexEvery: 4}))
+	seg := logstore.Backend(mustOpen(t, dir, Options{ttlMs: 60_000, segmentRecords: 32, indexEvery: 4}))
 
 	rng := rand.New(rand.NewSource(7))
 	topics := []string{"alpha", "beta", "gamma"}
@@ -105,7 +105,7 @@ func TestBackendEquivalence(t *testing.T) {
 	if err := seg.Close(); err != nil {
 		t.Fatal(err)
 	}
-	seg = mustOpen(t, dir, Options{TTLMs: 60_000, segmentRecords: 32, indexEvery: 4})
+	seg = mustOpen(t, dir, Options{ttlMs: 60_000, segmentRecords: 32, indexEvery: 4})
 	defer seg.Close()
 	check("after reopen")
 
@@ -149,7 +149,7 @@ func TestStrictAppendSlackParity(t *testing.T) {
 		for _, segRecords := range []int{2, 1 << 20} {
 			t.Run(fmt.Sprintf("%s/segment=%d", sq.name, segRecords), func(t *testing.T) {
 				dir := t.TempDir()
-				opt := Options{TTLMs: 1000, segmentRecords: segRecords, indexEvery: 2}
+				opt := Options{ttlMs: 1000, segmentRecords: segRecords, indexEvery: 2}
 				mem, seg := logstore.New(1000), mustOpen(t, dir, opt)
 				defer func() { seg.Close() }()
 				scans := func(stage string) {

@@ -199,7 +199,7 @@ func TestRollCrashMatrix(t *testing.T) {
 // cutting it — leaves it the segment: the next seal renames the very file,
 // and the store goes on scanning what the memory store scans, reopened too.
 func TestEverySealRolls(t *testing.T) {
-	opt := Options{segmentRecords: 16, indexEvery: 4, TTLMs: 1000}
+	opt := Options{segmentRecords: 16, indexEvery: 4, ttlMs: 1000}
 	head, tail := orderedRecs(8, 5000), orderedRecs(16, 5100)
 	triggers := map[string]func(t *testing.T, s *Store, mem *logstore.Store, dir string) *Store{
 		"wal masked by Expire": func(t *testing.T, s *Store, mem *logstore.Store, dir string) *Store {
@@ -224,7 +224,7 @@ func TestEverySealRolls(t *testing.T) {
 	for name, trigger := range triggers {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			s, mem := mustOpen(t, dir, opt), logstore.New(opt.TTLMs)
+			s, mem := mustOpen(t, dir, opt), logstore.New(opt.ttlMs)
 			s.AppendBatch("t", head)
 			mem.AppendBatch("t", slices.Clone(head))
 			s = trigger(t, s, mem, dir)
@@ -537,7 +537,7 @@ func TestSealedSegmentsHoldNoDescriptors(t *testing.T) {
 // watermark go first, so the record stays live after a restart.
 func TestWatermarkWrittenOnlyWhenItMasks(t *testing.T) {
 	dir := t.TempDir()
-	opt := Options{segmentRecords: 16, indexEvery: 4, TTLMs: 1000}
+	opt := Options{segmentRecords: 16, indexEvery: 4, ttlMs: 1000}
 	wmPath := filepath.Join(dir, "t", "t", "watermark")
 	s := mustOpen(t, dir, opt)
 	s.AppendBatch("t", orderedRecs(40, 5000)) // two segments and a wal, arrivals 5000–5130

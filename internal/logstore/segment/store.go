@@ -18,9 +18,6 @@ import (
 
 // Options configures a durable store.
 type Options struct {
-	// TTLMs is the record time-to-live in milliseconds; ≤ 0 selects
-	// logstore.DefaultTTLMs.
-	TTLMs int64
 	// SyncEvery fsyncs a topic's active wal after every SyncEvery
 	// appended records (and the registry delta after every interned
 	// template), bounding how much a power failure or OS crash can lose.
@@ -29,18 +26,21 @@ type Options struct {
 	// before Append returns — but not against losing the machine.
 	SyncEvery int
 
-	// segmentRecords seals the active wal once it holds this many records
-	// (default 8192), segmentBytes once its size reaches this many bytes
-	// (default 1 MiB); indexEvery is the sparse time-index granularity in
-	// records (default 64). The package's tests shrink them.
+	// ttlMs is the record time-to-live in milliseconds (default
+	// logstore.DefaultTTLMs). segmentRecords seals the active wal once it
+	// holds this many records (default 8192), segmentBytes once its size
+	// reaches this many bytes (default 1 MiB); indexEvery is the sparse
+	// time-index granularity in records (default 64). The package's tests
+	// shrink them.
+	ttlMs          int64
 	segmentRecords int
 	segmentBytes   int64
 	indexEvery     int
 }
 
 func (o Options) withDefaults() Options {
-	if o.TTLMs <= 0 {
-		o.TTLMs = logstore.DefaultTTLMs
+	if o.ttlMs <= 0 {
+		o.ttlMs = logstore.DefaultTTLMs
 	}
 	if o.segmentRecords <= 0 {
 		o.segmentRecords = 8192
@@ -383,7 +383,7 @@ func (s *Store) Err() error {
 }
 
 // TTL returns the configured time-to-live in milliseconds.
-func (s *Store) TTL() int64 { return s.opt.TTLMs }
+func (s *Store) TTL() int64 { return s.opt.ttlMs }
 
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
@@ -735,7 +735,7 @@ func (s *Store) Bounds(topicName string) (minMs, maxMs int64, ok bool) {
 // watermark, which is persisted whenever it masks something so the mask
 // survives restarts.
 func (s *Store) Expire(nowMs int64) int {
-	cutoff := nowMs - s.opt.TTLMs
+	cutoff := nowMs - s.opt.ttlMs
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	removed := 0

@@ -135,7 +135,7 @@ func TestReopenReplaysEverything(t *testing.T) {
 
 func TestExpireDeletesWholeSegments(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{segmentRecords: 10, indexEvery: 4, TTLMs: 1000})
+	s := mustOpen(t, dir, Options{segmentRecords: 10, indexEvery: 4, ttlMs: 1000})
 	for i := 0; i < 40; i++ {
 		s.Append("t", rec(int32(i), int64(i*100)))
 	}
@@ -164,7 +164,7 @@ func TestExpireDeletesWholeSegments(t *testing.T) {
 	// The watermark survives a restart: reopening must not resurrect
 	// expired records.
 	s.Close()
-	r := mustOpen(t, dir, Options{segmentRecords: 10, indexEvery: 4, TTLMs: 1000})
+	r := mustOpen(t, dir, Options{segmentRecords: 10, indexEvery: 4, ttlMs: 1000})
 	defer r.Close()
 	if got := r.Len("t"); got != 15 {
 		t.Errorf("Len after reopen = %d, want 15", got)

@@ -15,7 +15,7 @@ import (
 // and the wal cut in place).
 func TestTruncateFromEquivalence(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{TTLMs: 1 << 60, segmentRecords: 16, indexEvery: 4}
+	opts := Options{ttlMs: 1 << 60, segmentRecords: 16, indexEvery: 4}
 	mem := logstore.New(1 << 60)
 	seg := logstore.Backend(mustOpen(t, dir, opts))
 

@@ -24,30 +24,26 @@ type Options struct {
 	// (each worker keeps only the instances Assign routes to its shard).
 	Specs SpecSet
 
-	// Command builds the command that launches a worker for a config.
-	// Nil selects SelfCommand (re-exec this binary with EnvConfig set;
-	// the binary must call MaybeWorker first thing in main). Tests
-	// override it to strip the KillAt hook from respawns or point at a
-	// different binary.
-	Command func(cfg Config) *exec.Cmd
-
-	// ReadyTimeout bounds one worker's spawn-to-ready window (address
-	// file published and the /ready handshake answered). 0 = 60s.
-	ReadyTimeout time.Duration
-
-	// MaxRestarts caps how many times one shard's worker is relaunched
-	// after unexpected exits before the runtime gives up. 0 = 16.
-	MaxRestarts int
-
 	// KillAt is the crash-injection hook, forwarded to each worker's
 	// FIRST spawn only — a respawned worker never inherits it, so a
 	// kill-at test cannot crash-loop.
 	KillAt string
 }
 
+const (
+	// readyTimeout bounds one worker's spawn-to-ready window (address file
+	// published and the /ready handshake answered).
+	readyTimeout = 60 * time.Second
+
+	// maxRestarts caps how many times one shard's worker is relaunched
+	// after unexpected exits before the runtime gives up.
+	maxRestarts = 16
+)
+
 // SelfCommand relaunches the current binary as a worker: same executable,
 // EnvConfig carrying the JSON config. MaybeWorker on the child side picks
-// it up before anything else runs.
+// it up before anything else runs, so the binary must call it first thing
+// in main. Every worker is launched this way.
 func SelfCommand(cfg Config) *exec.Cmd {
 	exe, err := os.Executable()
 	if err != nil {
@@ -77,11 +73,9 @@ func Factory(opt Options) shard.RuntimeFactory {
 // cond; blocking API calls (Wait, drain) re-resolve the worker address
 // after every respawn.
 type Runtime struct {
-	cfg     Config
-	opt     Options
-	ids     []string // expected owned instance IDs, sorted
-	tmpDir  string   // addr-file temp dir to remove at Close ("" = none)
-	command func(cfg Config) *exec.Cmd
+	cfg    Config
+	ids    []string // expected owned instance IDs, sorted
+	tmpDir string   // addr-file temp dir to remove at Close ("" = none)
 
 	client     *http.Client // bounded calls: ready/status/report/metrics
 	longClient *http.Client // unbounded calls: wait/drain
@@ -111,13 +105,6 @@ func newRuntime(sh, shards int, specs []fleet.InstanceSpec, fopt fleet.Options, 
 	}
 	sort.Strings(ids)
 
-	if opt.ReadyTimeout <= 0 {
-		opt.ReadyTimeout = 60 * time.Second
-	}
-	if opt.MaxRestarts <= 0 {
-		opt.MaxRestarts = 16
-	}
-
 	// A worker opens the shard's data directory the manager resolved, and
 	// publishes its address beside it, where a restarted coordinator finds
 	// (and adopts) it. Without one the shard keeps no raw log, the address
@@ -145,16 +132,11 @@ func newRuntime(sh, shards int, specs []fleet.InstanceSpec, fopt fleet.Options, 
 			AddrFile:   filepath.Join(addrDir, fmt.Sprintf("worker-%d.addr", sh)),
 			KillAt:     opt.KillAt,
 		},
-		opt:        opt,
 		ids:        ids,
 		tmpDir:     tmpDir,
-		command:    opt.Command,
 		client:     &http.Client{Timeout: 30 * time.Second},
 		longClient: &http.Client{},
 		superDone:  make(chan struct{}),
-	}
-	if r.command == nil {
-		r.command = SelfCommand
 	}
 	r.cond = sync.NewCond(&r.mu)
 
@@ -188,7 +170,7 @@ func (r *Runtime) spawn(withKill bool) error {
 		cfg.KillAt = ""
 	}
 	_ = os.Remove(cfg.AddrFile)
-	cmd := r.command(cfg)
+	cmd := SelfCommand(cfg)
 	if err := cmd.Start(); err != nil {
 		return fmt.Errorf("spawn worker %d: %w", r.cfg.Shard, err)
 	}
@@ -218,7 +200,7 @@ func (r *Runtime) spawn(withKill bool) error {
 // instance IDs. cmd (optional) lets the poll fail fast if the child dies
 // before publishing.
 func (r *Runtime) awaitReady(addrFile string, cmd *exec.Cmd) (string, error) {
-	deadline := time.Now().Add(r.opt.ReadyTimeout)
+	deadline := time.Now().Add(readyTimeout)
 	var lastErr error
 	for time.Now().Before(deadline) {
 		if cmd != nil && cmd.ProcessState != nil {
@@ -236,7 +218,7 @@ func (r *Runtime) awaitReady(addrFile string, cmd *exec.Cmd) (string, error) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	return "", fmt.Errorf("worker %d not ready after %s: %w", r.cfg.Shard, r.opt.ReadyTimeout, lastErr)
+	return "", fmt.Errorf("worker %d not ready after %s: %w", r.cfg.Shard, readyTimeout, lastErr)
 }
 
 // handshake validates GET /ready against what this coordinator expects.
@@ -296,7 +278,7 @@ func (r *Runtime) supervise() {
 		}
 		r.down = true
 		r.restarts++
-		give := r.restarts > r.opt.MaxRestarts
+		give := r.restarts > maxRestarts
 		r.cond.Broadcast()
 		r.mu.Unlock()
 
@@ -379,7 +361,7 @@ func (r *Runtime) liveAddr() (string, error) {
 
 // getJSON performs a bounded GET with respawn-aware retries.
 func (r *Runtime) getJSON(path string, v any) error {
-	deadline := time.Now().Add(r.opt.ReadyTimeout)
+	deadline := time.Now().Add(readyTimeout)
 	var lastErr error
 	for {
 		addr, err := r.liveAddr()

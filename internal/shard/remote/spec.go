@@ -1,7 +1,7 @@
 // Package remote runs shards as separate pinsqld worker processes behind
 // the shard.Runtime seam. The coordinator side (Factory / Runtime)
 // supervises one child process per shard and speaks a small versioned
-// HTTP/JSON worker API to it; the worker side (MaybeWorker / RunWorker)
+// HTTP/JSON worker API to it; the worker side (MaybeWorker)
 // opens the shard's fleet exactly as the in-process runtime would —
 // same worker split, same shard-<k> data directory, same shard-labelled
 // metrics — so the aggregated fleet report is byte-identical across the

@@ -90,17 +90,17 @@ func MaybeWorker() {
 		fmt.Fprintf(os.Stderr, "pinsql-worker: bad %s: %v\n", EnvConfig, err)
 		os.Exit(2)
 	}
-	if err := RunWorker(cfg); err != nil {
+	if err := runWorker(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "pinsql-worker:", err)
 		os.Exit(1)
 	}
 	os.Exit(0)
 }
 
-// RunWorker opens the shard's fleet, publishes the address file, and
+// runWorker opens the shard's fleet, publishes the address file, and
 // serves the worker API until the coordinator posts /api/v1/quit. It is
 // the whole worker main loop.
-func RunWorker(cfg Config) error {
+func runWorker(cfg Config) error {
 	if cfg.APIVersion != APIVersion {
 		return fmt.Errorf("worker speaks API v%d, config is v%d", APIVersion, cfg.APIVersion)
 	}
