@@ -10,9 +10,9 @@
 // deterministic incident rotation injects an anomaly every other window so
 // the pipeline has work.
 //
-// With -data-dir every instance's query-log store, template registry, and
-// committed-window journal live on disk (internal/logstore/segment): a
-// restart — even after SIGKILL — resumes every instance at its last
+// With -data-dir every instance's query-log store (internal/logstore/segment)
+// and the committed-window journal, which also holds the templates the
+// stored records name, live on disk: a restart — even after SIGKILL — resumes every instance at its last
 // committed window and runs the remainder of its `-windows` target,
 // reproducing the uninterrupted run byte for byte. Without it no raw log is
 // kept, and reports stay in memory.

@@ -87,8 +87,8 @@ func TestIngestBatchMatchesRecordLoop(t *testing.T) {
 		}
 
 		wantFrame, wantScan, want := run(func() int { return 1 })
-		if want.Records() == 0 || len(want.Registry().Entries()) < 30 {
-			t.Fatalf("seed %d: fixture too tame: %d records, %d templates", seed, want.Records(), len(want.Registry().Entries()))
+		if want.Records() == 0 || want.Registry().Len() < 30 {
+			t.Fatalf("seed %d: fixture too tame: %d records, %d templates", seed, want.Records(), want.Registry().Len())
 		}
 		cuts := map[string]func() int{
 			"whole":  func() int { return len(recs) },
@@ -103,7 +103,7 @@ func TestIngestBatchMatchesRecordLoop(t *testing.T) {
 			if !reflect.DeepEqual(gotScan, wantScan) {
 				t.Fatalf("seed %d %s: store scan diverges (%d vs %d records)", seed, name, len(gotScan), len(wantScan))
 			}
-			if !reflect.DeepEqual(got.Registry().Entries(), want.Registry().Entries()) {
+			if !reflect.DeepEqual(got.Registry().Since(0), want.Registry().Since(0)) {
 				t.Fatalf("seed %d %s: registry diverges", seed, name)
 			}
 			gh, gm, _ := got.Registry().RawCacheStats()

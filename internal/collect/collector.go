@@ -101,10 +101,9 @@ type identSlot struct {
 // handing it the live series, and from then on every ingest panics, so
 // nothing writes a sealed frame.
 //
-// Lock order: c.mu → the registry's lock → the store's locks. IngestBatch
-// interns (persistence hook included) and the seal appends to the store
-// under c.mu; neither the registry nor a store ever calls back into a
-// collector.
+// Lock order: c.mu before the registry's lock, and c.mu before the store's
+// locks. IngestBatch interns and the seal appends to the store under c.mu;
+// neither the registry nor a store ever calls back into a collector.
 type Collector struct {
 	mu       sync.Mutex
 	released bool // Release was called: lock panics

@@ -1,10 +1,11 @@
 // Package collect is the data-collection and pre-processing half of
 // PinSQL's first module (§IV-A): it takes the query-log stream of a
 // database instance a batch at a time (or, for live fan-out, through the
-// in-process Broker, the Kafka substitute), keeps compact per-query
-// records in a TTL'd log store, and aggregates them into per-template
+// in-process Broker, the Kafka substitute), aggregates it into per-template
 // per-second metric series (the Flink substitute is the Collector),
-// alongside the instance performance metrics.
+// alongside the instance performance metrics, and holds each window's
+// compact per-query records until it hands them, in arrival order, to a
+// log store.
 package collect
 
 import (
@@ -16,13 +17,14 @@ import (
 	"pinsql/internal/sqltemplate"
 )
 
-// TemplateMeta is the registry entry for one SQL template.
+// TemplateMeta is the registry entry for one SQL template; its JSON form is
+// the row a durable fleet journals for each template it interns.
 type TemplateMeta struct {
-	Index int32          // dense index used by compact log records
-	ID    sqltemplate.ID // digest of the normalized statement
-	Text  string         // normalized statement
-	Table string
-	Kind  dbsim.QueryKind
+	Index int32           `json:"index"` // dense index used by compact log records
+	ID    sqltemplate.ID  `json:"id"`    // digest of the normalized statement
+	Text  string          `json:"text"`  // normalized statement
+	Table string          `json:"table"`
+	Kind  dbsim.QueryKind `json:"kind"`
 }
 
 // Registry interns SQL templates: structurally identical statements map to
@@ -38,9 +40,6 @@ type Registry struct {
 	// and the ID that is its hex always name the same entry.
 	byFP   map[uint32]int32
 	fpHits atomic.Uint64
-	// onIntern, when set, observes every newly created entry (under the
-	// write lock, in dense index order) — the persistence hook.
-	onIntern func(TemplateMeta)
 }
 
 // NewRegistry creates an empty registry.
@@ -123,9 +122,6 @@ func (r *Registry) intern(rec *dbsim.LogRecord) TemplateMeta {
 			Kind:  rec.Kind,
 		})
 		r.byID[id] = idx
-		if r.onIntern != nil {
-			r.onIntern(r.entries[idx])
-		}
 	}
 	if raw {
 		r.byFP[fp] = idx
@@ -133,38 +129,33 @@ func (r *Registry) intern(rec *dbsim.LogRecord) TemplateMeta {
 	return r.entries[idx]
 }
 
-// SetOnIntern installs a callback observing every newly interned template
-// in dense index order. The callback runs under the registry's write lock:
-// it must be quick and must not call back into the registry.
-func (r *Registry) SetOnIntern(fn func(TemplateMeta)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.onIntern = fn
-}
-
-// Entries returns a copy of every interned template in dense index order.
-func (r *Registry) Entries() []TemplateMeta {
+// Since returns a copy of the templates interned at dense index n and
+// after, in index order; nil when there are none.
+func (r *Registry) Since(n int) []TemplateMeta {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]TemplateMeta, len(r.entries))
-	copy(out, r.entries)
-	return out
+	if n >= len(r.entries) {
+		return nil
+	}
+	return append([]TemplateMeta(nil), r.entries[n:]...)
 }
 
-// restore re-inserts a previously persisted entry; metas must arrive in
-// dense index order with no duplicates.
-func (r *Registry) restore(meta TemplateMeta) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if int(meta.Index) != len(r.entries) {
-		return fmt.Errorf("collect: registry restore index %d, want %d", meta.Index, len(r.entries))
+// RestoreRegistry rebuilds a registry from templates persisted in dense
+// index order from 0 — Since(0) of the registry that interned them — so
+// the TemplateIdx of records written before a restart still resolves.
+func RestoreRegistry(entries []TemplateMeta) (*Registry, error) {
+	r := NewRegistry()
+	for _, meta := range entries {
+		if int(meta.Index) != len(r.entries) {
+			return nil, fmt.Errorf("collect: registry restore index %d, want %d", meta.Index, len(r.entries))
+		}
+		if _, ok := r.byID[meta.ID]; ok {
+			return nil, fmt.Errorf("collect: registry restore duplicate template %s", meta.ID)
+		}
+		r.entries = append(r.entries, meta)
+		r.byID[meta.ID] = meta.Index
 	}
-	if _, ok := r.byID[meta.ID]; ok {
-		return fmt.Errorf("collect: registry restore duplicate template %s", meta.ID)
-	}
-	r.entries = append(r.entries, meta)
-	r.byID[meta.ID] = meta.Index
-	return nil
+	return r, nil
 }
 
 // Lookup returns the entry for a template ID.

@@ -3,7 +3,7 @@ package collect
 // Tests for the registry's fingerprint index: resolving a raw-SQL record by
 // sqltemplate.Fingerprint must be indistinguishable from normalizing it,
 // hashing the text and looking the ID up (registry_ref_test.go) — same
-// TemplateMeta per call, same entries, same onIntern sequence — while doing
+// TemplateMeta per call, same entries, interned in the same order — while doing
 // none of that work on a hit, holding no raw text, and staying race-clean.
 
 import (
@@ -18,7 +18,6 @@ import (
 
 	"pinsql/internal/dbsim"
 	"pinsql/internal/ingest"
-	"pinsql/internal/logstore/segment"
 	"pinsql/internal/sqltemplate"
 )
 
@@ -88,21 +87,20 @@ func fingerprintCollision(t *testing.T) (a, b string) {
 
 // internAgainstReference drives recs through reg and the oracle and fails
 // on the first call whose results differ, then compares entries and the
-// onIntern sequence (reg's hook must not have been set by the caller).
+// templates the run interned, Since the registry's size before it.
 func internAgainstReference(t *testing.T, name string, reg *Registry, ref *refRegistry, recs []dbsim.LogRecord) {
 	t.Helper()
-	var interned []TemplateMeta
-	reg.SetOnIntern(func(m TemplateMeta) { interned = append(interned, m) })
+	start := reg.Len()
 	for i, rec := range recs {
 		if got, want := reg.Intern(rec), ref.Intern(rec); got != want {
 			t.Fatalf("%s: record %d (%q / %q): got %+v, reference %+v", name, i, rec.TemplateID, rec.SQL, got, want)
 		}
 	}
-	if !reflect.DeepEqual(reg.Entries(), ref.entries) {
+	if !reflect.DeepEqual(reg.Since(0), ref.entries) {
 		t.Fatalf("%s: entries diverge from the reference", name)
 	}
-	if !reflect.DeepEqual(interned, ref.interned) {
-		t.Fatalf("%s: onIntern saw %d entries, reference %d, or in another order", name, len(interned), len(ref.interned))
+	if interned := reg.Since(start); !reflect.DeepEqual(interned, ref.interned) {
+		t.Fatalf("%s: the run interned %d entries, reference %d, or in another order", name, len(interned), len(ref.interned))
 	}
 	if hits, misses, size := reg.RawCacheStats(); misses != uint64(size) || size > reg.Len() {
 		t.Fatalf("%s: %d hits, %d first sights, index size %d, %d entries", name, hits, misses, size, reg.Len())
@@ -138,33 +136,24 @@ func TestRegistryCacheDifferential(t *testing.T) {
 	fresh("one fingerprint, two templates", []dbsim.LogRecord{{SQL: a, Table: "a"}, {SQL: b, Table: "b"}, {SQL: a}, {SQL: b}})
 	fresh("one fingerprint, two templates, reversed", []dbsim.LogRecord{{SQL: b, Table: "b"}, {SQL: a, Table: "a"}})
 
-	// A registry restored from a segment store, then raw first sights of a
-	// restored template and of a new one.
-	dir := t.TempDir()
-	st, err := segment.Open(dir, segment.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg, err := OpenRegistry(st)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A registry restored from another's templates, then raw first sights
+	// of a restored template and of a new one.
+	reg := NewRegistry()
 	for _, rec := range []dbsim.LogRecord{digested, opaque, {SQL: "DELETE FROM carts WHERE uid = 9", Table: "carts", Kind: dbsim.KindDelete}} {
 		reg.Intern(rec)
 	}
-	before := reg.Entries()
-	if err := st.Close(); err != nil {
+	before := reg.Since(0)
+	reg, err := RestoreRegistry(before)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if st, err = segment.Open(dir, segment.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if reg, err = OpenRegistry(st); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(reg.Entries(), before) {
+	if !reflect.DeepEqual(reg.Since(0), before) {
 		t.Fatal("restored registry differs from the one persisted")
+	}
+	for _, bad := range [][]TemplateMeta{before[1:], {before[0], before[0]}, {before[0], {Index: 1, ID: before[0].ID}}} {
+		if _, err := RestoreRegistry(bad); err == nil {
+			t.Fatalf("RestoreRegistry accepted %+v", bad)
+		}
 	}
 	internAgainstReference(t, "restored", reg, newRefRegistry(before), []dbsim.LogRecord{
 		raw, {SQL: "DELETE FROM carts WHERE uid = 10"}, {SQL: "SELECT 1 FROM dual"}, raw, digested,

@@ -8,14 +8,14 @@ import (
 // refRegistry is the parent's Registry.Intern with its raw-text cache off,
 // kept as the oracle for the fingerprint index: every raw-SQL record is
 // normalized to a string, the string hashed to an ID, the ID looked up in
-// the one map. interned is the sequence the onIntern hook would have seen.
+// the one map. interned is the sequence of templates it created.
 type refRegistry struct {
 	byID     map[sqltemplate.ID]int32
 	entries  []TemplateMeta
 	interned []TemplateMeta
 }
 
-// newRefRegistry starts from restored entries, as OpenRegistry does.
+// newRefRegistry starts from restored entries, as RestoreRegistry does.
 func newRefRegistry(restored []TemplateMeta) *refRegistry {
 	r := &refRegistry{byID: make(map[sqltemplate.ID]int32)}
 	for _, m := range restored {

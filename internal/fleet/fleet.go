@@ -89,6 +89,8 @@ type stagedWindow struct {
 	fromMs, toMs int64
 	coll         *collect.Collector
 	shed         bool
+	// templates are those the window interned first, journaled with it.
+	templates []collect.TemplateMeta
 
 	rep *WindowReport
 	// suggestions[i] belongs to rep.Anomalies[i]; executed at commit.
@@ -192,7 +194,7 @@ func New(specs []InstanceSpec, opt Options) (*Fleet, error) {
 		withDefaults = append(withDefaults, spec)
 	}
 
-	recovered := map[string][]*WindowReport{}
+	var recovered map[string]history
 	if opt.DataDir != "" {
 		if err := os.MkdirAll(opt.DataDir, 0o755); err != nil {
 			return nil, err
@@ -224,25 +226,23 @@ func New(specs []InstanceSpec, opt Options) (*Fleet, error) {
 const journalFile = "journal.jsonl"
 
 // openInstance opens one instance's storage, adopts its committed history
-// (recovered from the fleet journal), and rebuilds its world/simulator
-// state.
-func (f *Fleet) openInstance(spec InstanceSpec, reports []*WindowReport) (*instState, error) {
-	st := &instState{spec: spec, reports: reports}
+// (recovered from the fleet journal: windows and templates), and rebuilds
+// its world/simulator state.
+func (f *Fleet) openInstance(spec InstanceSpec, hist history) (*instState, error) {
+	registry, err := collect.RestoreRegistry(hist.templates)
+	if err != nil {
+		return nil, err
+	}
+	st := &instState{spec: spec, reports: hist.reports, registry: registry}
 	windowMs := int64(spec.WindowSec) * 1000
 
-	if f.opt.DataDir == "" {
-		st.registry = collect.NewRegistry()
-	} else {
+	if f.opt.DataDir != "" {
 		dir := filepath.Join(f.opt.DataDir, url.PathEscape(spec.ID))
 		seg, err := segment.Open(dir, segment.Options{SyncEvery: f.opt.SyncEvery})
 		if err != nil {
 			return nil, err
 		}
 		st.seg = seg
-		if st.registry, err = collect.OpenRegistry(seg); err != nil {
-			seg.Close()
-			return nil, err
-		}
 		// Discard the partially committed suffix: everything at or after
 		// the first unjournaled window boundary is replayed from scratch.
 		seg.TruncateFrom(spec.ID, int64(len(st.reports))*windowMs)
@@ -508,6 +508,7 @@ func (f *Fleet) simWindow(st *instState, w int) (*stagedWindow, bool, error) {
 		injected = spec.Inject(st.world, w, fromMs, toMs)
 	}
 
+	known := st.registry.Len()
 	coll := collect.NewCollector(spec.ID, fromMs, toMs, st.registry, nil)
 	rows, more, err := st.play.PlayWindowBatches(fromMs, toMs, coll.IngestBatch)
 	if err != nil {
@@ -526,7 +527,8 @@ func (f *Fleet) simWindow(st *instState, w int) (*stagedWindow, bool, error) {
 	}
 	return &stagedWindow{
 		window: w, fromMs: fromMs, toMs: toMs,
-		coll: coll,
+		coll:      coll,
+		templates: st.registry.Since(known),
 		rep: &WindowReport{
 			Window: w, FromMs: fromMs, ToMs: toMs,
 			Injected:    injected,
@@ -640,8 +642,9 @@ func (f *Fleet) crash(id string, window int, phase string) bool {
 //     they are dropped unarranged;
 //  2. repairing actions execute (when AutoRepair) against the live
 //     world/simulator and are recorded with their Executed flags;
-//  3. the window is journaled (fsync) — this is the commit point a
-//     restart counts;
+//  3. the window is journaled (fsync), with the templates it interned
+//     first — this is the commit point a restart counts, for records and
+//     templates alike;
 //  4. the segment store expires past-TTL records.
 //
 // A crash anywhere before (3) leaves an unjournaled suffix in the topic
@@ -688,7 +691,7 @@ func (f *Fleet) commit(st *instState, sw *stagedWindow) error {
 		return errCrashed
 	}
 	if f.journal != nil {
-		if err := f.journal.Append(id, sw.rep); err != nil {
+		if err := f.journal.Append(id, sw.rep, sw.templates); err != nil {
 			return err
 		}
 	}

@@ -73,10 +73,14 @@ func TestFleetWorkersEquivalence(t *testing.T) {
 
 // TestFleetCrashResume is the durability contract: kill the fleet at every
 // commit phase of a mid-run window, reopen the data directory, and the
-// finished fleet's report is byte-identical to an uninterrupted run's.
+// finished fleet's report is byte-identical to an uninterrupted run's, and
+// so is every stored record, its template resolved through the registry the
+// resumed fleet restored from its journal.
 func TestFleetCrashResume(t *testing.T) {
 	specs := testSpecs()
-	want, _ := runReport(t, specs, Options{Workers: 4, QueueDepth: 16, DataDir: t.TempDir()})
+	wantDir := t.TempDir()
+	want, wantFleet := runReport(t, specs, Options{Workers: 4, QueueDepth: 16, DataDir: wantDir})
+	wantRows := storedRows(t, wantFleet, wantDir)
 
 	for _, phase := range []string{"pre-append", "mid-append", "pre-journal", "post-journal"} {
 		t.Run(phase, func(t *testing.T) {
@@ -120,6 +124,18 @@ func TestFleetCrashResume(t *testing.T) {
 			for _, is := range f2.Status().Instances {
 				if !is.Done || is.Committed != is.Windows {
 					t.Fatalf("instance %s did not finish: committed %d/%d", is.ID, is.Committed, is.Windows)
+				}
+			}
+			gotRows := storedRows(t, f2, dir)
+			for _, id := range f2.IDs() {
+				got, want := gotRows[id], wantRows[id]
+				if len(got) != len(want) || len(want) == 0 {
+					t.Fatalf("%s: %d stored rows after the restart, %d uninterrupted", id, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s row %d: %+v after the restart, %+v uninterrupted", id, i, got[i], want[i])
+					}
 				}
 			}
 		})

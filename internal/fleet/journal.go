@@ -7,6 +7,8 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
+
+	"pinsql/internal/collect"
 )
 
 // journalEntry is one committed window in the fleet journal. The journal is
@@ -14,10 +16,26 @@ import (
 // the shard manager means one file per shard), so each line carries the
 // instance it belongs to. Within one instance the entries are strictly
 // window-ordered; across instances they interleave in commit order.
+//
+// Templates are the templates the window interned first, in dense index
+// order: a template becomes durable in the fsync that commits the first
+// window whose records name it, so recovery never restores a template of a
+// window it throws away, nor keeps a record whose template it lost.
 type journalEntry struct {
-	Instance string        `json:"instance"`
-	Report   *WindowReport `json:"report"`
+	Instance  string                 `json:"instance"`
+	Report    *WindowReport          `json:"report"`
+	Templates []collect.TemplateMeta `json:"templates,omitempty"`
 }
+
+// history is one instance's committed state as the journal holds it: its
+// windows in order, and the templates they interned in dense index order.
+type history struct {
+	reports   []*WindowReport
+	templates []collect.TemplateMeta
+}
+
+// journalMaxLine bounds one journal line; a longer line fails the open.
+const journalMaxLine = 1 << 24
 
 // journal is the fleet's committed-window log with group commit: every
 // Append is durable when it returns (the fsync is the commit point a
@@ -43,24 +61,27 @@ type journal struct {
 	windows atomic.Int64
 }
 
-// openJournal loads the committed-window prefix of a fleet journal. Every
-// entry must belong to a known instance (windowMs maps instance ID to its
-// window length) and continue that instance's contiguous window sequence;
-// the scan stops at the first torn or out-of-sequence line (a crash
-// mid-batch leaves a partial tail), truncates the file to the good prefix,
-// and leaves it open for appends. An entry for an unknown instance is an
-// error, not a truncation point — it means the journal belongs to a
-// different fleet configuration and silently discarding it would destroy
-// committed history.
-func openJournal(path string, windowMs map[string]int64) (*journal, map[string][]*WindowReport, error) {
+// openJournal loads the committed-window prefix of a fleet journal, split
+// by instance. Every entry must belong to a known instance (windowMs maps
+// instance ID to its window length) and continue that instance's
+// contiguous window sequence; the scan stops at the first torn or
+// out-of-sequence line (a crash mid-batch leaves a partial tail), truncates
+// the file to the good prefix, and leaves it open for appends. Three cases
+// fail the open instead and leave the file as it was, since discarding
+// what follows them would destroy committed history: an entry for an
+// unknown instance (the journal belongs to another fleet configuration),
+// templates that do not continue their instance's dense index sequence
+// (the journal was damaged), and a line the scan cannot read (too long, or
+// a read error).
+func openJournal(path string, windowMs map[string]int64) (*journal, map[string]history, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, nil, err
 	}
-	byInst := make(map[string][]*WindowReport)
+	byInst := make(map[string]history)
 	good := int64(0)
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
+	sc.Buffer(make([]byte, 0, 1<<20), journalMaxLine)
 	for sc.Scan() {
 		line := sc.Bytes()
 		var e journalEntry
@@ -72,12 +93,25 @@ func openJournal(path string, windowMs map[string]int64) (*journal, map[string][
 			f.Close()
 			return nil, nil, fmt.Errorf("fleet: journal %s references unknown instance %q (fleet configuration changed?)", path, e.Instance)
 		}
-		w := len(byInst[e.Instance])
+		h := byInst[e.Instance]
+		w := len(h.reports)
 		if e.Report.Window != w || e.Report.FromMs != int64(w)*wm || e.Report.ToMs != int64(w+1)*wm {
 			break
 		}
-		byInst[e.Instance] = append(byInst[e.Instance], e.Report)
+		for _, tpl := range e.Templates {
+			if int(tpl.Index) != len(h.templates) {
+				f.Close()
+				return nil, nil, fmt.Errorf("fleet: journal %s: instance %q window %d journals template index %d, want %d", path, e.Instance, w, tpl.Index, len(h.templates))
+			}
+			h.templates = append(h.templates, tpl)
+		}
+		h.reports = append(h.reports, e.Report)
+		byInst[e.Instance] = h
 		good += int64(len(line)) + 1
+	}
+	if err := sc.Err(); err != nil {
+		f.Close()
+		return nil, nil, fmt.Errorf("fleet: journal %s: reading after %d good bytes: %w", path, good, err)
 	}
 	if err := f.Truncate(good); err != nil {
 		f.Close()
@@ -92,11 +126,12 @@ func openJournal(path string, windowMs map[string]int64) (*journal, map[string][
 	return j, byInst, nil
 }
 
-// Append makes one committed window durable. It returns only after an
-// fsync covering the entry completed; entries appended concurrently ride
-// the same batch and share that fsync.
-func (j *journal) Append(id string, rep *WindowReport) error {
-	line, err := json.Marshal(journalEntry{Instance: id, Report: rep})
+// Append makes one committed window durable, with the templates it
+// interned first. It returns only after an fsync covering the entry
+// completed; entries appended concurrently ride the same batch and share
+// that fsync.
+func (j *journal) Append(id string, rep *WindowReport, templates []collect.TemplateMeta) error {
+	line, err := json.Marshal(journalEntry{Instance: id, Report: rep, Templates: templates})
 	if err != nil {
 		return err
 	}

@@ -2,9 +2,11 @@ package fleet
 
 import (
 	"fmt"
+	"io/fs"
 	"net/url"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -12,6 +14,7 @@ import (
 
 	"pinsql/internal/logstore"
 	"pinsql/internal/logstore/segment"
+	"pinsql/internal/sqltemplate"
 )
 
 // checkStoredTopics reopens every instance's segment store under the
@@ -52,6 +55,39 @@ func checkStoredTopics(t *testing.T, f *Fleet, dir string) {
 		}
 		store.Close()
 	}
+}
+
+// storedRow is one stored record with its template resolved to an ID.
+type storedRow struct {
+	arrivalMs  int64
+	template   sqltemplate.ID
+	responseMs float64
+	rows       int64
+}
+
+// storedRows reopens every instance's segment store under dir and reads
+// its topic back, each record's TemplateIdx resolved through the fleet's
+// registry — for a restarted fleet, the one it restored from its journal.
+func storedRows(t *testing.T, f *Fleet, dir string) map[string][]storedRow {
+	t.Helper()
+	out := make(map[string][]storedRow)
+	for _, id := range f.IDs() {
+		store, err := segment.Open(filepath.Join(dir, url.PathEscape(id)), segment.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := f.insts[id].registry
+		store.ScanFunc(id, -1<<62, 1<<62, func(rec logstore.Record) bool {
+			if int(rec.TemplateIdx) >= reg.Len() {
+				t.Errorf("%s: record at %d names template %d of a registry of %d", id, rec.ArrivalMs, rec.TemplateIdx, reg.Len())
+				return false
+			}
+			out[id] = append(out[id], storedRow{rec.ArrivalMs, reg.At(rec.TemplateIdx).ID, rec.ResponseMs, rec.ExaminedRows})
+			return true
+		})
+		store.Close()
+	}
+	return out
 }
 
 // TestFleetStoresWhatItCommits is the first reader of the fleet's topics:
@@ -170,4 +206,50 @@ func TestFleetFailsLoudlyOnDiskError(t *testing.T) {
 	if got != want {
 		t.Fatalf("report after the failure and a restart differs from an unfailed run's:\n%s\nwant\n%s", got, want)
 	}
+}
+
+// TestFleetRefusesRegistryLayout: a data directory whose instance store
+// still holds the template-registry file of the earlier layout does not
+// open — New names the file — and the store and the journal are left as
+// they were.
+func TestFleetRefusesRegistryLayout(t *testing.T) {
+	specs := []InstanceSpec{DefaultSpec("inst-00", 7, 1, 60)}
+	for _, name := range []string{"registry.snap", "registry.delta"} {
+		dir := t.TempDir()
+		runReport(t, specs, Options{Workers: 1, DataDir: dir})
+		legacy := filepath.Join(dir, "inst-00", name)
+		if err := os.WriteFile(legacy, []byte("PSEGREG1"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := treeOf(t, dir)
+		if f, err := New(specs, Options{DataDir: dir}); err == nil {
+			f.Close()
+			t.Fatalf("%s: a store of the earlier layout opened", name)
+		} else if !strings.Contains(err.Error(), legacy) {
+			t.Fatalf("%s: New: %v, want an error naming %s", name, err, legacy)
+		}
+		if after := treeOf(t, dir); !reflect.DeepEqual(before, after) {
+			t.Fatalf("%s: the refused data directory changed", name)
+		}
+	}
+}
+
+// treeOf maps every file under dir to its contents and every directory to
+// "/".
+func treeOf(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	tree := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			tree[path] = "/"
+			return err
+		}
+		data, err := os.ReadFile(path)
+		tree[path] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree
 }

@@ -110,62 +110,3 @@ func decodeRecord(payload []byte, prev int64) (logstore.Record, error) {
 	rec.ExaminedRows = rows
 	return rec, nil
 }
-
-// appendString appends a length-prefixed string.
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-// decodeString decodes a length-prefixed string from p, returning it and
-// the number of bytes consumed.
-func decodeString(p []byte) (string, int, error) {
-	ln, n := binary.Uvarint(p)
-	if n <= 0 || ln > maxFrameLen || int(ln) > len(p)-n {
-		return "", 0, errCorrupt
-	}
-	return string(p[n : n+int(ln)]), n + int(ln), nil
-}
-
-// Registry entry payload layout:
-//
-//	uvarint(Index) | str(ID) | str(Text) | str(Table) | varint(Kind)
-
-// appendRegistryEntry appends the payload encoding of a registry entry.
-func appendRegistryEntry(dst []byte, e RegistryEntry) []byte {
-	dst = binary.AppendUvarint(dst, uint64(uint32(e.Index)))
-	dst = appendString(dst, e.ID)
-	dst = appendString(dst, e.Text)
-	dst = appendString(dst, e.Table)
-	return binary.AppendVarint(dst, int64(e.Kind))
-}
-
-// decodeRegistryEntry decodes one registry entry payload.
-func decodeRegistryEntry(payload []byte) (RegistryEntry, error) {
-	var e RegistryEntry
-	idx, n := binary.Uvarint(payload)
-	if n <= 0 || idx > math.MaxUint32 {
-		return e, errCorrupt
-	}
-	payload = payload[n:]
-	var err error
-	if e.ID, n, err = decodeString(payload); err != nil {
-		return e, err
-	}
-	payload = payload[n:]
-	if e.Text, n, err = decodeString(payload); err != nil {
-		return e, err
-	}
-	payload = payload[n:]
-	if e.Table, n, err = decodeString(payload); err != nil {
-		return e, err
-	}
-	payload = payload[n:]
-	kind, n := binary.Varint(payload)
-	if n <= 0 || n != len(payload) || kind < math.MinInt32 || kind > math.MaxInt32 {
-		return e, errCorrupt
-	}
-	e.Index = int32(uint32(idx))
-	e.Kind = int32(kind)
-	return e, nil
-}

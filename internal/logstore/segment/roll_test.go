@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io/fs"
 	"maps"
 	"os"
 	"path/filepath"
@@ -319,6 +320,65 @@ func TestRefusesVersion1Layout(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRefusesRegistryLayout: a store directory that still holds a
+// template-registry file of the earlier layout does not open — Open names
+// the file — and is left byte for byte as it was, topics included; a bare
+// one does not gain its topics directory.
+func TestRefusesRegistryLayout(t *testing.T) {
+	for _, name := range []string{"registry.snap", "registry.delta"} {
+		for _, withRecords := range []bool{true, false} {
+			dir := t.TempDir()
+			if withRecords {
+				s := mustOpen(t, dir, smallOpts())
+				if _, err := s.AppendBatch("t", orderedRecs(40, 0)); err != nil {
+					t.Fatal(err)
+				}
+				s.Close()
+			}
+			path := filepath.Join(dir, name)
+			if err := os.WriteFile(path, []byte("PSEGREG1"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := readTree(t, dir)
+
+			s, err := Open(dir, smallOpts())
+			if err == nil {
+				s.Close()
+				t.Fatalf("%s (records %v): the earlier layout opened", name, withRecords)
+			}
+			if !errors.Is(err, errRegistryLayout) || !strings.Contains(err.Error(), path) {
+				t.Fatalf("%s (records %v): Open: %v, want %s refused", name, withRecords, err, path)
+			}
+			if after := readTree(t, dir); !maps.EqualFunc(before, after, bytes.Equal) {
+				t.Fatalf("%s (records %v): the refused directory changed: %d entries before, %d after", name, withRecords, len(before), len(after))
+			}
+		}
+	}
+}
+
+// readTree maps every file under dir to its bytes, and every directory
+// (with a trailing slash) to nil.
+func readTree(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	tree := map[string][]byte{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		if err != nil || d.IsDir() {
+			tree[rel+"/"] = nil
+			return err
+		}
+		tree[rel], err = os.ReadFile(path)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree
 }
 
 // writeTopicFiles lays out a topic directory of this format version: each

@@ -33,7 +33,6 @@ import (
 const (
 	segMagic   = "PSEGSEG1"
 	walMagicV1 = "PSEGWAL1"
-	regMagic   = "PSEGREG1"
 
 	formatVersion = 2
 )

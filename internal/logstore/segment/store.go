@@ -19,11 +19,10 @@ import (
 // Options configures a durable store.
 type Options struct {
 	// SyncEvery fsyncs a topic's active wal after every SyncEvery
-	// appended records (and the registry delta after every interned
-	// template), bounding how much a power failure or OS crash can lose.
-	// 0 (the default) syncs only at seal and Close: every append is still
-	// safe against a *process* crash — frames reach the OS page cache
-	// before Append returns — but not against losing the machine.
+	// appended records, bounding how much a power failure or OS crash can
+	// lose. 0 (the default) syncs only at seal and Close: every append is
+	// still safe against a *process* crash — frames reach the OS page
+	// cache before Append returns — but not against losing the machine.
 	SyncEvery int
 
 	// ttlMs is the record time-to-live in milliseconds (default
@@ -72,8 +71,6 @@ type topic struct {
 // Store is a durable, crash-recoverable logstore.Backend. Directory
 // layout:
 //
-//	<dir>/registry.snap          template-registry snapshot
-//	<dir>/registry.delta         registry entries appended since the snapshot
 //	<dir>/t/<topic>/NNNNNNNN.seg immutable arrival-ordered segments
 //	<dir>/t/<topic>/NNNNNNNN.wal the active write-ahead file
 //	<dir>/t/<topic>/watermark    persisted TTL expiry cutoff
@@ -88,7 +85,9 @@ type topic struct {
 // for the scan (the wal's write descriptor for the wal). Expire deletes
 // whole segments below the TTL cutoff in O(1) per segment and persists the
 // cutoff as a watermark so partially expired files stay masked across
-// restarts. The first disk error refuses every later append.
+// restarts. The first disk error refuses every later append. A record names
+// its template by TemplateIdx only; the templates are the caller's to keep
+// (a durable fleet journals them with the window that interned them).
 type Store struct {
 	mu     sync.Mutex
 	dir    string
@@ -99,17 +98,8 @@ type Store struct {
 	// frames and payload are append's encode buffers, reused under mu.
 	frames, payload []byte
 
-	// The registry has its own lock so AppendRegistry can be called from
-	// a collect.Registry intern hook (which holds the registry's lock)
-	// while a scan callback holding s.mu resolves template indexes — the
-	// two paths never contend on the same mutex.
-	regMu      sync.Mutex
-	regEntries []RegistryEntry
-	regDelta   *os.File
-	regClosed  bool
-
-	// The sticky error has a leaf lock of its own: fail is reachable
-	// from both s.mu and regMu critical sections.
+	// The sticky error has a leaf lock of its own: Err is read both inside
+	// and outside s.mu critical sections.
 	errMu sync.Mutex
 	err   error // first disk error
 }
@@ -120,20 +110,26 @@ var _ logstore.Backend = (*Store)(nil)
 // verifies every frame CRC, truncates the torn tail of each topic's
 // active wal, removes wal files already sealed into a segment, deletes
 // segments wholly below the persisted watermark, and rebuilds the sparse
-// indexes and the template registry (snapshot plus delta replay). A topic
-// Open cannot continue — a file of format version 1, or files out of
-// arrival order — fails it with an error naming the file, and that topic's
-// directory is left as it was.
+// indexes. A topic Open cannot continue — a file of format version 1, or
+// files out of arrival order — fails it with an error naming the file, and
+// that topic's directory is left as it was. So does a directory holding the
+// template-registry files of the earlier layout: Open names the file and
+// changes nothing.
 func Open(dir string, opt Options) (*Store, error) {
 	s := &Store{
 		dir:    dir,
 		opt:    opt.withDefaults(),
 		topics: make(map[string]*topic),
 	}
-	if err := os.MkdirAll(filepath.Join(dir, "t"), 0o755); err != nil {
-		return nil, err
+	for _, name := range []string{"registry.snap", "registry.delta"} {
+		path := filepath.Join(dir, name)
+		if _, err := os.Lstat(path); err == nil {
+			return nil, fmt.Errorf("segment: %s: %w", path, errRegistryLayout)
+		} else if !os.IsNotExist(err) {
+			return nil, err
+		}
 	}
-	if err := s.openRegistry(); err != nil {
+	if err := os.MkdirAll(filepath.Join(dir, "t"), 0o755); err != nil {
 		return nil, err
 	}
 	entries, err := os.ReadDir(filepath.Join(dir, "t"))
@@ -157,6 +153,11 @@ func Open(dir string, opt Options) (*Store, error) {
 	}
 	return s, nil
 }
+
+// errRegistryLayout marks a store directory of the earlier layout, which
+// kept its template registry beside the records: those templates are not
+// in the fleet journal, so its records could not be resolved.
+var errRegistryLayout = errors.New("template registry of an earlier store layout; templates are now journaled with their windows")
 
 // errOutOfOrder marks a topic whose live records — those at or after its
 // watermark — do not continue each other's arrival order: a wal frame
@@ -397,7 +398,7 @@ func (s *Store) Append(topicName string, rec logstore.Record) error {
 // AppendBatch stores recs under the topic in order, by the in-memory
 // store's rule: a record behind the topic's newest live record ends the
 // batch with logstore.ErrUnsortedAppend. A disk error — a wal write, fsync,
-// create or rename, a watermark or registry write — ends it too: the call
+// create or rename, a watermark write — ends it too: the call
 // returns how many records' frames reached the OS before it, and that error,
 // and every later call is refused with it. A nil error means all of recs
 // was accepted. Though the contract gives recs up, this store keeps none of
@@ -868,8 +869,7 @@ func (s *Store) Seal() error {
 	return nil
 }
 
-// Close snapshots the registry, syncs and closes every file, and marks
-// the store unusable. It returns the first error encountered, including
+// Close syncs and closes every file, and marks the store unusable. It returns the first error encountered, including
 // any sticky append error.
 func (s *Store) Close() error {
 	s.mu.Lock()
@@ -878,16 +878,6 @@ func (s *Store) Close() error {
 		return s.Err()
 	}
 	s.closed = true
-	s.regMu.Lock()
-	s.regClosed = true
-	if err := s.snapshotRegistryLocked(); err != nil {
-		s.fail(err)
-	}
-	if s.regDelta != nil {
-		s.regDelta.Close()
-		s.regDelta = nil
-	}
-	s.regMu.Unlock()
 	for _, t := range s.topics {
 		if t.wal != nil {
 			if err := t.wal.Sync(); err != nil {

@@ -179,109 +179,6 @@ func TestExpireDeletesWholeSegments(t *testing.T) {
 	}
 }
 
-func TestRegistryPersistence(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{})
-	entries := []RegistryEntry{
-		{Index: 0, ID: "id-a", Text: "SELECT * FROM orders WHERE id = ?", Table: "orders", Kind: 0},
-		{Index: 1, ID: "id-b", Text: "UPDATE orders SET x = ? WHERE id = ?", Table: "orders", Kind: 2},
-	}
-	for _, e := range entries {
-		if err := s.AppendRegistry(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.AppendRegistry(RegistryEntry{Index: 5, ID: "bad"}); err == nil {
-		t.Error("out-of-order registry append accepted")
-	}
-	s.Close() // folds the delta into a snapshot
-
-	r := mustOpen(t, dir, Options{})
-	if got := r.RegistryEntries(); !reflect.DeepEqual(got, entries) {
-		t.Fatalf("entries after snapshot reopen = %+v", got)
-	}
-	// Delta-only entries (no snapshot between) also survive.
-	r.AppendRegistry(RegistryEntry{Index: 2, ID: "id-c", Text: "DELETE FROM x", Table: "x", Kind: 3})
-	// Simulate a crash: no Close, reopen directly on a fresh handle.
-	r2 := mustOpen(t, dir, Options{})
-	defer r2.Close()
-	if got := r2.RegistryEntries(); len(got) != 3 || got[2].ID != "id-c" {
-		t.Fatalf("delta entry lost across crash-reopen: %+v", got)
-	}
-	r.Close()
-}
-
-// TestRegistryCrashBetweenSnapshotAndTruncate simulates the one crash
-// window the snapshot protocol leaves: the new snapshot is renamed into
-// place but the process dies before the delta is truncated, so every
-// snapshotted entry is still duplicated in the delta. Open must recover
-// (idempotent delta replay), not fail the dense-index check.
-func TestRegistryCrashBetweenSnapshotAndTruncate(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{})
-	entries := []RegistryEntry{
-		{Index: 0, ID: "id-a", Text: "SELECT * FROM orders WHERE id = ?", Table: "orders"},
-		{Index: 1, ID: "id-b", Text: "UPDATE orders SET x = ? WHERE id = ?", Table: "orders", Kind: 2},
-		{Index: 2, ID: "id-c", Text: "DELETE FROM x", Table: "x", Kind: 3},
-	}
-	for _, e := range entries {
-		if err := s.AppendRegistry(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil { // snapshot written, delta truncated
-		t.Fatal(err)
-	}
-
-	// Reconstruct the crash state: the delta again holds everything the
-	// snapshot holds (snapshot and delta share the frame format).
-	snap, err := os.ReadFile(filepath.Join(dir, "registry.snap"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "registry.delta"), snap, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	r := mustOpen(t, dir, Options{})
-	if got := r.RegistryEntries(); !reflect.DeepEqual(got, entries) {
-		t.Fatalf("entries after crash-state reopen = %+v, want %+v", got, entries)
-	}
-	// The interrupted truncate is completed, and appends continue at the
-	// right dense index.
-	next := RegistryEntry{Index: 3, ID: "id-d", Text: "INSERT INTO y VALUES (?)", Table: "y", Kind: 1}
-	if err := r.AppendRegistry(next); err != nil {
-		t.Fatal(err)
-	}
-	// Crash again before snapshotting: reopen must see all four entries.
-	r2 := mustOpen(t, dir, Options{})
-	defer r2.Close()
-	if got := r2.RegistryEntries(); len(got) != 4 || got[3] != next {
-		t.Fatalf("entries after second crash-reopen = %+v", got)
-	}
-	r.Close()
-}
-
-// TestRegistryDeltaSnapshotMismatch: a delta entry that claims an index
-// the snapshot already holds but with different content is corruption,
-// not a benign crash artifact, and must fail Open loudly.
-func TestRegistryDeltaSnapshotMismatch(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{})
-	if err := s.AppendRegistry(RegistryEntry{Index: 0, ID: "id-a", Text: "SELECT 1"}); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-
-	imposter := appendFrame([]byte(regMagic), appendRegistryEntry(nil, RegistryEntry{Index: 0, ID: "id-EVIL", Text: "DROP TABLE t"}))
-	if err := os.WriteFile(filepath.Join(dir, "registry.delta"), imposter, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir, Options{}); err == nil {
-		t.Fatal("Open accepted a delta entry disagreeing with the snapshot")
-	}
-}
-
 func TestTopicNameEscaping(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Options{})
@@ -346,15 +243,12 @@ func TestConcurrentAppendScan(t *testing.T) {
 	}
 }
 
-// TestSyncEveryPolicy exercises the periodic-fsync path: appends and the
-// registry delta sync without error, and a crash-style reopen (no Close)
-// still sees every record.
+// TestSyncEveryPolicy exercises the periodic-fsync path: appends sync
+// without error, and a crash-style reopen (no Close) still sees every
+// record.
 func TestSyncEveryPolicy(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Options{SyncEvery: 3, segmentRecords: 8, indexEvery: 2})
-	if err := s.AppendRegistry(RegistryEntry{Index: 0, ID: "id-a", Text: "SELECT 1"}); err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 20; i++ {
 		if err := s.Append("t", rec(int32(i), int64(i*10))); err != nil {
 			t.Fatal(err)
@@ -367,9 +261,6 @@ func TestSyncEveryPolicy(t *testing.T) {
 	defer r.Close()
 	if got := r.Len("t"); got != 20 {
 		t.Fatalf("records after crash-reopen = %d, want 20", got)
-	}
-	if got := r.RegistryEntries(); len(got) != 1 {
-		t.Fatalf("registry after crash-reopen = %+v", got)
 	}
 }
 

@@ -19,10 +19,10 @@ check() { # file budget
 		echo "$1: $size bytes (budget $2)"
 	fi
 }
-check DESIGN.md 73595
+check DESIGN.md 73509
 check EXPERIMENTS.md 112613
 check CHANGES.md 36994
-check README.md 21674
+check README.md 21669
 
 last=$(LC_ALL=C awk '/^- PR /{n=0} {n += length($0) + 1} END{print n}' CHANGES.md)
 if [ "$last" -gt 1536 ]; then

@@ -18,6 +18,13 @@ LOG=$(mktemp)
 LOG2=$(mktemp)
 trap 'kill "${PID:-}" "${PID2:-}" 2>/dev/null || true; rm -rf "$DATA" "$DATA2" "$LOG" "$LOG2" pinsqld-smoke' EXIT
 
+# No check pipes into a reader that may exit early (grep -q, head): under
+# pipefail the writer's SIGPIPE would fail a check that held. Checks read
+# here-strings, and nonzero reads all of its input.
+
+# nonzero METRIC: some series of METRIC in $METRICS has a value other than 0.
+nonzero() { awk -v m="$1" 'index($0, m) == 1 && !/ 0$/ { f = 1 } END { exit !f }' <<<"$METRICS"; }
+
 # 6 workers over 4 instances in 2 shards (3 workers each): sim tasks
 # strictly outrank diagnosis drains (the simulator is never paused), so
 # each shard's spare worker keeps its commit stream flowing while the sim
@@ -39,8 +46,8 @@ done
 committed=0; anomalies=0
 for i in $(seq 1 300); do
   fleet=$(curl -sf "http://$ADDR/fleet")
-  committed=$(echo "$fleet" | sed -n 's/.*"committed": \([0-9]*\),.*/\1/p' | head -1)
-  anomalies=$(echo "$fleet" | sed -n 's/.*"anomalies": \([0-9]*\),.*/\1/p' | head -1)
+  committed=$(sed -n '/"committed": [0-9]*,/{s/.*"committed": \([0-9]*\),.*/\1/;p;q;}' <<<"$fleet")
+  anomalies=$(sed -n '/"anomalies": [0-9]*,/{s/.*"anomalies": \([0-9]*\),.*/\1/;p;q;}' <<<"$fleet")
   [ "${committed:-0}" -gt 0 ] && [ "${anomalies:-0}" -gt 0 ] && break
   kill -0 "$PID" 2>/dev/null || { echo "pinsqld died mid-run:"; cat "$LOG"; exit 1; }
   sleep 0.2
@@ -50,16 +57,16 @@ done
 echo "fleet committed $committed windows, $anomalies anomalies"
 
 FLEET=$(curl -sf "http://$ADDR/fleet")
-echo "$FLEET" | grep -q '"id": "inst-00"' || { echo "/fleet missing inst-00: $FLEET"; exit 1; }
-echo "$FLEET" | grep -q '"shards": 2' || { echo "/fleet missing shards=2: $FLEET"; exit 1; }
-echo "$FLEET" | grep -q '"shard": ' || { echo "/fleet instances missing shard annotation: $FLEET"; exit 1; }
+grep -q '"id": "inst-00"' <<<"$FLEET" || { echo "/fleet missing inst-00: $FLEET"; exit 1; }
+grep -q '"shards": 2' <<<"$FLEET" || { echo "/fleet missing shards=2: $FLEET"; exit 1; }
+grep -q '"shard": ' <<<"$FLEET" || { echo "/fleet instances missing shard annotation: $FLEET"; exit 1; }
 SHARDS=$(curl -sf "http://$ADDR/shards")
-echo "$SHARDS" | grep -q '"shard": 0' || { echo "/shards missing shard 0: $SHARDS"; exit 1; }
-echo "$SHARDS" | grep -q '"shard": 1' || { echo "/shards missing shard 1: $SHARDS"; exit 1; }
-echo "$SHARDS" | grep -q '"commit_batches"' || { echo "/shards missing group-commit accounting: $SHARDS"; exit 1; }
-curl -sf "http://$ADDR/instances/inst-00/diagnoses" | grep -q '"window": 0' \
+grep -q '"shard": 0' <<<"$SHARDS" || { echo "/shards missing shard 0: $SHARDS"; exit 1; }
+grep -q '"shard": 1' <<<"$SHARDS" || { echo "/shards missing shard 1: $SHARDS"; exit 1; }
+grep -q '"commit_batches"' <<<"$SHARDS" || { echo "/shards missing group-commit accounting: $SHARDS"; exit 1; }
+grep -q '"window": 0' <<<"$(curl -sf "http://$ADDR/instances/inst-00/diagnoses")" \
   || { echo "/instances/inst-00/diagnoses missing window 0"; exit 1; }
-curl -s -o /dev/null -w '%{http_code}' "http://$ADDR/instances/nope/diagnoses" | grep -q 404 \
+[ "$(curl -s -o /dev/null -w '%{http_code}' "http://$ADDR/instances/nope/diagnoses")" = 404 ] \
   || { echo "unknown instance did not 404"; exit 1; }
 
 METRICS=$(curl -sf "http://$ADDR/metrics")
@@ -70,28 +77,28 @@ for metric in pinsql_fleet_windows_total pinsql_fleet_anomalies_total \
   pinsql_shard_instances pinsql_shard_windows_total \
   pinsql_shard_queue_depth pinsql_shard_shed_windows_total \
   pinsql_shard_commit_batches_total pinsql_shard_commit_batch_windows_total; do
-  echo "$METRICS" | grep -q "^$metric" || { echo "/metrics missing $metric"; exit 1; }
+  grep -q "^$metric" <<<"$METRICS" || { echo "/metrics missing $metric"; exit 1; }
 done
 # Both shards must be scraping distinct series, and each shard's journal
 # must have group-committed at least one batch by now.
-echo "$METRICS" | grep -q '^pinsql_shard_instances{shard="0"} 2$' \
+grep -q '^pinsql_shard_instances{shard="0"} 2$' <<<"$METRICS" \
   || { echo "shard 0 not reporting 2 instances"; exit 1; }
-echo "$METRICS" | grep -q '^pinsql_shard_instances{shard="1"} 2$' \
+grep -q '^pinsql_shard_instances{shard="1"} 2$' <<<"$METRICS" \
   || { echo "shard 1 not reporting 2 instances"; exit 1; }
-echo "$METRICS" | grep '^pinsql_shard_commit_batches_total' | grep -qv ' 0$' \
+nonzero pinsql_shard_commit_batches_total \
   || { echo "no journal group commits recorded"; exit 1; }
 # Every instance replays through the ingest seam (the simulator is just
 # another Source), so its records counter must move with the fleet.
-echo "$METRICS" | grep '^pinsql_ingest_records_total' | grep -qv ' 0$' \
+nonzero pinsql_ingest_records_total \
   || { echo "ingest records counter stuck at zero"; exit 1; }
 # Every fleet series now carries the owning shard's label (inst-00 hashes
 # to shard 0 at K=2; labels render sorted by key).
-echo "$METRICS" | grep -q '^pinsql_ingest_parse_errors_total{instance="inst-00",shard="0"} 0$' \
+grep -q '^pinsql_ingest_parse_errors_total{instance="inst-00",shard="0"} 0$' <<<"$METRICS" \
   || { echo "simulator instance reported parse errors (or shard label missing)"; exit 1; }
 # Window and anomaly counters must be live (non-zero) while the fleet runs.
-echo "$METRICS" | grep '^pinsql_fleet_windows_total' | grep -qv ' 0$' \
+nonzero pinsql_fleet_windows_total \
   || { echo "windows counter stuck at zero"; exit 1; }
-echo "$METRICS" | grep '^pinsql_fleet_anomalies_total' | grep -qv ' 0$' \
+nonzero pinsql_fleet_anomalies_total \
   || { echo "anomalies counter stuck at zero"; exit 1; }
 curl -sf "http://$ADDR/debug/pprof/cmdline" >/dev/null || { echo "pprof not wired"; exit 1; }
 
@@ -118,10 +125,10 @@ for i in $(seq 1 150); do
 done
 
 FLEET=$(curl -sf "http://$ADDR2/fleet")
-echo "$FLEET" | grep -q '"shards": 2' || { echo "coordinator /fleet missing shards=2: $FLEET"; exit 1; }
-echo "$FLEET" | grep -q '"id": "inst-00"' || { echo "coordinator /fleet missing inst-00: $FLEET"; exit 1; }
+grep -q '"shards": 2' <<<"$FLEET" || { echo "coordinator /fleet missing shards=2: $FLEET"; exit 1; }
+grep -q '"id": "inst-00"' <<<"$FLEET" || { echo "coordinator /fleet missing inst-00: $FLEET"; exit 1; }
 SHARDS=$(curl -sf "http://$ADDR2/shards")
-echo "$SHARDS" | grep -q '"up": true' || { echo "/shards reports no live worker: $SHARDS"; exit 1; }
+grep -q '"up": true' <<<"$SHARDS" || { echo "/shards reports no live worker: $SHARDS"; exit 1; }
 
 # The worker publishes host:port + pid next to the SHARDS file; that is
 # the supervisor's (and our) handle on the process.
@@ -135,13 +142,13 @@ kill -0 "$WPID0" 2>/dev/null || { echo "worker 0 (pid $WPID0) not running"; exit
 # The merged /metrics exposition must carry the coordinator's supervision
 # gauges AND the worker-scraped fleet series under their shard labels.
 METRICS=$(curl -sf "http://$ADDR2/metrics")
-echo "$METRICS" | grep -q '^pinsql_shard_up{shard="0"} 1$' \
+grep -q '^pinsql_shard_up{shard="0"} 1$' <<<"$METRICS" \
   || { echo "coordinator /metrics missing pinsql_shard_up for shard 0"; exit 1; }
-echo "$METRICS" | grep -q '^pinsql_shard_up{shard="1"} 1$' \
+grep -q '^pinsql_shard_up{shard="1"} 1$' <<<"$METRICS" \
   || { echo "coordinator /metrics missing pinsql_shard_up for shard 1"; exit 1; }
-echo "$METRICS" | grep -q '^pinsql_fleet_windows_total{instance="inst-00",shard="0"}' \
+grep -q '^pinsql_fleet_windows_total{instance="inst-00",shard="0"}' <<<"$METRICS" \
   || { echo "worker fleet series not merged into coordinator /metrics"; exit 1; }
-[ "$(echo "$METRICS" | grep -c '^# TYPE pinsql_fleet_windows_total ')" = 1 ] \
+[ "$(grep -c '^# TYPE pinsql_fleet_windows_total ' <<<"$METRICS")" = 1 ] \
   || { echo "merged /metrics repeats the pinsql_fleet_windows_total header"; exit 1; }
 
 # SIGKILL worker 0: the supervisor must relaunch it (new pid in the addr
@@ -154,10 +161,10 @@ for i in $(seq 1 150); do
   sleep 0.2
 done
 [ -n "${NEWPID:-}" ] && [ "$NEWPID" != "$WPID0" ] || { echo "worker 0 was not respawned after SIGKILL"; cat "$LOG2"; exit 1; }
-curl -sf "http://$ADDR2/fleet" | grep -q '"id": "inst-00"' \
+grep -q '"id": "inst-00"' <<<"$(curl -sf "http://$ADDR2/fleet")" \
   || { echo "/fleet unavailable after worker respawn"; exit 1; }
 for i in $(seq 1 150); do
-  curl -sf "http://$ADDR2/shards" | grep -q '"error"' || break
+  grep -q '"error"' <<<"$(curl -sf "http://$ADDR2/shards")" || break
   sleep 0.2
 done
 echo "worker 0 respawned as pid $NEWPID after SIGKILL"
