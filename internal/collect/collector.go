@@ -14,11 +14,43 @@ import (
 )
 
 // templateSeries is one template's live state over the collection window:
-// the aggregates a seal hands to the frame as they are, and the size of its
-// observation group.
+// the aggregates a seal hands to the frame as they are, cut from one slab,
+// and the size of its observation group.
 type templateSeries struct {
 	window.Template
 	nobs int32 // observations in the window log: its group's size at the seal
+	slab []float64
+}
+
+// seriesPool and metricPool hold the *templateSeries and *metricSet of
+// released collectors that never sealed, which no frame aliases; slabs
+// stale, cleared when drawn.
+var seriesPool, metricPool sync.Pool
+
+// carve points each *dst at the next n floats of slab — cleared, or of a
+// new slab when this one is too short — capped so that none grows into the
+// next, and returns the slab.
+func carve(slab []float64, n int, dst ...*timeseries.Series) []float64 {
+	if cap(slab) < len(dst)*n {
+		slab = make([]float64, len(dst)*n)
+	} else {
+		slab = slab[:len(dst)*n]
+		clear(slab)
+	}
+	for k, p := range dst {
+		*p = slab[k*n : (k+1)*n : (k+1)*n]
+	}
+	return slab
+}
+
+func newTemplateSeries(meta window.Meta, seconds int) *templateSeries {
+	ts, _ := seriesPool.Get().(*templateSeries)
+	if ts == nil {
+		ts = new(templateSeries)
+	}
+	*ts = templateSeries{Template: window.Template{Meta: meta}, slab: ts.slab}
+	ts.slab = carve(ts.slab, seconds, &ts.Count, &ts.SumRT, &ts.SumRows, &ts.Throttled)
+	return ts
 }
 
 // metricSet is the live per-second instance metric series, populated row
@@ -33,19 +65,17 @@ type metricSet struct {
 	QPS           timeseries.Series
 	RowLockWaits  timeseries.Series
 	MDLWaits      timeseries.Series
+	slab          []float64
 }
 
-func newMetricSet(seconds int) metricSet {
-	return metricSet{
-		ActiveSession: make(timeseries.Series, seconds),
-		AvgSession:    make(timeseries.Series, seconds),
-		CPUUsage:      make(timeseries.Series, seconds),
-		IOPSUsage:     make(timeseries.Series, seconds),
-		MemUsage:      make(timeseries.Series, seconds),
-		QPS:           make(timeseries.Series, seconds),
-		RowLockWaits:  make(timeseries.Series, seconds),
-		MDLWaits:      make(timeseries.Series, seconds),
+func newMetricSet(seconds int) *metricSet {
+	m, _ := metricPool.Get().(*metricSet)
+	if m == nil {
+		m = new(metricSet)
 	}
+	m.slab = carve(m.slab, seconds, &m.ActiveSession, &m.AvgSession, &m.CPUUsage, &m.IOPSUsage,
+		&m.MemUsage, &m.QPS, &m.RowLockWaits, &m.MDLWaits)
+	return m
 }
 
 // set places one metric row at window second sec; rows outside [0, seconds)
@@ -99,7 +129,9 @@ type identSlot struct {
 //
 // The seal is terminal: the first Frame call builds the window's one frame,
 // handing it the live series, and from then on every ingest panics, so
-// nothing writes a sealed frame.
+// nothing writes a sealed frame. Detection needs no seal (Watched), so a
+// window is sealed only when a phenomenon asks for diagnosis, and Release
+// recycles the series of one never sealed.
 //
 // Lock order: c.mu before the registry's lock, and c.mu before the store's
 // locks. IngestBatch interns and the seal appends to the store under c.mu;
@@ -136,7 +168,7 @@ type Collector struct {
 	log    [][]logstore.Record
 	perSec []int
 
-	met     metricSet
+	met     *metricSet
 	records int64 // raw query records in the window log
 
 	frame *window.Frame // the sealed window; nil until Frame
@@ -180,15 +212,22 @@ func (c *Collector) lock(ingest bool) {
 	}
 }
 
-// Release ends the collector: its window log's chunks go back to the pool
-// the next collector draws from, and any later call on it panics. The frame
-// it sealed and runs it handed over alias no chunk and stay as they are.
+// Release ends the collector, and any later call on it panics. What no
+// frame aliases goes back to the pools the next collector draws from: its
+// window log's chunks, and, if it never sealed, its series. A sealed
+// frame keeps its series, and runs handed over alias no chunk.
 func (c *Collector) Release() {
 	c.lock(false)
 	defer c.mu.Unlock()
 	c.released = true
 	for _, chunk := range c.log {
 		chunkPool.Put((*[logChunk]logstore.Record)(chunk[:logChunk]))
+	}
+	if c.frame == nil {
+		for _, ts := range c.ordered {
+			seriesPool.Put(ts)
+		}
+		metricPool.Put(c.met)
 	}
 	c.log = nil
 }
@@ -234,13 +273,7 @@ func (c *Collector) seriesLocked(rec *dbsim.LogRecord) *templateSeries {
 	meta := c.registry.intern(rec)
 	ts, ok := c.templates[meta.ID]
 	if !ok {
-		ts = &templateSeries{Template: window.Template{
-			Meta:      window.Meta(meta),
-			Count:     make(timeseries.Series, c.seconds),
-			SumRT:     make(timeseries.Series, c.seconds),
-			SumRows:   make(timeseries.Series, c.seconds),
-			Throttled: make(timeseries.Series, c.seconds),
-		}}
+		ts = newTemplateSeries(window.Meta(meta), c.seconds)
 		c.templates[meta.ID] = ts
 		c.insertOrdered(ts)
 	}
@@ -314,6 +347,15 @@ func (c *Collector) IngestMetricsAt(rows []dbsim.SecondMetrics) {
 	for _, m := range rows {
 		c.met.set(int(m.Second), m)
 	}
+}
+
+// Watched returns the window's live active-session, CPU and IOPS series,
+// the three anomaly.DetectDefault watches, without sealing it: read-only,
+// and valid until Release.
+func (c *Collector) Watched() (activeSession, cpuUsage, iopsUsage timeseries.Series) {
+	c.lock(false)
+	defer c.mu.Unlock()
+	return c.met.ActiveSession, c.met.CPUUsage, c.met.IOPSUsage
 }
 
 // arrangeLocked arranges the window log with the per-second counts

@@ -252,6 +252,71 @@ func TestReleaseRecyclesChunks(t *testing.T) {
 	}
 }
 
+// metricRows is a full window of metric rows, every series non-zero.
+func metricRows(rng *rand.Rand, seconds int) []dbsim.SecondMetrics {
+	rows := make([]dbsim.SecondMetrics, seconds)
+	for i := range rows {
+		rows[i] = dbsim.SecondMetrics{Second: int64(i), ActiveSession: rng.Float64() * 10, AvgActiveSession: rng.Float64(),
+			CPUUsage: rng.Float64(), IOPSUsage: rng.Float64(), MemUsage: rng.Float64(), QPS: 1 + rng.Intn(100),
+			RowLockWaits: rng.Intn(5), MDLWaits: rng.Intn(5)}
+	}
+	return rows
+}
+
+// TestReleaseKeepsSealedSeries: a sealed window's series are its frame's,
+// so Release recycles none of them. A full window collected after the
+// release, of the same templates, writes no bit of the released window's
+// frame: not a template series, a metric series nor a column.
+func TestReleaseKeepsSealedSeries(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const windowMs = 60_000
+	rng := rand.New(rand.NewSource(37))
+	collect := func() *Collector {
+		c := NewCollector("sealed", 0, windowMs, nil, nil)
+		for range 2000 {
+			c.Ingest(randomRecord(rng, windowMs))
+		}
+		c.IngestMetricsAt(metricRows(rng, windowMs/1000))
+		return c
+	}
+	first := collect()
+	reference := first.RebuildFrame()
+	frame := first.Frame()
+	first.Release()
+	collect()
+	if err := framesEqual(frame, reference); err != nil {
+		t.Fatalf("the next window wrote into the released window's frame: %v", err)
+	}
+}
+
+// TestReleaseRecyclesUnsealedSeries: a window released without a seal gave
+// its series to no frame, so the next window draws them: in the steady
+// state, a window of 28 templates makes fewer objects than it has
+// templates (one slab each, and the metric set's, are recycled).
+func TestReleaseRecyclesUnsealedSeries(t *testing.T) {
+	if testrace.Enabled {
+		t.Skip("the pools drop a quarter of what they are handed")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	batches := windowBatches()
+	rows := metricRows(rand.New(rand.NewSource(41)), 300)
+	reg := NewRegistry()
+	window := func() {
+		c := NewCollector("unsealed", 0, 300_000, reg, nil)
+		for _, b := range batches {
+			c.IngestBatch(b)
+		}
+		c.IngestMetricsAt(rows)
+		c.Release()
+	}
+	window() // interns the templates and fills the pools
+	if allocs := testing.AllocsPerRun(5, window); allocs >= 28 {
+		t.Errorf("a window released unsealed allocates %.0f objects in the steady state, budget < 28 (its templates)", allocs)
+	}
+}
+
 // TestArrangedRunsAreHandedOver: TakeArranged is a transfer. A store
 // that cut the array into chunks of its arena writes into them — an append
 // after a TruncateFrom inside one overwrites its tail, an Expire trims one —

@@ -36,8 +36,9 @@ const budgetRecords, budgetSeconds = 45_000, 300
 
 // budgetStream returns windows fleet-shaped windows back to back, records
 // emitted in completion order, and their metric rows. One record in eighty
-// waits out a lock, but none completes past its window's end.
-func budgetStream(windows int) ([]dbsim.LogRecord, []dbsim.SecondMetrics) {
+// waits out a lock, but none completes past its window's end. Spiked, every
+// window's active sessions jump tenfold for 30 s at its second 120.
+func budgetStream(windows int, spiked bool) ([]dbsim.LogRecord, []dbsim.SecondMetrics) {
 	rng := rand.New(rand.NewSource(5))
 	recs := make([]dbsim.LogRecord, windows*budgetRecords)
 	for i := range recs {
@@ -61,36 +62,46 @@ func budgetStream(windows int) ([]dbsim.LogRecord, []dbsim.SecondMetrics) {
 	rows := make([]dbsim.SecondMetrics, windows*budgetSeconds)
 	for i := range rows {
 		rows[i] = dbsim.SecondMetrics{Second: int64(i), ActiveSession: 4 + rng.Float64(), CPUUsage: 0.3, QPS: budgetRecords / budgetSeconds}
+		if sec := i % budgetSeconds; spiked && sec >= 120 && sec < 150 {
+			rows[i].ActiveSession *= 10
+		}
 	}
 	return recs, rows
 }
 
 // TestWindowAllocBudget budgets a window's way through the fleet in bytes,
-// not time: a fleet-shaped window is collected, sealed, searched for
-// anomalies and committed by a one-instance trace-backed fleet without a
-// DataDir, whose commit drops the records unarranged. Per record that is
-// the 32 B written into the collector's window log and the 16 B of the
-// frame's columns, which the seal scatters the log into; the rest is
-// per-template series and detection. In the steady state — the second and
-// third of three windows collected one after the other's commit — the log's
-// 32 B are the chunks the previous window's commit released. Each budget is
-// 1.25 × what this code measured, and each floor the bytes named above; a
-// per-window staging store, per-template observation tails, a commit that
-// copies the records, a window log made afresh or an arranged array (32 B)
-// back in the seal breaks one.
+// not time: a fleet-shaped window is collected, searched for anomalies and
+// committed by a one-instance trace-backed fleet without a DataDir, whose
+// commit drops the records unarranged. Per record that is the 32 B written
+// into the collector's window log; the rest is per-template series and
+// detection. Only a spiked window is sealed and diagnosed: its seal
+// scatters the log into the frame's 16 B of columns. In the steady state —
+// the second and third of three windows collected one after the other's
+// commit — the log's 32 B are the chunks the previous window's commit
+// released, and a quiet window's series are the ones it recycled. Each
+// budget is 1.25 × what this code measured, and each floor the bytes named
+// above; a per-window staging store, per-template observation tails, a
+// commit that copies the records, a window log made afresh, a quiet window
+// sealed or an arranged array (32 B) back in the seal breaks one.
 func TestWindowAllocBudget(t *testing.T) {
+	// One P: what a commit hands a pool, the next window finds, however
+	// the two workers are scheduled (a Get takes no other P's private slot).
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, row := range []struct {
 		name            string
 		windows, warmup int     // windows played; of them, committed before the measurement starts
+		spiked          bool    // every window holds a phenomenon
 		measured, floor float64 // bytes per record
 	}{
-		{"first window", 1, 0, 58.4, 48},
-		{"steady state", 3, 1, 25.6, 16},
+		{"first window", 1, 0, false, 41.3, 32},
+		{"steady state", 3, 1, false, 2.0, 0},
+		{"first window, spiked", 1, 0, true, 63.6, 48},
+		{"steady state, spiked", 3, 1, true, 30.7, 16},
 	} {
 		if row.warmup > 0 && testrace.Enabled {
-			continue // the chunk pool drops a quarter of what it is handed
+			continue // the pools drop a quarter of what they are handed
 		}
-		recs, rows := budgetStream(row.windows)
+		recs, rows := budgetStream(row.windows, row.spiked)
 		// Lockstep, as a paced instance runs: a window's first second is read
 		// once the window before it has committed (on the second worker).
 		committed := make(chan struct{}, row.windows)
@@ -129,6 +140,9 @@ func TestWindowAllocBudget(t *testing.T) {
 			if rep.Records != budgetRecords {
 				t.Fatalf("%s: window %d holds %d records", row.name, rep.Window, rep.Records)
 			}
+			if (len(rep.Anomalies) > 0) != row.spiked {
+				t.Fatalf("%s: window %d holds %d phenomena", row.name, rep.Window, len(rep.Anomalies))
+			}
 		}
 		got := float64(after.TotalAlloc-before.TotalAlloc) / float64((row.windows-row.warmup)*budgetRecords)
 		if budget := 1.25 * row.measured; got > budget || got < row.floor {
@@ -144,7 +158,7 @@ func TestWindowAllocBudget(t *testing.T) {
 // collected, the second may hold less than one window's records (45 000 ×
 // 32 B) more than the first — six windows' reports, and nothing per record.
 func TestLiveHeapAllocBudget(t *testing.T) {
-	recs, rows := budgetStream(8)
+	recs, rows := budgetStream(8, false)
 	live := func(windows int) uint64 {
 		spec := TraceSpec("heap", budgetSeconds, func() (ingest.Source, error) {
 			return ingest.NewSliceSource(0, int64(len(rows))*1000, recs, rows), nil

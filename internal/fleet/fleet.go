@@ -589,23 +589,22 @@ func (f *Fleet) runDrain(st *instState) {
 	}
 }
 
-// diagnose runs detection and, per phenomenon, the full diagnosis
-// pipeline plus repair suggestions for the top R-SQL. Everything runs off
-// the window frame the collector built during ingest: detection reads the
-// frame's metric series, and each phenomenon's diagnosis consumes the
-// frame directly — no log store is scanned. The window's
-// phenomena share one core.FrameDiagnoser, so sessions are estimated once
-// per window; ranking and clustering depend on the anomaly interval and run
-// per phenomenon.
+// diagnose runs detection on the collector's live series and, per
+// phenomenon, the full diagnosis pipeline plus repair suggestions for the
+// top R-SQL. Only a window with a phenomenon is sealed: its diagnoses
+// consume the frame directly — no log store is scanned — and share one
+// core.FrameDiagnoser, so sessions are estimated once per window; ranking
+// and clustering depend on the anomaly interval and run per phenomenon.
 func (f *Fleet) diagnose(sw *stagedWindow) {
-	fr := sw.coll.Frame()
 	start := time.Now()
-	per := core.NewPerception(anomaly.Config{}, nil)
-	per.ObserveFrame(fr)
-	phenomena := per.Phenomena()
+	phenomena := anomaly.DetectDefault(sw.coll.Watched())
 	f.stages.detect.Observe(time.Since(start).Seconds())
 	start = time.Now()
 	defer func() { f.stages.diagnose.Observe(time.Since(start).Seconds()) }()
+	if len(phenomena) == 0 {
+		return
+	}
+	fr := sw.coll.Frame()
 	baseSec := int(sw.fromMs / 1000)
 	fd := core.NewFrameDiagnoser(fr, f.diagCfg)
 	for _, ph := range phenomena {

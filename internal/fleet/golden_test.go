@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -84,5 +85,56 @@ func TestFleetGoldenKillRestart(t *testing.T) {
 	}
 	if rep != string(want) {
 		t.Fatalf("post-restart report diverged from committed golden\n--- golden ---\n%s\n--- got ---\n%s", want, rep)
+	}
+}
+
+// TestOnlyDiagnosedWindowsSeal drives the single-instance golden window by
+// window: detection reads the collector's live series, so a window without
+// a phenomenon is never sealed — its collector still takes ingest after
+// diagnose — and one with a phenomenon is, and the windows report their
+// golden.
+func TestOnlyDiagnosedWindowsSeal(t *testing.T) {
+	tc := goldenCases()["single"]
+	f, err := New(tc.specs, tc.opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	st := f.insts[tc.specs[0].ID]
+	var reps []*WindowReport
+	quiet := 0
+	for w := 0; w < st.spec.Windows; w++ {
+		sw, _, err := f.simWindow(st, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.diagnose(sw)
+		sealed := func() (sealed bool) {
+			defer func() { sealed = recover() != nil }()
+			sw.coll.IngestMetricsAt(nil)
+			return false
+		}()
+		if sealed != (len(sw.rep.Anomalies) > 0) {
+			t.Errorf("window %d: sealed=%v with %d phenomena", w, sealed, len(sw.rep.Anomalies))
+		}
+		if !sealed {
+			quiet++
+		}
+		if err := f.commit(st, sw); err != nil {
+			t.Fatal(err)
+		}
+		reps = append(reps, sw.rep)
+	}
+	if quiet == 0 || quiet == len(reps) {
+		t.Fatalf("fixture lost its teeth: %d of %d windows quiet", quiet, len(reps))
+	}
+	var b strings.Builder
+	FormatInstanceReport(&b, st.spec.ID, reps)
+	want, err := os.ReadFile(filepath.Join("testdata", "golden_single.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != string(want) {
+		t.Fatalf("windows diagnosed one by one diverged from the golden\n--- golden ---\n%s\n--- got ---\n%s", want, b.String())
 	}
 }

@@ -1,13 +1,17 @@
 package timeseries
 
-import "math"
+import (
+	"math"
+	"sort"
+)
 
 // TukeyBounds returns the outlier fences of Tukey's rule with multiplier k
 // (1.5 for "outliers", 3 for "far out"; the paper applies Tukey's rule for
 // efficient history-trend anomaly detection, §VI).
 func (s Series) TukeyBounds(k float64) (lo, hi float64) {
-	q1 := s.Quantile(0.25)
-	q3 := s.Quantile(0.75)
+	sorted := s.Clone()
+	sort.Float64s(sorted)
+	q1, q3 := quantileSorted(sorted, 0.25), quantileSorted(sorted, 0.75)
 	iqr := q3 - q1
 	return q1 - k*iqr, q3 + k*iqr
 }

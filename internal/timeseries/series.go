@@ -117,11 +117,16 @@ func (s Series) Slice(lo, hi int) Series {
 // Quantile returns the q-th quantile (0 ≤ q ≤ 1) using linear interpolation
 // between closest ranks. It returns 0 for an empty series.
 func (s Series) Quantile(q float64) float64 {
-	if len(s) == 0 {
-		return 0
-	}
 	sorted := s.Clone()
 	sort.Float64s(sorted)
+	return quantileSorted(sorted, q)
+}
+
+// quantileSorted is Quantile of a series sorted ascending.
+func quantileSorted(sorted Series, q float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
 	if q <= 0 {
 		return sorted[0]
 	}
@@ -150,7 +155,8 @@ func (s Series) madAbout(med float64) float64 {
 	for i, v := range s {
 		dev[i] = math.Abs(v - med)
 	}
-	return dev.Median()
+	sort.Float64s(dev)
+	return quantileSorted(dev, 0.5)
 }
 
 // Downsample aggregates consecutive groups of factor samples using sum,
