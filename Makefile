@@ -3,7 +3,8 @@
 # over the SQL normalizer, the storage codecs, the log-file readers, the
 # window log's arrangement, the collector's window log, a frame group's
 # sort, the segment store's
-# seal paths, the session estimator and the sparse series' correlations.
+# seal paths, the session estimator, the sparse series' correlations and the
+# pair scan's AVX kernel.
 
 GO ?= go
 
@@ -69,7 +70,10 @@ docs-size:
 # the map-keyed all-buckets walk), the estimator's compaction of a
 # template's touched seconds, and the sparse series' sums and correlations
 # (bit-equal to the dense ones for any x, y and w, NaN, ±Inf, −0 and
-# negatives included). Long campaigns: raise -fuzztime.
+# negatives included), and the pair scan's AVX kernel (its prefix sums and
+# survivor bits equal the Go panel scan's, bit for bit, for any values,
+# column count, length and checkpoint; skipped on a CPU without AVX).
+# Long campaigns: raise -fuzztime.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzNormalize -fuzztime=10s ./internal/sqltemplate
 	$(GO) test -run=^$$ -fuzz=FuzzRecordCodec -fuzztime=10s ./internal/logstore/segment
@@ -86,6 +90,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzEstimateShortPath -fuzztime=10s ./internal/session
 	$(GO) test -run=^$$ -fuzz=FuzzFillCompact -fuzztime=5s ./internal/session
 	$(GO) test -run=^$$ -fuzz=FuzzSparseCorr -fuzztime=5s ./internal/timeseries
+	$(GO) test -run=^$$ -fuzz=FuzzPanelScan -fuzztime=5s ./internal/rootcause
 
 # Adversarial workload search: a seed-driven bandit over injection
 # parameters hunts diagnosis misranks, minimizes each miss, and writes

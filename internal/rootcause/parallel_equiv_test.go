@@ -136,8 +136,8 @@ func clusterPairwiseRef(in Input, tau float64) [][]int {
 	uf := newUnionFind(len(series))
 	for i := range series {
 		for j := i + 1; j < len(series); j++ {
-			a := standardize(series[i].Downsample(clusterGranularitySec))
-			b := standardize(series[j].Downsample(clusterGranularitySec))
+			a := standardize(perMinute(nil, series[i]))
+			b := standardize(perMinute(nil, series[j]))
 			if a == nil || b == nil {
 				continue
 			}
@@ -184,8 +184,8 @@ func sortedMetricNames(metrics map[string]timeseries.Series) []string {
 	return names
 }
 
-// kernelInput builds a clustering input aimed at rowEdges' four-column
-// kernel: nT templates following two latent signals, a constant series (a
+// kernelInput builds a clustering input aimed at rowEdges' panels of four
+// and sixteen-column steps: nT templates following two latent signals, a constant series (a
 // nil vector) at every index ≡ constAt (mod 4) when constAt >= 0, and, when
 // ragged, series of three different lengths, so a row meets columns both
 // shorter and longer than itself.
@@ -221,9 +221,9 @@ func kernelInput(rng *rand.Rand, nT, constAt int, ragged bool) Input {
 // TestClusterTemplatesMatchesPairwiseReference checks that the
 // precomputed-standardize scan — sequential and sharded alike — produces
 // the same connected components as the per-pair reference: on random
-// inputs, and on inputs that walk the four-column kernel through every
-// remainder (n ≡ 0..3 mod 4), a nil vector at every position of a
-// four-group, and unequal-length vectors.
+// inputs, and on inputs that walk the sixteen-column steps through every
+// remainder (n mod 16), a nil vector at every position of a panel of four,
+// and unequal-length vectors.
 func TestClusterTemplatesMatchesPairwiseReference(t *testing.T) {
 	check := func(label string, in Input) bool {
 		want := clusterPairwiseRef(in, DefaultTau)
@@ -243,7 +243,7 @@ func TestClusterTemplatesMatchesPairwiseReference(t *testing.T) {
 		t.Error(err)
 	}
 	rng := rand.New(rand.NewSource(12))
-	for nT := 1; nT <= 13; nT++ {
+	for nT := 1; nT <= 35; nT++ {
 		for constAt := -1; constAt < 4; constAt++ {
 			for _, ragged := range []bool{false, true} {
 				check(fmt.Sprintf("nT=%d constAt=%d ragged=%v", nT, constAt, ragged),

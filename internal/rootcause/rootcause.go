@@ -20,7 +20,6 @@ package rootcause
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -126,7 +125,9 @@ type Result struct {
 
 	// PairsScanned and MulAdds are the work the τ-graph's pair scan did:
 	// node pairs it scored or abandoned, and multiply-adds it spent on
-	// them (the full triangle would spend pairs × vector length).
+	// them pair by pair, the same on every CPU: the checkpoint's for every
+	// pair, the rest for one that passed it (the full triangle would spend
+	// pairs × vector length).
 	PairsScanned int64
 	MulAdds      int64
 
@@ -295,40 +296,39 @@ const pairScanBlock = 256
 // identical for every worker count.
 func clusterTemplates(exec []timeseries.Series, metrics map[string]timeseries.Series, tau float64, workers int) (components [][]int, pairs, mulAdds int64) {
 	nT := len(exec)
-	// Standardize each node's downsampled #execution (or metric) series
-	// once up front: corr(a, b) then reduces to a dot product per pair
-	// instead of a per-pair re-standardization.
 	metricNames := make([]string, 0, len(metrics))
 	for name := range metrics {
 		metricNames = append(metricNames, name)
 	}
 	sort.Strings(metricNames)
 	n := nT + len(metricNames)
-	vecs := make([][]float64, n)
-	parallel.ForEach(workers, n, func(i int) {
+	series := func(i int) timeseries.Series {
 		if i < nT {
-			vecs[i] = standardize(exec[i].Downsample(clusterGranularitySec))
-		} else {
-			vecs[i] = standardize(metrics[metricNames[i-nT]].Downsample(clusterGranularitySec))
+			return exec[i]
+		}
+		return metrics[metricNames[i-nT]]
+	}
+	// Standardize each node's per-minute vector once, through a scratch
+	// vector per chunk of nodes: corr(a, b) is then a dot product per pair.
+	scan := newPairScan(n, func(c int) int { return minutes(len(series(c))) }, tau)
+	alive := make([]bool, n)
+	parallel.Blocks(workers, n, func(lo, hi int) {
+		var buf []float64
+		for i := lo; i < hi; i++ {
+			buf = perMinute(buf, series(i))
+			if v := standardize(buf); v != nil {
+				alive[i] = true
+				scan.set(i, v)
+			}
 		}
 	})
-	// Constant series (nil vectors) have no edges: compact them away so the
-	// scan sees only live columns, in ascending node order.
-	live := make([]int, 0, n)
-	cols := make([][]float64, 0, n)
-	for i, v := range vecs {
-		if v != nil {
-			live = append(live, i)
-			cols = append(cols, v)
-		}
-	}
+	live := scan.compact(alive)
 
-	scan := newPairScan(cols, tau)
 	uf := newUnionFind(n)
 	edges := make([][]int32, pairScanBlock)
 	work := make([]int64, pairScanBlock)
-	for blockLo := 0; blockLo < len(cols); blockLo += pairScanBlock {
-		rows := min(pairScanBlock, len(cols)-blockLo)
+	for blockLo := 0; blockLo < len(live); blockLo += pairScanBlock {
+		rows := min(pairScanBlock, len(live)-blockLo)
 		parallel.ForEach(workers, rows, func(r int) {
 			edges[r], work[r] = scan.rowEdges(blockLo+r, edges[r][:0])
 		})
@@ -339,7 +339,7 @@ func clusterTemplates(exec []timeseries.Series, metrics map[string]timeseries.Se
 			mulAdds += work[r]
 		}
 	}
-	pairs = int64(len(cols)) * int64(len(cols)-1) / 2
+	pairs = int64(len(live)) * int64(len(live)-1) / 2
 
 	// Collect components; only template nodes (index < nT) become cluster
 	// members — the metric temp nodes are filtered here, as in the paper.
@@ -441,183 +441,4 @@ func windowAbruptlyUp(s timeseries.Series, as, ae int, k float64) bool {
 	_, hi := base.TukeyBounds(k)
 	win := s.Slice(as, ae)
 	return len(win) > 0 && win.Mean() > hi
-}
-
-// standardize centers s and scales it to unit norm in place, returning it,
-// or returns nil for a (near-)constant series, which cannot carry trend
-// information.
-func standardize(s timeseries.Series) []float64 {
-	m := s.Mean()
-	var norm float64
-	for i, v := range s {
-		d := v - m
-		s[i] = d
-		norm += d * d
-	}
-	if norm <= 1e-18*float64(len(s))*(m*m+1) {
-		return nil
-	}
-	inv := 1 / math.Sqrt(norm)
-	for i := range s {
-		s[i] *= inv
-	}
-	return s
-}
-
-// The pair scan abandons a pair once it cannot be an edge. With the first
-// k elements of the dot product of unit vectors a and b summed to s, what
-// is left is at most ‖a[k:]‖·‖b[k:]‖ (Cauchy–Schwarz), so when
-// s + ‖a[k:]‖·‖b[k:]‖ is below τ the finished sum is too. The test is made
-// once, at the checkpoint, with the bound inflated and τ lowered by
-// pruneSlack. Everything rounded on the way — the partial sum, the two tail
-// norms, the sum the pair would have finished with — is off by a few times
-// n·1.2e-16 for n-element unit vectors, under a third of the slack at
-// pruneMaxLen, so a pair is only abandoned when its finished score would be
-// below τ, and by far more than rounding could bridge. Pairs that pass
-// continue the same accumulator over the same elements in the same order:
-// every score that is compared with τ has the bits the plain dot product
-// gives it.
-const (
-	pruneSlack = 1e-9
-	// Vectors shorter than pruneMinLen are summed without a checkpoint —
-	// there is too little left to save — and so are vectors longer than
-	// pruneMaxLen (two years of minutes), beyond which the slack is not
-	// argued for.
-	pruneMinLen = 10
-	pruneMaxLen = 1 << 20
-)
-
-// pairScan is the τ-graph's live, standardized columns and what the scan
-// needs of each to abandon pairs early.
-type pairScan struct {
-	cols [][]float64
-	tau  float64
-	// checkpoint is the number of elements after which pairs are tested:
-	// nine twentieths of the shortest column (on the wide case an earlier
-	// test lets too many quads through and a later one saves too little),
-	// or 0 when pairs are not tested; tails[c] is the norm of cols[c] from
-	// the checkpoint on.
-	checkpoint int
-	tails      []float64
-}
-
-func newPairScan(cols [][]float64, tau float64) *pairScan {
-	ps := &pairScan{cols: cols, tau: tau}
-	if len(cols) == 0 {
-		return ps
-	}
-	shortest, longest := len(cols[0]), len(cols[0])
-	for _, c := range cols[1:] {
-		shortest, longest = min(shortest, len(c)), max(longest, len(c))
-	}
-	if shortest < pruneMinLen || longest > pruneMaxLen {
-		return ps
-	}
-	ps.checkpoint = shortest * 9 / 20
-	ps.tails = make([]float64, len(cols))
-	for c, col := range cols {
-		var sq float64
-		for _, v := range col[ps.checkpoint:] {
-			sq += v * v
-		}
-		ps.tails[c] = math.Sqrt(sq)
-	}
-	return ps
-}
-
-// rowEdges appends to edges every column c > r whose dot product with row r
-// exceeds tau, in ascending c, and returns the multiply-adds it spent.
-func (ps *pairScan) rowEdges(r int, edges []int32) ([]int32, int64) {
-	cols, a := ps.cols, ps.cols[r]
-	var mulAdds int64
-	var sums [4]float64
-	// What a pair must reach at the checkpoint, and how far row r's tail
-	// can still carry it per unit of the column's.
-	floor := ps.tau - pruneSlack
-	var reach float64
-	if ps.checkpoint > 0 {
-		reach = ps.tails[r] * (1 + pruneSlack)
-	}
-	c := r + 1
-	for ; c+4 <= len(cols); c += 4 {
-		n := ps.quad(a, c, reach, floor, &sums)
-		if n < 0 {
-			break // a short column ends its sum early: leave the rest to dot
-		}
-		mulAdds += 4 * int64(n)
-		if n < len(a) {
-			continue
-		}
-		for k, s := range sums {
-			if s > ps.tau {
-				edges = append(edges, int32(c+k))
-			}
-		}
-	}
-	for ; c < len(cols); c++ {
-		mulAdds += int64(min(len(a), len(cols[c])))
-		if dot(a, cols[c]) > ps.tau {
-			edges = append(edges, int32(c))
-		}
-	}
-	return edges, mulAdds
-}
-
-// quad scores row a against columns c..c+3 and returns how many
-// elements it got through: len(a), with the four finished sums in sums; the
-// checkpoint, when none of the four pairs could reach tau any more; -1 when
-// a column is shorter than a. Each pair has its own accumulator over the
-// same element order as dot, so every finished sum has the bits the
-// one-pair loop gives it; what changes is four independent add chains in
-// flight instead of one.
-func (ps *pairScan) quad(a []float64, c int, reach, floor float64, sums *[4]float64) int {
-	ys := ps.cols[c : c+4 : c+4]
-	b0, b1, b2, b3 := ys[0], ys[1], ys[2], ys[3]
-	if len(b0) < len(a) || len(b1) < len(a) || len(b2) < len(a) || len(b3) < len(a) {
-		return -1
-	}
-	b0, b1, b2, b3 = b0[:len(a)], b1[:len(a)], b2[:len(a)], b3[:len(a)]
-	var s0, s1, s2, s3 float64
-	i := 0
-	if k := ps.checkpoint; k > 0 {
-		for ; i < k; i++ {
-			v := a[i]
-			s0 += v * b0[i]
-			s1 += v * b1[i]
-			s2 += v * b2[i]
-			s3 += v * b3[i]
-		}
-		// One test for the quad: four verdicts, each taken without a
-		// branch, folded together.
-		t := ps.tails[c : c+4 : c+4]
-		if below(s0+reach*t[0], floor)&below(s1+reach*t[1], floor)&below(s2+reach*t[2], floor)&below(s3+reach*t[3], floor) != 0 {
-			return i
-		}
-	}
-	for ; i < len(a); i++ {
-		v := a[i]
-		s0 += v * b0[i]
-		s1 += v * b1[i]
-		s2 += v * b2[i]
-		s3 += v * b3[i]
-	}
-	sums[0], sums[1], sums[2], sums[3] = s0, s1, s2, s3
-	return len(a)
-}
-
-// below is 1 when x < floor and 0 otherwise, NaN included.
-func below(x, floor float64) int {
-	if x < floor {
-		return 1
-	}
-	return 0
-}
-
-func dot(a, b []float64) float64 {
-	n := min(len(a), len(b))
-	var acc float64
-	for i := 0; i < n; i++ {
-		acc += a[i] * b[i]
-	}
-	return acc
 }

@@ -252,8 +252,8 @@ func TestMetricTempNodesDensifyGraph(t *testing.T) {
 		InstSession: make(timeseries.Series, n),
 		AS:          100, AE: 200,
 	}
-	corrAB, _ := timeseries.Corr(a.Exec.Downsample(60), b.Exec.Downsample(60))
-	corrAM, _ := timeseries.Corr(a.Exec.Downsample(60), base.Downsample(60))
+	corrAB, _ := timeseries.Corr(perMinute(nil, a.Exec), perMinute(nil, b.Exec))
+	corrAM, _ := timeseries.Corr(perMinute(nil, a.Exec), perMinute(nil, base))
 	if !(corrAB <= DefaultTau && corrAM > DefaultTau) {
 		t.Skipf("noise did not produce the bridge condition: AB=%.3f AM=%.3f", corrAB, corrAM)
 	}

@@ -1,6 +1,7 @@
 package rootcause
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -25,13 +26,26 @@ func scanEdges(cols [][]float64, rowEdges func(r int, edges []int32) ([]int32, i
 	return lists, mulAdds
 }
 
-// checkPrunedScan holds the pruned scan to the full scan's edge lists on
-// cols, for every τ the tests name.
-func checkPrunedScan(t *testing.T, label string, cols [][]float64, taus ...float64) {
+// scanOf lays cols out for the pair scan as clusterTemplates does, every
+// column live, and takes the kernel path or the Go one.
+func scanOf(cols [][]float64, tau float64, kernel bool) *pairScan {
+	ps := newPairScan(len(cols), func(c int) int { return len(cols[c]) }, tau)
+	alive := make([]bool, len(cols))
+	for c, v := range cols {
+		ps.set(c, v)
+		alive[c] = true
+	}
+	ps.compact(alive)
+	ps.kernel = kernel
+	return ps
+}
+
+// checkPrunedScan holds the pruned scan, on the kernel path or the Go one,
+// to the full scan's edge lists on cols, for every τ the tests name.
+func checkPrunedScan(t *testing.T, kernel bool, label string, cols [][]float64, taus ...float64) {
 	t.Helper()
 	for _, tau := range taus {
-		ps := newPairScan(cols, tau)
-		got, _ := scanEdges(cols, ps.rowEdges)
+		got, _ := scanEdges(cols, scanOf(cols, tau, kernel).rowEdges)
 		want, _ := scanEdges(cols, func(r int, e []int32) ([]int32, int64) { return fullRowEdges(cols, r, tau, e) })
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s, τ=%v: pruned scan's edges %v, full scan's %v", label, tau, got, want)
@@ -80,9 +94,21 @@ func unitOrthogonal(rng *rand.Rand, length int) (a, c []float64) {
 var scanTaus = []float64{-1, 0, DefaultTau, 1}
 
 // TestPrunedScanMatchesFullScan: abandoning pairs at the checkpoint never
-// changes an edge list. Random columns, related and unrelated, at every τ;
-// then the inputs built against the pruning itself.
+// changes an edge list, on the kernel path or the Go one. Random columns,
+// related and unrelated, at every τ; then the inputs built against the
+// pruning itself.
 func TestPrunedScanMatchesFullScan(t *testing.T) {
+	for _, kernel := range []bool{false, true} {
+		t.Run(map[bool]string{false: "go", true: "kernel"}[kernel], func(t *testing.T) {
+			if kernel && !haveAVX {
+				t.Skip("the CPU lacks AVX or the OS does not save its registers: only the Go path runs here")
+			}
+			prunedScanCases(t, kernel)
+		})
+	}
+}
+
+func prunedScanCases(t *testing.T, kernel bool) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		length := pruneMinLen + rng.Intn(40)
@@ -96,7 +122,7 @@ func TestPrunedScanMatchesFullScan(t *testing.T) {
 			}
 			cols[rng.Intn(len(cols))] = standardize(s)
 		}
-		checkPrunedScan(t, fmt.Sprintf("seed %d", seed), cols, scanTaus...)
+		checkPrunedScan(t, kernel, fmt.Sprintf("seed %d", seed), cols, scanTaus...)
 		return !t.Failed()
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
@@ -151,12 +177,11 @@ func TestPrunedScanMatchesFullScan(t *testing.T) {
 				cols = append(cols, b)
 			}
 			cols = append(cols, noiseColumns(rng, 3, length)...)
-			checkPrunedScan(t, fmt.Sprintf("near τ trial %d", trial), cols, tau)
+			checkPrunedScan(t, kernel, fmt.Sprintf("near τ trial %d", trial), cols, tau)
 		}
 	}
 
-	// Columns of unequal length, shorter and longer than the row, in every
-	// position of a quad.
+	// Columns of unequal length, shorter and longer than the row, anywhere.
 	for trial := 0; trial < 20; trial++ {
 		cols := noiseColumns(rng, 9+rng.Intn(8), 40)
 		for c := range cols {
@@ -165,7 +190,7 @@ func TestPrunedScanMatchesFullScan(t *testing.T) {
 			}
 		}
 		cols = append(cols, cols[0][:25], cols[1])
-		checkPrunedScan(t, fmt.Sprintf("ragged trial %d", trial), cols, scanTaus...)
+		checkPrunedScan(t, kernel, fmt.Sprintf("ragged trial %d", trial), cols, scanTaus...)
 	}
 
 	// All columns equal: every pair scores the same, at or beside 1.
@@ -174,12 +199,12 @@ func TestPrunedScanMatchesFullScan(t *testing.T) {
 	for c := range equal {
 		equal[c] = same
 	}
-	checkPrunedScan(t, "all equal", equal, scanTaus...)
+	checkPrunedScan(t, kernel, "all equal", equal, scanTaus...)
 
 	// One live column, none, and columns too short to have a checkpoint.
-	checkPrunedScan(t, "one column", [][]float64{same}, scanTaus...)
-	checkPrunedScan(t, "no column", nil, scanTaus...)
-	checkPrunedScan(t, "short columns", noiseColumns(rng, 13, pruneMinLen-1), scanTaus...)
+	checkPrunedScan(t, kernel, "one column", [][]float64{same}, scanTaus...)
+	checkPrunedScan(t, kernel, "no column", nil, scanTaus...)
+	checkPrunedScan(t, kernel, "short columns", noiseColumns(rng, 13, pruneMinLen-1), scanTaus...)
 
 	// Columns that are not what standardize returns: all-zero (a norm that
 	// overflowed), NaN inside, and a NaN threshold.
@@ -189,7 +214,7 @@ func TestPrunedScanMatchesFullScan(t *testing.T) {
 	odd[5][30] = math.NaN()
 	odd[7] = append([]float64(nil), odd[7]...)
 	odd[7][3] = math.NaN()
-	checkPrunedScan(t, "zero and NaN columns", odd, append([]float64{math.NaN()}, scanTaus...)...)
+	checkPrunedScan(t, kernel, "zero and NaN columns", odd, append([]float64{math.NaN()}, scanTaus...)...)
 }
 
 // TestClusterTemplatesDegenerateInputs: the partition of inputs with no
@@ -214,7 +239,9 @@ func TestClusterTemplatesDegenerateInputs(t *testing.T) {
 
 // TestPairScanWorkBudget is a budget of work, not of time: on 600 columns
 // drawn like the wide case's the scan spends at most half the multiply-adds
-// of the full triangle — which is what the scan it replaced spends.
+// of the full triangle — which is what the scan it replaced spends — and
+// the kernel path, counted per pair as the Go path is, no more than the Go
+// path, on the same edges.
 func TestPairScanWorkBudget(t *testing.T) {
 	const n, length = 600, 35
 	cols := noiseColumns(rand.New(rand.NewSource(3)), n, length)
@@ -224,9 +251,14 @@ func TestPairScanWorkBudget(t *testing.T) {
 	if full != triangle {
 		t.Fatalf("the full scan spent %d multiply-adds, the triangle has %d", full, triangle)
 	}
-	_, pruned := scanEdges(cols, newPairScan(cols, DefaultTau).rowEdges)
+	goEdges, pruned := scanEdges(cols, scanOf(cols, DefaultTau, false).rowEdges)
 	if 2*pruned > triangle {
 		t.Errorf("the pruned scan spent %d multiply-adds, more than half of the triangle's %d", pruned, triangle)
+	}
+	if !haveAVX {
+		t.Log("the CPU lacks AVX or the OS does not save its registers: no kernel path to count")
+	} else if kernelEdges, kernel := scanEdges(cols, scanOf(cols, DefaultTau, true).rowEdges); kernel > pruned || !reflect.DeepEqual(kernelEdges, goEdges) {
+		t.Errorf("the kernel path spent %d multiply-adds to the Go path's %d, or found other edges", kernel, pruned)
 	}
 
 	// The counters a Result carries are the scan's.
@@ -319,5 +351,110 @@ func TestPartitionIsReadOnlyAcrossCases(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// FuzzPanelScan holds panelPrefix16 to prefix16, its Go oracle: for every
+// row and every sixteen columns the row is scored against, the same sixteen
+// prefix sums, bit for bit, and the same survivor bits. A NaN equals any
+// NaN: of two NaN operands x86 returns the first one's payload, and which
+// operand comes first in Go's code is the compiler's choice. The input's bytes
+// are the values — columns, tails, the row's reach and the floor; the seeds
+// hold NaN, ±Inf, −0 and subnormals — and pick the column count (any, not
+// only multiples of 4 or 16; every row is scanned, the last ones included),
+// the length and the checkpoint.
+func FuzzPanelScan(f *testing.F) {
+	if !haveAVX {
+		f.Skip("the CPU lacks AVX or the OS does not save its registers: no kernel to hold to its oracle")
+	}
+	encode := func(vals ...float64) []byte {
+		var b []byte
+		for _, v := range vals {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	f.Add(uint8(17), uint8(35), uint8(15), encode(0.3, -0.7, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 5e-324, -2.2e-308, 0.8))
+	f.Add(uint8(4), uint8(1), uint8(0), encode(1, -1))
+	f.Add(uint8(33), uint8(12), uint8(11), encode(1e308, -1e308, 1e-310, 0.5, 0.25))
+	// Finite values whose products round: a fused multiply-add differs.
+	f.Add(uint8(21), uint8(35), uint8(15), encode(0.1, 1.0/3, -0.7, 2.0/7, 0.123456789, -1.0/9, 0.3))
+	f.Fuzz(func(t *testing.T, cols, length, checkpoint uint8, data []byte) {
+		vals := []float64{0.5, -0.25}
+		for ; len(data) >= 8; data = data[8:] {
+			vals = append(vals, math.Float64frombits(binary.LittleEndian.Uint64(data)))
+		}
+		next := 0
+		value := func() float64 {
+			next++
+			return vals[next%len(vals)]
+		}
+		n, L := 1+int(cols)%70, 1+int(length)%40
+		ps := newPairScan(n, func(int) int { return L }, value())
+		alive := make([]bool, n)
+		for c := range alive {
+			v := make([]float64, L)
+			for i := range v {
+				v[i] = value()
+			}
+			ps.set(c, v)
+			alive[c] = true
+		}
+		ps.compact(alive)
+		ps.checkpoint = 1 + int(checkpoint)%L
+		ps.tails = make([]float64, len(ps.panel)/L)
+		for c := 0; c < n; c++ {
+			ps.tails[c] = value()
+		}
+		for r := 0; r < n; r++ {
+			row, reach, floor := ps.column(r), value(), value()
+			for c0 := (r + 1) &^ 3; c0 < n; c0 += 16 {
+				var got, want [16]float64
+				gotMask := panelPrefix16(&row[0], &ps.panel[c0*L], L, ps.checkpoint, &ps.tails[c0], reach, floor, &got)
+				wantMask := ps.prefix16(row, c0, reach, floor, &want)
+				if gotMask != wantMask {
+					t.Fatalf("n=%d length=%d checkpoint=%d row %d columns %d…: kernel survivors %016b, Go %016b", n, L, ps.checkpoint, r, c0, gotMask, wantMask)
+				}
+				for j := range got {
+					if math.Float64bits(got[j]) != math.Float64bits(want[j]) && !(math.IsNaN(got[j]) && math.IsNaN(want[j])) {
+						t.Fatalf("n=%d length=%d checkpoint=%d row %d column %d: kernel sum %v (%#x), Go %v (%#x)", n, L, ps.checkpoint, r, c0+j, got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestPartialMinuteKeepsUnrelatedApart: 300 templates of independent
+// Poisson counts have no business in common, whatever the window's length.
+// A trailing partial minute summed as a short minute of its own dips in
+// every series at once and correlates them all; folded into the last full
+// minute it does not.
+func TestPartialMinuteKeepsUnrelatedApart(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	poisson := func(lambda float64) float64 {
+		k, p, limit := 0.0, rng.Float64(), math.Exp(-lambda)
+		for ; p > limit; p *= rng.Float64() {
+			k++
+		}
+		return k
+	}
+	for _, seconds := range []int{1200, 1230, 1215, 1201} {
+		exec := make([]timeseries.Series, 300)
+		for i := range exec {
+			lambda := 1 + 9*rng.Float64()
+			exec[i] = make(timeseries.Series, seconds)
+			for s := range exec[i] {
+				exec[i][s] = poisson(lambda)
+			}
+		}
+		comps, _, _ := clusterTemplates(exec, nil, DefaultTau, 1)
+		largest := 0
+		for _, c := range comps {
+			largest = max(largest, len(c))
+		}
+		if largest > 2 {
+			t.Errorf("%d s: %d independent templates in one cluster", seconds, largest)
+		}
 	}
 }

@@ -193,7 +193,7 @@ func TestDownsampleGroupsHaveSumBits(t *testing.T) {
 			s[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(12)))
 		}
 		for _, factor := range []int{2, 7, 60} {
-			got := s.Downsample(factor)
+			got := s.DownsampleInto(nil, factor)
 			if len(got) != (n+factor-1)/factor {
 				t.Fatalf("n=%d factor=%d: %d groups", n, factor, len(got))
 			}

@@ -14,6 +14,7 @@ package timeseries
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -159,16 +160,18 @@ func (s Series) madAbout(med float64) float64 {
 	return quantileSorted(dev, 0.5)
 }
 
-// Downsample aggregates consecutive groups of factor samples using sum,
-// producing a coarser-granularity series (e.g. 1 s → 1 min with factor 60).
-// A trailing partial group is aggregated as-is. Four full groups are summed
-// at a time, each in its own accumulator over its own samples in order, so
-// every output has the bits Sum gives it.
-func (s Series) Downsample(factor int) Series {
+// DownsampleInto writes into buf's storage, grown if need be, the sums of
+// consecutive groups of factor samples, a coarser-granularity series (e.g.
+// 1 s → 1 min with factor 60), and returns them. A trailing partial group
+// is summed as-is. Four full groups are summed at a time, each in its own
+// accumulator over its own samples in order, so every output has the bits
+// Sum gives it.
+func (s Series) DownsampleInto(buf Series, factor int) Series {
 	if factor <= 1 || len(s) == 0 {
-		return s.Clone()
+		return append(buf[:0], s...)
 	}
-	out := make(Series, (len(s)+factor-1)/factor)
+	n := (len(s) + factor - 1) / factor
+	out := slices.Grow(buf[:0], n)[:n]
 	b := 0
 	for ; (b+4)*factor <= len(s); b += 4 {
 		g := s[b*factor : (b+4)*factor]

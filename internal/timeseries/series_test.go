@@ -172,7 +172,7 @@ func TestMAD(t *testing.T) {
 
 func TestDownsample(t *testing.T) {
 	s := Series{1, 2, 3, 4, 5}
-	got := s.Downsample(2)
+	got := s.DownsampleInto(nil, 2)
 	want := Series{3, 7, 5}
 	if len(got) != len(want) {
 		t.Fatalf("Downsample len = %d, want %d", len(got), len(want))
@@ -182,7 +182,7 @@ func TestDownsample(t *testing.T) {
 			t.Errorf("Downsample[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
-	same := s.Downsample(1)
+	same := s.DownsampleInto(nil, 1)
 	if len(same) != len(s) {
 		t.Error("Downsample(1) should preserve length")
 	}
@@ -248,7 +248,7 @@ func TestDownsampleSumProperty(t *testing.T) {
 	f := func(vals []float64, factor uint8) bool {
 		s := sanitize(vals)
 		fac := int(factor%7) + 1
-		return almostEqual(s.Downsample(fac).Sum(), s.Sum(), 1e-6*(1+math.Abs(s.Sum())))
+		return almostEqual(s.DownsampleInto(nil, fac).Sum(), s.Sum(), 1e-6*(1+math.Abs(s.Sum())))
 	}
 	if err := quick.Check(f, quickCfg()); err != nil {
 		t.Error(err)

@@ -78,14 +78,14 @@ func TestIntraServiceCorrelationExceedsTau(t *testing.T) {
 	w := DefaultWorld(2)
 	counts := w.CountArrivals(0, 2_400_000, 6)
 	sf := w.Services[0] // storefront
-	a := counts[sf.Specs[0].ID()].Downsample(60)
-	b := counts[sf.Specs[1].ID()].Downsample(60)
+	a := counts[sf.Specs[0].ID()].DownsampleInto(nil, 60)
+	b := counts[sf.Specs[1].ID()].DownsampleInto(nil, 60)
 	corrAB, _ := timeseries.Corr(a, b)
 	if corrAB <= 0.8 {
 		t.Errorf("same-service corr = %v, want > 0.8", corrAB)
 	}
 	// Cross-service correlation must stay below the clustering threshold.
-	other := counts[w.Services[3].Specs[0].ID()].Downsample(60) // analytics log-scan
+	other := counts[w.Services[3].Specs[0].ID()].DownsampleInto(nil, 60) // analytics log-scan
 	corrAX, _ := timeseries.Corr(a, other)
 	if corrAX > 0.8 {
 		t.Errorf("cross-service corr = %v, want ≤ 0.8", corrAX)
