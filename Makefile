@@ -3,8 +3,8 @@
 # over the SQL normalizer, the storage codecs, the log-file readers, the
 # window log's arrangement, the collector's window log, a frame group's
 # sort, the segment store's
-# seal paths, the session estimator, the sparse series' correlations and the
-# pair scan's AVX kernel.
+# seal paths, the session estimator and its AVX2 walk kernel, the sparse
+# series' correlations and the pair scan's AVX kernel.
 
 GO ?= go
 
@@ -89,6 +89,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzSortObsGroup -fuzztime=5s ./internal/window
 	$(GO) test -run=^$$ -fuzz=FuzzEstimateShortPath -fuzztime=10s ./internal/session
 	$(GO) test -run=^$$ -fuzz=FuzzFillCompact -fuzztime=5s ./internal/session
+	$(GO) test -run=^$$ -fuzz=FuzzBucketWalk -fuzztime=10s ./internal/session
 	$(GO) test -run=^$$ -fuzz=FuzzSparseCorr -fuzztime=5s ./internal/timeseries
 	$(GO) test -run=^$$ -fuzz=FuzzPanelScan -fuzztime=5s ./internal/rootcause
 

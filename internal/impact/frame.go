@@ -1,7 +1,7 @@
 package impact
 
 import (
-	"sort"
+	"slices"
 
 	"pinsql/internal/parallel"
 	"pinsql/internal/timeseries"
@@ -85,6 +85,19 @@ func RankFrame(f *window.Frame, sessions []timeseries.Sparse, instSession timese
 		scores[i].Impact = impact
 	}
 
-	sort.SliceStable(scores, func(i, j int) bool { return scores[i].Impact > scores[j].Impact })
+	slices.SortStableFunc(scores, func(a, b Score) int { return descending(a.Impact, b.Impact) })
 	return scores
+}
+
+// descending orders x before y when x > y and leaves two that compare
+// neither way — ties, a NaN — in their order. The stable sort reads only
+// cmp < 0, so it orders as sort.SliceStable does with x > y as its less.
+func descending(x, y float64) int {
+	switch {
+	case x > y:
+		return -1
+	case y > x:
+		return 1
+	}
+	return 0
 }

@@ -20,6 +20,7 @@ package rootcause
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -247,7 +248,7 @@ func (p *Partition) Identify(in Input, opt Options) *Result {
 			Verified: verified[idx],
 		})
 	}
-	sort.SliceStable(res.Ranked, func(i, j int) bool { return res.Ranked[i].Score > res.Ranked[j].Score })
+	slices.SortStableFunc(res.Ranked, func(a, b Candidate) int { return descending(a.Score, b.Score) })
 	res.VerifyDur = time.Since(stageStart)
 	return res
 }
@@ -356,6 +357,19 @@ func clusterTemplates(exec []timeseries.Series, metrics map[string]timeseries.Se
 	return components, pairs, mulAdds
 }
 
+// descending orders x before y when x > y and leaves two that compare
+// neither way — ties, a NaN — in their order. The stable sort reads only
+// cmp < 0, so it orders as sort.SliceStable does with x > y as its less.
+func descending(x, y float64) int {
+	switch {
+	case x > y:
+		return -1
+	case y > x:
+		return 1
+	}
+	return 0
+}
+
 // orderClustersByImpact computes each cluster's impact and sorts descending.
 func orderClustersByImpact(clusters []cluster, templates []Template) {
 	for i := range clusters {
@@ -367,7 +381,7 @@ func orderClustersByImpact(clusters []cluster, templates []Template) {
 		}
 		clusters[i].impact = best
 	}
-	sort.SliceStable(clusters, func(i, j int) bool { return clusters[i].impact > clusters[j].impact })
+	slices.SortStableFunc(clusters, func(a, b cluster) int { return descending(a.impact, b.impact) })
 }
 
 // selectClusters applies the cumulative threshold (§VI): iterate clusters

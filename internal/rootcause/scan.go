@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"pinsql/internal/cpufeat"
 	"pinsql/internal/timeseries"
 )
 
@@ -81,7 +82,7 @@ type pairScan struct {
 
 // newPairScan lays out n columns, column c of length(c) elements, for set.
 func newPairScan(n int, length func(c int) int, tau float64) *pairScan {
-	ps := &pairScan{tau: tau, kernel: haveAVX}
+	ps := &pairScan{tau: tau, kernel: cpufeat.AVX}
 	for c := range n {
 		if length(c) != length(0) {
 			ps.ragged = make([][]float64, n)

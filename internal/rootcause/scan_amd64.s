@@ -1,20 +1,5 @@
 #include "textflag.h"
 
-// func cpuid1ECX() uint32
-TEXT ·cpuid1ECX(SB), NOSPLIT, $0-4
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	MOVL CX, ret+0(FP)
-	RET
-
-// func xgetbv0() uint32
-TEXT ·xgetbv0(SB), NOSPLIT, $0-4
-	XORL CX, CX
-	XGETBV
-	MOVL AX, ret+0(FP)
-	RET
-
 // func panelPrefix16(row, panels *float64, length, k int, tails *float64, reach, floor float64, sums *[16]float64) uint
 //
 // It sums the products of a row (element i at row[4i]) with the sixteen

@@ -2,9 +2,6 @@
 
 package rootcause
 
-// haveAVX is false off amd64: the pair scan sums in Go (prefix16).
-const haveAVX = false
-
 func panelPrefix16(row, panels *float64, length, k int, tails *float64, reach, floor float64, sums *[16]float64) uint {
 	panic("rootcause: no pair-scan kernel on this architecture")
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"pinsql/internal/cpufeat"
 	"pinsql/internal/sqltemplate"
 	"pinsql/internal/timeseries"
 )
@@ -100,7 +101,7 @@ var scanTaus = []float64{-1, 0, DefaultTau, 1}
 func TestPrunedScanMatchesFullScan(t *testing.T) {
 	for _, kernel := range []bool{false, true} {
 		t.Run(map[bool]string{false: "go", true: "kernel"}[kernel], func(t *testing.T) {
-			if kernel && !haveAVX {
+			if kernel && !cpufeat.AVX {
 				t.Skip("the CPU lacks AVX or the OS does not save its registers: only the Go path runs here")
 			}
 			prunedScanCases(t, kernel)
@@ -255,7 +256,7 @@ func TestPairScanWorkBudget(t *testing.T) {
 	if 2*pruned > triangle {
 		t.Errorf("the pruned scan spent %d multiply-adds, more than half of the triangle's %d", pruned, triangle)
 	}
-	if !haveAVX {
+	if !cpufeat.AVX {
 		t.Log("the CPU lacks AVX or the OS does not save its registers: no kernel path to count")
 	} else if kernelEdges, kernel := scanEdges(cols, scanOf(cols, DefaultTau, true).rowEdges); kernel > pruned || !reflect.DeepEqual(kernelEdges, goEdges) {
 		t.Errorf("the kernel path spent %d multiply-adds to the Go path's %d, or found other edges", kernel, pruned)
@@ -364,7 +365,7 @@ func TestPartitionIsReadOnlyAcrossCases(t *testing.T) {
 // only multiples of 4 or 16; every row is scanned, the last ones included),
 // the length and the checkpoint.
 func FuzzPanelScan(f *testing.F) {
-	if !haveAVX {
+	if !cpufeat.AVX {
 		f.Skip("the CPU lacks AVX or the OS does not save its registers: no kernel to hold to its oracle")
 	}
 	encode := func(vals ...float64) []byte {

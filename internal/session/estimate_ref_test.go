@@ -4,6 +4,7 @@ import (
 	"sort"
 	"testing"
 
+	"pinsql/internal/cpufeat"
 	"pinsql/internal/sqltemplate"
 	"pinsql/internal/timeseries"
 	"pinsql/internal/window"
@@ -179,12 +180,26 @@ func refEstimateByRT(f *window.Frame) *refEstimate {
 }
 
 // checkAllEstimators holds the three frame estimators to their dense
-// references over f: the whole second is the one bucket of K = 1.
-func checkAllEstimators(t *testing.T, label string, f *window.Frame, observed timeseries.Series, k, workers int) {
+// references over f, their walks on the kernel or in Go: the whole second
+// is the one bucket of K = 1.
+func checkAllEstimators(t *testing.T, label string, f *window.Frame, observed timeseries.Series, k, workers int, kernel bool) {
 	t.Helper()
 	checkFrameEstimate(t, label+" byRT", f, EstimateFrameByRT(f), refEstimateByRT(f))
 	whole := refEstimateBuckets(f, nil, 1)
 	whole.SelBucket = nil
-	checkFrameEstimate(t, label+" noBuckets", f, EstimateFrameNoBuckets(f), whole)
-	checkFrameEstimate(t, label+" buckets", f, EstimateFrameBuckets(f, observed, k, workers), refEstimateBuckets(f, observed, k))
+	checkFrameEstimate(t, label+" noBuckets", f, estimateFrameNoBuckets(f, kernel), whole)
+	checkFrameEstimate(t, label+" buckets", f, estimateFrameBuckets(f, observed, k, workers, kernel), refEstimateBuckets(f, observed, k))
+}
+
+// forEachWalk runs body as a subtest per walk: "go", and "kernel", skipped
+// where the CPU lacks the kernel's features.
+func forEachWalk(t *testing.T, body func(t *testing.T, kernel bool)) {
+	for _, kernel := range []bool{false, true} {
+		t.Run(map[bool]string{false: "go", true: "kernel"}[kernel], func(t *testing.T) {
+			if kernel && !cpufeat.AVX2 {
+				t.Skip("the CPU lacks AVX2 or the OS does not save its registers: no kernel path")
+			}
+			body(t, kernel)
+		})
+	}
 }

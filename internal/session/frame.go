@@ -2,8 +2,10 @@ package session
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
+	"pinsql/internal/cpufeat"
 	"pinsql/internal/parallel"
 	"pinsql/internal/timeseries"
 	"pinsql/internal/window"
@@ -61,10 +63,17 @@ func EstimateFrameByRT(f *window.Frame) *FrameEstimate {
 // whole second ("Estimate w/o buckets"): accurate for the time-averaged
 // session but blind to where inside the second SHOW STATUS actually sampled.
 func EstimateFrameNoBuckets(f *window.Frame) *FrameEstimate {
+	return estimateFrameNoBuckets(f, cpufeat.AVX2)
+}
+
+// estimateFrameNoBuckets is EstimateFrameNoBuckets; kernel false keeps its
+// walk in Go.
+func estimateFrameNoBuckets(f *window.Frame, kernel bool) *FrameEstimate {
 	est := newFrameEstimate(f)
 	starts := secondStarts(f)
+	kernel = kernel && kernelFits(f, 1)
 	est.fill(f, 1, func(s *fillScratch, pos int) {
-		accumulateFrame(s, f, pos, starts, starts[:f.Seconds], 1000)
+		accumulateFrame(s, f, pos, starts, starts[:f.Seconds], 1000, kernel)
 	})
 	return est
 }
@@ -83,10 +92,19 @@ const maxExactMs = 1 << 52
 // ascending-template-ID (ByID) then arrival order, each second is owned by
 // one worker and so is every per-template series, so no cross-worker
 // reduction happens and the output is bit-identical for every worker count.
+// Where the CPU has AVX2, both walks take the kernel when kernelFits says
+// so, with the same bits.
 func EstimateFrameBuckets(f *window.Frame, observed timeseries.Series, k, workers int) *FrameEstimate {
+	return estimateFrameBuckets(f, observed, k, workers, cpufeat.AVX2)
+}
+
+// estimateFrameBuckets is EstimateFrameBuckets; kernel false keeps both
+// walks in Go.
+func estimateFrameBuckets(f *window.Frame, observed timeseries.Series, k, workers int, kernel bool) *FrameEstimate {
 	if k <= 0 {
 		k = DefaultBuckets
 	}
+	kernel = kernel && kernelFits(f, k)
 	est := newFrameEstimate(f)
 	seconds := f.Seconds
 	bucketLen := 1000.0 / float64(k)
@@ -136,15 +154,45 @@ func EstimateFrameBuckets(f *window.Frame, observed timeseries.Series, k, worker
 	// evaluates a conservative bucket range. Either way the buckets left
 	// out overlap by exactly zero, which the full walk did not add either,
 	// and the ones evaluated get the same expression in the same order.
+	// The kernel settles four observations a vector, the Go direct path's
+	// and more (walk_amd64.s), and hands the rest to the span loop; the
+	// adds stay here, in arrival order.
 	exact := exactWindow(f)
 	totals := make([]float64, seconds*k)
 	selLo := make([]float64, seconds) // start of each second's selected bucket
+	// span adds what an observation that arrives at a with response r
+	// overlaps in the block's seconds [lo, hi).
+	span := func(a int64, r float64, lo, hi int) {
+		qlo := float64(a)
+		qhi := qlo + r
+		first, last := secondSpan(a, r, f.StartMs, seconds)
+		first, last = max(first, lo), min(last, hi-1)
+		for sec := first; sec <= last; sec++ {
+			base := starts[sec]
+			b0, b1 := 0, k-1
+			if x := (qlo-base)/bucketLen - 1; x > 0 {
+				b0 = int(x)
+			}
+			if x := (qhi-base)/bucketLen + 1; x < float64(b1) {
+				b1 = int(x)
+			}
+			row := totals[sec*k : sec*k+k]
+			for b := b0; b <= b1; b++ {
+				blo := base + bucketOff[b+1]
+				if ov := overlap(qlo, qhi, blo, blo+bucketLen); ov > 0 {
+					row[b] += ov / bucketLen
+				}
+			}
+		}
+	}
 	parallel.Blocks(workers, seconds, func(lo, hi int) {
 		loMs, hiMs := f.StartMs+int64(lo)*1000, f.StartMs+int64(hi)*1000
 		directLo := loMs // arrivals in [directLo, hiMs) may take the direct path
 		if !exact {
 			directLo = hiMs
 		}
+		var cells [walkChunk]int32
+		var vals [walkChunk]float64
 		for _, pos := range f.ByID {
 			arr, resp := f.Obs(int(pos))
 			i := 0
@@ -153,7 +201,23 @@ func EstimateFrameBuckets(f *window.Frame, observed timeseries.Series, k, worker
 					i, _ = slices.BinarySearch(arr, int64(cut)-1)
 				}
 			}
-			for ; i < len(arr) && arr[i] < hiMs; i++ {
+			end := len(arr) // the first to arrive after the block
+			if end > 0 && arr[end-1] >= hiMs {
+				end, _ = slices.BinarySearch(arr, hiMs)
+			}
+			for kernel && end-i >= 4 {
+				n := min(end-i, walkChunk) &^ 3
+				bucketCells(&arr[i], &resp[i], n, f.StartMs, int64(lo)*1000, int64(hi)*1000, float64(f.StartMs), bucketLen, perMs, &cells, &vals)
+				for j, c := range cells[:n] {
+					if c >= 0 {
+						totals[c] += vals[j]
+					} else {
+						span(arr[i+j], resp[i+j], lo, hi)
+					}
+				}
+				i += n
+			}
+			for ; i < end; i++ {
 				qlo := float64(arr[i])
 				qhi := qlo + resp[i]
 				if arr[i] >= directLo {
@@ -177,25 +241,7 @@ func EstimateFrameBuckets(f *window.Frame, observed timeseries.Series, k, worker
 						}
 					}
 				}
-				first, last := secondSpan(arr[i], resp[i], f.StartMs, seconds)
-				first, last = max(first, lo), min(last, hi-1)
-				for sec := first; sec <= last; sec++ {
-					base := starts[sec]
-					b0, b1 := 0, k-1
-					if x := (qlo-base)/bucketLen - 1; x > 0 {
-						b0 = int(x)
-					}
-					if x := (qhi-base)/bucketLen + 1; x < float64(b1) {
-						b1 = int(x)
-					}
-					row := totals[sec*k : sec*k+k]
-					for b := b0; b <= b1; b++ {
-						blo := base + bucketOff[b+1]
-						if ov := overlap(qlo, qhi, blo, blo+bucketLen); ov > 0 {
-							row[b] += ov / bucketLen
-						}
-					}
-				}
+				span(arr[i], resp[i], lo, hi)
 			}
 		}
 		for sec := lo; sec < hi; sec++ {
@@ -217,7 +263,7 @@ func EstimateFrameBuckets(f *window.Frame, observed timeseries.Series, k, worker
 
 	// Pass 3: per-template expectation inside the selected bucket.
 	est.fill(f, workers, func(s *fillScratch, pos int) {
-		accumulateFrame(s, f, pos, starts, selLo, bucketLen)
+		accumulateFrame(s, f, pos, starts, selLo, bucketLen, kernel)
 	})
 	return est
 }
@@ -228,6 +274,18 @@ func EstimateFrameBuckets(f *window.Frame, observed timeseries.Series, k, worker
 // division, which is what lets an observation skip that loop.
 func exactWindow(f *window.Frame) bool {
 	return f.StartMs > -maxExactMs && f.StartMs < maxExactMs && f.StartMs+int64(f.Seconds)*1000 < maxExactMs
+}
+
+// walkChunk is the most observations one kernel call takes: what it
+// writes sits on the caller's stack, and a bit for each fits a uint64.
+const walkChunk = 64
+
+// kernelFits reports whether the walks over f, at k buckets a second, may
+// take the kernel: a bucket is a whole number of milliseconds (k divides
+// 1000), the window's arithmetic is exact and every (second, bucket) cell
+// has an int32 index.
+func kernelFits(f *window.Frame, k int) bool {
+	return 1000%k == 0 && exactWindow(f) && f.Seconds > 0 && int64(f.Seconds)*int64(k) <= math.MaxInt32
 }
 
 // secondStarts returns the start of every second of the frame as a float,
@@ -245,16 +303,41 @@ func secondStarts(f *window.Frame) []float64 {
 // every second each observation spans; second sec's period is
 // [periodLo[sec], periodLo[sec]+periodLen), inside the second that begins at
 // starts[sec]. An observation that begins in the window and ends inside the
-// second it begins in is added there directly; the others go through the
-// span loop, which for such an observation evaluates the same period and,
+// second it begins in is added there directly; the others go through
+// spanPeriods, which for such an observation evaluates the same period and,
 // where it ends exactly on the second's boundary, one more of zero overlap.
-func accumulateFrame(s *fillScratch, f *window.Frame, pos int, starts, periodLo []float64, periodLen float64) {
+// With kernel, periodMeets makes the direct path's decision four
+// observations a vector, and the adds follow in arrival order.
+func accumulateFrame(s *fillScratch, f *window.Frame, pos int, starts, periodLo []float64, periodLen float64, kernel bool) {
 	arr, resp := f.Obs(pos)
+	i := 0
+	for kernel && len(arr)-i >= 4 {
+		n := min(len(arr)-i, walkChunk) &^ 3
+		meets, spans := periodMeets(&arr[i], &resp[i], n, f.StartMs, int64(f.Seconds)*1000, float64(f.StartMs), &periodLo[0], periodLen)
+		for m := meets | spans; m != 0; m &= m - 1 {
+			j := bits.TrailingZeros64(m)
+			a, r := arr[i+j], resp[i+j]
+			if spans&(1<<j) != 0 {
+				spanPeriods(s, f, a, r, periodLo, periodLen)
+				continue
+			}
+			qlo := float64(a)
+			qhi := qlo + r
+			sec := int((a - f.StartMs) / 1000)
+			lo := periodLo[sec]
+			hi := lo + periodLen
+			if ov := overlap(qlo, qhi, lo, hi); ov > 0 {
+				s.add(sec, ov/(hi-lo))
+			}
+		}
+		i += n
+	}
 	directLo, directHi := f.StartMs, f.StartMs+int64(f.Seconds)*1000
 	if !exactWindow(f) {
 		directLo = directHi
 	}
-	for i, a := range arr {
+	for ; i < len(arr); i++ {
+		a := arr[i]
 		qlo := float64(a)
 		qhi := qlo + resp[i]
 		if a >= directLo && a < directHi {
@@ -270,13 +353,21 @@ func accumulateFrame(s *fillScratch, f *window.Frame, pos int, starts, periodLo 
 				continue
 			}
 		}
-		first, last := secondSpan(a, resp[i], f.StartMs, f.Seconds)
-		for sec := first; sec <= last; sec++ {
-			lo := periodLo[sec]
-			hi := lo + periodLen
-			if ov := overlap(qlo, qhi, lo, hi); ov > 0 {
-				s.add(sec, ov/(hi-lo))
-			}
+		spanPeriods(s, f, a, resp[i], periodLo, periodLen)
+	}
+}
+
+// spanPeriods adds what an observation that arrives at a with response r
+// overlaps of the period of every second it spans.
+func spanPeriods(s *fillScratch, f *window.Frame, a int64, r float64, periodLo []float64, periodLen float64) {
+	qlo := float64(a)
+	qhi := qlo + r
+	first, last := secondSpan(a, r, f.StartMs, f.Seconds)
+	for sec := first; sec <= last; sec++ {
+		lo := periodLo[sec]
+		hi := lo + periodLen
+		if ov := overlap(qlo, qhi, lo, hi); ov > 0 {
+			s.add(sec, ov/(hi-lo))
 		}
 	}
 }

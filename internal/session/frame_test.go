@@ -79,15 +79,17 @@ func TestFrameEstimatorsMatchLegacyBitForBit(t *testing.T) {
 		seconds = 30
 		k       = 10
 	)
-	for seed := int64(0); seed < 25; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		raw, observed := randomQueries(rng, startMs, seconds)
-		f := frameFromQueries(raw, startMs, seconds)
+	forEachWalk(t, func(t *testing.T, kernel bool) {
+		for seed := int64(0); seed < 25; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			raw, observed := randomQueries(rng, startMs, seconds)
+			f := frameFromQueries(raw, startMs, seconds)
 
-		for _, workers := range []int{1, 3, 0} {
-			checkAllEstimators(t, fmt.Sprintf("seed %d w=%d", seed, workers), f, observed, k, workers)
+			for _, workers := range []int{1, 3, 0} {
+				checkAllEstimators(t, fmt.Sprintf("seed %d w=%d", seed, workers), f, observed, k, workers, kernel)
+			}
 		}
-	}
+	})
 }
 
 // adversarialQueries builds a query log out of the spans the bucketed
@@ -161,17 +163,19 @@ func adversarialQueries(rng *rand.Rand, startMs int64, seconds, k int) (queries,
 // all-buckets walk bit for bit.
 func TestFrameBucketsAdversarialSpansMatchLegacy(t *testing.T) {
 	const seconds = 37 // not a multiple of the 8-second block grain
-	for _, startMs := range []int64{0, 1_700_000_000_123} {
-		for _, k := range []int{1, 3, 10} {
-			for seed := int64(0); seed < 40; seed++ {
-				raw, observed := adversarialQueries(rand.New(rand.NewSource(seed)), startMs, seconds, k)
-				f := frameFromQueries(raw, startMs, seconds)
-				want := refEstimateBuckets(f, observed, k)
-				for _, workers := range []int{1, 2, 3, 7} {
-					checkFrameEstimate(t, fmt.Sprintf("start %d k=%d seed %d w=%d", startMs, k, seed, workers), f,
-						EstimateFrameBuckets(f, observed, k, workers), want)
+	forEachWalk(t, func(t *testing.T, kernel bool) {
+		for _, startMs := range []int64{0, 1_700_000_000_123} {
+			for _, k := range []int{1, 3, 10} {
+				for seed := int64(0); seed < 40; seed++ {
+					raw, observed := adversarialQueries(rand.New(rand.NewSource(seed)), startMs, seconds, k)
+					f := frameFromQueries(raw, startMs, seconds)
+					want := refEstimateBuckets(f, observed, k)
+					for _, workers := range []int{1, 2, 3, 7} {
+						checkFrameEstimate(t, fmt.Sprintf("start %d k=%d seed %d w=%d", startMs, k, seed, workers), f,
+							estimateFrameBuckets(f, observed, k, workers, kernel), want)
+					}
 				}
 			}
 		}
-	}
+	})
 }

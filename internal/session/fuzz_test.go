@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"pinsql/internal/cpufeat"
 	"pinsql/internal/sqltemplate"
 	"pinsql/internal/timeseries"
 )
@@ -97,7 +98,7 @@ func FuzzEstimateShortPath(f *testing.F) {
 		startMs := []int64{0, 1_700_000_000_123, -7_500, maxExactMs - 20_000, 1 << 60}[startSel%5]
 		raw, observed := shortPathCase(data, startMs, seconds, k)
 		fr := frameFromQueries(raw, startMs, seconds)
-		checkAllEstimators(t, fmt.Sprintf("k=%d workers=%d start=%d", k, workers, startMs), fr, observed, k, workers)
+		checkAllEstimators(t, fmt.Sprintf("k=%d workers=%d start=%d", k, workers, startMs), fr, observed, k, workers, cpufeat.AVX2)
 	})
 }
 

@@ -45,20 +45,22 @@ func TestEstimateBucketsWorkersEquivalence(t *testing.T) {
 		seconds = 30
 		k       = 10
 	)
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		raw, observed := randomQueries(rng, startMs, seconds)
-		f := frameFromQueries(raw, startMs, seconds)
-		// One reference for every worker count: the estimate is its bits,
-		// and so the bits of every other count's.
-		for _, w := range []int{1, 2, 4, 0} { // 0 = GOMAXPROCS
-			checkAllEstimators(t, fmt.Sprintf("seed %d workers=%d", seed, w), f, observed, k, w)
+	forEachWalk(t, func(t *testing.T, kernel bool) {
+		prop := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			raw, observed := randomQueries(rng, startMs, seconds)
+			f := frameFromQueries(raw, startMs, seconds)
+			// One reference for every worker count: the estimate is its
+			// bits, and so the bits of every other count's.
+			for _, w := range []int{1, 2, 4, 0} { // 0 = GOMAXPROCS
+				checkAllEstimators(t, fmt.Sprintf("seed %d workers=%d", seed, w), f, observed, k, w, kernel)
+			}
+			return !t.Failed()
 		}
-		return !t.Failed()
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
+		if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
+			t.Error(err)
+		}
+	})
 }
 
 // TestEstimateBucketsWrapperIsSequential pins what Workers = 1 means: one

@@ -19,9 +19,9 @@ check() { # file budget
 		echo "$1: $size bytes (budget $2)"
 	fi
 }
-check DESIGN.md 73440
-check EXPERIMENTS.md 94859
-check CHANGES.md 34716
+check DESIGN.md 73410
+check EXPERIMENTS.md 94644
+check CHANGES.md 33424
 check README.md 21669
 
 last=$(LC_ALL=C awk '/^- PR /{n=0} {n += length($0) + 1} END{print n}' CHANGES.md)
