@@ -4,11 +4,14 @@
 # window log's arrangement, the collector's window log, a frame group's
 # sort, the segment store's
 # seal paths, the session estimator and its AVX2 walk kernel, the sparse
-# series' correlations and the pair scan's AVX kernel.
+# series' correlations and the pair scan's AVX kernel. Run make reach after
+# any deletion and after adding any exported symbol: the reachability
+# ratchet (part of make test) fails on a func no main reaches that
+# internal/reach/testdata/unreachable.txt does not list.
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check loc docs-size fuzz-smoke fuzz-search test-corpus bench bench-aa bench-parallel smoke-serve clean
+.PHONY: all build test race vet fmt-check loc reach docs-size fuzz-smoke fuzz-search test-corpus bench bench-aa bench-parallel smoke-serve clean
 
 all: build vet test
 
@@ -32,11 +35,16 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "$$out"; exit 1; fi
 
 # Lines of Go by kind: what runs (non-test, outside benchmark/), what
-# checks it, and the benchmark.
+# checks it (tests and the Go fixtures under testdata/), and the benchmark.
 loc:
-	@echo "non-test .go outside benchmark/: $$(git ls-files '*.go' | grep -v '^benchmark/' | grep -v '_test\.go$$' | xargs cat | wc -l)"
-	@echo "_test.go outside benchmark/:     $$(git ls-files '*.go' | grep -v '^benchmark/' | grep '_test\.go$$' | xargs cat | wc -l)"
+	@echo "non-test .go outside benchmark/: $$(git ls-files '*.go' | grep -v '^benchmark/' | grep -v '_test\.go$$\|/testdata/' | xargs cat | wc -l)"
+	@echo "_test.go outside benchmark/:     $$(git ls-files '*.go' | grep -v '^benchmark/' | grep '_test\.go$$\|/testdata/' | xargs cat | wc -l)"
 	@echo "benchmark/:                      $$(git ls-files 'benchmark/*.go' | xargs cat | wc -l)"
+
+# The reachability ratchet alone, verbose: its roots, the list's rows and
+# their count per tag (benchmark, oracle, fixture).
+reach:
+	$(GO) test -run TestReachability -v -count=1 ./internal/reach
 
 # Fails when DESIGN, EXPERIMENTS, CHANGES or README outgrow their byte
 # budgets, or the last CHANGES.md entry exceeds 1.5 KB. The budgets, and

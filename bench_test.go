@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -94,7 +95,7 @@ func BenchmarkFig8_RepairCase(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.PinpointedCorrect() {
+		if slices.Contains(res.TrueRSQLs, res.PinpointedRSQL) {
 			b.ReportMetric(1, "pinpointed-correct")
 		} else {
 			b.ReportMetric(0, "pinpointed-correct")
@@ -199,7 +200,7 @@ func BenchmarkDiagnoseParallel(b *testing.B) {
 			fr := lab.Case.Frame
 			cfg := core.DefaultConfig()
 			cfg.Workers = w
-			b.ReportMetric(float64(fr.NumTemplates()), "templates")
+			b.ReportMetric(float64(len(fr.Templates)), "templates")
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				d := core.DiagnoseFrame(lab.Case, fr, cfg)

@@ -58,9 +58,6 @@ type Event struct {
 	End     int // second index, exclusive
 }
 
-// Duration returns the event length in seconds.
-func (e Event) Duration() int { return e.End - e.Start }
-
 // Config tunes the two perception layers.
 type Config struct {
 	// SpikeZ is the robust z-score threshold of the spike detector.
@@ -216,10 +213,8 @@ const (
 	MetricActiveSession = "active_session"
 	MetricCPUUsage      = "cpu_usage"
 	MetricIOPSUsage     = "iops_usage"
-	MetricMemUsage      = "mem_usage"
 	MetricRowLockWaits  = "innodb_row_lock_waits"
 	MetricMDLWaits      = "mdl_waits"
-	MetricQPS           = "qps"
 )
 
 // WatchedMetrics names the three series the default rules watch, in the

@@ -114,8 +114,8 @@ func detectorTestSeries(n int) map[string]timeseries.Series {
 		MetricActiveSession: spiky,
 		MetricCPUUsage:      shifted,
 		MetricIOPSUsage:     quiet,
-		MetricMemUsage:      constant,
-		MetricQPS:           mixed,
+		"mem_usage":         constant,
+		"qps":               mixed,
 	}
 }
 
@@ -196,13 +196,13 @@ func TestDetectPhenomenaRows(t *testing.T) {
 	rules := append(DefaultRules(), Rule{
 		Name: "qps_anomaly",
 		Conditions: []Condition{{
-			Metric:   MetricQPS,
+			Metric:   "qps",
 			Features: []Feature{SpikeUp, SpikeDown, LevelShiftUp, LevelShiftDown},
 		}},
 	}, Rule{
 		Name: "mem_anomaly",
 		Conditions: []Condition{{
-			Metric:   MetricMemUsage,
+			Metric:   "mem_usage",
 			Features: []Feature{SpikeUp, LevelShiftUp},
 		}},
 	})
@@ -339,10 +339,7 @@ func TestNewCaseClampsWindow(t *testing.T) {
 	}
 }
 
-func TestEventAndPhenomenonDuration(t *testing.T) {
-	if (Event{Start: 3, End: 10}).Duration() != 7 {
-		t.Error("event duration wrong")
-	}
+func TestPhenomenonDuration(t *testing.T) {
 	if (Phenomenon{Start: 3, End: 10}).Duration() != 7 {
 		t.Error("phenomenon duration wrong")
 	}

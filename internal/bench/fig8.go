@@ -36,17 +36,6 @@ type Fig8 struct {
 	TrueRSQLs         []sqltemplate.ID // ground truth (the job's write statements)
 }
 
-// PinpointedCorrect reports whether the top diagnosis is one of the
-// injected write statements.
-func (f *Fig8) PinpointedCorrect() bool {
-	for _, id := range f.TrueRSQLs {
-		if id == f.PinpointedRSQL {
-			return true
-		}
-	}
-	return false
-}
-
 // fig8 phase boundaries in seconds.
 const (
 	fig8AnomalyStart  = 600

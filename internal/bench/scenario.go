@@ -45,16 +45,6 @@ type ScenarioAccuracy struct {
 	Sec   float64       `json:"sec"`
 }
 
-// Row returns the named family's row, or nil.
-func (s *ScenarioAccuracy) Row(kind workload.AnomalyKind) *ScenarioRow {
-	for i := range s.Rows {
-		if s.Rows[i].Kind == kind.String() {
-			return &s.Rows[i]
-		}
-	}
-	return nil
-}
-
 // scenarioAgg accumulates one family's counts.
 type scenarioAgg struct {
 	cases    int

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"slices"
 	"testing"
 
 	"pinsql/internal/workload"
@@ -43,10 +44,11 @@ func TestScenarioAccuracyFloors(t *testing.T) {
 		{workload.KindMDL, 0.99, 0.05, 0.45, 0.60, 0.45},
 	}
 	for _, f := range floors {
-		row := res.Row(f.kind)
-		if row == nil {
+		i := slices.IndexFunc(res.Rows, func(r ScenarioRow) bool { return r.Kind == f.kind.String() })
+		if i < 0 {
 			t.Fatalf("no row for %s", f.kind)
 		}
+		row := &res.Rows[i]
 		if row.Cases != 2 {
 			t.Errorf("%s: %d cases, want 2", f.kind, row.Cases)
 		}

@@ -78,8 +78,8 @@ func TestBundleRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fr.NumTemplates() != 2 || fr.Seconds != 8 {
-		t.Fatalf("frame reconstruction wrong: %d templates, %d seconds", fr.NumTemplates(), fr.Seconds)
+	if len(fr.Templates) != 2 || fr.Seconds != 8 {
+		t.Fatalf("frame reconstruction wrong: %d templates, %d seconds", len(fr.Templates), fr.Seconds)
 	}
 	// Canonical manifest bytes are stable across a write/read cycle.
 	b1, err := m.MarshalIndented()
@@ -196,12 +196,12 @@ func FuzzReproBundle(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-serialized document failed to rebuild: %v", err)
 		}
-		if c1.AS != c2.AS || c1.AE != c2.AE || fr1.NumTemplates() != fr2.NumTemplates() || fr1.NumObs() != fr2.NumObs() {
+		if c1.AS != c2.AS || c1.AE != c2.AE || len(fr1.Templates) != len(fr2.Templates) || fr1.NumObs() != fr2.NumObs() {
 			t.Fatalf("frame round-trip diverged: [%d,%d) %dT/%dN vs [%d,%d) %dT/%dN",
-				c1.AS, c1.AE, fr1.NumTemplates(), fr1.NumObs(),
-				c2.AS, c2.AE, fr2.NumTemplates(), fr2.NumObs())
+				c1.AS, c1.AE, len(fr1.Templates), fr1.NumObs(),
+				c2.AS, c2.AE, len(fr2.Templates), fr2.NumObs())
 		}
-		for pos := 0; pos < fr1.NumTemplates(); pos++ {
+		for pos := 0; pos < len(fr1.Templates); pos++ {
 			a1, r1 := fr1.Obs(pos)
 			a2, r2 := fr2.Obs(pos)
 			if len(a1) != len(a2) {

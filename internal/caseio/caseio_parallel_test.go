@@ -26,8 +26,8 @@ func generateCorpus(t *testing.T, workers int) []*cases.Labeled {
 	opt.HistoryDays = []int{1}
 	opt.Count = 2
 	opt.Workers = workers
-	labs, err := cases.Generate(opt)
-	if err != nil {
+	var labs []*cases.Labeled
+	if err := cases.Stream(opt, func(c *cases.Labeled) error { labs = append(labs, c); return nil }); err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
 	}
 	return labs

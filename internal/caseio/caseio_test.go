@@ -58,7 +58,7 @@ func TestRoundTrip(t *testing.T) {
 	}
 	a1, _ := fr2.Pos("A1")
 	b2, _ := fr2.Pos("B2")
-	if _, resp := fr2.Obs(b2); fr2.NumObs() != 4 || fr2.ObsLen(a1) != 2 || resp[0] != 90 {
+	if _, resp := fr2.Obs(b2); fr2.NumObs() != 4 || int(fr2.Off[a1+1]-fr2.Off[a1]) != 2 || resp[0] != 90 {
 		t.Errorf("queries = %v / %v", fr2.Arrival, fr2.Response)
 	}
 }

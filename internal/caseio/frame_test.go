@@ -62,9 +62,9 @@ func TestToFrameRoundTrip(t *testing.T) {
 	if c2.AS != c.AS || c2.AE != c.AE {
 		t.Errorf("window [%d,%d) vs [%d,%d)", c2.AS, c2.AE, c.AS, c.AE)
 	}
-	if fr2.NumTemplates() != fr.NumTemplates() || fr2.NumObs() != fr.NumObs() {
+	if len(fr2.Templates) != len(fr.Templates) || fr2.NumObs() != fr.NumObs() {
 		t.Fatalf("reloaded frame %d templates / %d obs, want %d / %d",
-			fr2.NumTemplates(), fr2.NumObs(), fr.NumTemplates(), fr.NumObs())
+			len(fr2.Templates), fr2.NumObs(), len(fr.Templates), fr.NumObs())
 	}
 	for pos := range fr.Templates {
 		if fr2.Templates[pos].Meta.ID != fr.Templates[pos].Meta.ID {

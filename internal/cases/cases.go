@@ -139,17 +139,6 @@ func Stream(opt Options, fn func(*Labeled) error) error {
 		func(i int, c *Labeled) error { return fn(c) })
 }
 
-// Generate materializes the whole corpus in memory; prefer Stream for
-// large corpora.
-func Generate(opt Options) ([]*Labeled, error) {
-	var out []*Labeled
-	err := Stream(opt, func(c *Labeled) error {
-		out = append(out, c)
-		return nil
-	})
-	return out, err
-}
-
 // GenerateOne builds the idx-th case of the given anomaly family.
 func GenerateOne(opt Options, idx int64, kind workload.AnomalyKind) (*Labeled, error) {
 	return GenerateOneWith(opt, idx, kind, nil)

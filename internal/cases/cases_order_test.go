@@ -72,8 +72,8 @@ func TestQueriesOfSortsShuffledInsertions(t *testing.T) {
 	}
 
 	f := coll.Frame()
-	if f.NumTemplates() != templates {
-		t.Fatalf("a frame of %d templates, want %d", f.NumTemplates(), templates)
+	if len(f.Templates) != templates {
+		t.Fatalf("a frame of %d templates, want %d", len(f.Templates), templates)
 	}
 	for _, id := range ids {
 		pos, ok := f.Pos(sqltemplate.ID(id))

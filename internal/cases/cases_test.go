@@ -209,7 +209,8 @@ func TestStreamWorkersEquivalence(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		o := opt
 		o.Workers = workers
-		labs, err := Generate(o)
+		var labs []*Labeled
+		err := Stream(o, func(c *Labeled) error { labs = append(labs, c); return nil })
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

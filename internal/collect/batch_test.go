@@ -83,7 +83,7 @@ func TestIngestBatchMatchesRecordLoop(t *testing.T) {
 				}
 				lo = hi
 			}
-			return c.Frame(), store.Scan("batch", -1<<62, 1<<62), c
+			return c.Frame(), scanAll(store, "batch", -1<<62, 1<<62), c
 		}
 
 		wantFrame, wantScan, want := run(func() int { return 1 })

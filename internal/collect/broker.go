@@ -2,36 +2,28 @@ package collect
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"pinsql/internal/dbsim"
 )
 
 // Broker is the in-process substitute for the Kafka layer of §IV-A: topics
 // fan out query-log records to any number of subscribers. Delivery is
-// lossy under backpressure (a full subscriber buffer drops the record and
-// counts it), which matches the monitoring pipeline's priorities — never
-// slow the producer, i.e. the database instance.
+// lossless: a full subscriber buffer throttles the publisher.
 type Broker struct {
 	mu     sync.RWMutex
 	subs   map[string][]*subscription
-	lost   map[string]*atomic.Int64 // cumulative per-topic drop counts
 	closed bool
 }
 
 type subscription struct {
-	ch      chan dbsim.LogRecord
-	done    chan struct{} // closed with ch; PublishBlocking's escape hatch
-	dropped atomic.Int64  // atomic: Publish only holds the read lock
-	closed  bool
+	ch     chan dbsim.LogRecord
+	done   chan struct{} // closed with ch; PublishBlocking's escape hatch
+	closed bool
 }
 
 // NewBroker creates an empty broker.
 func NewBroker() *Broker {
-	return &Broker{
-		subs: make(map[string][]*subscription),
-		lost: make(map[string]*atomic.Int64),
-	}
+	return &Broker{subs: make(map[string][]*subscription)}
 }
 
 // Subscribe registers a consumer on a topic with the given buffer size and
@@ -44,9 +36,6 @@ func (b *Broker) Subscribe(topic string, buffer int) (<-chan dbsim.LogRecord, fu
 	sub := &subscription{ch: make(chan dbsim.LogRecord, buffer), done: make(chan struct{})}
 	b.mu.Lock()
 	b.subs[topic] = append(b.subs[topic], sub)
-	if b.lost[topic] == nil {
-		b.lost[topic] = new(atomic.Int64)
-	}
 	b.mu.Unlock()
 
 	cancel := func() {
@@ -74,46 +63,13 @@ func closeSub(sub *subscription) {
 	}
 }
 
-// Publish delivers a record to every subscriber of the topic, dropping it
-// for subscribers whose buffers are full. Concurrent publishers only share
-// the read lock, so the drop counters are atomics.
-func (b *Broker) Publish(topic string, rec dbsim.LogRecord) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	if b.closed {
-		return
-	}
-	for _, sub := range b.subs[topic] {
-		select {
-		case sub.ch <- rec:
-		default:
-			sub.dropped.Add(1)
-			b.lost[topic].Add(1)
-		}
-	}
-}
-
-// Dropped reports how many records have been dropped on the topic across
-// all of its subscribers (including canceled ones) since the broker was
-// created — the pipeline's backpressure-loss gauge. The count survives
-// Close so a window's loss can be read after teardown.
-func (b *Broker) Dropped(topic string) int64 {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	if c := b.lost[topic]; c != nil {
-		return c.Load()
-	}
-	return 0
-}
-
 // PublishBlocking delivers a record to every subscriber of the topic,
-// waiting for buffer space instead of dropping — the lossless mode trace
-// replay needs: a replayed window can be pumped arbitrarily faster than
-// real time, and a dropped record would break the bit-reproducibility of
-// its diagnosis. The producer is throttled to the consumer, so callers
-// must keep every subscription of the topic draining until the publisher
-// is done, and must not cancel a subscription (or Close the broker) while
-// a blocking publish is in flight.
+// waiting for buffer space: a replayed window can be pumped arbitrarily
+// faster than real time, and a dropped record would break the
+// bit-reproducibility of its diagnosis. The producer is throttled to the
+// consumer, so callers must keep every subscription of the topic draining
+// until the publisher is done, and must not cancel a subscription (or
+// Close the broker) while a blocking publish is in flight.
 func (b *Broker) PublishBlocking(topic string, rec dbsim.LogRecord) {
 	b.mu.RLock()
 	if b.closed {
@@ -136,11 +92,6 @@ func (b *Broker) PublishBlocking(topic string, rec dbsim.LogRecord) {
 		case <-sub.done:
 		}
 	}
-}
-
-// Sink returns a dbsim.LogSink publishing to the topic.
-func (b *Broker) Sink(topic string) dbsim.LogSink {
-	return func(rec dbsim.LogRecord) { b.Publish(topic, rec) }
 }
 
 // BlockingSink returns a dbsim.LogSink publishing losslessly to the topic

@@ -158,17 +158,6 @@ func RestoreRegistry(entries []TemplateMeta) (*Registry, error) {
 	return r, nil
 }
 
-// Lookup returns the entry for a template ID.
-func (r *Registry) Lookup(id sqltemplate.ID) (TemplateMeta, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	idx, ok := r.byID[id]
-	if !ok {
-		return TemplateMeta{}, false
-	}
-	return r.entries[idx], true
-}
-
 // At returns the entry with the given dense index.
 func (r *Registry) At(idx int32) TemplateMeta {
 	r.mu.RLock()

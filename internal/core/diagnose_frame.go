@@ -69,15 +69,6 @@ func (fd *FrameDiagnoser) Estimates() int {
 	return 1
 }
 
-// Partitions returns how many τ-graph partitions the diagnoser has computed:
-// 0 before the first Diagnose, 1 after it, however many cases follow.
-func (fd *FrameDiagnoser) Partitions() int {
-	if fd.partition == nil {
-		return 0
-	}
-	return 1
-}
-
 // sessionSeries is stage 1: individual active session estimation (§IV-C),
 // keyed by frame position, computed by the first call.
 func (fd *FrameDiagnoser) sessionSeries() []timeseries.Sparse {

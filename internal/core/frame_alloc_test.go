@@ -39,7 +39,7 @@ func TestDiagnoseFrameAllocBudget(t *testing.T) {
 				t.Fatal("fixture drifted: history verification was widened to every template")
 			}
 		}
-		templates, nonzeros := fr.NumTemplates(), 0
+		templates, nonzeros := len(fr.Templates), 0
 		for _, s := range d.FrameEst.PerTemplate {
 			nonzeros += len(s.Idx)
 		}

@@ -151,14 +151,14 @@ func TestFrameDiagnoserSharesOnePartition(t *testing.T) {
 			cfg.Workers = workers
 			cfg.IncludeMetricTempNodes = metricNodes
 			fd := NewFrameDiagnoser(fr, cfg)
-			if fd.Partitions() != 0 {
+			if fd.partition != nil {
 				t.Fatal("a partition was computed before the first Diagnose")
 			}
 			var firstEst []uint64
 			for i, c := range phenomena {
 				d := fd.Diagnose(c)
-				if fd.Partitions() != 1 {
-					t.Fatalf("metricNodes=%v workers=%d: %d partitions after phenomenon %d, want 1", metricNodes, workers, fd.Partitions(), i)
+				if fd.partition == nil {
+					t.Fatalf("metricNodes=%v workers=%d: no partition after phenomenon %d", metricNodes, workers, i)
 				}
 				if i == 0 {
 					firstEst = estimateBits(d.FrameEst)

@@ -156,16 +156,6 @@ func (in *Instance) SetThrottleUntil(templateID string, maxQPS float64, untilMs 
 // ClearThrottle removes the throttle for a template.
 func (in *Instance) ClearThrottle(templateID string) { delete(in.throttles, templateID) }
 
-// Throttled reports the throttle limit for a template, if any. Expired
-// rules report as absent.
-func (in *Instance) Throttled(templateID string) (float64, bool) {
-	v, ok := in.throttles[templateID]
-	if !ok {
-		return 0, false
-	}
-	return v.maxQPS, true
-}
-
 func (in *Instance) tableOf(q *Query) (*table, error) {
 	tb, ok := in.tables[q.Table]
 	if !ok {

@@ -45,11 +45,6 @@ func (k QueryKind) String() string {
 	return "UNKNOWN"
 }
 
-// IsWrite reports whether the kind modifies data (takes row locks).
-func (k QueryKind) IsWrite() bool {
-	return k == KindInsert || k == KindUpdate || k == KindDelete
-}
-
 // Query is one statement submitted to the instance. The workload generator
 // fills in the cost model fields; the engine consumes them.
 type Query struct {

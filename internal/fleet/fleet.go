@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/debug"
-	"strings"
 	"sync"
 	"time"
 
@@ -50,9 +49,8 @@ type Options struct {
 	SyncEvery int
 
 	// Metrics receives the fleet's counters and gauges; nil creates a
-	// private registry (reachable via Fleet.Metrics). When several fleets
-	// share one registry (the shard manager), Labels keeps their series
-	// apart.
+	// private registry. When several fleets share one registry (the shard
+	// manager), Labels keeps their series apart.
 	Metrics *obs.Registry
 
 	// Labels is appended to every series this fleet registers — the shard
@@ -374,9 +372,6 @@ func (f *Fleet) registerMetrics() {
 		}, f.lbls(lbl)...)
 	}
 }
-
-// Metrics returns the fleet's obs registry (the one behind GET /metrics).
-func (f *Fleet) Metrics() *obs.Registry { return f.opt.Metrics }
 
 // Start launches the scheduler. Idempotent.
 func (f *Fleet) Start() {
@@ -820,18 +815,6 @@ func (f *Fleet) IDs() []string {
 	out := make([]string, len(f.ids))
 	copy(out, f.ids)
 	return out
-}
-
-// Report renders every instance's committed windows, instances in ID
-// order — the determinism contract's observable artifact.
-func (f *Fleet) Report() string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var b strings.Builder
-	for _, id := range f.ids {
-		FormatInstanceReport(&b, id, f.insts[id].reports)
-	}
-	return b.String()
 }
 
 // Diagnoses returns a copy of one instance's committed window reports; ok

@@ -12,6 +12,18 @@ import (
 	"pinsql/internal/workload"
 )
 
+// Report renders every instance's committed windows, instances in ID
+// order — the determinism contract's observable artifact.
+func (f *Fleet) Report() string {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var b strings.Builder
+	for _, id := range f.ids {
+		FormatInstanceReport(&b, id, f.insts[id].reports)
+	}
+	return b.String()
+}
+
 // testSpecs is the shared fixture: four heterogeneous instances, the last
 // one auto-repairing (lockstep scheduling, executed actions in the
 // journal).
@@ -297,7 +309,7 @@ func TestFleetHTTP(t *testing.T) {
 	}
 
 	var b strings.Builder
-	if err := f.Metrics().WritePrometheus(&b); err != nil {
+	if err := f.opt.Metrics.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	metrics := b.String()

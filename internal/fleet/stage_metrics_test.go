@@ -26,7 +26,7 @@ func TestStageDurationMetrics(t *testing.T) {
 	defer f.Close()
 
 	var b strings.Builder
-	if err := f.Metrics().WritePrometheus(&b); err != nil {
+	if err := f.opt.Metrics.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	text := b.String()
@@ -80,7 +80,7 @@ func TestSessionEstimatesCountWindowsNotPhenomena(t *testing.T) {
 		t.Fatalf("fixture lost its teeth: %d phenomena over %d anomalous windows, no window with two", phenomena, anomalous)
 	}
 	var b strings.Builder
-	if err := f.Metrics().WritePrometheus(&b); err != nil {
+	if err := f.opt.Metrics.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	m := regexp.MustCompile(`(?m)^pinsql_session_estimates_total (\d+)$`).FindStringSubmatch(b.String())
@@ -103,7 +103,7 @@ func TestRegistryMetricsAccountForEveryRawRecord(t *testing.T) {
 	})
 	_, f := runReport(t, []InstanceSpec{spec}, Options{Workers: 2})
 	var b strings.Builder
-	if err := f.Metrics().WritePrometheus(&b); err != nil {
+	if err := f.opt.Metrics.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	series := func(name string) int {

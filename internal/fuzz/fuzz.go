@@ -464,27 +464,6 @@ func toRepro(p cases.CaseParams) caseio.ReproParams {
 	}
 }
 
-// FromRepro converts a manifest vector back to the generator's form, for
-// replaying a bundle through the generator (seed + case_index + params).
-// Unknown kind names fall back to the zero family; callers that care
-// should pre-validate with workload.KindFromString.
-func FromRepro(p caseio.ReproParams) cases.CaseParams {
-	kind, _ := workload.KindFromString(p.Kind)
-	return cases.CaseParams{
-		Kind:            kind,
-		Service:         p.Service,
-		Intensity:       p.Intensity,
-		StartSec:        p.StartSec,
-		DurSec:          p.DurSec,
-		FillerServices:  p.FillerServices,
-		FillerSpecs:     p.FillerSpecs,
-		ConfuserService: p.ConfuserService,
-		ConfuserFactor:  p.ConfuserFactor,
-		ConfuserLeadSec: p.ConfuserLeadSec,
-		ConfuserDurSec:  p.ConfuserDurSec,
-	}
-}
-
 // headIDs renders the head of a ranked ID list.
 func headIDs(ids []sqltemplate.ID, n int) []string {
 	if len(ids) > n {

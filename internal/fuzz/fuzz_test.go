@@ -10,6 +10,7 @@ import (
 	"pinsql/internal/caseio"
 	"pinsql/internal/cases"
 	"pinsql/internal/core"
+	"pinsql/internal/workload"
 )
 
 // smallOptions is the cheap search configuration the tests run: short
@@ -237,5 +238,26 @@ func TestRoundTripVerdictBytes(t *testing.T) {
 	}
 	if len(ents) != 2 {
 		t.Fatalf("bundle has %d entries, want manifest.json + case.json", len(ents))
+	}
+}
+
+// FromRepro converts a manifest vector back to the generator's form, for
+// replaying a bundle through the generator (seed + case_index + params).
+// Unknown kind names fall back to the zero family; callers that care
+// should pre-validate with workload.KindFromString.
+func FromRepro(p caseio.ReproParams) cases.CaseParams {
+	kind, _ := workload.KindFromString(p.Kind)
+	return cases.CaseParams{
+		Kind:            kind,
+		Service:         p.Service,
+		Intensity:       p.Intensity,
+		StartSec:        p.StartSec,
+		DurSec:          p.DurSec,
+		FillerServices:  p.FillerServices,
+		FillerSpecs:     p.FillerSpecs,
+		ConfuserService: p.ConfuserService,
+		ConfuserFactor:  p.ConfuserFactor,
+		ConfuserLeadSec: p.ConfuserLeadSec,
+		ConfuserDurSec:  p.ConfuserDurSec,
 	}
 }

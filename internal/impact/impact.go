@@ -41,17 +41,6 @@ type Options struct {
 	Workers int
 }
 
-// DefaultOptions returns the full PinSQL configuration.
-func DefaultOptions() Options {
-	return Options{
-		SmoothKs:      DefaultSmoothKs,
-		UseTrend:      true,
-		UseScale:      true,
-		UseScaleTrend: true,
-		WeightedScore: true,
-	}
-}
-
 // Score is one template's H-SQL scoring breakdown.
 type Score struct {
 	ID         sqltemplate.ID

@@ -181,3 +181,14 @@ func TestRankDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// DefaultOptions returns the full PinSQL configuration.
+func DefaultOptions() Options {
+	return Options{
+		SmoothKs:      DefaultSmoothKs,
+		UseTrend:      true,
+		UseScale:      true,
+		UseScaleTrend: true,
+		WeightedScore: true,
+	}
+}

@@ -77,12 +77,6 @@ func WriteTrace(w io.Writer, fromMs, toMs int64, src Source) error {
 	return zw.Close()
 }
 
-// WriteTraceData writes a record/metric slice pair as a trace over
-// [fromMs, toMs), chopping them into dense per-second batches first.
-func WriteTraceData(w io.Writer, fromMs, toMs int64, recs []dbsim.LogRecord, rows []dbsim.SecondMetrics) error {
-	return WriteTrace(w, fromMs, toMs, NewSliceSource(fromMs, toMs, recs, rows))
-}
-
 // TraceSource streams a pinsql trace back as dense batches over the
 // header's bounds. Event lines are expected in emission order (the writer
 // guarantees it); stragglers older than the current second are clamped
@@ -107,21 +101,6 @@ type TraceSource struct {
 	line  lineState  // decodeTraceLine's unescape buffer and name table
 	eof   bool
 	stats Stats
-}
-
-// OpenTrace reads the trace header from r (gzip-compressed or plain) and
-// returns a dense source over the trace's bounds. The caller keeps
-// ownership of r; Close does not close it.
-func OpenTrace(r io.Reader) (*TraceSource, error) {
-	br := bufio.NewReader(r)
-	if magic, err := br.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
-		zr, err := gzip.NewReader(br)
-		if err != nil {
-			return nil, fmt.Errorf("ingest: open trace: %w", err)
-		}
-		return newTraceSource(zr)
-	}
-	return newTraceSource(br)
 }
 
 // newTraceSource reads the header from r, which is already decompressed and

@@ -444,7 +444,7 @@ func TestStrictBatchEqualsRecordLoop(t *testing.T) {
 			for w := 0; w < 4; w++ {
 				from := llo + rng.Int63n(lhi-llo+1)
 				to := from + rng.Int63n(lhi-llo+2)
-				if !slices.Equal(batch.Scan("t", from, to), loop.Scan("t", from, to)) {
+				if !slices.Equal(scanAll(batch, "t", from, to), scanAll(loop, "t", from, to)) {
 					t.Fatalf("trial %d: Scan[%d, %d) differs", trial, from, to)
 				}
 			}

@@ -50,14 +50,11 @@ func TestBackendEquivalence(t *testing.T) {
 
 	check := func(stage string) {
 		t.Helper()
-		if got, want := seg.Topics(), mem.Topics(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: topics: seg %v, mem %v", stage, got, want)
-		}
 		for _, topic := range topics {
 			if got, want := seg.Len(topic), mem.Len(topic); got != want {
 				t.Fatalf("%s: %s: Len seg %d, mem %d", stage, topic, got, want)
 			}
-			gmin, gmax, gok := seg.Bounds(topic)
+			gmin, gmax, gok := seg.(*Store).Bounds(topic)
 			wmin, wmax, wok := mem.Bounds(topic)
 			if gmin != wmin || gmax != wmax || gok != wok {
 				t.Fatalf("%s: %s: Bounds seg (%d,%d,%v), mem (%d,%d,%v)", stage, topic, gmin, gmax, gok, wmin, wmax, wok)
@@ -70,8 +67,8 @@ func TestBackendEquivalence(t *testing.T) {
 				windows = append(windows, [2]int64{from, to})
 			}
 			for _, win := range windows {
-				got := seg.Scan(topic, win[0], win[1])
-				want := mem.Scan(topic, win[0], win[1])
+				got := scanAll(seg, topic, win[0], win[1])
+				want := scanAll(mem, topic, win[0], win[1])
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: %s: Scan[%d,%d) diverged:\n seg %v\n mem %v",
 						stage, topic, win[0], win[1], got, want)
@@ -154,7 +151,7 @@ func TestStrictAppendSlackParity(t *testing.T) {
 				defer func() { seg.Close() }()
 				scans := func(stage string) {
 					t.Helper()
-					if got, want := seg.Scan("t", -1<<60, 1<<60), mem.Scan("t", -1<<60, 1<<60); !reflect.DeepEqual(got, want) {
+					if got, want := scanAll(seg, "t", -1<<60, 1<<60), scanAll(mem, "t", -1<<60, 1<<60); !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s: scan diverged:\n seg %v\n mem %v", stage, got, want)
 					}
 				}
@@ -237,13 +234,13 @@ func TestBackendEquivalenceSeeds(t *testing.T) {
 					t.Fatalf("append %+v: mem=%v seg=%v", rec, e1, e2)
 				}
 			}
-			if got, want := seg.Scan("t", 0, 1<<62), mem.Scan("t", 0, 1<<62); !reflect.DeepEqual(got, want) {
+			if got, want := scanAll(seg, "t", 0, 1<<62), scanAll(mem, "t", 0, 1<<62); !reflect.DeepEqual(got, want) {
 				t.Fatalf("full scan diverged:\n seg %v\n mem %v", got, want)
 			}
 			for w := 0; w < 50; w++ {
 				from := rng.Int63n(clock + 1)
 				to := from + rng.Int63n(3000)
-				if got, want := seg.Scan("t", from, to), mem.Scan("t", from, to); !reflect.DeepEqual(got, want) {
+				if got, want := scanAll(seg, "t", from, to), scanAll(mem, "t", from, to); !reflect.DeepEqual(got, want) {
 					t.Fatalf("Scan[%d,%d) diverged", from, to)
 				}
 			}
@@ -341,9 +338,9 @@ func TestBatchAppendMatchesRecordLoop(t *testing.T) {
 						t.Fatalf("step %d: %d records in the wal, %d since the last fsync, SyncEvery %d", step, tb.act.count, tb.sinceSync, syncEvery)
 					}
 					if step%10 == 9 {
-						want := memLoop.Scan("t", -1<<60, 1<<60)
+						want := scanAll(memLoop, "t", -1<<60, 1<<60)
 						for who, b := range map[string]logstore.Backend{"mem batch": memBatch, "seg loop": segLoop, "seg batch": segBatch} {
-							if got := b.Scan("t", -1<<60, 1<<60); !reflect.DeepEqual(got, want) {
+							if got := scanAll(b, "t", -1<<60, 1<<60); !reflect.DeepEqual(got, want) {
 								t.Fatalf("step %d: %s scan diverged from the record loop", step, who)
 							}
 						}
@@ -438,7 +435,7 @@ func TestTornBatchWriteRecovery(t *testing.T) {
 				intact++
 			}
 		}
-		if got, want := r.Scan("t", 0, 1<<62), expectPrefix(recs, intact); !reflect.DeepEqual(got, want) {
+		if got, want := scanAll(r, "t", 0, 1<<62), expectPrefix(recs, intact); !reflect.DeepEqual(got, want) {
 			t.Fatalf("offset %d: recovered %d records, want the %d intact ones", k, len(got), intact)
 		}
 		r.Close()

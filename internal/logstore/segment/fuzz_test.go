@@ -146,7 +146,7 @@ func FuzzSealPaths(f *testing.F) {
 		defer func() { seg.Close() }()
 		mem := logstore.New(0)
 		compare := func(at int) {
-			got, want := seg.Scan("t", -1<<62, 1<<62), mem.Scan("t", -1<<62, 1<<62)
+			got, want := scanAll(seg, "t", -1<<62, 1<<62), scanAll(mem, "t", -1<<62, 1<<62)
 			if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 				t.Fatalf("byte %d: segment store scans %d records, memory store %d, or they differ\n got %v\nwant %v", at, len(got), len(want), got, want)
 			}

@@ -47,7 +47,7 @@ func expectPrefix(recs []logstore.Record, n int) []logstore.Record {
 	for _, r := range recs[:n] {
 		mem.Append("t", r)
 	}
-	return mem.Scan("t", 0, 1<<62)
+	return scanAll(mem, "t", 0, 1<<62)
 }
 
 // TestTornTailTruncation simulates a torn write at every byte offset of
@@ -82,7 +82,7 @@ func TestTornTailTruncation(t *testing.T) {
 			}
 		}
 		want := expectPrefix(recs, intact)
-		got := s.Scan("t", 0, 1<<62)
+		got := scanAll(s, "t", 0, 1<<62)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("offset %d: recovered %d records, want %d intact\n got %v\nwant %v",
 				k, len(got), intact, got, want)
@@ -133,7 +133,7 @@ func TestCorruptedByteRecovery(t *testing.T) {
 				intactAtLeast++
 			}
 		}
-		got := s.Scan("t", 0, 1<<62)
+		got := scanAll(s, "t", 0, 1<<62)
 		want := expectPrefix(recs, intactAtLeast)
 		if len(got) < len(want) {
 			t.Fatalf("offset %d: recovered %d records, want ≥ %d", k, len(got), len(want))
@@ -188,7 +188,7 @@ func TestCorruptSegmentPrefixRecovery(t *testing.T) {
 	r := mustOpen(t, dir, smallOpts())
 	defer r.Close()
 	want := append(slices.Clone(recs[:intact]), recs[16:]...)
-	if got := r.Scan("t", -1<<62, 1<<62); !reflect.DeepEqual(got, want) {
+	if got := scanAll(r, "t", -1<<62, 1<<62); !reflect.DeepEqual(got, want) {
 		t.Fatalf("reopened store scans %d records, want the %d intact ones", len(got), len(want))
 	}
 	if got := r.Len("t"); got != len(want) {

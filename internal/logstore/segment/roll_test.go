@@ -31,7 +31,7 @@ func orderedRecs(n int, startMs int64) []logstore.Record {
 // in-memory store fed the same calls holds.
 func mustMatch(t *testing.T, stage string, s *Store, mem *logstore.Store) {
 	t.Helper()
-	got, want := s.Scan("t", -1<<62, 1<<62), mem.Scan("t", -1<<62, 1<<62)
+	got, want := scanAll(s, "t", -1<<62, 1<<62), scanAll(mem, "t", -1<<62, 1<<62)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: segment store scans %d records, memory store %d, or they differ", stage, len(got), len(want))
 	}
@@ -523,7 +523,7 @@ func TestDiskErrorRefusesAppends(t *testing.T) {
 			if n2, err2 := s.AppendBatch("t", recs[accepted:]); n2 != 0 || err2 != err {
 				t.Fatalf("batch after the fault took %d (%v), want 0 and %v", n2, err2, err)
 			}
-			if got := s.Scan("t", 0, 1<<62); fc.scans && !reflect.DeepEqual(got, recs[:accepted]) {
+			if got := scanAll(s, "t", 0, 1<<62); fc.scans && !reflect.DeepEqual(got, recs[:accepted]) {
 				t.Fatalf("store scans %d records, accepted %d", len(got), accepted)
 			}
 			if cerr := s.Close(); cerr != err {
@@ -532,7 +532,7 @@ func TestDiskErrorRefusesAppends(t *testing.T) {
 			undo()
 			r := mustOpen(t, dir, opt)
 			defer r.Close()
-			if got := r.Scan("t", 0, 1<<62); !reflect.DeepEqual(got, recs[:accepted]) {
+			if got := scanAll(r, "t", 0, 1<<62); !reflect.DeepEqual(got, recs[:accepted]) {
 				t.Fatalf("reopened store holds %d records, accepted %d", len(got), accepted)
 			}
 		})
@@ -581,7 +581,7 @@ func TestSealedSegmentsHoldNoDescriptors(t *testing.T) {
 	if got := s.Len("t"); got != segs*16+1 {
 		t.Fatalf("Len %d, want %d", got, segs*16+1)
 	}
-	if len(s.Scan("t", 0, 1<<62)) != segs*16+1 {
+	if len(scanAll(s, "t", 0, 1<<62)) != segs*16+1 {
 		t.Fatal("scan lost records")
 	}
 	if after := openFDs(); after != before {
@@ -603,12 +603,12 @@ func TestWatermarkWrittenOnlyWhenItMasks(t *testing.T) {
 	s.AppendBatch("t", orderedRecs(40, 5000)) // two segments and a wal, arrivals 5000–5130
 	reopen := func(stage string) {
 		t.Helper()
-		want := s.Scan("t", -1<<62, 1<<62)
+		want := scanAll(s, "t", -1<<62, 1<<62)
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
 		s = mustOpen(t, dir, opt)
-		if got := s.Scan("t", -1<<62, 1<<62); !reflect.DeepEqual(got, want) {
+		if got := scanAll(s, "t", -1<<62, 1<<62); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: %d records before Close, %d after reopening", stage, len(want), len(got))
 		}
 	}
@@ -646,7 +646,7 @@ func TestWatermarkWrittenOnlyWhenItMasks(t *testing.T) {
 	if _, err := os.Stat(wmPath); !os.IsNotExist(err) {
 		t.Fatalf("the watermark file outlived the topic's expired records (%v)", err)
 	}
-	if got := s.Scan("t", -1<<62, 1<<62); !reflect.DeepEqual(got, []logstore.Record{rec(9, 5900)}) {
+	if got := scanAll(s, "t", -1<<62, 1<<62); !reflect.DeepEqual(got, []logstore.Record{rec(9, 5900)}) {
 		t.Fatalf("after an arrival below the cutoff the topic scans %v, want that record alone", got)
 	}
 	reopen("late arrival below the cutoff")

@@ -383,12 +383,6 @@ func (s *Store) Err() error {
 	return s.err
 }
 
-// TTL returns the configured time-to-live in milliseconds.
-func (s *Store) TTL() int64 { return s.opt.ttlMs }
-
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Append stores one record under the topic: AppendBatch of one.
 func (s *Store) Append(topicName string, rec logstore.Record) error {
 	_, err := s.AppendBatch(topicName, []logstore.Record{rec})
@@ -549,15 +543,6 @@ func (t *topic) newest() (ms int64, ok bool) {
 	return 0, false
 }
 
-// live counts the topic's live records.
-func (t *topic) live() int {
-	n := t.act.live
-	for _, sf := range t.segs {
-		n += sf.live
-	}
-	return n
-}
-
 // seal turns the active wal into an immutable segment — fsync, then rename
 // to the segment's name — and starts a fresh wal. The index kept while
 // appending is the segment's. A failed fsync or rename leaves the wal as it
@@ -670,21 +655,6 @@ func (s *Store) ScanFunc(topicName string, fromMs, toMs int64, fn func(logstore.
 	s.scanLocked(t, fromMs, toMs, fn)
 }
 
-// Scan returns a copy of the records in [fromMs, toMs), sorted by arrival
-// with ingest-order ties — byte-identical to the in-memory store's result
-// for the same ingest sequence.
-func (s *Store) Scan(topicName string, fromMs, toMs int64) []logstore.Record {
-	var out []logstore.Record
-	s.ScanFunc(topicName, fromMs, toMs, func(rec logstore.Record) bool {
-		out = append(out, rec)
-		return true
-	})
-	if out == nil {
-		out = []logstore.Record{}
-	}
-	return out
-}
-
 // Len returns the number of live records in a topic.
 func (s *Store) Len(topicName string) int {
 	s.mu.Lock()
@@ -693,41 +663,11 @@ func (s *Store) Len(topicName string) int {
 	if t == nil {
 		return 0
 	}
-	return t.live()
-}
-
-// Topics returns the sorted names of topics with at least one live record.
-func (s *Store) Topics() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.topics))
-	for name, t := range s.topics {
-		if t.live() > 0 {
-			names = append(names, name)
-		}
+	n := t.act.live
+	for _, sf := range t.segs {
+		n += sf.live
 	}
-	sort.Strings(names)
-	return names
-}
-
-// Bounds returns the minimum and maximum live ArrivalMs of a topic: its
-// first and last live records.
-func (s *Store) Bounds(topicName string) (minMs, maxMs int64, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, _ := s.getTopic(topicName, false)
-	if t == nil {
-		return 0, 0, false
-	}
-	s.scanLocked(t, math.MinInt64, math.MaxInt64, func(rec logstore.Record) bool {
-		minMs, ok = rec.ArrivalMs, true
-		return false
-	})
-	if !ok {
-		return 0, 0, false
-	}
-	maxMs, _ = t.newest()
-	return minMs, maxMs, true
+	return n
 }
 
 // Expire drops every record with ArrivalMs < nowMs − TTL and returns the

@@ -1,14 +1,60 @@
 package segment
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
 	"pinsql/internal/logstore"
 )
+
+// scanAll collects ScanFunc's records of [fromMs, toMs), empty but not nil
+// when there are none.
+func scanAll(b logstore.Backend, topic string, fromMs, toMs int64) []logstore.Record {
+	out := []logstore.Record{}
+	b.ScanFunc(topic, fromMs, toMs, func(r logstore.Record) bool {
+		out = append(out, r)
+		return true
+	})
+	return out
+}
+
+// liveTopics returns the sorted names of s's topics with a live record;
+// no append may run meanwhile.
+func liveTopics(s *Store) []string {
+	var names []string
+	for name := range s.topics {
+		if s.Len(name) > 0 {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	return names
+}
+
+// Bounds returns the minimum and maximum live ArrivalMs of a topic: its
+// first and last live records.
+func (s *Store) Bounds(topicName string) (minMs, maxMs int64, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t, _ := s.getTopic(topicName, false)
+	if t == nil {
+		return 0, 0, false
+	}
+	s.scanLocked(t, math.MinInt64, math.MaxInt64, func(rec logstore.Record) bool {
+		minMs, ok = rec.ArrivalMs, true
+		return false
+	})
+	if !ok {
+		return 0, 0, false
+	}
+	maxMs, _ = t.newest()
+	return minMs, maxMs, true
+}
 
 // smallOpts forces frequent sealing so tests cross segment boundaries.
 func smallOpts() Options {
@@ -37,7 +83,7 @@ func TestAppendScanAcrossSegments(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := s.Scan("db1", 200, 5000)
+	got := scanAll(s, "db1", 200, 5000)
 	if len(got) != 48 {
 		t.Fatalf("scan returned %d records, want 48", len(got))
 	}
@@ -109,21 +155,21 @@ func TestReopenReplaysEverything(t *testing.T) {
 		s.Append("a", rec(int32(i), int64(i*10)))
 		s.Append("b", rec(int32(i), int64(i*20)))
 	}
-	want := s.Scan("a", 0, 1<<62)
-	wantB := s.Scan("b", 0, 1<<62)
+	want := scanAll(s, "a", 0, 1<<62)
+	wantB := scanAll(s, "b", 0, 1<<62)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	r := mustOpen(t, dir, smallOpts())
 	defer r.Close()
-	if got := r.Scan("a", 0, 1<<62); !reflect.DeepEqual(got, want) {
+	if got := scanAll(r, "a", 0, 1<<62); !reflect.DeepEqual(got, want) {
 		t.Errorf("topic a diverged after reopen:\n got %v\nwant %v", got, want)
 	}
-	if got := r.Scan("b", 0, 1<<62); !reflect.DeepEqual(got, wantB) {
+	if got := scanAll(r, "b", 0, 1<<62); !reflect.DeepEqual(got, wantB) {
 		t.Errorf("topic b diverged after reopen")
 	}
-	if topics := r.Topics(); !reflect.DeepEqual(topics, []string{"a", "b"}) {
+	if topics := liveTopics(r); !reflect.DeepEqual(topics, []string{"a", "b"}) {
 		t.Errorf("topics = %v", topics)
 	}
 	// And the store still accepts appends after recovery.
@@ -169,12 +215,12 @@ func TestExpireDeletesWholeSegments(t *testing.T) {
 	if got := r.Len("t"); got != 15 {
 		t.Errorf("Len after reopen = %d, want 15", got)
 	}
-	if got := r.Scan("t", 0, 1<<62); len(got) != 15 || got[0].ArrivalMs != 2500 {
+	if got := scanAll(r, "t", 0, 1<<62); len(got) != 15 || got[0].ArrivalMs != 2500 {
 		t.Errorf("scan after reopen: len %d, first %v", len(got), got[0])
 	}
 	// Expiring everything empties the topic list.
 	r.Expire(1 << 40)
-	if topics := r.Topics(); len(topics) != 0 {
+	if topics := liveTopics(r); len(topics) != 0 {
 		t.Errorf("topics after full expiry = %v", topics)
 	}
 }
@@ -187,10 +233,10 @@ func TestTopicNameEscaping(t *testing.T) {
 	s.Close()
 	r := mustOpen(t, dir, Options{})
 	defer r.Close()
-	if got := r.Topics(); len(got) != 1 || got[0] != odd {
+	if got := liveTopics(r); len(got) != 1 || got[0] != odd {
 		t.Errorf("topics after reopen = %q", got)
 	}
-	if got := r.Scan(odd, 0, 100); len(got) != 1 || got[0].ArrivalMs != 42 {
+	if got := scanAll(r, odd, 0, 100); len(got) != 1 || got[0].ArrivalMs != 42 {
 		t.Errorf("scan = %v", got)
 	}
 }
@@ -198,7 +244,7 @@ func TestTopicNameEscaping(t *testing.T) {
 func TestEmptyAndMissingTopic(t *testing.T) {
 	s := mustOpen(t, t.TempDir(), Options{})
 	defer s.Close()
-	if got := s.Scan("nope", 0, 100); len(got) != 0 {
+	if got := scanAll(s, "nope", 0, 100); len(got) != 0 {
 		t.Errorf("missing topic scan = %v", got)
 	}
 	if _, _, ok := s.Bounds("nope"); ok {
@@ -208,7 +254,7 @@ func TestEmptyAndMissingTopic(t *testing.T) {
 		t.Errorf("Len = %d", got)
 	}
 	// Scanning must not create topic directories on disk.
-	if _, err := os.Stat(filepath.Join(s.Dir(), "t", "nope")); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(s.dir, "t", "nope")); !os.IsNotExist(err) {
 		t.Error("read path created a topic directory")
 	}
 }
@@ -225,7 +271,7 @@ func TestConcurrentAppendScan(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				s.Append(topic, rec(int32(w), int64(i)))
 				if i%50 == 0 {
-					s.Scan(topic, 0, int64(i))
+					scanAll(s, topic, 0, int64(i))
 				}
 			}
 		}(w)
@@ -235,7 +281,7 @@ func TestConcurrentAppendScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := 0
-	for _, topic := range s.Topics() {
+	for _, topic := range liveTopics(s) {
 		total += s.Len(topic)
 	}
 	if total != 8*300 {
@@ -273,7 +319,7 @@ func TestSealForcesSegmentScanPath(t *testing.T) {
 	if err := s.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	got := s.Scan("t", 0, 1000)
+	got := scanAll(s, "t", 0, 1000)
 	if len(got) != 5 || got[0].ArrivalMs != 100 {
 		t.Fatalf("sealed scan = %v", got)
 	}

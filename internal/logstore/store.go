@@ -167,9 +167,6 @@ func New(ttlMs int64) *Store {
 	}
 }
 
-// TTL returns the configured time-to-live in milliseconds.
-func (s *Store) TTL() int64 { return s.ttlMs }
-
 // topic returns the arena for a topic, creating it on first use. Callers
 // hold the write lock.
 func (s *Store) topic(name string) *topicLog {
@@ -230,29 +227,10 @@ func orderedPrefix(recs []Record, prevMs int64) int {
 	return len(recs)
 }
 
-// Scan returns a copy of the records in topic with ArrivalMs in
-// [fromMs, toMs).
-func (s *Store) Scan(topic string, fromMs, toMs int64) []Record {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	t := s.topics[topic]
-	if t == nil {
-		return []Record{}
-	}
-	lo, _, _ := t.find(func(r Record) bool { return r.ArrivalMs >= fromMs })
-	hi, _, _ := t.find(func(r Record) bool { return r.ArrivalMs >= toMs })
-	out := make([]Record, 0, hi-lo)
-	t.scanRuns(fromMs, toMs, func(run []Record) bool {
-		out = append(out, run...)
-		return true
-	})
-	return out
-}
-
-// ScanFunc streams the records of Scan's range in the same order without
-// materializing a copy, calling fn for each record until it returns false.
-// The callback runs under the store lock: it must be quick and must not
-// call back into the store.
+// ScanFunc streams the records in topic with ArrivalMs in [fromMs, toMs),
+// in arrival order (ties in ingest order), calling fn for each record until
+// it returns false. The callback runs under the store lock: it must be
+// quick and must not call back into the store.
 func (s *Store) ScanFunc(topic string, fromMs, toMs int64, fn func(Record) bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -289,20 +267,6 @@ func (s *Store) Len(topic string) int {
 		return t.size
 	}
 	return 0
-}
-
-// Topics returns the topic names with at least one live record.
-func (s *Store) Topics() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	names := make([]string, 0, len(s.topics))
-	for name, t := range s.topics {
-		if t.size > 0 {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Expire drops every record with ArrivalMs < nowMs − TTL across all topics

@@ -13,6 +13,17 @@ import (
 	"unsafe"
 )
 
+// scanAll collects ScanFunc's records of [fromMs, toMs), empty but not nil
+// when there are none.
+func scanAll(b Backend, topic string, fromMs, toMs int64) []Record {
+	out := []Record{}
+	b.ScanFunc(topic, fromMs, toMs, func(r Record) bool {
+		out = append(out, r)
+		return true
+	})
+	return out
+}
+
 func TestAppendAndScan(t *testing.T) {
 	s := New(0)
 	for i := 0; i < 10; i++ {
@@ -20,7 +31,7 @@ func TestAppendAndScan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := s.Scan("db1", 200, 500)
+	got := scanAll(s, "db1", 200, 500)
 	if len(got) != 3 {
 		t.Fatalf("scan returned %d records, want 3", len(got))
 	}
@@ -33,23 +44,12 @@ func TestAppendAndScan(t *testing.T) {
 
 func TestScanEmptyAndMissingTopic(t *testing.T) {
 	s := New(0)
-	if got := s.Scan("nope", 0, 100); len(got) != 0 {
+	if got := scanAll(s, "nope", 0, 100); len(got) != 0 {
 		t.Errorf("missing topic scan = %v", got)
 	}
 	s.Append("a", Record{ArrivalMs: 50})
-	if got := s.Scan("a", 100, 200); len(got) != 0 {
+	if got := scanAll(s, "a", 100, 200); len(got) != 0 {
 		t.Errorf("out-of-range scan = %v", got)
-	}
-}
-
-func TestScanReturnsCopy(t *testing.T) {
-	s := New(0)
-	s.Append("t", Record{ArrivalMs: 1, TemplateIdx: 7})
-	got := s.Scan("t", 0, 10)
-	got[0].TemplateIdx = 99
-	again := s.Scan("t", 0, 10)
-	if again[0].TemplateIdx != 7 {
-		t.Error("Scan must return copies")
 	}
 }
 
@@ -67,7 +67,7 @@ func TestSlackReordering(t *testing.T) {
 		t.Fatalf("tie with the newest: %v", err)
 	}
 	want := []Record{{TemplateIdx: 0, ArrivalMs: 1000}, {TemplateIdx: 1, ArrivalMs: 3000}, {TemplateIdx: 3, ArrivalMs: 3000}}
-	if got := s.Scan("t", 0, 10_000); !reflect.DeepEqual(got, want) {
+	if got := scanAll(s, "t", 0, 10_000); !reflect.DeepEqual(got, want) {
 		t.Fatalf("scan = %v, want %v", got, want)
 	}
 }
@@ -89,33 +89,16 @@ func TestExpire(t *testing.T) {
 	if s.Len("t") != 0 {
 		t.Errorf("live records = %d, want 0", s.Len("t"))
 	}
-	if topics := s.Topics(); len(topics) != 0 {
-		t.Errorf("topics = %v, want none", topics)
-	}
-}
-
-func TestTopicsSorted(t *testing.T) {
-	s := New(0)
-	s.Append("zeta", Record{})
-	s.Append("alpha", Record{})
-	s.Append("mid", Record{})
-	got := s.Topics()
-	want := []string{"alpha", "mid", "zeta"}
-	if len(got) != len(want) {
-		t.Fatalf("topics = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("topics[%d] = %s, want %s", i, got[i], want[i])
-		}
+	if _, ok := s.topics["t"]; ok {
+		t.Error("a fully expired topic is kept")
 	}
 }
 
 func TestDefaultTTL(t *testing.T) {
-	if got := New(0).TTL(); got != DefaultTTLMs {
+	if got := New(0).ttlMs; got != DefaultTTLMs {
 		t.Errorf("default TTL = %d", got)
 	}
-	if got := New(42).TTL(); got != 42 {
+	if got := New(42).ttlMs; got != 42 {
 		t.Errorf("custom TTL = %d", got)
 	}
 }
@@ -131,15 +114,15 @@ func TestConcurrentAppendScan(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				s.Append(topic, Record{ArrivalMs: int64(i)})
 				if i%50 == 0 {
-					s.Scan(topic, 0, int64(i))
+					scanAll(s, topic, 0, int64(i))
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
 	total := 0
-	for _, topic := range s.Topics() {
-		total += s.Len(topic)
+	for w := 0; w < 8; w++ {
+		total += s.Len(string(rune('a' + w)))
 	}
 	if total != 8*500 {
 		t.Errorf("total records = %d, want 4000", total)
@@ -162,7 +145,7 @@ func TestScanWindowProperty(t *testing.T) {
 		if lo > hi {
 			lo, hi = hi, lo
 		}
-		recs := s.Scan("t", lo, hi)
+		recs := scanAll(s, "t", lo, hi)
 		for i, r := range recs {
 			if r.ArrivalMs < lo || r.ArrivalMs >= hi {
 				return false
@@ -199,7 +182,7 @@ func TestExpireProperty(t *testing.T) {
 			return false
 		}
 		cutoff := int64(now) - 1000
-		for _, r := range s.Scan("t", 0, 1<<62) {
+		for _, r := range scanAll(s, "t", 0, 1<<62) {
 			if r.ArrivalMs < cutoff {
 				return false
 			}
@@ -217,7 +200,7 @@ func TestScanFuncStreamsWindow(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		s.Append("t", Record{TemplateIdx: int32(i), ArrivalMs: int64(i * 13 / 3)})
 	}
-	want := s.Scan("t", 20, 80)
+	want := scanAll(s, "t", 20, 80)
 	var got []Record
 	s.ScanFunc("t", 20, 80, func(r Record) bool {
 		got = append(got, r)
@@ -350,7 +333,7 @@ func TestChunkedArenaDifferential(t *testing.T) {
 		if op%997 == 0 || op == 29_999 {
 			lo := now - int64(rng.Intn(2000))
 			hi := lo + int64(rng.Intn(2000))
-			got := s.Scan("t", lo, hi)
+			got := scanAll(s, "t", lo, hi)
 			want := refScan(ref, lo, hi)
 			if len(got) != len(want) {
 				t.Fatalf("op %d: scan len %d, want %d", op, len(got), len(want))
@@ -366,7 +349,7 @@ func TestChunkedArenaDifferential(t *testing.T) {
 		}
 	}
 	// Final full-range sweep.
-	got := s.Scan("t", -1<<62, 1<<62)
+	got := scanAll(s, "t", -1<<62, 1<<62)
 	if len(got) != len(ref) {
 		t.Fatalf("final scan len %d, want %d", len(got), len(ref))
 	}
@@ -476,9 +459,9 @@ func TestAppendBatchAllocBudget(t *testing.T) {
 }
 
 // TestScanRunsEqualsScan: the records ScanFunc streams, one arena run after
-// another, are Scan's result for the same range — across chunk boundaries,
-// after expiry and truncation left short middle chunks, and with an early
-// stop.
+// another, are a sorted reference slice's for the same range — across chunk
+// boundaries, after expiry and truncation left short middle chunks, and
+// with an early stop.
 func TestScanRunsEqualsScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	s := New(0)
@@ -489,19 +472,14 @@ func TestScanRunsEqualsScan(t *testing.T) {
 	}
 	sort.SliceStable(recs, func(i, j int) bool { return recs[i].ArrivalMs < recs[j].ArrivalMs })
 	s.AppendBatch("t", slices.Clone(recs))
+	ref := recs
 	check := func(stage string) {
 		t.Helper()
 		for w := 0; w < 200; w++ {
 			from := int64(rng.Intn(n)) - 50
 			to := from + int64(rng.Intn(n))
-			want := s.Scan("t", from, to)
-			got := []Record{}
-			s.ScanFunc("t", from, to, func(r Record) bool {
-				got = append(got, r)
-				return true
-			})
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: ScanFunc[%d,%d) yielded %d records, Scan %d", stage, from, to, len(got), len(want))
+			if got, want := scanAll(s, "t", from, to), refScan(ref, from, to); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: ScanFunc[%d,%d) yielded %d records, want %d", stage, from, to, len(got), len(want))
 			}
 		}
 	}
@@ -509,10 +487,13 @@ func TestScanRunsEqualsScan(t *testing.T) {
 	s.ttlMs = 1
 	s.Expire(n / 5) // trims the first chunk in place
 	s.TruncateFrom("t", n-n/5)
+	ref = slices.DeleteFunc(ref, func(r Record) bool { return r.ArrivalMs < n/5-1 || r.ArrivalMs >= n-n/5 })
 	for i := 0; i < 50; i++ { // into the truncated chunk's free space, ties included
-		if err := s.Append("t", Record{TemplateIdx: -1, ArrivalMs: int64(n - n/5 + i/3)}); err != nil {
+		rec := Record{TemplateIdx: -1, ArrivalMs: int64(n - n/5 + i/3)}
+		if err := s.Append("t", rec); err != nil {
 			t.Fatal(err)
 		}
+		ref = append(ref, rec)
 	}
 	check("after expire, truncate and appends")
 

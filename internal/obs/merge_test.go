@@ -11,7 +11,7 @@ import (
 func TestMergeTextIdentity(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b_total", "b help", L("shard", "0")).Add(3)
-	r.Gauge("a_gauge", "a help", L("shard", "0")).Set(1.5)
+	r.GaugeFunc("a_gauge", "a help", func() float64 { return 1.5 }, L("shard", "0"))
 	r.Summary("s_lat", "s help", L("shard", "0")).Observe(0.25)
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {

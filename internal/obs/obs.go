@@ -1,10 +1,10 @@
 // Package obs is a minimal metrics registry for the fleet control plane:
-// counters, gauges, callback gauges and count/sum summaries (per-stage
-// durations) with optional label pairs, rendered in the Prometheus text
-// exposition format. It is stdlib-only and
-// deliberately small — the fleet needs a handful of counters (windows
-// processed, anomalies, shed windows, broker drops, registry cache
-// hits/misses) and queue-depth gauges, not a client library.
+// counters, callback counters and gauges, and count/sum summaries
+// (per-stage durations) with optional label pairs, rendered in the
+// Prometheus text exposition format. It is stdlib-only and deliberately
+// small — the fleet needs a handful of counters (windows processed,
+// anomalies, shed windows) and callback series read at scrape time (queue
+// depths, registry cache hits/misses, ingest lag), not a client library.
 //
 // Output is deterministic: families are rendered in name order and series
 // within a family in label order, so scrapes diff cleanly and tests can
@@ -14,7 +14,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -48,17 +47,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a metric that can go up and down.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Summary is a count+sum pair — enough to derive rates and mean durations
 // from scrapes (the fleet's per-stage wall-clock metrics). It renders as a
@@ -99,7 +87,6 @@ type family struct {
 	mu       sync.Mutex
 	byLabel  map[string]*series
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 }
 
 // Registry holds metric families and renders them for scraping.
@@ -145,7 +132,6 @@ func (r *Registry) getFamily(name, help, typ string) *family {
 			name: name, help: help, typ: typ,
 			byLabel:  make(map[string]*series),
 			counters: make(map[string]*Counter),
-			gauges:   make(map[string]*Gauge),
 		}
 		r.families[name] = f
 		return f
@@ -172,21 +158,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	return c
 }
 
-// Gauge returns the gauge for name+labels, creating it on first use.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	f := r.getFamily(name, help, "gauge")
-	lb := renderLabels(labels)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if g, ok := f.gauges[lb]; ok {
-		return g
-	}
-	g := &Gauge{}
-	f.gauges[lb] = g
-	f.byLabel[lb] = &series{read: g.Value}
-	return g
-}
-
 // Summary returns the summary for name+labels, creating it on first use;
 // repeated registrations return the same summary.
 func (r *Registry) Summary(name, help string, labels ...Label) *Summary {
@@ -203,7 +174,7 @@ func (r *Registry) Summary(name, help string, labels ...Label) *Summary {
 }
 
 // CounterFunc registers a callback counter for cumulative values that
-// already live elsewhere (a broker's drop count, a cache's hit count):
+// already live elsewhere (a cache's hit count, a source's record count):
 // fn is invoked at scrape time and must be monotonically non-decreasing.
 // Re-registering the same name+labels replaces the callback.
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
@@ -222,7 +193,6 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 	lb := renderLabels(labels)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	delete(f.gauges, lb)
 	f.byLabel[lb] = &series{read: fn}
 }
 

@@ -12,7 +12,7 @@ func TestPrometheusRendering(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("pinsql_windows_total", "Windows processed.", L("instance", "b")).Add(3)
 	r.Counter("pinsql_windows_total", "Windows processed.", L("instance", "a")).Add(7)
-	r.Gauge("pinsql_queue_depth", "Queued windows.", L("instance", "a")).Set(2.5)
+	r.GaugeFunc("pinsql_queue_depth", "Queued windows.", func() float64 { return 2.5 }, L("instance", "a"))
 	r.GaugeFunc("pinsql_cache_hits", "Raw-cache hits.", func() float64 { return 42 })
 
 	var b strings.Builder
@@ -49,11 +49,6 @@ func TestCounterIdentity(t *testing.T) {
 	if got := a.Value(); got != 3 {
 		t.Fatalf("counter value = %d, want 3", got)
 	}
-	g1 := r.Gauge("g", "")
-	g2 := r.Gauge("g", "")
-	if g1 != g2 {
-		t.Fatal("same name+labels must return the same gauge")
-	}
 }
 
 // TestLabelOrderCanonical checks label pairs render sorted by key
@@ -85,7 +80,7 @@ func TestTypeConflictPanics(t *testing.T) {
 			t.Fatal("expected panic on counter/gauge type conflict")
 		}
 	}()
-	r.Gauge("m", "")
+	r.GaugeFunc("m", "", func() float64 { return 0 })
 }
 
 // TestConcurrentUse hammers registration and increments from many
@@ -99,7 +94,7 @@ func TestConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 200; j++ {
 				r.Counter("conc_total", "", L("w", string(rune('a'+i%4)))).Inc()
-				r.Gauge("conc_depth", "").Set(float64(j))
+				r.GaugeFunc("conc_depth", "", func() float64 { return float64(j) })
 				var sb strings.Builder
 				_ = r.WritePrometheus(&sb)
 			}

@@ -9,9 +9,6 @@
 package repair
 
 import (
-	"encoding/json"
-	"fmt"
-
 	"pinsql/internal/anomaly"
 	"pinsql/internal/sqltemplate"
 	"pinsql/internal/timeseries"
@@ -57,24 +54,6 @@ type Rule struct {
 // Config is the module's rule set.
 type Config struct {
 	Rules []Rule `json:"rules"`
-}
-
-// ParseConfig decodes a JSON rule set.
-func ParseConfig(data []byte) (Config, error) {
-	var cfg Config
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		return Config{}, fmt.Errorf("repair: parsing config: %w", err)
-	}
-	for i, r := range cfg.Rules {
-		for _, a := range r.Actions {
-			switch a {
-			case ActionThrottle, ActionOptimize, ActionAutoScale:
-			default:
-				return Config{}, fmt.Errorf("repair: rule %d (%s): unknown action %q", i, r.Name, a)
-			}
-		}
-	}
-	return cfg, nil
 }
 
 // DefaultConfig is the paper's default behaviour: throttle-then-optimize on

@@ -1,7 +1,6 @@
 package repair
 
 import (
-	"strings"
 	"testing"
 
 	"pinsql/internal/anomaly"
@@ -48,30 +47,6 @@ func fakeCase(metric string, feature anomaly.Feature) *anomaly.Case {
 			{Metric: metric, Feature: feature, Start: as, End: ae},
 		},
 	})
-}
-
-func TestParseConfig(t *testing.T) {
-	data := []byte(`{"rules":[{"name":"r1","when":{"metric":"cpu_usage","feature":"spike"},"actions":["optimize"],"auto_execute":true,"notify":["sms"]}]}`)
-	cfg, err := ParseConfig(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cfg.Rules) != 1 || cfg.Rules[0].Name != "r1" || !cfg.Rules[0].AutoExecute {
-		t.Errorf("config = %+v", cfg)
-	}
-}
-
-func TestParseConfigRejectsUnknownAction(t *testing.T) {
-	data := []byte(`{"rules":[{"name":"bad","when":{"metric":"x","feature":"spike"},"actions":["explode"]}]}`)
-	if _, err := ParseConfig(data); err == nil || !strings.Contains(err.Error(), "explode") {
-		t.Errorf("error = %v", err)
-	}
-}
-
-func TestParseConfigRejectsGarbage(t *testing.T) {
-	if _, err := ParseConfig([]byte("not json")); err == nil {
-		t.Error("garbage config accepted")
-	}
 }
 
 func TestSuggestSessionPileup(t *testing.T) {
@@ -125,7 +100,7 @@ func TestSuggestCPUBurnRequiresRowsSpike(t *testing.T) {
 
 func TestSuggestNoMatchWrongMetric(t *testing.T) {
 	m := New(DefaultConfig(), Optimizer{})
-	c := fakeCase(anomaly.MetricMemUsage, anomaly.SpikeUp)
+	c := fakeCase("mem_usage", anomaly.SpikeUp)
 	if sugg := m.Suggest(c, []sqltemplate.ID{"RSQL1"}); len(sugg) != 0 {
 		t.Errorf("suggestions for unmatched metric: %+v", sugg)
 	}
@@ -141,6 +116,16 @@ func TestSuggestLevelShiftSatisfiesSpike(t *testing.T) {
 
 type fakeSpec struct{ rows, time float64 }
 
+// throttles records the limits Execute installs, by template: the rate
+// and, for a timed rule, the expiry (0 for none).
+type throttles map[string][2]float64
+
+func (t throttles) SetThrottle(id string, qps float64) { t[id] = [2]float64{qps, 0} }
+
+func (t throttles) SetThrottleUntil(id string, qps float64, untilMs int64) {
+	t[id] = [2]float64{qps, float64(untilMs)}
+}
+
 func (f *fakeSpec) ApplyOptimization(rowsFactor, timeFactor float64) {
 	f.rows = rowsFactor
 	f.time = timeFactor
@@ -152,9 +137,10 @@ func TestExecute(t *testing.T) {
 	sugg := m.Suggest(c, []sqltemplate.ID{"RSQL1"})
 
 	inst := dbsim.NewInstance(dbsim.DefaultConfig())
+	th := throttles{}
 	spec := &fakeSpec{}
 	env := Environment{
-		Throttler:   inst,
+		Throttler:   th,
 		Scaler:      inst,
 		SpecOf:      func(id sqltemplate.ID) Optimizable { return spec },
 		AutoExecute: true,
@@ -165,8 +151,8 @@ func TestExecute(t *testing.T) {
 			t.Errorf("suggestion not executed: %+v", s)
 		}
 	}
-	if _, ok := inst.Throttled("RSQL1"); !ok {
-		t.Error("throttle not installed on instance")
+	if _, ok := th["RSQL1"]; !ok {
+		t.Error("throttle not installed")
 	}
 	if spec.rows != 12 || spec.time != 12 {
 		t.Errorf("optimization factors = %v/%v, want 12/12", spec.rows, spec.time)
@@ -178,14 +164,15 @@ func TestExecuteRespectsAutoExecuteSwitch(t *testing.T) {
 	c := fakeCase(anomaly.MetricActiveSession, anomaly.SpikeUp)
 	sugg := m.Suggest(c, []sqltemplate.ID{"RSQL1"})
 	inst := dbsim.NewInstance(dbsim.DefaultConfig())
-	env := Environment{Throttler: inst, Scaler: inst, AutoExecute: false}
+	th := throttles{}
+	env := Environment{Throttler: th, Scaler: inst, AutoExecute: false}
 	done := m.Execute(env, sugg)
 	for _, s := range done {
 		if s.Executed {
 			t.Errorf("suggestion executed without authorization: %+v", s)
 		}
 	}
-	if _, ok := inst.Throttled("RSQL1"); ok {
+	if len(th) != 0 {
 		t.Error("throttle installed despite AutoExecute=false")
 	}
 }
@@ -236,12 +223,12 @@ func TestTimedThrottleExecution(t *testing.T) {
 	if len(sugg) != 1 || sugg[0].DurationMs != 60_000 {
 		t.Fatalf("suggestions = %+v", sugg)
 	}
-	inst := dbsim.NewInstance(dbsim.DefaultConfig())
-	done := m.Execute(Environment{Throttler: inst, NowMs: 10_000}, sugg)
+	th := throttles{}
+	done := m.Execute(Environment{Throttler: th, NowMs: 10_000}, sugg)
 	if !done[0].Executed {
 		t.Fatal("not executed")
 	}
-	if qps, ok := inst.Throttled("RSQL1"); !ok || qps != 5 {
-		t.Errorf("throttle = %v, %v", qps, ok)
+	if got, want := th["RSQL1"], [2]float64{5, 70_000}; got != want {
+		t.Errorf("throttle (qps, until) = %v, want %v", got, want)
 	}
 }

@@ -63,18 +63,6 @@ type Options struct {
 	Workers int
 }
 
-// DefaultOptions returns the full PinSQL configuration.
-func DefaultOptions() Options {
-	return Options{
-		Tau:                    DefaultTau,
-		TauC:                   DefaultTauC,
-		Kc:                     DefaultKc,
-		TukeyK:                 DefaultTukeyK,
-		UseCumulativeThreshold: true,
-		UseHistoryVerification: true,
-	}
-}
-
 // Template is one SQL template's input to the module.
 type Template struct {
 	ID      sqltemplate.ID

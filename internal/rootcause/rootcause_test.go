@@ -424,3 +424,15 @@ func TestCumulativeSumClampsSessionLength(t *testing.T) {
 		t.Errorf("selected %d clusters at cumulative corr %v, want 2 at the dense sum's %v", selected, got, want)
 	}
 }
+
+// DefaultOptions returns the full PinSQL configuration.
+func DefaultOptions() Options {
+	return Options{
+		Tau:                    DefaultTau,
+		TauC:                   DefaultTauC,
+		Kc:                     DefaultKc,
+		TukeyK:                 DefaultTukeyK,
+		UseCumulativeThreshold: true,
+		UseHistoryVerification: true,
+	}
+}

@@ -518,16 +518,6 @@ func (r *Runtime) Close() error {
 	return nil
 }
 
-// Abandon detaches supervision without touching the worker process —
-// the test seam for "coordinator crashed": workers keep running, the
-// address files stay published, and a new coordinator can adopt them.
-func (r *Runtime) Abandon() {
-	r.mu.Lock()
-	r.closing = true
-	r.cond.Broadcast()
-	r.mu.Unlock()
-}
-
 func (r *Runtime) cleanupTmp() {
 	if r.tmpDir != "" {
 		_ = os.RemoveAll(r.tmpDir)

@@ -410,3 +410,13 @@ func TestSpecSetRoundTrip(t *testing.T) {
 		t.Error("empty SpecSet built without error")
 	}
 }
+
+// Abandon detaches supervision without touching the worker process —
+// the test seam for "coordinator crashed": workers keep running, the
+// address files stay published, and a new coordinator can adopt them.
+func (r *Runtime) Abandon() {
+	r.mu.Lock()
+	r.closing = true
+	r.cond.Broadcast()
+	r.mu.Unlock()
+}

@@ -13,7 +13,6 @@ package remote
 
 import (
 	"fmt"
-	"sort"
 
 	"pinsql/internal/fleet"
 )
@@ -64,18 +63,4 @@ func (s SpecSet) Build() ([]fleet.InstanceSpec, error) {
 		}
 	}
 	return specs, nil
-}
-
-// IDs returns the sorted instance IDs the spec set describes.
-func (s SpecSet) IDs() ([]string, error) {
-	specs, err := s.Build()
-	if err != nil {
-		return nil, err
-	}
-	ids := make([]string, len(specs))
-	for i, sp := range specs {
-		ids[i] = sp.ID
-	}
-	sort.Strings(ids)
-	return ids, nil
 }

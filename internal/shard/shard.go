@@ -329,9 +329,6 @@ func (m *Manager) registerMetrics() {
 	}
 }
 
-// Metrics returns the shared registry behind GET /metrics.
-func (m *Manager) Metrics() *obs.Registry { return m.metrics }
-
 // MetricsExposition renders the full Prometheus text document: the
 // coordinator's own registry (pinsql_shard_* aggregates plus every
 // in-process shard's series) merged with each remote shard's scrape.

@@ -90,7 +90,12 @@ func TestShardDeterminism(t *testing.T) {
 	if err := f.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	want := f.Report()
+	var b strings.Builder
+	reps := f.Reports()
+	for _, id := range f.IDs() {
+		fleet.FormatInstanceReport(&b, id, reps[id])
+	}
+	want := b.String()
 	f.Close()
 	if !strings.Contains(want, "rsql") || !strings.Contains(want, "action") {
 		t.Fatalf("fixture lost its teeth:\n%s", want)

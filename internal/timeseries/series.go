@@ -88,18 +88,6 @@ func (s Series) Max() float64 {
 	return max
 }
 
-// Add returns the element-wise sum of s and t.
-func (s Series) Add(t Series) (Series, error) {
-	if len(s) != len(t) {
-		return nil, ErrLengthMismatch
-	}
-	out := make(Series, len(s))
-	for i := range s {
-		out[i] = s[i] + t[i]
-	}
-	return out, nil
-}
-
 // Slice returns s[lo:hi] clamped to the valid index range, so callers can
 // pass anomaly windows that overrun the trace boundary without panicking.
 func (s Series) Slice(lo, hi int) Series {
@@ -147,10 +135,8 @@ func quantileSorted(sorted Series, q float64) float64 {
 // Median returns the 0.5 quantile.
 func (s Series) Median() float64 { return s.Quantile(0.5) }
 
-// MAD returns the median absolute deviation from the median.
-func (s Series) MAD() float64 { return s.madAbout(s.Median()) }
-
-// madAbout is MAD for a caller that already holds the series' median.
+// madAbout returns the median absolute deviation from med, the series'
+// median.
 func (s Series) madAbout(med float64) float64 {
 	dev := make(Series, len(s))
 	for i, v := range s {

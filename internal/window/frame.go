@@ -114,9 +114,6 @@ type Frame struct {
 	posByID map[sqltemplate.ID]int32
 }
 
-// NumTemplates returns T, the number of templates in the frame.
-func (f *Frame) NumTemplates() int { return len(f.Templates) }
-
 // NumObs returns N, the number of raw observations in the frame.
 func (f *Frame) NumObs() int { return len(f.Arrival) }
 
@@ -125,9 +122,6 @@ func (f *Frame) Obs(pos int) (arrival []int64, response []float64) {
 	lo, hi := f.Off[pos], f.Off[pos+1]
 	return f.Arrival[lo:hi], f.Response[lo:hi]
 }
-
-// ObsLen returns the number of observations of template position pos.
-func (f *Frame) ObsLen(pos int) int { return int(f.Off[pos+1] - f.Off[pos]) }
 
 // Pos resolves a template ID to its frame position; ok is false when the
 // frame has no such template. This is a boundary helper — inner pipeline

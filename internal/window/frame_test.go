@@ -40,7 +40,7 @@ func TestFinalizeSortsGroupsByArrival(t *testing.T) {
 			t.Fatalf("group 0 = %v/%v, want %v/%v", arr, resp, wantArr, wantResp)
 		}
 	}
-	if n := f.ObsLen(1); n != 0 {
+	if n := int(f.Off[2] - f.Off[1]); n != 0 {
 		t.Errorf("empty group length = %d", n)
 	}
 	arr, _ = f.Obs(2)
@@ -87,14 +87,14 @@ func TestPosLookup(t *testing.T) {
 
 func TestCounts(t *testing.T) {
 	f := build(t)
-	if f.NumTemplates() != 3 {
-		t.Errorf("NumTemplates = %d", f.NumTemplates())
+	if len(f.Templates) != 3 {
+		t.Errorf("NumTemplates = %d", len(f.Templates))
 	}
 	if f.NumObs() != 5 {
 		t.Errorf("NumObs = %d", f.NumObs())
 	}
-	if f.ObsLen(0) != 3 || f.ObsLen(2) != 2 {
-		t.Errorf("ObsLen = %d, %d", f.ObsLen(0), f.ObsLen(2))
+	if int(f.Off[1]-f.Off[0]) != 3 || int(f.Off[3]-f.Off[2]) != 2 {
+		t.Errorf("ObsLen = %d, %d", int(f.Off[1]-f.Off[0]), int(f.Off[3]-f.Off[2]))
 	}
 }
 

@@ -61,9 +61,6 @@ type Spec struct {
 	template sqltemplate.Template
 }
 
-// Template returns the spec's SQL template (digest + normalized text).
-func (s *Spec) Template() sqltemplate.Template { return s.template }
-
 // ApplyOptimization models an accepted query optimization (automatic index
 // plus rewrite). The passed factors are the optimizer's *maximum* achievable
 // reductions; the realized reduction is capped by the statement's own
